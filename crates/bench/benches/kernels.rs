@@ -6,21 +6,36 @@ use apsp_bench::workloads::{arrow_minplus, dense_minplus};
 use apsp_minplus::{fw_in_place, gemm, gemm_parallel, BlockedMatrix, Blocking, MinPlusMatrix};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+/// The top-left `rows × cols` corner of a deterministic dense matrix.
+fn dense_rect(rows: usize, cols: usize, seed: u64) -> MinPlusMatrix {
+    let square = dense_minplus(rows.max(cols), seed);
+    MinPlusMatrix::from_fn(rows, cols, |i, j| square.get(i, j))
+}
+
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_minplus");
-    for n in [64usize, 128, 256] {
-        let a = dense_minplus(n, 1);
-        let b = dense_minplus(n, 2);
-        group.throughput(Throughput::Elements((n * n * n) as u64));
-        group.bench_with_input(BenchmarkId::new("serial", n), &n, |bench, _| {
+    // the cubes under their old ids, then the shapes the benchmark's
+    // workloads produce: the expander's top separator (120³) and a mesh
+    // leaf against its 12-vertex separator (280×12×280)
+    for (id, m, kk, n) in [
+        ("64", 64, 64, 64),
+        ("128", 128, 128, 128),
+        ("256", 256, 256, 256),
+        ("120x120x120", 120, 120, 120),
+        ("280x12x280", 280, 12, 280),
+    ] {
+        let a = dense_rect(m, kk, 1);
+        let b = dense_rect(kk, n, 2);
+        group.throughput(Throughput::Elements((m * kk * n) as u64));
+        group.bench_with_input(BenchmarkId::new("serial", id), &id, |bench, _| {
             bench.iter(|| {
-                let mut out = MinPlusMatrix::empty(n, n);
+                let mut out = MinPlusMatrix::empty(m, n);
                 gemm(&mut out, &a, &b)
             });
         });
-        group.bench_with_input(BenchmarkId::new("parallel", n), &n, |bench, _| {
+        group.bench_with_input(BenchmarkId::new("parallel", id), &id, |bench, _| {
             bench.iter(|| {
-                let mut out = MinPlusMatrix::empty(n, n);
+                let mut out = MinPlusMatrix::empty(m, n);
                 gemm_parallel(&mut out, &a, &b)
             });
         });
@@ -30,7 +45,8 @@ fn bench_gemm(c: &mut Criterion) {
 
 fn bench_fw(c: &mut Criterion) {
     let mut group = c.benchmark_group("floyd_warshall");
-    for n in [64usize, 128, 256] {
+    // 280 is the leaf size of the benchmark's `mesh-fw` workload
+    for n in [64usize, 128, 256, 280] {
         let a = dense_minplus(n, 3);
         group.throughput(Throughput::Elements((n * n * n) as u64));
         group.bench_with_input(BenchmarkId::new("classical", n), &n, |bench, _| {

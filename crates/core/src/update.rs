@@ -24,7 +24,7 @@
 
 use crate::supernodal::SupernodalLayout;
 use apsp_graph::DenseDist;
-use apsp_minplus::MinPlusMatrix;
+use apsp_minplus::{relax_row, MinPlusMatrix};
 use apsp_simnet::{Comm, Machine, RunReport};
 
 /// One decreased edge, in *eliminated* vertex numbering.
@@ -110,19 +110,14 @@ fn rank_program(
 
         // Phase 2: local relaxation through the decreased edge
         let w = edge.new_weight;
-        let mut ops = 0u64;
-        for r in 0..block.rows() {
-            let through_u = col_u[r] + w;
-            let through_v = col_v[r] + w;
-            for c in 0..block.cols() {
-                let cand = (through_u + row_v[c]).min(through_v + row_u[c]);
-                ops += 2;
-                if cand < block.get(r, c) {
-                    block.set(r, c, cand);
-                }
-            }
+        let (rows, cols) = (block.rows(), block.cols());
+        let buf = block.as_mut_slice();
+        for r in 0..rows {
+            let row = &mut buf[r * cols..(r + 1) * cols];
+            relax_row(row, col_u[r] + w, &row_v);
+            relax_row(row, col_v[r] + w, &row_u);
         }
-        comm.compute(ops);
+        comm.compute(2 * (rows * cols) as u64);
         comm.release(col_u.len() + row_v.len() + col_v.len() + row_u.len());
     }
 
@@ -164,17 +159,24 @@ mod tests {
     use apsp_graph::oracle;
     use apsp_partition::grid_nd;
 
-    /// Solve, decrease some edges, update, and check against a re-solved
-    /// oracle on the modified graph.
-    fn check(side: usize, h: u32, decreases: &[(usize, usize, f64)]) -> (RunReport, RunReport) {
-        let g = generators::grid2d(side, side, WeightKind::Integer { max: 9 }, 3);
+    /// A solved `side × side` mesh, ready to be updated.
+    struct Solved {
+        g: apsp_graph::Csr,
+        nd: apsp_partition::NdOrdering,
+        layout: SupernodalLayout,
+        dist_eliminated: DenseDist,
+        /// each rank's block, recovered from the solved dense matrix
+        blocks: Vec<MinPlusMatrix>,
+        report: RunReport,
+    }
+
+    fn solve_mesh(side: usize, h: u32, weights: WeightKind) -> Solved {
+        let g = generators::grid2d(side, side, weights, 3);
         let nd = grid_nd(side, side, h);
         let layout = SupernodalLayout::from_ordering(&nd);
         let gp = g.permuted(&nd.perm);
         let solved = sparse2d(&layout, &gp, R4Strategy::OneToOne);
-
-        // recover each rank's block from the solved dense matrix
-        let blocks: Vec<MinPlusMatrix> = (0..layout.p())
+        let blocks = (0..layout.p())
             .map(|rank| {
                 let (i, j) = layout.block_of_rank(rank);
                 let (ri, rj) = (layout.range(i), layout.range(j));
@@ -183,28 +185,104 @@ mod tests {
                 })
             })
             .collect();
+        Solved {
+            g,
+            nd,
+            layout,
+            dist_eliminated: solved.dist_eliminated,
+            blocks,
+            report: solved.report,
+        }
+    }
 
-        // batch in eliminated coordinates; build the modified graph too
-        let mut b = apsp_graph::GraphBuilder::new(g.n());
-        for (u, v, w) in g.edges() {
+    /// The batch in eliminated coordinates.
+    fn batch_of(
+        nd: &apsp_partition::NdOrdering,
+        decreases: &[(usize, usize, f64)],
+    ) -> Vec<DecreasedEdge> {
+        decreases
+            .iter()
+            .map(|&(u, v, w)| DecreasedEdge {
+                u: nd.perm.to_new(u),
+                v: nd.perm.to_new(v),
+                new_weight: w,
+            })
+            .collect()
+    }
+
+    /// Solve, decrease some edges, update, and check against a re-solved
+    /// oracle on the modified graph.
+    fn check(side: usize, h: u32, decreases: &[(usize, usize, f64)]) -> (RunReport, RunReport) {
+        let s = solve_mesh(side, h, WeightKind::Integer { max: 9 });
+        // the modified graph (builder keeps the minimum)
+        let mut b = apsp_graph::GraphBuilder::new(s.g.n());
+        for (u, v, w) in s.g.edges().chain(decreases.iter().copied()) {
             b.add_edge(u, v, w);
         }
-        let batch: Vec<DecreasedEdge> = decreases
-            .iter()
-            .map(|&(u, v, w)| {
-                b.add_edge(u, v, w); // builder keeps the minimum
-                DecreasedEdge { u: nd.perm.to_new(u), v: nd.perm.to_new(v), new_weight: w }
-            })
-            .collect();
         let modified = b.build();
 
-        let updated = apply_decreases(&layout, &blocks, &batch);
-        let dist = SupernodalLayout::unpermute(&updated.dist_eliminated, &nd.perm);
+        let updated = apply_decreases(&s.layout, &s.blocks, &batch_of(&s.nd, decreases));
+        let dist = SupernodalLayout::unpermute(&updated.dist_eliminated, &s.nd.perm);
         let reference = oracle::apsp_dijkstra(&modified);
         if let Some((i, j, a, bb)) = dist.first_mismatch(&reference, 1e-9) {
             panic!("mismatch at ({i},{j}): got {a}, expected {bb}");
         }
-        (updated.report, solved.report)
+        (updated.report, s.report)
+    }
+
+    /// The relaxation as it stood before `relax_row` — the `get`/`set`
+    /// double loop with a conditional store — on the whole matrix at once.
+    fn old_get_set_loop(d: &mut DenseDist, batch: &[DecreasedEdge]) {
+        let n = d.n();
+        for edge in batch {
+            let col_u: Vec<f64> = (0..n).map(|r| d.get(r, edge.u)).collect();
+            let row_v: Vec<f64> = (0..n).map(|c| d.get(edge.v, c)).collect();
+            let col_v: Vec<f64> = (0..n).map(|r| d.get(r, edge.v)).collect();
+            let row_u: Vec<f64> = (0..n).map(|c| d.get(edge.u, c)).collect();
+            let w = edge.new_weight;
+            for r in 0..n {
+                let through_u = col_u[r] + w;
+                let through_v = col_v[r] + w;
+                for c in 0..n {
+                    let cand = (through_u + row_v[c]).min(through_v + row_u[c]);
+                    if cand < d.get(r, c) {
+                        d.set(r, c, cand);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn float_weight_updates_match_the_old_loop_bit_for_bit() {
+        // sums of float weights round, so an order or a tie handled
+        // differently would show in the low bits; the batch compounds
+        // (0→77 then 77→143) and repeats an edge at a lower weight
+        let decreases = [
+            (0, 143, 4.25),
+            (0, 77, 0.3),
+            (77, 143, 0.7),
+            (11, 132, 1.0 / 3.0),
+            (0, 143, 0.0),
+            (5, 6, 1e3),
+        ];
+        for h in [2, 3] {
+            let s = solve_mesh(12, h, WeightKind::Uniform { lo: 1.0, hi: 10.0 });
+            let batch = batch_of(&s.nd, &decreases);
+            let mut want = s.dist_eliminated.clone();
+            old_get_set_loop(&mut want, &batch);
+            let got = apply_decreases(&s.layout, &s.blocks, &batch);
+            let bits = |d: &DenseDist| d.as_slice().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert!(bits(&want) != bits(&s.dist_eliminated), "h={h}: the batch changed nothing");
+            assert_eq!(bits(&got.dist_eliminated), bits(&want), "h={h}");
+            // on one rank the compute clock is the op count: still two
+            // relaxations per entry per edge
+            let one_rank = SupernodalLayout::new(apsp_etree::SchedTree::new(1), vec![144]);
+            let whole = MinPlusMatrix::from_raw(144, 144, s.dist_eliminated.as_slice().to_vec());
+            let got = apply_decreases(&one_rank, &[whole], &batch);
+            assert_eq!(bits(&got.dist_eliminated), bits(&want), "h={h}, one rank");
+            assert_eq!(got.report.critical_compute(), (2 * 144 * 144 * batch.len()) as u64);
+        }
     }
 
     #[test]

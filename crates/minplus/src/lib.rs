@@ -21,7 +21,7 @@ pub mod via;
 
 pub use algebra::{closure_in, AlgebraMatrix, MaxMin, MinPlus, MostReliable, PathAlgebra};
 pub use blocked::{BlockedMatrix, Blocking};
-pub use kernels::{fw_in_place, gemm, gemm_parallel};
+pub use kernels::{fw_in_place, gemm, gemm_parallel, relax_row};
 pub use matrix::MinPlusMatrix;
 pub use via::{fw_with_via, ViaMatrix};
 

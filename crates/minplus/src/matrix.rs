@@ -117,9 +117,7 @@ impl MinPlusMatrix {
     pub fn min_assign(&mut self, other: &MinPlusMatrix) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols), "shape mismatch");
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            if b < *a {
-                *a = b;
-            }
+            *a = if b < *a { b } else { *a };
         }
     }
 
