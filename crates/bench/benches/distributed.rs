@@ -50,7 +50,7 @@ fn bench_pipeline_pieces(c: &mut Criterion) {
     let side = 16;
     let g = generators::grid2d(side, side, WeightKind::Unit, 0);
     group.bench_function("dist_nested_dissection_p9", |b| {
-        b.iter(|| dist_nested_dissection(&g, 3, 9, 0));
+        b.iter(|| dist_nested_dissection(&g, 3, 9, 0, false));
     });
     // batched update of a solved matrix
     let nd = grid_nd(side, side, 3);

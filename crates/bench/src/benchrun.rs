@@ -21,12 +21,13 @@
 
 use crate::jsonio::{self, Json};
 use crate::workloads::{self, Workload};
-use apsp_core::dcapsp::{dc_apsp, dc_apsp_native};
-use apsp_core::djohnson::{distributed_johnson, distributed_johnson_native};
-use apsp_core::fw2d::{fw2d, fw2d_native};
+use apsp_core::dcapsp::DcApsp;
+use apsp_core::djohnson::DJohnson;
+use apsp_core::fw2d::Fw2d;
+use apsp_core::launch::{launch, DenseResult, LaunchSpec, Launched};
 use apsp_core::{Backend, SparseApsp, SparseApspConfig};
 use apsp_graph::{oracle, Csr, DenseDist};
-use apsp_simnet::RunReport;
+use apsp_simnet::{MachineError, RunReport};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -130,37 +131,21 @@ pub fn full_specs() -> Vec<CaseSpec> {
 
 fn solve_once(g: &Csr, solver: &str, height: u32, backend: Backend) -> (DenseDist, RunReport) {
     let n_grid = (1usize << height) - 1;
-    match (solver, backend) {
-        ("sparse2d", _) => {
+    let spec = LaunchSpec { backend, ..Default::default() };
+    let dense = |run: Result<Launched<DenseResult>, MachineError>| {
+        let out = run.expect("fault-free launch cannot fail").result;
+        (out.dist, out.report)
+    };
+    match solver {
+        "sparse2d" => {
             let config = SparseApspConfig { height, backend, ..Default::default() };
             let run = SparseApsp::new(config).run(g);
             (run.dist, run.report)
         }
-        ("fw2d", Backend::Sim) => {
-            let out = fw2d(g, n_grid);
-            (out.dist, out.report)
-        }
-        ("fw2d", Backend::Native) => {
-            let out = fw2d_native(g, n_grid);
-            (out.dist, out.report)
-        }
-        ("dcapsp", Backend::Sim) => {
-            let out = dc_apsp(g, n_grid, 1);
-            (out.dist, out.report)
-        }
-        ("dcapsp", Backend::Native) => {
-            let out = dc_apsp_native(g, n_grid, 1);
-            (out.dist, out.report)
-        }
-        ("djohnson", Backend::Sim) => {
-            let out = distributed_johnson(g, n_grid * n_grid);
-            (out.dist, out.report)
-        }
-        ("djohnson", Backend::Native) => {
-            let out = distributed_johnson_native(g, n_grid * n_grid);
-            (out.dist, out.report)
-        }
-        (other, _) => panic!("unknown bench solver {other}"),
+        "fw2d" => dense(launch(&Fw2d::new(g, n_grid), &spec)),
+        "dcapsp" => dense(launch(&DcApsp::new(g, n_grid, 1), &spec)),
+        "djohnson" => dense(launch(&DJohnson::new(g, n_grid * n_grid), &spec)),
+        other => panic!("unknown bench solver {other}"),
     }
 }
 

@@ -88,7 +88,8 @@ fn main() {
                 println!("wrote {}", p.display());
             }
             // communication-matrix heatmap of a 49-rank sparse solve
-            use apsp_core::sparse2d::{sparse2d_traced, Sparse2dOptions};
+            use apsp_core::launch::{launch, LaunchSpec};
+            use apsp_core::sparse2d::{Sparse2d, Sparse2dOptions};
             use apsp_core::SupernodalLayout;
             let g = apsp_graph::generators::grid2d(
                 side,
@@ -99,7 +100,12 @@ fn main() {
             let nd = apsp_partition::grid_nd(side, side, 3);
             let layout = SupernodalLayout::from_ordering(&nd);
             let gp = g.permuted(&nd.perm);
-            let (_, traces) = sparse2d_traced(&layout, &gp, &Sparse2dOptions::default());
+            let traces = launch(
+                &Sparse2d::new(&layout, &gp, &Sparse2dOptions::default()),
+                &LaunchSpec { trace: true, ..Default::default() },
+            )
+            .expect("fault-free launch cannot fail")
+            .traces;
             let svg = apsp_bench::figures::comm_matrix_svg(
                 layout.p(),
                 &traces,

@@ -366,7 +366,7 @@ pub fn separator_cost(side: usize, heights: &[u32]) -> Table {
         let n_grid = (1usize << h) - 1;
         let p = n_grid * n_grid;
         // the fully distributed pipeline
-        let dnd = apsp_core::dnd::dist_nested_dissection(&g, h, p, 0);
+        let dnd = apsp_core::dnd::dist_nested_dissection(&g, h, p, 0, false);
         dnd.ordering.validate(&g).expect("distributed ordering is valid");
         // the replicated-ordering broadcast variant
         let base = SparseApsp::new(SparseApspConfig {

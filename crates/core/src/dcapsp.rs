@@ -21,21 +21,11 @@
 //! depth to reach `√p log²p`; we fix a small depth, which only changes
 //! constants/log factors, and document the simplification in DESIGN.md).
 
+use crate::launch::{launch_plain, DenseResult, Solver};
 use apsp_graph::{Csr, DenseDist};
 use apsp_minplus::{fw_in_place, gemm, MinPlusMatrix};
-use apsp_simnet::{
-    FaultPlan, FaultSummary, Launch, Machine, MachineError, RecoveryPolicy, RecoveryReport,
-    RunReport,
-};
-use apsp_transport::{NativeMachine, Transport};
-
-/// Result of a [`dc_apsp`] run.
-pub struct DcApspResult {
-    /// All-pairs distances (input vertex ids).
-    pub dist: DenseDist,
-    /// Measured communication report.
-    pub report: RunReport,
-}
+use apsp_simnet::RunReport;
+use apsp_transport::Transport;
 
 /// Block-cyclic geometry shared by all ranks.
 #[derive(Clone, Copy, Debug)]
@@ -419,245 +409,98 @@ fn dc<C: Transport>(
     checkpointed(comm, t, |c, t| summa(c, t, r1.clone(), r2.clone(), r1.clone(), seq));
 }
 
-/// Distributed blocked FW over a **block-cyclic** layout with `2^oversub`
-/// tiles per processor per dimension and *no* divide-and-conquer — the
-/// §5.1 layout ablation. With `oversub = 0` this is the block layout
-/// (tile = block); larger `oversub` serializes the diagonal updates across
-/// the tiles a processor owns, which is exactly the latency argument the
-/// paper makes against block-cyclic for FW-shaped algorithms.
-pub fn cyclic_fw(g: &Csr, n_grid: usize, oversub: u32) -> DcApspResult {
-    run_dc(g, n_grid, oversub, 0)
-}
-
-/// Runs 2D-DC-APSP on an `n_grid × n_grid` simulated grid with the given
-/// recursion depth (0 = pure distributed blocked FW over tiles).
-pub fn dc_apsp(g: &Csr, n_grid: usize, depth: u32) -> DcApspResult {
-    run_dc(g, n_grid, depth, depth)
-}
-
-/// Like [`dc_apsp`], but the run is profiled: `report.profile` carries the
-/// span ledger (`summa#s` per SUMMA sweep, `base-fw#t0` per base case) and
-/// the p×p communication matrix.
-pub fn dc_apsp_profiled(g: &Csr, n_grid: usize, depth: u32) -> DcApspResult {
-    run_dc_inner(g, n_grid, depth, depth, Launch::Profiled)
-}
-
-/// Like [`dc_apsp`], on the native shared-memory backend: the identical
-/// rank program runs on `p = n_grid²` OS threads over real channels.
-/// Distances are bit-identical to the simulator's; the report carries no
-/// costs (the native machine has no §3.1 clocks).
-pub fn dc_apsp_native(g: &Csr, n_grid: usize, depth: u32) -> DcApspResult {
-    let _wall = apsp_metrics::time_phase("solve-dcapsp-native");
-    let geo = Cyclic::new(g.n(), n_grid, depth);
-    let p = n_grid * n_grid;
-    let (tiles_raw, report) = NativeMachine::run(p, |comm| rank_program(comm, geo, depth, g));
-    assemble(g, geo, tiles_raw, report)
-}
-
-/// Verifies the 2D-DC-APSP communication schedule (SUMMA sweeps + base
-/// FW) on an `n_grid × n_grid` grid at the given recursion depth: comm
-/// scripts are recorded for the static lint and wildcard delivery
-/// schedules explored for `p ≤` [`apsp_verify::MAX_EXPLORE_P`]. The
-/// digest covers every tile's final distances.
-pub fn dc_apsp_verify(
-    g: &Csr,
-    n_grid: usize,
-    depth: u32,
-    opts: &apsp_verify::VerifyOptions,
-) -> apsp_verify::VerifyReport {
-    let geo = Cyclic::new(g.n(), n_grid, depth);
-    let p = n_grid * n_grid;
-    apsp_verify::verify_program(
-        p,
-        opts,
-        |comm| {
-            let tiles = rank_program(comm, geo, depth, g);
-            tiles.iter().flat_map(|m| m.as_slice().iter().copied()).collect::<Vec<f64>>()
-        },
-        apsp_verify::digest_rows,
-    )
-}
-
-/// Native-backend variant of [`dc_apsp_verify`]: the identical rank
-/// program records the same logical comm script over real OS threads and
-/// the layer-1 static lint checks it (the layer-2 explorer needs the
-/// governed simulator; see `docs/VERIFICATION.md`).
-pub fn dc_apsp_native_verify(g: &Csr, n_grid: usize, depth: u32) -> apsp_verify::VerifyReport {
-    let geo = Cyclic::new(g.n(), n_grid, depth);
-    let p = n_grid * n_grid;
-    apsp_verify::lint_recorded_outcome(
-        p,
-        NativeMachine::run_recorded(p, |comm| rank_program(comm, geo, depth, g)),
-    )
-}
-
-/// Like [`dc_apsp`], additionally returning every rank's recorded comm
-/// script — the cost-model auditor's sampling hook (`apsp audit`):
-/// [`apsp_simnet::phase_totals`] reduces the scripts to per-phase
-/// (`summa`, `base-fw`) ledgers fitted against the Table 2 dense bounds.
-/// Recording never touches the §3.1 clocks, so the embedded report is
-/// byte-identical to a plain run's.
-pub fn dc_apsp_recorded(
-    g: &Csr,
-    n_grid: usize,
-    depth: u32,
-) -> (DcApspResult, Vec<Vec<apsp_simnet::CommEvent>>) {
-    let geo = Cyclic::new(g.n(), n_grid, depth);
-    let p = n_grid * n_grid;
-    let (tiles_raw, report, scripts) =
-        Machine::run_recorded(p, |comm| rank_program(comm, geo, depth, g))
-            .expect("fault-free recorded launch cannot fail");
-    (assemble(g, geo, tiles_raw, report), scripts)
-}
-
-/// Like [`dc_apsp`], under a deterministic fault plan: the run recovers
-/// (or fails loudly with a [`MachineError`]) and reports its fault history.
-pub fn dc_apsp_faulty(
-    g: &Csr,
-    n_grid: usize,
-    depth: u32,
-    plan: &FaultPlan,
-    profiled: bool,
-) -> Result<(DcApspResult, FaultSummary), MachineError> {
-    let how = if profiled { Launch::Profiled } else { Launch::Plain };
-    run_dc_launch(g, n_grid, depth, depth, how.with_faults(plan))
-        .map(|(res, faults)| (res, faults.expect("faulty run carries a summary")))
-}
-
-/// Like [`dc_apsp_faulty`], but supervised: every SUMMA sweep and base-FW
-/// call is a checkpointable phase, and killed ranks / dead links roll back
-/// and re-execute under `policy` instead of aborting the run.
-pub fn dc_apsp_recovering(
-    g: &Csr,
-    n_grid: usize,
-    depth: u32,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-    profiled: bool,
-) -> Result<(DcApspResult, FaultSummary, RecoveryReport), MachineError> {
-    let geo = Cyclic::new(g.n(), n_grid, depth);
-    let p = n_grid * n_grid;
-    let (tiles_raw, report, faults, recovery) =
-        Machine::launch_recovering(p, plan, policy, profiled, |comm| {
-            rank_program(comm, geo, depth, g)
-        })?;
-    Ok((assemble(g, geo, tiles_raw, report), faults, recovery))
-}
-
-/// [`dc_apsp_faulty`] on the **native** backend: the same seeded plan
-/// over real channel traffic, with `kill=` rules killing actual rank
-/// threads. Recovered runs are bit-identical to [`dc_apsp_native`].
-pub fn dc_apsp_native_faulty(
-    g: &Csr,
-    n_grid: usize,
-    depth: u32,
-    plan: &FaultPlan,
-) -> Result<(DcApspResult, FaultSummary), MachineError> {
-    let _wall = apsp_metrics::time_phase("solve-dcapsp-native");
-    let geo = Cyclic::new(g.n(), n_grid, depth);
-    let p = n_grid * n_grid;
-    let (tiles_raw, report, faults) =
-        NativeMachine::launch_faulty(p, plan, |comm| rank_program(comm, geo, depth, g))?;
-    Ok((assemble(g, geo, tiles_raw, report), faults))
-}
-
-/// [`dc_apsp_recovering`] on the **native** backend: per-sweep
-/// checkpoints, thread-level kill and respawn, spare-thread takeover for
-/// permanently dead ranks.
-pub fn dc_apsp_native_recovering(
-    g: &Csr,
-    n_grid: usize,
-    depth: u32,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-) -> Result<(DcApspResult, FaultSummary, RecoveryReport), MachineError> {
-    let _wall = apsp_metrics::time_phase("solve-dcapsp-native");
-    let geo = Cyclic::new(g.n(), n_grid, depth);
-    let p = n_grid * n_grid;
-    let (tiles_raw, report, faults, recovery) =
-        NativeMachine::launch_recovering(p, plan, policy, |comm| {
-            rank_program(comm, geo, depth, g)
-        })?;
-    Ok((assemble(g, geo, tiles_raw, report), faults, recovery))
-}
-
-/// Shared driver: `tile_depth` controls the block-cyclic oversubscription
-/// (`T = √p · 2^tile_depth` tiles per dimension), `rec_depth ≤ tile_depth`
-/// how many divide-and-conquer levels run before the blocked-FW base case.
-fn run_dc(g: &Csr, n_grid: usize, tile_depth: u32, rec_depth: u32) -> DcApspResult {
-    run_dc_inner(g, n_grid, tile_depth, rec_depth, Launch::Plain)
-}
-
-fn run_dc_inner(
-    g: &Csr,
-    n_grid: usize,
-    tile_depth: u32,
-    rec_depth: u32,
-    how: Launch<'_>,
-) -> DcApspResult {
-    run_dc_launch(g, n_grid, tile_depth, rec_depth, how).expect("fault-free launch cannot fail").0
-}
-
-/// The SPMD rank program: build the local block-cyclic tiles and run the
-/// divide-and-conquer recursion over them.
-fn rank_program<C: Transport>(
-    comm: &mut C,
+/// 2D-DC-APSP as a [`Solver`] on an `n_grid × n_grid` grid: block-cyclic
+/// tiles, divide-and-conquer over them, SUMMA min-plus multiplies. Every
+/// SUMMA sweep and base-FW call is a checkpointable phase; a profiled
+/// run's ledger has a `summa#s` span per sweep and a `base-fw#t0` span per
+/// base case.
+pub struct DcApsp<'a> {
+    g: &'a Csr,
     geo: Cyclic,
+    /// Divide-and-conquer levels run before the blocked-FW base case.
     rec_depth: u32,
-    g: &Csr,
-) -> Vec<MinPlusMatrix> {
-    let mut t = Tiles::new(geo, comm.rank(), g);
-    let words: usize = t.data.iter().map(|m| m.words()).sum();
-    comm.alloc(words);
-    let mut seq = 0u64;
-    dc(comm, &mut t, 0..geo.tiles, rec_depth, &mut seq);
-    t.data
 }
 
-/// Host-side assembly: place every rank's tiles and crop the padding.
-fn assemble(
-    g: &Csr,
-    geo: Cyclic,
-    tiles_raw: Vec<Vec<MinPlusMatrix>>,
-    report: RunReport,
-) -> DcApspResult {
-    let n = g.n();
-    let mut dist = DenseDist::unconnected(n);
-    let per_dim = geo.tiles / geo.ng;
-    for (rank, tiles) in tiles_raw.into_iter().enumerate() {
-        let (mr, mc) = geo.coords(rank);
-        for li in 0..per_dim {
-            for lj in 0..per_dim {
-                let tile = &tiles[li * per_dim + lj];
-                let (gi, gj) = (li * geo.ng + mr, lj * geo.ng + mc);
-                let (r0, c0) = (gi * geo.ts, gj * geo.ts);
-                for r in 0..geo.ts {
-                    for c in 0..geo.ts {
-                        if r0 + r < n && c0 + c < n {
-                            dist.set(r0 + r, c0 + c, tile.get(r, c));
+impl<'a> DcApsp<'a> {
+    /// 2D-DC-APSP with the given recursion depth (0 = pure distributed
+    /// blocked FW over tiles).
+    pub fn new(g: &'a Csr, n_grid: usize, depth: u32) -> Self {
+        DcApsp { g, geo: Cyclic::new(g.n(), n_grid, depth), rec_depth: depth }
+    }
+
+    /// Distributed blocked FW over a **block-cyclic** layout with
+    /// `2^oversub` tiles per processor per dimension and *no*
+    /// divide-and-conquer — the §5.1 layout ablation. With `oversub = 0`
+    /// this is the block layout (tile = block); larger `oversub`
+    /// serializes the diagonal updates across the tiles a processor owns,
+    /// which is exactly the latency argument the paper makes against
+    /// block-cyclic for FW-shaped algorithms.
+    pub fn cyclic(g: &'a Csr, n_grid: usize, oversub: u32) -> Self {
+        DcApsp { g, geo: Cyclic::new(g.n(), n_grid, oversub), rec_depth: 0 }
+    }
+}
+
+impl Solver for DcApsp<'_> {
+    type Out = Vec<MinPlusMatrix>;
+    type Result = DenseResult;
+    const PHASE: &'static str = "solve-dcapsp";
+
+    fn p(&self) -> usize {
+        self.geo.ng * self.geo.ng
+    }
+
+    /// Builds the local block-cyclic tiles and runs the divide-and-conquer
+    /// recursion over them.
+    fn rank_program<C: Transport>(&self, comm: &mut C) -> Vec<MinPlusMatrix> {
+        let mut t = Tiles::new(self.geo, comm.rank(), self.g);
+        let words: usize = t.data.iter().map(|m| m.words()).sum();
+        comm.alloc(words);
+        let mut seq = 0u64;
+        dc(comm, &mut t, 0..self.geo.tiles, self.rec_depth, &mut seq);
+        t.data
+    }
+
+    /// Places every rank's tiles and crops the padding.
+    fn assemble(&self, tiles_raw: Vec<Vec<MinPlusMatrix>>, report: RunReport) -> DenseResult {
+        let geo = self.geo;
+        let n = self.g.n();
+        let mut dist = DenseDist::unconnected(n);
+        let per_dim = geo.tiles / geo.ng;
+        for (rank, tiles) in tiles_raw.into_iter().enumerate() {
+            let (mr, mc) = geo.coords(rank);
+            for li in 0..per_dim {
+                for lj in 0..per_dim {
+                    let tile = &tiles[li * per_dim + lj];
+                    let (gi, gj) = (li * geo.ng + mr, lj * geo.ng + mc);
+                    let (r0, c0) = (gi * geo.ts, gj * geo.ts);
+                    for r in 0..geo.ts {
+                        for c in 0..geo.ts {
+                            if r0 + r < n && c0 + c < n {
+                                dist.set(r0 + r, c0 + c, tile.get(r, c));
+                            }
                         }
                     }
                 }
             }
         }
+        DenseResult { dist, report }
     }
-    DcApspResult { dist, report }
+
+    fn words(tiles: Vec<MinPlusMatrix>) -> Vec<f64> {
+        tiles.iter().flat_map(|m| m.as_slice().iter().copied()).collect()
+    }
 }
 
-fn run_dc_launch(
-    g: &Csr,
-    n_grid: usize,
-    tile_depth: u32,
-    rec_depth: u32,
-    how: Launch<'_>,
-) -> Result<(DcApspResult, Option<FaultSummary>), MachineError> {
-    let _wall = apsp_metrics::time_phase("solve-dcapsp");
-    assert!(rec_depth <= tile_depth, "cannot recurse below tile granularity");
-    let geo = Cyclic::new(g.n(), n_grid, tile_depth);
-    let p = n_grid * n_grid;
-    let (tiles_raw, report, faults) =
-        Machine::launch(p, how, |comm| rank_program(comm, geo, rec_depth, g))?;
-    Ok((assemble(g, geo, tiles_raw, report), faults))
+/// Runs [`DcApsp::cyclic`] on the simulated machine.
+pub fn cyclic_fw(g: &Csr, n_grid: usize, oversub: u32) -> DenseResult {
+    launch_plain(&DcApsp::cyclic(g, n_grid, oversub))
+}
+
+/// Runs 2D-DC-APSP on an `n_grid × n_grid` simulated grid with the given
+/// recursion depth; every other way to run it is a
+/// [`crate::launch::LaunchSpec`] on [`DcApsp::new`].
+pub fn dc_apsp(g: &Csr, n_grid: usize, depth: u32) -> DenseResult {
+    launch_plain(&DcApsp::new(g, n_grid, depth))
 }
 
 #[cfg(test)]

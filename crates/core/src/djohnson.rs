@@ -21,21 +21,10 @@
 //! computation (see EXPERIMENTS.md E15).
 
 use crate::fw2d::balanced_sizes;
+use crate::launch::{launch_plain, DenseResult, Solver};
 use apsp_graph::{oracle, Csr, DenseDist};
-use apsp_simnet::{
-    FaultPlan, FaultSummary, Launch, Machine, MachineError, RecoveryPolicy, RecoveryReport,
-    RunReport,
-};
-use apsp_transport::{NativeMachine, Transport};
-
-/// Result of a [`distributed_johnson`] run.
-pub struct DJohnsonResult {
-    /// All-pairs distances (input vertex ids).
-    pub dist: DenseDist,
-    /// Measured communication report (broadcast only — Dijkstra compute is
-    /// charged to the compute clock).
-    pub report: RunReport,
-}
+use apsp_simnet::RunReport;
+use apsp_transport::Transport;
 
 /// Serializes a CSR into one word vector: `[n, m2, xadj…, adj…, w…]`.
 fn pack_graph(g: &Csr) -> Vec<f64> {
@@ -78,223 +67,104 @@ fn unpack_graph(data: &[f64]) -> Csr {
     Csr::from_raw(xadj, adj, w)
 }
 
-/// Runs the replicated-graph, source-partitioned Johnson/Dijkstra APSP on
-/// `p` simulated ranks.
-pub fn distributed_johnson(g: &Csr, p: usize) -> DJohnsonResult {
-    djohnson_launch(g, p, Launch::Plain).expect("fault-free launch cannot fail").0
-}
-
-/// Like [`distributed_johnson`], on the native shared-memory backend: the
-/// identical rank program runs on `p` OS threads over real channels.
-/// Distances are bit-identical to the simulator's; the report carries no
-/// costs (the native machine has no §3.1 clocks).
-pub fn distributed_johnson_native(g: &Csr, p: usize) -> DJohnsonResult {
-    let _wall = apsp_metrics::time_phase("solve-djohnson-native");
-    let (n, offsets, packed, group) = setup(g, p);
-    let (rows, report) =
-        NativeMachine::run(p, |comm| rank_program(comm, &packed, &group, &offsets, n));
-    assemble(n, &offsets, rows, report)
-}
-
-/// Verifies the distributed-Johnson communication schedule (replication
-/// broadcast + per-phase commits) on `p` ranks: comm scripts are recorded
-/// for the static lint and wildcard delivery schedules explored for
-/// `p ≤` [`apsp_verify::MAX_EXPLORE_P`]. The digest covers every rank's
-/// distance rows.
-pub fn distributed_johnson_verify(
-    g: &Csr,
-    p: usize,
-    opts: &apsp_verify::VerifyOptions,
-) -> apsp_verify::VerifyReport {
-    let (n, offsets, packed, group) = setup(g, p);
-    apsp_verify::verify_program(
-        p,
-        opts,
-        |comm| rank_program(comm, &packed, &group, &offsets, n),
-        apsp_verify::digest_rows,
-    )
-}
-
-/// Native-backend variant of [`distributed_johnson_verify`]: the
-/// identical rank program records the same logical comm script over real
-/// OS threads and the layer-1 static lint checks it (the layer-2
-/// explorer needs the governed simulator; see `docs/VERIFICATION.md`).
-pub fn distributed_johnson_native_verify(g: &Csr, p: usize) -> apsp_verify::VerifyReport {
-    let (n, offsets, packed, group) = setup(g, p);
-    apsp_verify::lint_recorded_outcome(
-        p,
-        NativeMachine::run_recorded(p, |comm| rank_program(comm, &packed, &group, &offsets, n)),
-    )
-}
-
-/// Like [`distributed_johnson`], additionally returning every rank's
-/// recorded comm script — the cost-model auditor's sampling hook
-/// (`apsp audit`). All communication is the single replication
-/// broadcast, so the scripts reduce to one `main` phase fitted against
-/// the `(n + 2m)·log p` replication bound. Recording never touches the
-/// §3.1 clocks, so the embedded report is byte-identical to a plain
-/// run's.
-pub fn distributed_johnson_recorded(
-    g: &Csr,
-    p: usize,
-) -> (DJohnsonResult, Vec<Vec<apsp_simnet::CommEvent>>) {
-    let (n, offsets, packed, group) = setup(g, p);
-    let (rows, report, scripts) =
-        Machine::run_recorded(p, |comm| rank_program(comm, &packed, &group, &offsets, n))
-            .expect("fault-free recorded launch cannot fail");
-    (assemble(n, &offsets, rows, report), scripts)
-}
-
-/// Like [`distributed_johnson`], under a deterministic fault plan: the
-/// replication broadcast recovers (or fails loudly with a
-/// [`MachineError`]) and the run reports its fault history.
-pub fn distributed_johnson_faulty(
-    g: &Csr,
-    p: usize,
-    plan: &FaultPlan,
-    profiled: bool,
-) -> Result<(DJohnsonResult, FaultSummary), MachineError> {
-    let how = if profiled { Launch::Profiled } else { Launch::Plain };
-    djohnson_launch(g, p, how.with_faults(plan))
-        .map(|(res, faults)| (res, faults.expect("faulty run carries a summary")))
-}
-
-/// Like [`distributed_johnson_faulty`], but supervised: the two phases
-/// (graph replication, source-partitioned Dijkstra) are checkpointed at
-/// their boundaries, and killed ranks / dead links roll back and re-execute
-/// under `policy` instead of aborting the run.
-pub fn distributed_johnson_recovering(
-    g: &Csr,
-    p: usize,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-    profiled: bool,
-) -> Result<(DJohnsonResult, FaultSummary, RecoveryReport), MachineError> {
-    let (n, offsets, packed, group) = setup(g, p);
-    let (rows, report, faults, recovery) =
-        Machine::launch_recovering(p, plan, policy, profiled, |comm| {
-            rank_program(comm, &packed, &group, &offsets, n)
-        })?;
-    Ok((assemble(n, &offsets, rows, report), faults, recovery))
-}
-
-/// [`distributed_johnson_faulty`] on the **native** backend: the same
-/// seeded plan over real channel traffic, with `kill=` rules killing
-/// actual rank threads. Recovered runs are bit-identical to
-/// [`distributed_johnson_native`].
-pub fn distributed_johnson_native_faulty(
-    g: &Csr,
-    p: usize,
-    plan: &FaultPlan,
-) -> Result<(DJohnsonResult, FaultSummary), MachineError> {
-    let _wall = apsp_metrics::time_phase("solve-djohnson-native");
-    let (n, offsets, packed, group) = setup(g, p);
-    let (rows, report, faults) = NativeMachine::launch_faulty(p, plan, |comm| {
-        rank_program(comm, &packed, &group, &offsets, n)
-    })?;
-    Ok((assemble(n, &offsets, rows, report), faults))
-}
-
-/// [`distributed_johnson_recovering`] on the **native** backend:
-/// phase-boundary checkpoints, thread-level kill and respawn,
-/// spare-thread takeover for permanently dead ranks.
-pub fn distributed_johnson_native_recovering(
-    g: &Csr,
-    p: usize,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-) -> Result<(DJohnsonResult, FaultSummary, RecoveryReport), MachineError> {
-    let _wall = apsp_metrics::time_phase("solve-djohnson-native");
-    let (n, offsets, packed, group) = setup(g, p);
-    let (rows, report, faults, recovery) =
-        NativeMachine::launch_recovering(p, plan, policy, |comm| {
-            rank_program(comm, &packed, &group, &offsets, n)
-        })?;
-    Ok((assemble(n, &offsets, rows, report), faults, recovery))
-}
-
-/// Host-side setup shared by all entry points: source offsets, the packed
-/// graph held by rank 0, and the full-machine broadcast group.
-fn setup(g: &Csr, p: usize) -> (usize, Vec<usize>, Vec<f64>, Vec<usize>) {
-    assert!(g.has_nonnegative_weights(), "undirected APSP requires non-negative weights");
-    let n = g.n();
-    let sizes = balanced_sizes(n, p);
-    let mut offsets = vec![0usize];
-    let mut acc = 0;
-    for &s in &sizes {
-        acc += s;
-        offsets.push(acc);
-    }
-    (n, offsets, pack_graph(g), (0..p).collect())
-}
-
-/// The SPMD rank program: phase 1 replicates the graph, phase 2 runs
-/// Dijkstra from this rank's sources. Each phase ends at a checkpointable
-/// boundary whose state is exactly the phase's output vector.
-fn rank_program<C: Transport>(
-    comm: &mut C,
-    packed: &[f64],
-    group: &[usize],
-    offsets: &[usize],
+/// Replicated-graph, source-partitioned Johnson/Dijkstra APSP as a
+/// [`Solver`] on `p` ranks. Phase 1 replicates the graph, phase 2 runs
+/// Dijkstra from this rank's sources; each phase ends at a checkpointable
+/// boundary whose state is exactly the phase's output vector. All
+/// communication is the single replication broadcast, so recorded scripts
+/// reduce to one `main` phase.
+pub struct DJohnson {
     n: usize,
-) -> Vec<f64> {
-    // phase 1: graph replication (rank 0 holds the input)
-    let mut state = if comm.phase_live() {
-        let payload = (comm.rank() == 0).then(|| packed.to_vec());
-        let data = comm.bcast(group, 0, 0x10, payload);
-        comm.alloc(data.len());
-        data
-    } else {
-        Vec::new()
-    };
-    state = comm.commit_phase(state);
-    // phase 2: source-partitioned Dijkstra over the replicated graph
-    let out = if comm.phase_live() {
-        let local = unpack_graph(&state);
-        let r = comm.rank();
-        let my_sources = offsets[r]..offsets[r + 1];
-        let mut out = Vec::with_capacity(my_sources.len() * n);
-        let mut ops = 0u64;
-        for s in my_sources {
-            let row = oracle::dijkstra(&local, s);
-            // charge ~ (m + n)·log n heap operations' scalar work
-            ops +=
-                (local.m() as u64 * 2 + n as u64) * (usize::BITS - n.max(2).leading_zeros()) as u64;
-            out.extend_from_slice(&row);
-        }
-        comm.compute(ops);
-        comm.alloc(out.len());
-        out
-    } else {
-        Vec::new()
-    };
-    comm.commit_phase(out)
+    /// `offsets[r]..offsets[r + 1]` are rank `r`'s sources.
+    offsets: Vec<usize>,
+    /// The packed graph rank 0 broadcasts.
+    packed: Vec<f64>,
+    /// The full-machine broadcast group.
+    group: Vec<usize>,
 }
 
-/// Host-side assembly, mirroring the other algorithms' result handling.
-fn assemble(n: usize, offsets: &[usize], rows: Vec<Vec<f64>>, report: RunReport) -> DJohnsonResult {
-    let mut dist = DenseDist::unconnected(n);
-    for (r, block) in rows.into_iter().enumerate() {
-        for (k, chunk) in block.chunks_exact(n.max(1)).enumerate() {
-            let s = offsets[r] + k;
-            for (t, &d) in chunk.iter().enumerate() {
-                dist.set(s, t, d);
+impl DJohnson {
+    /// The solver for `g` on `p` ranks.
+    pub fn new(g: &Csr, p: usize) -> Self {
+        assert!(g.has_nonnegative_weights(), "undirected APSP requires non-negative weights");
+        let mut offsets = vec![0usize];
+        let mut acc = 0;
+        for s in balanced_sizes(g.n(), p) {
+            acc += s;
+            offsets.push(acc);
+        }
+        DJohnson { n: g.n(), offsets, packed: pack_graph(g), group: (0..p).collect() }
+    }
+}
+
+impl Solver for DJohnson {
+    type Out = Vec<f64>;
+    type Result = DenseResult;
+    const PHASE: &'static str = "solve-djohnson";
+
+    fn p(&self) -> usize {
+        self.group.len()
+    }
+
+    fn rank_program<C: Transport>(&self, comm: &mut C) -> Vec<f64> {
+        let n = self.n;
+        // phase 1: graph replication (rank 0 holds the input)
+        let mut state = if comm.phase_live() {
+            let payload = (comm.rank() == 0).then(|| self.packed.clone());
+            let data = comm.bcast(&self.group, 0, 0x10, payload);
+            comm.alloc(data.len());
+            data
+        } else {
+            Vec::new()
+        };
+        state = comm.commit_phase(state);
+        // phase 2: source-partitioned Dijkstra over the replicated graph
+        let out = if comm.phase_live() {
+            let local = unpack_graph(&state);
+            let r = comm.rank();
+            let my_sources = self.offsets[r]..self.offsets[r + 1];
+            let mut out = Vec::with_capacity(my_sources.len() * n);
+            let mut ops = 0u64;
+            for s in my_sources {
+                let row = oracle::dijkstra(&local, s);
+                // charge ~ (m + n)·log n heap operations' scalar work
+                ops += (local.m() as u64 * 2 + n as u64)
+                    * (usize::BITS - n.max(2).leading_zeros()) as u64;
+                out.extend_from_slice(&row);
+            }
+            comm.compute(ops);
+            comm.alloc(out.len());
+            out
+        } else {
+            Vec::new()
+        };
+        comm.commit_phase(out)
+    }
+
+    fn assemble(&self, rows: Vec<Vec<f64>>, report: RunReport) -> DenseResult {
+        let n = self.n;
+        let mut dist = DenseDist::unconnected(n);
+        for (r, block) in rows.into_iter().enumerate() {
+            for (k, chunk) in block.chunks_exact(n.max(1)).enumerate() {
+                let s = self.offsets[r] + k;
+                for (t, &d) in chunk.iter().enumerate() {
+                    dist.set(s, t, d);
+                }
             }
         }
+        DenseResult { dist, report }
     }
-    DJohnsonResult { dist, report }
+
+    fn words(out: Vec<f64>) -> Vec<f64> {
+        out
+    }
 }
 
-fn djohnson_launch(
-    g: &Csr,
-    p: usize,
-    how: Launch<'_>,
-) -> Result<(DJohnsonResult, Option<FaultSummary>), MachineError> {
-    let _wall = apsp_metrics::time_phase("solve-djohnson");
-    let (n, offsets, packed, group) = setup(g, p);
-    let (rows, report, faults) =
-        Machine::launch(p, how, |comm| rank_program(comm, &packed, &group, &offsets, n))?;
-    Ok((assemble(n, &offsets, rows, report), faults))
+/// Runs the replicated-graph, source-partitioned Johnson/Dijkstra APSP on
+/// `p` simulated ranks; every other way to run it is a
+/// [`crate::launch::LaunchSpec`] on [`DJohnson::new`].
+pub fn distributed_johnson(g: &Csr, p: usize) -> DenseResult {
+    launch_plain(&DJohnson::new(g, p))
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ use apsp_graph::{Csr, Permutation};
 use apsp_partition::separator::min_vertex_cover_bipartite;
 use apsp_partition::work::WorkGraph;
 use apsp_partition::{nested_dissection, BisectOptions, NdOptions, NdOrdering};
-use apsp_simnet::{Comm, Machine, Rank, RunReport};
+use apsp_simnet::{Comm, Machine, MachineSpec, Rank, RunReport};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Result of [`dist_nested_dissection`]: the ordering plus the measured
@@ -460,20 +460,11 @@ fn redistribute(
 ///
 /// The `ordering` satisfies the same invariants as the host-side
 /// [`nested_dissection`] (checked by `NdOrdering::validate`); the `report`
-/// is the measured §5.4.4 cost.
-pub fn dist_nested_dissection(g: &Csr, h: u32, p: usize, seed: u64) -> DistNdResult {
-    dist_nd_inner(g, h, p, seed, false)
-}
-
-/// Like [`dist_nested_dissection`], but the run is profiled. Rank groups
-/// halve and recurse concurrently, so the per-rank span sequences diverge —
-/// the phase breakdown falls back to the grouped (`exact = false`)
-/// max-over-ranks attribution.
-pub fn dist_nested_dissection_profiled(g: &Csr, h: u32, p: usize, seed: u64) -> DistNdResult {
-    dist_nd_inner(g, h, p, seed, true)
-}
-
-fn dist_nd_inner(g: &Csr, h: u32, p: usize, seed: u64, profiled: bool) -> DistNdResult {
+/// is the measured §5.4.4 cost. With `profile`, the report carries the
+/// span ledgers too: rank groups halve and recurse concurrently, so the
+/// per-rank span sequences diverge and the phase breakdown falls back to
+/// the grouped (`exact = false`) max-over-ranks attribution.
+pub fn dist_nested_dissection(g: &Csr, h: u32, p: usize, seed: u64, profile: bool) -> DistNdResult {
     assert!(p >= 1, "need at least one rank");
     let tree = SchedTree::new(h);
     let chunk_sizes = balanced_sizes(g.n(), p);
@@ -492,8 +483,9 @@ fn dist_nd_inner(g: &Csr, h: u32, p: usize, seed: u64, profiled: bool) -> DistNd
         ctx.recurse(comm, h, 0, &group, my_verts, &mut out);
         out
     };
-    let (outputs, report) =
-        if profiled { Machine::run_profiled(p, program) } else { Machine::run(p, program) };
+    let run = Machine::launch(p, &MachineSpec { profile, ..Default::default() }, program)
+        .expect("fault-free launch cannot fail");
+    let (outputs, report) = (run.outs, run.report);
     // merge the per-rank facts
     let mut supernode_vertices: Vec<Vec<usize>> = vec![Vec::new(); tree.num_supernodes()];
     for rank_facts in outputs {
@@ -520,7 +512,7 @@ mod tests {
     use apsp_graph::generators::{self, WeightKind};
 
     fn check(g: &Csr, h: u32, p: usize) -> DistNdResult {
-        let result = dist_nested_dissection(g, h, p, 42);
+        let result = dist_nested_dissection(g, h, p, 42, false);
         result
             .ordering
             .validate(g)
@@ -596,8 +588,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let g = generators::grid2d(8, 8, WeightKind::Unit, 0);
-        let a = dist_nested_dissection(&g, 3, 4, 7);
-        let b = dist_nested_dissection(&g, 3, 4, 7);
+        let a = dist_nested_dissection(&g, 3, 4, 7, false);
+        let b = dist_nested_dissection(&g, 3, 4, 7, false);
         assert_eq!(a.ordering.perm.as_order(), b.ordering.perm.as_order());
         assert_eq!(a.report.critical_latency(), b.report.critical_latency());
     }

@@ -1,14 +1,14 @@
 //! End-to-end public API: partition → permute → distribute → run → gather.
 
-use crate::sparse2d::{
-    sparse2d_faulty, sparse2d_profiled, sparse2d_recovering, sparse2d_with, R4Strategy,
-    Sparse2dOptions,
-};
+use crate::launch::{launch, reject_sim_only_on_native, verify, LaunchSpec};
+pub use crate::sparse2d::Input;
+use crate::sparse2d::{R4Strategy, Sparse2d, Sparse2dOptions};
 use crate::supernodal::SupernodalLayout;
-use apsp_graph::{Csr, DenseDist};
+use apsp_graph::{Csr, DenseDist, DiCsr};
 use apsp_partition::{grid_nd, nested_dissection, NdOptions, NdOrdering};
 use apsp_simnet::{
-    FaultPlan, FaultSummary, Machine, MachineError, RecoveryPolicy, RecoveryReport, RunReport,
+    CommEvent, FaultPlan, FaultSummary, Machine, MachineError, MachineSpec, RecoveryPolicy,
+    RecoveryReport, RunReport,
 };
 
 /// Which execution backend runs the distributed solve.
@@ -105,13 +105,13 @@ pub struct SparseApspConfig {
     /// unrecoverable fault aborts the solve. `Some(policy)` supervises the
     /// solve instead — elimination levels are checkpointed and killed
     /// ranks roll back and re-execute (see
-    /// [`apsp_simnet::Machine::launch_recovering`]).
+    /// [`crate::launch::LaunchSpec::recovery`]), on either backend.
     pub recovery: Option<RecoveryPolicy>,
     /// Execution backend for the distributed solve. [`Backend::Native`]
     /// is incompatible with the simulator-only features (`profile`,
-    /// `charge_ordering_distribution`, [`Ordering::Distributed`],
-    /// `recovery`) — the driver panics with a readable message rather
-    /// than silently dropping them.
+    /// `charge_ordering_distribution`, [`Ordering::Distributed`]) — the
+    /// driver panics with a readable message rather than silently
+    /// dropping them.
     pub backend: Backend,
 }
 
@@ -176,26 +176,22 @@ pub struct SparseApsp {
     config: SparseApspConfig,
 }
 
-impl SparseApspConfig {
-    /// Panics with a readable message when a simulator-only feature is
-    /// combined with the native backend.
-    fn assert_backend_compatible(&self) {
-        if self.backend == Backend::Native {
-            assert!(
-                !self.profile,
-                "the native backend has no §3.1 cost clocks to profile; use the sim backend \
-                 for --trace/--profile"
-            );
-            assert!(
-                !self.charge_ordering_distribution,
-                "ordering-distribution cost accounting needs the simulated machine; use the \
-                 sim backend"
-            );
-            assert!(
-                !matches!(self.ordering, Ordering::Distributed),
-                "the distributed-ordering pipeline runs on the simulated machine; use the sim \
-                 backend or a host-side ordering"
-            );
+/// What every entry point computes before the machine starts.
+struct Prepared {
+    nd: NdOrdering,
+    ordering_report: RunReport,
+    layout: SupernodalLayout,
+    opts: Sparse2dOptions,
+}
+
+impl Prepared {
+    /// Permutes `input` into the eliminated ordering and hands the solver
+    /// over it to `f`.
+    fn with_solver<R>(&self, input: Input<'_>, f: impl FnOnce(&Sparse2d<'_>) -> R) -> R {
+        let perm = &self.nd.perm;
+        match input {
+            Input::Undirected(g) => f(&Sparse2d::new(&self.layout, &g.permuted(perm), &self.opts)),
+            Input::Directed(dg) => f(&Sparse2d::new(&self.layout, &dg.permuted(perm), &self.opts)),
         }
     }
 }
@@ -227,14 +223,103 @@ impl SparseApsp {
             Ordering::Distributed => {
                 let h = self.config.height;
                 let p = ((1usize << h) - 1) * ((1usize << h) - 1);
-                let result = if self.config.profile {
-                    crate::dnd::dist_nested_dissection_profiled(g, h, p, 0)
-                } else {
-                    crate::dnd::dist_nested_dissection(g, h, p, 0)
-                };
+                let result = crate::dnd::dist_nested_dissection(g, h, p, 0, self.config.profile);
                 (result.ordering, result.report)
             }
         }
+    }
+
+    /// The front every entry point shares: weights check → ordering →
+    /// validation → layout → schedule options.
+    fn prepare(&self, input: Input<'_>) -> Prepared {
+        let pattern_of_directed;
+        let pattern = match input {
+            Input::Undirected(g) => {
+                assert!(
+                    g.has_nonnegative_weights(),
+                    "undirected APSP requires non-negative weights (a negative \
+                     undirected edge is a negative cycle)"
+                );
+                g
+            }
+            Input::Directed(dg) => {
+                assert!(
+                    dg.has_nonnegative_weights(),
+                    "directed APSP requires non-negative finite weights"
+                );
+                pattern_of_directed = dg.underlying_pattern();
+                &pattern_of_directed
+            }
+        };
+        let (nd, ordering_report) = self.ordering_for(pattern);
+        // O(m) check, negligible next to the solve; an ordering violating
+        // the cousin-separation invariant would make the distributed
+        // algorithm silently wrong, so this is always on.
+        nd.validate(pattern).expect("ordering violates the §4.1 separation invariant");
+        let layout = SupernodalLayout::from_ordering(&nd);
+        let opts =
+            Sparse2dOptions { r4: self.config.r4, compress_empty: self.config.compress_empty };
+        Prepared { nd, ordering_report, layout, opts }
+    }
+
+    /// The pipeline behind [`SparseApsp::run`], [`SparseApsp::run_directed`],
+    /// [`SparseApsp::run_faulty`] and [`SparseApsp::run_recorded`]: the
+    /// configuration plus (`faults`, `record`) make the one
+    /// [`LaunchSpec`] the solve is launched under.
+    fn solve(
+        &self,
+        input: Input<'_>,
+        faults: Option<&FaultPlan>,
+        record: bool,
+    ) -> Result<(ApspRun, Vec<Vec<CommEvent>>), MachineError> {
+        let config = &self.config;
+        let _wall = apsp_metrics::time_phase("driver-run");
+        apsp_metrics::counter("apsp_driver_solves_total", "Full pipeline solves started.").inc();
+        reject_sim_only_on_native(
+            config.backend,
+            config.profile,
+            config.charge_ordering_distribution,
+            matches!(config.ordering, Ordering::Distributed),
+        );
+        let prep = self.prepare(input);
+        let mut report = RunReport::default();
+        report.absorb(&prep.ordering_report);
+        if config.charge_ordering_distribution {
+            report.absorb(&distribute_ordering_cost(&prep.layout, &prep.nd, config.profile));
+        }
+        let spec = LaunchSpec {
+            backend: config.backend,
+            faults,
+            recovery: faults.and(config.recovery),
+            profile: config.profile,
+            trace: false,
+            record,
+        };
+        let run = prep.with_solver(input, |solver| launch(solver, &spec))?;
+        report.absorb(&run.result.report);
+        let apsp = ApspRun {
+            dist: SupernodalLayout::unpermute(&run.result.dist_eliminated, &prep.nd.perm),
+            report,
+            level_costs: run.result.level_costs(),
+            ordering: prep.nd,
+            faults: run.faults,
+            recovery: run.recovery,
+        };
+        Ok((apsp, run.scripts))
+    }
+
+    /// Runs the full pipeline on `g`. Distances come back in the input
+    /// vertex numbering; `report` holds the measured critical-path costs.
+    pub fn run(&self, g: &Csr) -> ApspRun {
+        self.solve(g.into(), None, false).expect("fault-free launch cannot fail").0
+    }
+
+    /// Runs the full pipeline on a **directed** graph (asymmetric weights
+    /// over a symmetric pattern): nested dissection on the underlying
+    /// pattern, then the directed schedule ([`Input::Directed`]). The
+    /// distance matrix is generally asymmetric.
+    pub fn run_directed(&self, dg: &DiCsr) -> ApspRun {
+        self.solve(dg.into(), None, false).expect("fault-free launch cannot fail").0
     }
 
     /// Runs the full pipeline on a **directed** graph that may carry
@@ -245,7 +330,7 @@ impl SparseApsp {
     ///
     /// # Errors
     /// Returns the negative-cycle report from the re-weighting phase.
-    pub fn run_directed_negative(&self, dg: &apsp_graph::DiCsr) -> Result<ApspRun, String> {
+    pub fn run_directed_negative(&self, dg: &DiCsr) -> Result<ApspRun, String> {
         let (rg, h) = apsp_graph::digraph::johnson_reweight(dg)?;
         let mut run = self.run_directed(&rg);
         // shift distances back: d(u,v) = d'(u,v) − h(u) + h(v)
@@ -261,153 +346,33 @@ impl SparseApsp {
         Ok(run)
     }
 
-    /// Runs the full pipeline on a **directed** graph (asymmetric weights
-    /// over a symmetric pattern): nested dissection on the underlying
-    /// pattern, then the directed schedule (`sparse2d_directed`). The
-    /// distance matrix is generally asymmetric.
-    pub fn run_directed(&self, dg: &apsp_graph::DiCsr) -> ApspRun {
-        assert!(dg.has_nonnegative_weights(), "directed APSP requires non-negative finite weights");
-        self.config.assert_backend_compatible();
-        let pattern = dg.underlying_pattern();
-        let (nd, ordering_report) = self.ordering_for(&pattern);
-        nd.validate(&pattern).expect("ordering violates the §4.1 separation invariant");
-        let layout = SupernodalLayout::from_ordering(&nd);
-        let dgp = dg.permuted(&nd.perm);
-        let mut report = RunReport::default();
-        report.absorb(&ordering_report);
-        let opts =
-            Sparse2dOptions { r4: self.config.r4, compress_empty: self.config.compress_empty };
-        let result = match (self.config.backend, self.config.profile) {
-            (Backend::Native, _) => crate::sparse2d::sparse2d_native_directed(&layout, &dgp, &opts),
-            (Backend::Sim, true) => {
-                crate::sparse2d::sparse2d_directed_profiled(&layout, &dgp, &opts)
-            }
-            (Backend::Sim, false) => crate::sparse2d::sparse2d_directed(&layout, &dgp, &opts),
-        };
-        report.absorb(&result.report);
-        let dist = SupernodalLayout::unpermute(&result.dist_eliminated, &nd.perm);
-        ApspRun {
-            dist,
-            report,
-            ordering: nd,
-            level_costs: result.level_costs(),
-            faults: None,
-            recovery: None,
-        }
-    }
-
-    /// Runs the full pipeline on `g`. Distances come back in the input
-    /// vertex numbering; `report` holds the measured critical-path costs.
-    pub fn run(&self, g: &Csr) -> ApspRun {
-        assert!(
-            g.has_nonnegative_weights(),
-            "undirected APSP requires non-negative weights (a negative \
-             undirected edge is a negative cycle)"
-        );
-        let _wall = apsp_metrics::time_phase("driver-run");
-        apsp_metrics::counter("apsp_driver_solves_total", "Full pipeline solves started.").inc();
-        self.config.assert_backend_compatible();
-        let (nd, ordering_report) = self.ordering_for(g);
-        // O(m) check, negligible next to the solve; an ordering violating
-        // the cousin-separation invariant would make the distributed
-        // algorithm silently wrong, so this is always on.
-        nd.validate(g).expect("ordering violates the §4.1 separation invariant");
-        let layout = SupernodalLayout::from_ordering(&nd);
-        let gp = g.permuted(&nd.perm);
-
-        let mut report = RunReport::default();
-        report.absorb(&ordering_report);
-        if self.config.charge_ordering_distribution {
-            report.absorb(&distribute_ordering_cost(&layout, &nd, self.config.profile));
-        }
-        let opts =
-            Sparse2dOptions { r4: self.config.r4, compress_empty: self.config.compress_empty };
-        let result = match (self.config.backend, self.config.profile) {
-            (Backend::Native, _) => crate::sparse2d::sparse2d_native(&layout, &gp, &opts),
-            (Backend::Sim, true) => sparse2d_profiled(&layout, &gp, &opts),
-            (Backend::Sim, false) => sparse2d_with(&layout, &gp, &opts),
-        };
-        report.absorb(&result.report);
-        let dist = SupernodalLayout::unpermute(&result.dist_eliminated, &nd.perm);
-        ApspRun {
-            dist,
-            report,
-            ordering: nd,
-            level_costs: result.level_costs(),
-            faults: None,
-            recovery: None,
-        }
-    }
-
     /// Like [`SparseApsp::run`], additionally returning every rank's
-    /// recorded comm script — the cost-model auditor's sampling hook
-    /// (`apsp audit`). The ordering pipeline runs exactly as in `run`
-    /// (so [`ApspRun::ordering`] carries the real `|S|` the Table 2
-    /// forms need), but host-side ordering costs are *not* absorbed
-    /// into the report: the auditor fits the solve's communication
-    /// against Theorems 5.7/5.10, which bound the solve alone.
-    pub fn run_recorded(&self, g: &Csr) -> (ApspRun, Vec<Vec<apsp_simnet::CommEvent>>) {
-        assert!(
-            g.has_nonnegative_weights(),
-            "undirected APSP requires non-negative weights (a negative \
-             undirected edge is a negative cycle)"
-        );
-        let (nd, _) = self.ordering_for(g);
-        nd.validate(g).expect("ordering violates the §4.1 separation invariant");
-        let layout = SupernodalLayout::from_ordering(&nd);
-        let gp = g.permuted(&nd.perm);
-        let opts =
-            Sparse2dOptions { r4: self.config.r4, compress_empty: self.config.compress_empty };
-        let (result, scripts) = crate::sparse2d::sparse2d_recorded(&layout, &gp, &opts);
-        let dist = SupernodalLayout::unpermute(&result.dist_eliminated, &nd.perm);
-        let report = result.report.clone();
-        (
-            ApspRun {
-                dist,
-                report,
-                ordering: nd,
-                level_costs: result.level_costs(),
-                faults: None,
-                recovery: None,
-            },
-            scripts,
-        )
+    /// recorded comm script of the solve — the cost-model auditor's
+    /// sampling hook (`apsp audit`): [`apsp_simnet::phase_totals`] turns
+    /// the scripts into per-phase (`level`, `r1`–`r4`) ledgers whose
+    /// growth exponents are fitted against Theorems 5.7/5.10. Recording
+    /// never touches the §3.1 clocks, so the report is byte-identical to
+    /// `run`'s. (The theorems bound the solve alone: audit under a
+    /// host-side ordering, whose cost report is empty.)
+    pub fn run_recorded(&self, g: &Csr) -> (ApspRun, Vec<Vec<CommEvent>>) {
+        self.solve(g.into(), None, true).expect("fault-free launch cannot fail")
     }
 
     /// Verifies the configured pipeline's communication schedule for `g`
     /// without running the plain solve: the ordering and layout are
-    /// computed exactly as in [`SparseApsp::run`], then the schedule is
-    /// recorded and linted (layer 1) and its wildcard delivery orders
-    /// explored (layer 2) — see [`apsp_verify::verify_program`] and
-    /// `docs/VERIFICATION.md`. Recording is zero-cost to the §3.1 ledgers.
-    ///
-    /// With [`SparseApspConfig::backend`] set to [`Backend::Native`], the
-    /// schedule is recorded over real OS threads instead and checked by
-    /// the layer-1 lint alone (the layer-2 explorer needs the governed
-    /// simulator) — the same invariants, pinned on the real machine.
+    /// computed exactly as in [`SparseApsp::run`], then the schedule goes
+    /// through [`crate::launch::verify`] on the configured backend (see
+    /// `docs/VERIFICATION.md`).
     pub fn verify(&self, g: &Csr, vopts: &apsp_verify::VerifyOptions) -> apsp_verify::VerifyReport {
-        assert!(
-            g.has_nonnegative_weights(),
-            "undirected APSP requires non-negative weights (a negative \
-             undirected edge is a negative cycle)"
-        );
-        let (nd, _) = self.ordering_for(g);
-        nd.validate(g).expect("ordering violates the §4.1 separation invariant");
-        let layout = SupernodalLayout::from_ordering(&nd);
-        let gp = g.permuted(&nd.perm);
-        let opts =
-            Sparse2dOptions { r4: self.config.r4, compress_empty: self.config.compress_empty };
-        match self.config.backend {
-            Backend::Sim => crate::sparse2d::sparse2d_verify(&layout, &gp, &opts, vopts),
-            Backend::Native => crate::sparse2d::sparse2d_native_verify(&layout, &gp, &opts),
-        }
+        let input = Input::Undirected(g);
+        self.prepare(input).with_solver(input, |solver| verify(solver, self.config.backend, vopts))
     }
 
-    /// Runs the full pipeline on `g` with a deterministic fault plan
-    /// active during the distributed solve. The ordering is computed
-    /// host-side exactly as in [`SparseApsp::run`] (an ordering corrupted
-    /// by a fault would be a different experiment); the solve itself runs
-    /// under the plan and must recover or fail.
+    /// Runs the full pipeline on `g` — undirected or directed — with a
+    /// deterministic fault plan active during the distributed solve. The
+    /// ordering is computed host-side exactly as in [`SparseApsp::run`]
+    /// (an ordering corrupted by a fault would be a different experiment);
+    /// the solve itself runs under the plan and must recover or fail.
     ///
     /// On success, [`ApspRun::faults`] carries the injected/recovered
     /// counts and the recovery traffic is part of [`ApspRun::report`].
@@ -421,57 +386,12 @@ impl SparseApsp {
     /// supervised run, a typed [`apsp_simnet::Unrecoverable`] once the
     /// restart budget is exhausted) — the run never returns silently wrong
     /// distances.
-    pub fn run_faulty(&self, g: &Csr, plan: &FaultPlan) -> Result<ApspRun, MachineError> {
-        assert!(
-            g.has_nonnegative_weights(),
-            "undirected APSP requires non-negative weights (a negative \
-             undirected edge is a negative cycle)"
-        );
-        self.config.assert_backend_compatible();
-        let (nd, ordering_report) = self.ordering_for(g);
-        nd.validate(g).expect("ordering violates the §4.1 separation invariant");
-        let layout = SupernodalLayout::from_ordering(&nd);
-        let gp = g.permuted(&nd.perm);
-
-        let mut report = RunReport::default();
-        report.absorb(&ordering_report);
-        if self.config.charge_ordering_distribution {
-            report.absorb(&distribute_ordering_cost(&layout, &nd, self.config.profile));
-        }
-        let opts =
-            Sparse2dOptions { r4: self.config.r4, compress_empty: self.config.compress_empty };
-        let (result, faults, recovery) = match (self.config.backend, self.config.recovery) {
-            (Backend::Sim, Some(policy)) => {
-                let (result, faults, recovery) =
-                    sparse2d_recovering(&layout, &gp, &opts, plan, policy, self.config.profile)?;
-                (result, faults, Some(recovery))
-            }
-            (Backend::Sim, None) => {
-                let (result, faults) =
-                    sparse2d_faulty(&layout, &gp, &opts, plan, self.config.profile)?;
-                (result, faults, None)
-            }
-            (Backend::Native, Some(policy)) => {
-                let (result, faults, recovery) =
-                    crate::sparse2d::sparse2d_native_recovering(&layout, &gp, &opts, plan, policy)?;
-                (result, faults, Some(recovery))
-            }
-            (Backend::Native, None) => {
-                let (result, faults) =
-                    crate::sparse2d::sparse2d_native_faulty(&layout, &gp, &opts, plan)?;
-                (result, faults, None)
-            }
-        };
-        report.absorb(&result.report);
-        let dist = SupernodalLayout::unpermute(&result.dist_eliminated, &nd.perm);
-        Ok(ApspRun {
-            dist,
-            report,
-            ordering: nd,
-            level_costs: result.level_costs(),
-            faults: Some(faults),
-            recovery,
-        })
+    pub fn run_faulty<'a>(
+        &self,
+        g: impl Into<Input<'a>>,
+        plan: &FaultPlan,
+    ) -> Result<ApspRun, MachineError> {
+        self.solve(g.into(), Some(plan), false).map(|(run, _)| run)
     }
 }
 
@@ -487,7 +407,7 @@ impl SparseApsp {
 fn distribute_ordering_cost(
     layout: &SupernodalLayout,
     nd: &NdOrdering,
-    profiled: bool,
+    profile: bool,
 ) -> RunReport {
     let p = layout.p();
     let perm: Vec<f64> = nd.perm.as_order().iter().map(|&x| x as f64).collect();
@@ -508,9 +428,9 @@ fn distribute_ordering_cost(
         let cols = sizes[j - 1] as usize;
         assert_eq!((rows, cols), (layout.size(i), layout.size(j)));
     };
-    let (_, report) =
-        if profiled { Machine::run_profiled(p, program) } else { Machine::run(p, program) };
-    report
+    Machine::launch(p, &MachineSpec { profile, ..Default::default() }, program)
+        .expect("fault-free launch cannot fail")
+        .report
 }
 
 #[cfg(test)]

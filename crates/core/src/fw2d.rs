@@ -6,27 +6,17 @@
 //! panels, so the costs are `L = Θ(√p · log p)` and `B = Θ(n²/√p · log p)`
 //! — the dense-regime shape every row of Table 2 compares against.
 
+use crate::launch::{launch_plain, DenseResult, Solver};
 use apsp_graph::{Csr, DenseDist};
 use apsp_minplus::{fw_in_place, gemm, MinPlusMatrix};
-use apsp_simnet::{
-    FaultPlan, FaultSummary, Launch, Machine, MachineError, RecoveryPolicy, RecoveryReport,
-    RunReport,
-};
-use apsp_transport::{NativeMachine, Transport};
+use apsp_simnet::RunReport;
+use apsp_transport::Transport;
 
 /// Balanced partition of `n` into `parts` consecutive chunks.
 pub fn balanced_sizes(n: usize, parts: usize) -> Vec<usize> {
     let q = n / parts;
     let r = n % parts;
     (0..parts).map(|i| q + usize::from(i < r)).collect()
-}
-
-/// Result of a dense distributed APSP run.
-pub struct Fw2dResult {
-    /// All-pairs distances (input vertex ids — no reordering happens here).
-    pub dist: DenseDist,
-    /// Measured communication report.
-    pub report: RunReport,
 }
 
 struct Grid {
@@ -186,182 +176,62 @@ fn pivot_round<C: Transport>(
     }
 }
 
-/// Runs the dense blocked-FW APSP on a `n_grid × n_grid` simulated grid
-/// (`p = n_grid²` ranks).
-pub fn fw2d(g: &Csr, n_grid: usize) -> Fw2dResult {
-    fw2d_inner(g, n_grid, Launch::Plain)
+/// Dense blocked Floyd–Warshall as a [`Solver`] on an `n_grid × n_grid`
+/// grid (`p = n_grid²` ranks). Each pivot round is a checkpointable phase;
+/// a profiled run's ledger has one `pivot#t` span per round with the panel
+/// broadcasts nested inside.
+pub struct Fw2d<'a> {
+    g: &'a Csr,
+    grid: Grid,
 }
 
-/// Like [`fw2d`], but the run is profiled: `report.profile` carries the
-/// per-pivot span ledger (span `pivot#t` per iteration, with the panel
-/// broadcasts nested inside) and the p×p communication matrix.
-pub fn fw2d_profiled(g: &Csr, n_grid: usize) -> Fw2dResult {
-    fw2d_inner(g, n_grid, Launch::Profiled)
+impl<'a> Fw2d<'a> {
+    /// The solver for `g` on an `n_grid × n_grid` grid.
+    pub fn new(g: &'a Csr, n_grid: usize) -> Self {
+        assert!(n_grid >= 1);
+        Fw2d { g, grid: Grid::new(g.n(), n_grid) }
+    }
 }
 
-/// Like [`fw2d`], on the native shared-memory backend: the identical rank
-/// program runs on `p = n_grid²` OS threads over real channels. Distances
-/// are bit-identical to the simulator's; the report carries no costs (the
-/// native machine has no §3.1 clocks).
-pub fn fw2d_native(g: &Csr, n_grid: usize) -> Fw2dResult {
-    let _wall = apsp_metrics::time_phase("solve-fw2d-native");
-    assert!(n_grid >= 1);
-    let grid = Grid::new(g.n(), n_grid);
-    let p = n_grid * n_grid;
-    let (blocks_raw, report) = NativeMachine::run(p, |comm| rank_program(comm, &grid, g));
-    assemble(g, &grid, blocks_raw, report)
-}
+impl Solver for Fw2d<'_> {
+    type Out = Vec<f64>;
+    type Result = DenseResult;
+    const PHASE: &'static str = "solve-fw2d";
 
-/// Verifies the fw2d communication schedule on an `n_grid × n_grid` grid:
-/// records every rank's comm script for the static lint (layer 1) and,
-/// for `p ≤` [`apsp_verify::MAX_EXPLORE_P`], explores wildcard delivery
-/// schedules (layer 2). Recording never touches the §3.1 cost clocks, so
-/// a verified schedule's plain run is byte-identical to an unverified one.
-pub fn fw2d_verify(
-    g: &Csr,
-    n_grid: usize,
-    opts: &apsp_verify::VerifyOptions,
-) -> apsp_verify::VerifyReport {
-    assert!(n_grid >= 1);
-    let grid = Grid::new(g.n(), n_grid);
-    let p = n_grid * n_grid;
-    apsp_verify::verify_program(
-        p,
-        opts,
-        |comm| rank_program(comm, &grid, g),
-        apsp_verify::digest_rows,
-    )
-}
+    fn p(&self) -> usize {
+        self.grid.n_grid * self.grid.n_grid
+    }
 
-/// Native-backend variant of [`fw2d_verify`]: the identical rank program
-/// records the same logical comm script over real OS threads and the
-/// layer-1 static lint checks it (the layer-2 explorer needs the
-/// governed simulator; see `docs/VERIFICATION.md`).
-pub fn fw2d_native_verify(g: &Csr, n_grid: usize) -> apsp_verify::VerifyReport {
-    assert!(n_grid >= 1);
-    let grid = Grid::new(g.n(), n_grid);
-    let p = n_grid * n_grid;
-    apsp_verify::lint_recorded_outcome(
-        p,
-        NativeMachine::run_recorded(p, |comm| rank_program(comm, &grid, g)),
-    )
-}
+    fn rank_program<C: Transport>(&self, comm: &mut C) -> Vec<f64> {
+        rank_program(comm, &self.grid, self.g)
+    }
 
-/// Like [`fw2d`], additionally returning every rank's recorded comm
-/// script — the cost-model auditor's sampling hook (`apsp audit`):
-/// [`apsp_simnet::phase_totals`] reduces the scripts to per-phase
-/// (`pivot`) ledgers fitted against the §2 dense bounds. Recording never
-/// touches the §3.1 clocks, so the embedded report is byte-identical to
-/// a plain run's.
-pub fn fw2d_recorded(g: &Csr, n_grid: usize) -> (Fw2dResult, Vec<Vec<apsp_simnet::CommEvent>>) {
-    assert!(n_grid >= 1);
-    let grid = Grid::new(g.n(), n_grid);
-    let p = n_grid * n_grid;
-    let (blocks_raw, report, scripts) =
-        Machine::run_recorded(p, |comm| rank_program(comm, &grid, g))
-            .expect("fault-free recorded launch cannot fail");
-    (assemble(g, &grid, blocks_raw, report), scripts)
-}
-
-/// Like [`fw2d`], under a deterministic fault plan: the run recovers (or
-/// fails loudly with a [`MachineError`]) and reports its fault history.
-pub fn fw2d_faulty(
-    g: &Csr,
-    n_grid: usize,
-    plan: &FaultPlan,
-    profiled: bool,
-) -> Result<(Fw2dResult, FaultSummary), MachineError> {
-    let how = if profiled { Launch::Profiled } else { Launch::Plain };
-    fw2d_launch(g, n_grid, how.with_faults(plan))
-        .map(|(res, faults)| (res, faults.expect("faulty run carries a summary")))
-}
-
-/// Like [`fw2d_faulty`], under a checkpoint/restart supervisor: each
-/// pivot round is a phase boundary, so a dead rank or exhausted retry
-/// budget rolls back to the previous round and re-executes (with a spare
-/// rank when the plan's kill is permanent) instead of failing the solve.
-pub fn fw2d_recovering(
-    g: &Csr,
-    n_grid: usize,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-    profiled: bool,
-) -> Result<(Fw2dResult, FaultSummary, RecoveryReport), MachineError> {
-    assert!(n_grid >= 1);
-    let grid = Grid::new(g.n(), n_grid);
-    let p = n_grid * n_grid;
-    let (blocks_raw, report, summary, recovery) =
-        Machine::launch_recovering(p, plan, policy, profiled, |comm| rank_program(comm, &grid, g))?;
-    Ok((assemble(g, &grid, blocks_raw, report), summary, recovery))
-}
-
-/// [`fw2d_faulty`] on the **native** backend: the same seeded plan over
-/// real channel traffic, with `kill=` rules killing actual rank threads.
-/// Recovered runs are bit-identical to [`fw2d_native`].
-pub fn fw2d_native_faulty(
-    g: &Csr,
-    n_grid: usize,
-    plan: &FaultPlan,
-) -> Result<(Fw2dResult, FaultSummary), MachineError> {
-    let _wall = apsp_metrics::time_phase("solve-fw2d-native");
-    assert!(n_grid >= 1);
-    let grid = Grid::new(g.n(), n_grid);
-    let p = n_grid * n_grid;
-    let (blocks_raw, report, faults) =
-        NativeMachine::launch_faulty(p, plan, |comm| rank_program(comm, &grid, g))?;
-    Ok((assemble(g, &grid, blocks_raw, report), faults))
-}
-
-/// [`fw2d_recovering`] on the **native** backend: per-pivot checkpoints,
-/// thread-level kill and respawn, spare-thread takeover for permanently
-/// dead ranks.
-pub fn fw2d_native_recovering(
-    g: &Csr,
-    n_grid: usize,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-) -> Result<(Fw2dResult, FaultSummary, RecoveryReport), MachineError> {
-    let _wall = apsp_metrics::time_phase("solve-fw2d-native");
-    assert!(n_grid >= 1);
-    let grid = Grid::new(g.n(), n_grid);
-    let p = n_grid * n_grid;
-    let (blocks_raw, report, summary, recovery) =
-        NativeMachine::launch_recovering(p, plan, policy, |comm| rank_program(comm, &grid, g))?;
-    Ok((assemble(g, &grid, blocks_raw, report), summary, recovery))
-}
-
-fn fw2d_inner(g: &Csr, n_grid: usize, how: Launch<'_>) -> Fw2dResult {
-    fw2d_launch(g, n_grid, how).expect("fault-free launch cannot fail").0
-}
-
-fn fw2d_launch(
-    g: &Csr,
-    n_grid: usize,
-    how: Launch<'_>,
-) -> Result<(Fw2dResult, Option<FaultSummary>), MachineError> {
-    let _wall = apsp_metrics::time_phase("solve-fw2d");
-    assert!(n_grid >= 1);
-    let grid = Grid::new(g.n(), n_grid);
-    let p = n_grid * n_grid;
-    let (blocks_raw, report, faults) =
-        Machine::launch(p, how, |comm| rank_program(comm, &grid, g))?;
-    Ok((assemble(g, &grid, blocks_raw, report), faults))
-}
-
-fn assemble(g: &Csr, grid: &Grid, blocks_raw: Vec<Vec<f64>>, report: RunReport) -> Fw2dResult {
-    let n = g.n();
-    let mut dist = DenseDist::unconnected(n);
-    for (rank, data) in blocks_raw.into_iter().enumerate() {
-        let (i, j) = grid.block_of(rank);
-        let (ri, rj) = (grid.range(i), grid.range(j));
-        let block = MinPlusMatrix::from_raw(ri.len(), rj.len(), data);
-        for r in 0..block.rows() {
-            for c in 0..block.cols() {
-                dist.set(ri.start + r, rj.start + c, block.get(r, c));
+    fn assemble(&self, blocks_raw: Vec<Vec<f64>>, report: RunReport) -> DenseResult {
+        let grid = &self.grid;
+        let mut dist = DenseDist::unconnected(self.g.n());
+        for (rank, data) in blocks_raw.into_iter().enumerate() {
+            let (i, j) = grid.block_of(rank);
+            let (ri, rj) = (grid.range(i), grid.range(j));
+            let block = MinPlusMatrix::from_raw(ri.len(), rj.len(), data);
+            for r in 0..block.rows() {
+                for c in 0..block.cols() {
+                    dist.set(ri.start + r, rj.start + c, block.get(r, c));
+                }
             }
         }
+        DenseResult { dist, report }
     }
-    Fw2dResult { dist, report }
+
+    fn words(out: Vec<f64>) -> Vec<f64> {
+        out
+    }
+}
+
+/// Runs the dense blocked-FW APSP on a `n_grid × n_grid` simulated grid
+/// (`p = n_grid²` ranks); every other way to run it is a
+/// [`crate::launch::LaunchSpec`] on [`Fw2d::new`].
+pub fn fw2d(g: &Csr, n_grid: usize) -> DenseResult {
+    launch_plain(&Fw2d::new(g, n_grid))
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@ pub mod djohnson;
 pub mod dnd;
 pub mod driver;
 pub mod fw2d;
+pub mod launch;
 pub mod solved;
 pub mod sparse2d;
 pub mod superfw;

@@ -29,7 +29,7 @@
 //! real sparse solvers ship empty frontal updates. Latency is unchanged;
 //! bandwidth drops on very sparse inputs.
 //!
-//! [`sparse2d_directed`] runs the same schedule on **directed** inputs
+//! [`Input::Directed`] runs the same schedule on **directed** inputs
 //! (asymmetric weights over a symmetric pattern): `R¹–R³` are already
 //! orientation-correct; `R⁴` swaps the transpose mirror for dual-
 //! orientation computing units on the same Corollary 5.5 workers (see
@@ -44,15 +44,13 @@
 //! edges therefore never point backwards in (phase, key) order and the
 //! wait-for graph is acyclic.
 
+use crate::launch::{launch_plain, Solver};
 use crate::supernodal::SupernodalLayout;
 use apsp_etree::{mapping, SchedTree};
-use apsp_graph::{Csr, DenseDist};
+use apsp_graph::{Csr, DenseDist, DiCsr};
 use apsp_minplus::{fw_in_place, gemm, MinPlusMatrix};
-use apsp_simnet::{
-    Clocks, FaultPlan, FaultSummary, Launch, Machine, MachineError, RecoveryPolicy, RecoveryReport,
-    RunReport,
-};
-use apsp_transport::{NativeMachine, Transport};
+use apsp_simnet::{Clocks, RunReport};
+use apsp_transport::Transport;
 
 /// How the `R⁴` computing units are scheduled (§5.2.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,7 +63,7 @@ pub enum R4Strategy {
     SequentialUnits,
 }
 
-/// Tuning options for a [`sparse2d_with`] run.
+/// Tuning options for a [`Sparse2d`] run.
 #[derive(Clone, Copy, Debug)]
 pub struct Sparse2dOptions {
     /// `R⁴` scheduling strategy.
@@ -186,21 +184,22 @@ fn is_r4_upper(t: &SchedTree, l: u32, i: usize, j: usize) -> bool {
 
 /// The per-rank program: runs Algorithm 1 for this rank's block. Returns
 /// the final block buffer and the cumulative clocks after each level.
-/// `init` builds a rank's initial block (undirected or directed
-/// adjacency); `directed` switches the `R⁴` phase to the no-mirror dual
-/// schedule.
+/// `input` supplies the rank's initial block; a directed one switches the
+/// `R⁴` phase to the no-mirror dual schedule.
 fn rank_program<C: Transport>(
     comm: &mut C,
     layout: &SupernodalLayout,
-    init: &(dyn Fn(usize, usize) -> MinPlusMatrix + Sync),
+    input: Input<'_>,
     opts: &Sparse2dOptions,
-    directed: bool,
 ) -> (Vec<f64>, Vec<Clocks>) {
     let t = *layout.tree();
     let h = t.height();
     let (bi, bj) = layout.block_of_rank(comm.rank());
 
-    let mut block = init(bi, bj);
+    let (mut block, directed) = match input {
+        Input::Undirected(g) => (layout.extract_block(g, bi, bj), false),
+        Input::Directed(dg) => (layout.extract_block_directed(dg, bi, bj), true),
+    };
     comm.alloc(block.words());
     let mut level_clocks = Vec::with_capacity(h as usize);
 
@@ -870,330 +869,124 @@ fn r4_sequential_directed<C: Transport>(
     }
 }
 
-/// Runs 2D-SPARSE-APSP on the simulated machine with default options.
+/// 2D-SPARSE-APSP as a [`Solver`]: a layout, the graph permuted into its
+/// eliminated ordering, and the schedule options. Undirected and directed
+/// inputs share the rank program; only each rank's initial block and the
+/// `R⁴` phase differ.
 ///
-/// `g_perm` must already be permuted into the eliminated ordering described
-/// by `layout`. Each rank initializes its own block locally (the §3.1 model
-/// assumes the matrix is pre-distributed, as on a parallel filesystem), so
-/// the report covers the algorithm's communication only.
+/// Each rank initializes its own block locally (the §3.1 model assumes the
+/// matrix is pre-distributed, as on a parallel filesystem), so the report
+/// covers the algorithm's communication only. Every elimination level is a
+/// checkpointable phase, so under [`crate::launch::LaunchSpec::recovery`]
+/// killed ranks roll back to the last complete level — the checkpoint
+/// cadence follows the e-tree height, not the (much finer) message
+/// schedule. Traced tags decode as `(level, phase, k, aux)`: level in bits
+/// 56.., phase in 48.., pivot in 24...
+pub struct Sparse2d<'a> {
+    layout: &'a SupernodalLayout,
+    input: Input<'a>,
+    opts: Sparse2dOptions,
+}
+
+/// A graph 2D-SPARSE-APSP accepts (`&Csr` and `&DiCsr` convert into it).
+#[derive(Clone, Copy)]
+pub enum Input<'a> {
+    /// An undirected graph with non-negative weights.
+    Undirected(&'a Csr),
+    /// A **directed** graph: asymmetric non-negative weights over a
+    /// symmetric pattern, ordered by the pattern's nested dissection. The
+    /// schedule is identical except in `R⁴`, where both block orientations
+    /// are computed explicitly instead of mirrored — within 2× of the
+    /// undirected message costs, and a generally asymmetric result.
+    Directed(&'a DiCsr),
+}
+
+impl<'a> From<&'a Csr> for Input<'a> {
+    fn from(g: &'a Csr) -> Self {
+        Input::Undirected(g)
+    }
+}
+
+impl<'a> From<&'a DiCsr> for Input<'a> {
+    fn from(dg: &'a DiCsr) -> Self {
+        Input::Directed(dg)
+    }
+}
+
+impl<'a> Sparse2d<'a> {
+    /// The solver for `g_perm`, which must already be permuted into the
+    /// eliminated ordering described by `layout`.
+    pub fn new(
+        layout: &'a SupernodalLayout,
+        g_perm: impl Into<Input<'a>>,
+        opts: &Sparse2dOptions,
+    ) -> Self {
+        let input = g_perm.into();
+        let n = match input {
+            Input::Undirected(g) => g.n(),
+            Input::Directed(dg) => dg.n(),
+        };
+        assert_eq!(n, layout.n(), "layout does not match the graph");
+        Sparse2d { layout, input, opts: *opts }
+    }
+}
+
+impl Solver for Sparse2d<'_> {
+    type Out = (Vec<f64>, Vec<Clocks>);
+    type Result = Sparse2dResult;
+    const PHASE: &'static str = "solve-sparse2d";
+
+    fn p(&self) -> usize {
+        self.layout.p()
+    }
+
+    fn rank_program<C: Transport>(&self, comm: &mut C) -> Self::Out {
+        rank_program(comm, self.layout, self.input, &self.opts)
+    }
+
+    fn assemble(&self, outputs: Vec<Self::Out>, report: RunReport) -> Sparse2dResult {
+        let layout = self.layout;
+        let h = layout.tree().height() as usize;
+        // per-level critical clocks: max over ranks of the cumulative snapshot
+        let mut level_clocks = vec![Clocks::default(); h];
+        for (_, clocks) in &outputs {
+            for (lvl, c) in clocks.iter().enumerate() {
+                level_clocks[lvl].merge_max(c);
+            }
+        }
+        let dist_eliminated = layout.assemble_raw(outputs.into_iter().map(|(data, _)| data));
+        Sparse2dResult { dist_eliminated, report, level_clocks }
+    }
+
+    fn words(out: Self::Out) -> Vec<f64> {
+        out.0
+    }
+}
+
+/// Runs 2D-SPARSE-APSP on the simulated machine with default options.
 pub fn sparse2d(layout: &SupernodalLayout, g_perm: &Csr, strategy: R4Strategy) -> Sparse2dResult {
     sparse2d_with(layout, g_perm, &Sparse2dOptions { r4: strategy, ..Default::default() })
 }
 
-/// Runs 2D-SPARSE-APSP with explicit [`Sparse2dOptions`].
+/// Runs 2D-SPARSE-APSP on the simulated machine with explicit
+/// [`Sparse2dOptions`]; every other way to run it is a
+/// [`crate::launch::LaunchSpec`] on [`Sparse2d::new`].
 pub fn sparse2d_with(
     layout: &SupernodalLayout,
     g_perm: &Csr,
     opts: &Sparse2dOptions,
 ) -> Sparse2dResult {
-    assert_eq!(g_perm.n(), layout.n(), "layout does not match the graph");
-    let init = |i: usize, j: usize| layout.extract_block(g_perm, i, j);
-    run_machine(layout, &init, opts, false)
+    launch_plain(&Sparse2d::new(layout, g_perm, opts))
 }
 
-/// Runs **directed** 2D-SPARSE-APSP: asymmetric weights over a symmetric
-/// pattern (`dg_perm` already permuted into the eliminated ordering of the
-/// pattern's nested dissection). The schedule is identical except in `R⁴`,
-/// where both block orientations are computed explicitly instead of
-/// mirrored — within 2× of the undirected message costs.
+/// Runs **directed** 2D-SPARSE-APSP on the simulated machine
+/// ([`Input::Directed`]).
 pub fn sparse2d_directed(
     layout: &SupernodalLayout,
-    dg_perm: &apsp_graph::DiCsr,
+    dg_perm: &DiCsr,
     opts: &Sparse2dOptions,
 ) -> Sparse2dResult {
-    assert_eq!(dg_perm.n(), layout.n(), "layout does not match the graph");
-    let init = |i: usize, j: usize| layout.extract_block_directed(dg_perm, i, j);
-    run_machine(layout, &init, opts, true)
-}
-
-/// Runs 2D-SPARSE-APSP on the **native** shared-memory backend: `p` OS
-/// threads over plain channels, no §3.1 cost clocks. The schedule — and
-/// therefore the distance matrix, bit for bit — is identical to the
-/// simulated run; the returned report carries no cost counters (all
-/// zeros). Use this for wall-clock measurements of the actual message
-/// pattern.
-pub fn sparse2d_native(
-    layout: &SupernodalLayout,
-    g_perm: &Csr,
-    opts: &Sparse2dOptions,
-) -> Sparse2dResult {
-    assert_eq!(g_perm.n(), layout.n(), "layout does not match the graph");
-    let _wall = apsp_metrics::time_phase("solve-sparse2d-native");
-    let init = |i: usize, j: usize| layout.extract_block(g_perm, i, j);
-    let p = layout.p();
-    let (outputs, report) =
-        NativeMachine::run(p, |comm| rank_program(comm, layout, &init, opts, false));
-    assemble(layout, outputs, report)
-}
-
-/// Native-backend variant of [`sparse2d_directed`] — same dual-orientation
-/// `R⁴` schedule, executed on OS threads without cost clocks.
-pub fn sparse2d_native_directed(
-    layout: &SupernodalLayout,
-    dg_perm: &apsp_graph::DiCsr,
-    opts: &Sparse2dOptions,
-) -> Sparse2dResult {
-    assert_eq!(dg_perm.n(), layout.n(), "layout does not match the graph");
-    let _wall = apsp_metrics::time_phase("solve-sparse2d-native");
-    let init = |i: usize, j: usize| layout.extract_block_directed(dg_perm, i, j);
-    let p = layout.p();
-    let (outputs, report) =
-        NativeMachine::run(p, |comm| rank_program(comm, layout, &init, opts, true));
-    assemble(layout, outputs, report)
-}
-
-/// Like [`sparse2d_with`], additionally returning every rank's sent-message
-/// trace (src, dst, words, tag) — the schedule-audit hook. Tags decode as
-/// `(level, phase, k, aux)` via the internal `tag` layout: level in bits
-/// 56.., phase in 48.., pivot in 24...
-pub fn sparse2d_traced(
-    layout: &SupernodalLayout,
-    g_perm: &Csr,
-    opts: &Sparse2dOptions,
-) -> (Sparse2dResult, Vec<Vec<apsp_simnet::TraceEvent>>) {
-    assert_eq!(g_perm.n(), layout.n(), "layout does not match the graph");
-    let init = |i: usize, j: usize| layout.extract_block(g_perm, i, j);
-    let p = layout.p();
-    let (outputs, report, traces) =
-        Machine::run_traced(p, |comm| rank_program(comm, layout, &init, opts, false));
-    (assemble(layout, outputs, report), traces)
-}
-
-/// Like [`sparse2d_with`], additionally profiling the run: the returned
-/// result's `report.profile` carries per-rank span ledgers (levels, with
-/// nested `R¹`–`R⁴` phase spans), the p×p communication matrix, and the
-/// event stream — ready for [`apsp_simnet::Profile::chrome_trace_json`]
-/// or [`apsp_simnet::RunReport::phase_breakdown`].
-pub fn sparse2d_profiled(
-    layout: &SupernodalLayout,
-    g_perm: &Csr,
-    opts: &Sparse2dOptions,
-) -> Sparse2dResult {
-    assert_eq!(g_perm.n(), layout.n(), "layout does not match the graph");
-    let init = |i: usize, j: usize| layout.extract_block(g_perm, i, j);
-    run_machine_profiled(layout, &init, opts, false)
-}
-
-/// Profiled variant of [`sparse2d_directed`] — same span ledger as
-/// [`sparse2d_profiled`], over the directed schedule.
-pub fn sparse2d_directed_profiled(
-    layout: &SupernodalLayout,
-    dg_perm: &apsp_graph::DiCsr,
-    opts: &Sparse2dOptions,
-) -> Sparse2dResult {
-    assert_eq!(dg_perm.n(), layout.n(), "layout does not match the graph");
-    let init = |i: usize, j: usize| layout.extract_block_directed(dg_perm, i, j);
-    run_machine_profiled(layout, &init, opts, true)
-}
-
-/// Verifies the 2D-SPARSE-APSP communication schedule for this layout:
-/// every rank's comm script is recorded for the static lint (send/recv
-/// matching, tag freshness across phases, collective ordering, phase
-/// quiescence at every `commit_phase`, span balance) and, for `p ≤`
-/// [`apsp_verify::MAX_EXPLORE_P`], wildcard delivery schedules are
-/// explored for deadlocks and order-sensitive nondeterminism. The digest
-/// covers every rank's final block. Recording never touches the §3.1
-/// clocks, so a verified schedule's plain run is byte-identical to an
-/// unverified one.
-pub fn sparse2d_verify(
-    layout: &SupernodalLayout,
-    g_perm: &Csr,
-    opts: &Sparse2dOptions,
-    vopts: &apsp_verify::VerifyOptions,
-) -> apsp_verify::VerifyReport {
-    assert_eq!(g_perm.n(), layout.n(), "layout does not match the graph");
-    let init = |i: usize, j: usize| layout.extract_block(g_perm, i, j);
-    let p = layout.p();
-    apsp_verify::verify_program(
-        p,
-        vopts,
-        |comm| rank_program(comm, layout, &init, opts, false).0,
-        apsp_verify::digest_rows,
-    )
-}
-
-/// Native-backend variant of [`sparse2d_verify`]: the same rank program
-/// records the same logical comm script over real OS threads and
-/// channels, and the layer-1 static lint checks it — send/recv pairing,
-/// tag freshness, collective order, checkpoint quiescence and span
-/// balance are pinned on both machines. The layer-2 schedule explorer
-/// needs the governed simulator and does not run here (see
-/// `docs/VERIFICATION.md`).
-pub fn sparse2d_native_verify(
-    layout: &SupernodalLayout,
-    g_perm: &Csr,
-    opts: &Sparse2dOptions,
-) -> apsp_verify::VerifyReport {
-    assert_eq!(g_perm.n(), layout.n(), "layout does not match the graph");
-    let init = |i: usize, j: usize| layout.extract_block(g_perm, i, j);
-    let p = layout.p();
-    apsp_verify::lint_recorded_outcome(
-        p,
-        NativeMachine::run_recorded(p, |comm| rank_program(comm, layout, &init, opts, false)),
-    )
-}
-
-/// Like [`sparse2d_with`], additionally returning every rank's recorded
-/// comm script — the cost-model auditor's sampling hook (`apsp audit`):
-/// [`apsp_simnet::phase_totals`] turns the scripts into per-phase
-/// (`level`, `r1`–`r4`) ledgers whose growth exponents are fitted
-/// against Theorems 5.7/5.10. Recording never touches the §3.1 clocks,
-/// so the embedded report is byte-identical to a plain run's.
-pub fn sparse2d_recorded(
-    layout: &SupernodalLayout,
-    g_perm: &Csr,
-    opts: &Sparse2dOptions,
-) -> (Sparse2dResult, Vec<Vec<apsp_simnet::CommEvent>>) {
-    assert_eq!(g_perm.n(), layout.n(), "layout does not match the graph");
-    let init = |i: usize, j: usize| layout.extract_block(g_perm, i, j);
-    let p = layout.p();
-    let (outputs, report, scripts) =
-        Machine::run_recorded(p, |comm| rank_program(comm, layout, &init, opts, false))
-            .expect("fault-free recorded launch cannot fail");
-    (assemble(layout, outputs, report), scripts)
-}
-
-/// Like [`sparse2d_with`], under a deterministic fault plan: the schedule
-/// recovers (or fails loudly with a [`MachineError`]) and the run reports
-/// its fault history alongside the result.
-pub fn sparse2d_faulty(
-    layout: &SupernodalLayout,
-    g_perm: &Csr,
-    opts: &Sparse2dOptions,
-    plan: &FaultPlan,
-    profiled: bool,
-) -> Result<(Sparse2dResult, FaultSummary), MachineError> {
-    assert_eq!(g_perm.n(), layout.n(), "layout does not match the graph");
-    let init = |i: usize, j: usize| layout.extract_block(g_perm, i, j);
-    let how = if profiled { Launch::Profiled } else { Launch::Plain };
-    run_machine_launch(layout, &init, opts, false, how.with_faults(plan))
-        .map(|(res, faults)| (res, faults.expect("faulty run carries a summary")))
-}
-
-/// Like [`sparse2d_faulty`], but supervised: every elimination level is a
-/// checkpointable phase, and killed ranks / dead links roll back to the
-/// last complete level and re-execute under `policy` instead of aborting
-/// the run — the checkpoint cadence therefore follows the e-tree height,
-/// not the (much finer) message schedule.
-pub fn sparse2d_recovering(
-    layout: &SupernodalLayout,
-    g_perm: &Csr,
-    opts: &Sparse2dOptions,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-    profiled: bool,
-) -> Result<(Sparse2dResult, FaultSummary, RecoveryReport), MachineError> {
-    assert_eq!(g_perm.n(), layout.n(), "layout does not match the graph");
-    let init = |i: usize, j: usize| layout.extract_block(g_perm, i, j);
-    let p = layout.p();
-    let (outputs, report, faults, recovery) =
-        Machine::launch_recovering(p, plan, policy, profiled, |comm| {
-            rank_program(comm, layout, &init, opts, false)
-        })?;
-    Ok((assemble(layout, outputs, report), faults, recovery))
-}
-
-/// [`sparse2d_faulty`] on the **native** backend: the same seeded fault
-/// plan injected into real channel traffic (OS threads, no cost clocks),
-/// with `kill=` rules killing actual rank threads. Same plan ⇒ the same
-/// deterministic fault trajectory; recovered runs are bit-identical to
-/// [`sparse2d_native`].
-pub fn sparse2d_native_faulty(
-    layout: &SupernodalLayout,
-    g_perm: &Csr,
-    opts: &Sparse2dOptions,
-    plan: &FaultPlan,
-) -> Result<(Sparse2dResult, FaultSummary), MachineError> {
-    assert_eq!(g_perm.n(), layout.n(), "layout does not match the graph");
-    let _wall = apsp_metrics::time_phase("solve-sparse2d-native");
-    let init = |i: usize, j: usize| layout.extract_block(g_perm, i, j);
-    let p = layout.p();
-    let (outputs, report, faults) = NativeMachine::launch_faulty(p, plan, |comm| {
-        rank_program(comm, layout, &init, opts, false)
-    })?;
-    Ok((assemble(layout, outputs, report), faults))
-}
-
-/// [`sparse2d_recovering`] on the **native** backend: per-level
-/// checkpoints into the shared snapshot store, thread-level kill and
-/// respawn, spare-thread takeover for permanently dead ranks — the
-/// simulator's supervisor semantics over real OS threads.
-pub fn sparse2d_native_recovering(
-    layout: &SupernodalLayout,
-    g_perm: &Csr,
-    opts: &Sparse2dOptions,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-) -> Result<(Sparse2dResult, FaultSummary, RecoveryReport), MachineError> {
-    assert_eq!(g_perm.n(), layout.n(), "layout does not match the graph");
-    let _wall = apsp_metrics::time_phase("solve-sparse2d-native");
-    let init = |i: usize, j: usize| layout.extract_block(g_perm, i, j);
-    let p = layout.p();
-    let (outputs, report, faults, recovery) =
-        NativeMachine::launch_recovering(p, plan, policy, |comm| {
-            rank_program(comm, layout, &init, opts, false)
-        })?;
-    Ok((assemble(layout, outputs, report), faults, recovery))
-}
-
-fn run_machine(
-    layout: &SupernodalLayout,
-    init: &(dyn Fn(usize, usize) -> MinPlusMatrix + Sync),
-    opts: &Sparse2dOptions,
-    directed: bool,
-) -> Sparse2dResult {
-    run_machine_launch(layout, init, opts, directed, Launch::Plain)
-        .expect("fault-free launch cannot fail")
-        .0
-}
-
-fn run_machine_profiled(
-    layout: &SupernodalLayout,
-    init: &(dyn Fn(usize, usize) -> MinPlusMatrix + Sync),
-    opts: &Sparse2dOptions,
-    directed: bool,
-) -> Sparse2dResult {
-    run_machine_launch(layout, init, opts, directed, Launch::Profiled)
-        .expect("fault-free launch cannot fail")
-        .0
-}
-
-fn run_machine_launch(
-    layout: &SupernodalLayout,
-    init: &(dyn Fn(usize, usize) -> MinPlusMatrix + Sync),
-    opts: &Sparse2dOptions,
-    directed: bool,
-    how: Launch<'_>,
-) -> Result<(Sparse2dResult, Option<FaultSummary>), MachineError> {
-    let _wall = apsp_metrics::time_phase("solve-sparse2d");
-    let p = layout.p();
-    let (outputs, report, faults) =
-        Machine::launch(p, how, |comm| rank_program(comm, layout, init, opts, directed))?;
-    Ok((assemble(layout, outputs, report), faults))
-}
-
-fn assemble(
-    layout: &SupernodalLayout,
-    outputs: Vec<(Vec<f64>, Vec<Clocks>)>,
-    report: RunReport,
-) -> Sparse2dResult {
-    let h = layout.tree().height() as usize;
-    // per-level critical clocks: max over ranks of the cumulative snapshot
-    let mut level_clocks = vec![Clocks::default(); h];
-    for (_, clocks) in &outputs {
-        for (lvl, c) in clocks.iter().enumerate() {
-            level_clocks[lvl].merge_max(c);
-        }
-    }
-    let blocks: Vec<MinPlusMatrix> = outputs
-        .into_iter()
-        .enumerate()
-        .map(|(rank, (data, _))| {
-            let (i, j) = layout.block_of_rank(rank);
-            MinPlusMatrix::from_raw(layout.size(i), layout.size(j), data)
-        })
-        .collect();
-    Sparse2dResult { dist_eliminated: layout.assemble_dense(&blocks), report, level_clocks }
+    launch_plain(&Sparse2d::new(layout, dg_perm, opts))
 }
 
 #[cfg(test)]

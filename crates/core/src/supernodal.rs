@@ -202,6 +202,20 @@ impl SupernodalLayout {
         out
     }
 
+    /// [`SupernodalLayout::assemble_dense`] from the raw block buffers the
+    /// rank programs return, in rank order.
+    pub fn assemble_raw(&self, raw: impl IntoIterator<Item = Vec<f64>>) -> apsp_graph::DenseDist {
+        let blocks: Vec<MinPlusMatrix> = raw
+            .into_iter()
+            .enumerate()
+            .map(|(rank, data)| {
+                let (i, j) = self.block_of_rank(rank);
+                MinPlusMatrix::from_raw(self.size(i), self.size(j), data)
+            })
+            .collect();
+        self.assemble_dense(&blocks)
+    }
+
     /// Un-permutes a dense matrix from the eliminated ordering back to the
     /// input graph's vertex ids.
     pub fn unpermute(dist: &apsp_graph::DenseDist, perm: &Permutation) -> apsp_graph::DenseDist {

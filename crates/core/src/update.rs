@@ -22,10 +22,12 @@
 //! distances), so a batch whose edges form a new shortcut path is still
 //! exact.
 
+use crate::launch::{launch_plain, Solver};
 use crate::supernodal::SupernodalLayout;
 use apsp_graph::DenseDist;
 use apsp_minplus::{relax_row, MinPlusMatrix};
-use apsp_simnet::{Comm, Machine, RunReport};
+use apsp_simnet::RunReport;
+use apsp_transport::Transport;
 
 /// One decreased edge, in *eliminated* vertex numbering.
 #[derive(Clone, Copy, Debug)]
@@ -50,9 +52,59 @@ fn tag(edge_idx: usize, phase: u64, aux: usize) -> u64 {
     0x0BDA_0000_0000 | ((edge_idx as u64) << 20) | (phase << 16) | aux as u64
 }
 
+/// A batched decrease as a [`Solver`]: each rank relaxes every batch edge
+/// against its block of a solved distributed distance matrix. `blocks`
+/// holds each rank's block (eliminated order, row-major by rank, as
+/// produced by `sparse2d`); edges use eliminated vertex indices and must
+/// not create negative cycles (weights stay ≥ 0).
+pub struct Decreases<'a> {
+    layout: &'a SupernodalLayout,
+    blocks: &'a [MinPlusMatrix],
+    batch: &'a [DecreasedEdge],
+}
+
+impl<'a> Decreases<'a> {
+    /// The update of `blocks` by `batch`.
+    pub fn new(
+        layout: &'a SupernodalLayout,
+        blocks: &'a [MinPlusMatrix],
+        batch: &'a [DecreasedEdge],
+    ) -> Self {
+        assert_eq!(blocks.len(), layout.p(), "one block per rank");
+        for e in batch {
+            assert!(e.new_weight >= 0.0, "negative weights form negative cycles");
+            assert!(e.u < layout.n() && e.v < layout.n(), "endpoint out of range");
+            assert_ne!(e.u, e.v, "self loops carry no distance information");
+        }
+        Decreases { layout, blocks, batch }
+    }
+}
+
+impl Solver for Decreases<'_> {
+    type Out = Vec<f64>;
+    type Result = UpdateResult;
+    const PHASE: &'static str = "update-decreases";
+
+    fn p(&self) -> usize {
+        self.layout.p()
+    }
+
+    fn rank_program<C: Transport>(&self, comm: &mut C) -> Vec<f64> {
+        rank_program(comm, self.layout, self.blocks, self.batch)
+    }
+
+    fn assemble(&self, out: Vec<Vec<f64>>, report: RunReport) -> UpdateResult {
+        UpdateResult { dist_eliminated: self.layout.assemble_raw(out), report }
+    }
+
+    fn words(out: Vec<f64>) -> Vec<f64> {
+        out
+    }
+}
+
 /// The per-rank program: relax every batch edge against the local block.
-fn rank_program(
-    comm: &mut Comm,
+fn rank_program<C: Transport>(
+    comm: &mut C,
     layout: &SupernodalLayout,
     blocks_in: &[MinPlusMatrix],
     batch: &[DecreasedEdge],
@@ -125,30 +177,14 @@ fn rank_program(
 }
 
 /// Applies a batch of decreased edges to a solved distributed distance
-/// matrix. `blocks` holds each rank's block (eliminated order, row-major
-/// by rank, as produced by `sparse2d`); edges use eliminated vertex
-/// indices. Edges must not create negative cycles (weights stay ≥ 0).
+/// matrix on the simulated machine ([`Decreases`] under the default
+/// [`crate::launch::LaunchSpec`]).
 pub fn apply_decreases(
     layout: &SupernodalLayout,
     blocks: &[MinPlusMatrix],
     batch: &[DecreasedEdge],
 ) -> UpdateResult {
-    assert_eq!(blocks.len(), layout.p(), "one block per rank");
-    for e in batch {
-        assert!(e.new_weight >= 0.0, "negative weights form negative cycles");
-        assert!(e.u < layout.n() && e.v < layout.n(), "endpoint out of range");
-        assert_ne!(e.u, e.v, "self loops carry no distance information");
-    }
-    let (out, report) = Machine::run(layout.p(), |comm| rank_program(comm, layout, blocks, batch));
-    let new_blocks: Vec<MinPlusMatrix> = out
-        .into_iter()
-        .enumerate()
-        .map(|(rank, data)| {
-            let (i, j) = layout.block_of_rank(rank);
-            MinPlusMatrix::from_raw(layout.size(i), layout.size(j), data)
-        })
-        .collect();
-    UpdateResult { dist_eliminated: layout.assemble_dense(&new_blocks), report }
+    launch_plain(&Decreases::new(layout, blocks, batch))
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ proptest! {
     ) {
         let g = build(n, &edges);
         let p = [1, 3, 4, 7][p_pick];
-        let result = dist_nested_dissection(&g, h, p, seed);
+        let result = dist_nested_dissection(&g, h, p, seed, false);
         prop_assert!(result.ordering.validate(&g).is_ok());
         prop_assert_eq!(result.ordering.supernode_sizes.iter().sum::<usize>(), n);
         // every vertex appears exactly once in the permutation (from_order
@@ -51,8 +51,8 @@ proptest! {
     #[test]
     fn deterministic_per_seed((n, edges) in arb_graph(28), seed in 0u64..50) {
         let g = build(n, &edges);
-        let a = dist_nested_dissection(&g, 3, 4, seed);
-        let b = dist_nested_dissection(&g, 3, 4, seed);
+        let a = dist_nested_dissection(&g, 3, 4, seed, false);
+        let b = dist_nested_dissection(&g, 3, 4, seed, false);
         prop_assert_eq!(a.ordering.perm.as_order(), b.ordering.perm.as_order());
         prop_assert_eq!(
             a.report.critical_bandwidth(),
@@ -64,7 +64,7 @@ proptest! {
     fn solves_feed_through((n, edges) in arb_graph(26)) {
         // the distributed ordering must always be usable by the solver
         let g = build(n, &edges);
-        let result = dist_nested_dissection(&g, 2, 4, 7);
+        let result = dist_nested_dissection(&g, 2, 4, 7, false);
         let layout = apsp_core::SupernodalLayout::from_ordering(&result.ordering);
         let gp = g.permuted(&result.ordering.perm);
         let solved = apsp_core::sparse2d::sparse2d(

@@ -2,8 +2,8 @@
 
 use crate::faults::{checksum, FaultError, FaultPlan, FaultStats, FaultSummary, Injection};
 use crate::recovery::{
-    HangError, MachineError, ProtocolError, RecoveryPolicy, RecoveryReport, Snapshot,
-    SnapshotStore, Unrecoverable,
+    supervise, Checkpoints, Epoch, HangError, MachineError, ProtocolError, RecoveryPolicy,
+    RecoveryReport, Snapshot,
 };
 use crate::report::{Clocks, RankStats, RunReport};
 use crate::sched::{ChoicePoint, Governor};
@@ -39,7 +39,7 @@ struct Msg {
     meta: Option<MsgMeta>,
 }
 
-/// Per-rank state of the fault layer ([`Machine::run_faulty`]).
+/// Per-rank state of the fault layer ([`MachineSpec::faults`]).
 struct FaultState {
     plan: FaultPlan,
     /// This rank's compute-clock multiplier (1 = full speed).
@@ -59,8 +59,8 @@ struct FaultState {
     stats: FaultStats,
 }
 
-/// One recorded message, when tracing is on ([`Machine::run_traced`] or
-/// [`Machine::run_profiled`]).
+/// One recorded message, when tracing is on ([`MachineSpec::trace`] or
+/// [`MachineSpec::profile`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Sender rank.
@@ -133,240 +133,38 @@ impl Machine {
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        let (outs, report, _, _) =
-            Self::run_inner(p, f, Mode::PLAIN).unwrap_or_else(|e| panic!("{e}"));
-        (outs, report)
+        let run = Self::run_inner(p, f, Mode::PLAIN).unwrap_or_else(|e| panic!("{e}"));
+        (run.outs, run.report)
     }
 
-    /// Like [`Machine::run`], additionally recording every message each
-    /// rank *sent* (in send order). Use for schedule audits and debugging;
-    /// tracing does not perturb the cost model.
-    pub fn run_traced<T, F>(p: usize, f: F) -> (Vec<T>, RunReport, Vec<Vec<TraceEvent>>)
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
-        let (outs, report, traces, _) = Self::run_inner(p, f, Mode { traced: true, ..Mode::PLAIN })
-            .unwrap_or_else(|e| panic!("{e}"));
-        (outs, report, traces)
-    }
-
-    /// Like [`Machine::run`], additionally collecting the full
-    /// observability payload: each rank's span ledger ([`Comm::span`]),
-    /// per-`(dst, tag)` send counters, and the message event stream. The
-    /// returned report carries it as [`RunReport::profile`]. Profiling
-    /// observes the clocks without perturbing them.
-    pub fn run_profiled<T, F>(p: usize, f: F) -> (Vec<T>, RunReport)
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
-        let (outs, report, _, _) =
-            Self::run_inner(p, f, Mode { traced: true, profiled: true, ..Mode::PLAIN })
-                .unwrap_or_else(|e| panic!("{e}"));
-        (outs, report)
-    }
-
-    /// Like [`Machine::run`], with a deterministic fault layer active:
-    /// `plan` injects message drops, duplications, corruptions, delays,
-    /// and per-rank slowdowns, and the reliability protocol (sequence
-    /// numbers, checksums, bounded retransmission with exponential
-    /// backoff — see [`crate::faults`]) recovers from them, charging the
-    /// recovery traffic to the ordinary cost clocks.
+    /// The one configurable entry point: [`Machine::run`] with whatever
+    /// `spec` switches on. The options ([`MachineSpec`]'s fields) are
+    /// orthogonal: each observes or perturbs the run exactly as it does
+    /// alone — the fault layer charges its recovery traffic to the ordinary
+    /// cost clocks, checkpoints charge `(1, words)` per snapshot and
+    /// restore, and profiling, tracing and recording leave every clock,
+    /// counter and ledger byte-identical.
     ///
     /// # Errors
-    /// Returns [`MachineError::Fault`] naming the first message whose
-    /// retry budget ran out (e.g. under a `kill` rule) — the run never
-    /// returns silently wrong data. To survive such faults instead, use
-    /// [`Machine::launch_recovering`].
-    pub fn run_faulty<T, F>(
-        p: usize,
-        plan: &FaultPlan,
-        f: F,
-    ) -> Result<(Vec<T>, RunReport, FaultSummary), MachineError>
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
-        let (outs, report, faults) = Self::launch(p, Launch::Faulty(plan), f)?;
-        Ok((outs, report, faults.expect("faulty run carries a summary")))
-    }
-
-    /// [`Machine::run_faulty`] with the full observability payload of
-    /// [`Machine::run_profiled`]: recovery traffic appears in the span
-    /// ledgers and the comm matrix.
-    pub fn run_faulty_profiled<T, F>(
-        p: usize,
-        plan: &FaultPlan,
-        f: F,
-    ) -> Result<(Vec<T>, RunReport, FaultSummary), MachineError>
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
-        let (outs, report, faults) = Self::launch(p, Launch::FaultyProfiled(plan), f)?;
-        Ok((outs, report, faults.expect("faulty run carries a summary")))
-    }
-
-    /// Unified entry point over the observability × fault-layer matrix —
-    /// the hook solvers use to expose plain/profiled/faulty variants
-    /// without duplicating their rank programs.
+    /// Without `recovery`, the typed error the first dying rank carried
+    /// ([`MachineError::Fault`] names the message whose retry budget ran
+    /// out) — the run never returns silently wrong data. With it,
+    /// [`MachineError::Unrecoverable`] once the restart budget (or the
+    /// spare pool) is spent.
     pub fn launch<T, F>(
         p: usize,
-        how: Launch<'_>,
+        spec: &MachineSpec<'_>,
         f: F,
-    ) -> Result<(Vec<T>, RunReport, Option<FaultSummary>), MachineError>
+    ) -> Result<MachineRun<T>, MachineError>
     where
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        let mode = match how {
-            Launch::Plain => Mode::PLAIN,
-            Launch::Profiled => Mode { traced: true, profiled: true, ..Mode::PLAIN },
-            Launch::Faulty(plan) => Mode { faults: Some(plan), ..Mode::PLAIN },
-            Launch::FaultyProfiled(plan) => {
-                Mode { traced: true, profiled: true, faults: Some(plan), ..Mode::PLAIN }
-            }
-        };
-        let (outs, report, _, faults) = Self::run_inner(p, f, mode)?;
-        Ok((outs, report, faults))
-    }
-
-    /// [`Machine::run_faulty`] under a recovery supervisor: the rank
-    /// program marks phase boundaries with [`Comm::commit_phase`] (gating
-    /// each phase body on [`Comm::phase_live`]), and when an epoch dies
-    /// with a typed error the supervisor rolls every rank back to the last
-    /// consistent checkpoint, prunes stale snapshots (the rollback
-    /// ledger), and re-executes from the cut — remapping a permanently
-    /// dead rank onto a spare physical id when the plan's kill rules make
-    /// retrying pointless — until the run completes or the restart budget
-    /// runs out.
-    ///
-    /// The returned report/profile/summary come entirely from the final,
-    /// successful epoch; the [`RecoveryReport`] carries the whole
-    /// trajectory (restarts, resume boundaries, snapshot/rollback words,
-    /// spare takeovers, and each restart's cause). Same plan + same
-    /// policy ⇒ a bit-identical trajectory.
-    ///
-    /// # Errors
-    /// [`MachineError::Unrecoverable`] when `policy.max_restarts` is
-    /// exhausted (or a permanent fault needs a spare none is left for),
-    /// carrying the root cause and the partial [`FaultSummary`]
-    /// reconstructed from the last consistent cut.
-    pub fn launch_recovering<T, F>(
-        p: usize,
-        plan: &FaultPlan,
-        policy: RecoveryPolicy,
-        profiled: bool,
-        f: F,
-    ) -> Result<(Vec<T>, RunReport, FaultSummary, RecoveryReport), MachineError>
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
-        let store = Arc::new(SnapshotStore::new(p));
-        let mut recovery = RecoveryReport::default();
-        let mut remap: Vec<Rank> = (0..p).collect();
-        let mut spares_used = 0usize;
-        let mut epoch = 0u32;
-        loop {
-            let resume = store.consistent_boundary();
-            if epoch > 0 {
-                recovery.resume_boundaries.push(resume);
-            }
-            let mode = Mode {
-                traced: profiled,
-                profiled,
-                faults: Some(plan),
-                epoch,
-                remap: Some(remap.clone()),
-                recovery: Some(RecoveryState {
-                    store: Arc::clone(&store),
-                    resume,
-                    every: policy.every,
-                }),
-                watchdog_ms: 0,
-                script: None,
-                governor: None,
-            };
-            let err = match Self::run_inner(p, &f, mode) {
-                Ok((outs, report, _, faults)) => {
-                    recovery.snapshots_taken = store.saves();
-                    recovery.snapshot_words = store.save_words();
-                    recovery.restores = store.restores();
-                    recovery.restore_words = store.restore_words();
-                    let summary = faults.expect("faulty run carries a summary");
-                    crate::perf::record_recovery(&recovery);
-                    return Ok((outs, report, summary, recovery));
-                }
-                Err(err) => err,
-            };
-            recovery.causes.push(err.to_string());
-            let unrecoverable = |err: MachineError, restarts: u32| {
-                let cut = store.consistent_boundary();
-                MachineError::Unrecoverable(Unrecoverable {
-                    cause: Box::new(err),
-                    restarts,
-                    partial: store.partial_summary(cut),
-                })
-            };
-            if recovery.restarts >= policy.max_restarts {
-                return Err(unrecoverable(err, recovery.restarts));
-            }
-            // A fault on a link the plan kills *permanently* cannot be
-            // outwaited: re-executing with the same physical ids would die
-            // at the same message every epoch. Remap the blamed rank onto
-            // a spare physical id — when a rank-kill rule targets exactly
-            // one endpoint, that endpoint is the victim; otherwise blame
-            // the destination (the link's dead receiving end).
-            if let MachineError::Fault(fe) = &err {
-                if plan.kills_link(remap[fe.src], remap[fe.dst]) {
-                    let blamed =
-                        if plan.kills_rank(remap[fe.src]) && !plan.kills_rank(remap[fe.dst]) {
-                            fe.src
-                        } else {
-                            fe.dst
-                        };
-                    if spares_used >= policy.spares {
-                        return Err(unrecoverable(err, recovery.restarts));
-                    }
-                    let spare = p + spares_used;
-                    remap[blamed] = spare;
-                    spares_used += 1;
-                    recovery.spare_takeovers.push((blamed, spare));
-                }
-            }
-            let cut = store.consistent_boundary();
-            recovery.rollback_words += store.prune_beyond(cut);
-            recovery.rollbacks += 1;
-            recovery.restarts += 1;
-            epoch += 1;
-        }
-    }
-
-    /// Like [`Machine::run`], additionally recording every rank's
-    /// **comm script** — the per-rank sequence of logical communication
-    /// events ([`CommEvent`]) the protocol verifier lints. Recording
-    /// observes the machine without perturbing it: clocks, counters, and
-    /// ledgers are byte-identical to a plain run's.
-    ///
-    /// # Errors
-    /// Any [`MachineError`] a rank dies with (the scripts recorded up to
-    /// that point are lost; use [`Machine::run_governed`] to salvage
-    /// partial scripts from a failing run).
-    #[allow(clippy::type_complexity)]
-    pub fn run_recorded<T, F>(
-        p: usize,
-        f: F,
-    ) -> Result<(Vec<T>, RunReport, Vec<Vec<CommEvent>>), MachineError>
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
-        let board = Arc::new(ScriptBoard::new(p));
-        let mode = Mode { script: Some(Arc::clone(&board)), ..Mode::PLAIN };
-        let (outs, report, _, _) = Self::run_inner(p, f, mode)?;
-        Ok((outs, report, board.take()))
+        supervise(p, spec, |faults, epoch, script| {
+            let (traced, profiled) = (spec.trace || spec.profile, spec.profile);
+            let script = script.cloned();
+            Self::run_inner(p, &f, Mode { traced, profiled, faults, epoch, script, ..Mode::PLAIN })
+        })
     }
 
     /// Runs `f` with recording **and** governed delivery: every receive
@@ -392,16 +190,11 @@ impl Machine {
             governor: Some(Arc::clone(&gov)),
             ..Mode::PLAIN
         };
-        let outcome = Self::run_inner(p, f, mode).map(|(outs, report, _, _)| (outs, report));
+        let outcome = Self::run_inner(p, f, mode).map(|run| (run.outs, run.report));
         GovernedRun { outcome, scripts: board.take(), choices: gov.choices() }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn run_inner<T, F>(
-        p: usize,
-        f: F,
-        mode: Mode<'_>,
-    ) -> Result<(Vec<T>, RunReport, Vec<Vec<TraceEvent>>, Option<FaultSummary>), MachineError>
+    fn run_inner<T, F>(p: usize, f: F, mode: Mode<'_>) -> Result<MachineRun<T>, MachineError>
     where
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
@@ -472,19 +265,20 @@ impl Machine {
                             ledger: rank_mode.profiled.then(SpanLedger::default),
                             sends: rank_mode.profiled.then(BTreeMap::new),
                             faults: rank_mode.faults.map(|plan| {
+                                let epoch = rank_mode.epoch;
                                 let remap =
-                                    rank_mode.remap.clone().unwrap_or_else(|| (0..p).collect());
+                                    epoch.map_or_else(|| (0..p).collect(), |e| e.remap.clone());
                                 Box::new(FaultState {
                                     slowdown: plan.slowdown(remap[rank]),
                                     plan: plan.clone(),
-                                    epoch: rank_mode.epoch,
+                                    epoch: epoch.map_or(0, |e| e.number),
                                     remap,
                                     seq_next: vec![1; p],
                                     seq_seen: vec![0; p],
                                     stats: FaultStats::default(),
                                 })
                             }),
-                            recovery: rank_mode.recovery.clone().map(Box::new),
+                            recovery: rank_mode.epoch.map(|e| Box::new(e.checkpoints.clone())),
                             watchdog,
                             watchdog_ms,
                             script: rank_mode.script.clone(),
@@ -589,7 +383,7 @@ impl Machine {
         // observability counters read the finished aggregates; the §3.1
         // ledgers above are already sealed by this point
         crate::perf::record_run(&report, faults.as_ref());
-        Ok((outs, report, traces, faults))
+        Ok(MachineRun { outs, report, faults, recovery: None, scripts: Vec::new(), traces })
     }
 }
 
@@ -606,31 +400,44 @@ pub struct GovernedRun<T> {
     pub choices: Vec<ChoicePoint>,
 }
 
-/// How to launch a [`Machine`] run: the observability and fault layers
-/// are orthogonal, and solvers thread this through to expose all four
-/// combinations from one rank program.
-#[derive(Clone, Copy)]
-pub enum Launch<'a> {
-    /// Cost clocks only ([`Machine::run`]).
-    Plain,
-    /// Plus span ledgers, comm matrix, and the event stream
-    /// ([`Machine::run_profiled`]).
-    Profiled,
-    /// Plus deterministic fault injection ([`Machine::run_faulty`]).
-    Faulty(&'a FaultPlan),
-    /// Faults and profiling together ([`Machine::run_faulty_profiled`]).
-    FaultyProfiled(&'a FaultPlan),
+/// What a [`Machine::launch`] switches on beyond the cost clocks. The
+/// options are orthogonal; the default is a plain run. The native machine
+/// (`apsp-transport`) takes the same spec.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MachineSpec<'a> {
+    /// Run under this deterministic fault plan (see [`crate::faults`]);
+    /// the run carries a [`FaultSummary`].
+    pub faults: Option<&'a FaultPlan>,
+    /// Supervise the run ([`crate::recovery::supervise`]): checkpoint at
+    /// phase boundaries, roll back and re-execute when an epoch dies. The
+    /// report and summary are the final epoch's; the [`RecoveryReport`]
+    /// carries the trajectory. Without `faults` the plan is empty.
+    pub recovery: Option<RecoveryPolicy>,
+    /// Collect span ledgers, the comm matrix and the event stream into
+    /// [`RunReport::profile`].
+    pub profile: bool,
+    /// Return every message each rank sent ([`MachineRun::traces`]).
+    pub trace: bool,
+    /// Return every rank's comm script ([`MachineRun::scripts`]).
+    pub record: bool,
 }
 
-impl<'a> Launch<'a> {
-    /// The faulty counterpart of a plain/profiled launch (identity on
-    /// already-faulty launches).
-    pub fn with_faults(self, plan: &'a FaultPlan) -> Launch<'a> {
-        match self {
-            Launch::Plain | Launch::Faulty(_) => Launch::Faulty(plan),
-            Launch::Profiled | Launch::FaultyProfiled(_) => Launch::FaultyProfiled(plan),
-        }
-    }
+/// Everything a [`Machine::launch`] hands back.
+#[derive(Debug)]
+pub struct MachineRun<T> {
+    /// Every rank's result, in rank order.
+    pub outs: Vec<T>,
+    /// The cost report (all-zero on machines without a cost model).
+    pub report: RunReport,
+    /// Fault history, present when the run had a fault layer.
+    pub faults: Option<FaultSummary>,
+    /// Checkpoint/restart ledger, present when the run was supervised.
+    pub recovery: Option<RecoveryReport>,
+    /// Per-rank comm scripts (rank order); empty unless recorded.
+    pub scripts: Vec<Vec<CommEvent>>,
+    /// Per-rank sent-message streams (send order); each empty unless
+    /// traced or profiled.
+    pub traces: Vec<Vec<TraceEvent>>,
 }
 
 /// What a run records beyond the cost clocks, and where it sits in a
@@ -640,16 +447,13 @@ struct Mode<'a> {
     traced: bool,
     profiled: bool,
     faults: Option<&'a FaultPlan>,
-    /// Recovery epoch (0 = first execution; restarts increment).
-    epoch: u32,
-    /// Logical → physical rank map for injection (`None` = identity).
-    remap: Option<Vec<Rank>>,
-    /// Checkpoint/restore wiring, present under a recovery supervisor.
-    recovery: Option<RecoveryState>,
+    /// Recovery coordinates, present under a recovery supervisor (`None`
+    /// = a first execution under the identity rank map, no checkpoints).
+    epoch: Option<&'a Epoch>,
     /// Watchdog window override in wall-clock ms (0 = default/env).
     watchdog_ms: u64,
     /// Comm-script recorder, present in recorded/governed runs
-    /// ([`Machine::run_recorded`], [`Machine::run_governed`]).
+    /// ([`MachineSpec::record`], [`Machine::run_governed`]).
     script: Option<Arc<ScriptBoard>>,
     /// Delivery governor, present in governed runs.
     governor: Option<Arc<Governor>>,
@@ -660,25 +464,11 @@ impl Mode<'_> {
         traced: false,
         profiled: false,
         faults: None,
-        epoch: 0,
-        remap: None,
-        recovery: None,
+        epoch: None,
         watchdog_ms: 0,
         script: None,
         governor: None,
     };
-}
-
-/// A rank's wiring to the recovery layer: the shared snapshot store, the
-/// boundary this epoch resumes from, and the checkpoint cadence.
-#[derive(Clone)]
-struct RecoveryState {
-    store: Arc<SnapshotStore>,
-    /// Phases up to and including this boundary are skipped; the state at
-    /// this boundary is restored from the store (0 = run from scratch).
-    resume: u64,
-    /// Snapshot at every `every`-th boundary (0 = never).
-    every: u32,
 }
 
 /// Machine-wide hang detection, shared by every rank of one run: any send
@@ -722,16 +512,16 @@ pub struct Comm {
     /// when no recovery supervisor is attached.
     boundary: u64,
     trace: Option<Vec<TraceEvent>>,
-    /// Span ledger, present in profiled runs ([`Machine::run_profiled`]).
+    /// Span ledger, present in profiled runs ([`MachineSpec::profile`]).
     ledger: Option<SpanLedger>,
     /// Per-`(dst, tag)` send counters, present in profiled runs.
     sends: Option<BTreeMap<(Rank, u64), (u64, u64)>>,
-    /// Fault layer, present in faulty runs ([`Machine::run_faulty`]).
+    /// Fault layer, present in faulty runs ([`MachineSpec::faults`]).
     /// Boxed so the fault-free hot path pays one pointer of state.
     faults: Option<Box<FaultState>>,
     /// Checkpoint/restore wiring, present under a recovery supervisor
-    /// ([`Machine::launch_recovering`]). Boxed like the fault layer.
-    recovery: Option<Box<RecoveryState>>,
+    /// ([`MachineSpec::recovery`]). Boxed like the fault layer.
+    recovery: Option<Box<Checkpoints>>,
     /// Machine-wide hang detector shared by every rank of the run.
     watchdog: Arc<Watchdog>,
     /// Wall-clock inactivity window before the watchdog fires.
@@ -1214,7 +1004,7 @@ impl Comm {
     /// Without a recovery supervisor this only advances the boundary
     /// counter (against which `kill=R@B` rules are matched) and returns
     /// `state` untouched — zero cost. Under
-    /// [`Machine::launch_recovering`]:
+    /// a supervised launch ([`MachineSpec::recovery`]):
     ///
     /// * at the resume boundary, the rank's snapshot (state, clocks,
     ///   counters, fault sequence state) replaces the local one and a
@@ -1321,21 +1111,22 @@ impl Comm {
     /// in the rank's span ledger. Spans nest — call `span` again on the
     /// returned guard (it derefs to the communicator) — and close LIFO.
     ///
-    /// Outside profiled runs ([`Machine::run_profiled`]) there is no
+    /// Outside profiled runs ([`MachineSpec::profile`]) there is no
     /// ledger and the guard is free; algorithms instrument themselves
     /// unconditionally and pay nothing unless someone is watching.
     ///
     /// ```
-    /// use apsp_simnet::Machine;
+    /// use apsp_simnet::{Machine, MachineSpec};
     ///
-    /// let (_, report) = Machine::run_profiled(2, |comm| {
+    /// let spec = MachineSpec { profile: true, ..Default::default() };
+    /// let run = Machine::launch(2, &spec, |comm| {
     ///     let mut phase = comm.span("exchange", 1);
     ///     match phase.rank() {
     ///         0 => phase.send(1, 7, vec![1.0, 2.0]),
     ///         _ => drop(phase.recv(0, 7)),
     ///     }
     /// });
-    /// let profile = report.profile.as_ref().unwrap();
+    /// let profile = run.unwrap().report.profile.unwrap();
     /// assert_eq!(profile.per_rank[0].ledger.spans[0].name, "exchange");
     /// assert_eq!(profile.comm_matrix.words(0, 1), 2);
     /// ```
@@ -1572,10 +1363,34 @@ mod tests {
         assert!(msg.contains("tag 0xb (2 words)"), "queued message described: {msg}");
     }
 
+    #[allow(clippy::type_complexity)]
+    fn run_faulty<T: Send + std::fmt::Debug>(
+        p: usize,
+        plan: &FaultPlan,
+        f: impl Fn(&mut Comm) -> T + Sync,
+    ) -> Result<(Vec<T>, RunReport, FaultSummary), MachineError> {
+        Machine::launch(p, &MachineSpec { faults: Some(plan), ..Default::default() }, f)
+            .map(|run| (run.outs, run.report, run.faults.expect("faulty run carries a summary")))
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn run_recovering<T: Send + std::fmt::Debug>(
+        p: usize,
+        plan: &FaultPlan,
+        policy: RecoveryPolicy,
+        f: impl Fn(&mut Comm) -> T + Sync,
+    ) -> Result<(Vec<T>, RunReport, FaultSummary, RecoveryReport), MachineError> {
+        let spec = MachineSpec { faults: Some(plan), recovery: Some(policy), ..Default::default() };
+        Machine::launch(p, &spec, f).map(|run| {
+            let (faults, recovery) = (run.faults.expect("summary"), run.recovery.expect("ledger"));
+            (run.outs, run.report, faults, recovery)
+        })
+    }
+
     /// A two-rank ping-pong under a given plan; returns per-rank clocks,
     /// the report, and the summary.
     fn faulty_ping_pong(plan: &FaultPlan) -> (RunReport, FaultSummary) {
-        let (outs, report, summary) = Machine::run_faulty(2, plan, |comm| match comm.rank() {
+        let (outs, report, summary) = run_faulty(2, plan, |comm| match comm.rank() {
             0 => {
                 comm.send(1, 1, vec![1.0, 2.0, 3.0]);
                 comm.recv(1, 2)
@@ -1648,7 +1463,7 @@ mod tests {
         // the receiver pulls the next message (the last one's copy stays
         // in the queue — nothing ever asks for it)
         let plan = FaultPlan::new(13).with_dup(1.0);
-        let (_, _, summary) = Machine::run_faulty(2, &plan, |comm| {
+        let (_, _, summary) = run_faulty(2, &plan, |comm| {
             if comm.rank() == 0 {
                 for i in 0..3 {
                     comm.send(1, i, vec![i as f64]);
@@ -1678,7 +1493,7 @@ mod tests {
     #[test]
     fn straggler_multiplies_compute() {
         let plan = FaultPlan::new(19).with_straggler(1, 4);
-        let (_, report, summary) = Machine::run_faulty(2, &plan, |comm| {
+        let (_, report, summary) = run_faulty(2, &plan, |comm| {
             comm.compute(100);
         })
         .expect("no message faults possible");
@@ -1690,7 +1505,7 @@ mod tests {
     #[test]
     fn dead_link_fails_loudly_with_the_culprit() {
         let plan = FaultPlan::new(23).with_kill(0, 1);
-        let err = Machine::run_faulty(2, &plan, |comm| match comm.rank() {
+        let err = run_faulty(2, &plan, |comm| match comm.rank() {
             0 => comm.send(1, 5, vec![1.0]),
             _ => drop(comm.recv(0, 5)),
         })
@@ -1704,7 +1519,7 @@ mod tests {
     fn faulty_runs_replay_bit_identically() {
         let plan = FaultPlan::new(29).with_drop(0.4).with_dup(0.3).with_corrupt(0.2);
         let run = || {
-            Machine::run_faulty(4, &plan, |comm| {
+            run_faulty(4, &plan, |comm| {
                 let r = comm.rank();
                 let peer = r ^ 1;
                 if r < peer {
@@ -1738,7 +1553,6 @@ mod tests {
             },
             mode,
         )
-        .map(|_| ())
         .expect_err("deadlock must trip the watchdog");
         let MachineError::Hang(hang) = err else { panic!("expected a hang, got {err}") };
         assert_eq!(hang.tag, 9);
@@ -1790,7 +1604,9 @@ mod tests {
                 state
             }
         };
-        let (outs, report, scripts) = Machine::run_recorded(2, program).expect("clean run");
+        let MachineRun { outs, report, scripts, .. } =
+            Machine::launch(2, &MachineSpec { record: true, ..Default::default() }, program)
+                .expect("clean run");
         let (plain_outs, plain_report) = Machine::run(2, program);
         assert_eq!(outs, plain_outs);
         assert_eq!(report.per_rank, plain_report.per_rank, "recording is zero-cost");
@@ -1877,8 +1693,8 @@ mod tests {
         // boundary counter: same clocks as a run without any commits
         let plan = FaultPlan::new(31);
         let (outs, with_commits, _) =
-            Machine::run_faulty(3, &plan, relay(2)).expect("empty plan cannot fail");
-        let (_, without, _) = Machine::run_faulty(3, &plan, |comm: &mut Comm| {
+            run_faulty(3, &plan, relay(2)).expect("empty plan cannot fail");
+        let (_, without, _) = run_faulty(3, &plan, |comm: &mut Comm| {
             for phase in 1..=2u64 {
                 match comm.rank() {
                     0 => comm.send(1, phase, vec![phase as f64]),
@@ -1899,9 +1715,9 @@ mod tests {
     fn recovering_fault_free_run_charges_snapshots_exactly() {
         let plan = FaultPlan::new(37);
         let (plain_outs, plain, _) =
-            Machine::run_faulty(3, &plan, relay(3)).expect("empty plan cannot fail");
+            run_faulty(3, &plan, relay(3)).expect("empty plan cannot fail");
         let (outs, report, _, recovery) =
-            Machine::launch_recovering(3, &plan, RecoveryPolicy::default(), false, relay(3))
+            run_recovering(3, &plan, RecoveryPolicy::default(), relay(3))
                 .expect("empty plan cannot fail");
         assert_eq!(outs, plain_outs);
         assert_eq!(recovery.restarts, 0, "nothing to recover from");
@@ -1924,7 +1740,7 @@ mod tests {
         // forever, so only a spare-rank takeover can finish the run
         let plan = FaultPlan::new(41).with_kill_rank_from(1, 1);
         let (outs, _, summary, recovery) =
-            Machine::launch_recovering(3, &plan, RecoveryPolicy::default(), false, relay(3))
+            run_recovering(3, &plan, RecoveryPolicy::default(), relay(3))
                 .expect("spare takeover recovers the run");
         assert_eq!(outs, vec![vec![6.0]; 3], "oracle-equal after recovery");
         assert_eq!(recovery.restarts, 1);
@@ -1939,10 +1755,8 @@ mod tests {
     #[test]
     fn recovery_trajectories_replay_bit_identically() {
         let plan = FaultPlan::new(43).with_drop(0.3).with_kill_rank_from(2, 2);
-        let run = || {
-            Machine::launch_recovering(3, &plan, RecoveryPolicy::default(), false, relay(4))
-                .expect("recovers")
-        };
+        let run =
+            || run_recovering(3, &plan, RecoveryPolicy::default(), relay(4)).expect("recovers");
         let (outs_a, report_a, summary_a, recovery_a) = run();
         let (outs_b, report_b, summary_b, recovery_b) = run();
         assert_eq!(outs_a, outs_b);
@@ -1958,7 +1772,7 @@ mod tests {
         // with a typed report, not panic or hang
         let plan = FaultPlan::new(47).with_kill(0, 1);
         let policy = RecoveryPolicy { max_restarts: 2, every: 1, spares: 0 };
-        let err = Machine::launch_recovering(3, &plan, policy, false, relay(2))
+        let err = run_recovering(3, &plan, policy, relay(2))
             .map(|_| ())
             .expect_err("a kill with no spares cannot recover");
         let MachineError::Unrecoverable(u) = err else {

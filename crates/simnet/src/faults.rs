@@ -34,7 +34,7 @@
 //!   rank's links drop from a given phase boundary on. Retries exhaust
 //!   and the run fails loudly with a [`FaultError`] naming the message —
 //!   never a silently wrong answer. Under
-//!   [`crate::Machine::launch_recovering`] the supervisor instead rolls
+//!   [`crate::MachineSpec::recovery`] the supervisor instead rolls
 //!   back to the last checkpoint and (for permanent kills) remaps the
 //!   victim onto a spare rank.
 //!
@@ -92,21 +92,21 @@ const SALT_DELAY: u64 = 0xDE1A;
 /// seed, so replaying a run replays its faults exactly.
 ///
 /// ```
-/// use apsp_simnet::{FaultPlan, Machine};
+/// use apsp_simnet::{FaultPlan, Machine, MachineSpec};
 ///
 /// let plan = FaultPlan::new(7).with_drop(0.2).with_dup(0.1);
+/// let spec = MachineSpec { faults: Some(&plan), ..Default::default() };
 /// let run = || {
-///     Machine::run_faulty(2, &plan, |comm| match comm.rank() {
+///     Machine::launch(2, &spec, |comm| match comm.rank() {
 ///         0 => comm.send(1, 1, vec![1.0, 2.0]),
 ///         _ => assert_eq!(comm.recv(0, 1), vec![1.0, 2.0]),
 ///     })
 ///     .expect("plan has no kill rules, so every message recovers")
 /// };
-/// let (_, report_a, faults_a) = run();
-/// let (_, report_b, faults_b) = run();
+/// let (a, b) = (run(), run());
 /// // seed-reproducible: identical costs and identical fault history
-/// assert_eq!(report_a.per_rank[1].clocks, report_b.per_rank[1].clocks);
-/// assert_eq!(faults_a.per_rank, faults_b.per_rank);
+/// assert_eq!(a.report.per_rank[1].clocks, b.report.per_rank[1].clocks);
+/// assert_eq!(a.faults, b.faults);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -474,7 +474,7 @@ impl FaultStats {
     }
 }
 
-/// Aggregated fault history of a [`crate::Machine::run_faulty`] run.
+/// Aggregated fault history of a run under [`crate::MachineSpec::faults`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultSummary {
     /// Counters per rank.
@@ -544,7 +544,7 @@ impl FaultSummary {
 /// An unrecoverable message: its retry budget ran out (a `kill` rule, or
 /// a retry budget below [`INJECT_ATTEMPTS`]). Carried as the panic
 /// payload out of the failing rank and surfaced as the `Err` of
-/// [`crate::Machine::run_faulty`].
+/// [`crate::Machine::launch`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultError {
     /// Sending rank.

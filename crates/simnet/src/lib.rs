@@ -6,7 +6,9 @@
 //! A simulated distributed-memory machine implementing the paper's §3.1
 //! communication model — the workspace's MPI substitute.
 //!
-//! * `p` ranks run SPMD code on `p` OS threads ([`Machine::run`]).
+//! * `p` ranks run SPMD code on `p` OS threads ([`Machine::run`]; every
+//!   option — faults, recovery, profiling, tracing, recording — is a field
+//!   of the [`MachineSpec`] that [`Machine::launch`] takes).
 //! * Point-to-point messages travel over per-`(src, dst)` FIFO channels
 //!   (MPI's non-overtaking guarantee).
 //! * Every rank carries **critical-path clocks** `(latency, bandwidth,
@@ -22,7 +24,7 @@
 //!
 //! ## Fault injection
 //!
-//! [`Machine::run_faulty`] activates a deterministic fault layer (see
+//! [`MachineSpec::faults`] activates a deterministic fault layer (see
 //! [`faults`]): a seeded [`faults::FaultPlan`] injects message drops,
 //! duplications, corruptions, delays, and per-rank slowdowns, and a
 //! reliability protocol (sequence numbers, checksums, bounded
@@ -33,7 +35,7 @@
 //!
 //! ## Checkpoint/restart
 //!
-//! [`Machine::launch_recovering`] survives what the retransmission
+//! [`MachineSpec::recovery`] survives what the retransmission
 //! protocol cannot (dead links, killed ranks, exhausted retries): rank
 //! programs mark phase boundaries with [`Comm::commit_phase`], the
 //! machine snapshots per-rank state there (charging the bytes to the
@@ -65,10 +67,11 @@ pub mod snapshot;
 pub mod trace;
 
 pub use cascade::Disconnect;
-pub use comm::{Comm, GovernedRun, Launch, Machine, Rank, SpanGuard, TraceEvent};
+pub use comm::{Comm, GovernedRun, Machine, MachineRun, MachineSpec, Rank, SpanGuard, TraceEvent};
 pub use faults::{FaultError, FaultPlan, FaultStats, FaultSummary, Injection};
 pub use recovery::{
-    HangError, MachineError, ProtocolError, RankDown, RecoveryPolicy, RecoveryReport, Unrecoverable,
+    supervise, Checkpoints, Epoch, HangError, MachineError, ProtocolError, RankDown,
+    RecoveryPolicy, RecoveryReport, Unrecoverable,
 };
 pub use report::{Clocks, RankStats, RunReport};
 pub use sched::{ChoicePoint, DeadlockError, Governor, WaitEdge};

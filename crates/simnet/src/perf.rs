@@ -30,7 +30,7 @@ pub struct MachineCounters {
     pub recovered_messages: Arc<Counter>,
     /// Checkpoint/restart supervisor restarts.
     pub restarts: Arc<Counter>,
-    /// Words written into checkpoints by the supervisor.
+    /// Words in the checkpoints finished runs rest on (net of rollbacks).
     pub snapshot_words: Arc<Counter>,
     /// Words discarded when rolling back past a cut.
     pub rollback_words: Arc<Counter>,
@@ -63,8 +63,10 @@ pub fn counters() -> &'static MachineCounters {
             ),
             restarts: r
                 .counter("apsp_simnet_restarts_total", "Checkpoint/restart supervisor restarts."),
-            snapshot_words: r
-                .counter("apsp_simnet_snapshot_words_total", "Words written into checkpoints."),
+            snapshot_words: r.counter(
+                "apsp_simnet_snapshot_words_total",
+                "Words in checkpoints, net of rollbacks.",
+            ),
             rollback_words: r
                 .counter("apsp_simnet_rollback_words_total", "Words discarded by rollbacks."),
             spare_takeovers: r.counter(
@@ -91,13 +93,13 @@ pub(crate) fn record_run(report: &RunReport, faults: Option<&FaultSummary>) {
 }
 
 /// Records one finished checkpoint/restart trajectory into the machine
-/// counters. Public so the native backend's recovery supervisor
-/// (`apsp-transport`) feeds the same observability stream.
-pub fn record_recovery(recovery: &RecoveryReport) {
+/// counters. `discarded_words` is what its rollbacks pruned — kept out of
+/// the report because it depends on thread scheduling.
+pub(crate) fn record_recovery(recovery: &RecoveryReport, discarded_words: u64) {
     let c = counters();
     c.restarts.add(u64::from(recovery.restarts));
     c.snapshot_words.add(recovery.snapshot_words);
-    c.rollback_words.add(recovery.rollback_words);
+    c.rollback_words.add(discarded_words);
     c.spare_takeovers.add(recovery.spare_takeovers.len() as u64);
 }
 

@@ -12,8 +12,8 @@
 //!   `every`-th boundary into a shared [`SnapshotStore`], charging the
 //!   snapshot bytes to the ordinary latency/bandwidth ledgers — checkpoint
 //!   traffic is Table 2 traffic.
-//! * A supervisor ([`crate::Machine::launch_recovering`]) catches the typed
-//!   error a faulted epoch dies with, rolls every rank back to the last
+//! * A supervisor ([`supervise`], one loop for both machines) catches the
+//!   typed error a faulted epoch dies with, rolls every rank back to the last
 //!   **consistent cut** (the highest boundary every rank has snapshotted),
 //!   prunes now-stale snapshots (the rollback ledger), respawns the ranks
 //!   with fresh attempt counters — remapping a permanently dead rank onto a
@@ -26,13 +26,19 @@
 //!
 //! Determinism: every supervisor decision is a pure function of the plan,
 //! the policy, and the epoch number (re-executions re-key injections by
-//! epoch), so the same seed and policy replay the same recovery trajectory
-//! bit-for-bit.
+//! epoch), so the same seed and policy replay the same [`RecoveryReport`]
+//! bit-for-bit. What is *not* a function of (plan, policy) is how far the
+//! ranks ahead of a cut ran before a kill reached them: the snapshots a
+//! rollback discards depend on thread scheduling, so the report counts
+//! snapshots net of rollbacks and the discarded words go to the
+//! `apsp_simnet_rollback_words_total` metric only.
 
-use crate::comm::Rank;
-use crate::faults::FaultSummary;
+use crate::comm::{MachineRun, MachineSpec, Rank};
+use crate::faults::{FaultPlan, FaultSummary};
+use crate::script::ScriptBoard;
 #[doc(inline)]
 pub use crate::snapshot::{Snapshot, SnapshotStore};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Policy
@@ -110,18 +116,18 @@ pub struct RecoveryReport {
     pub resume_boundaries: Vec<u64>,
     /// `(logical rank, spare physical id)` takeovers, in order.
     pub spare_takeovers: Vec<(Rank, Rank)>,
-    /// Snapshots captured across all epochs.
+    /// Snapshots the finished run rests on: captured and not discarded by
+    /// a rollback (`p ×` checkpointed boundaries — the final epoch
+    /// completes every boundary).
     pub snapshots_taken: u64,
-    /// Solver-state words captured into snapshots (charged to bandwidth).
+    /// Solver-state words in those snapshots (charged to bandwidth).
     pub snapshot_words: u64,
     /// Snapshots restored at resume boundaries.
     pub restores: u64,
     /// Solver-state words restored (charged to bandwidth).
     pub restore_words: u64,
-    /// Rollbacks performed (one per restart that discarded work).
+    /// Rollbacks performed (one per restart).
     pub rollbacks: u64,
-    /// Snapshot words discarded by rollbacks (work thrown away).
-    pub rollback_words: u64,
     /// Display strings of the error behind each restart, in order.
     pub causes: Vec<String>,
 }
@@ -136,7 +142,7 @@ impl RecoveryReport {
             .collect();
         format!(
             "{} restarts (resumed at [{}]), {} snapshots ({} words), \
-             {} restores ({} words), {} rollbacks ({} words discarded), spares [{}]",
+             {} restores ({} words), {} rollbacks, spares [{}]",
             self.restarts,
             self.resume_boundaries.iter().map(u64::to_string).collect::<Vec<_>>().join(", "),
             self.snapshots_taken,
@@ -144,9 +150,131 @@ impl RecoveryReport {
             self.restores,
             self.restore_words,
             self.rollbacks,
-            self.rollback_words,
             takeovers.join(", "),
         )
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Supervisor
+// ---------------------------------------------------------------------------
+
+/// A rank's wiring to the checkpoint layer under a supervisor.
+#[derive(Clone)]
+pub struct Checkpoints {
+    /// The snapshot store shared by every epoch of the launch.
+    pub store: Arc<SnapshotStore>,
+    /// Phases up to and including this boundary are skipped and the state
+    /// at it restored from the store (0 = run from scratch).
+    pub resume: u64,
+    /// Snapshot at every `every`-th boundary (0 = never).
+    pub every: u32,
+}
+
+/// The coordinates one epoch of a supervised launch runs under.
+pub struct Epoch {
+    /// Epoch salt: 0 for the first execution; each restart re-keys the
+    /// probabilistic injection stream with the next number.
+    pub number: u32,
+    /// Logical → physical rank map. Identity until a permanently dead
+    /// rank is remapped onto a spare physical id `≥ p`.
+    pub remap: Vec<Rank>,
+    /// Where this epoch's ranks checkpoint to and resume from.
+    pub checkpoints: Checkpoints,
+}
+
+/// The part of a launch both machines share, generic over "run one
+/// epoch": `run_epoch(plan, epoch, script)` executes the rank program once
+/// on `p` ranks — under the fault plan when there is one, checkpointing
+/// and resuming as `epoch` says, recording into `script` — and this
+/// function calls it once, or under [`MachineSpec::recovery`] as often as
+/// the checkpoint/rollback supervisor needs.
+///
+/// When a supervised epoch dies with a typed error the supervisor rolls
+/// back to the last consistent cut, prunes the snapshots beyond it, and
+/// re-executes with the next epoch salt — first remapping the blamed rank
+/// onto a spare physical id when the fault is permanent (a thread kill
+/// names its victim directly; an exhausted retry budget on a link the plan
+/// kills blames the endpoint a rank-kill rule targets, else the dead
+/// receiving end) — until an epoch completes or the restart budget runs
+/// out. The returned run is the final, successful epoch's, carrying the
+/// [`RecoveryReport`] of the trajectory.
+///
+/// # Errors
+/// Whatever `run_epoch` died with; supervised,
+/// [`MachineError::Unrecoverable`] when `max_restarts` is exhausted (or a
+/// permanent fault needs a spare none is left for), carrying the root
+/// cause and the partial [`FaultSummary`] at the last consistent cut.
+pub fn supervise<T>(
+    p: usize,
+    spec: &MachineSpec<'_>,
+    run_epoch: impl Fn(
+        Option<&FaultPlan>,
+        Option<&Epoch>,
+        Option<&Arc<ScriptBoard>>,
+    ) -> Result<MachineRun<T>, MachineError>,
+) -> Result<MachineRun<T>, MachineError> {
+    // a supervised run without a plan measures the pure checkpoint cost
+    let empty = FaultPlan::new(0);
+    let plan = spec.faults.or(spec.recovery.map(|_| &empty));
+    let run_epoch = |epoch: Option<&Epoch>| {
+        let board = spec.record.then(|| Arc::new(ScriptBoard::new(p)));
+        let mut run = run_epoch(plan, epoch, board.as_ref())?;
+        run.scripts = board.map(|b| b.take()).unwrap_or_default();
+        Ok(run)
+    };
+    let (Some(policy), Some(plan)) = (spec.recovery, plan) else { return run_epoch(None) };
+    let store = Arc::new(SnapshotStore::new(p));
+    let checkpoints = Checkpoints { store: Arc::clone(&store), resume: 0, every: policy.every };
+    let mut epoch = Epoch { number: 0, remap: (0..p).collect(), checkpoints };
+    let mut recovery = RecoveryReport::default();
+    let mut discarded_words = 0u64;
+    loop {
+        epoch.checkpoints.resume = store.consistent_boundary();
+        if epoch.number > 0 {
+            recovery.resume_boundaries.push(epoch.checkpoints.resume);
+        }
+        let err = match run_epoch(Some(&epoch)) {
+            Ok(mut run) => {
+                recovery.snapshots_taken = store.saves();
+                recovery.snapshot_words = store.save_words();
+                recovery.restores = store.restores();
+                recovery.restore_words = store.restore_words();
+                crate::perf::record_recovery(&recovery, discarded_words);
+                run.recovery = Some(recovery);
+                return Ok(run);
+            }
+            Err(err) => err,
+        };
+        recovery.causes.push(err.to_string());
+        let blamed = match &err {
+            MachineError::Down(d) => Some(d.rank),
+            MachineError::Fault(fe) => {
+                let (src, dst) = (epoch.remap[fe.src], epoch.remap[fe.dst]);
+                let victim =
+                    if plan.kills_rank(src) && !plan.kills_rank(dst) { fe.src } else { fe.dst };
+                plan.kills_link(src, dst).then_some(victim)
+            }
+            _ => None,
+        };
+        let spare = p + recovery.spare_takeovers.len();
+        if recovery.restarts >= policy.max_restarts
+            || (blamed.is_some() && recovery.spare_takeovers.len() >= policy.spares)
+        {
+            return Err(MachineError::Unrecoverable(Unrecoverable {
+                cause: Box::new(err),
+                restarts: recovery.restarts,
+                partial: store.partial_summary(store.consistent_boundary()),
+            }));
+        }
+        if let Some(blamed) = blamed {
+            epoch.remap[blamed] = spare;
+            recovery.spare_takeovers.push((blamed, spare));
+        }
+        discarded_words += store.prune_beyond(store.consistent_boundary());
+        recovery.rollbacks += 1;
+        recovery.restarts += 1;
+        epoch.number += 1;
     }
 }
 

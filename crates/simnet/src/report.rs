@@ -49,7 +49,7 @@ pub struct RunReport {
     /// Statistics per rank.
     pub per_rank: Vec<RankStats>,
     /// Observability payload (span ledgers, comm matrix, event streams),
-    /// present when the run was started with [`crate::Machine::run_profiled`].
+    /// present when the run was launched with [`crate::MachineSpec::profile`].
     pub profile: Option<Profile>,
 }
 

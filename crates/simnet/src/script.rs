@@ -1,7 +1,7 @@
 //! Comm-script recording: per-rank communication event logs for the
 //! protocol verifier (`apsp-verify`).
 //!
-//! A recorded run ([`Machine::run_recorded`](crate::Machine::run_recorded)
+//! A recorded run ([`MachineSpec::record`](crate::MachineSpec::record)
 //! or [`Machine::run_governed`](crate::Machine::run_governed)) pushes one
 //! [`CommEvent`] per *logical* communication operation into a shared
 //! [`ScriptBoard`]. Recording observes the machine without perturbing it:
@@ -149,7 +149,7 @@ pub const COLLECTIVE_SPAN_NAMES: [&str; 7] =
     ["bcast", "reduce", "gather", "scatter", "barrier", "allgather", "allreduce"];
 
 /// Aggregates per-rank comm scripts (as returned by
-/// [`Machine::run_recorded`](crate::Machine::run_recorded)) into
+/// [`MachineSpec::record`](crate::MachineSpec::record)) into
 /// deterministic per-phase send totals, ordered by phase name. See
 /// [`PhaseTotals`] for the attribution rule.
 pub fn phase_totals(scripts: &[Vec<CommEvent>]) -> Vec<PhaseTotals> {

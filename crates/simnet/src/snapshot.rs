@@ -102,13 +102,19 @@ impl SnapshotStore {
 
     /// Discards snapshots beyond `boundary` (stale work from a failed
     /// epoch) and returns the state words discarded — the rollback cost.
+    /// How many there are depends on how far the ranks ahead of the cut
+    /// ran before the failure reached them, so the discarded snapshots
+    /// also leave the [`SnapshotStore::saves`] ledger: what that reports
+    /// stays a function of the program, not of thread scheduling.
     pub fn prune_beyond(&self, boundary: u64) -> u64 {
         let mut discarded = 0;
         for r in &self.ranks {
             let mut map = r.lock().expect("snapshot store poisoned");
             let stale = map.split_off(&(boundary + 1));
+            self.saves.fetch_sub(stale.len() as u64, Ordering::Relaxed);
             discarded += stale.values().map(|s| s.state.len() as u64).sum::<u64>();
         }
+        self.save_words.fetch_sub(discarded, Ordering::Relaxed);
         discarded
     }
 
@@ -130,12 +136,12 @@ impl SnapshotStore {
         FaultSummary { per_rank, unrecoverable: 1 }
     }
 
-    /// Snapshots captured so far (all epochs).
+    /// Snapshots held: captured in any epoch and not pruned since.
     pub fn saves(&self) -> u64 {
         self.saves.load(Ordering::Relaxed)
     }
 
-    /// State words captured into snapshots so far.
+    /// State words in the snapshots held.
     pub fn save_words(&self) -> u64 {
         self.save_words.load(Ordering::Relaxed)
     }
@@ -168,6 +174,7 @@ mod tests {
         assert_eq!(store.save_words(), 12);
         // pruning discards rank 0's stale boundary-2 snapshot
         assert_eq!(store.prune_beyond(1), 5);
+        assert_eq!((store.saves(), store.save_words()), (2, 7), "net of the pruned snapshot");
         assert_eq!(store.consistent_boundary(), 1);
         assert_eq!(store.restore(0, 1).state, vec![1.0; 4]);
         assert_eq!(store.restore_words(), 4);

@@ -13,7 +13,7 @@
 //!   `level` → `r4`), and because the §3.1 clocks are monotone
 //!   nondecreasing, every span delta is non-negative and nested children
 //!   never exceed their parent.
-//! * [`Profile`] aggregates the ledgers of a [`crate::Machine::run_profiled`]
+//! * [`Profile`] aggregates the ledgers of a [`crate::MachineSpec::profile`]
 //!   run, including the per-`(src, dst, tag)` send counters folded into a
 //!   `p×p` [`CommMatrix`].
 //! * [`Profile::phase_breakdown`] turns uniform SPMD span sequences into a
@@ -232,7 +232,7 @@ pub struct RankProfile {
 }
 
 /// Aggregated observability payload of a profiled run, attached to
-/// [`crate::RunReport`] by [`crate::Machine::run_profiled`].
+/// [`crate::RunReport`] by a [`crate::MachineSpec::profile`] launch.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Profile {
     /// Per-rank payloads, indexed by rank.

@@ -7,17 +7,42 @@
 //! use is printed so any CI failure replays locally with
 //! `CHAOS_SEED=<seed> cargo test -p apsp-simnet --test faults_prop`.
 
-use apsp_core::dcapsp::{dc_apsp_faulty, dc_apsp_recovering};
-use apsp_core::djohnson::{distributed_johnson_faulty, distributed_johnson_recovering};
-use apsp_core::fw2d::{fw2d_faulty, fw2d_recovering};
-use apsp_core::sparse2d::{sparse2d_faulty, sparse2d_recovering, Sparse2dOptions};
+use apsp_core::dcapsp::DcApsp;
+use apsp_core::djohnson::DJohnson;
+use apsp_core::fw2d::Fw2d;
+use apsp_core::launch::{launch, LaunchSpec, Solver};
+use apsp_core::sparse2d::{Sparse2d, Sparse2dOptions};
 use apsp_core::supernodal::SupernodalLayout;
 use apsp_graph::generators::{self, WeightKind};
 use apsp_graph::{oracle, DenseDist};
 use apsp_simnet::{
-    FaultPlan, FaultSummary, Machine, MachineError, Rank, RecoveryPolicy, RecoveryReport, RunReport,
+    FaultPlan, FaultSummary, Machine, MachineError, MachineSpec, Rank, RecoveryPolicy,
+    RecoveryReport, RunReport,
 };
 use proptest::prelude::*;
+
+/// A simulated launch under `plan`, unsupervised.
+fn faulty<S: Solver>(
+    solver: &S,
+    plan: &FaultPlan,
+    profile: bool,
+) -> Result<(S::Result, FaultSummary), MachineError> {
+    let spec = LaunchSpec { faults: Some(plan), profile, ..Default::default() };
+    launch(solver, &spec).map(|run| (run.result, run.faults.expect("summary")))
+}
+
+/// A simulated launch under `plan`, supervised by `policy`.
+fn recovering<S: Solver>(
+    solver: &S,
+    plan: &FaultPlan,
+    policy: RecoveryPolicy,
+    profile: bool,
+) -> Result<(S::Result, FaultSummary, RecoveryReport), MachineError> {
+    let spec =
+        LaunchSpec { faults: Some(plan), recovery: Some(policy), profile, ..Default::default() };
+    launch(solver, &spec)
+        .map(|run| (run.result, run.faults.expect("summary"), run.recovery.expect("ledger")))
+}
 
 /// The chaos seed: fixed by default, overridable for the CI randomized run.
 fn chaos_seed() -> u64 {
@@ -72,7 +97,8 @@ fn run_pattern_faulty(
     plan: &FaultPlan,
 ) -> (apsp_simnet::RunReport, apsp_simnet::FaultSummary) {
     let msgs = &pattern.messages;
-    let (_, report, summary) = Machine::run_faulty(pattern.p, plan, |comm| {
+    let spec = MachineSpec { faults: Some(plan), ..Default::default() };
+    let run = Machine::launch(pattern.p, &spec, |comm| {
         let me = comm.rank();
         for (idx, &(s, d, w)) in msgs.iter().enumerate() {
             if s == me {
@@ -87,7 +113,7 @@ fn run_pattern_faulty(
         }
     })
     .expect("probabilistic plans are recoverable by construction");
-    (report, summary)
+    (run.report, run.faults.expect("faulty run carries a summary"))
 }
 
 proptest! {
@@ -149,10 +175,12 @@ proptest! {
             }
             comm.compute(17);
         };
-        let (_, plain) = Machine::run_profiled(pattern.p, program);
-        let (_, faulty, summary) =
-            Machine::run_faulty_profiled(pattern.p, &FaultPlan::new(seed), program)
-                .expect("empty plan cannot fail");
+        let profiled = MachineSpec { profile: true, ..Default::default() };
+        let plain = Machine::launch(pattern.p, &profiled, program).expect("fault-free").report;
+        let empty = FaultPlan::new(seed);
+        let faulted = MachineSpec { faults: Some(&empty), ..profiled };
+        let run = Machine::launch(pattern.p, &faulted, program).expect("empty plan cannot fail");
+        let (faulty, summary) = (run.report, run.faults.expect("summary"));
         prop_assert_eq!(&plain.per_rank, &faulty.per_rank);
         prop_assert_eq!(&plain.profile, &faulty.profile);
         prop_assert_eq!(summary.injected(), 0);
@@ -202,7 +230,7 @@ fn fw2d_recovers_on_all_grid_sizes() {
     for g in corpus(seed) {
         for n_grid in 1..=4usize {
             for (k, plan) in solver_plans(seed).into_iter().enumerate() {
-                let (result, summary) = fw2d_faulty(&g, n_grid, &plan, false)
+                let (result, summary) = faulty(&Fw2d::new(&g, n_grid), &plan, false)
                     .unwrap_or_else(|e| panic!("p={}: {e}", n_grid * n_grid));
                 assert_oracle(&result.dist, &g, &format!("fw2d p={} plan {k}", n_grid * n_grid));
                 assert_eq!(summary.unrecoverable, 0);
@@ -218,7 +246,7 @@ fn dcapsp_recovers_on_all_grid_sizes() {
     for g in corpus(seed) {
         for n_grid in 1..=4usize {
             let plan = solver_plans(seed).pop().expect("mixed plan");
-            let (result, summary) = dc_apsp_faulty(&g, n_grid, 1, &plan, false)
+            let (result, summary) = faulty(&DcApsp::new(&g, n_grid, 1), &plan, false)
                 .unwrap_or_else(|e| panic!("p={}: {e}", n_grid * n_grid));
             assert_oracle(&result.dist, &g, &format!("dcapsp p={}", n_grid * n_grid));
             assert_eq!(summary.unrecoverable, 0);
@@ -233,7 +261,7 @@ fn djohnson_recovers_on_all_rank_counts() {
     for g in corpus(seed) {
         for p in [1usize, 4, 9, 16] {
             let plan = solver_plans(seed).swap_remove(1);
-            let (result, summary) = distributed_johnson_faulty(&g, p, &plan, false)
+            let (result, summary) = faulty(&DJohnson::new(&g, p), &plan, false)
                 .unwrap_or_else(|e| panic!("p={p}: {e}"));
             assert_oracle(&result.dist, &g, &format!("djohnson p={p}"));
             assert_eq!(summary.unrecoverable, 0);
@@ -254,7 +282,7 @@ fn sparse2d_recovers_under_chaos() {
             let gp = g.permuted(&nd.perm);
             for (k, plan) in solver_plans(seed).into_iter().enumerate() {
                 let (result, summary) =
-                    sparse2d_faulty(&layout, &gp, &Sparse2dOptions::default(), &plan, false)
+                    faulty(&Sparse2d::new(&layout, &gp, &Sparse2dOptions::default()), &plan, false)
                         .unwrap_or_else(|e| panic!("h={h} plan {k}: {e}"));
                 let dist = SupernodalLayout::unpermute(&result.dist_eliminated, &nd.perm);
                 assert_oracle(&dist, &g, &format!("sparse2d h={h} plan {k}"));
@@ -288,32 +316,32 @@ fn recoverable_solvers(g: &apsp_graph::Csr) -> Vec<(&'static str, RecoveringRun)
         (
             "fw2d",
             Box::new(move |plan: &FaultPlan, policy: RecoveryPolicy| {
-                fw2d_recovering(&g1, 2, plan, policy, false)
+                recovering(&Fw2d::new(&g1, 2), plan, policy, false)
                     .map(|(r, f, rec)| (r.dist, r.report, f, rec))
             }) as RecoveringRun,
         ),
         (
             "dcapsp",
             Box::new(move |plan: &FaultPlan, policy: RecoveryPolicy| {
-                dc_apsp_recovering(&g2, 2, 1, plan, policy, false)
+                recovering(&DcApsp::new(&g2, 2, 1), plan, policy, false)
                     .map(|(r, f, rec)| (r.dist, r.report, f, rec))
             }),
         ),
         (
             "djohnson",
             Box::new(move |plan: &FaultPlan, policy: RecoveryPolicy| {
-                distributed_johnson_recovering(&g3, 4, plan, policy, false)
+                recovering(&DJohnson::new(&g3, 4), plan, policy, false)
                     .map(|(r, f, rec)| (r.dist, r.report, f, rec))
             }),
         ),
         (
             "sparse2d",
             Box::new(move |plan: &FaultPlan, policy: RecoveryPolicy| {
-                sparse2d_recovering(&layout, &gp, &Sparse2dOptions::default(), plan, policy, false)
-                    .map(|(r, f, rec)| {
-                        let dist = SupernodalLayout::unpermute(&r.dist_eliminated, &nd.perm);
-                        (dist, r.report, f, rec)
-                    })
+                let solver = Sparse2d::new(&layout, &gp, &Sparse2dOptions::default());
+                recovering(&solver, plan, policy, false).map(|(r, f, rec)| {
+                    let dist = SupernodalLayout::unpermute(&r.dist_eliminated, &nd.perm);
+                    (dist, r.report, f, rec)
+                })
             }),
         ),
     ]
@@ -381,9 +409,9 @@ fn checkpoint_charges_land_exactly_in_the_ledgers() {
     println!("CHAOS_SEED={seed}");
     let g = generators::grid2d(4, 4, WeightKind::Integer { max: 5 }, seed & 0xFFFF);
     let empty = FaultPlan::new(seed);
-    let (plain, _) = fw2d_faulty(&g, 2, &empty, false).expect("clean");
+    let (plain, _) = faulty(&Fw2d::new(&g, 2), &empty, false).expect("clean");
     let (recov, _, rec) =
-        fw2d_recovering(&g, 2, &empty, RecoveryPolicy::default(), false).expect("clean");
+        recovering(&Fw2d::new(&g, 2), &empty, RecoveryPolicy::default(), false).expect("clean");
     assert_eq!(rec.restarts, 0);
     assert_eq!(rec.restores, 0);
     assert_eq!(rec.rollbacks, 0);
@@ -414,7 +442,7 @@ fn recovery_replays_bit_identically() {
     let g = generators::grid2d(5, 5, WeightKind::Integer { max: 6 }, seed & 0xFFFF);
     let plan = FaultPlan::new(seed).with_drop(0.05).with_kill_rank_from(2, 1);
     let policy = RecoveryPolicy::default();
-    let run = || fw2d_recovering(&g, 2, &plan, policy, true).expect("recoverable");
+    let run = || recovering(&Fw2d::new(&g, 2), &plan, policy, true).expect("recoverable");
     let (res_a, sum_a, rec_a) = run();
     let (res_b, sum_b, rec_b) = run();
     assert_eq!(res_a.report.per_rank, res_b.report.per_rank);
@@ -437,7 +465,7 @@ fn exhausted_budget_is_a_typed_unrecoverable() {
 
     // a permanent kill with no spare left cannot be outwaited
     let policy = RecoveryPolicy { max_restarts: 3, every: 1, spares: 0 };
-    let err = match fw2d_recovering(&g, 2, &plan, policy, false) {
+    let err = match recovering(&Fw2d::new(&g, 2), &plan, policy, false) {
         Ok(_) => panic!("spare-less permanent kill must fail"),
         Err(e) => e,
     };
@@ -449,8 +477,7 @@ fn exhausted_budget_is_a_typed_unrecoverable() {
     // a zero restart allowance fails on the first fault, budget-first
     let policy = RecoveryPolicy { max_restarts: 0, every: 1, spares: 1 };
     let err =
-        match distributed_johnson_recovering(&g, 4, &plan.clone().with_kill_rank(0), policy, false)
-        {
+        match recovering(&DJohnson::new(&g, 4), &plan.clone().with_kill_rank(0), policy, false) {
             Ok(_) => panic!("zero restarts must fail"),
             Err(e) => e,
         };
@@ -466,7 +493,7 @@ fn solver_chaos_replays_bit_identically() {
     println!("CHAOS_SEED={seed}");
     let g = generators::grid2d(5, 5, WeightKind::Integer { max: 6 }, seed & 0xFFFF);
     let plan = solver_plans(seed).pop().expect("mixed plan");
-    let run = || fw2d_faulty(&g, 3, &plan, true).expect("recoverable");
+    let run = || faulty(&Fw2d::new(&g, 3), &plan, true).expect("recoverable");
     let (res_a, sum_a) = run();
     let (res_b, sum_b) = run();
     assert_eq!(res_a.report.per_rank, res_b.report.per_rank);

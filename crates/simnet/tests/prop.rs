@@ -1,7 +1,7 @@
 //! Property tests for the simulated machine: deterministic clocks, exact
 //! accounting identities, and collective correctness under random groups.
 
-use apsp_simnet::{Machine, Rank};
+use apsp_simnet::{Machine, MachineRun, MachineSpec, Rank};
 use proptest::prelude::*;
 
 /// A random one-shot traffic pattern: every rank sends its listed messages
@@ -140,7 +140,8 @@ proptest! {
 
 #[test]
 fn trace_records_every_send_in_order() {
-    let (_, report, traces) = Machine::run_traced(3, |comm| match comm.rank() {
+    let traced = MachineSpec { trace: true, ..Default::default() };
+    let MachineRun { report, traces, .. } = Machine::launch(3, &traced, |comm| match comm.rank() {
         0 => {
             comm.send(1, 10, vec![1.0]);
             comm.send(2, 11, vec![2.0, 3.0]);
@@ -154,7 +155,8 @@ fn trace_records_every_send_in_order() {
             let _ = comm.recv(1, 12);
         }
         _ => unreachable!(),
-    });
+    })
+    .expect("fault-free launch");
     assert_eq!(traces[0].len(), 2);
     assert_eq!(traces[0][0].dst, 1);
     assert_eq!(traces[0][1].words, 2);
@@ -171,10 +173,13 @@ fn trace_audits_a_broadcast_tree() {
     // total sends of a g-member binomial broadcast = g − 1
     for g in 2..10usize {
         let group: Vec<usize> = (0..g).collect();
-        let (_, _, traces) = Machine::run_traced(g, |comm| {
+        let traced = MachineSpec { trace: true, ..Default::default() };
+        let traces = Machine::launch(g, &traced, |comm| {
             let data = (comm.rank() == 0).then(|| vec![1.0; 4]);
             comm.bcast(&group, 0, 1, data)
-        });
+        })
+        .expect("fault-free launch")
+        .traces;
         let sends: usize = traces.iter().map(|t| t.len()).sum();
         assert_eq!(sends, g - 1, "g={g}");
         // every rank except the root appears exactly once as a destination
@@ -192,7 +197,8 @@ fn trace_audits_a_broadcast_tree() {
 /// clock activity happens between a child's exit and the next enter).
 fn run_pattern_profiled(pattern: &Pattern) -> apsp_simnet::RunReport {
     let msgs = &pattern.messages;
-    let (_, report) = Machine::run_profiled(pattern.p, |comm| {
+    let profiled = MachineSpec { profile: true, ..Default::default() };
+    let run = Machine::launch(pattern.p, &profiled, |comm| {
         let me = comm.rank();
         let mut work = comm.span("work", 0);
         let comm: &mut apsp_simnet::Comm = &mut work;
@@ -214,7 +220,7 @@ fn run_pattern_profiled(pattern: &Pattern) -> apsp_simnet::RunReport {
             }
         }
     });
-    report
+    run.expect("fault-free launch").report
 }
 
 proptest! {

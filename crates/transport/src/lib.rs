@@ -18,12 +18,15 @@
 //! * [`NativeComm`] — a real shared-memory backend: `p` OS threads over
 //!   per-`(src, dst)` std `mpsc` channels, no cost clocks, genuine
 //!   wall-clock time. See [`NativeMachine`]. The full robustness stack
-//!   runs here too: [`NativeMachine::launch_faulty`] injects the same
-//!   seeded fault grammar into real channel traffic (killing actual OS
-//!   threads for `kill=` rules), and
-//!   [`NativeMachine::launch_recovering`] checkpoint/restarts across
-//!   thread death through the shared
-//!   [`apsp_simnet::SnapshotStore`].
+//!   runs here too: [`MachineSpec::faults`] injects the same seeded fault
+//!   grammar into real channel traffic (killing actual OS threads for
+//!   `kill=` rules), and [`MachineSpec::recovery`] checkpoint/restarts
+//!   across thread death through the shared [`apsp_simnet::SnapshotStore`]
+//!   and the shared supervisor loop ([`apsp_simnet::supervise`]).
+//!
+//! Both machines take the same [`MachineSpec`] through one
+//! [`Machine::launch`], so a caller picks a machine by type and everything
+//! else by value.
 //!
 //! ## Collective bit-compatibility
 //!
@@ -41,7 +44,7 @@
 mod native;
 pub mod sync;
 
-pub use native::{NativeComm, NativeFaultError, NativeFaultPlan, NativeMachine, NativeSpan};
+pub use native::{NativeComm, NativeFaultError, NativeMachine, NativeSpan};
 
 // The shared panic-triage helpers (quiet typed-panic hook, cascade-marker
 // classification) live in `apsp_simnet::cascade` because the crate DAG
@@ -49,8 +52,53 @@ pub use native::{NativeComm, NativeFaultError, NativeFaultPlan, NativeMachine, N
 // need only this crate.
 pub use apsp_simnet::cascade;
 
-use apsp_simnet::{Clocks, CollectiveKind, Comm, Rank, SpanGuard};
+pub use apsp_simnet::{MachineRun, MachineSpec};
+
+use apsp_simnet::{Clocks, CollectiveKind, Comm, MachineError, Rank, SpanGuard};
 use std::ops::DerefMut;
+
+/// A machine that runs SPMD rank programs: `p` ranks, each handed its own
+/// [`Transport`], under whatever the [`MachineSpec`] switches on. The rank
+/// program is monomorphised per machine — picking one is a type, not a
+/// branch per message.
+pub trait Machine {
+    /// The communicator a rank of this machine is handed.
+    type Comm: Transport;
+
+    /// Runs `f(comm)` on `p` ranks under `spec`.
+    ///
+    /// # Errors
+    /// The typed error the run died with; see
+    /// [`apsp_simnet::Machine::launch`] and [`NativeMachine::launch`].
+    fn launch<T, F>(p: usize, spec: &MachineSpec<'_>, f: F) -> Result<MachineRun<T>, MachineError>
+    where
+        T: Send,
+        F: Fn(&mut Self::Comm) -> T + Sync;
+}
+
+impl Machine for apsp_simnet::Machine {
+    type Comm = Comm;
+
+    fn launch<T, F>(p: usize, spec: &MachineSpec<'_>, f: F) -> Result<MachineRun<T>, MachineError>
+    where
+        T: Send,
+        F: Fn(&mut Comm) -> T + Sync,
+    {
+        apsp_simnet::Machine::launch(p, spec, f)
+    }
+}
+
+impl Machine for NativeMachine {
+    type Comm = NativeComm;
+
+    fn launch<T, F>(p: usize, spec: &MachineSpec<'_>, f: F) -> Result<MachineRun<T>, MachineError>
+    where
+        T: Send,
+        F: Fn(&mut NativeComm) -> T + Sync,
+    {
+        NativeMachine::launch(p, spec, f)
+    }
+}
 
 /// Position of `rank` in `group`.
 ///

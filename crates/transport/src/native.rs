@@ -21,10 +21,10 @@
 //!   seq+checksum envelope and bounded-backoff retransmission protocol
 //!   the simulator runs — and `kill=R[@B]` rules kill the rank's
 //!   **actual OS thread** at the chosen phase boundary
-//!   ([`NativeMachine::launch_faulty`]). A recovery supervisor
-//!   ([`NativeMachine::launch_recovering`]) catches the typed death,
+//!   ([`MachineSpec::faults`]). The shared recovery supervisor
+//!   ([`MachineSpec::recovery`]) catches the typed death,
 //!   rolls every rank back to the last consistent checkpoint through the
-//!   shared [`SnapshotStore`], respawns the machine with the dead rank
+//!   shared [`apsp_simnet::SnapshotStore`], respawns the machine with the dead rank
 //!   remapped onto a spare physical id, and replays under an
 //!   epoch-salted seed — bit-identically, every time.
 //!
@@ -32,7 +32,7 @@
 //! schedule governors. [`crate::Transport::clocks`] returns zeros and
 //! spans are free no-ops. (Comm *scripts* — the per-rank event logs the
 //! protocol linter consumes — are recorded on request via
-//! [`NativeMachine::run_recorded`], byte-compatible with the
+//! [`MachineSpec::record`], byte-compatible with the
 //! simulator's.) Injection decisions are pure
 //! functions of `(seed, epoch, boundary, src, dst, tag, seq, attempt)`
 //! and sequence numbers are per-channel, so fault trajectories are
@@ -46,11 +46,10 @@ use apsp_simnet::cascade::{
     classify_panics, install_quiet_typed_panics, surface_root_cause, Disconnect,
 };
 use apsp_simnet::faults::checksum;
-use apsp_simnet::recovery::Unrecoverable;
 use apsp_simnet::{
-    Clocks, CollectiveKind, CommEvent, FaultError, FaultPlan, FaultStats, FaultSummary, HangError,
-    Injection, MachineError, ProtocolError, Rank, RankDown, RankStats, RecoveryPolicy,
-    RecoveryReport, RunReport, ScriptBoard, Snapshot, SnapshotStore,
+    supervise, Checkpoints, Clocks, CollectiveKind, CommEvent, Epoch, FaultError, FaultPlan,
+    FaultStats, FaultSummary, HangError, Injection, MachineError, MachineRun, MachineSpec,
+    ProtocolError, Rank, RankDown, RankStats, RunReport, ScriptBoard, Snapshot,
 };
 
 // Every synchronization primitive goes through the shim (`crate::sync`),
@@ -96,37 +95,6 @@ impl NativeWatchdog {
 /// inactivity — the same knob the simulator honours.
 fn default_watchdog_ms() -> u64 {
     std::env::var("APSP_WATCHDOG_MS").ok().and_then(|v| v.parse().ok()).unwrap_or(5000)
-}
-
-/// The native chaos layer's execution context: the shared seeded fault
-/// grammar ([`FaultPlan`], reused verbatim from `simnet::faults`) plus
-/// the recovery coordinates an epoch runs under — the epoch salt that
-/// re-keys the probabilistic injection stream per supervisor restart,
-/// and the logical→physical rank remap that retires permanently dead
-/// ranks onto spare ids. Epoch 0 with the identity remap is a first
-/// execution; [`NativeMachine::launch_recovering`] advances both.
-#[derive(Clone, Debug)]
-pub struct NativeFaultPlan {
-    plan: FaultPlan,
-    epoch: u32,
-    remap: Vec<Rank>,
-}
-
-impl NativeFaultPlan {
-    /// First-execution context for `p` ranks: epoch 0, identity remap.
-    pub fn new(plan: FaultPlan, p: usize) -> Self {
-        NativeFaultPlan { plan, epoch: 0, remap: (0..p).collect() }
-    }
-
-    /// The underlying shared fault grammar.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The recovery epoch this execution (re)plays under.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
 }
 
 /// The native fault layer's typed root causes — what seeded chaos can
@@ -181,10 +149,18 @@ impl From<NativeFaultError> for MachineError {
 }
 
 /// Per-rank state of the native fault layer — the exact counterpart of
-/// the simulator's `FaultState`: reliability sequence counters per
-/// channel, the shared injection context, and the stats ledger.
+/// the simulator's `FaultState`: the shared seeded fault grammar
+/// ([`FaultPlan`], reused verbatim from `simnet::faults`), the recovery
+/// coordinates this epoch runs under, reliability sequence counters per
+/// channel, and the stats ledger.
 struct FaultLayer {
-    ctx: NativeFaultPlan,
+    plan: FaultPlan,
+    /// Epoch salt re-keying the probabilistic injection stream (0 for a
+    /// first execution; the recovery supervisor advances it per restart).
+    epoch: u32,
+    /// Logical → physical rank map: identity until the supervisor retires
+    /// a permanently dead rank onto a spare id.
+    remap: Vec<Rank>,
     /// Precomputed `kill=R[@B]` trigger for this rank's *physical* id:
     /// the boundary from which the next communication attempt kills the
     /// thread. `None` for ranks the plan never kills.
@@ -199,27 +175,19 @@ struct FaultLayer {
 }
 
 impl FaultLayer {
-    fn new(ctx: NativeFaultPlan, rank: Rank, p: usize) -> Self {
-        let physical = ctx.remap[rank];
+    fn new(plan: &FaultPlan, epoch: Option<&Epoch>, rank: Rank, p: usize) -> Self {
+        let remap = epoch.map_or_else(|| (0..p).collect(), |e| e.remap.clone());
         FaultLayer {
-            kill_from: ctx.plan.kill_boundary(physical),
-            slowdown: ctx.plan.slowdown(physical),
+            kill_from: plan.kill_boundary(remap[rank]),
+            slowdown: plan.slowdown(remap[rank]),
             seq_next: vec![1; p],
             seq_seen: vec![0; p],
             stats: FaultStats::default(),
-            ctx,
+            plan: plan.clone(),
+            epoch: epoch.map_or(0, |e| e.number),
+            remap,
         }
     }
-}
-
-/// Per-rank recovery coordinates: the shared snapshot store, the
-/// consistent-cut boundary this epoch resumes from, and the checkpoint
-/// cadence.
-#[derive(Clone)]
-struct RecoveryCtx {
-    store: Arc<SnapshotStore>,
-    resume: u64,
-    every: u32,
 }
 
 /// Launcher for the native backend — the shape of
@@ -242,183 +210,58 @@ impl NativeMachine {
         T: Send,
         F: Fn(&mut NativeComm) -> T + Sync,
     {
-        let (outs, report, _) =
-            Self::run_inner(p, &f, None, None, None).unwrap_or_else(|e| panic!("{e}"));
-        (outs, report)
+        let run = Self::run_inner(p, &f, None, None, None).unwrap_or_else(|e| panic!("{e}"));
+        (run.outs, run.report)
     }
 
-    /// Like [`NativeMachine::run`], additionally recording every rank's
-    /// comm script — the same per-rank [`CommEvent`] logs the simulator's
-    /// [`apsp_simnet::Machine::run_recorded`] produces, so the protocol
-    /// verifier's FIFO-pairing/tag-freshness/quiescence linter
-    /// (`apsp-verify`) runs against real native executions too. Recording
-    /// observes without perturbing: with no board attached the per-op cost
-    /// is a skipped `Option` check.
+    /// The one configurable entry point — [`apsp_simnet::Machine::launch`]
+    /// on real OS threads, taking the same [`MachineSpec`]:
     ///
-    /// # Errors
-    /// Any [`MachineError`] a rank died with (the board is shared, so a
-    /// failing run still surfaces the events recorded before death —
-    /// through the error, not this signature, which drops them; use a
-    /// plain run for forensics on failures).
-    #[allow(clippy::type_complexity)]
-    pub fn run_recorded<T, F>(
-        p: usize,
-        f: F,
-    ) -> Result<(Vec<T>, RunReport, Vec<Vec<CommEvent>>), MachineError>
-    where
-        T: Send,
-        F: Fn(&mut NativeComm) -> T + Sync,
-    {
-        let board = Arc::new(ScriptBoard::new(p));
-        let (outs, report, _) = Self::run_inner(p, &f, None, None, Some(&board))?;
-        Ok((outs, report, board.take()))
-    }
-
-    /// Like [`NativeMachine::run`], with the deterministic fault layer
-    /// active on real channel traffic: `plan` injects message drops,
-    /// duplications, corruptions, and delays (recovered by sequence
-    /// numbers, checksums, and bounded-backoff retransmission — the
-    /// simulator's exact protocol), slows straggler stats, and kills the
-    /// OS threads of `kill=R[@B]` victims at their phase boundaries.
-    ///
-    /// Injection decisions are pure functions of the seeded plan and the
-    /// per-channel sequence numbers, so the fault trajectory — and the
-    /// returned [`FaultSummary`] — is deterministic under real thread
-    /// scheduling. An empty plan injects nothing and recovers nothing.
+    /// * `faults` runs the simulator's exact reliability protocol on real
+    ///   channel traffic and kills the OS threads of `kill=R[@B]` victims
+    ///   at their phase boundaries. Injection decisions are pure functions
+    ///   of the seeded plan and the per-channel sequence numbers, so the
+    ///   [`FaultSummary`] is deterministic under real thread scheduling.
+    /// * `recovery` is the shared [`apsp_simnet::supervise`] loop over
+    ///   real threads: every restart respawns all `p` of them with the
+    ///   next epoch salt, a killed thread's rank remapped onto a spare
+    ///   physical id first. Same plan + same policy ⇒ the same
+    ///   [`apsp_simnet::RecoveryReport`] and bit-identical outputs.
+    /// * `record` returns the same per-rank [`CommEvent`] scripts the
+    ///   simulator records, so the protocol linter runs against native
+    ///   executions too; unrecorded, the per-op cost is a skipped `Option`.
+    /// * `profile` and `trace` have nothing to collect here (no cost
+    ///   clocks, no ledgers); `apsp-core`'s `launch` rejects them up front.
     ///
     /// # Errors
     /// [`MachineError::Down`] when a kill rule took a thread down,
     /// [`MachineError::Fault`] when a message exhausted its retries,
-    /// [`MachineError::Protocol`]/[`MachineError::Hang`] for schedule
-    /// bugs and stalls. To survive kills instead, use
-    /// [`NativeMachine::launch_recovering`].
-    pub fn launch_faulty<T, F>(
+    /// [`MachineError::Protocol`]/[`MachineError::Hang`] for schedule bugs
+    /// and stalls; under `recovery`, [`MachineError::Unrecoverable`] once
+    /// the restart budget (or the spare pool) is spent.
+    pub fn launch<T, F>(
         p: usize,
-        plan: &FaultPlan,
+        spec: &MachineSpec<'_>,
         f: F,
-    ) -> Result<(Vec<T>, RunReport, FaultSummary), MachineError>
+    ) -> Result<MachineRun<T>, MachineError>
     where
         T: Send,
         F: Fn(&mut NativeComm) -> T + Sync,
     {
-        let ctx = NativeFaultPlan::new(plan.clone(), p);
-        let (outs, report, faults) = Self::run_inner(p, &f, Some(&ctx), None, None)?;
-        Ok((outs, report, faults.expect("faulty run carries a summary")))
-    }
-
-    /// [`NativeMachine::launch_faulty`] under a recovery supervisor —
-    /// real thread-level checkpoint/restart. The rank program marks phase
-    /// boundaries with [`crate::Transport::commit_phase`] (gating each
-    /// phase body on [`crate::Transport::phase_live`]); the machine
-    /// snapshots per-rank state at every `every`-th boundary into the
-    /// shared [`SnapshotStore`]. When an epoch dies with a typed error —
-    /// a fault-plan thread kill, an exhausted retry budget — the
-    /// supervisor rolls back to the last **consistent cut** (highest
-    /// boundary every rank snapshotted), prunes stale snapshots, respawns
-    /// all `p` OS threads, and replays from the cut with the next epoch
-    /// salt. A permanent fault's victim is remapped onto a spare physical
-    /// id first (spare-thread takeover), exactly like
-    /// [`apsp_simnet::Machine::launch_recovering`].
-    ///
-    /// Same plan + same policy ⇒ a bit-identical recovery trajectory and
-    /// bit-identical outputs (the epoch salt re-keys injections
-    /// deterministically).
-    ///
-    /// # Errors
-    /// [`MachineError::Unrecoverable`] when the restart budget (or spare
-    /// pool) runs out, carrying the root cause and the partial
-    /// [`FaultSummary`] from the last consistent cut.
-    pub fn launch_recovering<T, F>(
-        p: usize,
-        plan: &FaultPlan,
-        policy: RecoveryPolicy,
-        f: F,
-    ) -> Result<(Vec<T>, RunReport, FaultSummary, RecoveryReport), MachineError>
-    where
-        T: Send,
-        F: Fn(&mut NativeComm) -> T + Sync,
-    {
-        let store = Arc::new(SnapshotStore::new(p));
-        let mut recovery = RecoveryReport::default();
-        let mut remap: Vec<Rank> = (0..p).collect();
-        let mut spares_used = 0usize;
-        let mut epoch = 0u32;
-        loop {
-            let resume = store.consistent_boundary();
-            if epoch > 0 {
-                recovery.resume_boundaries.push(resume);
-            }
-            let ctx = NativeFaultPlan { plan: plan.clone(), epoch, remap: remap.clone() };
-            let rc = RecoveryCtx { store: Arc::clone(&store), resume, every: policy.every };
-            let err = match Self::run_inner(p, &f, Some(&ctx), Some(rc), None) {
-                Ok((outs, report, faults)) => {
-                    recovery.snapshots_taken = store.saves();
-                    recovery.snapshot_words = store.save_words();
-                    recovery.restores = store.restores();
-                    recovery.restore_words = store.restore_words();
-                    let summary = faults.expect("faulty run carries a summary");
-                    apsp_simnet::perf::record_recovery(&recovery);
-                    return Ok((outs, report, summary, recovery));
-                }
-                Err(err) => err,
-            };
-            recovery.causes.push(err.to_string());
-            let unrecoverable = |err: MachineError, restarts: u32| {
-                let cut = store.consistent_boundary();
-                MachineError::Unrecoverable(Unrecoverable {
-                    cause: Box::new(err),
-                    restarts,
-                    partial: store.partial_summary(cut),
-                })
-            };
-            if recovery.restarts >= policy.max_restarts {
-                return Err(unrecoverable(err, recovery.restarts));
-            }
-            // Permanent faults need a spare takeover before replay can
-            // succeed: a thread kill names its victim directly; an
-            // exhausted retry budget on a permanently killed link blames
-            // an endpoint by the simulator supervisor's rule (the rank a
-            // kill rule targets, else the dead receiving end).
-            let blamed = match &err {
-                MachineError::Down(d) => Some(d.rank),
-                MachineError::Fault(fe) if plan.kills_link(remap[fe.src], remap[fe.dst]) => {
-                    Some(if plan.kills_rank(remap[fe.src]) && !plan.kills_rank(remap[fe.dst]) {
-                        fe.src
-                    } else {
-                        fe.dst
-                    })
-                }
-                _ => None,
-            };
-            if let Some(blamed) = blamed {
-                if spares_used >= policy.spares {
-                    return Err(unrecoverable(err, recovery.restarts));
-                }
-                let spare = p + spares_used;
-                remap[blamed] = spare;
-                spares_used += 1;
-                recovery.spare_takeovers.push((blamed, spare));
-            }
-            let cut = store.consistent_boundary();
-            recovery.rollback_words += store.prune_beyond(cut);
-            recovery.rollbacks += 1;
-            recovery.restarts += 1;
-            epoch += 1;
-        }
+        supervise(p, spec, |plan, epoch, scripts| Self::run_inner(p, &f, plan, epoch, scripts))
     }
 
     /// One machine epoch: spawns `p` OS threads over a fresh channel
     /// matrix, joins them all (scoped — no thread outlives this call),
     /// and triages any panics into the typed root cause via the shared
     /// cascade discipline.
-    #[allow(clippy::type_complexity)]
     fn run_inner<T, F>(
         p: usize,
         f: &F,
-        fault: Option<&NativeFaultPlan>,
-        recovery: Option<RecoveryCtx>,
+        plan: Option<&FaultPlan>,
+        epoch: Option<&Epoch>,
         scripts: Option<&Arc<ScriptBoard>>,
-    ) -> Result<(Vec<T>, RunReport, Option<FaultSummary>), MachineError>
+    ) -> Result<MachineRun<T>, MachineError>
     where
         T: Send,
         F: Fn(&mut NativeComm) -> T + Sync,
@@ -459,8 +302,7 @@ impl NativeMachine {
                     let rx_row: Vec<Receiver<Wire>> =
                         rx_row.into_iter().map(|o| o.expect("receiver present at build")).collect();
                     let watchdog = Arc::clone(&watchdog);
-                    let fault = fault.cloned();
-                    let recovery = recovery.clone();
+                    let recovery = epoch.map(|e| e.checkpoints.clone());
                     let scripts = scripts.map(Arc::clone);
                     handles.push(scope.spawn(move || {
                         let mut comm = NativeComm {
@@ -471,7 +313,7 @@ impl NativeMachine {
                             boundary: 0,
                             watchdog,
                             watchdog_ms,
-                            faults: fault.map(|ctx| Box::new(FaultLayer::new(ctx, rank, p))),
+                            faults: plan.map(|pl| Box::new(FaultLayer::new(pl, epoch, rank, p))),
                             recovery,
                             scripts,
                         };
@@ -496,7 +338,7 @@ impl NativeMachine {
                 // surface the root cause, not the cascade. Handles were
                 // joined in rank order, so the surfaced error is
                 // deterministic.
-                if let Some(err) = classify_panics(&panics, fault.is_some()) {
+                if let Some(err) = classify_panics(&panics, plan.is_some()) {
                     return Err(err);
                 }
                 surface_root_cause(panics);
@@ -514,8 +356,16 @@ impl NativeMachine {
             }
         }
         let faults =
-            fault.is_some().then_some(FaultSummary { per_rank: fault_ranks, unrecoverable: 0 });
-        Ok((outs, RunReport { per_rank: vec![RankStats::default(); p], profile: None }, faults))
+            plan.is_some().then_some(FaultSummary { per_rank: fault_ranks, unrecoverable: 0 });
+        let report = RunReport { per_rank: vec![RankStats::default(); p], profile: None };
+        Ok(MachineRun {
+            outs,
+            report,
+            faults,
+            recovery: None,
+            scripts: Vec::new(),
+            traces: Vec::new(),
+        })
     }
 }
 
@@ -536,9 +386,9 @@ pub struct NativeComm {
     /// plain path byte-identical to a fault-free build.
     faults: Option<Box<FaultLayer>>,
     /// Present exactly when a recovery supervisor is driving the run.
-    recovery: Option<RecoveryCtx>,
+    recovery: Option<Checkpoints>,
     /// Comm-script recorder, present in recorded runs
-    /// ([`NativeMachine::run_recorded`]) — same board type and event
+    /// ([`MachineSpec::record`]) — same board type and event
     /// conventions as the simulator's recorder.
     scripts: Option<Arc<ScriptBoard>>,
 }
@@ -585,18 +435,18 @@ impl NativeComm {
             let fl = self.faults.as_mut().expect("fault mode");
             let seq = fl.seq_next[dst];
             fl.seq_next[dst] += 1;
-            (seq, fl.ctx.plan.retries())
+            (seq, fl.plan.retries())
         };
         let sum = checksum(&payload);
         let mut attempt = 0u32;
         loop {
             let injection = {
                 let fl = self.faults.as_ref().expect("fault mode");
-                fl.ctx.plan.injection_at(
-                    fl.ctx.epoch,
+                fl.plan.injection_at(
+                    fl.epoch,
                     self.boundary,
-                    fl.ctx.remap[self.rank],
-                    fl.ctx.remap[dst],
+                    fl.remap[self.rank],
+                    fl.remap[dst],
                     tag,
                     seq,
                     attempt,
@@ -654,7 +504,7 @@ impl NativeComm {
             // real (bounded) backoff before the retransmission; the
             // deterministic unit count still lands in the stats ledger so
             // fault digests match the simulator's exactly
-            let backoff = self.faults.as_ref().expect("fault mode").ctx.plan.backoff(attempt);
+            let backoff = self.faults.as_ref().expect("fault mode").plan.backoff(attempt);
             thread::sleep(Duration::from_micros(backoff.min(2000)));
             let st = self.fstats();
             st.backoff_latency += backoff;
@@ -791,7 +641,7 @@ impl NativeComm {
 
 /// RAII span for the native backend. There is no cost ledger to record
 /// into, so outside recorded runs the guard is a free forwarding no-op;
-/// in recorded runs ([`NativeMachine::run_recorded`]) it echoes
+/// in recorded runs ([`MachineSpec::record`]) it echoes
 /// `SpanOpen`/`SpanClose` into the comm script exactly like the
 /// simulator's [`apsp_simnet::SpanGuard`], which is what lets the
 /// verifier's span-balance and phase-attribution checks run on native
@@ -1008,6 +858,7 @@ impl Transport for NativeComm {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use apsp_simnet::{RecoveryPolicy, RecoveryReport};
 
     #[test]
     fn ping_pong_roundtrip() {
@@ -1094,6 +945,30 @@ mod tests {
         assert_eq!(outs, vec![0]);
     }
 
+    #[allow(clippy::type_complexity)]
+    fn run_faulty<T: Send>(
+        p: usize,
+        plan: &FaultPlan,
+        f: impl Fn(&mut NativeComm) -> T + Sync,
+    ) -> Result<(Vec<T>, RunReport, FaultSummary), MachineError> {
+        NativeMachine::launch(p, &MachineSpec { faults: Some(plan), ..Default::default() }, f)
+            .map(|run| (run.outs, run.report, run.faults.expect("faulty run carries a summary")))
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn run_recovering<T: Send>(
+        p: usize,
+        plan: &FaultPlan,
+        policy: RecoveryPolicy,
+        f: impl Fn(&mut NativeComm) -> T + Sync,
+    ) -> Result<(Vec<T>, RunReport, FaultSummary, RecoveryReport), MachineError> {
+        let spec = MachineSpec { faults: Some(plan), recovery: Some(policy), ..Default::default() };
+        NativeMachine::launch(p, &spec, f).map(|run| {
+            let (faults, recovery) = (run.faults.expect("summary"), run.recovery.expect("ledger"));
+            (run.outs, run.report, faults, recovery)
+        })
+    }
+
     /// The ping-pong schedule used by the fault-layer tests: rank 0 sends
     /// `rounds` messages to rank 1 and receives each echo back doubled.
     fn echo_rounds(comm: &mut NativeComm, rounds: u64) -> f64 {
@@ -1117,9 +992,8 @@ mod tests {
     #[test]
     fn empty_plan_injects_nothing_and_matches_plain() {
         let plan = FaultPlan::new(7);
-        let (outs, _, faults) =
-            NativeMachine::launch_faulty(2, &plan, |comm| echo_rounds(comm, 20))
-                .expect("empty plan recovers everything");
+        let (outs, _, faults) = run_faulty(2, &plan, |comm| echo_rounds(comm, 20))
+            .expect("empty plan recovers everything");
         let (plain, _) = NativeMachine::run(2, |comm| echo_rounds(comm, 20));
         assert_eq!(outs, plain);
         assert_eq!(faults.injected(), 0);
@@ -1132,7 +1006,7 @@ mod tests {
         let plan =
             FaultPlan::new(42).with_drop(0.2).with_dup(0.15).with_corrupt(0.15).with_delay(0.1, 4);
         let run = || {
-            NativeMachine::launch_faulty(2, &plan, |comm| echo_rounds(comm, 40))
+            run_faulty(2, &plan, |comm| echo_rounds(comm, 40))
                 .expect("transient chaos always recovers")
         };
         let (outs_a, _, faults_a) = run();
@@ -1150,7 +1024,7 @@ mod tests {
     #[test]
     fn a_kill_rule_takes_the_thread_down_typed() {
         let plan = FaultPlan::new(3).with_kill_rank(1);
-        let err = match NativeMachine::launch_faulty(2, &plan, |comm| echo_rounds(comm, 4)) {
+        let err = match run_faulty(2, &plan, |comm| echo_rounds(comm, 4)) {
             Err(e) => e,
             Ok(_) => panic!("a killed rank cannot finish"),
         };
@@ -1180,7 +1054,7 @@ mod tests {
     fn recovery_replays_a_killed_rank_onto_a_spare() {
         let plan = FaultPlan::new(11).with_kill_rank_from(1, 1);
         let (outs, _, faults, recovery) =
-            NativeMachine::launch_recovering(2, &plan, RecoveryPolicy::default(), phased_exchange)
+            run_recovering(2, &plan, RecoveryPolicy::default(), phased_exchange)
                 .expect("one spare is enough for one dead rank");
         let (clean, _) = NativeMachine::run(2, phased_exchange);
         assert_eq!(outs, clean, "recovered outputs are bit-identical to fault-free");
@@ -1190,7 +1064,7 @@ mod tests {
         assert_eq!(faults.unrecoverable, 0);
         // the whole trajectory is replayable bit-for-bit
         let (outs_b, _, _, recovery_b) =
-            NativeMachine::launch_recovering(2, &plan, RecoveryPolicy::default(), phased_exchange)
+            run_recovering(2, &plan, RecoveryPolicy::default(), phased_exchange)
                 .expect("identical trajectory");
         assert_eq!(outs, outs_b);
         assert_eq!(recovery.digest(), recovery_b.digest());
@@ -1200,7 +1074,7 @@ mod tests {
     fn exhausted_spares_degrade_to_typed_unrecoverable() {
         let plan = FaultPlan::new(5).with_kill_rank(1);
         let policy = RecoveryPolicy { max_restarts: 3, every: 1, spares: 0 };
-        let err = match NativeMachine::launch_recovering(2, &plan, policy, phased_exchange) {
+        let err = match run_recovering(2, &plan, policy, phased_exchange) {
             Err(e) => e,
             Ok(_) => panic!("no spares means no takeover"),
         };

@@ -25,7 +25,7 @@
 
 #![cfg(loom)]
 
-use apsp_simnet::{FaultPlan, MachineError, RecoveryPolicy};
+use apsp_simnet::{FaultPlan, MachineError, MachineRun, MachineSpec, RecoveryPolicy};
 use apsp_transport::{NativeComm, NativeFaultError, NativeMachine, Transport};
 
 /// Pins the watchdog window to one tick for the whole binary (every test
@@ -96,7 +96,8 @@ fn kill_rule_yields_typed_rankdown_in_every_schedule() {
     pin_watchdog();
     loom::model(|| {
         let plan = FaultPlan::new(3).with_kill_rank(1);
-        let err = match NativeMachine::launch_faulty(2, &plan, |comm| {
+        let spec = MachineSpec { faults: Some(&plan), ..Default::default() };
+        let err = match NativeMachine::launch(2, &spec, |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 1, vec![1.0]);
                 comm.recv(1, 2)
@@ -128,7 +129,8 @@ fn mutual_wait_surfaces_typed_hang_not_deadlock() {
     // model-level deadlock verdict).
     loom::model(|| {
         let plan = FaultPlan::new(0); // empty: typed errors without injections
-        let err = match NativeMachine::launch_faulty(2, &plan, |comm| {
+        let spec = MachineSpec { faults: Some(&plan), ..Default::default() };
+        let err = match NativeMachine::launch(2, &spec, |comm| {
             let peer = comm.rank() ^ 1;
             comm.recv(peer, 99)
         }) {
@@ -199,9 +201,15 @@ fn recovery_commit_rollback_takeover_is_schedule_independent() {
     // switches between consecutive atomic accesses.
     loom::Builder { max_preemptions: Some(1), max_iterations: 200_000 }.check(|| {
         let plan = FaultPlan::new(11).with_kill_rank_from(1, 1);
-        let (outs, _, faults, recovery) =
-            NativeMachine::launch_recovering(2, &plan, RecoveryPolicy::default(), phased_exchange)
+        let spec = MachineSpec {
+            faults: Some(&plan),
+            recovery: Some(RecoveryPolicy::default()),
+            ..Default::default()
+        };
+        let MachineRun { outs, faults, recovery, .. } =
+            NativeMachine::launch(2, &spec, phased_exchange)
                 .expect("one spare is enough for one dead rank");
+        let (faults, recovery) = (faults.expect("summary"), recovery.expect("ledger"));
         // fault-free value: phase 0 gives both ranks 1+2 = 3, phase 1 adds
         // 3·2 to each — recovery must land exactly there, bit-identically
         assert_eq!(outs, vec![9.0, 9.0], "recovered outputs match the fault-free run");

@@ -191,19 +191,17 @@ pub fn lint_only_report(p: usize, scripts: &[Vec<apsp_simnet::CommEvent>]) -> Ve
     VerifyReport { p, events, schedules_run: 0, choice_points: 0, violations, report: None }
 }
 
-/// What a recording run hands back on success: per-rank outputs, the run
-/// report, and every rank's comm script — the shape
-/// `NativeMachine::run_recorded` returns.
-pub type RecordedOutcome<T> =
-    Result<(Vec<T>, RunReport, Vec<Vec<apsp_simnet::CommEvent>>), MachineError>;
-
-/// Builds a [`VerifyReport`] from a recorded *native* launch outcome:
-/// a completed run's scripts go through [`lint_only_report`]; a typed
+/// Builds a [`VerifyReport`] from the outcome of a recorded launch outside
+/// the governed simulator — the scripts of a run that completed, or the
+/// typed error it died with: scripts go through [`lint_only_report`]; a
 /// machine failure (hang, rank down, protocol mismatch) becomes an
 /// `Execution` violation, so the verdict stays typed on either path.
-pub fn lint_recorded_outcome<T>(p: usize, outcome: RecordedOutcome<T>) -> VerifyReport {
+pub fn lint_recorded_outcome(
+    p: usize,
+    outcome: Result<Vec<Vec<apsp_simnet::CommEvent>>, MachineError>,
+) -> VerifyReport {
     match outcome {
-        Ok((_, _, scripts)) => lint_only_report(p, &scripts),
+        Ok(scripts) => lint_only_report(p, &scripts),
         Err(e) => {
             let mut report = lint_only_report(p, &[]);
             report.violations.push(Violation::Execution { error: e.to_string() });

@@ -42,7 +42,7 @@ struct RecvRec {
 }
 
 /// Lints `scripts` (one per rank, as returned by
-/// [`Machine::run_recorded`](apsp_simnet::Machine::run_recorded) or
+/// a [`MachineSpec::record`](apsp_simnet::MachineSpec::record) launch or
 /// [`Machine::run_governed`](apsp_simnet::Machine::run_governed)) against
 /// the module-level invariants. Deterministic: violations come out in
 /// channel/rank order.

@@ -3,7 +3,7 @@
 //! replayable counterexamples, and stay quiet on well-formed programs.
 
 use apsp_simnet::script::CommEvent;
-use apsp_simnet::{Comm, Machine, MachineError};
+use apsp_simnet::{Comm, Machine, MachineError, MachineSpec};
 use apsp_verify::{
     bad_fixture, digest_rows, lint_scripts, racy_fixture, verify_program, VerifyOptions, Violation,
 };
@@ -260,7 +260,8 @@ fn lint_flags_unbalanced_spans() {
 #[test]
 fn lint_accepts_a_recorded_collective_program() {
     // end-to-end: record a real collective-heavy program and lint it
-    let (_, _, scripts) = Machine::run_recorded(6, |comm: &mut Comm| {
+    let recorded = MachineSpec { record: true, ..Default::default() };
+    let scripts = Machine::launch(6, &recorded, |comm: &mut Comm| {
         let group: Vec<usize> = (0..6).collect();
         let data = (comm.rank() == 2).then(|| vec![1.0; 8]);
         let got = comm.bcast(&group, 2, 0x10, data);
@@ -269,7 +270,8 @@ fn lint_accepts_a_recorded_collective_program() {
         let state = comm.commit_phase(reduced.unwrap_or_default());
         comm.allgather(&group, 0x40, state)
     })
-    .expect("clean run");
+    .expect("clean run")
+    .scripts;
     let violations = lint_scripts(&scripts);
     assert!(violations.is_empty(), "violations: {violations:?}");
 }

@@ -17,14 +17,15 @@
 //! regression beyond them still fails.
 
 use apsp_core::bounds;
-use apsp_core::dcapsp::dc_apsp_recorded;
-use apsp_core::djohnson::distributed_johnson_recorded;
+use apsp_core::dcapsp::DcApsp;
+use apsp_core::djohnson::DJohnson;
 use apsp_core::driver::Ordering;
-use apsp_core::fw2d::fw2d_recorded;
+use apsp_core::fw2d::Fw2d;
+use apsp_core::launch::{launch, DenseResult, LaunchSpec, Solver};
 use apsp_core::{SparseApsp, SparseApspConfig};
 use apsp_graph::generators::{grid2d, WeightKind};
 use apsp_graph::{oracle, Csr, DenseDist};
-use apsp_simnet::{CommEvent, Machine, RunReport};
+use apsp_simnet::{Machine, MachineSpec};
 use apsp_verify::costcheck::{fit_conformance, Conformance, CostReport, Metric, Observation};
 
 /// Knobs for one `apsp audit` cost pass.
@@ -183,11 +184,20 @@ fn sparse_audit(max_p: usize) -> SolverAudit {
     }
 }
 
+/// One recorded, oracle-checked run of a dense baseline on `g`.
+fn dense_sample<S>(name: &str, side: usize, g: &Csr, solver: &S) -> Observation
+where
+    S: Solver<Result = DenseResult>,
+{
+    let run = launch(solver, &LaunchSpec { record: true, ..Default::default() })
+        .expect("fault-free launch cannot fail");
+    assert_correct(name, side, solver.p(), &run.result.dist, g);
+    Observation::from_run(g.n(), solver.p(), 0, &run.result.report, &run.scripts)
+}
+
 fn fw2d_sample(side: usize, n_grid: usize) -> Observation {
     let g = mesh(side);
-    let (res, scripts) = fw2d_recorded(&g, n_grid);
-    assert_correct("fw2d", side, n_grid * n_grid, &res.dist, &g);
-    Observation::from_run(g.n(), n_grid * n_grid, 0, &res.report, &scripts)
+    dense_sample("fw2d", side, &g, &Fw2d::new(&g, n_grid))
 }
 
 fn fw2d_audit(max_p: usize) -> SolverAudit {
@@ -210,9 +220,7 @@ fn fw2d_audit(max_p: usize) -> SolverAudit {
 
 fn dcapsp_sample(side: usize, n_grid: usize) -> Observation {
     let g = mesh(side);
-    let (res, scripts) = dc_apsp_recorded(&g, n_grid, 1);
-    assert_correct("dcapsp", side, n_grid * n_grid, &res.dist, &g);
-    Observation::from_run(g.n(), n_grid * n_grid, 0, &res.report, &scripts)
+    dense_sample("dcapsp", side, &g, &DcApsp::new(&g, n_grid, 1))
 }
 
 fn dcapsp_audit(max_p: usize) -> SolverAudit {
@@ -235,9 +243,7 @@ fn dcapsp_audit(max_p: usize) -> SolverAudit {
 
 fn djohnson_sample(side: usize, p: usize) -> Observation {
     let g = mesh(side);
-    let (res, scripts) = distributed_johnson_recorded(&g, p);
-    assert_correct("djohnson", side, p, &res.dist, &g);
-    let mut obs = Observation::from_run(g.n(), p, 0, &res.report, &scripts);
+    let mut obs = dense_sample("djohnson", side, &g, &DJohnson::new(&g, p));
     // the Johnson bounds are graph-sized: smuggle m through `s` so the
     // bound closures can see it (no separator notion here)
     obs.s = g.m();
@@ -293,11 +299,13 @@ pub fn audit_flood_fixture(tolerance: f64) -> CostReport {
     let obs: Vec<Observation> = [4usize, 9, 16]
         .iter()
         .map(|&p| {
-            let (outs, report, scripts): (Vec<Vec<f64>>, RunReport, Vec<Vec<CommEvent>>) =
-                Machine::run_recorded(p, |comm| apsp_verify::flood_exchange(comm, side * side))
-                    .expect("flood fixture is deadlock-free by construction");
-            assert!(!outs.is_empty());
-            Observation::from_run(side * side, p, 0, &report, &scripts)
+            let recorded = MachineSpec { record: true, ..Default::default() };
+            let run = Machine::launch(p, &recorded, |comm| {
+                apsp_verify::flood_exchange(comm, side * side)
+            })
+            .expect("flood fixture is deadlock-free by construction");
+            assert!(!run.outs.is_empty());
+            Observation::from_run(side * side, p, 0, &run.report, &run.scripts)
         })
         .collect();
     let audit = SolverAudit {

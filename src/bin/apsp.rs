@@ -135,11 +135,6 @@ fn fault_plan(args: &Args) -> Option<FaultPlan> {
     Some(FaultPlan::parse(spec, seed).unwrap_or_else(|e| die(&format!("bad --faults spec: {e}"))))
 }
 
-/// Announces a completed faulty run's recovery history on stderr.
-fn report_faults(summary: &FaultSummary) {
-    eprintln!("faults: {}", summary.digest());
-}
-
 /// Parses `--recover POLICY` into a [`RecoveryPolicy`] (`default` or the
 /// empty string name the default policy), dying with the grammar error on
 /// a bad spec.
@@ -149,9 +144,15 @@ fn recovery_policy(args: &Args) -> Option<RecoveryPolicy> {
     Some(RecoveryPolicy::parse(spec).unwrap_or_else(|e| die(&format!("bad --recover spec: {e}"))))
 }
 
-/// Announces a supervised run's checkpoint/restart ledger on stderr.
-fn report_recovery(recovery: &RecoveryReport) {
-    eprintln!("recovery: {}", recovery.digest());
+/// Announces what a faulty run went through on stderr: the fault history
+/// and, when it was supervised, the checkpoint/restart ledger.
+fn announce(faults: Option<&FaultSummary>, recovery: Option<&RecoveryReport>) {
+    if let Some(summary) = faults {
+        eprintln!("faults: {}", summary.digest());
+    }
+    if let Some(recovery) = recovery {
+        eprintln!("recovery: {}", recovery.digest());
+    }
 }
 
 /// The one rendering path for every machine-level failure the CLI
@@ -249,46 +250,19 @@ fn cmd_generate(args: &Args) {
     println!("wrote {out}: {} vertices, {} edges", g.n(), g.m());
 }
 
-/// Directed solve path: loads the input as a digraph (DIMACS keeps arc
-/// orientation; other formats go through the undirected reader and get
-/// symmetric weights) and runs the directed schedule.
-fn solve_directed(args: &Args) -> (DiCsr, DenseDist, RunReport, Vec<(u64, u64)>) {
-    if args.opt("--faults").is_some() || args.opt("--recover").is_some() {
-        die("--faults/--recover are not supported with --directed yet");
-    }
-    reject_orphan_fault_seed(args);
-    let backend = backend(args);
-    if backend == Backend::Native {
-        reject_sim_only_flags(args);
-    }
-    let input = args.get("--input");
-    let dg = if input.ends_with(".gr") {
-        let text = std::fs::read_to_string(input)
-            .unwrap_or_else(|e| die(&format!("cannot read {input}: {e}")));
-        sparse_apsp::graph::io::from_dimacs_directed(&text).unwrap_or_else(|e| die(&e))
-    } else {
-        DiCsr::from_undirected(&load_graph(input))
-    };
-    let config = SparseApspConfig {
-        height: args.num("--height", 3),
-        r4: if args.flag("--sequential-r4") {
-            R4Strategy::SequentialUnits
-        } else {
-            R4Strategy::OneToOne
-        },
-        compress_empty: args.flag("--compress-empty"),
-        profile: wants_profile(args),
-        backend,
-        ..Default::default()
-    };
-    let run = SparseApsp::new(config).run_directed(&dg);
-    (dg, run.dist, run.report, run.level_costs)
+/// What `solve` hands back: distances, the cost report, per-level costs.
+type Solved = (DenseDist, RunReport, Vec<(u64, u64)>);
+
+/// The options every distributed solve shares, parsed (and cross-checked)
+/// once: they become one [`LaunchSpec`] whatever the algorithm.
+struct RunOpts {
+    backend: Backend,
+    plan: Option<FaultPlan>,
+    recover: Option<RecoveryPolicy>,
+    profile: bool,
 }
 
-fn solve(args: &Args, g: &Csr) -> (DenseDist, RunReport, Vec<(u64, u64)>) {
-    let algorithm = args.opt("--algorithm").unwrap_or("sparse2d");
-    let height: u32 = args.num("--height", 3);
-    let n_grid = (1usize << height) - 1;
+fn run_opts(args: &Args) -> RunOpts {
     let backend = backend(args);
     if backend == Backend::Native {
         reject_sim_only_flags(args);
@@ -297,175 +271,81 @@ fn solve(args: &Args, g: &Csr) -> (DenseDist, RunReport, Vec<(u64, u64)>) {
     let recover = recovery_policy(args);
     // --recover without --faults still supervises the run (an empty plan
     // measures the pure checkpointing overhead)
-    let plan = match (fault_plan(args), &recover) {
-        (None, Some(_)) => Some(FaultPlan::new(args.num("--fault-seed", 0))),
-        (p, _) => p,
+    let plan =
+        fault_plan(args).or_else(|| recover.map(|_| FaultPlan::new(args.num("--fault-seed", 0))));
+    RunOpts { backend, plan, recover, profile: wants_profile(args) }
+}
+
+/// Loads `--input` as a digraph: DIMACS keeps arc orientation; other
+/// formats go through the undirected reader and get symmetric weights.
+fn load_digraph(args: &Args) -> DiCsr {
+    let input = args.get("--input");
+    if input.ends_with(".gr") {
+        let text = std::fs::read_to_string(input)
+            .unwrap_or_else(|e| die(&format!("cannot read {input}: {e}")));
+        sparse_apsp::graph::io::from_dimacs_directed(&text).unwrap_or_else(|e| die(&e))
+    } else {
+        DiCsr::from_undirected(&load_graph(input))
+    }
+}
+
+/// The full 2D-SPARSE-APSP pipeline on an undirected or directed input.
+fn solve_sparse2d(args: &Args, opts: &RunOpts, input: Input<'_>) -> Solved {
+    let solver = SparseApsp::new(SparseApspConfig {
+        height: args.num("--height", 3),
+        r4: if args.flag("--sequential-r4") {
+            R4Strategy::SequentialUnits
+        } else {
+            R4Strategy::OneToOne
+        },
+        compress_empty: args.flag("--compress-empty"),
+        charge_ordering_distribution: args.flag("--charge-ordering"),
+        profile: opts.profile,
+        recovery: opts.recover,
+        backend: opts.backend,
+        ..Default::default()
+    });
+    let run = match (&opts.plan, input) {
+        (Some(plan), _) => solver.run_faulty(input, plan).unwrap_or_else(|e| die_unrecoverable(e)),
+        (None, Input::Undirected(g)) => solver.run(g),
+        (None, Input::Directed(dg)) => solver.run_directed(dg),
     };
+    announce(run.faults.as_ref(), run.recovery.as_ref());
+    (run.dist, run.report, run.level_costs)
+}
+
+/// One of the dense baselines under the shared options.
+fn solve_dense<S: Solver<Result = DenseResult>>(solver: &S, opts: &RunOpts) -> Solved {
+    let spec = LaunchSpec {
+        backend: opts.backend,
+        faults: opts.plan.as_ref(),
+        recovery: opts.recover,
+        profile: opts.profile,
+        ..Default::default()
+    };
+    let run = launch(solver, &spec).unwrap_or_else(|e| die_unrecoverable(e));
+    announce(run.faults.as_ref(), run.recovery.as_ref());
+    (run.result.dist, run.result.report, Vec::new())
+}
+
+fn solve(args: &Args, g: &Csr) -> Solved {
+    let algorithm = args.opt("--algorithm").unwrap_or("sparse2d");
+    let height: u32 = args.num("--height", 3);
+    let n_grid = (1usize << height) - 1;
+    let opts = run_opts(args);
     match algorithm {
-        "sparse2d" => {
-            let config = SparseApspConfig {
-                height,
-                r4: if args.flag("--sequential-r4") {
-                    R4Strategy::SequentialUnits
-                } else {
-                    R4Strategy::OneToOne
-                },
-                compress_empty: args.flag("--compress-empty"),
-                charge_ordering_distribution: args.flag("--charge-ordering"),
-                profile: wants_profile(args),
-                recovery: recover,
-                backend,
-                ..Default::default()
-            };
-            let run = match &plan {
-                Some(p) => {
-                    let run = SparseApsp::new(config)
-                        .run_faulty(g, p)
-                        .unwrap_or_else(|e| die_unrecoverable(e));
-                    report_faults(run.faults.as_ref().expect("faulty run carries a summary"));
-                    if let Some(recovery) = &run.recovery {
-                        report_recovery(recovery);
-                    }
-                    run
-                }
-                None => SparseApsp::new(config).run(g),
-            };
-            (run.dist, run.report, run.level_costs)
-        }
-        "fw2d" if backend == Backend::Native => {
-            let out = match (&plan, recover) {
-                (Some(p), Some(policy)) => {
-                    let (out, summary, recovery) = fw2d_native_recovering(g, n_grid, p, policy)
-                        .unwrap_or_else(|e| die_unrecoverable(e));
-                    report_faults(&summary);
-                    report_recovery(&recovery);
-                    out
-                }
-                (Some(p), None) => {
-                    let (out, summary) =
-                        fw2d_native_faulty(g, n_grid, p).unwrap_or_else(|e| die_unrecoverable(e));
-                    report_faults(&summary);
-                    out
-                }
-                (None, _) => fw2d_native(g, n_grid),
-            };
-            (out.dist, out.report, Vec::new())
-        }
-        "fw2d" => {
-            let out = match (&plan, recover) {
-                (Some(p), Some(policy)) => {
-                    let (out, summary, recovery) =
-                        fw2d_recovering(g, n_grid, p, policy, wants_profile(args))
-                            .unwrap_or_else(|e| die_unrecoverable(e));
-                    report_faults(&summary);
-                    report_recovery(&recovery);
-                    out
-                }
-                (Some(p), None) => {
-                    let (out, summary) = fw2d_faulty(g, n_grid, p, wants_profile(args))
-                        .unwrap_or_else(|e| die_unrecoverable(e));
-                    report_faults(&summary);
-                    out
-                }
-                (None, _) if wants_profile(args) => fw2d_profiled(g, n_grid),
-                (None, _) => fw2d(g, n_grid),
-            };
-            (out.dist, out.report, Vec::new())
-        }
-        "dcapsp" if backend == Backend::Native => {
-            let depth = args.num("--depth", 1u32);
-            let out = match (&plan, recover) {
-                (Some(p), Some(policy)) => {
-                    let (out, summary, recovery) =
-                        dc_apsp_native_recovering(g, n_grid, depth, p, policy)
-                            .unwrap_or_else(|e| die_unrecoverable(e));
-                    report_faults(&summary);
-                    report_recovery(&recovery);
-                    out
-                }
-                (Some(p), None) => {
-                    let (out, summary) = dc_apsp_native_faulty(g, n_grid, depth, p)
-                        .unwrap_or_else(|e| die_unrecoverable(e));
-                    report_faults(&summary);
-                    out
-                }
-                (None, _) => dc_apsp_native(g, n_grid, depth),
-            };
-            (out.dist, out.report, Vec::new())
-        }
-        "dcapsp" => {
-            let depth = args.num("--depth", 1u32);
-            let out = match (&plan, recover) {
-                (Some(p), Some(policy)) => {
-                    let (out, summary, recovery) =
-                        dc_apsp_recovering(g, n_grid, depth, p, policy, wants_profile(args))
-                            .unwrap_or_else(|e| die_unrecoverable(e));
-                    report_faults(&summary);
-                    report_recovery(&recovery);
-                    out
-                }
-                (Some(p), None) => {
-                    let (out, summary) = dc_apsp_faulty(g, n_grid, depth, p, wants_profile(args))
-                        .unwrap_or_else(|e| die_unrecoverable(e));
-                    report_faults(&summary);
-                    out
-                }
-                (None, _) if wants_profile(args) => dc_apsp_profiled(g, n_grid, depth),
-                (None, _) => dc_apsp(g, n_grid, depth),
-            };
-            (out.dist, out.report, Vec::new())
-        }
-        "djohnson" if backend == Backend::Native => {
-            let ranks = n_grid * n_grid;
-            let out = match (&plan, recover) {
-                (Some(p), Some(policy)) => {
-                    let (out, summary, recovery) =
-                        distributed_johnson_native_recovering(g, ranks, p, policy)
-                            .unwrap_or_else(|e| die_unrecoverable(e));
-                    report_faults(&summary);
-                    report_recovery(&recovery);
-                    out
-                }
-                (Some(p), None) => {
-                    let (out, summary) = distributed_johnson_native_faulty(g, ranks, p)
-                        .unwrap_or_else(|e| die_unrecoverable(e));
-                    report_faults(&summary);
-                    out
-                }
-                (None, _) => distributed_johnson_native(g, ranks),
-            };
-            (out.dist, out.report, Vec::new())
-        }
-        "djohnson" => {
-            let ranks = n_grid * n_grid;
-            let out = match (&plan, recover) {
-                (Some(p), Some(policy)) => {
-                    let (out, summary, recovery) =
-                        distributed_johnson_recovering(g, ranks, p, policy, wants_profile(args))
-                            .unwrap_or_else(|e| die_unrecoverable(e));
-                    report_faults(&summary);
-                    report_recovery(&recovery);
-                    out
-                }
-                (Some(p), None) => {
-                    let (out, summary) =
-                        distributed_johnson_faulty(g, ranks, p, wants_profile(args))
-                            .unwrap_or_else(|e| die_unrecoverable(e));
-                    report_faults(&summary);
-                    out
-                }
-                (None, _) => distributed_johnson(g, ranks),
-            };
-            (out.dist, out.report, Vec::new())
-        }
+        "sparse2d" => solve_sparse2d(args, &opts, g.into()),
+        "fw2d" => solve_dense(&Fw2d::new(g, n_grid), &opts),
+        "dcapsp" => solve_dense(&DcApsp::new(g, n_grid, args.num("--depth", 1u32)), &opts),
+        "djohnson" => solve_dense(&DJohnson::new(g, n_grid * n_grid), &opts),
         "superfw" => {
             if args.opt("--backend").is_some() {
                 die("superfw is host-side shared-memory already; --backend does not apply");
             }
-            if wants_profile(args) {
+            if opts.profile {
                 die("--trace/--profile need the simulated machine; superfw is shared-memory");
             }
-            if plan.is_some() || recover.is_some() {
+            if opts.plan.is_some() {
                 die("--faults/--recover need the simulated machine; superfw is shared-memory");
             }
             let nd = nested_dissection(g, height, &NdOptions::default());
@@ -508,29 +388,32 @@ fn metrics_emit(dest: Option<String>) {
     }
 }
 
+/// `--verify`: the distances must equal the oracle's for the input's kind.
+fn check_against(oracle: &str, reference: &DenseDist, dist: &DenseDist) {
+    match dist.first_mismatch(reference, 1e-9) {
+        None => eprintln!("verified against {oracle}: OK"),
+        Some((i, j, a, b)) => die(&format!("verification FAILED at ({i},{j}): {a} vs {b}")),
+    }
+}
+
 fn cmd_solve(args: &Args) {
     let metrics = metrics_setup(args);
+    let check = args.flag("--verify");
     let (dist, report, level_costs) = if args.flag("--directed") {
-        let (dg, dist, report, level_costs) = solve_directed(args);
-        if args.flag("--verify") {
+        let dg = load_digraph(args);
+        let solved = solve_sparse2d(args, &run_opts(args), (&dg).into());
+        if check {
             let reference = sparse_apsp::graph::digraph::apsp_dijkstra_directed(&dg);
-            match dist.first_mismatch(&reference, 1e-9) {
-                None => eprintln!("verified against directed Dijkstra: OK"),
-                Some((i, j, a, b)) => die(&format!("verification FAILED at ({i},{j}): {a} vs {b}")),
-            }
+            check_against("directed Dijkstra", &reference, &solved.0);
         }
-        (dist, report, level_costs)
+        solved
     } else {
         let g = load_graph(args.get("--input"));
-        let (dist, report, level_costs) = solve(args, &g);
-        if args.flag("--verify") {
-            let reference = oracle::apsp_dijkstra(&g);
-            match dist.first_mismatch(&reference, 1e-9) {
-                None => eprintln!("verified against Dijkstra: OK"),
-                Some((i, j, a, b)) => die(&format!("verification FAILED at ({i},{j}): {a} vs {b}")),
-            }
+        let solved = solve(args, &g);
+        if check {
+            check_against("Dijkstra", &oracle::apsp_dijkstra(&g), &solved.0);
         }
-        (dist, report, level_costs)
+        solved
     };
     if let Some(dir) = args.opt("--trace") {
         let profile = report
@@ -786,8 +669,8 @@ fn cmd_verify(args: &Args) {
         let g = load_graph(args.get("--input"));
         let height: u32 = args.num("--height", 2);
         let n_grid: usize = args.num("--n-grid", (1usize << height) - 1);
-        match (algorithm, backend) {
-            ("sparse2d", _) => {
+        match algorithm {
+            "sparse2d" => {
                 let config = SparseApspConfig {
                     height,
                     r4: if args.flag("--sequential-r4") {
@@ -801,17 +684,12 @@ fn cmd_verify(args: &Args) {
                 };
                 SparseApsp::new(config).verify(&g, &vopts)
             }
-            ("fw2d", Backend::Sim) => fw2d_verify(&g, n_grid, &vopts),
-            ("fw2d", Backend::Native) => fw2d_native_verify(&g, n_grid),
-            ("dcapsp", Backend::Sim) => {
-                dc_apsp_verify(&g, n_grid, args.num("--depth", 1u32), &vopts)
+            "fw2d" => verify(&Fw2d::new(&g, n_grid), backend, &vopts),
+            "dcapsp" => {
+                verify(&DcApsp::new(&g, n_grid, args.num("--depth", 1u32)), backend, &vopts)
             }
-            ("dcapsp", Backend::Native) => {
-                dc_apsp_native_verify(&g, n_grid, args.num("--depth", 1u32))
-            }
-            ("djohnson", Backend::Sim) => distributed_johnson_verify(&g, n_grid * n_grid, &vopts),
-            ("djohnson", Backend::Native) => distributed_johnson_native_verify(&g, n_grid * n_grid),
-            (other, _) => die(&format!("unknown algorithm {other}")),
+            "djohnson" => verify(&DJohnson::new(&g, n_grid * n_grid), backend, &vopts),
+            other => die(&format!("unknown algorithm {other}")),
         }
     };
     println!("{}", report.render());

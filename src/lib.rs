@@ -60,32 +60,29 @@ pub use apsp_transport as transport;
 pub use apsp_verify as verify;
 
 /// The most common imports, re-exported flat.
+///
+/// Running a distributed solver is always the same two values: a
+/// [`Solver`](apsp_core::launch::Solver) (`Sparse2d`, `Fw2d`, `DcApsp`,
+/// `DJohnson`, `Decreases`) and a
+/// [`LaunchSpec`](apsp_core::launch::LaunchSpec) `{ backend, faults,
+/// recovery, profile, trace, record }` handed to
+/// [`launch`](apsp_core::launch::launch); `sparse2d`, `fw2d`, `dc_apsp`, …
+/// are sugar for the default spec and
+/// [`verify`](apsp_core::launch::verify) checks a solver's schedule.
+/// `docs/BACKENDS.md` tabulates what each backend does with each option.
 pub mod prelude {
     pub use apsp_core::bounds;
-    pub use apsp_core::dcapsp::{
-        cyclic_fw, dc_apsp, dc_apsp_faulty, dc_apsp_native, dc_apsp_native_faulty,
-        dc_apsp_native_recovering, dc_apsp_native_verify, dc_apsp_profiled, dc_apsp_recovering,
-        dc_apsp_verify,
-    };
-    pub use apsp_core::djohnson::{
-        distributed_johnson, distributed_johnson_faulty, distributed_johnson_native,
-        distributed_johnson_native_faulty, distributed_johnson_native_recovering,
-        distributed_johnson_native_verify, distributed_johnson_recovering,
-        distributed_johnson_verify,
-    };
-    pub use apsp_core::dnd::{dist_nested_dissection, dist_nested_dissection_profiled};
-    pub use apsp_core::driver::Ordering;
-    pub use apsp_core::fw2d::{
-        fw2d, fw2d_faulty, fw2d_native, fw2d_native_faulty, fw2d_native_recovering,
-        fw2d_native_verify, fw2d_profiled, fw2d_recovering, fw2d_verify,
-    };
+    pub use apsp_core::dcapsp::{cyclic_fw, dc_apsp, DcApsp};
+    pub use apsp_core::djohnson::{distributed_johnson, DJohnson};
+    pub use apsp_core::dnd::dist_nested_dissection;
+    pub use apsp_core::driver::{Input, Ordering};
+    pub use apsp_core::fw2d::{fw2d, Fw2d};
+    pub use apsp_core::launch::{launch, verify, DenseResult, LaunchSpec, Launched, Solver};
     pub use apsp_core::sparse2d::{
-        sparse2d, sparse2d_directed, sparse2d_faulty, sparse2d_native, sparse2d_native_directed,
-        sparse2d_native_faulty, sparse2d_native_recovering, sparse2d_native_verify,
-        sparse2d_profiled, sparse2d_recovering, sparse2d_verify, sparse2d_with, Sparse2dOptions,
+        sparse2d, sparse2d_directed, sparse2d_with, Sparse2d, Sparse2dOptions,
     };
     pub use apsp_core::superfw::{superfw_apsp, superfw_opcount_comparison, superfw_parallel};
-    pub use apsp_core::update::{apply_decreases, DecreasedEdge};
+    pub use apsp_core::update::{apply_decreases, DecreasedEdge, Decreases};
     pub use apsp_core::{
         ApspRun, Backend, R4Strategy, SolvedApsp, SparseApsp, SparseApspConfig, SupernodalLayout,
     };
@@ -103,11 +100,9 @@ pub mod prelude {
     pub use apsp_partition::{grid_nd, nested_dissection, BisectOptions, NdOptions, NdOrdering};
     pub use apsp_simnet::{
         Clocks, Comm, FaultError, FaultPlan, FaultStats, FaultSummary, Machine, MachineError,
-        PhaseBreakdown, Profile, RecoveryPolicy, RecoveryReport, RunReport, TimeModel,
-        Unrecoverable,
+        MachineRun, MachineSpec, PhaseBreakdown, Profile, RecoveryPolicy, RecoveryReport,
+        RunReport, TimeModel, Unrecoverable,
     };
-    pub use apsp_transport::{
-        NativeComm, NativeFaultError, NativeFaultPlan, NativeMachine, Transport,
-    };
+    pub use apsp_transport::{NativeComm, NativeFaultError, NativeMachine, Transport};
     pub use apsp_verify::{VerifyOptions, VerifyReport, Violation};
 }

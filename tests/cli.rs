@@ -136,6 +136,42 @@ fn directed_solve_via_cli() {
 }
 
 #[test]
+fn directed_faulty_solve_recovers_on_both_backends() {
+    // --directed and --faults are two fields of one launch spec: the
+    // combination needs no entry point of its own, on either machine
+    let graph = tmp("oneway-faulted.gr");
+    let mut text = String::from("c one-way streets on a 6x6 mesh\np sp 36 120\n");
+    for r in 0..6 {
+        for c in 0..6 {
+            let v = r * 6 + c + 1;
+            if c < 5 {
+                text += &format!("a {v} {} {}\na {} {v} {}\n", v + 1, 1 + v % 3, v + 1, 2 + v % 4);
+            }
+            if r < 5 {
+                text += &format!("a {v} {} {}\na {} {v} {}\n", v + 6, 1 + v % 5, v + 6, 3 + v % 2);
+            }
+        }
+    }
+    std::fs::write(&graph, text).unwrap();
+    let mut digests = Vec::new();
+    for backend in ["sim", "native"] {
+        let out = apsp()
+            .args(["solve", "--directed", "--height", "2", "--verify", "--backend", backend])
+            .args(["--faults", "drop=0.08,dup=0.04", "--fault-seed", "42", "--input"])
+            .arg(&graph)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(out.status.success(), "{backend}: {stderr}");
+        assert!(stderr.contains("directed Dijkstra: OK"), "{backend}: {stderr}");
+        assert!(stderr.contains("faults: injected"), "{backend}: {stderr}");
+        assert!(stderr.contains("unrecoverable 0"), "{backend}: {stderr}");
+        digests.push(stderr.lines().find(|l| l.starts_with("faults:")).map(String::from));
+    }
+    assert_eq!(digests[0], digests[1], "same seed, same story on both machines");
+}
+
+#[test]
 fn info_reports_statistics() {
     let graph = tmp("info.el");
     assert!(apsp()
@@ -652,16 +688,20 @@ fn bench_quick_writes_schema_versioned_json_and_compares() {
         assert!(text.contains(key), "missing {key}");
     }
 
-    // self-compare passes (the two runs share deterministic counters)
+    // self-compare passes (the two runs share deterministic counters).
+    // This pins the compare plumbing, not timing: one-iteration wall
+    // clocks of sub-millisecond cases say nothing under a loaded test
+    // run, so the tolerance is one no run can trip (the regression rule
+    // itself is unit-tested in `apsp-bench`).
     let out = apsp()
-        .args(["bench", "--iters", "1", "--label", "test2", "--out"])
+        .args(["bench", "--iters", "1", "--label", "test2", "--tolerance", "1000", "--out"])
         .arg(tmp("BENCH_test2.json"))
         .arg("--compare")
         .arg(&out_path)
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("within 25%"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bench: within"));
 
     // a baseline with the wrong schema is rejected loudly
     let bad = tmp("BENCH_bad.json");
@@ -941,15 +981,16 @@ fn bench_native_backend_writes_and_compares() {
     assert!(text.contains("\"critical_latency\": 0"), "{text}");
     assert!(text.contains("gemm_ops"), "{text}");
 
-    // self-compare under the default tolerance passes
+    // self-compare passes; like the sim one above it pins the plumbing
+    // under a tolerance no run can trip, not one-iteration wall clocks
     let out = apsp()
         .args(["bench", "--backend", "native", "--quick", "--iters", "1"])
-        .args(["--label", "native-test2", "--out"])
+        .args(["--label", "native-test2", "--tolerance", "1000", "--out"])
         .arg(tmp("BENCH_native_test2.json"))
         .arg("--compare")
         .arg(&out_path)
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("within 25%"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bench: within"));
 }

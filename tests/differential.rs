@@ -4,6 +4,7 @@
 //! this table pins it pairwise, so a drift in any one solver's semantics
 //! (INF handling, disconnected components, weight ties) fails here by name.
 
+use sparse_apsp::minplus::MinPlusMatrix;
 use sparse_apsp::prelude::*;
 
 /// The corpus: name + graph, spanning the shapes that historically
@@ -89,6 +90,13 @@ fn assert_bit_identical(graph_name: &str, solver: &str, sim: &DenseDist, native:
     }
 }
 
+/// A plain launch on the native backend.
+fn on_native<S: Solver>(solver: &S) -> S::Result {
+    launch(solver, &LaunchSpec { backend: Backend::Native, ..Default::default() })
+        .expect("fault-free launch cannot fail")
+        .result
+}
+
 #[test]
 fn native_backend_is_bit_identical_to_simnet() {
     // the Transport-trait guarantee: both backends execute the identical
@@ -102,18 +110,19 @@ fn native_backend_is_bit_identical_to_simnet() {
                 .dist;
         assert_bit_identical(graph_name, "sparse2d", &sim, &native);
 
-        assert_bit_identical(graph_name, "fw2d", &fw2d(&g, 3).dist, &fw2d_native(&g, 3).dist);
+        let native = on_native(&Fw2d::new(&g, 3)).dist;
+        assert_bit_identical(graph_name, "fw2d", &fw2d(&g, 3).dist, &native);
         assert_bit_identical(
             graph_name,
             "dcapsp",
             &dc_apsp(&g, 3, 1).dist,
-            &dc_apsp_native(&g, 3, 1).dist,
+            &on_native(&DcApsp::new(&g, 3, 1)).dist,
         );
         assert_bit_identical(
             graph_name,
             "djohnson",
             &distributed_johnson(&g, 9).dist,
-            &distributed_johnson_native(&g, 9).dist,
+            &on_native(&DJohnson::new(&g, 9)).dist,
         );
     }
 }
@@ -132,15 +141,47 @@ fn native_backend_matches_simnet_on_sparse2d_variants() {
         Sparse2dOptions { compress_empty: true, ..Default::default() },
     ] {
         let sim = sparse2d_with(&layout, &gp, &opts).dist_eliminated;
-        let native = sparse2d_native(&layout, &gp, &opts).dist_eliminated;
+        let native = on_native(&Sparse2d::new(&layout, &gp, &opts)).dist_eliminated;
         assert_bit_identical("grid8x8", &format!("sparse2d {opts:?}"), &sim, &native);
     }
 
     let dg = DiCsr::from_undirected(&g).permuted(&nd.perm);
     let opts = Sparse2dOptions::default();
     let sim = sparse2d_directed(&layout, &dg, &opts).dist_eliminated;
-    let native = sparse2d_native_directed(&layout, &dg, &opts).dist_eliminated;
+    let native = on_native(&Sparse2d::new(&layout, &dg, &opts)).dist_eliminated;
     assert_bit_identical("grid8x8", "sparse2d-directed", &sim, &native);
+}
+
+#[test]
+fn native_backend_applies_decreases_bit_identically() {
+    // the update's rank program runs on any Transport: the same batch on
+    // real threads must leave every distance bit where the simulator does
+    let g = grid2d(8, 8, WeightKind::Uniform { lo: 1.0, hi: 10.0 }, 5);
+    let nd = grid_nd(8, 8, 3);
+    let layout = SupernodalLayout::from_ordering(&nd);
+    let solved = sparse2d(&layout, &g.permuted(&nd.perm), R4Strategy::OneToOne).dist_eliminated;
+    let blocks: Vec<MinPlusMatrix> = (0..layout.p())
+        .map(|rank| {
+            let (i, j) = layout.block_of_rank(rank);
+            let (ri, rj) = (layout.range(i), layout.range(j));
+            MinPlusMatrix::from_fn(ri.len(), rj.len(), |r, c| {
+                solved.get(ri.start + r, rj.start + c)
+            })
+        })
+        .collect();
+    // compounding float decreases: 0→27 then 27→63, plus a repeated edge
+    let batch: Vec<DecreasedEdge> = [(0, 63, 4.25), (0, 27, 0.3), (27, 63, 0.7), (0, 63, 0.0)]
+        .iter()
+        .map(|&(u, v, w)| DecreasedEdge {
+            u: nd.perm.to_new(u),
+            v: nd.perm.to_new(v),
+            new_weight: w,
+        })
+        .collect();
+    let sim = apply_decreases(&layout, &blocks, &batch).dist_eliminated;
+    let native = on_native(&Decreases::new(&layout, &blocks, &batch)).dist_eliminated;
+    assert!(sim.first_mismatch(&solved, 0.0).is_some(), "the batch changed nothing");
+    assert_bit_identical("grid8x8", "decrease_edges", &sim, &native);
 }
 
 #[test]
@@ -150,9 +191,11 @@ fn faulted_and_clean_solvers_agree() {
     let plan = FaultPlan::new(0xD1FF).with_drop(0.06).with_dup(0.04).with_corrupt(0.03);
     for (graph_name, g) in corpus() {
         let clean = fw2d(&g, 3).dist;
-        let (faulted, summary) = fw2d_faulty(&g, 3, &plan, false).expect("recoverable plan");
+        let spec = LaunchSpec { faults: Some(&plan), ..Default::default() };
+        let faulted = launch(&Fw2d::new(&g, 3), &spec).expect("recoverable plan");
+        let summary = faulted.faults.expect("faulty run carries a summary");
         assert!(
-            clean.first_mismatch(&faulted.dist, 0.0).is_none(),
+            clean.first_mismatch(&faulted.result.dist, 0.0).is_none(),
             "{graph_name}: faulted fw2d drifted from the clean run"
         );
         assert_eq!(summary.unrecoverable, 0, "{graph_name}");

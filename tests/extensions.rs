@@ -65,7 +65,7 @@ fn johnson_baseline_and_sparse_agree() {
 #[test]
 fn distributed_nd_feeds_the_solver_via_prelude() {
     let g = watts_strogatz(90, 2, 0.05, WeightKind::Unit, 2);
-    let dist_nd = dist_nested_dissection(&g, 3, 9, 5);
+    let dist_nd = dist_nested_dissection(&g, 3, 9, 5, false);
     dist_nd.ordering.validate(&g).unwrap();
     let layout = SupernodalLayout::from_ordering(&dist_nd.ordering);
     let gp = g.permuted(&dist_nd.ordering.perm);

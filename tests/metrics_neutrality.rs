@@ -181,6 +181,17 @@ fn render_scripts(s: &mut String, scripts: &[Vec<CommEvent>]) {
     }
 }
 
+fn recorded<S: Solver>(solver: &S) -> Launched<S::Result> {
+    launch(solver, &LaunchSpec { record: true, ..Default::default() })
+        .expect("fault-free launch cannot fail")
+}
+
+fn profiled<S: Solver>(solver: &S) -> S::Result {
+    launch(solver, &LaunchSpec { profile: true, ..Default::default() })
+        .expect("fault-free launch cannot fail")
+        .result
+}
+
 /// Renders every simulator-owned artifact of a fixed solve matrix: all
 /// four distributed solvers, recorded (comm scripts) and profiled (span
 /// ledgers + trace events) where the entry points exist.
@@ -202,27 +213,27 @@ fn transport_digest() -> String {
     render_dist(&mut s, &run.dist);
 
     let _ = writeln!(s, "== fw2d recorded ==");
-    let (out, scripts) = sparse_apsp::core::fw2d::fw2d_recorded(&g, 3);
+    let Launched { result: out, scripts, .. } = recorded(&Fw2d::new(&g, 3));
     render_report(&mut s, &out.report);
     render_scripts(&mut s, &scripts);
     render_dist(&mut s, &out.dist);
 
     let _ = writeln!(s, "== fw2d profiled ==");
-    let out = fw2d_profiled(&g, 3);
+    let out = profiled(&Fw2d::new(&g, 3));
     render_report(&mut s, &out.report);
 
     let _ = writeln!(s, "== dcapsp recorded ==");
-    let (out, scripts) = sparse_apsp::core::dcapsp::dc_apsp_recorded(&g, 3, 1);
+    let Launched { result: out, scripts, .. } = recorded(&DcApsp::new(&g, 3, 1));
     render_report(&mut s, &out.report);
     render_scripts(&mut s, &scripts);
     render_dist(&mut s, &out.dist);
 
     let _ = writeln!(s, "== dcapsp profiled ==");
-    let out = dc_apsp_profiled(&g, 3, 1);
+    let out = profiled(&DcApsp::new(&g, 3, 1));
     render_report(&mut s, &out.report);
 
     let _ = writeln!(s, "== djohnson recorded ==");
-    let (out, scripts) = sparse_apsp::core::djohnson::distributed_johnson_recorded(&g, 4);
+    let Launched { result: out, scripts, .. } = recorded(&DJohnson::new(&g, 4));
     render_report(&mut s, &out.report);
     render_scripts(&mut s, &scripts);
     render_dist(&mut s, &out.dist);

@@ -36,6 +36,38 @@ fn thread_count() -> usize {
         .expect("Threads: line in /proc/self/status")
 }
 
+/// A plain launch on the native backend.
+fn native<S: Solver>(solver: &S) -> S::Result {
+    launch(solver, &LaunchSpec { backend: Backend::Native, ..Default::default() })
+        .expect("fault-free launch cannot fail")
+        .result
+}
+
+/// A native launch under `plan`, unsupervised.
+fn native_faulty<S: Solver>(
+    solver: &S,
+    plan: &FaultPlan,
+) -> Result<(S::Result, FaultSummary), MachineError> {
+    let spec = LaunchSpec { backend: Backend::Native, faults: Some(plan), ..Default::default() };
+    launch(solver, &spec).map(|run| (run.result, run.faults.expect("summary")))
+}
+
+/// A native launch under `plan`, supervised by `policy`.
+fn native_recovering<S: Solver>(
+    solver: &S,
+    plan: &FaultPlan,
+    policy: RecoveryPolicy,
+) -> Result<(S::Result, FaultSummary, RecoveryReport), MachineError> {
+    let spec = LaunchSpec {
+        backend: Backend::Native,
+        faults: Some(plan),
+        recovery: Some(policy),
+        ..Default::default()
+    };
+    launch(solver, &spec)
+        .map(|run| (run.result, run.faults.expect("summary"), run.recovery.expect("ledger")))
+}
+
 /// The kill plan for one matrix cell: rank `r` dies at phase boundary 1.
 fn kill_plan(seed: u64, rank: usize) -> FaultPlan {
     FaultPlan::new(seed ^ rank as u64).with_kill_rank_from(rank, 1)
@@ -78,13 +110,16 @@ fn fw2d_native_kill_matrix_recovers_bit_identically() {
     println!("CHAOS_SEED={seed}");
     let g = grid2d(6, 6, WeightKind::Integer { max: 5 }, (seed & 0xFFFF) ^ 2);
     let n_grid = 2;
-    let clean = fw2d_native(&g, n_grid);
+    let clean = native(&Fw2d::new(&g, n_grid));
     let before = thread_count();
     let mut restarts = 0u32;
     for victim in 0..n_grid * n_grid {
-        let (out, faults, recovery) =
-            fw2d_native_recovering(&g, n_grid, &kill_plan(seed, victim), RecoveryPolicy::default())
-                .unwrap_or_else(|e| panic!("victim {victim}: {e}"));
+        let (out, faults, recovery) = native_recovering(
+            &Fw2d::new(&g, n_grid),
+            &kill_plan(seed, victim),
+            RecoveryPolicy::default(),
+        )
+        .unwrap_or_else(|e| panic!("victim {victim}: {e}"));
         assert!(out.dist.first_mismatch(&clean.dist, 0.0).is_none(), "victim {victim}");
         assert_eq!(faults.unrecoverable, 0, "victim {victim}");
         restarts += recovery.restarts;
@@ -100,14 +135,12 @@ fn dcapsp_native_kill_matrix_recovers_bit_identically() {
     println!("CHAOS_SEED={seed}");
     let g = grid2d(6, 6, WeightKind::Integer { max: 5 }, (seed & 0xFFFF) ^ 3);
     let (n_grid, depth) = (2, 1);
-    let clean = dc_apsp_native(&g, n_grid, depth);
+    let clean = native(&DcApsp::new(&g, n_grid, depth));
     let before = thread_count();
     let mut restarts = 0u32;
     for victim in 0..n_grid * n_grid {
-        let (out, faults, recovery) = dc_apsp_native_recovering(
-            &g,
-            n_grid,
-            depth,
+        let (out, faults, recovery) = native_recovering(
+            &DcApsp::new(&g, n_grid, depth),
             &kill_plan(seed, victim),
             RecoveryPolicy::default(),
         )
@@ -127,7 +160,7 @@ fn djohnson_native_kill_matrix_recovers_bit_identically() {
     println!("CHAOS_SEED={seed}");
     let g = grid2d(6, 6, WeightKind::Integer { max: 5 }, (seed & 0xFFFF) ^ 4);
     let p = 4;
-    let clean = distributed_johnson_native(&g, p);
+    let clean = native(&DJohnson::new(&g, p));
     let before = thread_count();
     for victim in 0..p {
         // djohnson's only communication is the phase-1 replication
@@ -135,7 +168,7 @@ fn djohnson_native_kill_matrix_recovers_bit_identically() {
         // kill would never fire (phase 2 is pure local Dijkstra)
         let plan = FaultPlan::new(seed ^ victim as u64).with_kill_rank(victim);
         let (out, faults, recovery) =
-            distributed_johnson_native_recovering(&g, p, &plan, RecoveryPolicy::default())
+            native_recovering(&DJohnson::new(&g, p), &plan, RecoveryPolicy::default())
                 .unwrap_or_else(|e| panic!("victim {victim}: {e}"));
         assert!(out.dist.first_mismatch(&clean.dist, 0.0).is_none(), "victim {victim}");
         assert_eq!(faults.unrecoverable, 0, "victim {victim}");
@@ -154,16 +187,16 @@ fn native_transient_chaos_recovers_without_the_supervisor() {
     println!("CHAOS_SEED={seed}");
     let g = grid2d(6, 6, WeightKind::Integer { max: 5 }, (seed & 0xFFFF) ^ 5);
     let n_grid = 2;
-    let clean = fw2d_native(&g, n_grid);
+    let clean = native(&Fw2d::new(&g, n_grid));
     let plan = FaultPlan::new(seed).with_drop(0.25).with_dup(0.1).with_corrupt(0.1);
     let (out, faults) =
-        fw2d_native_faulty(&g, n_grid, &plan).expect("transient chaos always recovers");
+        native_faulty(&Fw2d::new(&g, n_grid), &plan).expect("transient chaos always recovers");
     assert!(out.dist.first_mismatch(&clean.dist, 0.0).is_none());
     assert!(faults.injected() > 0, "25% drop over a real schedule must fire");
     assert!(faults.recovered() > 0);
     assert_eq!(faults.unrecoverable, 0);
     // and the digest is seed-reproducible on real threads
-    let (_, again) = fw2d_native_faulty(&g, n_grid, &plan).expect("same seed, same story");
+    let (_, again) = native_faulty(&Fw2d::new(&g, n_grid), &plan).expect("same seed, same story");
     assert_eq!(faults.digest(), again.digest());
 }
 
@@ -175,14 +208,15 @@ fn native_empty_plan_is_invisible() {
     let g = grid2d(6, 6, WeightKind::Integer { max: 5 }, (seed & 0xFFFF) ^ 6);
     let empty = FaultPlan::new(seed);
 
-    let clean = fw2d_native(&g, 2);
-    let (faulty, summary) = fw2d_native_faulty(&g, 2, &empty).expect("empty plan cannot fail");
+    let clean = native(&Fw2d::new(&g, 2));
+    let (faulty, summary) =
+        native_faulty(&Fw2d::new(&g, 2), &empty).expect("empty plan cannot fail");
     assert!(clean.dist.first_mismatch(&faulty.dist, 0.0).is_none());
     assert_eq!(summary.injected(), 0);
 
-    let clean = distributed_johnson_native(&g, 4);
+    let clean = native(&DJohnson::new(&g, 4));
     let (faulty, summary) =
-        distributed_johnson_native_faulty(&g, 4, &empty).expect("empty plan cannot fail");
+        native_faulty(&DJohnson::new(&g, 4), &empty).expect("empty plan cannot fail");
     assert!(clean.dist.first_mismatch(&faulty.dist, 0.0).is_none());
     assert_eq!(summary.injected(), 0);
 }

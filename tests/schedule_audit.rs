@@ -27,8 +27,11 @@ fn per_phase_message_counts_match_the_tree_combinatorics() {
     let nd = grid_nd(side, side, h);
     let layout = SupernodalLayout::from_ordering(&nd);
     let gp = g.permuted(&nd.perm);
-    let (result, traces) =
-        sparse_apsp::core::sparse2d::sparse2d_traced(&layout, &gp, &Sparse2dOptions::default());
+    let Launched { result, traces, .. } = launch(
+        &Sparse2d::new(&layout, &gp, &Sparse2dOptions::default()),
+        &LaunchSpec { trace: true, ..Default::default() },
+    )
+    .expect("fault-free launch cannot fail");
     // correctness first
     let dist = SupernodalLayout::unpermute(&result.dist_eliminated, &nd.perm);
     let reference = oracle::apsp_dijkstra(&g);

@@ -64,7 +64,7 @@ fn full_table2_sweep_with_dense_baselines() {
 fn distributed_nd_scales() {
     let side = 50;
     let g = grid2d(side, side, WeightKind::Unit, 0);
-    let result = dist_nested_dissection(&g, 3, 49, 1);
+    let result = dist_nested_dissection(&g, 3, 49, 1, false);
     result.ordering.validate(&g).unwrap();
     // mesh separators stay O(side)
     assert!(

@@ -3,9 +3,6 @@
 //! fixture is caught by both layers, and verification recording is
 //! zero-cost to the §3.1 ledgers (byte-identical reports).
 
-use sparse_apsp::core::dcapsp::dc_apsp_verify;
-use sparse_apsp::core::djohnson::distributed_johnson_verify;
-use sparse_apsp::core::fw2d::fw2d_verify;
 use sparse_apsp::prelude::*;
 use sparse_apsp::verify::{VerifyOptions, VerifyReport};
 
@@ -28,7 +25,7 @@ fn assert_native_clean(report: &VerifyReport, what: &str) {
 fn fw2d_verifies_clean_at_every_grid_size() {
     let g = grid2d(6, 6, WeightKind::Integer { max: 5 }, 1);
     for n_grid in 1..=4 {
-        let report = fw2d_verify(&g, n_grid, &VerifyOptions::default());
+        let report = verify(&Fw2d::new(&g, n_grid), Backend::Sim, &VerifyOptions::default());
         assert_clean(&report, &format!("fw2d n_grid={n_grid}"));
     }
 }
@@ -39,7 +36,8 @@ fn dcapsp_verifies_clean_at_every_grid_size() {
     let g = grid2d(6, 6, WeightKind::Integer { max: 5 }, 2);
     for n_grid in 1..=4 {
         for depth in [0, 1] {
-            let report = dc_apsp_verify(&g, n_grid, depth, &VerifyOptions::default());
+            let solver = DcApsp::new(&g, n_grid, depth);
+            let report = verify(&solver, Backend::Sim, &VerifyOptions::default());
             assert_clean(&report, &format!("dcapsp n_grid={n_grid} depth={depth}"));
         }
     }
@@ -51,7 +49,7 @@ fn djohnson_verifies_clean_at_every_grid_size() {
     let g = grid2d(6, 6, WeightKind::Integer { max: 5 }, 3);
     for n_grid in 1usize..=4 {
         let p = n_grid * n_grid;
-        let report = distributed_johnson_verify(&g, p, &VerifyOptions::default());
+        let report = verify(&DJohnson::new(&g, p), Backend::Sim, &VerifyOptions::default());
         assert_clean(&report, &format!("djohnson p={p}"));
     }
 }
@@ -86,9 +84,12 @@ fn sparse2d_option_variants_verify_clean() {
 #[test]
 fn native_recordings_lint_clean_for_every_solver() {
     let g = grid2d(6, 6, WeightKind::Integer { max: 5 }, 7);
-    assert_native_clean(&fw2d_native_verify(&g, 3), "fw2d native n_grid=3");
-    assert_native_clean(&dc_apsp_native_verify(&g, 3, 1), "dcapsp native n_grid=3 depth=1");
-    assert_native_clean(&distributed_johnson_native_verify(&g, 4), "djohnson native p=4");
+    let vopts = VerifyOptions::default();
+    let native = Backend::Native;
+    assert_native_clean(&verify(&Fw2d::new(&g, 3), native, &vopts), "fw2d native n_grid=3");
+    let report = verify(&DcApsp::new(&g, 3, 1), native, &vopts);
+    assert_native_clean(&report, "dcapsp native n_grid=3 depth=1");
+    assert_native_clean(&verify(&DJohnson::new(&g, 4), native, &vopts), "djohnson native p=4");
     let config = SparseApspConfig { height: 2, backend: Backend::Native, ..Default::default() };
     let report = SparseApsp::new(config).verify(&g, &VerifyOptions::default());
     assert_native_clean(&report, "sparse2d native height=2");
@@ -99,8 +100,9 @@ fn native_recordings_lint_clean_for_every_solver() {
 #[test]
 fn native_and_sim_recordings_have_matching_event_counts() {
     let g = grid2d(6, 6, WeightKind::Integer { max: 5 }, 8);
-    let sim = fw2d_verify(&g, 3, &VerifyOptions { explore: false, max_schedules: 1 });
-    let native = fw2d_native_verify(&g, 3);
+    let vopts = VerifyOptions { explore: false, max_schedules: 1 };
+    let sim = verify(&Fw2d::new(&g, 3), Backend::Sim, &vopts);
+    let native = verify(&Fw2d::new(&g, 3), Backend::Native, &vopts);
     assert_clean(&sim, "fw2d sim n_grid=3");
     assert_native_clean(&native, "fw2d native n_grid=3");
     assert_eq!(sim.events, native.events, "the two backends record different schedules");
@@ -113,11 +115,12 @@ fn native_and_sim_recordings_have_matching_event_counts() {
 #[test]
 fn native_lint_reports_a_typed_execution_violation_on_failure() {
     std::env::set_var("APSP_WATCHDOG_MS", "300");
-    let outcome = NativeMachine::run_recorded(2, |comm| {
-        let peer = comm.rank() ^ 1;
-        comm.recv(peer, 42) // both wait: protocol deadlock
-    });
-    let report = sparse_apsp::verify::lint_recorded_outcome(2, outcome);
+    let outcome =
+        NativeMachine::launch(2, &MachineSpec { record: true, ..Default::default() }, |comm| {
+            let peer = comm.rank() ^ 1;
+            comm.recv(peer, 42) // both wait: protocol deadlock
+        });
+    let report = sparse_apsp::verify::lint_recorded_outcome(2, outcome.map(|run| run.scripts));
     assert!(!report.is_clean(), "a hung run must not verify clean");
     let kinds: Vec<&str> = report.violations.iter().map(|v| v.kind()).collect();
     assert!(kinds.contains(&"execution"), "expected a typed execution violation: {kinds:?}");

@@ -34,10 +34,11 @@ fn stalled_rank_yields_typed_hang_error_and_leaks_no_threads() {
 
     // Two ranks, each waiting for a message the other never sends — the
     // classic deadlocked exchange. The empty plan keeps the fault layer
-    // engaged (so the error is routed through launch_faulty's typed
+    // engaged (so the error is routed through the fault layer's typed
     // classification) without injecting anything.
     let plan = FaultPlan::new(0);
-    let result = NativeMachine::launch_faulty(2, &plan, |comm| {
+    let spec = MachineSpec { faults: Some(&plan), ..Default::default() };
+    let result = NativeMachine::launch(2, &spec, |comm| {
         let peer = comm.rank() ^ 1;
         let _ = comm.recv(peer, 7);
         Vec::<f64>::new()

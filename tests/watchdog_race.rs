@@ -22,7 +22,8 @@ fn deadline_racing_arrival_delivers_or_hangs_typed() {
     for round in 0..3u64 {
         for delay_ms in [0u64, 20, 40, 60, 90] {
             let plan = FaultPlan::new(0);
-            let result = NativeMachine::launch_faulty(2, &plan, move |comm| {
+            let spec = MachineSpec { faults: Some(&plan), ..Default::default() };
+            let result = NativeMachine::launch(2, &spec, move |comm| {
                 if comm.rank() == 0 {
                     std::thread::sleep(Duration::from_millis(delay_ms));
                     comm.send(1, 9, vec![delay_ms as f64]);
@@ -34,7 +35,7 @@ fn deadline_racing_arrival_delivers_or_hangs_typed() {
             match result {
                 // delivered: the payload must be intact, not truncated by
                 // a concurrently-firing deadline
-                Ok((outs, _, _)) => {
+                Ok(MachineRun { outs, .. }) => {
                     assert_eq!(
                         outs[1],
                         vec![delay_ms as f64],
