@@ -1,6 +1,7 @@
-//! Distributed nested dissection on the simulated machine — the measured
-//! version of the §4.1/§5.4.4 ordering pipeline (a simplified
-//! Karypis–Kumar \[18\]; the simplifications are listed in DESIGN.md §1).
+//! Distributed nested dissection — the §4.1/§5.4.4 ordering pipeline as a
+//! rank program (a simplified Karypis–Kumar \[18\]; the simplifications
+//! are listed in DESIGN.md §1), measured when it runs on the simulated
+//! machine.
 //!
 //! Per tree node, the owning rank group runs:
 //!
@@ -25,12 +26,14 @@
 //! is measured; the resulting ordering is a drop-in [`NdOrdering`].
 
 use crate::fw2d::balanced_sizes;
+use crate::launch::{launch, LaunchSpec, Solver};
 use apsp_etree::SchedTree;
 use apsp_graph::{Csr, Permutation};
 use apsp_partition::separator::min_vertex_cover_bipartite;
 use apsp_partition::work::WorkGraph;
 use apsp_partition::{nested_dissection, BisectOptions, NdOptions, NdOrdering};
-use apsp_simnet::{Comm, Machine, MachineSpec, Rank, RunReport};
+use apsp_simnet::{Rank, RunReport};
+use apsp_transport::Transport;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Result of [`dist_nested_dissection`]: the ordering plus the measured
@@ -65,9 +68,9 @@ impl NodeCtx<'_> {
     /// Recursion over tree nodes; records `(label, vertex list)` facts this
     /// rank is responsible for into `out`.
     #[allow(clippy::too_many_arguments)]
-    fn recurse(
+    fn recurse<C: Transport>(
         &self,
-        comm: &mut Comm,
+        comm: &mut C,
         level: u32,
         idx: usize,
         group: &[Rank],
@@ -149,7 +152,7 @@ impl NodeCtx<'_> {
         let mut remote_cid: HashMap<usize, usize> = HashMap::new();
         {
             let mut span = comm.span("nd-boundary", label as u64);
-            let comm: &mut Comm = &mut span;
+            let comm: &mut C = &mut span;
             for (&pos, verts) in &to_targets {
                 let mut payload = Vec::with_capacity(2 * verts.len());
                 for &u in verts {
@@ -275,7 +278,7 @@ impl NodeCtx<'_> {
         }
         let cover: BTreeSet<usize> = {
             let mut span = comm.span("nd-separator", label as u64);
-            let comm: &mut Comm = &mut span;
+            let comm: &mut C = &mut span;
             let gathered_cut = comm.gather(group, group[0], tag(label, 4), cut);
             let cover_payload = gathered_cut.map(|parts| {
                 let mut pairs = Vec::new();
@@ -312,7 +315,7 @@ impl NodeCtx<'_> {
 
         let my_new = {
             let mut span = comm.span("nd-redist", label as u64);
-            let comm: &mut Comm = &mut span;
+            let comm: &mut C = &mut span;
             let counts =
                 comm.allgather(group, tag(label, 6), vec![side0.len() as f64, side1.len() as f64]);
             redistribute(
@@ -375,8 +378,8 @@ impl NodeCtx<'_> {
 /// groups: side `s`'s global list (concatenation over the group in group
 /// order) is chunked evenly over child group `s`; every rank derives the
 /// full (source → target, length) matrix from the all-gathered counts.
-fn redistribute(
-    comm: &mut Comm,
+fn redistribute<C: Transport>(
+    comm: &mut C,
     group: &[Rank],
     my_pos: usize,
     label: usize,
@@ -456,7 +459,82 @@ fn redistribute(
     received
 }
 
-/// Runs the distributed nested-dissection pipeline on `p` simulated ranks.
+/// The distributed nested-dissection pipeline as a [`Solver`]: `p` ranks
+/// order `g` for an elimination tree of height `h`, each starting from an
+/// even chunk of the vertex ids.
+pub struct DistNd<'a> {
+    g: &'a Csr,
+    tree: SchedTree,
+    seed: u64,
+    /// Rank `r` starts with vertices `chunk_offsets[r]..chunk_offsets[r + 1]`.
+    chunk_offsets: Vec<usize>,
+}
+
+impl<'a> DistNd<'a> {
+    /// The ordering of `g` by `p` ranks under `seed`.
+    pub fn new(g: &'a Csr, h: u32, p: usize, seed: u64) -> Self {
+        assert!(p >= 1, "need at least one rank");
+        let mut chunk_offsets = vec![0usize];
+        for c in balanced_sizes(g.n(), p) {
+            chunk_offsets.push(chunk_offsets[chunk_offsets.len() - 1] + c);
+        }
+        DistNd { g, tree: SchedTree::new(h), seed, chunk_offsets }
+    }
+}
+
+impl Solver for DistNd<'_> {
+    /// The `(label, vertex list)` facts this rank is responsible for.
+    type Out = Vec<(usize, Vec<usize>)>;
+    type Result = DistNdResult;
+    const PHASE: &'static str = "ordering-distributed";
+
+    fn p(&self) -> usize {
+        self.chunk_offsets.len() - 1
+    }
+
+    fn rank_program<C: Transport>(&self, comm: &mut C) -> Self::Out {
+        let r = comm.rank();
+        let my_verts: Vec<usize> = (self.chunk_offsets[r]..self.chunk_offsets[r + 1]).collect();
+        let ctx = NodeCtx { g: self.g, tree: self.tree, seed: self.seed };
+        let group: Vec<Rank> = (0..self.p()).collect();
+        let mut out = Vec::new();
+        ctx.recurse(comm, self.tree.height(), 0, &group, my_verts, &mut out);
+        out
+    }
+
+    fn assemble(&self, outputs: Vec<Self::Out>, report: RunReport) -> DistNdResult {
+        // merge the per-rank facts
+        let tree = self.tree;
+        let mut supernode_vertices: Vec<Vec<usize>> = vec![Vec::new(); tree.num_supernodes()];
+        for rank_facts in outputs {
+            for (label, verts) in rank_facts {
+                assert!(
+                    supernode_vertices[label - 1].is_empty() || verts.is_empty(),
+                    "label {label} reported twice"
+                );
+                if !verts.is_empty() {
+                    supernode_vertices[label - 1] = verts;
+                }
+            }
+        }
+        let sizes: Vec<usize> = supernode_vertices.iter().map(|v| v.len()).collect();
+        let order: Vec<usize> = supernode_vertices.into_iter().flatten().collect();
+        let ordering =
+            NdOrdering { tree, perm: Permutation::from_order(order), supernode_sizes: sizes };
+        DistNdResult { ordering, report }
+    }
+
+    fn words(out: Self::Out) -> Vec<f64> {
+        out.into_iter()
+            .flat_map(|(label, verts)| {
+                [label, verts.len()].into_iter().chain(verts).map(|x| x as f64)
+            })
+            .collect()
+    }
+}
+
+/// Runs the distributed nested-dissection pipeline on `p` simulated ranks;
+/// every other way to run it is a [`LaunchSpec`] on [`DistNd::new`].
 ///
 /// The `ordering` satisfies the same invariants as the host-side
 /// [`nested_dissection`] (checked by `NdOrdering::validate`); the `report`
@@ -465,45 +543,9 @@ fn redistribute(
 /// per-rank span sequences diverge and the phase breakdown falls back to
 /// the grouped (`exact = false`) max-over-ranks attribution.
 pub fn dist_nested_dissection(g: &Csr, h: u32, p: usize, seed: u64, profile: bool) -> DistNdResult {
-    assert!(p >= 1, "need at least one rank");
-    let tree = SchedTree::new(h);
-    let chunk_sizes = balanced_sizes(g.n(), p);
-    let mut chunk_offsets = vec![0usize];
-    let mut acc = 0;
-    for &c in &chunk_sizes {
-        acc += c;
-        chunk_offsets.push(acc);
-    }
-    let program = |comm: &mut Comm| {
-        let r = comm.rank();
-        let my_verts: Vec<usize> = (chunk_offsets[r]..chunk_offsets[r + 1]).collect();
-        let ctx = NodeCtx { g, tree, seed };
-        let group: Vec<Rank> = (0..p).collect();
-        let mut out = Vec::new();
-        ctx.recurse(comm, h, 0, &group, my_verts, &mut out);
-        out
-    };
-    let run = Machine::launch(p, &MachineSpec { profile, ..Default::default() }, program)
-        .expect("fault-free launch cannot fail");
-    let (outputs, report) = (run.outs, run.report);
-    // merge the per-rank facts
-    let mut supernode_vertices: Vec<Vec<usize>> = vec![Vec::new(); tree.num_supernodes()];
-    for rank_facts in outputs {
-        for (label, verts) in rank_facts {
-            assert!(
-                supernode_vertices[label - 1].is_empty() || verts.is_empty(),
-                "label {label} reported twice"
-            );
-            if !verts.is_empty() {
-                supernode_vertices[label - 1] = verts;
-            }
-        }
-    }
-    let sizes: Vec<usize> = supernode_vertices.iter().map(|v| v.len()).collect();
-    let order: Vec<usize> = supernode_vertices.into_iter().flatten().collect();
-    let ordering =
-        NdOrdering { tree, perm: Permutation::from_order(order), supernode_sizes: sizes };
-    DistNdResult { ordering, report }
+    launch(&DistNd::new(g, h, p, seed), &LaunchSpec { profile, ..Default::default() })
+        .expect("fault-free launch cannot fail")
+        .result
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! End-to-end public API: partition → permute → distribute → run → gather.
 
+use crate::dnd::DistNd;
 use crate::launch::{launch, reject_sim_only_on_native, verify, LaunchSpec};
 pub use crate::sparse2d::Input;
 use crate::sparse2d::{R4Strategy, Sparse2d, Sparse2dOptions};
@@ -10,6 +11,7 @@ use apsp_simnet::{
     CommEvent, FaultPlan, FaultSummary, Machine, MachineError, MachineSpec, RecoveryPolicy,
     RecoveryReport, RunReport,
 };
+use apsp_transport::Transport;
 
 /// Which execution backend runs the distributed solve.
 ///
@@ -74,9 +76,9 @@ pub enum Ordering {
         /// Mesh column count.
         cols: usize,
     },
-    /// Distributed ND computed **on the simulated machine** (the §5.4.4
-    /// pipeline, [`crate::dnd::dist_nested_dissection`]); its measured cost
-    /// is folded into the run report.
+    /// Distributed ND computed **on the configured backend's machine** (the
+    /// §5.4.4 pipeline, [`crate::dnd::DistNd`]); on the simulator its
+    /// measured cost is folded into the run report.
     Distributed,
 }
 
@@ -109,9 +111,8 @@ pub struct SparseApspConfig {
     pub recovery: Option<RecoveryPolicy>,
     /// Execution backend for the distributed solve. [`Backend::Native`]
     /// is incompatible with the simulator-only features (`profile`,
-    /// `charge_ordering_distribution`, [`Ordering::Distributed`]) — the
-    /// driver panics with a readable message rather than silently
-    /// dropping them.
+    /// `charge_ordering_distribution`) — the driver panics with a
+    /// readable message rather than silently dropping them.
     pub backend: Backend,
 }
 
@@ -223,7 +224,14 @@ impl SparseApsp {
             Ordering::Distributed => {
                 let h = self.config.height;
                 let p = ((1usize << h) - 1) * ((1usize << h) - 1);
-                let result = crate::dnd::dist_nested_dissection(g, h, p, 0, self.config.profile);
+                let spec = LaunchSpec {
+                    backend: self.config.backend,
+                    profile: self.config.profile,
+                    ..Default::default()
+                };
+                let result = launch(&DistNd::new(g, h, p, 0), &spec)
+                    .expect("fault-free launch cannot fail")
+                    .result;
                 (result.ordering, result.report)
             }
         }
@@ -279,7 +287,6 @@ impl SparseApsp {
             config.backend,
             config.profile,
             config.charge_ordering_distribution,
-            matches!(config.ordering, Ordering::Distributed),
         );
         let prep = self.prepare(input);
         let mut report = RunReport::default();

@@ -90,12 +90,7 @@ pub struct DenseResult {
 
 /// The one place simulator-only options meet the native backend: panics
 /// with a readable message rather than silently dropping them.
-pub(crate) fn reject_sim_only_on_native(
-    backend: Backend,
-    observe: bool,
-    charge_ordering: bool,
-    distributed_ordering: bool,
-) {
+pub(crate) fn reject_sim_only_on_native(backend: Backend, observe: bool, charge_ordering: bool) {
     if backend == Backend::Sim {
         return;
     }
@@ -108,11 +103,6 @@ pub(crate) fn reject_sim_only_on_native(
         !charge_ordering,
         "ordering-distribution cost accounting needs the simulated machine; use the \
          sim backend"
-    );
-    assert!(
-        !distributed_ordering,
-        "the distributed-ordering pipeline runs on the simulated machine; use the sim \
-         backend or a host-side ordering"
     );
 }
 
@@ -144,7 +134,7 @@ pub fn launch<S: Solver>(
         trace: spec.trace,
         record: spec.record,
     };
-    reject_sim_only_on_native(spec.backend, spec.profile || spec.trace, false, false);
+    reject_sim_only_on_native(spec.backend, spec.profile || spec.trace, false);
     let (_wall, run) = match spec.backend {
         Backend::Sim => {
             (apsp_metrics::time_phase(S::PHASE), on::<SimMachine, S>(solver, &machine)?)

@@ -1,11 +1,10 @@
-//! Cascade-death discipline shared by both machine backends.
+//! Cascade-death discipline of the epoch runner
+//! ([`crate::endpoint::run_epoch`]), and so of both machines.
 //!
 //! When one rank dies of a root cause (an unrecoverable fault, a schedule
 //! bug, a hang verdict, a fault-plan thread kill), its channels
 //! disconnect and its peers die *of the disconnection* — cascade victims,
-//! not first failures. Both the simulated machine ([`crate::Machine`])
-//! and the native threads backend (`apsp-transport`) need the identical
-//! three pieces, previously implemented twice:
+//! not first failures. Three pieces deal with that:
 //!
 //! * the [`Disconnect`] marker a cascade victim panics with;
 //! * a process-wide panic hook that silences the machine's *typed* abort
@@ -13,12 +12,6 @@
 //!   [`MachineError`] — the "thread panicked" dump would be noise);
 //! * the join-time triage that picks the **root cause** out of a pile of
 //!   per-rank panic payloads deterministically.
-//!
-//! This module is the single implementation; `apsp-transport` re-exports
-//! it. (It lives here rather than in the transport crate because the
-//! crate DAG points `transport → simnet`: the typed errors it classifies
-//! are simnet types, and the simulator must not depend back on the
-//! transport crate.)
 
 use crate::comm::Rank;
 use crate::faults::FaultError;

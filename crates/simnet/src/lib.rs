@@ -18,9 +18,20 @@
 //!   over ranks at the end is therefore exactly the paper's critical-path
 //!   cost: "two messages communicated between separate pairs of processors
 //!   simultaneously are counted only once".
-//! * Collectives ([`Comm::bcast`], [`Comm::reduce`], …) are binomial trees
+//! * Collectives (`bcast`, `reduce`, … — methods of `apsp-transport`'s
+//!   `Transport` trait, written once for every machine) are binomial trees
 //!   built from those sends, so their `O(log g)` latency and `O(w log g)`
 //!   bandwidth *emerge* from the simulation instead of being formulas.
+//!
+//! ## One endpoint, two machines
+//!
+//! The machine's mechanics — frames, links, the reliability protocol, the
+//! watchdog, checkpoint commits, the epoch runner — live once in
+//! [`endpoint`], generic over a [`Meter`]. [`Comm`] is that endpoint with
+//! the §3.1 cost model ([`comm::SimMeter`]) plugged in; `apsp-transport`'s
+//! native machine is the same endpoint with a meter that counts nothing.
+//! All of it synchronizes through the [`sync`] shim, so the code that runs
+//! is the code `--cfg loom` model-checks.
 //!
 //! ## Fault injection
 //!
@@ -55,8 +66,8 @@
 //! algorithms in `apsp-core` follow this discipline.
 
 pub mod cascade;
-pub mod collectives;
 pub mod comm;
+pub mod endpoint;
 pub mod faults;
 pub mod perf;
 pub mod recovery;
@@ -64,10 +75,12 @@ pub mod report;
 pub mod sched;
 pub mod script;
 pub mod snapshot;
+pub mod sync;
 pub mod trace;
 
 pub use cascade::Disconnect;
-pub use comm::{Comm, GovernedRun, Machine, MachineRun, MachineSpec, Rank, SpanGuard, TraceEvent};
+pub use comm::{Comm, GovernedRun, Machine, MachineRun, MachineSpec, Rank, TraceEvent};
+pub use endpoint::{run_epoch, Endpoint, Meter, SpanGuard};
 pub use faults::{FaultError, FaultPlan, FaultStats, FaultSummary, Injection};
 pub use recovery::{
     supervise, Checkpoints, Epoch, HangError, MachineError, ProtocolError, RankDown,

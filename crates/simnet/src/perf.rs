@@ -1,4 +1,8 @@
-//! Host-side observability counters for the simulated machine.
+//! Host-side observability counters for the machines — both of them: the
+//! one epoch runner ([`crate::endpoint::run_epoch`]) and the one
+//! supervisor ([`crate::recovery::supervise`]) record here, whichever
+//! meter the endpoint carries (a native run reports zero messages and
+//! words: its send path counts nothing).
 //!
 //! These are recorded **after** a run finishes, from the already-built
 //! [`RunReport`] / [`FaultSummary`] / [`RecoveryReport`] aggregates — never

@@ -38,7 +38,7 @@ use crate::faults::{FaultPlan, FaultSummary};
 use crate::script::ScriptBoard;
 #[doc(inline)]
 pub use crate::snapshot::{Snapshot, SnapshotStore};
-use std::sync::Arc;
+use crate::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Policy

@@ -149,23 +149,6 @@ impl Governor {
         self.cv.notify_all();
     }
 
-    /// Blocks `me` until a message from `src` is deliverable, then claims
-    /// it. Named receives have no delivery choice (per-channel FIFO), so
-    /// this only sequences blocking and feeds deadlock detection.
-    pub(crate) fn acquire(&self, me: Rank, src: Rank, tag: u64) -> Result<(), DeadlockError> {
-        self.wait_deliverable(me, Some(src), tag).map(|granted| {
-            debug_assert_eq!(granted, src, "named receive grants its named source");
-        })
-    }
-
-    /// Blocks `me` until *any* source has a deliverable message, then
-    /// claims one. With ≥ 2 candidates this is a genuine delivery-order
-    /// choice: the next schedule entry picks the source (candidates in
-    /// ascending rank order), and the decision is logged for the explorer.
-    pub(crate) fn acquire_any(&self, me: Rank, tag: u64) -> Result<Rank, DeadlockError> {
-        self.wait_deliverable(me, None, tag)
-    }
-
     /// Marks `me` finished (also called when its program unwinds, so peers
     /// blocked on it deadlock-detect instead of waiting forever).
     pub(crate) fn finish(&self, me: Rank) {
@@ -177,7 +160,15 @@ impl Governor {
         self.cv.notify_all();
     }
 
-    fn wait_deliverable(
+    /// Blocks `me` until a message from `src` — or, for a wildcard receive
+    /// (`None`), from *any* source — is deliverable, then claims it and
+    /// returns its source. Named receives have no delivery choice
+    /// (per-channel FIFO), so for them this only sequences blocking and
+    /// feeds deadlock detection. A wildcard with ≥ 2 candidates is a
+    /// genuine delivery-order choice: the next schedule entry picks the
+    /// source (candidates in ascending rank order), and the decision is
+    /// logged for the explorer.
+    pub(crate) fn acquire(
         &self,
         me: Rank,
         src: Option<Rank>,

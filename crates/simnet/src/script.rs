@@ -17,23 +17,24 @@
 use crate::comm::Rank;
 use std::sync::Mutex;
 
-/// Which collective a rank entered (see [`crate::collectives`]).
+/// Which collective a rank entered — the `Transport` method of that name
+/// in `apsp-transport`, where the collectives live.
 /// `reduce_min` records as [`CollectiveKind::Reduce`] (it delegates).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CollectiveKind {
-    /// [`Comm::bcast`](crate::Comm::bcast)
+    /// `Transport::bcast`
     Bcast,
-    /// [`Comm::reduce`](crate::Comm::reduce)
+    /// `Transport::reduce`
     Reduce,
-    /// [`Comm::gather`](crate::Comm::gather)
+    /// `Transport::gather`
     Gather,
-    /// [`Comm::scatter`](crate::Comm::scatter)
+    /// `Transport::scatter`
     Scatter,
-    /// [`Comm::barrier`](crate::Comm::barrier)
+    /// `Transport::barrier`
     Barrier,
-    /// [`Comm::allgather`](crate::Comm::allgather)
+    /// `Transport::allgather`
     Allgather,
-    /// [`Comm::allreduce`](crate::Comm::allreduce)
+    /// `Transport::allreduce`
     Allreduce,
 }
 

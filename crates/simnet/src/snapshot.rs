@@ -1,20 +1,17 @@
 //! Phase-boundary snapshots and the shared [`SnapshotStore`] — the
-//! checkpoint substrate both backends' recovery supervisors roll back
-//! through.
+//! checkpoint substrate the recovery supervisor rolls back through.
 //!
-//! Extracted from [`crate::recovery`] so the native threads backend
-//! (`apsp-transport`) can reuse the exact same consistent-cut machinery:
-//! ranks save their state at committed phase boundaries, a supervisor
+//! Ranks save their state at committed phase boundaries, the supervisor
 //! reads the highest boundary *every* rank has saved (the consistent
 //! cut), prunes stale work beyond it, and restores from it on replay.
 //! On the simulator the save/restore traffic is charged to the §3.1
 //! ledgers; on the native backend the same store tracks real thread
 //! restarts — the types carry no cost-model dependency beyond the
-//! [`Clocks`] snapshot field (zeroed off-simulator).
+//! [`RankStats`] snapshot field (zeroed off-simulator).
 
 use crate::comm::Rank;
 use crate::faults::{FaultStats, FaultSummary};
-use crate::report::Clocks;
+use crate::report::RankStats;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -25,17 +22,10 @@ use std::sync::Mutex;
 pub struct Snapshot {
     /// The solver's opaque per-rank state words.
     pub state: Vec<f64>,
-    /// §3.1 clocks at the boundary (including the snapshot's own charge;
-    /// all-zero on the native backend, which has no cost model).
-    pub clocks: Clocks,
-    /// Cumulative messages sent at the boundary.
-    pub sent_messages: u64,
-    /// Cumulative words sent at the boundary.
-    pub sent_words: u64,
-    /// Peak tracked memory at the boundary.
-    pub peak_words: u64,
-    /// Resident tracked memory at the boundary.
-    pub resident_words: u64,
+    /// The rank's §3.1 cost ledger at the boundary: clocks (including the
+    /// snapshot's own charge), send totals and tracked memory. All-zero
+    /// on the native backend, which has no cost model.
+    pub costs: RankStats,
     /// Fault-protocol send sequence counters, per destination.
     pub seq_next: Vec<u64>,
     /// Fault-protocol receive sequence counters, per source.

@@ -2,6 +2,7 @@
 //! accounting identities, and collective correctness under random groups.
 
 use apsp_simnet::{Machine, MachineRun, MachineSpec, Rank};
+use apsp_transport::Transport;
 use proptest::prelude::*;
 
 /// A random one-shot traffic pattern: every rank sends its listed messages

@@ -10,41 +10,53 @@
 //! cost/memory charging, phase commits, and RAII spans — so the identical
 //! SPMD rank programs run on:
 //!
-//! * [`apsp_simnet::Comm`] — the §3.1 cost-model simulator. Keeps every
-//!   Table-2/verification/fault/recovery guarantee; the trait impl is a
-//!   zero-cost delegation to the inherent methods, so routing a solver
-//!   through the trait changes **no byte** of the simulator's output
-//!   (pinned by the `transport_digest` golden test).
+//! * [`apsp_simnet::Comm`] — the §3.1 cost-model simulator, with every
+//!   Table-2/verification/fault/recovery guarantee.
 //! * [`NativeComm`] — a real shared-memory backend: `p` OS threads over
 //!   per-`(src, dst)` std `mpsc` channels, no cost clocks, genuine
-//!   wall-clock time. See [`NativeMachine`]. The full robustness stack
-//!   runs here too: [`MachineSpec::faults`] injects the same seeded fault
-//!   grammar into real channel traffic (killing actual OS threads for
-//!   `kill=` rules), and [`MachineSpec::recovery`] checkpoint/restarts
-//!   across thread death through the shared [`apsp_simnet::SnapshotStore`]
-//!   and the shared supervisor loop ([`apsp_simnet::supervise`]).
+//!   wall-clock time. See [`NativeMachine`].
 //!
-//! Both machines take the same [`MachineSpec`] through one
-//! [`Machine::launch`], so a caller picks a machine by type and everything
-//! else by value.
+//! Both are the same rank endpoint ([`apsp_simnet::Endpoint`]) — one
+//! frame format, one reliability protocol, one watchdog, one checkpoint
+//! commit, one epoch runner — differing only in the [`apsp_simnet::Meter`]
+//! plugged into it, so there is one `impl Transport` for both, and the
+//! full robustness stack ([`MachineSpec::faults`],
+//! [`MachineSpec::recovery`], the shared supervisor
+//! [`apsp_simnet::supervise`]) runs on either. Both machines take the
+//! same [`MachineSpec`] through one [`Machine::launch`], so a caller
+//! picks a machine by type and everything else by value.
 //!
-//! ## Collective bit-compatibility
+//! ## Collectives
 //!
-//! The default collective methods are exact ports of the simulator's
-//! binomial trees ([`apsp_simnet::collectives`]): same virtual-index
-//! scheme, same mask walk, same combine order. Floating-point reduction
-//! order therefore matches the simulator **exactly**, which is what makes
-//! cross-backend distance matrices bit-identical rather than merely close
-//! (`tests/differential.rs` asserts `f64` equality, not tolerance).
+//! Every collective operates on an explicit **group**: a sorted,
+//! duplicate-free list of ranks that must contain the caller; all group
+//! members must call the collective with the same arguments (group, root,
+//! tag) in the same relative order — the usual MPI contract. Trees are
+//! *binomial*, so a `g`-member collective costs `⌈log₂ g⌉` message rounds
+//! on the critical path, and moving `w` words costs `O(w)` per round.
+//! Each collective stirs the caller-provided tag with the message's role
+//! so that schedule bugs surface as tag panics instead of data corruption.
+//!
+//! The collectives exist once, as the trait's default methods, for every
+//! machine: same virtual-index scheme, same mask walk, same combine
+//! order. Floating-point reduction order is therefore identical on every
+//! backend, which is what makes cross-backend distance matrices
+//! bit-identical rather than merely close (`tests/differential.rs`
+//! asserts `f64` equality, not tolerance), and on the simulator their
+//! §3.1 costs emerge from the sends they are built of (pinned by the
+//! `transport_digest` golden test).
 //!
 //! See `docs/BACKENDS.md` for the full contract (FIFO non-overtaking, tag
 //! semantics, phase commits, and what the native backend does *not*
 //! provide).
 
 mod native;
-pub mod sync;
 
-pub use native::{NativeComm, NativeFaultError, NativeMachine, NativeSpan};
+pub use native::{NativeComm, NativeMachine, NativeMeter};
+
+// The sync shim lives next to the endpoint it serves; re-exported so the
+// native machine and its loom suite keep one gateway.
+pub use apsp_simnet::sync;
 
 // The shared panic-triage helpers (quiet typed-panic hook, cascade-marker
 // classification) live in `apsp_simnet::cascade` because the crate DAG
@@ -54,7 +66,7 @@ pub use apsp_simnet::cascade;
 
 pub use apsp_simnet::{MachineRun, MachineSpec};
 
-use apsp_simnet::{Clocks, CollectiveKind, Comm, MachineError, Rank, SpanGuard};
+use apsp_simnet::{Clocks, CollectiveKind, Comm, Endpoint, MachineError, Meter, Rank, SpanGuard};
 use std::ops::DerefMut;
 
 /// A machine that runs SPMD rank programs: `p` ranks, each handed its own
@@ -174,12 +186,11 @@ pub trait Transport: Sized {
     fn commit_phase(&mut self, state: Vec<f64>) -> Vec<f64>;
 
     /// Records entry into a collective on backends that keep a comm
-    /// script (no-op otherwise — the default). The default collective
-    /// implementations call it right after opening their span, mirroring
-    /// the simulator's wrappers, so every recording backend's script
-    /// carries the same [`apsp_simnet::CommEvent::Collective`] entries
-    /// and the protocol linter's collective-order check covers every
-    /// machine.
+    /// script (no-op otherwise — the default). The collectives call it
+    /// right after opening their span, so every recording backend's
+    /// script carries the same [`apsp_simnet::CommEvent::Collective`]
+    /// entries and the protocol linter's collective-order check covers
+    /// every machine.
     fn record_collective(&mut self, kind: CollectiveKind, group: &[Rank], root: Rank, tag: u64) {
         let _ = (kind, group, root, tag);
     }
@@ -230,6 +241,8 @@ pub trait Transport: Sized {
 
     /// Linear gather to `root`: returns `Some(payloads in group order)` on
     /// the root (the root's own entry included), `None` elsewhere.
+    /// Costs `O(g)` latency on the root — used only where the paper's
+    /// schedule allows it (base cases, result collection).
     fn gather(
         &mut self,
         group: &[Rank],
@@ -257,7 +270,7 @@ pub trait Transport: Sized {
     }
 
     /// Tree barrier over the group: a zero-word reduce followed by a
-    /// zero-word broadcast.
+    /// zero-word broadcast (`2⌈log₂ g⌉` latency).
     fn barrier(&mut self, group: &[Rank], tag: u64) {
         let mut s = self.span("barrier", tag);
         s.record_collective(CollectiveKind::Barrier, group, group[0], tag);
@@ -268,8 +281,11 @@ pub trait Transport: Sized {
     }
 
     /// All-gather over the group: every member contributes a payload and
-    /// receives everyone's payloads **in group order**. Contributions may
-    /// have different lengths (zero-length ones are preserved).
+    /// receives everyone's payloads **in group order**. Implemented as a
+    /// concatenating tree reduce to `group[0]` followed by a broadcast —
+    /// `O(log g)` latency, `O(total · log g)` critical-path bandwidth.
+    /// Contributions may have different lengths (zero-length ones are
+    /// preserved).
     fn allgather(&mut self, group: &[Rank], tag: u64, payload: Vec<f64>) -> Vec<Vec<f64>> {
         let mut s = self.span("allgather", tag);
         s.record_collective(CollectiveKind::Allgather, group, group[0], tag);
@@ -301,7 +317,7 @@ pub trait Transport: Sized {
     }
 
     /// All-reduce over the group: a reduce to `group[0]` followed by a
-    /// broadcast of the combined value.
+    /// broadcast of the combined value (`2⌈log₂ g⌉` latency).
     fn allreduce(
         &mut self,
         group: &[Rank],
@@ -319,10 +335,9 @@ pub trait Transport: Sized {
 }
 
 // ---------------------------------------------------------------------------
-// Generic binomial trees — exact ports of `apsp_simnet::collectives`'s
-// internals. The mask walk, virtual-index scheme, tag stirring, and combine
-// order are byte-for-byte the simulator's, so reductions apply `combine` in
-// the identical sequence on every backend (f64 bit-compatibility).
+// The binomial trees. One mask walk, virtual-index scheme, tag stirring and
+// combine order for every machine, so reductions apply `combine` in the
+// identical sequence on every backend (f64 bit-compatibility).
 // ---------------------------------------------------------------------------
 
 fn bcast_tree<C: Transport>(
@@ -459,124 +474,241 @@ fn scatter_linear<C: Transport>(
 }
 
 // ---------------------------------------------------------------------------
-// The simulator is one Transport. Every method is a direct delegation to
-// the inherent `Comm` API — including all collectives, whose inherent
-// versions additionally record `CommEvent::Collective` entries in recorded
-// runs — so a solver routed through the trait produces byte-identical
-// ledgers, traces, scripts, and distances to one calling `Comm` directly.
+// Every machine built on the shared endpoint is a Transport: the required
+// methods are the endpoint's own, and the collectives are the defaults
+// above.
 // ---------------------------------------------------------------------------
 
-impl Transport for Comm {
-    type Span<'s> = SpanGuard<'s>;
+impl<M: Meter> Transport for Endpoint<M> {
+    type Span<'s>
+        = SpanGuard<'s, M>
+    where
+        M: 's;
 
     fn rank(&self) -> Rank {
-        Comm::rank(self)
+        Endpoint::rank(self)
     }
 
     fn p(&self) -> usize {
-        Comm::p(self)
+        Endpoint::p(self)
     }
 
     fn send(&mut self, dst: Rank, tag: u64, payload: Vec<f64>) {
-        Comm::send(self, dst, tag, payload);
+        Endpoint::send(self, dst, tag, payload);
     }
 
     fn recv(&mut self, src: Rank, expected_tag: u64) -> Vec<f64> {
-        Comm::recv(self, src, expected_tag)
+        Endpoint::recv(self, src, expected_tag)
     }
 
     fn recv_any(&mut self, expected_tag: u64) -> (Rank, Vec<f64>) {
-        Comm::recv_any(self, expected_tag)
+        Endpoint::recv_any(self, expected_tag)
     }
 
     fn compute(&mut self, ops: u64) {
-        Comm::compute(self, ops);
+        Endpoint::compute(self, ops);
     }
 
     fn alloc(&mut self, words: usize) {
-        Comm::alloc(self, words);
+        Endpoint::alloc(self, words);
     }
 
     fn release(&mut self, words: usize) {
-        Comm::release(self, words);
+        Endpoint::release(self, words);
     }
 
     fn clocks(&self) -> Clocks {
-        Comm::clocks(self)
+        Endpoint::clocks(self)
     }
 
-    fn span(&mut self, name: &'static str, tag: u64) -> SpanGuard<'_> {
-        Comm::span(self, name, tag)
+    fn span(&mut self, name: &'static str, tag: u64) -> SpanGuard<'_, M> {
+        Endpoint::span(self, name, tag)
     }
 
     fn phase_live(&self) -> bool {
-        Comm::phase_live(self)
+        Endpoint::phase_live(self)
     }
 
     fn commit_phase(&mut self, state: Vec<f64>) -> Vec<f64> {
-        Comm::commit_phase(self, state)
+        Endpoint::commit_phase(self, state)
     }
 
-    fn bcast(&mut self, group: &[Rank], root: Rank, tag: u64, data: Option<Vec<f64>>) -> Vec<f64> {
-        Comm::bcast(self, group, root, tag, data)
+    fn record_collective(&mut self, kind: CollectiveKind, group: &[Rank], root: Rank, tag: u64) {
+        Endpoint::record_collective(self, kind, group, root, tag);
+    }
+}
+
+// The collectives' §3.1 bills on the simulator (their outputs on both
+// machines are compared in `tests/collectives_prop.rs`). Gated off under
+// `--cfg loom`: `Machine::run` would need a model around it.
+#[cfg(all(test, not(loom)))]
+mod tests {
+    use super::Transport;
+    use apsp_simnet::Machine;
+
+    #[test]
+    fn bcast_delivers_to_all_group_sizes() {
+        for g in 1..=9usize {
+            let group: Vec<usize> = (0..g).collect();
+            let (outs, report) = Machine::run(g, |comm| {
+                let data = if comm.rank() == 0 { Some(vec![42.0, 7.0]) } else { None };
+                comm.bcast(&group, 0, 1, data)
+            });
+            for out in outs {
+                assert_eq!(out, vec![42.0, 7.0]);
+            }
+            // binomial tree: ⌈log2 g⌉ rounds of 2 words
+            let rounds = (g as f64).log2().ceil() as u64;
+            assert_eq!(report.critical_latency(), rounds, "g={g}");
+            assert_eq!(report.critical_bandwidth(), 2 * rounds, "g={g}");
+        }
     }
 
-    fn reduce(
-        &mut self,
-        group: &[Rank],
-        root: Rank,
-        tag: u64,
-        contribution: Vec<f64>,
-        combine: impl Fn(&mut Vec<f64>, &[f64]),
-    ) -> Option<Vec<f64>> {
-        Comm::reduce(self, group, root, tag, contribution, combine)
+    #[test]
+    fn bcast_nontrivial_root_and_subgroup() {
+        // group {1, 3, 4, 6} of a 7-rank machine, root 4
+        let group = vec![1, 3, 4, 6];
+        let (outs, _) = Machine::run(7, |comm| {
+            if group.contains(&comm.rank()) {
+                let data = if comm.rank() == 4 { Some(vec![5.5]) } else { None };
+                Some(comm.bcast(&group, 4, 9, data))
+            } else {
+                None
+            }
+        });
+        for (r, out) in outs.iter().enumerate() {
+            if group.contains(&r) {
+                assert_eq!(out.as_deref(), Some(&[5.5][..]));
+            } else {
+                assert!(out.is_none());
+            }
+        }
     }
 
-    fn reduce_min(
-        &mut self,
-        group: &[Rank],
-        root: Rank,
-        tag: u64,
-        contribution: Vec<f64>,
-    ) -> Option<Vec<f64>> {
-        Comm::reduce_min(self, group, root, tag, contribution)
+    #[test]
+    fn reduce_min_combines_everything() {
+        for g in 1..=9usize {
+            let group: Vec<usize> = (0..g).collect();
+            let (outs, report) = Machine::run(g, |comm| {
+                let r = comm.rank() as f64;
+                // contribution: [r, -r]
+                comm.reduce_min(&group, 0, 3, vec![r, -r])
+            });
+            assert_eq!(outs[0].as_deref(), Some(&[0.0, -(g as f64 - 1.0)][..]));
+            for out in outs.iter().skip(1) {
+                assert!(out.is_none());
+            }
+            let rounds = (g as f64).log2().ceil() as u64;
+            assert_eq!(report.critical_latency(), rounds, "g={g}");
+        }
     }
 
-    fn gather(
-        &mut self,
-        group: &[Rank],
-        root: Rank,
-        tag: u64,
-        payload: Vec<f64>,
-    ) -> Option<Vec<Vec<f64>>> {
-        Comm::gather(self, group, root, tag, payload)
+    #[test]
+    fn reduce_with_shifted_root() {
+        let group = vec![0, 1, 2, 3, 4];
+        let (outs, _) = Machine::run(5, |comm| {
+            let r = comm.rank() as f64;
+            comm.reduce(&group, 3, 4, vec![r], |acc, inc| acc[0] += inc[0])
+        });
+        assert_eq!(outs[3].as_deref(), Some(&[10.0][..]));
+        for (r, out) in outs.iter().enumerate() {
+            assert_eq!(out.is_some(), r == 3);
+        }
     }
 
-    fn scatter(
-        &mut self,
-        group: &[Rank],
-        root: Rank,
-        tag: u64,
-        payloads: Option<Vec<Vec<f64>>>,
-    ) -> Vec<f64> {
-        Comm::scatter(self, group, root, tag, payloads)
+    #[test]
+    fn gather_in_group_order() {
+        let group = vec![0, 2, 3];
+        let (outs, _) = Machine::run(4, |comm| {
+            if group.contains(&comm.rank()) {
+                comm.gather(&group, 2, 5, vec![comm.rank() as f64])
+            } else {
+                None
+            }
+        });
+        assert_eq!(outs[2], Some(vec![vec![0.0], vec![2.0], vec![3.0]]));
     }
 
-    fn barrier(&mut self, group: &[Rank], tag: u64) {
-        Comm::barrier(self, group, tag);
+    #[test]
+    fn scatter_distributes_slices() {
+        let group = vec![0, 1, 2];
+        let (outs, _) = Machine::run(3, |comm| {
+            let payloads = (comm.rank() == 1).then(|| vec![vec![10.0], vec![11.0], vec![12.0]]);
+            comm.scatter(&group, 1, 6, payloads)
+        });
+        assert_eq!(outs, vec![vec![10.0], vec![11.0], vec![12.0]]);
     }
 
-    fn allgather(&mut self, group: &[Rank], tag: u64, payload: Vec<f64>) -> Vec<Vec<f64>> {
-        Comm::allgather(self, group, tag, payload)
+    #[test]
+    fn barrier_synchronizes_clock_floor() {
+        let group = vec![0, 1, 2, 3];
+        let (_, report) = Machine::run(4, |comm| {
+            if comm.rank() == 2 {
+                comm.compute(1000);
+            }
+            comm.barrier(&group, 0);
+            // after the barrier every rank's compute clock has absorbed
+            // rank 2's 1000 ops
+            assert!(comm.clocks().compute >= 1000);
+        });
+        assert_eq!(report.critical_compute(), 1000);
     }
 
-    fn allreduce(
-        &mut self,
-        group: &[Rank],
-        tag: u64,
-        contribution: Vec<f64>,
-        combine: impl Fn(&mut Vec<f64>, &[f64]),
-    ) -> Vec<f64> {
-        Comm::allreduce(self, group, tag, contribution, combine)
+    #[test]
+    fn concurrent_disjoint_collectives_share_critical_path() {
+        // two disjoint groups broadcast simultaneously: latency = one tree
+        let (_, report) = Machine::run(8, |comm| {
+            let r = comm.rank();
+            let group: Vec<usize> = if r < 4 { (0..4).collect() } else { (4..8).collect() };
+            let root = group[0];
+            let data = (r == root).then(|| vec![1.0; 16]);
+            comm.bcast(&group, root, 2, data);
+        });
+        assert_eq!(report.critical_latency(), 2); // ⌈log2 4⌉
+        assert_eq!(report.total_messages(), 6);
+    }
+
+    #[test]
+    fn allgather_returns_group_order_and_varied_sizes() {
+        let group = vec![0, 2, 3];
+        let (outs, report) = Machine::run(4, |comm| {
+            if !group.contains(&comm.rank()) {
+                return None;
+            }
+            let mine: Vec<f64> = (0..comm.rank()).map(|x| x as f64).collect();
+            Some(comm.allgather(&group, 8, mine))
+        });
+        for r in &group {
+            let got = outs[*r].as_ref().unwrap();
+            assert_eq!(got.len(), 3);
+            assert_eq!(got[0], Vec::<f64>::new());
+            assert_eq!(got[1], vec![0.0, 1.0]);
+            assert_eq!(got[2], vec![0.0, 1.0, 2.0]);
+        }
+        assert!(report.critical_latency() <= 2 * 2 + 2, "tree depth bound");
+    }
+
+    #[test]
+    fn allreduce_sums_everywhere() {
+        let group: Vec<usize> = (0..6).collect();
+        let (outs, _) = Machine::run(6, |comm| {
+            comm.allreduce(&group, 9, vec![comm.rank() as f64, 1.0], |acc, inc| {
+                acc[0] += inc[0];
+                acc[1] += inc[1];
+            })
+        });
+        for out in outs {
+            assert_eq!(out, vec![15.0, 6.0]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not in group")]
+    fn outsider_calling_collective_panics() {
+        let _ = Machine::run(2, |comm| {
+            let group = vec![0];
+            let data = (comm.rank() == 0).then(|| vec![1.0]);
+            comm.bcast(&group, 0, 0, data)
+        });
     }
 }

@@ -1,8 +1,11 @@
-//! Exhaustive interleaving checks for the native backend, run with
+//! Exhaustive interleaving checks for the rank endpoint, run with
 //! `RUSTFLAGS="--cfg loom" cargo test -p apsp-transport --test loom`.
 //!
-//! Every synchronization primitive `NativeComm` touches goes through
-//! `apsp_transport::sync`, which under `--cfg loom` routes to the loom
+//! The endpoint and epoch runner both machines share
+//! (`apsp_simnet::{Endpoint, run_epoch}`) are driven here through the
+//! native machine. Every synchronization primitive they touch goes through
+//! `apsp_simnet::sync` (re-exported as `apsp_transport::sync`), which
+//! under `--cfg loom` routes to the loom
 //! model checker: each test body runs once per *schedule*, and the
 //! checker explores every interleaving (up to the preemption bound) of
 //! sends, receives, teardown drops, kills, and rollbacks that p ≤ 3
@@ -26,7 +29,7 @@
 #![cfg(loom)]
 
 use apsp_simnet::{FaultPlan, MachineError, MachineRun, MachineSpec, RecoveryPolicy};
-use apsp_transport::{NativeComm, NativeFaultError, NativeMachine, Transport};
+use apsp_transport::{NativeComm, NativeMachine};
 
 /// Pins the watchdog window to one tick for the whole binary (every test
 /// writes the same value, so concurrent test threads cannot disagree).
@@ -112,9 +115,9 @@ fn kill_rule_yields_typed_rankdown_in_every_schedule() {
         };
         // the verdict is schedule-independent: always the typed rank-down,
         // never a raw cascade panic or a hang
-        match NativeFaultError::classify(&err) {
-            Some(NativeFaultError::Down(d)) => assert_eq!(d.rank, 1),
-            other => panic!("expected a typed rank-down, got {other:?} ({err})"),
+        match err {
+            MachineError::Down(d) => assert_eq!(d.rank, 1),
+            other => panic!("expected a typed rank-down, got {other}"),
         }
     });
 }

@@ -9,9 +9,9 @@
 //!   §3.1 cost model is the only sanctioned clock, and the one wall
 //!   timer lives behind the metrics registry's enable gate.
 //! * **`ledger-mutation`** — no `.latency`/`.bandwidth`/`.compute`
-//!   mutation outside the simnet machine (`comm.rs`, `report.rs`,
-//!   `trace.rs`). A solver that edits its own bill invalidates every
-//!   Table 2 comparison.
+//!   mutation outside the simnet machine (`comm.rs`'s `SimMeter`,
+//!   `report.rs`, `trace.rs`). A solver that edits its own bill
+//!   invalidates every Table 2 comparison.
 //! * **`raw-thread`** — no `std::thread` / `mpsc` channels in the
 //!   solver crates (`core`, `minplus`): all parallelism must flow
 //!   through `Comm`, or it is invisible to the cost ledgers.
@@ -27,11 +27,14 @@
 //!   attribute block directly above it. An unsafe window whose
 //!   invariant is unstated cannot be audited, model-checked, or
 //!   reviewed against the claim it actually makes.
-//! * **`raw-sync`** — no direct `std::sync`/`std::thread` in
-//!   `crates/transport/src/` outside the `sync` shim module: the shim
-//!   is the single gateway that lets `--cfg loom` builds swap every
-//!   primitive for its model-checked twin, and a bypass is invisible
-//!   to the loom suite.
+//! * **`raw-sync`** — no direct `std::sync`/`std::thread` in the files
+//!   that hold the shared rank endpoint, the epoch runner, the recovery
+//!   supervisor and the two machines built on them (`endpoint.rs`,
+//!   `comm.rs`, `recovery.rs` in `crates/simnet/src/`, all of
+//!   `crates/transport/src/`) outside the `sync` shim module
+//!   (`crates/simnet/src/sync.rs`): the shim is the single gateway that
+//!   lets `--cfg loom` builds swap every primitive for its model-checked
+//!   twin, and a bypass is invisible to the loom suite.
 //!
 //! Lines inside `#[cfg(test)]` modules (including compound gates like
 //! `#[cfg(all(test, not(loom)))]`) are skipped (tracked by brace
@@ -141,7 +144,7 @@ impl SrcReport {
 const WALL_CLOCK_ALLOW: [&str; 1] = ["crates/metrics/src/timer.rs"];
 
 /// Files the `ledger-mutation` rule exempts: the machine that owns the
-/// §3.1 clocks (send/recv accounting, report merging, span ledgers).
+/// §3.1 clocks (the simulator's meter, report merging, span ledgers).
 const LEDGER_ALLOW: [&str; 3] =
     ["crates/simnet/src/comm.rs", "crates/simnet/src/report.rs", "crates/simnet/src/trace.rs"];
 
@@ -151,13 +154,24 @@ const LEDGER_ALLOW: [&str; 3] =
 /// of scope by construction.)
 const RAW_THREAD_SCOPE: [&str; 2] = ["crates/core/src/", "crates/minplus/src/"];
 
-/// Crate subtree where `raw-sync` applies: the native transport, whose
-/// every synchronization primitive must route through the loom shim.
-const RAW_SYNC_SCOPE: &str = "crates/transport/src/";
+/// Where `raw-sync` applies (path prefixes): the shared rank endpoint and
+/// epoch runner, the simulator machine and the recovery supervisor around
+/// them, the shim, and the native machine's crate — the code the loom
+/// suite model-checks, whose every synchronization primitive must route
+/// through the shim. The rest of `crates/simnet/src` (`snapshot.rs`,
+/// `script.rs`, `sched.rs`) stays on std mutexes; the shim's module docs
+/// say why that is sound.
+const RAW_SYNC_SCOPE: [&str; 5] = [
+    "crates/simnet/src/endpoint.rs",
+    "crates/simnet/src/comm.rs",
+    "crates/simnet/src/recovery.rs",
+    "crates/simnet/src/sync.rs",
+    "crates/transport/src/",
+];
 
 /// The one file `raw-sync` exempts: the shim itself, whose whole job is
 /// naming `std::sync`/`std::thread` once.
-const RAW_SYNC_ALLOW: [&str; 1] = ["crates/transport/src/sync.rs"];
+const RAW_SYNC_ALLOW: [&str; 1] = ["crates/simnet/src/sync.rs"];
 
 /// Minimum `.expect("…")` message length the repo convention accepts.
 const MIN_EXPECT_MSG: usize = 10;
@@ -228,8 +242,8 @@ pub fn lint_bad_fixture() -> Vec<SrcViolation> {
 
 /// The seeded concurrency fixture (a hand-rolled transport "fast path"
 /// with an unjustified unsafe window and raw `std::thread`/`std::sync`
-/// bypassing the loom shim), linted under a virtual transport-crate
-/// path so the `unsafe-safety` and `raw-sync` rules are in scope. The
+/// bypassing the loom shim), linted under a virtual path next to the
+/// native machine so the `unsafe-safety` and `raw-sync` rules are in scope. The
 /// audit CI job asserts both fire — proof the concurrency lint is
 /// alive.
 pub fn lint_bad_sync_fixture() -> Vec<SrcViolation> {
@@ -343,12 +357,15 @@ fn rule_hits(relpath: &str, stripped: &str) -> Vec<(&'static str, bool, String)>
                 .to_string(),
         ));
     }
-    if relpath.starts_with(RAW_SYNC_SCOPE) && !RAW_SYNC_ALLOW.contains(&relpath) {
+    if RAW_SYNC_SCOPE.iter().any(|scope| relpath.starts_with(scope))
+        && !RAW_SYNC_ALLOW.contains(&relpath)
+    {
         hits.push((
             "raw-sync",
             stripped.contains("std::sync") || stripped.contains("std::thread"),
-            "the native transport synchronizes through the `sync` shim only; a direct \
-             std::sync/std::thread use is invisible to the loom model checker"
+            "the rank endpoint, the epoch runner and both machines synchronize through the \
+             `sync` shim only; a direct std::sync/std::thread use is invisible to the loom \
+             model checker"
                 .to_string(),
         ));
     }
@@ -680,6 +697,7 @@ mod tests {
         assert_eq!(lint_file("crates/metrics/src/registry.rs", clock).len(), 1);
         let ledger = "fn f(c: &mut Clocks) { c.latency += 1; }\n";
         assert!(lint_file("crates/simnet/src/comm.rs", ledger).is_empty());
+        assert_eq!(lint_file("crates/simnet/src/endpoint.rs", ledger).len(), 1);
         assert_eq!(lint_file("crates/core/src/sparse2d.rs", ledger).len(), 1);
         let thread = "fn f() { std::thread::spawn(|| {}); }\n";
         assert_eq!(lint_file("crates/core/src/fw2d.rs", thread).len(), 1);
@@ -719,18 +737,37 @@ mod tests {
     }
 
     #[test]
-    fn raw_sync_fires_only_in_transport_outside_the_shim() {
+    fn raw_sync_fires_only_in_the_model_checked_files_outside_the_shim() {
         let spawn = "fn f() { std::thread::spawn(|| {}); }\n";
-        let hits = lint_file("crates/transport/src/native.rs", spawn);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].rule, "raw-sync");
         let import = "use std::sync::mpsc::channel;\n";
-        assert_eq!(lint_file("crates/transport/src/lib.rs", import).len(), 1);
+        // the shared endpoint and epoch runner, the simulator machine, the
+        // supervisor, and every file of the native machine's crate
+        for file in [
+            "crates/simnet/src/endpoint.rs",
+            "crates/simnet/src/comm.rs",
+            "crates/simnet/src/recovery.rs",
+            "crates/transport/src/native.rs",
+            "crates/transport/src/lib.rs",
+        ] {
+            for text in [spawn, import] {
+                let hits = lint_file(file, text);
+                assert_eq!(hits.len(), 1, "{file}: {text}");
+                assert_eq!(hits[0].rule, "raw-sync");
+            }
+        }
         // the shim itself is the sanctioned gateway
-        assert!(lint_file("crates/transport/src/sync.rs", spawn).is_empty());
-        assert!(lint_file("crates/transport/src/sync.rs", import).is_empty());
+        assert!(lint_file("crates/simnet/src/sync.rs", spawn).is_empty());
+        assert!(lint_file("crates/simnet/src/sync.rs", import).is_empty());
+        // the rest of simnet keeps its documented std-mutex exemption, and
         // other crates are out of scope (par has its own local shim)
-        assert!(lint_file("crates/par/src/lib.rs", import).is_empty());
+        for file in [
+            "crates/simnet/src/snapshot.rs",
+            "crates/simnet/src/script.rs",
+            "crates/simnet/src/sched.rs",
+            "crates/par/src/lib.rs",
+        ] {
+            assert!(lint_file(file, import).is_empty(), "{file}");
+        }
     }
 
     #[test]

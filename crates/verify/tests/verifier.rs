@@ -4,6 +4,7 @@
 
 use apsp_simnet::script::CommEvent;
 use apsp_simnet::{Comm, Machine, MachineError, MachineSpec};
+use apsp_transport::Transport;
 use apsp_verify::{
     bad_fixture, digest_rows, lint_scripts, racy_fixture, verify_program, VerifyOptions, Violation,
 };

@@ -63,7 +63,7 @@ pub use apsp_verify as verify;
 ///
 /// Running a distributed solver is always the same two values: a
 /// [`Solver`](apsp_core::launch::Solver) (`Sparse2d`, `Fw2d`, `DcApsp`,
-/// `DJohnson`, `Decreases`) and a
+/// `DJohnson`, `Decreases`, `DistNd`) and a
 /// [`LaunchSpec`](apsp_core::launch::LaunchSpec) `{ backend, faults,
 /// recovery, profile, trace, record }` handed to
 /// [`launch`](apsp_core::launch::launch); `sparse2d`, `fw2d`, `dc_apsp`, …
@@ -74,7 +74,7 @@ pub mod prelude {
     pub use apsp_core::bounds;
     pub use apsp_core::dcapsp::{cyclic_fw, dc_apsp, DcApsp};
     pub use apsp_core::djohnson::{distributed_johnson, DJohnson};
-    pub use apsp_core::dnd::dist_nested_dissection;
+    pub use apsp_core::dnd::{dist_nested_dissection, DistNd};
     pub use apsp_core::driver::{Input, Ordering};
     pub use apsp_core::fw2d::{fw2d, Fw2d};
     pub use apsp_core::launch::{launch, verify, DenseResult, LaunchSpec, Launched, Solver};
@@ -103,6 +103,6 @@ pub mod prelude {
         MachineRun, MachineSpec, PhaseBreakdown, Profile, RecoveryPolicy, RecoveryReport,
         RunReport, TimeModel, Unrecoverable,
     };
-    pub use apsp_transport::{NativeComm, NativeFaultError, NativeMachine, Transport};
+    pub use apsp_transport::{NativeComm, NativeMachine, Transport};
     pub use apsp_verify::{VerifyOptions, VerifyReport, Violation};
 }

@@ -920,6 +920,42 @@ fn native_faulty_solve_recovers_and_reports() {
 }
 
 #[test]
+fn native_faulty_solve_feeds_the_machine_counters() {
+    let graph = tmp("nativemetrics.el");
+    assert!(apsp()
+        .args(["generate", "--kind", "grid", "--rows", "6", "--cols", "6", "--seed", "2", "--out"])
+        .arg(&graph)
+        .status()
+        .unwrap()
+        .success());
+
+    // the one epoch runner records every launch, on either machine: a
+    // native faulty solve must show up in the machine counters and the
+    // machine-run timer (messages/words stay 0 — the native send path
+    // counts nothing)
+    let out = apsp()
+        .args(["solve", "--height", "2", "--backend", "native", "--metrics"])
+        .args(["--faults", "drop=0.08,dup=0.04", "--fault-seed", "42", "--input"])
+        .arg(&graph)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let counter = |name: &str| -> u64 {
+        let line = stderr
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(name))
+            .unwrap_or_else(|| panic!("no {name} in the metrics summary:\n{stderr}"));
+        line.split_whitespace().last().unwrap().parse().unwrap()
+    };
+    assert!(counter("apsp_simnet_runs_total") > 0, "{stderr}");
+    assert!(counter("apsp_simnet_faults_injected_total") > 0, "{stderr}");
+    assert!(counter("apsp_simnet_retransmissions_total") > 0, "{stderr}");
+    assert_eq!(counter("apsp_simnet_messages_total"), 0, "{stderr}");
+    assert!(stderr.contains("apsp_phase_wall_ns{phase=machine-run}"), "{stderr}");
+}
+
+#[test]
 fn native_recovering_solve_survives_a_killed_thread() {
     let graph = tmp("nativerecover.el");
     assert!(apsp()

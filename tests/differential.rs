@@ -185,6 +185,35 @@ fn native_backend_applies_decreases_bit_identically() {
 }
 
 #[test]
+fn native_backend_orders_distributed_like_simnet() {
+    // distributed nested dissection is a rank program like any other: on
+    // real threads it must pick the same permutation, and the solve that
+    // follows must land on the same distance bits
+    for (name, side) in [("grid6x6", 6), ("grid8x8", 8)] {
+        let g = grid2d(side, side, WeightKind::Uniform { lo: 0.5, hi: 4.0 }, 9);
+        for height in [2, 3] {
+            let run = |backend| {
+                let config = SparseApspConfig {
+                    height,
+                    ordering: Ordering::Distributed,
+                    backend,
+                    ..Default::default()
+                };
+                SparseApsp::new(config).run(&g)
+            };
+            let (sim, native) = (run(Backend::Sim), run(Backend::Native));
+            assert_eq!(
+                sim.ordering.perm.as_order(),
+                native.ordering.perm.as_order(),
+                "{name} h={height}: the two machines ordered the graph differently"
+            );
+            assert_eq!(sim.ordering.supernode_sizes, native.ordering.supernode_sizes);
+            assert_bit_identical(name, "sparse2d-distributed-ordering", &sim.dist, &native.dist);
+        }
+    }
+}
+
+#[test]
 fn faulted_and_clean_solvers_agree() {
     // the differential table, under faults: a recovered run must equal the
     // clean run bit-for-bit on distances
