@@ -1,13 +1,13 @@
-//! A minimal JSON reader for the bench harness.
+//! The repository's JSON reader.
 //!
 //! The workspace hand-serializes all of its JSON (flat counters — no
-//! serde anywhere), so comparing a fresh bench run against a committed
-//! `BENCH_*.json` baseline needs a small parser for the same subset:
-//! objects, arrays, strings (with the escapes our writer emits), numbers,
-//! booleans, and null.
+//! serde anywhere), so whatever reads those documents back — the
+//! `benchmark/` package, the CLI tests — needs a small parser for the
+//! same subset: objects, arrays, strings (with the escapes our writers
+//! emit), numbers, booleans, and null.
 
-/// A parsed JSON value. Numbers are `f64` — every counter the bench
-/// schema stores is well below 2^53.
+/// A parsed JSON value. Numbers are `f64` — every counter the workspace
+/// writes is well below 2^53.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`

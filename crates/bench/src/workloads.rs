@@ -1,10 +1,7 @@
-//! Named workloads shared by the experiments and the Criterion benches,
-//! plus the deterministic dense-matrix generators the kernel benches use
-//! (one definition here instead of a copy per bench file).
+//! Named graph workloads shared by the experiments.
 
 use apsp_graph::generators::{self, WeightKind};
 use apsp_graph::Csr;
-use apsp_minplus::MinPlusMatrix;
 
 /// A workload: a graph plus the metadata the reports print.
 pub struct Workload {
@@ -89,70 +86,9 @@ pub fn mesh3d(side: usize) -> Workload {
     }
 }
 
-/// Deterministic dense `n × n` min-plus matrix: zero diagonal, LCG
-/// off-diagonal weights in `[0, 100)`. Same `(n, seed)` ⇒ same matrix.
-pub fn dense_minplus(n: usize, seed: u64) -> MinPlusMatrix {
-    // scramble the seed so adjacent seeds start far apart (`seed | 1`
-    // mapped 42 and 43 to the same stream)
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-    MinPlusMatrix::from_fn(n, n, |i, j| {
-        if i == j {
-            return 0.0;
-        }
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((state >> 33) % 1000) as f64 / 10.0
-    })
-}
-
-/// Deterministic block-arrow `n × n` min-plus matrix: two diagonal
-/// partitions of `n/3` plus a dense separator band — the shape whose
-/// empty cross blocks blocked FW should skip (§4.1).
-pub fn arrow_minplus(n: usize) -> MinPlusMatrix {
-    let third = n / 3;
-    let mut a = MinPlusMatrix::empty(n, n);
-    for i in 0..n {
-        a.set(i, i, 0.0);
-    }
-    let mut state = 7u64;
-    let mut rnd = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        ((state >> 33) % 100) as f64 / 10.0
-    };
-    for i in 0..n {
-        for j in 0..n {
-            let same_part = (i < third) == (j < third);
-            let touches_sep = i >= 2 * third || j >= 2 * third;
-            if i != j && (same_part && i < 2 * third && j < 2 * third || touches_sep) {
-                a.set(i, j, rnd());
-            }
-        }
-    }
-    a
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dense_minplus_is_deterministic() {
-        let a = dense_minplus(16, 42);
-        assert_eq!(a, dense_minplus(16, 42));
-        assert_ne!(a, dense_minplus(16, 43));
-        for i in 0..16 {
-            assert_eq!(a.get(i, i), 0.0);
-        }
-    }
-
-    #[test]
-    fn arrow_minplus_has_empty_cross_blocks() {
-        use apsp_minplus::{BlockedMatrix, Blocking};
-        let n = 24;
-        let bm = BlockedMatrix::from_dense(&arrow_minplus(n), Blocking::uniform(n, n / 3));
-        assert!(bm.block(0, 1).is_none(), "cross-partition block must be empty");
-        assert!(bm.block(1, 0).is_none());
-        assert!(bm.block(0, 2).is_some(), "separator band is dense");
-    }
 
     #[test]
     fn workloads_construct() {

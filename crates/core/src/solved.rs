@@ -196,6 +196,15 @@ impl SolvedApsp {
             .iter()
             .map(|x| x.parse().map_err(|e| format!("{e}")))
             .collect::<Result<_, _>>()?;
+        let mut seen = vec![false; order.len()];
+        for &v in &order {
+            if v >= order.len() || std::mem::replace(&mut seen[v], true) {
+                return Err(format!(
+                    "line 4: order is not a permutation of 0..{}: {v} is out of range or repeated",
+                    order.len()
+                ));
+            }
+        }
         let bill: Vec<u64> = parse_line(lines.next(), "bill")?
             .iter()
             .map(|x| x.parse().map_err(|e| format!("{e}")))
@@ -210,10 +219,13 @@ impl SolvedApsp {
         let split = rest.iter().position(|&l| l == "blocks").ok_or("missing blocks section")?;
         let graph = apsp_graph::io::from_edge_list(&rest[..split].join("\n"))?;
 
-        let tree = apsp_etree::SchedTree::new(height);
-        if sizes.len() != tree.num_supernodes() {
-            return Err("sizes do not match the tree".into());
-        }
+        // the fallible constructor: a height no tree has (0, 70) never
+        // reaches `SchedTree::new`
+        let tree = apsp_etree::SchedTree::with_supernodes(sizes.len())
+            .filter(|tree| tree.height() == height)
+            .ok_or_else(|| {
+                format!("line 2: height {height} does not match the {} sizes", sizes.len())
+            })?;
         let ordering = NdOrdering {
             tree,
             perm: apsp_graph::Permutation::from_order(order),
@@ -252,6 +264,11 @@ impl SolvedApsp {
                 .collect::<Result<_, String>>()?;
             if vals.len() != want {
                 return Err(format!("block {rank}: expected {want} words, found {}", vals.len()));
+            }
+            // distances are non-negative, `inf` when unreachable; six
+            // header lines and the `blocks` marker precede block 0
+            if let Some(w) = vals.iter().find(|w| w.is_nan() || **w < 0.0) {
+                return Err(format!("line {}: block {rank} holds {w}", split + rank + 8));
             }
             blocks.push(MinPlusMatrix::from_raw(layout.size(i), layout.size(j), vals));
         }
@@ -349,6 +366,51 @@ mod tests {
         std::fs::write(&path, "not a snapshot").unwrap();
         assert!(SolvedApsp::load(&path).is_err());
         assert!(SolvedApsp::load("/nonexistent/really").is_err());
+    }
+
+    #[test]
+    fn load_rejects_a_corrupted_snapshot_naming_the_line() {
+        let g = generators::grid2d(4, 4, WeightKind::Integer { max: 7 }, 8);
+        let solved = SolvedApsp::solve(&g, 2);
+        let path = std::env::temp_dir().join(format!("apsp-corrupt-{}.txt", std::process::id()));
+        solved.save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[1].starts_with("height ") && lines[3].starts_with("order "));
+        let block0 = lines.iter().position(|&l| l == "blocks").unwrap() + 1;
+        // the line with its last word replaced
+        let with_last = |at: usize, word: &str| {
+            let (head, _) = lines[at].rsplit_once(' ').unwrap();
+            format!("{head} {word}")
+        };
+        let repeated = lines[3].split(' ').nth(1).unwrap();
+        let cases = [
+            (1, "height 70".to_string()),
+            (1, "height 0".to_string()),
+            (3, with_last(3, repeated)),
+            (3, with_last(3, "16")),
+            (block0, with_last(block0, "NaN")),
+            (block0 + 4, with_last(block0 + 4, "-1")),
+        ];
+        for (at, replacement) in cases {
+            let mut corrupted: Vec<&str> = lines.clone();
+            corrupted[at] = &replacement;
+            std::fs::write(&path, corrupted.join("\n") + "\n").unwrap();
+            let err = SolvedApsp::load(&path)
+                .err()
+                .unwrap_or_else(|| panic!("line {}: accepted {replacement:?}", at + 1));
+            assert!(err.contains(&format!("line {}:", at + 1)), "{replacement:?}: {err}");
+        }
+        // untouched, the same text still loads, bit for bit
+        std::fs::write(&path, &text).unwrap();
+        let restored = SolvedApsp::load(&path).unwrap();
+        for (a, b) in solved.blocks.iter().zip(&restored.blocks) {
+            let bits =
+                |m: &MinPlusMatrix| m.as_slice().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b));
+        }
+        restored.save(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
     }
 
     #[test]

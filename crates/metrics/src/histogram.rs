@@ -72,15 +72,6 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Zeroes every bucket and the count/sum.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
-
     /// A consistent-enough snapshot (relaxed loads; exact when no
     /// concurrent writers, which is how exporters use it).
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -193,15 +184,5 @@ mod tests {
     #[test]
     fn empty_histogram_has_no_cumulative_rows() {
         assert!(Histogram::new().snapshot().cumulative().is_empty());
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let h = Histogram::new();
-        h.record(42);
-        h.reset();
-        let s = h.snapshot();
-        assert_eq!((s.count, s.sum), (0, 0));
-        assert!(s.buckets.iter().all(|&c| c == 0));
     }
 }

@@ -217,21 +217,6 @@ impl Registry {
         clone_metric(stored)
     }
 
-    /// Zeroes every registered metric (series stay registered). Used by
-    /// `apsp bench` between workload cells.
-    pub fn reset(&self) {
-        let fams = self.families.read().expect("metrics registry poisoned");
-        for fam in fams.values() {
-            for (_, metric) in fam.series.values() {
-                match metric {
-                    Metric::Counter(c) => c.0.store(0, Ordering::Relaxed),
-                    Metric::Gauge(g) => g.0.store(0, Ordering::Relaxed),
-                    Metric::Histogram(h) => h.reset(),
-                }
-            }
-        }
-    }
-
     /// Deterministic point-in-time view of every registered series.
     pub fn snapshot(&self) -> Snapshot {
         let fams = self.families.read().expect("metrics registry poisoned");
@@ -316,7 +301,7 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Looks up an unlabeled (or single-series) counter value by name;
-    /// `0` when absent. Convenience for tests and `apsp bench` deltas.
+    /// `0` when absent. Convenience for tests.
     pub fn counter_value(&self, name: &str) -> u64 {
         self.families
             .iter()
@@ -382,17 +367,6 @@ mod tests {
         g.set(10);
         g.add(-3);
         assert_eq!(g.get(), 7);
-    }
-
-    #[test]
-    fn reset_zeroes_but_keeps_series() {
-        let r = Registry::new();
-        r.counter("c_total", "C.").add(9);
-        r.histogram("h", "H.").record(4);
-        r.reset();
-        let snap = r.snapshot();
-        assert_eq!(snap.counter_value("c_total"), 0);
-        assert_eq!(snap.families.len(), 2);
     }
 
     #[test]

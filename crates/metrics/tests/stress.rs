@@ -70,14 +70,20 @@ fn snapshots_are_monotone_while_writers_run() {
         let reader = scope.spawn(|| {
             let mut last = 0u64;
             let mut observations = 0u64;
-            while !done.load(Ordering::Acquire) {
+            // observe first, test `done` after: on a busy machine the
+            // writers can finish before this thread is first scheduled,
+            // and the final total is an observation like any other
+            loop {
+                let finished = done.load(Ordering::Acquire);
                 let now = reg.snapshot().counter_value("stress_monotone_total");
                 assert!(now >= last, "counter went backwards: {last} -> {now}");
                 assert!(now <= WRITERS as u64 * ITERS, "counter overshot: {now}");
                 last = now;
                 observations += 1;
+                if finished {
+                    break observations;
+                }
             }
-            observations
         });
         // writers are the non-reader spawns; wait for them by observing
         // the exact total, then release the reader

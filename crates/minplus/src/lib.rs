@@ -4,23 +4,22 @@
 //! # apsp-minplus
 //!
 //! Dense kernels over the tropical `(min, +)` semiring: the matrix type,
-//! the classical Floyd–Warshall block closure, the min-plus matrix product
-//! ("semiring GEMM"), and the blocked Floyd–Warshall of §3.3 of the paper
-//! with arbitrary pivot orders and structural-empty skipping (§4.1).
+//! the classical Floyd–Warshall block closure and the min-plus matrix
+//! product ("semiring GEMM"). The blocked Floyd–Warshall of §3.3 with
+//! structural-empty skipping (§4.1) is built from these in
+//! `apsp_core::superfw`.
 //!
 //! All kernels return exact scalar-operation counts (one `min(x, a + b)`
 //! relaxation = one op), which the workspace uses to reproduce the paper's
 //! computation-reduction claims (SuperFW vs classical FW).
 
 pub mod algebra;
-pub mod blocked;
 pub mod kernels;
 pub mod matrix;
 pub mod perf;
 pub mod via;
 
 pub use algebra::{closure_in, AlgebraMatrix, MaxMin, MinPlus, MostReliable, PathAlgebra};
-pub use blocked::{BlockedMatrix, Blocking};
 pub use kernels::{fw_in_place, gemm, gemm_parallel, relax_row};
 pub use matrix::MinPlusMatrix;
 pub use via::{fw_with_via, ViaMatrix};

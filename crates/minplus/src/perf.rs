@@ -31,11 +31,6 @@ pub struct KernelCounters {
     /// Approximate bytes touched by the kernels: 8 bytes per operand
     /// scan entry plus 16 per relaxation (read + read-modify-write).
     pub bytes_touched: Arc<Counter>,
-    /// Block-level updates performed by `blocked_fw`.
-    pub block_updates: Arc<Counter>,
-    /// Block-level updates skipped because an operand block was
-    /// structurally empty (§4.1 avoidance, measured).
-    pub block_skips: Arc<Counter>,
 }
 
 /// The process-wide kernel counters (registered on first use).
@@ -69,14 +64,6 @@ pub fn counters() -> &'static KernelCounters {
             bytes_touched: r.counter(
                 "apsp_minplus_bytes_touched_total",
                 "Approximate bytes touched by min-plus kernels.",
-            ),
-            block_updates: r.counter(
-                "apsp_minplus_block_updates_total",
-                "Block-level updates performed by blocked FW.",
-            ),
-            block_skips: r.counter(
-                "apsp_minplus_block_skips_total",
-                "Block-level updates skipped as structurally empty.",
             ),
         }
     })

@@ -1,6 +1,6 @@
 //! Property tests: semiring laws and kernel equivalences.
 
-use apsp_minplus::{fw_in_place, gemm, BlockedMatrix, Blocking, MinPlusMatrix, INF};
+use apsp_minplus::{fw_in_place, gemm, MinPlusMatrix, INF};
 use proptest::prelude::*;
 
 /// Strategy: square matrix of dimension `n` with ~`density` finite entries.
@@ -76,28 +76,6 @@ proptest! {
         let mut twice = once.clone();
         fw_in_place(&mut twice);
         prop_assert!(once.max_diff(&twice) < 1e-12);
-    }
-
-    #[test]
-    fn blocked_fw_matches_classical(a in arb_square(12), bsize in 1usize..5) {
-        let a = symmetrized(a);
-        let mut reference = a.clone();
-        fw_in_place(&mut reference);
-        let mut bm = BlockedMatrix::from_dense(&a, Blocking::uniform(a.rows(), bsize));
-        let order: Vec<usize> = (0..bm.blocking().num_blocks()).collect();
-        bm.blocked_fw(&order);
-        prop_assert!(bm.to_dense().max_diff(&reference) < 1e-9);
-    }
-
-    #[test]
-    fn blocked_fw_reversed_order_matches(a in arb_square(12), bsize in 1usize..5) {
-        let a = symmetrized(a);
-        let mut reference = a.clone();
-        fw_in_place(&mut reference);
-        let mut bm = BlockedMatrix::from_dense(&a, Blocking::uniform(a.rows(), bsize));
-        let order: Vec<usize> = (0..bm.blocking().num_blocks()).rev().collect();
-        bm.blocked_fw(&order);
-        prop_assert!(bm.to_dense().max_diff(&reference) < 1e-9);
     }
 
     #[test]

@@ -47,6 +47,18 @@ impl Args {
         self.0.iter().any(|a| a == name)
     }
 
+    /// Dies on a `--token` outside `known`, the command's space-separated
+    /// option table: a misspelt option must not silently run the default.
+    /// `--metrics=BASE` is the one option that carries its value inline.
+    fn reject_unknown(&self, cmd: &str, known: &str) {
+        for a in self.0.iter().filter(|a| a.starts_with("--")) {
+            let name = if a.starts_with("--metrics=") { "--metrics" } else { a.as_str() };
+            if !known.split(' ').any(|k| k == name) {
+                die(&format!("unknown option {a} for apsp {cmd}"));
+            }
+        }
+    }
+
     /// `--name` → `Some(None)`, `--name=value` → `Some(Some(value))`,
     /// absent → `None`. For options whose value is optional.
     fn opt_eq(&self, name: &str) -> Option<Option<&str>> {
@@ -220,6 +232,11 @@ fn distances_tsv(dist: &DenseDist) -> String {
 }
 
 fn cmd_generate(args: &Args) {
+    args.reject_unknown(
+        "generate",
+        "--kind --out --rows --cols --side --n --p --radius --scale --edge-factor --weights \
+         --max-weight --seed",
+    );
     let kind = args.get("--kind");
     let seed: u64 = args.num("--seed", 0);
     let weights = match args.opt("--weights").unwrap_or("unit") {
@@ -249,6 +266,11 @@ fn cmd_generate(args: &Args) {
     sparse_apsp::graph::io::write_graph(out, &g).unwrap_or_else(|e| die(&e));
     println!("wrote {out}: {} vertices, {} edges", g.n(), g.m());
 }
+
+/// The options of one solver run (`--input` and what [`solve`] reads);
+/// `apsp solve` and `apsp path` both take them.
+const SOLVER_OPTS: &str = "--input --algorithm --backend --height --depth --sequential-r4 \
+    --compress-empty --charge-ordering --faults --fault-seed --recover";
 
 /// What `solve` hands back: distances, the cost report, per-level costs.
 type Solved = (DenseDist, RunReport, Vec<(u64, u64)>);
@@ -397,6 +419,8 @@ fn check_against(oracle: &str, reference: &DenseDist, dist: &DenseDist) {
 }
 
 fn cmd_solve(args: &Args) {
+    let own = "--verify --directed --distances --report --trace --profile --metrics";
+    args.reject_unknown("solve", &format!("{SOLVER_OPTS} {own}"));
     let metrics = metrics_setup(args);
     let check = args.flag("--verify");
     let (dist, report, level_costs) = if args.flag("--directed") {
@@ -455,52 +479,8 @@ fn cmd_solve(args: &Args) {
     }
 }
 
-/// `apsp bench` — runs the pinned workload matrix and writes the
-/// schema-versioned `BENCH_<label>.json`; with `--compare BASELINE`,
-/// gates on wall-clock regressions (exit 1).
-fn cmd_bench(args: &Args) {
-    let quick = !args.flag("--full");
-    let backend = backend(args);
-    let default_label = match backend {
-        Backend::Native => "native",
-        Backend::Sim if quick => "quick",
-        Backend::Sim => "full",
-    };
-    let label = args.opt("--label").unwrap_or(default_label);
-    let iters: u32 = args.num("--iters", 3);
-    let out_path =
-        args.opt("--out").map(String::from).unwrap_or_else(|| format!("BENCH_{label}.json"));
-    let suite = sparse_apsp::bench::run_suite_on(label, quick, iters, backend, &mut |msg| {
-        eprintln!("bench: {msg}");
-    });
-    std::fs::write(&out_path, suite.to_json())
-        .unwrap_or_else(|e| die(&format!("cannot write {out_path}: {e}")));
-    eprintln!("bench results written to {out_path} ({} cases)", suite.cases.len());
-    if let Some(baseline_path) = args.opt("--compare") {
-        let text = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| die(&format!("cannot read {baseline_path}: {e}")));
-        let baseline = sparse_apsp::bench::BenchSuite::from_json(&text)
-            .unwrap_or_else(|e| die(&format!("bad baseline {baseline_path}: {e}")));
-        let tolerance: f64 = args.num("--tolerance", 0.25);
-        let cmp = sparse_apsp::bench::compare(&suite, &baseline, tolerance);
-        for w in &cmp.warnings {
-            eprintln!("bench: warning: {w}");
-        }
-        if !cmp.ok() {
-            for r in &cmp.regressions {
-                eprintln!("bench: REGRESSION: {r}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!(
-            "bench: within {:.0}% of {baseline_path} ({} warning(s))",
-            tolerance * 100.0,
-            cmp.warnings.len()
-        );
-    }
-}
-
 fn cmd_path(args: &Args) {
+    args.reject_unknown("path", &format!("{SOLVER_OPTS} --from --to"));
     let g = load_graph(args.get("--input"));
     let (dist, _, _) = solve(args, &g);
     let from: usize = args.num("--from", 0);
@@ -525,18 +505,19 @@ apsp — communication-avoiding sparse all-pairs shortest paths (ICPP'21)
 
 USAGE:
   apsp generate --kind <grid|grid3d|gnp|geometric|rmat|path> --out FILE
-                [--rows N --cols N | --n N | --side N | --scale N]
-                [--weights unit|integer|uniform] [--seed N]
+                [--rows N --cols N | --side N | --n N [--p F | --radius F]
+                 | --scale N [--edge-factor N]]
+                [--weights unit|integer|uniform] [--max-weight N] [--seed N]
   apsp solve    --input FILE [--algorithm sparse2d|fw2d|dcapsp|djohnson|superfw]
-                [--backend sim|native] [--height H] [--verify]
+                [--backend sim|native] [--height H] [--depth D] [--verify]
                 [--distances FILE] [--report FILE]
                 [--sequential-r4] [--compress-empty] [--charge-ordering]
                 [--trace DIR] [--profile] [--metrics[=BASE]]
                 [--faults SPEC] [--fault-seed N] [--recover POLICY]
                 [--directed]   (.gr inputs keep their arc orientation)
-  apsp path     --input FILE --from A --to B [--algorithm ...] [--height H]
-  apsp bench    [--full] [--backend sim|native] [--label NAME] [--out FILE]
-                [--iters N] [--compare BASELINE.json] [--tolerance F]
+  apsp path     --input FILE --from A --to B   (plus solve's solver options:
+                --algorithm --backend --height --depth --sequential-r4
+                --compress-empty --charge-ordering --faults --fault-seed --recover)
   apsp verify   --input FILE [--algorithm sparse2d|fw2d|dcapsp|djohnson|bad-fixture]
                 [--backend sim|native] [--height H] [--n-grid N] [--depth D]
                 [--no-explore] [--max-schedules N]
@@ -545,6 +526,8 @@ USAGE:
                 [--skip-cost] [--skip-src] [--root DIR] [--fixture cost|src]
   apsp info     --input FILE [--height H]   (graph statistics + separator probe)
   apsp help
+
+An option a command does not list is an error (exit 2), never ignored.
 
 The simulated machine has p = (2^H - 1)^2 ranks; the JSON report carries
 the critical-path latency/bandwidth the paper's Table 2 analyzes.
@@ -557,8 +540,7 @@ and the simulator-only flags (--trace, --profile, --charge-ordering)
 are rejected. --faults and --recover DO work on the native backend:
 the same seeded plans inject chaos into real channel traffic, and
 kill= rules kill actual rank threads (recovered by thread-level
-checkpoint/restart under --recover). `apsp bench --backend native`
-writes BENCH_native.json (wall-clock only; see docs/BACKENDS.md).
+checkpoint/restart under --recover); see docs/BACKENDS.md.
 
 Observability: --trace DIR writes DIR/trace.json (Chrome-trace JSON of the
 span ledger over simulated critical-path time; open in Perfetto) and
@@ -573,16 +555,6 @@ writes BASE.prom (Prometheus text exposition 0.0.4) and BASE.jsonl (one
 series per line). Counters are always on; the flag additionally enables
 the wall-clock timers. Enabling metrics never changes the cost report —
 the §3.1 ledgers are test-pinned byte-identical either way.
-
-Benchmarks: `apsp bench` runs the pinned (workload x solver x height)
-matrix — quick by default, --full for every solver — verifying each
-solve against the Dijkstra oracle, and writes schema-versioned JSON
-(BENCH_<label>.json) with min wall-clock, the deterministic critical-path
-clocks, and kernel-counter deltas per case. --compare BASELINE.json exits
-1 when a case's wall-clock regresses more than --tolerance (default
-0.25); deterministic-counter drift is a warning, not a failure. CI runs
-`apsp bench --quick` against the committed BENCH_baseline.json (see
-docs/OBSERVABILITY.md for the override label).
 
 Fault injection: --faults SPEC runs the solver under deterministic,
 seed-reproducible message faults; on the simulated machine recovery is
@@ -648,6 +620,11 @@ seeded regression fixtures, which must exit 1 — proof both layers fire.
 /// deterministic schedule explorer; see `docs/VERIFICATION.md`). Exits 0
 /// on a clean report, 1 with a readable violation report.
 fn cmd_verify(args: &Args) {
+    args.reject_unknown(
+        "verify",
+        "--input --algorithm --backend --height --n-grid --depth --no-explore --max-schedules \
+         --sequential-r4 --compress-empty",
+    );
     let algorithm = args.opt("--algorithm").unwrap_or("sparse2d");
     let backend = backend(args);
     let vopts = VerifyOptions {
@@ -704,6 +681,10 @@ fn cmd_verify(args: &Args) {
 /// clean, 1 with a readable per-phase / per-file report otherwise.
 fn cmd_audit(args: &Args) {
     use sparse_apsp::audit::{audit_cost_model, audit_flood_fixture, AuditOptions};
+    args.reject_unknown(
+        "audit",
+        "--json --tolerance --max-p --skip-cost --skip-src --root --fixture",
+    );
     let json = args.flag("--json");
     let opts = AuditOptions {
         tolerance: args.num("--tolerance", AuditOptions::DEFAULT_TOLERANCE),
@@ -775,6 +756,7 @@ fn cmd_audit(args: &Args) {
 }
 
 fn cmd_info(args: &Args) {
+    args.reject_unknown("info", "--input --height");
     let g = load_graph(args.get("--input"));
     print!("{}", sparse_apsp::graph::stats::graph_stats(&g));
     // a quick separator probe at the requested height
@@ -797,7 +779,6 @@ fn main() {
         "path" => cmd_path(&args),
         "verify" => cmd_verify(&args),
         "audit" => cmd_audit(&args),
-        "bench" => cmd_bench(&args),
         "info" => cmd_info(&args),
         "help" | "--help" | "-h" => println!("{HELP}"),
         other => die(&format!("unknown command {other}")),

@@ -35,7 +35,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`graph`] | CSR graphs, generators, Dijkstra/Johnson/FW oracles, I/O |
-//! | [`minplus`] | tropical-semiring dense kernels, blocked FW |
+//! | [`minplus`] | tropical-semiring dense kernels |
 //! | [`par`] | scoped-thread parallel helpers |
 //! | [`etree`] | elimination-tree scheduling math (§4.2, §5.2), unit placement (Cor. 5.5) |
 //! | [`partition`] | multilevel nested dissection, Kőnig separators (§4.1) |
@@ -43,7 +43,7 @@
 //! | [`transport`] | the [`transport::Transport`] trait and the native threads backend |
 //! | [`core`] | 2D-SPARSE-APSP, SuperFW, dense baselines, cost bounds |
 //! | [`metrics`] | host-side metrics registry (counters, histograms, phase timers) |
-//! | [`bench`] | experiment runners, `apsp bench` workload matrix |
+//! | [`bench`] | experiment runners behind `paper_report`, the JSON reader |
 
 pub mod audit;
 

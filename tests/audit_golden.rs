@@ -69,7 +69,7 @@ fn the_source_tree_is_lint_clean() {
         "only {} files scanned — walker broke?",
         report.files_scanned
     );
-    assert!(report.allowed >= 4, "the sanctioned audit:allow sites disappeared");
+    assert!(report.allowed >= 3, "the sanctioned audit:allow sites disappeared");
 }
 
 #[test]
