@@ -22,12 +22,12 @@ use apsp_transport::Transport;
 /// * [`Backend::Sim`] is the §3.1 simulated machine (`apsp-simnet`):
 ///   exact latency/bandwidth/compute clocks, fault injection, tracing,
 ///   profiling, checkpoint/restart.
-/// * [`Backend::Native`] runs the schedule on `p` OS threads over plain
-///   channels (`apsp-transport`): no cost clocks (the report's counters
-///   are all zero), but real wall-clock execution — the backend for
-///   timing the actual message pattern. Fault injection and
+/// * [`Backend::Native`] runs the schedule on `p` pooled OS threads, one
+///   inbox per rank (`apsp-transport`): no cost clocks (the report's
+///   counters are all zero), but real wall-clock execution — the backend
+///   for timing the actual message pattern. Fault injection and
 ///   checkpoint/restart run here too (the same seeded plans, with
-///   `kill=` rules killing actual rank threads); only tracing,
+///   `kill=` rules unwinding the killed rank's program); only tracing,
 ///   profiling, and cost accounting stay simulator-only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {

@@ -2,9 +2,10 @@
 //! ([`crate::endpoint::run_epoch`]), and so of both machines.
 //!
 //! When one rank dies of a root cause (an unrecoverable fault, a schedule
-//! bug, a hang verdict, a fault-plan thread kill), its channels
-//! disconnect and its peers die *of the disconnection* — cascade victims,
-//! not first failures. Three pieces deal with that:
+//! bug, a hang verdict, a fault-plan rank kill), it hangs up on every peer
+//! and its inbox closes, and a peer waiting on it or sending to it dies
+//! *of that* — a cascade victim, not a first failure. Three pieces deal
+//! with that:
 //!
 //! * the [`Disconnect`] marker a cascade victim panics with;
 //! * a process-wide panic hook that silences the machine's *typed* abort
@@ -19,15 +20,16 @@ use crate::recovery::{HangError, MachineError, ProtocolError, RankDown};
 use crate::sched::DeadlockError;
 use std::any::Any;
 
-/// Typed panic payload for a rank that died mid-send or mid-receive on a
-/// disconnected channel — always a cascade victim of a root-cause panic
-/// on the peer, never a first failure, so the panic hook silences it and
-/// the join triage surfaces the peer's error instead.
+/// Typed panic payload for a rank that died sending to a peer whose inbox
+/// closed, or receiving from a peer that hung up with nothing left to
+/// deliver — always a cascade victim of a root-cause panic on the peer,
+/// never a first failure, so the panic hook silences it and the triage
+/// surfaces the peer's error instead.
 #[derive(Clone, Copy, Debug)]
 pub struct Disconnect {
     /// The rank that died of the disconnection.
     pub rank: Rank,
-    /// The peer whose channel closed under it.
+    /// The peer that unwound under it.
     pub peer: Rank,
     /// The tag of the send/receive in flight.
     pub tag: u64,

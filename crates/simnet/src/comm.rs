@@ -69,7 +69,7 @@ impl Ord for TraceEvent {
 pub struct Machine;
 
 impl Machine {
-    /// Runs `f(comm)` on `p` ranks (one OS thread each) and returns every
+    /// Runs `f(comm)` on `p` ranks (one pooled OS thread each) and returns every
     /// rank's result plus the cost report.
     ///
     /// Panics in any rank propagate and fail the run (useful in tests).

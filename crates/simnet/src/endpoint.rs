@@ -15,21 +15,25 @@
 //! envelope), bounded-backoff retransmission, duplicate and corruption
 //! rejection, tag checking, the hang dump, script recording, the
 //! save/restore protocol at a phase boundary, and the epoch runner
-//! ([`run_epoch`]: channel matrix, scoped spawn, rank-order join, cascade
-//! triage) — is written once, here, against the [`crate::sync`] shim, so
-//! `--cfg loom` builds model-check the code that runs.
+//! ([`run_epoch`]: one inbox per rank, the rank-thread pool, rank-order
+//! triage of the outcomes, cascade handling) — is written once, here and
+//! in [`crate::pool`], against the [`crate::sync`] shim, so `--cfg loom`
+//! builds model-check the code that runs.
 
 use crate::cascade::{classify_panics, install_quiet_typed_panics, surface_root_cause, Disconnect};
 use crate::comm::{MachineRun, Rank};
 use crate::faults::{checksum, FaultError, FaultPlan, FaultStats, FaultSummary, Injection};
+use crate::pool;
 use crate::recovery::{Checkpoints, Epoch, HangError, MachineError, ProtocolError, RankDown};
 use crate::report::{Clocks, RankStats, RunReport};
 use crate::sched::Governor;
 use crate::script::{CollectiveKind, CommEvent, ScriptBoard};
 use crate::snapshot::Snapshot;
-use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use crate::sync::{thread, Arc, Mutex};
+use crate::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 /// What a machine supplies to the shared [`Endpoint`]: its cost
@@ -41,12 +45,12 @@ pub trait Meter: Sized {
     /// What a frame carries from the sender's meter to the receiver's.
     type Stamp: Send;
 
-    /// What a `kill=R[@B]` rule does to rank R: `true` takes its thread
-    /// down with a typed [`RankDown`] at the next communication attempt
-    /// from boundary B on; `false` leaves the thread running and the
-    /// kill manifests as R's messages being dropped
+    /// What a `kill=R[@B]` rule does to rank R: `true` unwinds R's
+    /// program with a typed [`RankDown`] at its next communication
+    /// attempt from boundary B on; `false` leaves the program running and
+    /// the kill manifests as R's messages being dropped
     /// ([`FaultPlan::injection_at`]).
-    const KILL_TAKES_THREAD_DOWN: bool = false;
+    const KILL_UNWINDS_RANK: bool = false;
 
     /// A physical attempt of `words` words left for `dst` and is on the
     /// wire, `delay` injected latency units late: charges the sender and
@@ -106,13 +110,18 @@ pub trait Meter: Sized {
 struct Frame<S> {
     tag: u64,
     payload: Vec<f64>,
-    /// Per-`(src, dst)` channel sequence number, starting at 1 (0 = no
-    /// fault layer).
+    /// Per-`(src, dst)` sequence number, starting at 1 (0 = no fault
+    /// layer).
     seq: u64,
     /// [`checksum`] of the payload at send time (fault mode only).
     sum: u64,
     stamp: S,
 }
+
+/// What lands in a rank's inbox, with its source: a frame, or `None` once
+/// the source's program unwound — its hang-up notice, which arrives
+/// behind every frame it sent.
+type Mail<S> = (Rank, Option<Frame<S>>);
 
 /// Machine-wide hang detection, shared by every rank of one run: any send
 /// or completed receive bumps `progress`; a rank blocked in a receive
@@ -123,6 +132,9 @@ struct Watchdog {
     /// `blocked[rank] = Some((src, tag))` while `rank` waits in a receive
     /// (`src == rank` marks a wildcard wait).
     blocked: Mutex<Vec<Option<(Rank, u64)>>>,
+    /// `returned[rank]`: `rank`'s program returned, so nothing more will
+    /// come from it — a receive naming it with nothing pending is a hang.
+    returned: Vec<AtomicBool>,
     /// `APSP_WATCHDOG_MS`, or 5000 ms of machine-wide inactivity.
     /// Wall-clock time only arms the detector — simulated costs never
     /// depend on it, so determinism is unaffected.
@@ -133,7 +145,12 @@ impl Watchdog {
     fn new(p: usize) -> Self {
         let window_ms =
             std::env::var("APSP_WATCHDOG_MS").ok().and_then(|v| v.parse().ok()).unwrap_or(5000);
-        Watchdog { progress: AtomicU64::new(0), blocked: Mutex::new(vec![None; p]), window_ms }
+        Watchdog {
+            progress: AtomicU64::new(0),
+            blocked: Mutex::new(vec![None; p]),
+            returned: (0..p).map(|_| AtomicBool::new(false)).collect(),
+            window_ms,
+        }
     }
 }
 
@@ -150,12 +167,12 @@ struct FaultState {
     /// physical id ≥ `p` (a pure relabeling — same threads, same wires,
     /// but kill rules no longer match).
     remap: Vec<Rank>,
-    /// On machines whose kill rules take threads down: the boundary from
+    /// On machines whose kill rules unwind the rank: the boundary from
     /// which this rank's next communication attempt kills it.
     kill_from: Option<u64>,
-    /// Next sequence number per destination channel.
+    /// Next sequence number per destination.
     seq_next: Vec<u64>,
-    /// Highest accepted sequence number per source channel.
+    /// Highest accepted sequence number per source.
     seq_seen: Vec<u64>,
     stats: FaultStats,
 }
@@ -166,8 +183,16 @@ struct FaultState {
 pub struct Endpoint<M: Meter> {
     rank: Rank,
     p: usize,
-    tx: Vec<Sender<Frame<M::Stamp>>>,
-    rx: Vec<Receiver<Frame<M::Stamp>>>,
+    /// The senders into every rank's inbox, by rank.
+    tx: Arc<[Sender<Mail<M::Stamp>>]>,
+    /// This rank's one inbox: every peer's mail, each peer's in send order.
+    inbox: Receiver<Mail<M::Stamp>>,
+    /// Frames taken from the inbox ahead of the receive that names their
+    /// source, per source, oldest first.
+    pending: Vec<VecDeque<Frame<M::Stamp>>>,
+    /// `hung_up[src]`: `src`'s program unwound, and everything it sent is
+    /// in `pending[src]` or already received.
+    hung_up: Vec<bool>,
     /// Phase boundaries committed so far ([`Endpoint::commit_phase`]).
     /// Counted in every mode — kill-at-boundary rules key on it even
     /// when no recovery supervisor is attached.
@@ -246,9 +271,9 @@ impl<M: Meter> Endpoint<M> {
         self.put_on_wire(dst, tag, payload, 0, 0, 0);
     }
 
-    /// Fault-plan thread kill: once this rank's boundary counter reaches
-    /// its `kill=R[@B]` trigger, the next communication attempt takes the
-    /// whole thread down with a typed [`RankDown`] payload. Checked at
+    /// Fault-plan rank kill: once this rank's boundary counter reaches its
+    /// `kill=R[@B]` trigger, the next communication attempt unwinds the
+    /// rank's program with a typed [`RankDown`] payload. Checked at
     /// send/receive entry — *after* the boundary-B commit, so the
     /// victim's last checkpoint is exactly the one the supervisor's
     /// consistent cut sees, matching the timing of a kill that manifests
@@ -271,15 +296,16 @@ impl<M: Meter> Endpoint<M> {
         delay: u64,
     ) {
         let stamp = self.meter.on_wire(dst, tag, payload.len(), delay);
-        if self.tx[dst].send(Frame { tag, payload, seq, sum, stamp }).is_err() {
-            // the receiver's thread already died of a root-cause error;
+        let frame = Frame { tag, payload, seq, sum, stamp };
+        if self.tx[dst].send((self.rank, Some(frame))).is_err() {
+            // the receiver's program already unwound, closing its inbox;
             // die as a silenced cascade victim so that error surfaces
             std::panic::panic_any(Disconnect { rank: self.rank, peer: dst, tag });
         }
         // a send is machine progress: any rank still moving holds off
         // every rank's watchdog
         self.watchdog.progress.fetch_add(1, Ordering::Relaxed);
-        // mirror the wire *after* the channel send, so a governor grant
+        // mirror the wire *after* the inbox send, so a governor grant
         // always finds the message already deposited
         if let Some(gov) = self.meter.governor() {
             gov.on_send(self.rank, dst);
@@ -365,7 +391,7 @@ impl<M: Meter> Endpoint<M> {
         }
     }
 
-    /// Receives the next message from `src` (FIFO per channel; blocks).
+    /// Receives the next message from `src` (FIFO per source; blocks).
     ///
     /// # Panics
     /// Panics when the arriving message's tag differs from `expected_tag` —
@@ -386,12 +412,13 @@ impl<M: Meter> Endpoint<M> {
     /// Receives the next message from **any** source carrying
     /// `expected_tag` — the `MPI_ANY_SOURCE` analogue, and the machine's
     /// only genuine delivery-order choice point (named receives are FIFO
-    /// per channel, so their delivery order is fixed by the program).
+    /// per source, so their delivery order is fixed by the program).
     ///
     /// Under [`crate::Machine::run_governed`] the delivery order is
     /// resolved by the schedule, making runs replayable and explorable;
-    /// in ungoverned runs the ports are polled and the winner depends on
-    /// wall-clock arrival order — exactly the nondeterminism hazard the
+    /// in ungoverned runs it takes the lowest source's pending frame, or
+    /// else waits for the next frame into the inbox, so the winner depends
+    /// on wall-clock arrival order — exactly the nondeterminism hazard the
     /// protocol verifier's explorer exists to surface. Returns the source
     /// rank and the payload.
     ///
@@ -413,7 +440,7 @@ impl<M: Meter> Endpoint<M> {
         frame.payload
     }
 
-    /// Pulls the next physical arrival — from `src`, or from any port for
+    /// Pulls the next physical arrival — from `src`, or from any source for
     /// a wildcard receive — and charges it to this rank's port.
     ///
     /// Governed runs sequence delivery through the governor, which
@@ -423,23 +450,62 @@ impl<M: Meter> Endpoint<M> {
     /// the watchdog window the rank aborts with a typed [`HangError`] —
     /// a schedule bug hangs a test run no longer.
     fn wire_recv(&mut self, src: Option<Rank>, tag: u64) -> (Rank, Frame<M::Stamp>) {
-        let arrival = match self.meter.governor() {
-            Some(gov) => {
-                let src = gov
-                    .acquire(self.rank, src, tag)
-                    .unwrap_or_else(|deadlock| std::panic::panic_any(deadlock));
-                // a grant guarantees the message is already on the wire
-                let frame = self.rx[src].recv();
-                (src, frame.expect("governor granted a message that is on the wire"))
-            }
+        let granted = self.meter.governor().map(|gov| {
+            gov.acquire(self.rank, src, tag)
+                .unwrap_or_else(|deadlock| std::panic::panic_any(deadlock))
+        });
+        let arrival = match granted {
+            Some(src) => (src, self.granted(src)),
             None => self.watched_recv(src, tag),
         };
         self.meter.arrived(arrival.1.payload.len(), &arrival.1.stamp);
         arrival
     }
 
-    /// The ungoverned wait of [`Endpoint::wire_recv`], under the watchdog.
-    fn watched_recv(&self, src: Option<Rank>, tag: u64) -> (Rank, Frame<M::Stamp>) {
+    /// The frame a governor grant for `src` names. A grant guarantees the
+    /// message is already deposited, so this only files what the inbox
+    /// holds ahead of it.
+    fn granted(&mut self, src: Rank) -> Frame<M::Stamp> {
+        loop {
+            if let Some(frame) = self.pending[src].pop_front() {
+                return frame;
+            }
+            let mail = self.inbox.recv().expect("a rank's own sender keeps its inbox open");
+            self.file(mail);
+        }
+    }
+
+    /// Files a piece of mail under its source.
+    fn file(&mut self, (src, mail): Mail<M::Stamp>) {
+        match mail {
+            Some(frame) => self.pending[src].push_back(frame),
+            None => self.hung_up[src] = true,
+        }
+    }
+
+    /// Files everything already in the inbox, without waiting.
+    fn drain(&mut self) {
+        while let Ok(mail) = self.inbox.try_recv() {
+            self.file(mail);
+        }
+    }
+
+    /// The oldest pending frame from `src`, or, for a wildcard, from the
+    /// lowest source holding one.
+    fn take_pending(&mut self, src: Option<Rank>) -> Option<(Rank, Frame<M::Stamp>)> {
+        let src = match src {
+            Some(src) => src,
+            None => self.pending.iter().position(|queue| !queue.is_empty())?,
+        };
+        self.pending[src].pop_front().map(|frame| (src, frame))
+    }
+
+    /// The ungoverned wait of [`Endpoint::wire_recv`], under the watchdog:
+    /// pending frames first, then the inbox, filing other sources' frames
+    /// as they come. A named source that hung up with nothing left makes
+    /// this rank a cascade victim at once; one that returned with nothing
+    /// left is a hang, declared at the next tick.
+    fn watched_recv(&mut self, src: Option<Rank>, tag: u64) -> (Rank, Frame<M::Stamp>) {
         let window_ms = self.watchdog.window_ms;
         let tick_ms = (window_ms / 5).clamp(1, 50);
         let tick = Duration::from_millis(tick_ms);
@@ -449,27 +515,29 @@ impl<M: Meter> Endpoint<M> {
         let mut idle = 0u64;
         let mut last_progress = self.watchdog.progress.load(Ordering::Relaxed);
         loop {
-            let arrival = match src {
-                Some(src) => match self.rx[src].recv_timeout(tick) {
-                    Ok(frame) => Some((src, frame)),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        // the sender's ports only close when its thread
-                        // unwound before depositing its outcome — this
-                        // rank is a cascade victim of a root-cause panic
-                        // over there. Die with a typed marker so the root
-                        // cause is surfaced instead.
-                        std::panic::panic_any(Disconnect { rank: self.rank, peer: src, tag });
-                    }
-                },
+            let arrival = match self.take_pending(src) {
+                Some(arrival) => Some(arrival),
                 None => {
-                    let polled = (0..self.p)
-                        .filter(|&src| src != self.rank)
-                        .find_map(|src| self.rx[src].try_recv().ok().map(|frame| (src, frame)));
-                    if polled.is_none() {
-                        thread::sleep(tick);
+                    if let Some(peer) = src.filter(|&peer| self.hung_up[peer]) {
+                        // the peer's program unwound before sending what
+                        // this rank waits for: a cascade victim of a
+                        // root-cause panic over there. Die with a typed
+                        // marker so the root cause is surfaced instead.
+                        std::panic::panic_any(Disconnect { rank: self.rank, peer, tag });
                     }
-                    polled
+                    match self.inbox.recv_timeout(tick) {
+                        Ok((from, Some(frame))) if src.is_none_or(|src| src == from) => {
+                            Some((from, frame))
+                        }
+                        Ok(mail) => {
+                            self.file(mail);
+                            continue;
+                        }
+                        Err(RecvTimeoutError::Timeout) => None,
+                        Err(RecvTimeoutError::Disconnected) => {
+                            unreachable!("a rank's own sender keeps its inbox open")
+                        }
+                    }
                 }
             };
             if let Some(arrival) = arrival {
@@ -483,6 +551,16 @@ impl<M: Meter> Endpoint<M> {
                 self.watchdog.blocked.lock().expect("watchdog registry")[self.rank] =
                     Some(blocked_on);
                 registered = true;
+            }
+            if let Some(peer) =
+                src.filter(|&peer| self.watchdog.returned[peer].load(Ordering::Acquire))
+            {
+                // everything the peer sent is in the inbox by now
+                self.drain();
+                if self.pending[peer].is_empty() {
+                    self.hang(blocked_on);
+                }
+                continue;
             }
             let progress = self.watchdog.progress.load(Ordering::Relaxed);
             if progress != last_progress {
@@ -499,19 +577,18 @@ impl<M: Meter> Endpoint<M> {
 
     /// The watchdog's verdict: no rank made progress for the whole window.
     /// Aborts with a typed [`HangError`] — who was blocked on whom, plus
-    /// up to 16 messages delivered to this rank's ports but never asked
-    /// for.
-    fn hang(&self, (src, tag): (Rank, u64)) -> ! {
+    /// up to 16 messages delivered to this rank but never asked for, by
+    /// source.
+    fn hang(&mut self, (src, tag): (Rank, u64)) -> ! {
         let blocked = self.watchdog.blocked.lock().expect("watchdog registry").clone();
-        let mut pending = Vec::new();
-        'ports: for (peer, rx) in self.rx.iter().enumerate() {
-            while let Ok(frame) = rx.try_recv() {
-                pending.push((peer, frame.tag, frame.payload.len()));
-                if pending.len() >= 16 {
-                    break 'ports;
-                }
-            }
-        }
+        self.drain();
+        let pending = self
+            .pending
+            .iter()
+            .enumerate()
+            .flat_map(|(peer, queue)| queue.iter().map(move |f| (peer, f.tag, f.payload.len())))
+            .take(16)
+            .collect();
         std::panic::panic_any(HangError { rank: self.rank, src, tag, blocked, pending });
     }
 
@@ -534,7 +611,7 @@ impl<M: Meter> Endpoint<M> {
             debug_assert_eq!(
                 frame.seq,
                 *seen + 1,
-                "per-channel FIFO delivers sequence numbers in order"
+                "per-source FIFO delivers sequence numbers in order"
             );
             *seen = frame.seq;
             return frame;
@@ -542,22 +619,34 @@ impl<M: Meter> Endpoint<M> {
     }
 
     /// Fails loudly on a tag mismatch, naming the endpoints, both tags,
-    /// and up to 8 still-pending messages on the same channel. The abort
+    /// and up to 8 still-pending messages from the same source. The abort
     /// is a typed [`ProtocolError`] (whose `Display` carries the same
     /// diagnostic) so the recovery supervisor routes it like any other
     /// machine error.
-    fn check_tag(&self, src: Rank, expected: u64, actual: u64) {
+    fn check_tag(&mut self, src: Rank, expected: u64, actual: u64) {
         if actual == expected {
             return;
         }
-        let mut pending = Vec::new();
-        while pending.len() < 8 {
-            match self.rx[src].try_recv() {
-                Ok(frame) => pending.push((frame.tag, frame.payload.len())),
-                Err(_) => break,
+        self.drain();
+        let pending = self.pending[src]
+            .iter()
+            .take(8)
+            .map(|frame| (frame.tag, frame.payload.len()))
+            .collect();
+        std::panic::panic_any(ProtocolError { rank: self.rank, src, expected, actual, pending });
+    }
+
+    /// Closes this rank after its program unwound: each peer gets a hang-up
+    /// notice behind the frames already sent to it, so a peer waiting on
+    /// this rank dies promptly as a cascade victim, and the inbox drops
+    /// with the endpoint, so a later send here makes its sender one too.
+    fn hang_up(self) {
+        for (peer, tx) in self.tx.iter().enumerate() {
+            if peer != self.rank {
+                // a peer whose own program unwound has no inbox left
+                let _ = tx.send((self.rank, None));
             }
         }
-        std::panic::panic_any(ProtocolError { rank: self.rank, src, expected, actual, pending });
     }
 
     /// The fault-stats ledger; only callable in fault mode.
@@ -740,20 +829,22 @@ impl Drop for Finish {
     }
 }
 
-/// One machine epoch: runs `f` on `p` ranks — one scoped thread each over
-/// a fresh channel matrix, the endpoint of rank `r` metered by `meter(r)`
-/// — under the fault plan when there is one, checkpointing and resuming
-/// as `epoch` says, recording into `script`. Returns the run (outputs,
-/// the cost report the meters end with, the fault summary) and the meters
-/// themselves, in rank order, for whatever else the machine collects.
+/// One machine epoch: runs `f` on `p` ranks — each on a parked worker of
+/// the rank-thread pool ([`crate::pool`]) with a fresh inbox, the endpoint
+/// of rank `r` metered by `meter(r)` — under the fault plan when there is
+/// one, checkpointing and resuming as `epoch` says, recording into
+/// `script`. Returns the run (outputs, the cost report the meters end
+/// with, the fault summary) and the meters themselves, in rank order, for
+/// whatever else the machine collects.
 ///
 /// # Errors
-/// The typed root cause when ranks died of one: a typed abort (thread
-/// kill, unrecoverable injected fault, tag mismatch, watchdog hang,
-/// governed deadlock) kills its rank with a typed payload and its peers
-/// then die on channel disconnect; the join triage surfaces the cause,
-/// not the cascade. Handles are joined in rank order, so the lowest
-/// faulting rank wins a tie and the surfaced error is deterministic.
+/// The typed root cause when ranks died of one: a typed abort (rank kill,
+/// unrecoverable injected fault, tag mismatch, watchdog hang, governed
+/// deadlock) unwinds its rank's program with a typed payload, the rank
+/// hangs up, and its peers then die as cascade victims; the triage
+/// surfaces the cause, not the cascade. Outcomes are triaged in rank
+/// order, so the lowest faulting rank wins a tie and the surfaced error
+/// is deterministic.
 ///
 /// # Panics
 /// Re-raises a rank's genuine (string) panic.
@@ -775,41 +866,23 @@ where
     // wall-clock observability only; inert unless metrics are enabled
     let _machine_wall = apsp_metrics::time_phase("machine-run");
     let watchdog = Arc::new(Watchdog::new(p));
-    // channel matrix: tx_rows[src][dst] sends src→dst; each rank takes
-    // sole ownership of its row of senders and column of receivers, so
-    // a dying rank disconnects its channels (unblocking any peer stuck
-    // in recv, which then fails as a cascade victim instead of hanging).
-    let mut tx_rows = Vec::with_capacity(p);
-    let mut rx_rows: Vec<Vec<_>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
-    for _src in 0..p {
-        let mut row = Vec::with_capacity(p);
-        for rx_row in rx_rows.iter_mut() {
-            let (tx, rx) = channel::<Frame<M::Stamp>>();
-            row.push(tx);
-            rx_row.push(rx);
-        }
-        tx_rows.push(row);
-    }
-
-    // a rank's receiver ports ride along in its outcome so they stay open
-    // until every thread has finished: a fault-mode duplicate of a rank's
-    // final message may land after that rank's program returns, and must
-    // evaporate at a still-open port rather than SendError the sender. A
-    // *panicking* rank unwinds before depositing its outcome, so its
-    // ports still close and unblock peers stuck in recv.
-    let mut results: Vec<Option<_>> = (0..p).map(|_| None).collect();
+    // one inbox per rank; every endpoint holds the senders into all of them
+    let (senders, inboxes): (Vec<_>, Vec<_>) = (0..p).map(|_| channel::<Mail<M::Stamp>>()).unzip();
+    let senders: Arc<[_]> = senders.into();
     let meter = &meter;
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        let ranks = tx_rows.into_iter().zip(rx_rows).zip(results.iter_mut()).enumerate();
-        for (rank, ((tx, rx), slot)) in ranks {
-            let watchdog = Arc::clone(&watchdog);
-            handles.push(scope.spawn(move || {
+    let ranks: Vec<_> = inboxes
+        .into_iter()
+        .enumerate()
+        .map(|(rank, inbox)| {
+            let (tx, watchdog) = (Arc::clone(&senders), Arc::clone(&watchdog));
+            move || {
                 let mut endpoint = Endpoint {
                     rank,
                     p,
                     tx,
-                    rx,
+                    inbox,
+                    pending: (0..p).map(|_| VecDeque::new()).collect(),
+                    hung_up: vec![false; p],
                     boundary: 0,
                     meter: meter(rank),
                     faults: plan.map(|plan| {
@@ -820,7 +893,7 @@ where
                             plan: plan.clone(),
                             epoch: epoch.map_or(0, |e| e.number),
                             remap,
-                            kill_from: kill_from.filter(|_| M::KILL_TAKES_THREAD_DOWN),
+                            kill_from: kill_from.filter(|_| M::KILL_UNWINDS_RANK),
                             seq_next: vec![1; p],
                             seq_seen: vec![0; p],
                             stats: FaultStats::default(),
@@ -831,32 +904,48 @@ where
                     script: script.cloned(),
                 };
                 let _finish = Finish(endpoint.meter.governor().cloned(), rank);
-                let out = f(&mut endpoint);
-                let Endpoint { meter, faults, rx, .. } = endpoint;
-                *slot = Some((out, meter, faults.map(|st| st.stats), rx));
-            }));
-        }
-        let mut panics = Vec::new();
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                panics.push(payload);
+                let out = match catch_unwind(AssertUnwindSafe(|| f(&mut endpoint))) {
+                    Ok(out) => out,
+                    Err(payload) => {
+                        endpoint.hang_up();
+                        resume_unwind(payload)
+                    }
+                };
+                // (under the model time does not pass, so the watchdog
+                // window already ends at the first stalled tick: this
+                // shortcut stays out of the schedule tree)
+                #[cfg(not(loom))]
+                endpoint.watchdog.returned[rank].store(true, Ordering::Release);
+                // the inbox rides in the outcome, open until every rank has
+                // finished: a fault-mode duplicate of a peer's last message
+                // may still land here, and must evaporate rather than make
+                // its sender a cascade victim
+                let Endpoint { meter, faults, inbox, .. } = endpoint;
+                (out, meter, faults.map(|st| st.stats), inbox)
             }
+        })
+        .collect();
+    drop(senders);
+
+    let mut outcomes = Vec::with_capacity(p);
+    let mut panics = Vec::new();
+    for outcome in pool::run(ranks) {
+        match outcome {
+            Ok(outcome) => outcomes.push(outcome),
+            Err(payload) => panics.push(payload),
         }
-        if panics.is_empty() {
-            return Ok(());
-        }
+    }
+    if !panics.is_empty() {
         if let Some(err) = classify_panics(&panics, plan.is_some()) {
             return Err(err);
         }
         surface_root_cause(panics);
-    })?;
+    }
 
     let mut outs = Vec::with_capacity(p);
     let mut meters = Vec::with_capacity(p);
     let mut fault_ranks = Vec::with_capacity(p);
-    for outcome in results {
-        let (out, meter, stats, _ports) =
-            outcome.expect("rank completed without depositing an outcome");
+    for (out, meter, stats, _inbox) in outcomes {
         outs.push(out);
         meters.push(meter);
         fault_ranks.extend(stats);

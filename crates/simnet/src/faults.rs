@@ -365,8 +365,8 @@ impl FaultPlan {
 
     /// The earliest phase boundary at which a rank-kill rule takes `rank`
     /// down, if any. On the simulator the kill manifests as dropped
-    /// messages; the native backend uses this to kill the rank's actual
-    /// OS thread once its boundary counter reaches the trigger.
+    /// messages; the native backend uses this to unwind the rank's
+    /// program once its boundary counter reaches the trigger.
     pub fn kill_boundary(&self, rank: Rank) -> Option<u64> {
         self.kill_ranks.iter().filter(|&&(r, _)| r == rank).map(|&(_, from)| from).min()
     }

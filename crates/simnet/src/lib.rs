@@ -6,11 +6,13 @@
 //! A simulated distributed-memory machine implementing the paper's §3.1
 //! communication model — the workspace's MPI substitute.
 //!
-//! * `p` ranks run SPMD code on `p` OS threads ([`Machine::run`]; every
-//!   option — faults, recovery, profiling, tracing, recording — is a field
-//!   of the [`MachineSpec`] that [`Machine::launch`] takes).
-//! * Point-to-point messages travel over per-`(src, dst)` FIFO channels
-//!   (MPI's non-overtaking guarantee).
+//! * `p` ranks run SPMD code on `p` OS threads, parked between launches
+//!   in a pool every launch reuses ([`Machine::run`]; every option —
+//!   faults, recovery, profiling, tracing, recording — is a field of the
+//!   [`MachineSpec`] that [`Machine::launch`] takes).
+//! * Each rank has one inbox, and the messages from each sender come out
+//!   of it in send order (MPI's per-`(src, dst)` non-overtaking
+//!   guarantee).
 //! * Every rank carries **critical-path clocks** `(latency, bandwidth,
 //!   compute)`. A send advances the sender's clocks by `(1 message,
 //!   w words)`; the matching receive advances the receiver's clocks to the
@@ -59,7 +61,7 @@
 //!
 //! ## Deadlock discipline
 //!
-//! Sends never block (unbounded channels); receives block. A distributed
+//! Sends never block (unbounded inboxes); receives block. A distributed
 //! algorithm on this machine is deadlock-free when every rank executes its
 //! communication operations sorted by a global deterministic key and each
 //! operation's internal message pattern is acyclic (trees are). All
@@ -70,6 +72,7 @@ pub mod comm;
 pub mod endpoint;
 pub mod faults;
 pub mod perf;
+mod pool;
 pub mod recovery;
 pub mod report;
 pub mod sched;

@@ -329,9 +329,9 @@ impl From<RankDown> for MachineError {
     }
 }
 
-/// A rank whose OS thread the fault plan killed outright at a phase
+/// A rank whose program the fault plan killed outright at a phase
 /// boundary — the native backend's analogue of a lost executor. Carried
-/// as the dying thread's panic payload and surfaced over cascade panics.
+/// as the dying rank's panic payload and surfaced over cascade panics.
 /// A rank-down is **permanent**: replaying with the same physical id dies
 /// at the same boundary every epoch, so the recovery supervisor must
 /// remap the logical rank onto a spare before replay can succeed.
@@ -347,7 +347,7 @@ impl std::fmt::Display for RankDown {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "rank {} down: thread killed by the fault plan at phase boundary {} — \
+            "rank {} down: killed by the fault plan at phase boundary {} — \
              permanent loss; recovery needs a spare-rank takeover",
             self.rank, self.boundary
         )

@@ -7,16 +7,16 @@
 //!   pure `pub use`, zero-cost (the golden transport digest pins that the
 //!   simulator's output does not move).
 //! * `RUSTFLAGS="--cfg loom"` builds re-export the loom equivalents, so
-//!   the endpoint's teardown ordering, watchdog deadline path, and the
-//!   supervisor's rollback handshake run under exhaustive schedule
-//!   exploration (`crates/transport/tests/loom.rs` drives them through
-//!   the native machine — the same [`crate::Endpoint`] code the simulator
-//!   runs).
+//!   the endpoint's teardown ordering, watchdog deadline path, the rank
+//!   pool's hand-back, and the supervisor's rollback handshake run under
+//!   exhaustive schedule exploration (`crates/transport/tests/loom.rs`
+//!   drives them through the native machine — the same
+//!   [`crate::Endpoint`] code the simulator runs).
 //!
 //! Source policy (enforced by `apsp-verify`'s srclint `raw-sync` rule):
-//! `endpoint.rs` and `comm.rs` here and every file under
-//! `crates/transport/src/` may not name `std::sync` or `std::thread`
-//! directly — this module is the single allowed gateway.
+//! `endpoint.rs`, `pool.rs`, `comm.rs` and `recovery.rs` here and every
+//! file under `crates/transport/src/` may not name `std::sync` or
+//! `std::thread` directly — this module is the single allowed gateway.
 //!
 //! What the shim covers: channels, mutexes, atomics, spawning/joining,
 //! yields/sleeps. What it does not: the `SnapshotStore`, `ScriptBoard`

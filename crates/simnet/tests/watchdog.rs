@@ -10,8 +10,9 @@ use apsp_simnet::{Machine, MachineError, MachineSpec};
 #[test]
 fn watchdog_aborts_a_mutual_deadlock() {
     std::env::set_var("APSP_WATCHDOG_MS", "200");
-    // both ranks wait on each other — a true deadlock (a rank merely
-    // exiting disconnects its channels, which is a different failure)
+    // both ranks wait on each other — a true deadlock (a receive from a
+    // rank that merely returned is caught at the next tick instead, see
+    // `crates/transport/tests/protocol.rs`)
     let err = Machine::launch(2, &MachineSpec::default(), |comm| {
         let peer = comm.rank() ^ 1;
         comm.recv(peer, 9);

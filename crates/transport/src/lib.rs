@@ -12,9 +12,9 @@
 //!
 //! * [`apsp_simnet::Comm`] — the §3.1 cost-model simulator, with every
 //!   Table-2/verification/fault/recovery guarantee.
-//! * [`NativeComm`] — a real shared-memory backend: `p` OS threads over
-//!   per-`(src, dst)` std `mpsc` channels, no cost clocks, genuine
-//!   wall-clock time. See [`NativeMachine`].
+//! * [`NativeComm`] — a real shared-memory backend: `p` pooled OS threads,
+//!   one std `mpsc` inbox per rank, no cost clocks, genuine wall-clock
+//!   time. See [`NativeMachine`].
 //!
 //! Both are the same rank endpoint ([`apsp_simnet::Endpoint`]) — one
 //! frame format, one reliability protocol, one watchdog, one checkpoint
@@ -150,7 +150,7 @@ pub trait Transport: Sized {
     /// bug and panic.
     fn send(&mut self, dst: Rank, tag: u64, payload: Vec<f64>);
 
-    /// Receives the next message from `src` (FIFO per channel; blocks).
+    /// Receives the next message from `src` (FIFO per source; blocks).
     /// Panics when the arriving message's tag differs from `expected_tag`.
     fn recv(&mut self, src: Rank, expected_tag: u64) -> Vec<f64>;
 

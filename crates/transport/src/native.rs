@@ -1,5 +1,6 @@
-//! The native shared-memory machine: `p` OS threads over per-`(src, dst)`
-//! std `mpsc` channels, no cost clocks, genuine wall-clock time.
+//! The native shared-memory machine: `p` ranks on parked OS threads of
+//! the rank-thread pool, one std `mpsc` inbox per rank, no cost clocks,
+//! genuine wall-clock time.
 //!
 //! It is the rank endpoint the simulator runs
 //! ([`apsp_simnet::Endpoint`]) with a meter that counts nothing, so it
@@ -9,18 +10,19 @@
 //! cascade-death discipline ([`apsp_simnet::cascade`]), comm-script
 //! recording ([`MachineSpec::record`]), and the whole robustness stack —
 //! the seeded fault grammar ([`apsp_simnet::FaultPlan`]) injected into
-//! real channel traffic and recovered by the shared seq+checksum envelope
+//! real inbox traffic and recovered by the shared seq+checksum envelope
 //! and bounded-backoff retransmission ([`MachineSpec::faults`]), and the
 //! shared checkpoint/restart supervisor ([`MachineSpec::recovery`]).
 //!
 //! What is native about it ([`NativeMeter`]): a retransmit backoff is a
-//! real (capped) sleep, and a `kill=R[@B]` rule kills rank R's **actual OS
-//! thread** at the chosen phase boundary instead of dropping its messages.
+//! real (capped) sleep, and a `kill=R[@B]` rule **unwinds rank R's
+//! program** on its worker at the chosen phase boundary instead of
+//! dropping its messages.
 //! What it does **not** provide: §3.1 cost clocks, span ledgers, schedule
 //! governors — [`crate::Transport::clocks`] returns zeros, the report is
 //! all-zero, and spans only echo into a recorded script. Injection
 //! decisions are pure functions of `(seed, epoch, boundary, src, dst,
-//! tag, seq, attempt)` and sequence numbers are per-channel, so fault
+//! tag, seq, attempt)` and sequence numbers are per `(src, dst)`, so fault
 //! trajectories are deterministic even under real thread scheduling; with
 //! an empty plan the fault layer is never constructed. See
 //! docs/BACKENDS.md ("Native fault model") for the exact guarantees.
@@ -41,7 +43,7 @@ pub struct NativeMeter;
 impl Meter for NativeMeter {
     type Stamp = ();
 
-    const KILL_TAKES_THREAD_DOWN: bool = true;
+    const KILL_UNWINDS_RANK: bool = true;
 
     fn on_wire(&mut self, _dst: Rank, _tag: u64, _words: usize, _delay: u64) {}
 
@@ -56,7 +58,7 @@ impl Meter for NativeMeter {
 pub struct NativeMachine;
 
 impl NativeMachine {
-    /// Runs `f(comm)` on `p` ranks (one OS thread each) and returns every
+    /// Runs `f(comm)` on `p` ranks (one pooled OS thread each) and returns every
     /// rank's result plus an all-zero [`RunReport`] (`p` default rank
     /// entries, no profile) so callers keep a uniform result shape across
     /// backends.
@@ -79,16 +81,16 @@ impl NativeMachine {
     /// The one configurable entry point — [`apsp_simnet::Machine::launch`]
     /// on real OS threads, taking the same [`MachineSpec`]:
     ///
-    /// * `faults` runs the shared reliability protocol on real channel
-    ///   traffic and kills the OS threads of `kill=R[@B]` victims at
+    /// * `faults` runs the shared reliability protocol on real inbox
+    ///   traffic and unwinds the programs of `kill=R[@B]` victims at
     ///   their phase boundaries. Injection decisions are pure functions
-    ///   of the seeded plan and the per-channel sequence numbers, so the
-    ///   [`apsp_simnet::FaultSummary`] is deterministic under real thread
-    ///   scheduling.
+    ///   of the seeded plan and the per-`(src, dst)` sequence numbers, so
+    ///   the [`apsp_simnet::FaultSummary`] is deterministic under real
+    ///   thread scheduling.
     /// * `recovery` is the shared [`apsp_simnet::supervise`] loop over
-    ///   real threads: every restart respawns all `p` of them with the
-    ///   next epoch salt, a killed thread's rank remapped onto a spare
-    ///   physical id first. Same plan + same policy ⇒ the same
+    ///   real threads: every restart runs all `p` ranks again with the
+    ///   next epoch salt, a killed rank remapped onto a spare physical id
+    ///   first. Same plan + same policy ⇒ the same
     ///   [`apsp_simnet::RecoveryReport`] and bit-identical outputs.
     /// * `record` returns the same per-rank [`apsp_simnet::CommEvent`]
     ///   scripts the simulator records, so the protocol linter runs
@@ -98,7 +100,7 @@ impl NativeMachine {
     ///   clocks, no ledgers); `apsp-core`'s `launch` rejects them up front.
     ///
     /// # Errors
-    /// [`MachineError::Down`] when a kill rule took a thread down,
+    /// [`MachineError::Down`] when a kill rule took a rank down,
     /// [`MachineError::Fault`] when a message exhausted its retries,
     /// [`MachineError::Protocol`]/[`MachineError::Hang`] for schedule bugs
     /// and stalls; under `recovery`, [`MachineError::Unrecoverable`] once

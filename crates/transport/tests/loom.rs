@@ -14,8 +14,8 @@
 //! * no deadlock — a genuinely stuck machine must surface the typed
 //!   [`apsp_simnet::HangError`], never an OS-level hang or a model
 //!   deadlock verdict;
-//! * no double-panic aborts during teardown — a dying rank's channel
-//!   drops never park or panic while unwinding;
+//! * no double-panic aborts during teardown — a dying rank's hang-up
+//!   notices and inbox drop never park or panic while unwinding;
 //! * no lost wakeups — a healthy program's messages are delivered under
 //!   *every* explored schedule, and verdicts (outputs, typed errors,
 //!   recovery trajectories) are schedule-independent.
@@ -74,9 +74,9 @@ fn ring_rotation_delivers_in_every_schedule() {
 #[test]
 fn staggered_exit_keeps_peer_channels_alive() {
     pin_watchdog();
-    // rank 0 finishes immediately; its receiver ports must stay open (they
-    // ride in its outcome slot) so the 1↔2 exchange cannot see a spurious
-    // disconnect, under any teardown interleaving.
+    // rank 0 finishes immediately; its inbox must stay open (it rides in
+    // its outcome) so the 1↔2 exchange cannot see a spurious disconnect,
+    // under any teardown interleaving.
     loom::model(|| {
         let (outs, _) = NativeMachine::run(3, |comm| match comm.rank() {
             0 => 0.0,
@@ -91,6 +91,72 @@ fn staggered_exit_keeps_peer_channels_alive() {
             }
         });
         assert_eq!(outs, vec![0.0, 42.0, 41.0]);
+    });
+}
+
+#[test]
+fn two_senders_into_one_inbox_keep_each_fifo() {
+    pin_watchdog();
+    // rank 1's frames reach rank 0's inbox before rank 2's (rank 2 waits
+    // for rank 1's token), yet rank 0 asks for rank 2's first: rank 1's
+    // are filed aside, and each source still comes out in send order
+    loom::model(|| {
+        let (outs, _) = NativeMachine::run(3, |comm| match comm.rank() {
+            0 => {
+                let mut got = Vec::new();
+                for src in [2, 1] {
+                    for _ in 0..2 {
+                        got.push(comm.recv(src, src as u64)[0]);
+                    }
+                }
+                got
+            }
+            1 => {
+                comm.send(0, 1, vec![10.0]);
+                comm.send(0, 1, vec![11.0]);
+                comm.send(2, 3, Vec::new());
+                Vec::new()
+            }
+            _ => {
+                comm.recv(1, 3);
+                comm.send(0, 2, vec![20.0]);
+                comm.send(0, 2, vec![21.0]);
+                Vec::new()
+            }
+        });
+        assert_eq!(outs[0], vec![20.0, 21.0, 10.0, 11.0]);
+    });
+}
+
+#[test]
+fn a_killed_rank_hands_back_and_the_next_launch_starts_clean() {
+    pin_watchdog();
+    // launch 1: rank 1 is killed at its first receive, possibly with rank
+    // 0's frame still in its inbox, and its worker must hand back the
+    // typed rank-down. Launch 2 runs on fresh inboxes: a stale frame from
+    // launch 1 would surface as a tag mismatch, not as the payload.
+    loom::model(|| {
+        let plan = FaultPlan::new(3).with_kill_rank(1);
+        let spec = MachineSpec { faults: Some(&plan), ..Default::default() };
+        let err = NativeMachine::launch(2, &spec, |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 1, vec![1.0]);
+            } else {
+                comm.recv(0, 1);
+            }
+        })
+        .map(|_| ())
+        .expect_err("a killed rank cannot finish");
+        assert!(matches!(err, MachineError::Down(d) if d.rank == 1), "{err}");
+        let (outs, _) = NativeMachine::run(2, |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 2, vec![2.0]);
+                0.0
+            } else {
+                comm.recv(0, 2)[0]
+            }
+        });
+        assert_eq!(outs, vec![0.0, 2.0]);
     });
 }
 
@@ -193,7 +259,7 @@ fn phased_exchange(comm: &mut NativeComm) -> f64 {
 fn recovery_commit_rollback_takeover_is_schedule_independent() {
     pin_watchdog();
     // the full supervisor handshake under exhaustive interleaving: epoch 0
-    // checkpoints at boundary 1, the kill rule takes rank 1's thread down,
+    // checkpoints at boundary 1, the kill rule unwinds rank 1's program,
     // the supervisor rolls back to the consistent cut, remaps the victim
     // onto the spare physical id, and the replay epoch restores from the
     // snapshot. Outputs and the takeover record must be bit-identical in

@@ -50,6 +50,7 @@ fn suite<M: Machine>(kill: &Kill) {
     commit_phase_is_transparent_without_recovery::<M>();
     recv_any_drains_all_senders::<M>();
     tag_mismatch_is_typed_and_dumps_the_pending_queue::<M>();
+    recv_from_a_returned_rank_is_a_typed_hang::<M>();
     self_send_panics::<M>();
     recording_is_invisible_and_scripts_are_exact::<M>();
     empty_plan_is_invisible::<M>();
@@ -181,6 +182,27 @@ fn tag_mismatch_is_typed_and_dumps_the_pending_queue<M: Machine>() {
     assert!(msg.contains("expected 0xc"), "expected tag named: {msg}");
     assert!(msg.contains("pending from 0"), "pending queue dumped: {msg}");
     assert!(msg.contains("tag 0xb (2 words)"), "queued message described: {msg}");
+}
+
+fn recv_from_a_returned_rank_is_a_typed_hang<M: Machine>() {
+    // rank 0 returns without sending: nothing can ever arrive, and the
+    // watchdog says so at its next tick rather than after a whole window
+    let started = std::time::Instant::now();
+    let err = M::launch(2, &MachineSpec::default(), |comm| {
+        if comm.rank() == 1 {
+            comm.recv(0, 9);
+        }
+    })
+    .map(|_| ())
+    .expect_err("a receive from a rank that returned cannot complete");
+    let MachineError::Hang(hang) = err else { panic!("expected a typed hang, got {err}") };
+    assert_eq!((hang.rank, hang.src, hang.tag), (1, 0, 9));
+    assert_eq!(hang.blocked, vec![None, Some((0, 9))], "the registry names the returned rank");
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(4),
+        "declared within a tick, not after the 5 s window: {:?}",
+        started.elapsed()
+    );
 }
 
 fn self_send_panics<M: Machine>() {

@@ -28,9 +28,10 @@
 //!   invariant is unstated cannot be audited, model-checked, or
 //!   reviewed against the claim it actually makes.
 //! * **`raw-sync`** — no direct `std::sync`/`std::thread` in the files
-//!   that hold the shared rank endpoint, the epoch runner, the recovery
-//!   supervisor and the two machines built on them (`endpoint.rs`,
-//!   `comm.rs`, `recovery.rs` in `crates/simnet/src/`, all of
+//!   that hold the shared rank endpoint, the epoch runner and its
+//!   rank-thread pool, the recovery supervisor and the two machines built
+//!   on them (`endpoint.rs`, `pool.rs`, `comm.rs`, `recovery.rs` in
+//!   `crates/simnet/src/`, all of
 //!   `crates/transport/src/`) outside the `sync` shim module
 //!   (`crates/simnet/src/sync.rs`): the shim is the single gateway that
 //!   lets `--cfg loom` builds swap every primitive for its model-checked
@@ -154,15 +155,16 @@ const LEDGER_ALLOW: [&str; 3] =
 /// of scope by construction.)
 const RAW_THREAD_SCOPE: [&str; 2] = ["crates/core/src/", "crates/minplus/src/"];
 
-/// Where `raw-sync` applies (path prefixes): the shared rank endpoint and
-/// epoch runner, the simulator machine and the recovery supervisor around
-/// them, the shim, and the native machine's crate — the code the loom
-/// suite model-checks, whose every synchronization primitive must route
-/// through the shim. The rest of `crates/simnet/src` (`snapshot.rs`,
-/// `script.rs`, `sched.rs`) stays on std mutexes; the shim's module docs
-/// say why that is sound.
-const RAW_SYNC_SCOPE: [&str; 5] = [
+/// Where `raw-sync` applies (path prefixes): the shared rank endpoint, the
+/// epoch runner and its rank-thread pool, the simulator machine and the
+/// recovery supervisor around them, the shim, and the native machine's
+/// crate — the code the loom suite model-checks, whose every
+/// synchronization primitive must route through the shim. The rest of
+/// `crates/simnet/src` (`snapshot.rs`, `script.rs`, `sched.rs`) stays on
+/// std mutexes; the shim's module docs say why that is sound.
+const RAW_SYNC_SCOPE: [&str; 6] = [
     "crates/simnet/src/endpoint.rs",
+    "crates/simnet/src/pool.rs",
     "crates/simnet/src/comm.rs",
     "crates/simnet/src/recovery.rs",
     "crates/simnet/src/sync.rs",
@@ -740,10 +742,12 @@ mod tests {
     fn raw_sync_fires_only_in_the_model_checked_files_outside_the_shim() {
         let spawn = "fn f() { std::thread::spawn(|| {}); }\n";
         let import = "use std::sync::mpsc::channel;\n";
-        // the shared endpoint and epoch runner, the simulator machine, the
-        // supervisor, and every file of the native machine's crate
+        // the shared endpoint, the epoch runner and its pool, the simulator
+        // machine, the supervisor, and every file of the native machine's
+        // crate
         for file in [
             "crates/simnet/src/endpoint.rs",
+            "crates/simnet/src/pool.rs",
             "crates/simnet/src/comm.rs",
             "crates/simnet/src/recovery.rs",
             "crates/transport/src/native.rs",

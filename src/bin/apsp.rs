@@ -534,13 +534,13 @@ the critical-path latency/bandwidth the paper's Table 2 analyzes.
 
 Backends: --backend sim (default) runs on the simulated machine with
 exact §3.1 cost clocks; --backend native runs the *identical* schedule
-on p OS threads over plain channels — bit-identical distances, real
+on p OS threads, one inbox per rank — bit-identical distances, real
 wall-clock, but no cost model, so the report's cost counters are zero
 and the simulator-only flags (--trace, --profile, --charge-ordering)
 are rejected. --faults and --recover DO work on the native backend:
-the same seeded plans inject chaos into real channel traffic, and
-kill= rules kill actual rank threads (recovered by thread-level
-checkpoint/restart under --recover); see docs/BACKENDS.md.
+the same seeded plans inject chaos into real inbox traffic, and
+kill= rules unwind the killed rank's program on its thread (recovered
+by checkpoint/restart under --recover); see docs/BACKENDS.md.
 
 Observability: --trace DIR writes DIR/trace.json (Chrome-trace JSON of the
 span ledger over simulated critical-path time; open in Perfetto) and
@@ -578,7 +578,8 @@ POLICY is comma-separated clauses restarts=N,every=K,spares=S (or
 `default` = restarts=3,every=1,spares=1). When the budget is exhausted
 the solver exits with a typed unrecoverable error. Works with
 sparse2d, fw2d, dcapsp and djohnson, on both backends — on native the
-kill is a real thread death and the respawn is a real spare thread.
+kill unwinds a rank running on a real thread, and the replay runs it
+again under a spare id.
 Examples:
   apsp solve --input mesh.el --algorithm fw2d \\
              --faults \"drop=0.05,dup=0.02\" --fault-seed 7 --verify

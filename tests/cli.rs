@@ -843,9 +843,9 @@ fn native_recovering_solve_survives_a_killed_thread() {
         .unwrap()
         .success());
 
-    // rank 4's actual OS thread dies after its first phase boundary; the
-    // native supervisor rolls survivors back, respawns onto a spare
-    // thread, and the solve still verifies against Dijkstra
+    // rank 4's program dies after its first phase boundary; the native
+    // supervisor rolls survivors back, replays it under a spare id, and
+    // the solve still verifies against Dijkstra
     let out = apsp()
         .args(["solve", "--height", "2", "--backend", "native", "--verify"])
         .args(["--faults", "kill=4@1", "--recover", "default", "--input"])

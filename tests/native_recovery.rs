@@ -3,9 +3,9 @@
 //! bit-identical distances), empty-plan invisibility, and the zero
 //! thread-leak guarantee across supervised restarts.
 //!
-//! Everything here runs real OS threads: a `kill=R@B` rule takes down an
-//! actual rank thread mid-solve, and the supervisor respawns the machine
-//! with the dead rank remapped onto a spare thread.
+//! Everything here runs on real OS threads: a `kill=R@B` rule unwinds a
+//! rank's program mid-solve on its pool worker, and the supervisor runs
+//! the next epoch with the dead rank remapped onto a spare.
 //!
 //! `CHAOS_SEED` (env var) reseeds the graphs and fault plans; the seed in
 //! use is printed so any CI failure replays locally with
@@ -22,18 +22,13 @@ fn chaos_seed() -> u64 {
     }
 }
 
-/// Kernel-reported thread count for this process (same gauge as
-/// `tests/stress.rs`).
+/// This process's threads other than the rank-thread pool's parked
+/// `apsp-rank` workers (same gauge as `tests/stress.rs`).
 fn thread_count() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("Threads:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .expect("Threads: line in /proc/self/status")
+    let tasks = std::fs::read_dir("/proc/self/task").expect("/proc/self/task lists the threads");
+    let names =
+        tasks.filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok());
+    names.filter(|name| name.trim_end() != "apsp-rank").count()
 }
 
 /// A plain launch on the native backend.

@@ -102,27 +102,27 @@ fn superfw_on_4k_vertices() {
 
 // ---- native backend shutdown / drop ordering (fast, not ignored) ----
 
-/// Kernel-reported thread count for this process, or `None` where the
-/// procfs gauge does not exist (non-Linux).
+/// This process's threads other than the rank-thread pool's parked
+/// `apsp-rank` workers, or `None` where procfs does not exist (non-Linux).
+/// The pool keeps at most the peak number of ranks in flight at once;
+/// any other thread a machine leaves behind is a leak.
 fn thread_count() -> Option<usize> {
-    std::fs::read_to_string("/proc/self/status").ok().and_then(|s| {
-        s.lines()
-            .find(|l| l.starts_with("Threads:"))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|v| v.parse().ok())
-    })
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    let names =
+        tasks.filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok());
+    Some(names.filter(|name| name.trim_end() != "apsp-rank").count())
 }
 
 #[test]
 fn native_rapid_fire_runs_do_not_leak_threads() {
-    // churn through ~120 machines of varying size; scoped threads must all
-    // be joined by the time each run returns, so the process thread count
-    // stays flat (generous slack absorbs unrelated harness threads — a
-    // genuine leak here would show up as hundreds)
+    // churn through ~120 machines of varying size; every rank runs on a
+    // parked pool worker, so the count of all other threads stays flat
+    // (generous slack absorbs unrelated harness threads — a genuine leak
+    // here would show up as hundreds)
     let before = thread_count();
     if before.is_none() {
         eprintln!(
-            "SKIPPED thread-leak gauge: /proc/self/status is unavailable on this \
+            "SKIPPED thread-leak gauge: /proc/self/task is unavailable on this \
              platform; the machine churn below still runs, unleaked-ness unchecked"
         );
     }
@@ -130,7 +130,7 @@ fn native_rapid_fire_runs_do_not_leak_threads() {
         let p = 2 + (round % 7);
         let (outs, _) = NativeMachine::run(p, |comm| {
             // ring shift: every rank both sends and receives, so every
-            // run opens live traffic on 2p channels before tearing down
+            // run puts live traffic in every inbox before tearing down
             let right = (comm.rank() + 1) % comm.p();
             let left = (comm.rank() + comm.p() - 1) % comm.p();
             comm.send(right, 0xF1F0, vec![comm.rank() as f64]);
@@ -147,10 +147,10 @@ fn native_rapid_fire_runs_do_not_leak_threads() {
 
 #[test]
 fn native_undelivered_messages_do_not_block_shutdown() {
-    // senders flood a rank that never receives, then exit. Receiver ports
-    // ride in the outcome slots, so the pending traffic keeps its channels
-    // alive until every thread has deposited — the run must complete
-    // cleanly, not hang and not kill the senders with a disconnect.
+    // senders flood a rank that never receives, then exit. Inboxes ride in
+    // the outcomes, so the pending traffic stays deliverable until every
+    // rank has handed back — the run must complete cleanly, not hang and
+    // not kill the senders with a disconnect.
     let (outs, _) = NativeMachine::run(6, |comm| {
         if comm.rank() != 0 {
             for i in 0..64 {
@@ -164,7 +164,7 @@ fn native_undelivered_messages_do_not_block_shutdown() {
 
 #[test]
 fn native_staggered_exit_keeps_late_traffic_alive() {
-    // rank 0 finishes (and would drop its senders) long before the relay
+    // rank 0 finishes (and drops its endpoint) long before the relay
     // reaches rank 4 — early completion must not disconnect anyone
     let (outs, _) = NativeMachine::run(5, |comm| match comm.rank() {
         0 => {
@@ -186,8 +186,8 @@ fn native_staggered_exit_keeps_late_traffic_alive() {
 fn native_panic_surfaces_root_cause_over_cascade_victims() {
     // rank 5 dies first; every other rank is blocked on traffic only rank 5
     // could send and dies as a disconnect cascade victim. The machine must
-    // re-raise the ROOT CAUSE, promptly (disconnects fire as soon as the
-    // dead rank's ports drop — no watchdog wait).
+    // re-raise the ROOT CAUSE, promptly (the dead rank's hang-up notices
+    // reach the waiting ranks as it unwinds — no watchdog wait).
     let result = std::panic::catch_unwind(|| {
         NativeMachine::run(8, |comm| {
             if comm.rank() == 5 {

@@ -1,6 +1,7 @@
 //! Native watchdog regression: a stalled rank must surface a typed
 //! [`MachineError::Hang`] well before the test runner's own timeout, and
-//! the aborted machine must not leak its rank threads.
+//! the aborted machine must leave no thread behind but parked pool
+//! workers.
 //!
 //! This lives in its own integration binary so the `APSP_WATCHDOG_MS`
 //! override cannot race with other tests' environments — the whole file
@@ -9,15 +10,14 @@
 use sparse_apsp::prelude::*;
 use std::time::{Duration, Instant};
 
-/// Kernel-reported thread count for this process (same gauge as
-/// `tests/stress.rs`), or `None` where procfs does not exist (non-Linux).
+/// This process's threads other than the rank-thread pool's parked
+/// `apsp-rank` workers (same gauge as `tests/stress.rs`), or `None` where
+/// procfs does not exist (non-Linux).
 fn thread_count() -> Option<usize> {
-    std::fs::read_to_string("/proc/self/status").ok().and_then(|s| {
-        s.lines()
-            .find(|l| l.starts_with("Threads:"))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|v| v.parse().ok())
-    })
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    let names =
+        tasks.filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok());
+    Some(names.filter(|name| name.trim_end() != "apsp-rank").count())
 }
 
 #[test]
@@ -26,7 +26,7 @@ fn stalled_rank_yields_typed_hang_error_and_leaks_no_threads() {
     let before = thread_count();
     if before.is_none() {
         eprintln!(
-            "SKIPPED thread-leak gauge: /proc/self/status is unavailable on this \
+            "SKIPPED thread-leak gauge: /proc/self/task is unavailable on this \
              platform; the typed-hang assertions below still run"
         );
     }
@@ -55,7 +55,8 @@ fn stalled_rank_yields_typed_hang_error_and_leaks_no_threads() {
     // timeout.
     assert!(started.elapsed() < Duration::from_secs(30), "watchdog did not fire in time");
 
-    // Every rank thread must have been reaped by the scoped join.
+    // Both ranks ran on pool workers, which park again; nothing else may
+    // be left behind.
     if let (Some(before), Some(after)) = (before, thread_count()) {
         assert!(after <= before + 2, "stalled machine leaked threads: {before} -> {after}");
     }
