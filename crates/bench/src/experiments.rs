@@ -491,15 +491,7 @@ pub fn update_costs(side: usize, h: u32, batch_sizes: &[usize]) -> Table {
     let layout = SupernodalLayout::from_ordering(&nd);
     let gp = g.permuted(&nd.perm);
     let solved = sparse2d(&layout, &gp, R4Strategy::OneToOne);
-    let blocks: Vec<apsp_minplus::MinPlusMatrix> = (0..layout.p())
-        .map(|rank| {
-            let (i, j) = layout.block_of_rank(rank);
-            let (ri, rj) = (layout.range(i), layout.range(j));
-            apsp_minplus::MinPlusMatrix::from_fn(ri.len(), rj.len(), |r, c| {
-                solved.dist_eliminated.get(ri.start + r, rj.start + c)
-            })
-        })
-        .collect();
+    let blocks = layout.split_dense(&solved.dist_eliminated);
 
     let mut t = Table::new(vec![
         "batch k",
@@ -534,7 +526,7 @@ pub fn update_costs(side: usize, h: u32, batch_sizes: &[usize]) -> Table {
             b.add_edge(nd.perm.to_old(e.u), nd.perm.to_old(e.v), e.new_weight);
         }
         let modified = b.build();
-        let dist = SupernodalLayout::unpermute(&updated.dist_eliminated, &nd.perm);
+        let dist = SupernodalLayout::unpermute(&layout.assemble_dense(&updated.blocks), &nd.perm);
         verify(&dist, &modified, "batched update");
         t.row(vec![
             format!("{k}"),

@@ -34,7 +34,7 @@ impl SolvedApsp {
         let layout = SupernodalLayout::from_ordering(&nd);
         let gp = g.permuted(&nd.perm);
         let result = sparse2d_with(&layout, &gp, &Sparse2dOptions::default());
-        let blocks = split_blocks(&layout, &result.dist_eliminated);
+        let blocks = layout.split_dense(&result.dist_eliminated);
         SolvedApsp { graph: g.clone(), ordering: nd, layout, blocks, report: result.report }
     }
 
@@ -57,7 +57,7 @@ impl SolvedApsp {
     /// communication is folded into [`SolvedApsp::report`].
     ///
     /// New shortcut edges may cross cousin supernodes — that is fine for
-    /// the update path (explicit row/column broadcasts, no reliance on the
+    /// the update path (explicit row/column all-reduces, no reliance on the
     /// elimination structure), but it means the *updated* graph may no
     /// longer be solvable from scratch with this ordering; a fresh
     /// [`SolvedApsp::solve`] would recompute a valid one.
@@ -71,7 +71,7 @@ impl SolvedApsp {
             })
             .collect();
         let result = apply_decreases(&self.layout, &self.blocks, &batch);
-        self.blocks = split_blocks(&self.layout, &result.dist_eliminated);
+        self.blocks = result.blocks;
         self.report.absorb(&result.report);
         // keep the stored graph in sync (builder keeps minima)
         let mut b = apsp_graph::GraphBuilder::new(self.graph.n());
@@ -233,7 +233,7 @@ impl SolvedApsp {
         };
         // NOTE: no cousin-separation validation here — applied *updates*
         // legitimately add shortcut edges across cousins (the update path
-        // uses explicit broadcasts, not the elimination structure), so the
+        // uses explicit all-reduces, not the elimination structure), so the
         // stored graph need not be ND-consistent. Structural checks only:
         if ordering.perm.len() != graph.n() || sizes.iter().sum::<usize>() != graph.n() {
             return Err("snapshot ordering does not match its graph".into());
@@ -285,17 +285,6 @@ impl SolvedApsp {
 
         Ok(SolvedApsp { graph, ordering, layout, blocks, report })
     }
-}
-
-/// Cuts a dense eliminated-order matrix back into per-rank blocks.
-fn split_blocks(layout: &SupernodalLayout, dense: &DenseDist) -> Vec<MinPlusMatrix> {
-    (0..layout.p())
-        .map(|rank| {
-            let (i, j) = layout.block_of_rank(rank);
-            let (ri, rj) = (layout.range(i), layout.range(j));
-            MinPlusMatrix::from_fn(ri.len(), rj.len(), |r, c| dense.get(ri.start + r, rj.start + c))
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -202,6 +202,20 @@ impl SupernodalLayout {
         out
     }
 
+    /// Cuts a dense matrix (in eliminated ordering) into per-block buffers
+    /// in rank order — the inverse of [`SupernodalLayout::assemble_dense`].
+    pub fn split_dense(&self, dense: &apsp_graph::DenseDist) -> Vec<MinPlusMatrix> {
+        (0..self.p())
+            .map(|rank| {
+                let (i, j) = self.block_of_rank(rank);
+                let (ri, rj) = (self.range(i), self.range(j));
+                MinPlusMatrix::from_fn(ri.len(), rj.len(), |r, c| {
+                    dense.get(ri.start + r, rj.start + c)
+                })
+            })
+            .collect()
+    }
+
     /// [`SupernodalLayout::assemble_dense`] from the raw block buffers the
     /// rank programs return, in rank order.
     pub fn assemble_raw(&self, raw: impl IntoIterator<Item = Vec<f64>>) -> apsp_graph::DenseDist {

@@ -2,30 +2,49 @@
 //! motivates FW-structured APSP over re-running per-source searches.
 //!
 //! Given a solved distributed distance matrix (blocks on the `√p × √p`
-//! grid) and a batch of **decreased** edge weights, the classic relaxation
+//! grid) and a batch of **decreased** edge weights, each edge `(u, v, w′)`
+//! relaxes every entry through itself:
 //!
 //! ```text
 //! D'(x, y) = min(D(x, y), D(x, u) + w' + D(v, y), D(x, v) + w' + D(u, y))
 //! ```
 //!
-//! needs, per changed edge `(u, v)`, the distance *column* of `u` and
-//! *row* of `v` (and symmetrically). On the block layout those live in one
-//! block column / row, so the update costs two broadcasts of
-//! `O(n/√p)`-word vectors per edge — `O(k·log p)` latency and
-//! `O(k·n·log p/√p)` bandwidth for a batch of `k` edges, versus a full
-//! re-solve for the per-source baseline. (Weight *increases* invalidate
-//! paths and need a re-solve; decrease-only is the standard incremental
-//! direction.)
+//! The edges apply one after another, each against the distances the ones
+//! before it left, so a batch whose edges form a new shortcut path is
+//! still exact. (Weight *increases* invalidate paths and need a re-solve;
+//! decrease-only is the standard incremental direction.)
 //!
-//! Chained decreases within one batch are handled by processing the batch
-//! edges sequentially (each edge's broadcast reads post-previous-edge
-//! distances), so a batch whose edges form a new shortcut path is still
-//! exact.
+//! Block `(i, j)` needs, per edge, the columns of `u` and `v` over its rows
+//! and the rows of `v` and `u` over its columns. The batch gathers them in
+//! two collectives, whatever its size `k`:
+//!
+//! 1. an all-reduce along each block row collects the `2k` endpoint
+//!    columns over that row's vertices (slot `2e` is edge `e`'s `u`, slot
+//!    `2e + 1` its `v`): the rank whose block column holds an endpoint
+//!    contributes its column, every other rank `+∞`, and the `min` combine
+//!    selects the one real value exactly;
+//! 2. an all-reduce down each block column collects the `2k` endpoint rows
+//!    over that column's vertices, plus the `2k × 2k` endpoint-to-endpoint
+//!    matrix `E`, whose rows the rank holding the endpoint's block row
+//!    copies from its columns.
+//!
+//! Every rank then replays the batch edge by edge: it reads the edge's
+//! operands from the strips, relaxes its block with them, and relaxes the
+//! strips and `E` with them too, so that they hold the distances the next
+//! edge reads. Every entry sees the same operands in the same order as
+//! under a per-edge broadcast of the block grid's own columns and rows, so
+//! the result is the same bits.
+//!
+//! With `q = √p`, a batch costs `4⌈log₂ q⌉` critical-path latency,
+//! `4q(q − 1)` messages and `8k(q − 1)n + 8k²q(q − 1)` words: the buffers
+//! have a fixed size, so the counts depend only on the layout and `k`.
+//! Latency does not grow with `k`; critical-path bandwidth is
+//! `O(k·n·log p/√p + k²·log p)`. E16 in `EXPERIMENTS.md` sets both against
+//! a re-solve.
 
 use crate::launch::{launch_plain, Solver};
 use crate::supernodal::SupernodalLayout;
-use apsp_graph::DenseDist;
-use apsp_minplus::{relax_row, MinPlusMatrix};
+use apsp_minplus::{relax_row, MinPlusMatrix, INF};
 use apsp_simnet::RunReport;
 use apsp_transport::Transport;
 
@@ -42,14 +61,14 @@ pub struct DecreasedEdge {
 
 /// Result of a batched update run.
 pub struct UpdateResult {
-    /// The updated distance matrix (eliminated ordering).
-    pub dist_eliminated: DenseDist,
+    /// Each rank's updated block, in the layout of the input blocks.
+    pub blocks: Vec<MinPlusMatrix>,
     /// Measured cost of the update alone.
     pub report: RunReport,
 }
 
-fn tag(edge_idx: usize, phase: u64, aux: usize) -> u64 {
-    0x0BDA_0000_0000 | ((edge_idx as u64) << 20) | (phase << 16) | aux as u64
+fn tag(phase: u64, group: usize) -> u64 {
+    0x0BDA_0000_0000 | (phase << 16) | group as u64
 }
 
 /// A batched decrease as a [`Solver`]: each rank relaxes every batch edge
@@ -81,7 +100,7 @@ impl<'a> Decreases<'a> {
 }
 
 impl Solver for Decreases<'_> {
-    type Out = Vec<f64>;
+    type Out = MinPlusMatrix;
     type Result = UpdateResult;
     const PHASE: &'static str = "update-decreases";
 
@@ -89,91 +108,124 @@ impl Solver for Decreases<'_> {
         self.layout.p()
     }
 
-    fn rank_program<C: Transport>(&self, comm: &mut C) -> Vec<f64> {
+    fn rank_program<C: Transport>(&self, comm: &mut C) -> MinPlusMatrix {
         rank_program(comm, self.layout, self.blocks, self.batch)
     }
 
-    fn assemble(&self, out: Vec<Vec<f64>>, report: RunReport) -> UpdateResult {
-        UpdateResult { dist_eliminated: self.layout.assemble_raw(out), report }
+    fn assemble(&self, blocks: Vec<MinPlusMatrix>, report: RunReport) -> UpdateResult {
+        UpdateResult { blocks, report }
     }
 
-    fn words(out: Vec<f64>) -> Vec<f64> {
-        out
+    fn words(out: MinPlusMatrix) -> Vec<f64> {
+        out.into_vec()
     }
 }
 
-/// The per-rank program: relax every batch edge against the local block.
+/// Supernode and in-block offset of eliminated vertex `x`.
+fn locate(layout: &SupernodalLayout, x: usize) -> (usize, usize) {
+    let k = (1..=layout.n_super())
+        .find(|&k| layout.range(k).contains(&x))
+        .expect("`Decreases::new` checked every endpoint against the layout");
+    (k, x - layout.offset(k))
+}
+
+/// The per-rank program: gather the batch's endpoint strips in two
+/// all-reduces, then replay the batch edge by edge on the block, the strips
+/// and `E`.
 fn rank_program<C: Transport>(
     comm: &mut C,
     layout: &SupernodalLayout,
     blocks_in: &[MinPlusMatrix],
     batch: &[DecreasedEdge],
-) -> Vec<f64> {
+) -> MinPlusMatrix {
     let (bi, bj) = layout.block_of_rank(comm.rank());
-    let rank_of = |i: usize, j: usize| layout.rank_of_block(i, j);
-    let n_super = layout.n_super();
+    let q = layout.n_super();
     let mut block = blocks_in[comm.rank()].clone();
+    let (rows, cols) = (block.rows(), block.cols());
     comm.alloc(block.words());
 
-    for (e_idx, edge) in batch.iter().enumerate() {
-        // supernode and in-block offset of each endpoint
-        let locate = |x: usize| {
-            let mut k = 1;
-            while layout.offset(k) + layout.size(k) <= x {
-                k += 1;
+    // (supernode, offset) of every slot: 2e is edge e's u, 2e + 1 its v
+    let slots: Vec<(usize, usize)> =
+        batch.iter().flat_map(|e| [e.u, e.v]).map(|x| locate(layout, x)).collect();
+    let s = slots.len();
+
+    // 1. column strip t (`rows` words) is D(x, slot t) for this block row's x
+    let row_group: Vec<usize> = (1..=q).map(|j| layout.rank_of_block(bi, j)).collect();
+    let mut mine = vec![INF; s * rows];
+    for (t, &(k, o)) in slots.iter().enumerate() {
+        if k == bj {
+            for (r, d) in mine[t * rows..(t + 1) * rows].iter_mut().enumerate() {
+                *d = block.get(r, o);
             }
-            (k, x - layout.offset(k))
-        };
-        let (su, ou) = locate(edge.u);
-        let (sv, ov) = locate(edge.v);
+        }
+    }
+    comm.alloc(mine.len());
+    let mut col_strips = comm.allreduce_min(&row_group, tag(1, bi), mine);
 
-        // Phase 1: block-column su broadcasts each rank's local column of u
-        // along its row; block-row sv broadcasts each rank's local row of v
-        // down its column. Every rank then knows D(x, u) for its block rows
-        // x and D(v, y) for its block cols y.
-        let row_group: Vec<usize> = (1..=n_super).map(|j| rank_of(bi, j)).collect();
-        let col_u = {
-            let root = rank_of(bi, su);
-            let payload = (bj == su)
-                .then(|| (0..block.rows()).map(|r| block.get(r, ou)).collect::<Vec<f64>>());
-            comm.bcast(&row_group, root, tag(e_idx, 1, bi), payload)
-        };
-        let col_group: Vec<usize> = (1..=n_super).map(|i| rank_of(i, bj)).collect();
-        let row_v = {
-            let root = rank_of(sv, bj);
-            let payload = (bi == sv)
-                .then(|| (0..block.cols()).map(|c| block.get(ov, c)).collect::<Vec<f64>>());
-            comm.bcast(&col_group, root, tag(e_idx, 2, bj), payload)
-        };
-        // the symmetric pair: column of v along rows, row of u down columns
-        let col_v = {
-            let root = rank_of(bi, sv);
-            let payload = (bj == sv)
-                .then(|| (0..block.rows()).map(|r| block.get(r, ov)).collect::<Vec<f64>>());
-            comm.bcast(&row_group, root, tag(e_idx, 3, bi), payload)
-        };
-        let row_u = {
-            let root = rank_of(su, bj);
-            let payload = (bi == su)
-                .then(|| (0..block.cols()).map(|c| block.get(ou, c)).collect::<Vec<f64>>());
-            comm.bcast(&col_group, root, tag(e_idx, 4, bj), payload)
-        };
-        comm.alloc(col_u.len() + row_v.len() + col_v.len() + row_u.len());
+    // 2. row strip t (`cols` words) is D(slot t, y) for this block column's
+    // y; after the `s` row strips, E(t, t') = D(slot t, slot t')
+    let col_group: Vec<usize> = (1..=q).map(|i| layout.rank_of_block(i, bj)).collect();
+    let mut mine = vec![INF; s * cols + s * s];
+    for (t, &(k, o)) in slots.iter().enumerate() {
+        if k == bi {
+            mine[t * cols..(t + 1) * cols].copy_from_slice(block.row(o));
+            let e_row = &mut mine[s * cols + t * s..s * cols + (t + 1) * s];
+            for (t2, d) in e_row.iter_mut().enumerate() {
+                *d = col_strips[t2 * rows + o];
+            }
+        }
+    }
+    comm.alloc(mine.len());
+    let mut gathered = comm.allreduce_min(&col_group, tag(2, bj), mine);
+    let (row_strips, e) = gathered.split_at_mut(s * cols);
 
-        // Phase 2: local relaxation through the decreased edge
+    for (e_idx, edge) in batch.iter().enumerate() {
+        let (su, sv) = (2 * e_idx, 2 * e_idx + 1);
         let w = edge.new_weight;
-        let (rows, cols) = (block.rows(), block.cols());
+        // the edge's operands as they stand before it
+        let through = |slot: usize| -> Vec<f64> {
+            col_strips[slot * rows..(slot + 1) * rows].iter().map(|&d| d + w).collect()
+        };
+        let (through_u, through_v) = (through(su), through(sv));
+        let row_u = row_strips[su * cols..(su + 1) * cols].to_vec();
+        let row_v = row_strips[sv * cols..(sv + 1) * cols].to_vec();
+        let e_u = e[su * s..(su + 1) * s].to_vec();
+        let e_v = e[sv * s..(sv + 1) * s].to_vec();
+        let scratch = 2 * (rows + cols + s);
+        comm.alloc(scratch);
+
         let buf = block.as_mut_slice();
         for r in 0..rows {
             let row = &mut buf[r * cols..(r + 1) * cols];
-            relax_row(row, col_u[r] + w, &row_v);
-            relax_row(row, col_v[r] + w, &row_u);
+            relax_row(row, through_u[r], &row_v);
+            relax_row(row, through_v[r], &row_u);
         }
-        comm.compute(2 * (rows * cols) as u64);
-        comm.release(col_u.len() + row_v.len() + col_v.len() + row_u.len());
+        // entry x of column strip t: D(x, u) + w′ + D(v, slot t), then
+        // through v (addition commutes bit for bit)
+        for t in 0..s {
+            let strip = &mut col_strips[t * rows..(t + 1) * rows];
+            relax_row(strip, e_v[t], &through_u);
+            relax_row(strip, e_u[t], &through_v);
+        }
+        // row strip t through D(slot t, u) + w′: read from E, which is
+        // relaxed last so that it still holds the pre-edge value here
+        for t in 0..s {
+            let strip = &mut row_strips[t * cols..(t + 1) * cols];
+            relax_row(strip, e[t * s + su] + w, &row_v);
+            relax_row(strip, e[t * s + sv] + w, &row_u);
+        }
+        for t in 0..s {
+            let e_row = &mut e[t * s..(t + 1) * s];
+            let (via_u, via_v) = (e_row[su] + w, e_row[sv] + w);
+            relax_row(e_row, via_u, &e_v);
+            relax_row(e_row, via_v, &e_u);
+        }
+        comm.compute(2 * (rows * cols + s * (rows + cols) + s * s) as u64);
+        comm.release(scratch);
     }
 
-    block.into_vec()
+    comm.release(col_strips.len() + gathered.len());
+    block
 }
 
 /// Applies a batch of decreased edges to a solved distributed distance
@@ -192,12 +244,15 @@ mod tests {
     use super::*;
     use crate::sparse2d::{sparse2d, R4Strategy};
     use apsp_graph::generators::{self, WeightKind};
-    use apsp_graph::oracle;
+    use apsp_graph::{oracle, Csr, DenseDist};
     use apsp_partition::grid_nd;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    /// A solved `side × side` mesh, ready to be updated.
+    /// A solved `side × side` mesh (or a subgraph of one), ready to be
+    /// updated.
     struct Solved {
-        g: apsp_graph::Csr,
+        g: Csr,
         nd: apsp_partition::NdOrdering,
         layout: SupernodalLayout,
         dist_eliminated: DenseDist,
@@ -206,21 +261,11 @@ mod tests {
         report: RunReport,
     }
 
-    fn solve_mesh(side: usize, h: u32, weights: WeightKind) -> Solved {
-        let g = generators::grid2d(side, side, weights, 3);
+    fn solve(g: Csr, side: usize, h: u32) -> Solved {
         let nd = grid_nd(side, side, h);
         let layout = SupernodalLayout::from_ordering(&nd);
-        let gp = g.permuted(&nd.perm);
-        let solved = sparse2d(&layout, &gp, R4Strategy::OneToOne);
-        let blocks = (0..layout.p())
-            .map(|rank| {
-                let (i, j) = layout.block_of_rank(rank);
-                let (ri, rj) = (layout.range(i), layout.range(j));
-                MinPlusMatrix::from_fn(ri.len(), rj.len(), |r, c| {
-                    solved.dist_eliminated.get(ri.start + r, rj.start + c)
-                })
-            })
-            .collect();
+        let solved = sparse2d(&layout, &g.permuted(&nd.perm), R4Strategy::OneToOne);
+        let blocks = layout.split_dense(&solved.dist_eliminated);
         Solved {
             g,
             nd,
@@ -229,6 +274,10 @@ mod tests {
             blocks,
             report: solved.report,
         }
+    }
+
+    fn solve_mesh(side: usize, h: u32, weights: WeightKind) -> Solved {
+        solve(generators::grid2d(side, side, weights, 3), side, h)
     }
 
     /// The batch in eliminated coordinates.
@@ -258,7 +307,8 @@ mod tests {
         let modified = b.build();
 
         let updated = apply_decreases(&s.layout, &s.blocks, &batch_of(&s.nd, decreases));
-        let dist = SupernodalLayout::unpermute(&updated.dist_eliminated, &s.nd.perm);
+        let dist =
+            SupernodalLayout::unpermute(&s.layout.assemble_dense(&updated.blocks), &s.nd.perm);
         let reference = oracle::apsp_dijkstra(&modified);
         if let Some((i, j, a, bb)) = dist.first_mismatch(&reference, 1e-9) {
             panic!("mismatch at ({i},{j}): got {a}, expected {bb}");
@@ -289,6 +339,31 @@ mod tests {
         }
     }
 
+    fn bits(d: &DenseDist) -> Vec<u64> {
+        d.as_slice().iter().map(|w| w.to_bits()).collect()
+    }
+
+    /// Applies `batch` to `dense` cut into `layout`'s blocks and asserts
+    /// the reassembled result is, bit for bit, the old loop's on the whole
+    /// matrix.
+    fn assert_matches_old_loop(
+        layout: &SupernodalLayout,
+        dense: &DenseDist,
+        batch: &[DecreasedEdge],
+        what: &str,
+    ) -> RunReport {
+        let mut want = dense.clone();
+        old_get_set_loop(&mut want, batch);
+        let got = apply_decreases(layout, &layout.split_dense(dense), batch);
+        assert_eq!(bits(&layout.assemble_dense(&got.blocks)), bits(&want), "{what}");
+        got.report
+    }
+
+    /// The whole matrix on one rank.
+    fn one_rank(n: usize) -> SupernodalLayout {
+        SupernodalLayout::new(apsp_etree::SchedTree::new(1), vec![n])
+    }
+
     #[test]
     fn float_weight_updates_match_the_old_loop_bit_for_bit() {
         // sums of float weights round, so an order or a tie handled
@@ -305,19 +380,98 @@ mod tests {
         for h in [2, 3] {
             let s = solve_mesh(12, h, WeightKind::Uniform { lo: 1.0, hi: 10.0 });
             let batch = batch_of(&s.nd, &decreases);
-            let mut want = s.dist_eliminated.clone();
-            old_get_set_loop(&mut want, &batch);
-            let got = apply_decreases(&s.layout, &s.blocks, &batch);
-            let bits = |d: &DenseDist| d.as_slice().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
-            assert!(bits(&want) != bits(&s.dist_eliminated), "h={h}: the batch changed nothing");
-            assert_eq!(bits(&got.dist_eliminated), bits(&want), "h={h}");
-            // on one rank the compute clock is the op count: still two
-            // relaxations per entry per edge
-            let one_rank = SupernodalLayout::new(apsp_etree::SchedTree::new(1), vec![144]);
-            let whole = MinPlusMatrix::from_raw(144, 144, s.dist_eliminated.as_slice().to_vec());
-            let got = apply_decreases(&one_rank, &[whole], &batch);
-            assert_eq!(bits(&got.dist_eliminated), bits(&want), "h={h}, one rank");
-            assert_eq!(got.report.critical_compute(), (2 * 144 * 144 * batch.len()) as u64);
+            let mut changed = s.dist_eliminated.clone();
+            old_get_set_loop(&mut changed, &batch);
+            assert!(bits(&changed) != bits(&s.dist_eliminated), "h={h}: the batch changed nothing");
+            assert_matches_old_loop(&s.layout, &s.dist_eliminated, &batch, &format!("h={h}"));
+            // on one rank the compute clock is the op count: two
+            // relaxations per entry of the block, the 2k column and 2k row
+            // strips and E, per edge
+            let report = assert_matches_old_loop(
+                &one_rank(144),
+                &s.dist_eliminated,
+                &batch,
+                &format!("h={h}, one rank"),
+            );
+            let (n, k) = (144, batch.len());
+            assert_eq!(
+                report.critical_compute(),
+                (2 * k * (n * n + 2 * k * (2 * n + 2 * k))) as u64
+            );
+        }
+    }
+
+    /// A seeded batch of `k` edges over `layout`'s vertices. Edge `i` takes
+    /// shape `(i + seed) mod 6`: uniform endpoints; an endpoint shared with
+    /// edge 0; an earlier edge again at half its weight; both endpoints in
+    /// one supernode; an endpoint in the top separator; weight zero.
+    fn random_batch(layout: &SupernodalLayout, k: usize, seed: u64) -> Vec<DecreasedEdge> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = layout.n();
+        let top = layout.range(layout.n_super());
+        let mut batch: Vec<DecreasedEdge> = Vec::with_capacity(k);
+        for i in 0..k {
+            let mut u = rng.random_range(0..n);
+            let mut v = rng.random_range(0..n);
+            let mut new_weight: f64 = rng.random_range(0.1..6.0);
+            match (i + seed as usize) % 6 {
+                1 if i > 0 => u = batch[0].u,
+                2 if i > 0 => {
+                    let earlier = batch[rng.random_range(0..i)];
+                    (u, v, new_weight) = (earlier.u, earlier.v, earlier.new_weight / 2.0);
+                }
+                3 => {
+                    let wide: Vec<usize> =
+                        (1..=layout.n_super()).filter(|&sn| layout.size(sn) >= 2).collect();
+                    let range = layout.range(wide[rng.random_range(0..wide.len())]);
+                    let a = rng.random_range(0..range.len());
+                    let b = (a + rng.random_range(1..range.len())) % range.len();
+                    (u, v) = (range.start + a, range.start + b);
+                }
+                4 if !top.is_empty() => u = rng.random_range(top.clone()),
+                5 => new_weight = 0.0,
+                _ => {}
+            }
+            if u == v {
+                v = (v + 1) % n;
+            }
+            batch.push(DecreasedEdge { u, v, new_weight });
+        }
+        batch
+    }
+
+    #[test]
+    fn random_batches_match_the_old_loop_bit_for_bit() {
+        let side = 12;
+        let mesh = generators::grid2d(side, side, WeightKind::Uniform { lo: 1.0, hi: 10.0 }, 3);
+        // no edge joins the left half to the right: genuine ∞ distances
+        // meet the all-reduces' +∞ padding (until a batch edge bridges them)
+        let mut halves = apsp_graph::GraphBuilder::new(mesh.n());
+        for (u, v, w) in mesh.edges() {
+            if (u % side < side / 2) == (v % side < side / 2) {
+                halves.add_edge(u, v, w);
+            }
+        }
+        for (name, g) in [("mesh", mesh.clone()), ("split mesh", halves.build())] {
+            let (h2, h3) = (solve(g.clone(), side, 2), solve(g, side, 3));
+            assert_eq!(
+                h2.dist_eliminated.as_slice().iter().any(|d| d.is_infinite()),
+                name == "split mesh"
+            );
+            let whole = one_rank(side * side);
+            for (layout, dense) in [
+                (&whole, &h2.dist_eliminated),
+                (&h2.layout, &h2.dist_eliminated),
+                (&h3.layout, &h3.dist_eliminated),
+            ] {
+                for k in [1, 2, 8, 16] {
+                    for seed in 0..3 {
+                        let batch = random_batch(layout, k, seed);
+                        let what = format!("{name}, p={}, k={k}, seed {seed}", layout.p());
+                        assert_matches_old_loop(layout, dense, &batch, &what);
+                    }
+                }
+            }
         }
     }
 
@@ -342,7 +496,7 @@ mod tests {
     fn no_op_decrease_changes_nothing() {
         // "decreasing" to a weight larger than current distances is a no-op
         let (update_report, _) = check(6, 2, &[(0, 35, 1000.0)]);
-        assert!(update_report.total_messages() > 0, "broadcasts still happen");
+        assert!(update_report.total_messages() > 0, "the all-reduces still run");
     }
 
     #[test]
@@ -365,7 +519,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "negative weights")]
     fn negative_decrease_rejected() {
-        let layout = SupernodalLayout::new(apsp_etree::SchedTree::new(1), vec![2]);
+        let layout = one_rank(2);
         let blocks = vec![MinPlusMatrix::identity(2)];
         let _ =
             apply_decreases(&layout, &blocks, &[DecreasedEdge { u: 0, v: 1, new_weight: -1.0 }]);

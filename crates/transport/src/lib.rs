@@ -229,14 +229,7 @@ pub trait Transport: Sized {
         tag: u64,
         contribution: Vec<f64>,
     ) -> Option<Vec<f64>> {
-        self.reduce(group, root, tag, contribution, |acc, inc| {
-            debug_assert_eq!(acc.len(), inc.len(), "reduction shape mismatch");
-            for (a, &b) in acc.iter_mut().zip(inc) {
-                if b < *a {
-                    *a = b;
-                }
-            }
-        })
+        self.reduce(group, root, tag, contribution, |acc, inc| min_select(acc, inc))
     }
 
     /// Linear gather to `root`: returns `Some(payloads in group order)` on
@@ -331,6 +324,24 @@ pub trait Transport: Sized {
         let root = group[0];
         let combined = reduce_tree(this, group, root, tag ^ 0xA11E, contribution, combine);
         bcast_tree(this, group, root, tag ^ 0xA11F, combined)
+    }
+
+    /// Element-wise minimum all-reduce. Where every member but one
+    /// contributes `+∞`, every member gets that one's word, bit for bit.
+    fn allreduce_min(&mut self, group: &[Rank], tag: u64, contribution: Vec<f64>) -> Vec<f64> {
+        self.allreduce(group, tag, contribution, |acc, inc| min_select(acc, inc))
+    }
+}
+
+/// The `⊕`-combine of [`Transport::reduce_min`] and
+/// [`Transport::allreduce_min`]: a strict `<`, so on a tie `acc` keeps its
+/// own bits.
+fn min_select(acc: &mut [f64], inc: &[f64]) {
+    debug_assert_eq!(acc.len(), inc.len(), "reduction shape mismatch");
+    for (a, &b) in acc.iter_mut().zip(inc) {
+        if b < *a {
+            *a = b;
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Live traffic updates on a solved road network: when a few road segments
 //! speed up (an accident clears, a new ramp opens), the solved all-pairs
-//! distance matrix is *updated in place* through cheap broadcasts instead
+//! distance matrix is *updated in place* through two all-reduces instead
 //! of re-solved — the incremental regime where FW-structured APSP shines.
 //!
 //! ```text
@@ -32,15 +32,7 @@ fn main() {
 
     // a new expressway opens diagonally across town: 3 fast segments
     let upgrades = [(0usize, 52usize, 2.0), (52, 104, 2.0), (104, 143, 2.0)];
-    let blocks: Vec<_> = (0..layout.p())
-        .map(|rank| {
-            let (i, j) = layout.block_of_rank(rank);
-            let (ri, rj) = (layout.range(i), layout.range(j));
-            sparse_apsp::minplus::MinPlusMatrix::from_fn(ri.len(), rj.len(), |r, c| {
-                solved.dist_eliminated.get(ri.start + r, rj.start + c)
-            })
-        })
-        .collect();
+    let blocks = layout.split_dense(&solved.dist_eliminated);
     let batch: Vec<DecreasedEdge> = upgrades
         .iter()
         .map(|&(u, v, w)| DecreasedEdge {
@@ -58,7 +50,7 @@ fn main() {
         solved.report.critical_bandwidth() / updated.report.critical_bandwidth().max(1),
     );
 
-    let dist1 = SupernodalLayout::unpermute(&updated.dist_eliminated, &nd.perm);
+    let dist1 = SupernodalLayout::unpermute(&layout.assemble_dense(&updated.blocks), &nd.perm);
     println!("after:  travel {a} → {b} takes {:.0} min", dist1.get(a, b));
     assert!(dist1.get(a, b) < dist0.get(a, b), "the expressway must help");
 

@@ -61,6 +61,29 @@ fn dcapsp_exact_bill() {
 }
 
 #[test]
+fn update_exact_bill() {
+    // a decrease batch is two all-reduces of fixed-size buffers: messages
+    // and latency do not depend on k, words are 8k(q−1)n + 8k²q(q−1)
+    let nd = grid_nd(12, 12, 3);
+    let layout = SupernodalLayout::from_ordering(&nd);
+    let solved = sparse2d(&layout, &mesh12().permuted(&nd.perm), R4Strategy::OneToOne);
+    let blocks = layout.split_dense(&solved.dist_eliminated);
+    let edge = |i: usize| DecreasedEdge {
+        u: nd.perm.to_new(i * 17 % 144),
+        v: nd.perm.to_new((i * 17 + 71) % 144),
+        new_weight: 1.0,
+    };
+    for (k, words, bandwidth) in [(1, 7_248, 888), (8, 76_800, 8_448)] {
+        let batch: Vec<DecreasedEdge> = (0..k).map(edge).collect();
+        let report = apply_decreases(&layout, &blocks, &batch).report;
+        assert_eq!(report.total_messages(), 168, "k={k}");
+        assert_eq!(report.critical_latency(), 12, "k={k}");
+        assert_eq!(report.total_words(), words, "k={k}");
+        assert_eq!(report.critical_bandwidth(), bandwidth, "k={k}");
+    }
+}
+
+#[test]
 fn collective_closed_forms_hold() {
     // the Lemma 5.6 building blocks: a g-member broadcast costs exactly
     // ⌈log₂ g⌉ critical-path messages on this machine
