@@ -35,14 +35,28 @@
 //! orientation computing units on the same Corollary 5.5 workers (see
 //! `docs/ALGORITHM.md`).
 //!
+//! ## The level plan
+//!
+//! Each rank's schedule for a level is data: `level_plan` writes the
+//! rank's operations (broadcast, reduce, send, receive, mirror, gemm,
+//! closure, release) for `R¹`–`R⁴` into a `Plan` the rank reuses for every
+//! level, and `execute` runs them — it is the only code that communicates,
+//! multiplies or charges memory during a level. `R⁴` has one one-to-one
+//! generator for both orientations (a directed worker adds its unit's
+//! second orientation; an undirected upper block adds the transpose
+//! mirror) and one for `SequentialUnits`.
+//!
 //! ## Deadlock discipline
 //!
-//! Phases run in a fixed global order. Within a phase, either every rank
-//! belongs to at most one communication group (R², R³ — groups are
-//! pairwise disjoint), or ranks hold at most two roles and execute them
-//! sorted by a deterministic key shared by all participants (R⁴). Message
-//! edges therefore never point backwards in (phase, key) order and the
-//! wait-for graph is acyclic.
+//! Regions, and the phases inside them, run in a fixed global order.
+//! Within a phase, either every rank belongs to at most one communication
+//! group (R², R³ — groups are pairwise disjoint), or ranks hold at most
+//! three roles and execute them sorted by the block each role moves, a
+//! key shared by all participants (R⁴). Message edges therefore never
+//! point backwards in (phase, key) order and the wait-for graph is
+//! acyclic. Because the plan is a value, the test
+//! `plans_pair_up_and_agree_on_order_without_threads` checks exactly this
+//! for every rank of machines up to `p = 3 969` without starting a thread.
 
 use crate::launch::{launch_plain, Solver};
 use crate::supernodal::SupernodalLayout;
@@ -51,6 +65,7 @@ use apsp_graph::{Csr, DenseDist, DiCsr};
 use apsp_minplus::{fw_in_place, gemm, MinPlusMatrix};
 use apsp_simnet::{Clocks, RunReport};
 use apsp_transport::Transport;
+use std::ops::Range;
 
 /// How the `R⁴` computing units are scheduled (§5.2.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,14 +149,10 @@ fn decode(rows: usize, cols: usize, data: Vec<f64>) -> MinPlusMatrix {
     }
 }
 
-/// Sorted labels of `{k} ∪ 𝒜(k) ∪ 𝒟(k)` (ascending label order — which is
-/// ascending rank order along a row or column of the grid).
-fn rel_with_self(t: &SchedTree, k: usize) -> Vec<usize> {
-    let mut v: Vec<usize> = t.descendants(k).collect();
-    v.sort_unstable();
-    v.push(k);
-    v.extend(t.ancestors(k));
-    v
+/// `{k} ∪ 𝒜(k) ∪ 𝒟(k)` in ascending label order — which is ascending rank
+/// order along a row or column of the grid (labels grow with the level).
+fn rel_with_self(t: &SchedTree, k: usize) -> impl Iterator<Item = usize> + '_ {
+    t.descendants(k).chain(std::iter::once(k)).chain(t.ancestors(k))
 }
 
 /// The unique level-`l` pivot `k` for which `(i, j)` is an `R³` block, if
@@ -161,25 +172,437 @@ fn r3_pivot(t: &SchedTree, l: u32, i: usize, j: usize) -> Option<usize> {
     }
 }
 
-/// Target columns of the `R³` row broadcast from panel `(i, k)`:
-/// the columns `j` with `(i, j) ∈ R³` via `k`.
-fn r3_row_targets(t: &SchedTree, l: u32, i: usize, k: usize) -> Vec<usize> {
-    if t.level(i) < l {
-        // i ∈ 𝒟(k): everything related to k except k itself
-        rel_with_self(t, k).into_iter().filter(|&j| j != k).collect()
+/// Is `(i, j)` an `R⁴` block at level `l` (both endpoints above `l`,
+/// related)? With `upper`, only the orientation `level(i) ≤ level(j)`.
+fn is_r4(t: &SchedTree, l: u32, i: usize, j: usize, upper: bool) -> bool {
+    let (li, lj) = (t.level(i), t.level(j));
+    li > l && lj > l && (!upper || li <= lj) && t.related(i, j)
+}
+
+/// `(x, y)` read along a row, `(y, x)` along a column.
+fn along<T>(row: bool, x: T, y: T) -> (T, T) {
+    if row {
+        (x, y)
     } else {
-        // i ∈ 𝒜(k): only descendants (ancestor × ancestor is R⁴)
-        let mut v: Vec<usize> = t.descendants(k).collect();
-        v.sort_unstable();
-        v
+        (y, x)
     }
 }
 
-/// Is `(i, j)` an upper `R⁴` block at level `l` (`level(i) ≤ level(j)`,
-/// both above `l`, related)?
-fn is_r4_upper(t: &SchedTree, l: u32, i: usize, j: usize) -> bool {
-    let (li, lj) = (t.level(i), t.level(j));
-    li > l && lj > l && li <= lj && t.related(i, j)
+/// A buffer an [`Op`] reads or writes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Buf {
+    /// This rank's block `A(bi, bj)`.
+    Block,
+    /// A received copy of block `A(i, j)`.
+    Got(usize, usize),
+    /// A worker's product `A(i,k) ⊗ A(k,j)` for its unit's block `(i, j)`.
+    Fwd,
+    /// A directed worker's product `A(j,k) ⊗ A(k,i)` for block `(j, i)`.
+    Bwd,
+}
+
+/// One step of a rank's level schedule. Every payload a rank sends is its
+/// own block; everything it receives lands in a [`Buf`].
+#[derive(Debug)]
+enum Op {
+    /// `R¹`: close the diagonal pivot block in place.
+    Close,
+    /// Join the broadcast of the root's block; keep the payload as `keep`.
+    Bcast { group: Range<usize>, root: usize, tag: u64, keep: Option<Buf> },
+    /// Receive a panel point to point into `into`.
+    Recv { from: usize, tag: u64, into: Buf },
+    /// Send the block point to point.
+    Send { to: usize, tag: u64 },
+    /// Replace the block with the transpose of the partner's block.
+    Mirror { from: usize, tag: u64 },
+    /// `out ⊕= a ⊗ b`. A product output starts all-`∞`; an operand that is
+    /// the block itself is read from a snapshot taken before the update.
+    Gemm { out: Buf, a: Buf, b: Buf },
+    /// `⊕`-reduce `from` (the identity when `None`) for block `target` to
+    /// the root, which folds the result into its block.
+    Reduce { group: Range<usize>, root: usize, tag: u64, target: (usize, usize), from: Option<Buf> },
+    /// Free a received panel or a product.
+    Release(Buf),
+}
+
+/// A rank's schedule for one level: its ops in order, and the members of
+/// its collectives stored back to back (an op's `group` indexes
+/// `members`). One plan per rank is reused by every level, so building
+/// one allocates nothing once the buffers have grown.
+#[derive(Default)]
+struct Plan {
+    ops: Vec<Op>,
+    members: Vec<usize>,
+}
+
+impl Plan {
+    /// Stores a collective's members, ascending and without duplicates —
+    /// the order every member derives the same tree from.
+    fn group(&mut self, ranks: impl Iterator<Item = usize>) -> Range<usize> {
+        let start = self.members.len();
+        self.members.extend(ranks);
+        let group = &mut self.members[start..];
+        group.sort_unstable();
+        let mut len = 0;
+        for i in 0..group.len() {
+            if len == 0 || group[i] != group[len - 1] {
+                group[len] = group[i];
+                len += 1;
+            }
+        }
+        self.members.truncate(start + len);
+        start..start + len
+    }
+}
+
+/// The distinct `Some` keys in ascending order: a rank's roles in one
+/// `R⁴` phase, each keyed by the block it moves.
+fn roles<const N: usize>(
+    mut keys: [Option<(usize, usize)>; N],
+) -> impl Iterator<Item = (usize, usize)> {
+    keys.sort_unstable();
+    let mut last = None;
+    keys.into_iter().flatten().filter(move |&key| last.replace(key) != Some(key))
+}
+
+/// Writes rank `(bi, bj)`'s schedule for level `l` into `plan`: `R¹`–`R³`,
+/// then `R⁴` under `r4` when `l < h`. Returns where each region ends in
+/// `plan.ops`. Ops run in this order on the rank; every rank of a
+/// collective reaches it through the same (region, phase, key) order,
+/// which is what keeps the wait-for graph acyclic (`docs/ALGORITHM.md`).
+fn level_plan(
+    layout: &SupernodalLayout,
+    l: u32,
+    (bi, bj): (usize, usize),
+    directed: bool,
+    r4: R4Strategy,
+    plan: &mut Plan,
+) -> [usize; 4] {
+    use Buf::{Block, Got};
+    let t = layout.tree();
+    let rank = |(i, j): (usize, usize)| layout.rank_of_block(i, j);
+    let related = t.related(bi, bj);
+    plan.ops.clear();
+    plan.members.clear();
+
+    // R¹: the diagonal pivot closes itself
+    if bi == bj && t.level(bi) == l {
+        plan.ops.push(Op::Close);
+    }
+    let r1 = plan.ops.len();
+
+    // R²: pivot k broadcasts A(k,k)* down column k (phase 1), then along
+    // row k (phase 2); the panels update against a snapshot of themselves
+    for (phase, row) in [(1, false), (2, true)] {
+        let (k, other) = along(row, bi, bj);
+        if t.level(k) == l && related {
+            let keep = (other != k).then_some(Got(k, k));
+            let group = plan.group(rel_with_self(t, k).map(|x| rank(along(row, k, x))));
+            plan.ops.push(Op::Bcast { group, root: rank((k, k)), tag: tag(l, phase, k, 0), keep });
+            if keep.is_some() {
+                let (a, b) = along(row, Got(k, k), Block);
+                plan.ops.extend([Op::Gemm { out: Block, a, b }, Op::Release(Got(k, k))]);
+            }
+        }
+    }
+    let r2 = plan.ops.len();
+
+    // R³: panel (i, k) broadcasts along row i (phase 3), then panel (k, j)
+    // down column j (phase 4), to the blocks they update via pivot k
+    let r3k = r3_pivot(t, l, bi, bj);
+    for (phase, row) in [(3, true), (4, false)] {
+        let (line, other) = along(row, bi, bj);
+        let source = (t.level(other) == l && related && bi != bj).then_some(other);
+        if let Some(k) = source.or(r3k) {
+            // a panel below its pivot feeds every block related to k, one
+            // above it only k's descendants (ancestor × ancestor is R⁴);
+            // labels ascend, so those come first, then k — the root
+            let below = t.level(line) < l;
+            let group = plan.group(
+                rel_with_self(t, k)
+                    .take_while(|&x| below || x <= k)
+                    .map(|x| rank(along(row, line, x))),
+            );
+            let root = rank(along(row, line, k));
+            let keep = r3k.map(|_| along(row, line, k)).map(|(i, j)| Got(i, j));
+            plan.ops.push(Op::Bcast { group, root, tag: tag(l, phase, k, line), keep });
+        }
+    }
+    if let Some(k) = r3k {
+        let (a, b) = (Got(bi, k), Got(k, bj));
+        plan.ops.extend([Op::Gemm { out: Block, a, b }, Op::Release(a), Op::Release(b)]);
+    }
+    let r3 = plan.ops.len();
+
+    if l < t.height() {
+        match r4 {
+            R4Strategy::OneToOne => r4_one_to_one(layout, l, (bi, bj), directed, plan),
+            R4Strategy::SequentialUnits => r4_sequential(layout, l, (bi, bj), directed, plan),
+        }
+        // K: an undirected upper block mirrors itself into its transpose
+        if !directed && bi != bj {
+            if is_r4(t, l, bi, bj, true) {
+                plan.ops.push(Op::Send { to: rank((bj, bi)), tag: tag(l, 8, bi, bj) });
+            } else if is_r4(t, l, bj, bi, true) {
+                plan.ops.push(Op::Mirror { from: rank((bj, bi)), tag: tag(l, 8, bj, bi) });
+            }
+        }
+    }
+    [r1, r2, r3, plan.ops.len()]
+}
+
+/// Grid rows of the level-`l` workers whose unit reads a panel of
+/// ancestor `x`: with `x` as the unit's lower-level endpoint (`lower`),
+/// and with `x` as its upper one (`upper`).
+fn unit_rows(
+    t: &SchedTree,
+    l: u32,
+    x: usize,
+    lower: bool,
+    upper: bool,
+) -> impl Iterator<Item = usize> + '_ {
+    let (h, lx) = (t.height(), t.level(x));
+    let as_lower = (lx..=h).filter(move |_| lower).map(move |c| mapping::unit_row(t, l, lx, c));
+    let as_upper = (l + 1..=lx).filter(move |_| upper).map(move |a| mapping::unit_row(t, l, a, lx));
+    as_lower.chain(as_upper)
+}
+
+/// The Corollary 5.5 one-to-one `R⁴` (phases G–J): panels broadcast to
+/// the workers, each worker `P_{f,g}` multiplies its unit, and per-block
+/// reductions deliver the products to their owners. A directed worker
+/// also computes its unit's second orientation `A(j,k) ⊗ A(k,i)`, so it
+/// reads both worker-row ranges and feeds both reductions.
+fn r4_one_to_one(
+    layout: &SupernodalLayout,
+    l: u32,
+    (bi, bj): (usize, usize),
+    directed: bool,
+    plan: &mut Plan,
+) {
+    use Buf::{Bwd, Fwd, Got};
+    let t = layout.tree();
+    let rank = |(i, j): (usize, usize)| layout.rank_of_block(i, j);
+    let unit = mapping::units_for_processor(t, l, bi, bj);
+
+    // G (phase 5): column panels A(x, k); H (phase 6): row panels A(k, x).
+    // A rank joins as the panel's owner and as a worker reading it.
+    for (phase, col) in [(5, true), (6, false)] {
+        let at = |x, k| along(col, x, k);
+        let (x0, k0) = at(bi, bj);
+        let source = (t.level(k0) == l && t.level(x0) > l && t.related(bi, bj)).then_some((bi, bj));
+        let reads = unit.map_or([None; 2], |u| {
+            let (near, far) = if col { (u.i, u.j) } else { (u.j, u.i) };
+            [Some(at(near, u.k)), directed.then(|| at(far, u.k))]
+        });
+        for key in roles([source, reads[0], reads[1]]) {
+            let (x, k) = at(key.0, key.1);
+            let g = mapping::unit_col(t, l, k);
+            let group = plan.group(
+                unit_rows(t, l, x, col || directed, !col || directed)
+                    .map(|f| rank((f, g)))
+                    .chain(std::iter::once(rank(key))),
+            );
+            let keep = reads.contains(&Some(key)).then_some(Got(key.0, key.1));
+            plan.ops.push(Op::Bcast { group, root: rank(key), tag: tag(l, phase, k, x), keep });
+        }
+    }
+
+    // I: the worker multiplies, then frees its panels
+    if let Some(u) = unit {
+        plan.ops.push(Op::Gemm { out: Fwd, a: Got(u.i, u.k), b: Got(u.k, u.j) });
+        if directed {
+            plan.ops.push(Op::Gemm { out: Bwd, a: Got(u.j, u.k), b: Got(u.k, u.i) });
+        }
+        plan.ops.extend([Op::Release(Got(u.i, u.k)), Op::Release(Got(u.k, u.j))]);
+        if directed && u.i != u.j {
+            plan.ops.extend([Op::Release(Got(u.j, u.k)), Op::Release(Got(u.k, u.i))]);
+        }
+    }
+
+    // J (phase 7): one reduction per R⁴ block, over the workers of its
+    // units plus the owner, which folds the result in
+    let products = unit.map_or([None; 2], |u| [Some((u.i, u.j)), directed.then_some((u.j, u.i))]);
+    let own = is_r4(t, l, bi, bj, !directed).then_some((bi, bj));
+    for (x, y) in roles([products[0], products[1], own]) {
+        // the upper orientation of the pair decides the worker row
+        let (ui, uj) = if t.level(x) <= t.level(y) { (x, y) } else { (y, x) };
+        let f = mapping::unit_row(t, l, t.level(ui), t.level(uj));
+        let group = plan.group(
+            t.descendants_at(ui, l)
+                .map(|k| rank((f, mapping::unit_col(t, l, k))))
+                .chain(std::iter::once(rank((x, y)))),
+        );
+        let from = if products[0] == Some((x, y)) {
+            Some(Fwd)
+        } else {
+            (products[1] == Some((x, y)) && x != y).then_some(Bwd)
+        };
+        plan.ops.push(Op::Reduce {
+            group,
+            root: rank((x, y)),
+            tag: tag(l, 7, x, y),
+            target: (x, y),
+            from,
+        });
+    }
+    if unit.is_some() {
+        plan.ops.push(Op::Release(Fwd));
+        if directed {
+            plan.ops.push(Op::Release(Bwd));
+        }
+    }
+}
+
+/// The §5.2.2 "trivial strategy": every `R⁴` block of the schedule (upper
+/// only when undirected) pulls its `2q` panels point to point and
+/// multiplies them itself, pivot by pivot.
+fn r4_sequential(
+    layout: &SupernodalLayout,
+    l: u32,
+    (bi, bj): (usize, usize),
+    directed: bool,
+    plan: &mut Plan,
+) {
+    use Buf::{Block, Got};
+    let t = layout.tree();
+    let rank = |(i, j): (usize, usize)| layout.rank_of_block(i, j);
+    // column panel (x, k) feeds blocks (x, y) (phase 9), row panel (k, x)
+    // feeds (y, x) (phase 10), for y on k's root path above level l
+    for (phase, col) in [(9, true), (10, false)] {
+        let at = |x, y| along(col, x, y);
+        let (x, k) = at(bi, bj);
+        if t.level(k) == l && t.level(x) > l && t.related(bi, bj) {
+            for (i, j) in
+                t.ancestors(k).map(|y| at(x, y)).filter(|&(i, j)| is_r4(t, l, i, j, !directed))
+            {
+                plan.ops.push(Op::Send { to: rank((i, j)), tag: tag(l, phase, k, x) });
+            }
+        }
+    }
+    if is_r4(t, l, bi, bj, !directed) {
+        // pivots: level-l descendants of the lower-level endpoint
+        let lower = if t.level(bi) <= t.level(bj) { bi } else { bj };
+        for k in t.descendants_at(lower, l) {
+            let (a, b) = (Got(bi, k), Got(k, bj));
+            plan.ops.extend([
+                Op::Recv { from: rank((bi, k)), tag: tag(l, 9, k, bi), into: a },
+                Op::Recv { from: rank((k, bj)), tag: tag(l, 10, k, bj), into: b },
+                Op::Gemm { out: Block, a, b },
+                Op::Release(a),
+                Op::Release(b),
+            ]);
+        }
+    }
+}
+
+/// Runs `ops` (whose groups index `members`) on this rank: the only code
+/// that moves, multiplies or charges a block. `held` carries the received
+/// panels and products between ops (empty again once a level's ops have
+/// run).
+fn execute<C: Transport>(
+    comm: &mut C,
+    layout: &SupernodalLayout,
+    ops: &[Op],
+    members: &[usize],
+    block: &mut MinPlusMatrix,
+    held: &mut Vec<(Buf, MinPlusMatrix)>,
+    compress: bool,
+) {
+    let find = |held: &[(Buf, MinPlusMatrix)], buf: Buf| {
+        held.iter().position(|(b, _)| *b == buf).unwrap_or_else(|| panic!("{buf:?} is not held"))
+    };
+    let hold = |comm: &mut C, held: &mut Vec<_>, buf: Buf, data: Vec<f64>| {
+        let Buf::Got(i, j) = buf else { unreachable!("only received blocks are kept") };
+        let m = decode(layout.size(i), layout.size(j), data);
+        comm.alloc(m.words());
+        held.push((buf, m));
+    };
+    for op in ops {
+        match *op {
+            Op::Close => {
+                let ops = fw_in_place(block);
+                comm.compute(ops);
+            }
+            Op::Bcast { ref group, root, tag, keep } => {
+                let payload = (comm.rank() == root).then(|| encode(block, compress));
+                let data = comm.bcast(&members[group.clone()], root, tag, payload);
+                if let Some(buf) = keep {
+                    hold(comm, held, buf, data);
+                }
+            }
+            Op::Recv { from, tag, into } => {
+                let data = comm.recv(from, tag);
+                hold(comm, held, into, data);
+            }
+            Op::Send { to, tag } => comm.send(to, tag, encode(block, compress)),
+            Op::Mirror { from, tag } => {
+                let data = comm.recv(from, tag);
+                *block = decode(block.cols(), block.rows(), data).transposed();
+            }
+            Op::Gemm { out, a, b } => {
+                let snapshot = (a == Buf::Block || b == Buf::Block).then(|| block.clone());
+                if let Some(s) = &snapshot {
+                    comm.alloc(s.words());
+                }
+                let mut target = if out == Buf::Block {
+                    std::mem::replace(block, MinPlusMatrix::empty(0, 0))
+                } else {
+                    let (rows, cols) = (held[find(held, a)].1.rows(), held[find(held, b)].1.cols());
+                    let m = MinPlusMatrix::empty(rows, cols);
+                    comm.alloc(m.words());
+                    m
+                };
+                let read = |buf: Buf| match &snapshot {
+                    Some(s) if buf == Buf::Block => s,
+                    _ => &held[find(held, buf)].1,
+                };
+                let ops = gemm(&mut target, read(a), read(b));
+                comm.compute(ops);
+                if let Some(s) = snapshot {
+                    comm.release(s.words());
+                }
+                if out == Buf::Block {
+                    *block = target;
+                } else {
+                    held.push((out, target));
+                }
+            }
+            Op::Reduce { ref group, root, tag, target: (i, j), from } => {
+                let contribution = match from {
+                    Some(buf) => encode(&held[find(held, buf)].1, compress),
+                    // a non-worker root contributes the ⊕-identity
+                    None if compress => Vec::new(),
+                    None => vec![f64::INFINITY; layout.size(i) * layout.size(j)],
+                };
+                // compressed (empty = all-∞) contributions combine as identities
+                let group = &members[group.clone()];
+                let result = comm.reduce(group, root, tag, contribution, |acc, inc| {
+                    if inc.is_empty() {
+                        return;
+                    }
+                    if acc.is_empty() {
+                        *acc = inc.to_vec();
+                        return;
+                    }
+                    debug_assert_eq!(acc.len(), inc.len(), "reduction shape mismatch");
+                    for (x, &y) in acc.iter_mut().zip(inc) {
+                        if y < *x {
+                            *x = y;
+                        }
+                    }
+                });
+                if let Some(data) = result {
+                    let reduced = decode(layout.size(i), layout.size(j), data);
+                    block.min_assign(&reduced);
+                    comm.compute(reduced.words() as u64);
+                }
+            }
+            Op::Release(buf) => {
+                let (_, m) = held.swap_remove(find(held, buf));
+                comm.release(m.words());
+            }
+        }
+    }
 }
 
 /// The per-rank program: runs Algorithm 1 for this rank's block. Returns
@@ -192,8 +615,7 @@ fn rank_program<C: Transport>(
     input: Input<'_>,
     opts: &Sparse2dOptions,
 ) -> (Vec<f64>, Vec<Clocks>) {
-    let t = *layout.tree();
-    let h = t.height();
+    let h = layout.tree().height();
     let (bi, bj) = layout.block_of_rank(comm.rank());
 
     let (mut block, directed) = match input {
@@ -202,6 +624,7 @@ fn rank_program<C: Transport>(
     };
     comm.alloc(block.words());
     let mut level_clocks = Vec::with_capacity(h as usize);
+    let (mut plan, mut held) = (Plan::default(), Vec::new());
 
     // Every elimination level is a checkpointable phase: its boundary state
     // is the block plus the per-level clock snapshots accumulated so far,
@@ -209,7 +632,27 @@ fn rank_program<C: Transport>(
     // 5.6/5.8/5.9 measurements intact.
     for l in 1..=h {
         if comm.phase_live() {
-            level_clocks.push(level_round(comm, layout, &t, l, bi, bj, &mut block, opts, directed));
+            let ends = level_plan(layout, l, (bi, bj), directed, opts.r4, &mut plan);
+            // one "level" span per elimination level with the paper's
+            // regions nested inside — free unless the run is profiled
+            let mut level = comm.span("level", l as u64);
+            let regions = if l < h { 4 } else { 3 };
+            let mut start = 0;
+            for (&end, name) in ends.iter().zip(["r1", "r2", "r3", "r4"]).take(regions) {
+                let mut region = level.span(name, l as u64);
+                execute(
+                    &mut *region,
+                    layout,
+                    &plan.ops[start..end],
+                    &plan.members,
+                    &mut block,
+                    &mut held,
+                    opts.compress_empty,
+                );
+                start = end;
+            }
+            debug_assert!(held.is_empty(), "a level ended holding {held:?}");
+            level_clocks.push(level.clocks());
         }
         let (rows, cols) = (block.rows(), block.cols());
         let packed =
@@ -250,623 +693,6 @@ fn decode_state(rows: usize, cols: usize, mut state: Vec<f64>) -> (MinPlusMatrix
         .collect();
     state.truncate(nb);
     (MinPlusMatrix::from_raw(rows, cols, state), clocks)
-}
-
-/// One elimination level of Algorithm 1 (`R¹`–`R⁴`), wrapped in its phase
-/// spans. Returns the cumulative critical-path clocks after the level.
-#[allow(clippy::too_many_arguments)]
-fn level_round<C: Transport>(
-    comm: &mut C,
-    layout: &SupernodalLayout,
-    t: &SchedTree,
-    l: u32,
-    bi: usize,
-    bj: usize,
-    block: &mut MinPlusMatrix,
-    opts: &Sparse2dOptions,
-    directed: bool,
-) -> Clocks {
-    let h = t.height();
-    let rank_of = |i: usize, j: usize| layout.rank_of_block(i, j);
-    let size = |k: usize| layout.size(k);
-    let compress = opts.compress_empty;
-
-    {
-        // phase spans: one top-level "level" span per elimination level,
-        // with the paper's computing units R¹–R⁴ nested inside — free
-        // unless the run is profiled (see `Comm::span`)
-        let mut level_span = comm.span("level", l as u64);
-        let comm: &mut C = &mut level_span;
-
-        // ---------------- R¹: diagonal pivot closure ----------------
-        {
-            let mut r1_span = comm.span("r1", l as u64);
-            let comm: &mut C = &mut r1_span;
-            if bi == bj && t.level(bi) == l {
-                let ops = fw_in_place(block);
-                comm.compute(ops);
-            }
-        }
-
-        // ---------------- R²: pivot broadcasts + panel updates ----------------
-        {
-            let mut r2_span = comm.span("r2", l as u64);
-            let comm: &mut C = &mut r2_span;
-            // column phase: pivot k = bj broadcasts A(k,k)* down column k
-            if t.level(bj) == l && t.related(bi, bj) {
-                let k = bj;
-                let group: Vec<usize> =
-                    rel_with_self(t, k).iter().map(|&i| rank_of(i, k)).collect();
-                let root = rank_of(k, k);
-                let payload = (bi == k).then(|| encode(block, compress));
-                let data = comm.bcast(&group, root, tag(l, 1, k, 0), payload);
-                if bi != k {
-                    let akk = decode(size(k), size(k), data);
-                    comm.alloc(akk.words());
-                    let snapshot = block.clone();
-                    comm.alloc(snapshot.words());
-                    let ops = gemm(block, &snapshot, &akk);
-                    comm.compute(ops);
-                    comm.release(snapshot.words());
-                    comm.release(akk.words());
-                }
-            }
-            // row phase: pivot k = bi broadcasts A(k,k)* along row k
-            if t.level(bi) == l && t.related(bi, bj) {
-                let k = bi;
-                let group: Vec<usize> =
-                    rel_with_self(t, k).iter().map(|&j| rank_of(k, j)).collect();
-                let root = rank_of(k, k);
-                let payload = (bj == k).then(|| encode(block, compress));
-                let data = comm.bcast(&group, root, tag(l, 2, k, 0), payload);
-                if bj != k {
-                    let akk = decode(size(k), size(k), data);
-                    comm.alloc(akk.words());
-                    let snapshot = block.clone();
-                    comm.alloc(snapshot.words());
-                    let ops = gemm(block, &akk, &snapshot);
-                    comm.compute(ops);
-                    comm.release(snapshot.words());
-                    comm.release(akk.words());
-                }
-            }
-        }
-
-        // ---------------- R³: panel broadcasts + single-unit updates ----------------
-        {
-            let mut r3_span = comm.span("r3", l as u64);
-            let comm: &mut C = &mut r3_span;
-            let r3k = r3_pivot(t, l, bi, bj);
-            // row phase: panel (i, k=bj) broadcasts A(i,k) along row i
-            let mut r3_aik: Option<MinPlusMatrix> = None;
-            if t.level(bj) == l && t.related(bi, bj) && bi != bj {
-                // source role
-                let k = bj;
-                let mut cols = r3_row_targets(t, l, bi, k);
-                cols.push(k);
-                cols.sort_unstable();
-                let group: Vec<usize> = cols.iter().map(|&j| rank_of(bi, j)).collect();
-                let _ = comm.bcast(
-                    &group,
-                    rank_of(bi, k),
-                    tag(l, 3, k, bi),
-                    Some(encode(block, compress)),
-                );
-            } else if let Some(k) = r3k {
-                // receiver role: join the broadcast of panel (bi, k)
-                let mut cols = r3_row_targets(t, l, bi, k);
-                cols.push(k);
-                cols.sort_unstable();
-                let group: Vec<usize> = cols.iter().map(|&j| rank_of(bi, j)).collect();
-                let data = comm.bcast(&group, rank_of(bi, k), tag(l, 3, k, bi), None);
-                let m = decode(size(bi), size(k), data);
-                comm.alloc(m.words());
-                r3_aik = Some(m);
-            }
-            // column phase: panel (k=bi, j) broadcasts A(k,j) down column j
-            let mut r3_akj: Option<MinPlusMatrix> = None;
-            if t.level(bi) == l && t.related(bi, bj) && bi != bj {
-                let k = bi;
-                let mut rows = r3_row_targets(t, l, bj, k);
-                rows.push(k);
-                rows.sort_unstable();
-                let group: Vec<usize> = rows.iter().map(|&i| rank_of(i, bj)).collect();
-                let _ = comm.bcast(
-                    &group,
-                    rank_of(k, bj),
-                    tag(l, 4, k, bj),
-                    Some(encode(block, compress)),
-                );
-            } else if let Some(k) = r3k {
-                let mut rows = r3_row_targets(t, l, bj, k);
-                rows.push(k);
-                rows.sort_unstable();
-                let group: Vec<usize> = rows.iter().map(|&i| rank_of(i, bj)).collect();
-                let data = comm.bcast(&group, rank_of(k, bj), tag(l, 4, k, bj), None);
-                let m = decode(size(k), size(bj), data);
-                comm.alloc(m.words());
-                r3_akj = Some(m);
-            }
-            // local update
-            if let (Some(aik), Some(akj)) = (&r3_aik, &r3_akj) {
-                let ops = gemm(block, aik, akj);
-                comm.compute(ops);
-            }
-            if let Some(a) = r3_aik.take() {
-                comm.release(a.words());
-            }
-            if let Some(a) = r3_akj.take() {
-                comm.release(a.words());
-            }
-        }
-
-        // ---------------- R⁴ ----------------
-        if l < h {
-            let mut r4_span = comm.span("r4", l as u64);
-            let comm: &mut C = &mut r4_span;
-            match (opts.r4, directed) {
-                (R4Strategy::OneToOne, false) => {
-                    r4_one_to_one(comm, layout, t, l, bi, bj, block, compress)
-                }
-                (R4Strategy::SequentialUnits, false) => {
-                    r4_sequential(comm, layout, t, l, bi, bj, block, compress)
-                }
-                (R4Strategy::OneToOne, true) => {
-                    r4_one_to_one_directed(comm, layout, t, l, bi, bj, block, compress)
-                }
-                (R4Strategy::SequentialUnits, true) => {
-                    r4_sequential_directed(comm, layout, t, l, bi, bj, block, compress)
-                }
-            }
-        }
-
-        comm.clocks()
-    }
-}
-
-/// The Corollary 5.5 one-to-one schedule for `R⁴` at level `l`.
-#[allow(clippy::too_many_arguments)]
-fn r4_one_to_one<C: Transport>(
-    comm: &mut C,
-    layout: &SupernodalLayout,
-    t: &SchedTree,
-    l: u32,
-    bi: usize,
-    bj: usize,
-    block: &mut MinPlusMatrix,
-    compress: bool,
-) {
-    let h = t.height();
-    let rank_of = |i: usize, j: usize| layout.rank_of_block(i, j);
-    let size = |k: usize| layout.size(k);
-    // the unit (if any) this rank executes as worker P_{f,g}
-    let my_unit = mapping::units_for_processor(t, l, bi, bj);
-    let mut unit_aik: Option<MinPlusMatrix> = None;
-    let mut unit_akj: Option<MinPlusMatrix> = None;
-
-    // --- phase G: row distribution — panel (i, k) → workers needing A(i,k)
-    {
-        // this rank's ops, keyed by the broadcast source block (i, k):
-        // one as panel source, one as unit worker (possibly the same op)
-        let mut ops: Vec<(usize, usize)> = Vec::new();
-        if t.level(bj) == l && t.level(bi) > l && t.related(bi, bj) {
-            ops.push((bi, bj));
-        }
-        if let Some(u) = my_unit {
-            ops.push((u.i, u.k));
-        }
-        ops.sort_unstable();
-        ops.dedup();
-        for (i, k) in ops {
-            let a = t.level(i);
-            let g_col = mapping::unit_col(t, l, k);
-            let mut members: Vec<usize> = vec![rank_of(i, k)];
-            for c in a..=h {
-                let f = mapping::unit_row(t, l, a, c);
-                members.push(rank_of(f, g_col));
-            }
-            members.sort_unstable();
-            members.dedup();
-            let root = rank_of(i, k);
-            let payload = (comm.rank() == root).then(|| encode(block, compress));
-            let data = comm.bcast(&members, root, tag(l, 5, k, i), payload);
-            if my_unit.map(|u| (u.i, u.k)) == Some((i, k)) {
-                let m = decode(size(i), size(k), data);
-                comm.alloc(m.words());
-                unit_aik = Some(m);
-            }
-        }
-    }
-
-    // --- phase H: column distribution — panel (k, j) → workers needing A(k,j)
-    {
-        let mut ops: Vec<(usize, usize)> = Vec::new();
-        if t.level(bi) == l && t.level(bj) > l && t.related(bi, bj) {
-            ops.push((bi, bj));
-        }
-        if let Some(u) = my_unit {
-            ops.push((u.k, u.j));
-        }
-        ops.sort_unstable();
-        ops.dedup();
-        for (k, j) in ops {
-            let c = t.level(j);
-            let g_col = mapping::unit_col(t, l, k);
-            let mut members: Vec<usize> = vec![rank_of(k, j)];
-            for a in (l + 1)..=c {
-                let f = mapping::unit_row(t, l, a, c);
-                members.push(rank_of(f, g_col));
-            }
-            members.sort_unstable();
-            members.dedup();
-            let root = rank_of(k, j);
-            let payload = (comm.rank() == root).then(|| encode(block, compress));
-            let data = comm.bcast(&members, root, tag(l, 6, k, j), payload);
-            if my_unit.map(|u| (u.k, u.j)) == Some((k, j)) {
-                let m = decode(size(k), size(j), data);
-                comm.alloc(m.words());
-                unit_akj = Some(m);
-            }
-        }
-    }
-
-    // --- phase I: workers multiply their unit
-    let my_product: Option<MinPlusMatrix> = my_unit.map(|u| {
-        let aik = unit_aik.take().expect("row distribution delivered A(i,k)");
-        let akj = unit_akj.take().expect("column distribution delivered A(k,j)");
-        let mut prod = MinPlusMatrix::empty(size(u.i), size(u.j));
-        comm.alloc(prod.words());
-        let ops = gemm(&mut prod, &aik, &akj);
-        comm.compute(ops);
-        comm.release(aik.words());
-        comm.release(akj.words());
-        prod
-    });
-
-    // --- phase J: per-block reduction to P_{i,j}
-    {
-        // ops: (key = (i, j), contribution)
-        let mut ops: Vec<(usize, usize)> = Vec::new();
-        if let Some(u) = my_unit {
-            ops.push((u.i, u.j));
-        }
-        if is_r4_upper(t, l, bi, bj) && !ops.contains(&(bi, bj)) {
-            ops.push((bi, bj));
-        }
-        ops.sort_unstable();
-        for (i, j) in ops {
-            let a = t.level(i);
-            let c = t.level(j);
-            let f = mapping::unit_row(t, l, a, c);
-            let mut members: Vec<usize> =
-                t.descendants_at(i, l).map(|k| rank_of(f, mapping::unit_col(t, l, k))).collect();
-            members.push(rank_of(i, j));
-            members.sort_unstable();
-            members.dedup();
-            let root = rank_of(i, j);
-            let contribution = if my_unit.map(|u| (u.i, u.j)) == Some((i, j)) {
-                encode(my_product.as_ref().expect("worker computed its unit"), compress)
-            } else {
-                // the root (when not itself a worker) contributes ⊕-identity
-                if compress {
-                    Vec::new()
-                } else {
-                    vec![f64::INFINITY; size(i) * size(j)]
-                }
-            };
-            // combine handles compressed (empty = all-∞) contributions
-            let result = comm.reduce(&members, root, tag(l, 7, i, j), contribution, |acc, inc| {
-                if inc.is_empty() {
-                    return;
-                }
-                if acc.is_empty() {
-                    *acc = inc.to_vec();
-                    return;
-                }
-                debug_assert_eq!(acc.len(), inc.len(), "reduction shape mismatch");
-                for (x, &y) in acc.iter_mut().zip(inc) {
-                    if y < *x {
-                        *x = y;
-                    }
-                }
-            });
-            if comm.rank() == root {
-                let reduced = decode(size(i), size(j), result.expect("root gets the reduction"));
-                block.min_assign(&reduced);
-                comm.compute(reduced.words() as u64);
-            }
-        }
-        if let Some(prod) = my_product {
-            comm.release(prod.words());
-        }
-    }
-
-    // --- phase K: transpose mirror P_{i,j} → P_{j,i}
-    if is_r4_upper(t, l, bi, bj) && bi != bj {
-        comm.send(rank_of(bj, bi), tag(l, 8, bi, bj), encode(block, compress));
-    } else if is_r4_upper(t, l, bj, bi) && bi != bj {
-        let data = comm.recv(rank_of(bj, bi), tag(l, 8, bj, bi));
-        *block = decode(size(bj), size(bi), data).transposed();
-    }
-}
-
-/// The §5.2.2 "trivial strategy": `P_{i,j}` pulls all `2q` panels itself.
-#[allow(clippy::too_many_arguments)]
-fn r4_sequential<C: Transport>(
-    comm: &mut C,
-    layout: &SupernodalLayout,
-    t: &SchedTree,
-    l: u32,
-    bi: usize,
-    bj: usize,
-    block: &mut MinPlusMatrix,
-    compress: bool,
-) {
-    let rank_of = |i: usize, j: usize| layout.rank_of_block(i, j);
-    let size = |k: usize| layout.size(k);
-
-    // sender roles: column panel (i, k) feeds blocks (i, j), j ∈ {i} ∪ 𝒜(i);
-    // row panel (k, j) feeds blocks (i, j), i on the k→j path above level l.
-    if t.level(bj) == l && t.level(bi) > l && t.related(bi, bj) {
-        let (i, k) = (bi, bj);
-        for j in std::iter::once(i).chain(t.ancestors(i)) {
-            comm.send(rank_of(i, j), tag(l, 9, k, i), encode(block, compress));
-        }
-    }
-    if t.level(bi) == l && t.level(bj) > l && t.related(bi, bj) {
-        let (k, j) = (bi, bj);
-        let c = t.level(j);
-        for a in (l + 1)..=c {
-            let i = t.ancestor_at(k, a);
-            comm.send(rank_of(i, j), tag(l, 10, k, j), encode(block, compress));
-        }
-    }
-    // receiver role: upper R⁴ block pulls its 2q panels, pivot by pivot
-    if is_r4_upper(t, l, bi, bj) {
-        for k in t.descendants_at(bi, l) {
-            let aik = decode(size(bi), size(k), comm.recv(rank_of(bi, k), tag(l, 9, k, bi)));
-            comm.alloc(aik.words());
-            let akj = decode(size(k), size(bj), comm.recv(rank_of(k, bj), tag(l, 10, k, bj)));
-            comm.alloc(akj.words());
-            let ops = gemm(block, &aik, &akj);
-            comm.compute(ops);
-            comm.release(aik.words());
-            comm.release(akj.words());
-        }
-    }
-    // transpose mirror, as in the one-to-one schedule
-    if is_r4_upper(t, l, bi, bj) && bi != bj {
-        comm.send(rank_of(bj, bi), tag(l, 8, bi, bj), encode(block, compress));
-    } else if is_r4_upper(t, l, bj, bi) && bi != bj {
-        let data = comm.recv(rank_of(bj, bi), tag(l, 8, bj, bi));
-        *block = decode(size(bj), size(bi), data).transposed();
-    }
-}
-
-/// Worker rows whose units involve ancestor `x` (as block row *or* block
-/// column) at level `l` — the directed distribution target set.
-fn dir_unit_rows(t: &SchedTree, l: u32, x: usize) -> Vec<usize> {
-    let h = t.height();
-    let lx = t.level(x);
-    let mut rows: Vec<usize> = (lx..=h).map(|c| mapping::unit_row(t, l, lx, c)).collect();
-    rows.extend(((l + 1)..=lx).map(|a| mapping::unit_row(t, l, a, lx)));
-    rows.sort_unstable();
-    rows.dedup();
-    rows
-}
-
-/// Is `(i, j)` *any* `R⁴` block at level `l` (both endpoints above `l`,
-/// related — either orientation)?
-fn is_r4_block(t: &SchedTree, l: u32, i: usize, j: usize) -> bool {
-    t.level(i) > l && t.level(j) > l && t.related(i, j)
-}
-
-/// Directed `R⁴` with the one-to-one placement: each worker `P_{f,g}`
-/// computes **both** orientations of its unit
-/// (`A(i,k) ⊗ A(k,j)` and `A(j,k) ⊗ A(k,i)`) and feeds two reductions —
-/// no transpose mirror exists for asymmetric weights. Costs stay within
-/// 2× of the undirected schedule, same asymptotics.
-#[allow(clippy::too_many_arguments)]
-fn r4_one_to_one_directed<C: Transport>(
-    comm: &mut C,
-    layout: &SupernodalLayout,
-    t: &SchedTree,
-    l: u32,
-    bi: usize,
-    bj: usize,
-    block: &mut MinPlusMatrix,
-    compress: bool,
-) {
-    let rank_of = |i: usize, j: usize| layout.rank_of_block(i, j);
-    let size = |k: usize| layout.size(k);
-    let my_unit = mapping::units_for_processor(t, l, bi, bj);
-    // received operands, keyed by block coordinates
-    let mut col_panels: std::collections::BTreeMap<(usize, usize), MinPlusMatrix> =
-        std::collections::BTreeMap::new();
-    let mut row_panels: std::collections::BTreeMap<(usize, usize), MinPlusMatrix> =
-        std::collections::BTreeMap::new();
-
-    // --- phase G: column panels A(x, k) to every worker touching x
-    {
-        let mut ops: Vec<(usize, usize)> = Vec::new();
-        if t.level(bj) == l && t.level(bi) > l && t.related(bi, bj) {
-            ops.push((bi, bj));
-        }
-        if let Some(u) = my_unit {
-            ops.push((u.i, u.k));
-            ops.push((u.j, u.k));
-        }
-        ops.sort_unstable();
-        ops.dedup();
-        for (x, k) in ops {
-            let g_col = mapping::unit_col(t, l, k);
-            let mut members: Vec<usize> = vec![rank_of(x, k)];
-            members.extend(dir_unit_rows(t, l, x).into_iter().map(|f| rank_of(f, g_col)));
-            members.sort_unstable();
-            members.dedup();
-            let root = rank_of(x, k);
-            let payload = (comm.rank() == root).then(|| encode(block, compress));
-            let data = comm.bcast(&members, root, tag(l, 5, k, x), payload);
-            if my_unit.is_some_and(|u| (u.i == x || u.j == x) && u.k == k) {
-                let m = decode(size(x), size(k), data);
-                comm.alloc(m.words());
-                col_panels.insert((x, k), m);
-            }
-        }
-    }
-    // --- phase H: row panels A(k, x)
-    {
-        let mut ops: Vec<(usize, usize)> = Vec::new();
-        if t.level(bi) == l && t.level(bj) > l && t.related(bi, bj) {
-            ops.push((bi, bj));
-        }
-        if let Some(u) = my_unit {
-            ops.push((u.k, u.i));
-            ops.push((u.k, u.j));
-        }
-        ops.sort_unstable();
-        ops.dedup();
-        for (k, x) in ops {
-            let g_col = mapping::unit_col(t, l, k);
-            let mut members: Vec<usize> = vec![rank_of(k, x)];
-            members.extend(dir_unit_rows(t, l, x).into_iter().map(|f| rank_of(f, g_col)));
-            members.sort_unstable();
-            members.dedup();
-            let root = rank_of(k, x);
-            let payload = (comm.rank() == root).then(|| encode(block, compress));
-            let data = comm.bcast(&members, root, tag(l, 6, k, x), payload);
-            if my_unit.is_some_and(|u| (u.i == x || u.j == x) && u.k == k) {
-                let m = decode(size(k), size(x), data);
-                comm.alloc(m.words());
-                row_panels.insert((k, x), m);
-            }
-        }
-    }
-    // --- phase I: both oriented products
-    let my_products: Option<(MinPlusMatrix, MinPlusMatrix)> = my_unit.map(|u| {
-        let aik = &col_panels[&(u.i, u.k)];
-        let akj = &row_panels[&(u.k, u.j)];
-        let mut fwd = MinPlusMatrix::empty(size(u.i), size(u.j));
-        comm.alloc(fwd.words());
-        let mut ops = gemm(&mut fwd, aik, akj);
-        let ajk = &col_panels[&(u.j, u.k)];
-        let aki = &row_panels[&(u.k, u.i)];
-        let mut bwd = MinPlusMatrix::empty(size(u.j), size(u.i));
-        comm.alloc(bwd.words());
-        ops += gemm(&mut bwd, ajk, aki);
-        comm.compute(ops);
-        (fwd, bwd)
-    });
-    for (_, m) in col_panels.into_iter().chain(row_panels) {
-        comm.release(m.words());
-    }
-
-    // --- phase J: two reductions per unit pair (forward to P_{i,j},
-    //     backward to P_{j,i}); diagonal blocks reduce once
-    {
-        let mut ops: Vec<(usize, usize)> = Vec::new();
-        if let Some(u) = my_unit {
-            ops.push((u.i, u.j));
-            ops.push((u.j, u.i));
-        }
-        if is_r4_block(t, l, bi, bj) {
-            ops.push((bi, bj));
-        }
-        ops.sort_unstable();
-        ops.dedup();
-        for (x, y) in ops {
-            // upper orientation of the pair decides the worker row
-            let (ui, uj) = if t.level(x) <= t.level(y) { (x, y) } else { (y, x) };
-            let f = mapping::unit_row(t, l, t.level(ui), t.level(uj));
-            let mut members: Vec<usize> =
-                t.descendants_at(ui, l).map(|k| rank_of(f, mapping::unit_col(t, l, k))).collect();
-            members.push(rank_of(x, y));
-            members.sort_unstable();
-            members.dedup();
-            let root = rank_of(x, y);
-            let contribution = match (&my_products, my_unit) {
-                (Some((fwd, _)), Some(u)) if (u.i, u.j) == (x, y) => encode(fwd, compress),
-                (Some((_, bwd)), Some(u)) if (u.j, u.i) == (x, y) && u.i != u.j => {
-                    encode(bwd, compress)
-                }
-                _ => {
-                    if compress {
-                        Vec::new()
-                    } else {
-                        vec![f64::INFINITY; size(x) * size(y)]
-                    }
-                }
-            };
-            let result = comm.reduce(&members, root, tag(l, 7, x, y), contribution, |acc, inc| {
-                if inc.is_empty() {
-                    return;
-                }
-                if acc.is_empty() {
-                    *acc = inc.to_vec();
-                    return;
-                }
-                for (a, &b) in acc.iter_mut().zip(inc) {
-                    if b < *a {
-                        *a = b;
-                    }
-                }
-            });
-            if comm.rank() == root {
-                let reduced = decode(size(x), size(y), result.expect("root gets the reduction"));
-                block.min_assign(&reduced);
-                comm.compute(reduced.words() as u64);
-            }
-        }
-        if let Some((fwd, bwd)) = my_products {
-            comm.release(fwd.words());
-            comm.release(bwd.words());
-        }
-    }
-}
-
-/// Directed `R⁴`, trivial strategy: every `R⁴` block (both orientations)
-/// pulls its `2q` panels itself. Panel `(x, k)` feeds blocks `(x, y)` for
-/// every `y ∈ 𝒜(k)` above level `l`; panel `(k, x)` feeds `(y, x)`.
-#[allow(clippy::too_many_arguments)]
-fn r4_sequential_directed<C: Transport>(
-    comm: &mut C,
-    layout: &SupernodalLayout,
-    t: &SchedTree,
-    l: u32,
-    bi: usize,
-    bj: usize,
-    block: &mut MinPlusMatrix,
-    compress: bool,
-) {
-    let rank_of = |i: usize, j: usize| layout.rank_of_block(i, j);
-    let size = |k: usize| layout.size(k);
-
-    if t.level(bj) == l && t.level(bi) > l && t.related(bi, bj) {
-        let (x, k) = (bi, bj);
-        for y in t.ancestors(k) {
-            comm.send(rank_of(x, y), tag(l, 9, k, x), encode(block, compress));
-        }
-    }
-    if t.level(bi) == l && t.level(bj) > l && t.related(bi, bj) {
-        let (k, x) = (bi, bj);
-        for y in t.ancestors(k) {
-            comm.send(rank_of(y, x), tag(l, 10, k, x), encode(block, compress));
-        }
-    }
-    if is_r4_block(t, l, bi, bj) {
-        // pivots: level-l descendants of the lower-level endpoint
-        let lower = if t.level(bi) <= t.level(bj) { bi } else { bj };
-        for k in t.descendants_at(lower, l) {
-            let aik = decode(size(bi), size(k), comm.recv(rank_of(bi, k), tag(l, 9, k, bi)));
-            comm.alloc(aik.words());
-            let akj = decode(size(k), size(bj), comm.recv(rank_of(k, bj), tag(l, 10, k, bj)));
-            comm.alloc(akj.words());
-            let ops = gemm(block, &aik, &akj);
-            comm.compute(ops);
-            comm.release(aik.words());
-            comm.release(akj.words());
-        }
-    }
 }
 
 /// 2D-SPARSE-APSP as a [`Solver`]: a layout, the graph permuted into its
@@ -1014,6 +840,164 @@ mod tests {
 
     fn check(g: &Csr, nd: &apsp_partition::NdOrdering, strategy: R4Strategy) -> RunReport {
         check_with(g, nd, &Sparse2dOptions { r4: strategy, ..Default::default() }).report
+    }
+
+    /// One region of every rank's plan, checked as a whole machine would
+    /// run it: collectives agree on `(group, root)` and are joined by
+    /// exactly their members, point-to-point sends pair with receives, and
+    /// the ranks' orders of blocking operations leave the wait-for graph
+    /// acyclic. Received buffers must come from the block they name and
+    /// multiply in matching shapes.
+    fn check_region(layout: &SupernodalLayout, region: &[(&[Op], &[usize])], ctx: &str) {
+        use std::collections::{BTreeMap, BTreeSet};
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        enum Node {
+            Collective(u64),
+            Message(usize, usize, u64),
+        }
+        let mut collectives: BTreeMap<u64, (&[usize], usize, BTreeSet<usize>)> = BTreeMap::new();
+        let (mut sends, mut recvs) = (BTreeSet::new(), BTreeSet::new());
+        let mut edges: BTreeMap<Node, Vec<Node>> = BTreeMap::new();
+        let mut indegree: BTreeMap<Node, usize> = BTreeMap::new();
+        for (me, &(ops, members)) in region.iter().enumerate() {
+            let (bi, bj) = layout.block_of_rank(me);
+            let shape = |buf: Buf, held: &BTreeMap<Buf, (usize, usize)>| match buf {
+                Buf::Block => (layout.size(bi), layout.size(bj)),
+                _ => held[&buf],
+            };
+            let mut held = BTreeMap::new();
+            let mut last: Option<Node> = None;
+            for op in ops.iter() {
+                let (node, blocking) = match *op {
+                    Op::Bcast { ref group, root, tag, .. }
+                    | Op::Reduce { ref group, root, tag, .. } => {
+                        let group = &members[group.clone()];
+                        let entry =
+                            collectives.entry(tag).or_insert((group, root, BTreeSet::new()));
+                        assert!(
+                            entry.0 == group && entry.1 == root,
+                            "{ctx}: tag {tag:#x} disagrees"
+                        );
+                        assert!(entry.2.insert(me), "{ctx}: rank {me} joins {tag:#x} twice");
+                        (Some(Node::Collective(tag)), true)
+                    }
+                    Op::Send { to, tag } => {
+                        assert!(sends.insert((me, to, tag)), "{ctx}: duplicate send {tag:#x}");
+                        (Some(Node::Message(me, to, tag)), false)
+                    }
+                    Op::Recv { from, tag, .. } | Op::Mirror { from, tag } => {
+                        assert!(recvs.insert((from, me, tag)), "{ctx}: duplicate recv {tag:#x}");
+                        (Some(Node::Message(from, me, tag)), true)
+                    }
+                    _ => (None, false),
+                };
+                // buffers: what is kept names its sender's block
+                match *op {
+                    Op::Bcast { root, keep: Some(buf @ Buf::Got(i, j)), .. }
+                    | Op::Recv { from: root, into: buf @ Buf::Got(i, j), .. } => {
+                        assert_eq!(layout.rank_of_block(i, j), root, "{ctx}: {buf:?} from {root}");
+                        assert!(held.insert(buf, (layout.size(i), layout.size(j))).is_none());
+                    }
+                    Op::Mirror { from, .. } => assert_eq!(from, layout.rank_of_block(bj, bi)),
+                    Op::Gemm { out, a, b } => {
+                        let ((ar, ac), (br, bc)) = (shape(a, &held), shape(b, &held));
+                        assert_eq!(ac, br, "{ctx}: inner dimensions of {op:?}");
+                        if out == Buf::Block {
+                            assert_eq!(
+                                (layout.size(bi), layout.size(bj)),
+                                (ar, bc),
+                                "{ctx}: {op:?}"
+                            );
+                        } else {
+                            assert!(held.insert(out, (ar, bc)).is_none(), "{ctx}: {op:?}");
+                        }
+                    }
+                    Op::Reduce { root, target: (i, j), from, .. } => {
+                        assert_eq!(layout.rank_of_block(i, j), root, "{ctx}: {op:?}");
+                        if let Some(buf) = from {
+                            assert_eq!(
+                                held[&buf],
+                                (layout.size(i), layout.size(j)),
+                                "{ctx}: {op:?}"
+                            );
+                        }
+                    }
+                    Op::Release(buf) => assert!(held.remove(&buf).is_some(), "{ctx}: {op:?}"),
+                    _ => {}
+                }
+                if let Some(node) = node {
+                    indegree.entry(node).or_insert(0);
+                    if let Some(prev) = last {
+                        edges.entry(prev).or_default().push(node);
+                        *indegree.entry(node).or_insert(0) += 1;
+                    }
+                    if blocking {
+                        last = Some(node);
+                    }
+                }
+            }
+            assert!(held.is_empty(), "{ctx}: rank {me} ends the region holding buffers");
+        }
+        for (tag, (group, root, joined)) in &collectives {
+            assert!(group.windows(2).all(|w| w[0] < w[1]), "{ctx}: {tag:#x} group unsorted");
+            assert!(group.contains(root), "{ctx}: {tag:#x} root outside its group");
+            assert!(group.iter().copied().eq(joined.iter().copied()), "{ctx}: {tag:#x} members");
+        }
+        assert_eq!(sends, recvs, "{ctx}: sends and receives differ");
+        // Kahn: every node must eventually lose all its predecessors
+        let mut ready: Vec<Node> =
+            indegree.iter().filter(|&(_, &d)| d == 0).map(|(&n, _)| n).collect();
+        let mut done = 0;
+        while let Some(node) = ready.pop() {
+            done += 1;
+            for next in edges.get(&node).into_iter().flatten() {
+                let d = indegree.get_mut(next).expect("every target is a node");
+                *d -= 1;
+                if *d == 0 {
+                    ready.push(*next);
+                }
+            }
+        }
+        assert_eq!(done, indegree.len(), "{ctx}: cycle");
+    }
+
+    #[test]
+    fn plans_pair_up_and_agree_on_order_without_threads() {
+        // p up to 3 969: far past what a threaded test can launch
+        for h in 1..=6u32 {
+            let t = SchedTree::new(h);
+            let sizes = (1..=t.num_supernodes()).map(|k| 1 + k * 7 % 5).collect();
+            let layout = SupernodalLayout::new(t, sizes);
+            let mut plans: Vec<Plan> = (0..layout.p()).map(|_| Plan::default()).collect();
+            for directed in [false, true] {
+                for r4 in [R4Strategy::OneToOne, R4Strategy::SequentialUnits] {
+                    for l in 1..=h {
+                        let ends: Vec<[usize; 4]> = plans
+                            .iter_mut()
+                            .enumerate()
+                            .map(|(r, plan)| {
+                                level_plan(&layout, l, layout.block_of_rank(r), directed, r4, plan)
+                            })
+                            .collect();
+                        for region in 0..4 {
+                            let slices: Vec<(&[Op], &[usize])> = plans
+                                .iter()
+                                .zip(&ends)
+                                .map(|(plan, e)| {
+                                    let start = if region == 0 { 0 } else { e[region - 1] };
+                                    (&plan.ops[start..e[region]], &plan.members[..])
+                                })
+                                .collect();
+                            let ctx = format!(
+                                "h={h} l={l} region {} ({r4:?}, directed {directed})",
+                                region + 1
+                            );
+                            check_region(&layout, &slices, &ctx);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
