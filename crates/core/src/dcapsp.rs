@@ -485,10 +485,6 @@ impl Solver for DcApsp<'_> {
         }
         DenseResult { dist, report }
     }
-
-    fn words(tiles: Vec<MinPlusMatrix>) -> Vec<f64> {
-        tiles.iter().flat_map(|m| m.as_slice().iter().copied()).collect()
-    }
 }
 
 /// Runs [`DcApsp::cyclic`] on the simulated machine.

@@ -154,10 +154,6 @@ impl Solver for DJohnson {
         }
         DenseResult { dist, report }
     }
-
-    fn words(out: Vec<f64>) -> Vec<f64> {
-        out
-    }
 }
 
 /// Runs the replicated-graph, source-partitioned Johnson/Dijkstra APSP on

@@ -523,14 +523,6 @@ impl Solver for DistNd<'_> {
             NdOrdering { tree, perm: Permutation::from_order(order), supernode_sizes: sizes };
         DistNdResult { ordering, report }
     }
-
-    fn words(out: Self::Out) -> Vec<f64> {
-        out.into_iter()
-            .flat_map(|(label, verts)| {
-                [label, verts.len()].into_iter().chain(verts).map(|x| x as f64)
-            })
-            .collect()
-    }
 }
 
 /// Runs the distributed nested-dissection pipeline on `p` simulated ranks;

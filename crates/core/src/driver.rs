@@ -370,9 +370,9 @@ impl SparseApsp {
     /// computed exactly as in [`SparseApsp::run`], then the schedule goes
     /// through [`crate::launch::verify`] on the configured backend (see
     /// `docs/VERIFICATION.md`).
-    pub fn verify(&self, g: &Csr, vopts: &apsp_verify::VerifyOptions) -> apsp_verify::VerifyReport {
+    pub fn verify(&self, g: &Csr) -> apsp_verify::VerifyReport {
         let input = Input::Undirected(g);
-        self.prepare(input).with_solver(input, |solver| verify(solver, self.config.backend, vopts))
+        self.prepare(input).with_solver(input, |solver| verify(solver, self.config.backend))
     }
 
     /// Runs the full pipeline on `g` — undirected or directed — with a

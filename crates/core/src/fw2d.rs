@@ -221,10 +221,6 @@ impl Solver for Fw2d<'_> {
         }
         DenseResult { dist, report }
     }
-
-    fn words(out: Vec<f64>) -> Vec<f64> {
-        out
-    }
 }
 
 /// Runs the dense blocked-FW APSP on a `n_grid × n_grid` simulated grid

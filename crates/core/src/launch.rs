@@ -5,9 +5,8 @@
 //! [`LaunchSpec`], whose fields are the orthogonal options a run can have
 //! (`docs/BACKENDS.md` tabulates option × backend: `profile` and `trace`
 //! are the two the native backend rejects). [`verify`] checks a solver's
-//! communication schedule: the governed simulator records, lints and
-//! explores it; the native machine records it through [`launch`] and
-//! lints it.
+//! communication schedule: either machine records it, and the recording
+//! is linted.
 
 use crate::driver::Backend;
 use apsp_graph::DenseDist;
@@ -16,7 +15,7 @@ use apsp_simnet::{
     MachineSpec, RecoveryPolicy, RecoveryReport, RunReport, TraceEvent,
 };
 use apsp_transport::{Machine, NativeMachine, Transport};
-use apsp_verify::{VerifyOptions, VerifyReport};
+use apsp_verify::VerifyReport;
 
 /// A distributed solver: what one rank runs and how the ranks' outputs
 /// become the result.
@@ -37,10 +36,6 @@ pub trait Solver: Sync {
 
     /// Host-side assembly of every rank's output (rank order).
     fn assemble(&self, outs: Vec<Self::Out>, report: RunReport) -> Self::Result;
-
-    /// The distance words of one rank's output — what [`verify`] digests
-    /// to tell two delivery schedules' results apart.
-    fn words(out: Self::Out) -> Vec<f64>;
 }
 
 /// How to run a [`Solver`]: every field is independent of the others and
@@ -159,25 +154,20 @@ pub(crate) fn launch_plain<S: Solver>(solver: &S) -> S::Result {
     launch(solver, &LaunchSpec::default()).expect("fault-free launch cannot fail").result
 }
 
-/// Verifies `solver`'s communication schedule. On [`Backend::Sim`] every
-/// rank's comm script is recorded for the static lint (send/recv matching,
-/// tag freshness across phases, collective ordering, phase quiescence at
-/// every `commit_phase`, span balance) and, for `p ≤`
-/// [`apsp_verify::MAX_EXPLORE_P`], wildcard delivery schedules are
-/// explored for deadlocks and order-sensitive nondeterminism
-/// ([`apsp_verify::verify_program`]). On [`Backend::Native`] the same rank
-/// program records the same logical script over real OS threads and the
-/// static lint checks it; the explorer needs the governed simulator and is
-/// reported as not run. Recording never touches the §3.1 clocks, so a
-/// verified schedule's plain run is byte-identical to an unverified one.
-pub fn verify<S: Solver>(solver: &S, backend: Backend, opts: &VerifyOptions) -> VerifyReport {
+/// Verifies `solver`'s communication schedule: every rank's comm script
+/// is recorded and linted statically (send/recv matching, tag freshness
+/// across phases, collective ordering, phase quiescence at every
+/// `commit_phase`, span balance), and a run that dies — a hang after
+/// `APSP_WATCHDOG_MS` included — adds its typed error as an `execution`
+/// violation. [`Backend::Sim`] records on the simulator
+/// ([`apsp_verify::verify_program`], which also lints the partial scripts
+/// of a run that dies and returns the §3.1 report of one that completes);
+/// [`Backend::Native`] records the same logical script over real OS
+/// threads through [`launch`]. Recording never touches the §3.1 clocks, so
+/// a verified schedule's plain run is byte-identical to an unverified one.
+pub fn verify<S: Solver>(solver: &S, backend: Backend) -> VerifyReport {
     if backend == Backend::Sim {
-        return apsp_verify::verify_program(
-            solver.p(),
-            opts,
-            |comm| S::words(solver.rank_program(comm)),
-            apsp_verify::digest_rows,
-        );
+        return apsp_verify::verify_program(solver.p(), |comm| solver.rank_program(comm));
     }
     let recorded = launch(solver, &LaunchSpec { backend, record: true, ..Default::default() });
     apsp_verify::lint_recorded_outcome(solver.p(), recorded.map(|run| run.scripts))

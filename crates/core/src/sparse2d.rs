@@ -783,10 +783,6 @@ impl Solver for Sparse2d<'_> {
         let dist_eliminated = layout.assemble_raw(outputs.into_iter().map(|(data, _)| data));
         Sparse2dResult { dist_eliminated, report, level_clocks }
     }
-
-    fn words(out: Self::Out) -> Vec<f64> {
-        out.0
-    }
 }
 
 /// Runs 2D-SPARSE-APSP on the simulated machine with default options.

@@ -115,10 +115,6 @@ impl Solver for Decreases<'_> {
     fn assemble(&self, blocks: Vec<MinPlusMatrix>, report: RunReport) -> UpdateResult {
         UpdateResult { blocks, report }
     }
-
-    fn words(out: MinPlusMatrix) -> Vec<f64> {
-        out.into_vec()
-    }
 }
 
 /// Supernode and in-block offset of eliminated vertex `x`.

@@ -37,9 +37,6 @@ pub fn prometheus_text(snap: &Snapshot) -> String {
                 SampleValue::Counter(v) => {
                     let _ = writeln!(out, "{}{} {v}", fam.name, label_block(&s.labels, None));
                 }
-                SampleValue::Gauge(v) => {
-                    let _ = writeln!(out, "{}{} {v}", fam.name, label_block(&s.labels, None));
-                }
                 SampleValue::Histogram(h) => {
                     for (ub, cum) in h.cumulative() {
                         let le = ub.to_string();
@@ -115,9 +112,6 @@ pub fn jsonl(snap: &Snapshot) -> String {
                 SampleValue::Counter(v) => {
                     let _ = writeln!(out, "{head},\"value\":{v}}}");
                 }
-                SampleValue::Gauge(v) => {
-                    let _ = writeln!(out, "{head},\"value\":{v}}}");
-                }
                 SampleValue::Histogram(h) => {
                     let buckets: Vec<String> = h
                         .cumulative()
@@ -165,7 +159,6 @@ pub fn summary_table(snap: &Snapshot) -> String {
             let name = format!("{}{}", fam.name, fmt_labels_human(&s.labels));
             let value = match &s.value {
                 SampleValue::Counter(v) => v.to_string(),
-                SampleValue::Gauge(v) => v.to_string(),
                 SampleValue::Histogram(h) => {
                     let mut v = histogram_summary(h);
                     if fam.name.ends_with("_ns") && h.count > 0 {
@@ -229,7 +222,6 @@ mod tests {
         let r = Registry::new();
         r.counter("apsp_demo_events_total", "Demo events.").add(42);
         r.counter_with("apsp_demo_labeled_total", "Labeled.", &[("phase", "solve")]).add(7);
-        r.gauge("apsp_demo_ranks", "Ranks.").set(9);
         let h = r.histogram_with("apsp_demo_wall_ns", "Wall.", &[("phase", "solve")]);
         h.record(3);
         h.record(900);
@@ -242,7 +234,6 @@ mod tests {
         assert!(text.contains("# TYPE apsp_demo_events_total counter"));
         assert!(text.contains("apsp_demo_events_total 42"));
         assert!(text.contains("apsp_demo_labeled_total{phase=\"solve\"} 7"));
-        assert!(text.contains("# TYPE apsp_demo_ranks gauge"));
         assert!(text.contains("apsp_demo_wall_ns_bucket{phase=\"solve\",le=\"3\"} 1"));
         assert!(text.contains("apsp_demo_wall_ns_bucket{phase=\"solve\",le=\"1023\"} 2"));
         assert!(text.contains("apsp_demo_wall_ns_bucket{phase=\"solve\",le=\"+Inf\"} 2"));
@@ -256,7 +247,6 @@ mod tests {
         let parsed = parse_prometheus(&prometheus_text(&snap)).expect("own exposition parses");
         assert_eq!(parsed["apsp_demo_events_total"], 42.0);
         assert_eq!(parsed["apsp_demo_labeled_total{phase=\"solve\"}"], 7.0);
-        assert_eq!(parsed["apsp_demo_ranks"], 9.0);
         assert_eq!(parsed["apsp_demo_wall_ns_count{phase=\"solve\"}"], 2.0);
         assert_eq!(parsed["apsp_demo_wall_ns_sum{phase=\"solve\"}"], 903.0);
         // every cumulative bucket is bounded by the count, and +Inf equals it

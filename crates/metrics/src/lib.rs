@@ -39,9 +39,7 @@ pub mod timer;
 
 pub use export::{jsonl, parse_prometheus, prometheus_text, summary_table};
 pub use histogram::{bucket_index, bucket_upper_bound, Histogram, HistogramSnapshot, NUM_BUCKETS};
-pub use registry::{
-    global, Counter, Family, Gauge, MetricKind, Registry, Sample, SampleValue, Snapshot,
-};
+pub use registry::{global, Counter, Family, MetricKind, Registry, Sample, SampleValue, Snapshot};
 pub use timer::{time_phase, time_phase_in, PhaseGuard};
 
 /// Convenience: `global().counter(name, help)`.

@@ -1,9 +1,9 @@
-//! The metric registry: named counters, gauges and histograms with
+//! The metric registry: named counters and histograms with
 //! optional label sets, plus deterministic snapshots for the exporters.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// A monotonically increasing counter.
@@ -29,36 +29,11 @@ impl Counter {
     }
 }
 
-/// A settable signed gauge.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `d` (may be negative).
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// What kind of metric a family is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetricKind {
     /// Monotone counter.
     Counter,
-    /// Settable gauge.
-    Gauge,
     /// Log2-bucketed histogram.
     Histogram,
 }
@@ -68,7 +43,6 @@ impl MetricKind {
     pub fn as_str(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
             MetricKind::Histogram => "histogram",
         }
     }
@@ -76,7 +50,6 @@ impl MetricKind {
 
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -140,21 +113,6 @@ impl Registry {
             Metric::Counter(Arc::new(Counter::default()))
         }) {
             Metric::Counter(c) => c,
-            _ => unreachable!("kind checked in get_or_insert"),
-        }
-    }
-
-    /// Registers (or retrieves) an unlabeled gauge.
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        self.gauge_with(name, help, &[])
-    }
-
-    /// Registers (or retrieves) a gauge with labels.
-    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        match self.get_or_insert(name, help, labels, MetricKind::Gauge, || {
-            Metric::Gauge(Arc::new(Gauge::default()))
-        }) {
-            Metric::Gauge(g) => g,
             _ => unreachable!("kind checked in get_or_insert"),
         }
     }
@@ -233,7 +191,6 @@ impl Registry {
                         labels: labels.clone(),
                         value: match metric {
                             Metric::Counter(c) => SampleValue::Counter(c.get()),
-                            Metric::Gauge(g) => SampleValue::Gauge(g.get()),
                             Metric::Histogram(h) => SampleValue::Histogram(h.snapshot()),
                         },
                     })
@@ -247,7 +204,6 @@ impl Registry {
 fn clone_metric(m: &Metric) -> Metric {
     match m {
         Metric::Counter(c) => Metric::Counter(Arc::clone(c)),
-        Metric::Gauge(g) => Metric::Gauge(Arc::clone(g)),
         Metric::Histogram(h) => Metric::Histogram(Arc::clone(h)),
     }
 }
@@ -263,8 +219,6 @@ fn render_labels(labels: &[(&str, &str)]) -> String {
 pub enum SampleValue {
     /// Counter value.
     Counter(u64),
-    /// Gauge value.
-    Gauge(i64),
     /// Histogram state.
     Histogram(HistogramSnapshot),
 }
@@ -286,7 +240,7 @@ pub struct Family {
     pub name: String,
     /// One-line help text.
     pub help: String,
-    /// Counter/gauge/histogram.
+    /// Counter or histogram.
     pub kind: MetricKind,
     /// Series, in deterministic label order.
     pub samples: Vec<Sample>,
@@ -357,16 +311,7 @@ mod tests {
     fn kind_conflict_panics() {
         let r = Registry::new();
         r.counter("z", "Z.");
-        r.gauge("z", "Z.");
-    }
-
-    #[test]
-    fn gauge_set_and_add() {
-        let r = Registry::new();
-        let g = r.gauge("g", "G.");
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.get(), 7);
+        r.histogram("z", "Z.");
     }
 
     #[test]

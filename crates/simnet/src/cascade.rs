@@ -17,7 +17,6 @@
 use crate::comm::Rank;
 use crate::faults::FaultError;
 use crate::recovery::{HangError, MachineError, ProtocolError, RankDown};
-use crate::sched::DeadlockError;
 use std::any::Any;
 
 /// Typed panic payload for a rank that died sending to a peer whose inbox
@@ -36,9 +35,9 @@ pub struct Disconnect {
 }
 
 /// Silences the default panic printer for the machines' *typed* abort
-/// payloads (fault, protocol, hang, deadlock, rank-down, disconnect
-/// markers): those panics are internal control flow — the join triage
-/// downcasts them into a [`MachineError`] the caller renders — so the
+/// payloads (fault, protocol, hang, rank-down, disconnect markers): those
+/// panics are internal control flow — the join triage downcasts them
+/// into a [`MachineError`] the caller renders — so the
 /// "thread panicked" backtrace noise would be a raw dump of an error that
 /// is about to be reported properly. Genuine (string) panics still print.
 /// Installed once per process; chains to the previous hook.
@@ -51,7 +50,6 @@ pub fn install_quiet_typed_panics() {
             if p.is::<FaultError>()
                 || p.is::<ProtocolError>()
                 || p.is::<HangError>()
-                || p.is::<DeadlockError>()
                 || p.is::<RankDown>()
                 || p.is::<Disconnect>()
             {
@@ -65,11 +63,9 @@ pub fn install_quiet_typed_panics() {
 /// Picks the typed root cause out of a pile of per-rank panic payloads,
 /// by specificity: a fault-plan thread kill ([`RankDown`]) outranks an
 /// exhausted retry budget ([`FaultError`], only meaningful when a fault
-/// layer was active), which outranks a schedule bug, a hang verdict, and
-/// last a deadlock (often itself a victim of a rank that already died of
-/// something more specific). `None` when no typed payload is present —
-/// the run died of a genuine (string) panic; see
-/// [`surface_root_cause`].
+/// layer was active), which outranks a schedule bug, which outranks a
+/// hang verdict. `None` when no typed payload is present — the run died
+/// of a genuine (string) panic; see [`surface_root_cause`].
 ///
 /// Callers collect payloads by joining handles in rank order, so the
 /// lowest faulting rank wins a tie within each class and the surfaced
@@ -88,9 +84,6 @@ pub fn classify_panics(panics: &[Box<dyn Any + Send>], fault_mode: bool) -> Opti
     }
     if let Some(err) = panics.iter().find_map(|pl| pl.downcast_ref::<HangError>()) {
         return Some(MachineError::Hang(err.clone()));
-    }
-    if let Some(err) = panics.iter().find_map(|pl| pl.downcast_ref::<DeadlockError>()) {
-        return Some(MachineError::Deadlock(err.clone()));
     }
     None
 }

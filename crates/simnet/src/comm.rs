@@ -5,9 +5,7 @@ use crate::endpoint::{run_epoch, Endpoint, Meter};
 use crate::faults::{FaultPlan, FaultSummary};
 use crate::recovery::{supervise, MachineError, RecoveryPolicy, RecoveryReport};
 use crate::report::{Clocks, RankStats, RunReport};
-use crate::sched::{ChoicePoint, Governor};
-use crate::script::{CommEvent, ScriptBoard};
-use crate::sync::Arc;
+use crate::script::CommEvent;
 use crate::trace::{Profile, RankProfile, SendTotal, SpanLedger, SpanSnapshot};
 use std::collections::BTreeMap;
 
@@ -93,7 +91,7 @@ impl Machine {
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        let meter = |rank| SimMeter::new(rank, false, false, None);
+        let meter = |rank| SimMeter::new(rank, false, false);
         let (run, _) = run_epoch(p, &f, None, None, None, meter).unwrap_or_else(|e| panic!("{e}"));
         (run.outs, run.report)
     }
@@ -122,7 +120,7 @@ impl Machine {
         F: Fn(&mut Comm) -> T + Sync,
     {
         supervise(p, spec, |plan, epoch, script| {
-            let meter = |rank| SimMeter::new(rank, spec.trace || spec.profile, spec.profile, None);
+            let meter = |rank| SimMeter::new(rank, spec.trace || spec.profile, spec.profile);
             let (mut run, meters) = run_epoch(p, &f, plan, epoch, script, meter)?;
             let mut profiles = Vec::with_capacity(p);
             for meter in meters {
@@ -136,43 +134,6 @@ impl Machine {
             Ok(run)
         })
     }
-
-    /// Runs `f` with recording **and** governed delivery: every receive
-    /// goes through a shared [`Governor`] that resolves wildcard receives
-    /// ([`Comm::recv_any`]) against `schedule` and detects deadlock
-    /// structurally (typed [`MachineError::Deadlock`], no watchdog wait).
-    /// The comm scripts and
-    /// the wildcard decision log survive a failing run — the verifier
-    /// lints partial scripts and the explorer enumerates sibling
-    /// schedules from the choices.
-    ///
-    /// Same program + same schedule ⇒ bit-identical outputs, report, and
-    /// scripts. Fault injection is not supported in governed runs.
-    pub fn run_governed<T, F>(p: usize, schedule: &[usize], f: F) -> GovernedRun<T>
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
-        let board = Arc::new(ScriptBoard::new(p));
-        let gov = Arc::new(Governor::new(p, schedule));
-        let meter = |rank| SimMeter::new(rank, false, false, Some(Arc::clone(&gov)));
-        let outcome = run_epoch(p, &f, None, None, Some(&board), meter)
-            .map(|(run, _)| (run.outs, run.report));
-        GovernedRun { outcome, scripts: board.take(), choices: gov.choices() }
-    }
-}
-
-/// Everything a governed run produces, success or failure: the outcome,
-/// every rank's comm script (partial on failure — recorded up to the
-/// moment the machine died), and the wildcard decision log the schedule
-/// explorer enumerates siblings from.
-pub struct GovernedRun<T> {
-    /// The run's result, or the typed error that killed it.
-    pub outcome: Result<(Vec<T>, RunReport), MachineError>,
-    /// Per-rank comm scripts (rank order), partial on failure.
-    pub scripts: Vec<Vec<CommEvent>>,
-    /// Wildcard-receive decisions actually made, in decision order.
-    pub choices: Vec<ChoicePoint>,
 }
 
 /// What a [`Machine::launch`] switches on beyond the cost clocks. The
@@ -217,8 +178,7 @@ pub struct MachineRun<T> {
 
 /// The §3.1 cost model as a [`Meter`]: critical-path clocks, send and
 /// memory counters, and — when the run asks for them — the message trace,
-/// the span ledger, the per-`(dst, tag)` send map and the delivery
-/// governor.
+/// the span ledger and the per-`(dst, tag)` send map.
 pub struct SimMeter {
     rank: Rank,
     costs: RankStats,
@@ -228,20 +188,18 @@ pub struct SimMeter {
     ledger: Option<SpanLedger>,
     /// Per-`(dst, tag)` send counters, present in profiled runs.
     sends: Option<BTreeMap<(Rank, u64), (u64, u64)>>,
-    /// Delivery governor, present in governed runs
-    /// ([`Machine::run_governed`]).
-    governor: Option<Arc<Governor>>,
 }
 
 impl SimMeter {
-    fn new(rank: Rank, traced: bool, profiled: bool, governor: Option<Arc<Governor>>) -> Self {
+    /// Rank `rank`'s meter: its clocks and counters always, the message
+    /// trace when `traced`, the span ledger and send map when `profiled`.
+    pub fn new(rank: Rank, traced: bool, profiled: bool) -> Self {
         SimMeter {
             rank,
             costs: RankStats::default(),
             trace: traced.then(Vec::new),
             ledger: profiled.then(SpanLedger::default),
             sends: profiled.then(BTreeMap::new),
-            governor,
         }
     }
 
@@ -363,13 +321,9 @@ impl Meter for SimMeter {
         let at = self.snapshot();
         self.ledger.as_mut().expect("a span index comes from the ledger").exit(idx, at);
     }
-
-    fn governor(&self) -> Option<&Arc<Governor>> {
-        self.governor.as_ref()
-    }
 }
 
-// The simulator's own behaviour: clocks, ledgers, the governor. What is
+// The simulator's own behaviour: clocks and ledgers. What is
 // machine-independent about the endpoint (FIFO, tag checks, the
 // reliability protocol's exact stats, kills, recovery trajectories) is
 // asserted once for both machines in
@@ -609,65 +563,6 @@ mod tests {
             }
             state
         }
-    }
-
-    #[test]
-    fn governed_cross_recv_deadlocks_structurally() {
-        let run = Machine::run_governed(2, &[], |comm: &mut Comm| {
-            let peer = comm.rank() ^ 1;
-            comm.recv(peer, 9);
-        });
-        let err = run.outcome.map(|_| ()).expect_err("cross recv must deadlock");
-        let MachineError::Deadlock(dl) = err else { panic!("expected deadlock, got {err}") };
-        assert_eq!(dl.cycle, vec![0, 1]);
-        assert_eq!(dl.waiting.len(), 2);
-        assert!(dl.to_string().contains("machine deadlocked"));
-    }
-
-    #[test]
-    fn governed_recv_any_follows_the_schedule() {
-        // wildcard decisions happen at quiescent points, so every decision
-        // sees the full candidate set regardless of thread timing
-        let settled = |comm: &mut Comm| {
-            if comm.rank() == 0 {
-                let mut order = Vec::new();
-                for _ in 1..comm.p() {
-                    let (src, _) = comm.recv_any(5);
-                    order.push(src as f64);
-                }
-                order
-            } else {
-                comm.send(0, 5, vec![comm.rank() as f64]);
-                Vec::new()
-            }
-        };
-        let base = Machine::run_governed(4, &[], settled);
-        let (outs, _) = base.outcome.expect("clean");
-        assert_eq!(outs[0], vec![1.0, 2.0, 3.0], "default schedule picks lowest rank");
-        assert_eq!(base.choices.len(), 2, "last receive has a single candidate");
-        assert_eq!(base.choices[0].alternatives, 3);
-        let alt = Machine::run_governed(4, &[2, 1], settled);
-        let (outs, _) = alt.outcome.expect("clean");
-        assert_eq!(outs[0], vec![3.0, 2.0, 1.0], "schedule reorders delivery");
-        // replay is bit-identical
-        let again = Machine::run_governed(4, &[2, 1], settled);
-        assert_eq!(again.outcome.expect("clean").0[0], vec![3.0, 2.0, 1.0]);
-    }
-
-    #[test]
-    fn governed_named_recv_report_matches_plain() {
-        let program = |comm: &mut Comm| {
-            let r = comm.rank();
-            if r.is_multiple_of(2) && r + 1 < 4 {
-                comm.send(r + 1, 0, vec![0.0; r + 1]);
-            } else if !r.is_multiple_of(2) {
-                comm.recv(r - 1, 0);
-            }
-        };
-        let governed = Machine::run_governed(4, &[], program);
-        let (_, report) = governed.outcome.expect("clean");
-        let (_, plain) = Machine::run(4, program);
-        assert_eq!(report.per_rank, plain.per_rank, "the governor never touches clocks");
     }
 
     #[test]

@@ -24,9 +24,10 @@ use crate::cascade::{classify_panics, install_quiet_typed_panics, surface_root_c
 use crate::comm::{MachineRun, Rank};
 use crate::faults::{checksum, FaultError, FaultPlan, FaultStats, FaultSummary, Injection};
 use crate::pool;
-use crate::recovery::{Checkpoints, Epoch, HangError, MachineError, ProtocolError, RankDown};
+use crate::recovery::{
+    Checkpoints, Epoch, HangError, MachineError, ProtocolError, RankDown, RankWait,
+};
 use crate::report::{Clocks, RankStats, RunReport};
-use crate::sched::Governor;
 use crate::script::{CollectiveKind, CommEvent, ScriptBoard};
 use crate::snapshot::Snapshot;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -95,11 +96,6 @@ pub trait Meter: Sized {
 
     /// Closes the span [`Meter::span_enter`] opened as `idx`.
     fn span_exit(&mut self, _idx: usize) {}
-
-    /// The delivery governor sequencing this run's receives, if any.
-    fn governor(&self) -> Option<&Arc<Governor>> {
-        None
-    }
 }
 
 /// A message in flight: tag, payload, the constant-size reliability
@@ -129,8 +125,7 @@ type Mail<S> = (Rank, Option<Frame<S>>);
 /// hung and aborts with a [`HangError`] dump of the `blocked` registry.
 struct Watchdog {
     progress: AtomicU64,
-    /// `blocked[rank] = Some((src, tag))` while `rank` waits in a receive
-    /// (`src == rank` marks a wildcard wait).
+    /// `blocked[rank] = Some((src, tag))` while `rank` waits in a receive.
     blocked: Mutex<Vec<Option<(Rank, u64)>>>,
     /// `returned[rank]`: `rank`'s program returned, so nothing more will
     /// come from it — a receive naming it with nothing pending is a hang.
@@ -205,7 +200,7 @@ pub struct Endpoint<M: Meter> {
     /// ([`crate::MachineSpec::recovery`]).
     recovery: Option<Checkpoints>,
     watchdog: Arc<Watchdog>,
-    /// Comm-script recorder, present in recorded and governed runs.
+    /// Comm-script recorder, present in recorded runs.
     /// Recording observes the machine — it never touches the meter.
     script: Option<Arc<ScriptBoard>>,
 }
@@ -305,11 +300,6 @@ impl<M: Meter> Endpoint<M> {
         // a send is machine progress: any rank still moving holds off
         // every rank's watchdog
         self.watchdog.progress.fetch_add(1, Ordering::Relaxed);
-        // mirror the wire *after* the inbox send, so a governor grant
-        // always finds the message already deposited
-        if let Some(gov) = self.meter.governor() {
-            gov.on_send(self.rank, dst);
-        }
     }
 
     /// Fault-mode send: stamps the reliability envelope, asks the plan
@@ -404,75 +394,12 @@ impl<M: Meter> Endpoint<M> {
             self.kill_check();
             self.recv_faulty(src, expected_tag)
         } else {
-            self.wire_recv(Some(src), expected_tag).1
+            self.wire_recv(src, expected_tag)
         };
-        self.accept(src, expected_tag, frame)
-    }
-
-    /// Receives the next message from **any** source carrying
-    /// `expected_tag` — the `MPI_ANY_SOURCE` analogue, and the machine's
-    /// only genuine delivery-order choice point (named receives are FIFO
-    /// per source, so their delivery order is fixed by the program).
-    ///
-    /// Under [`crate::Machine::run_governed`] the delivery order is
-    /// resolved by the schedule, making runs replayable and explorable;
-    /// in ungoverned runs it takes the lowest source's pending frame, or
-    /// else waits for the next frame into the inbox, so the winner depends
-    /// on wall-clock arrival order — exactly the nondeterminism hazard the
-    /// protocol verifier's explorer exists to surface. Returns the source
-    /// rank and the payload.
-    ///
-    /// # Panics
-    /// Panics in fault mode (wildcard receives and per-channel reliability
-    /// sequencing do not compose) and on tag mismatch.
-    pub fn recv_any(&mut self, expected_tag: u64) -> (Rank, Vec<f64>) {
-        assert!(self.faults.is_none(), "recv_any is not supported in fault mode");
-        assert!(self.p > 1, "recv_any with no possible sender");
-        let (src, frame) = self.wire_recv(None, expected_tag);
-        (src, self.accept(src, expected_tag, frame))
-    }
-
-    /// Hands an accepted frame to the program: tag check, script entry.
-    fn accept(&mut self, src: Rank, expected_tag: u64, frame: Frame<M::Stamp>) -> Vec<f64> {
         self.check_tag(src, expected_tag, frame.tag);
         let words = frame.payload.len();
         self.record(|phase| CommEvent::Recv { src, tag: expected_tag, words, phase });
         frame.payload
-    }
-
-    /// Pulls the next physical arrival — from `src`, or from any source for
-    /// a wildcard receive — and charges it to this rank's port.
-    ///
-    /// Governed runs sequence delivery through the governor, which
-    /// detects deadlock structurally. Otherwise the wait arms the
-    /// watchdog: it is chopped into short ticks, local idle time only
-    /// accumulates while *no* rank makes progress, and when it exceeds
-    /// the watchdog window the rank aborts with a typed [`HangError`] —
-    /// a schedule bug hangs a test run no longer.
-    fn wire_recv(&mut self, src: Option<Rank>, tag: u64) -> (Rank, Frame<M::Stamp>) {
-        let granted = self.meter.governor().map(|gov| {
-            gov.acquire(self.rank, src, tag)
-                .unwrap_or_else(|deadlock| std::panic::panic_any(deadlock))
-        });
-        let arrival = match granted {
-            Some(src) => (src, self.granted(src)),
-            None => self.watched_recv(src, tag),
-        };
-        self.meter.arrived(arrival.1.payload.len(), &arrival.1.stamp);
-        arrival
-    }
-
-    /// The frame a governor grant for `src` names. A grant guarantees the
-    /// message is already deposited, so this only files what the inbox
-    /// holds ahead of it.
-    fn granted(&mut self, src: Rank) -> Frame<M::Stamp> {
-        loop {
-            if let Some(frame) = self.pending[src].pop_front() {
-                return frame;
-            }
-            let mail = self.inbox.recv().expect("a rank's own sender keeps its inbox open");
-            self.file(mail);
-        }
     }
 
     /// Files a piece of mail under its source.
@@ -490,45 +417,37 @@ impl<M: Meter> Endpoint<M> {
         }
     }
 
-    /// The oldest pending frame from `src`, or, for a wildcard, from the
-    /// lowest source holding one.
-    fn take_pending(&mut self, src: Option<Rank>) -> Option<(Rank, Frame<M::Stamp>)> {
-        let src = match src {
-            Some(src) => src,
-            None => self.pending.iter().position(|queue| !queue.is_empty())?,
-        };
-        self.pending[src].pop_front().map(|frame| (src, frame))
-    }
-
-    /// The ungoverned wait of [`Endpoint::wire_recv`], under the watchdog:
-    /// pending frames first, then the inbox, filing other sources' frames
-    /// as they come. A named source that hung up with nothing left makes
-    /// this rank a cascade victim at once; one that returned with nothing
-    /// left is a hang, declared at the next tick.
-    fn watched_recv(&mut self, src: Option<Rank>, tag: u64) -> (Rank, Frame<M::Stamp>) {
+    /// Pulls the next physical arrival from `src` and charges it to this
+    /// rank's port: pending frames first, then the inbox, filing other
+    /// sources' frames as they come.
+    ///
+    /// The wait arms the watchdog: it is chopped into short ticks, local
+    /// idle time only accumulates while *no* rank makes progress, and
+    /// when it exceeds the watchdog window the rank aborts with a typed
+    /// [`HangError`] — a schedule bug hangs a test run no longer. A source
+    /// that hung up with nothing left makes this rank a cascade victim at
+    /// once; one that returned with nothing left is a hang, declared at
+    /// the next tick.
+    fn wire_recv(&mut self, src: Rank, tag: u64) -> Frame<M::Stamp> {
         let window_ms = self.watchdog.window_ms;
         let tick_ms = (window_ms / 5).clamp(1, 50);
         let tick = Duration::from_millis(tick_ms);
-        // what the blocked registry shows: a wildcard wait marks itself
-        let blocked_on = (src.unwrap_or(self.rank), tag);
         let mut registered = false;
         let mut idle = 0u64;
         let mut last_progress = self.watchdog.progress.load(Ordering::Relaxed);
         loop {
-            let arrival = match self.take_pending(src) {
-                Some(arrival) => Some(arrival),
+            let arrival = match self.pending[src].pop_front() {
+                Some(frame) => Some(frame),
                 None => {
-                    if let Some(peer) = src.filter(|&peer| self.hung_up[peer]) {
+                    if self.hung_up[src] {
                         // the peer's program unwound before sending what
                         // this rank waits for: a cascade victim of a
                         // root-cause panic over there. Die with a typed
                         // marker so the root cause is surfaced instead.
-                        std::panic::panic_any(Disconnect { rank: self.rank, peer, tag });
+                        std::panic::panic_any(Disconnect { rank: self.rank, peer: src, tag });
                     }
                     match self.inbox.recv_timeout(tick) {
-                        Ok((from, Some(frame))) if src.is_none_or(|src| src == from) => {
-                            Some((from, frame))
-                        }
+                        Ok((from, Some(frame))) if from == src => Some(frame),
                         Ok(mail) => {
                             self.file(mail);
                             continue;
@@ -540,25 +459,24 @@ impl<M: Meter> Endpoint<M> {
                     }
                 }
             };
-            if let Some(arrival) = arrival {
+            if let Some(frame) = arrival {
                 self.watchdog.progress.fetch_add(1, Ordering::Relaxed);
                 if registered {
                     self.watchdog.blocked.lock().expect("watchdog registry")[self.rank] = None;
                 }
-                return arrival;
+                self.meter.arrived(frame.payload.len(), &frame.stamp);
+                return frame;
             }
             if !registered {
                 self.watchdog.blocked.lock().expect("watchdog registry")[self.rank] =
-                    Some(blocked_on);
+                    Some((src, tag));
                 registered = true;
             }
-            if let Some(peer) =
-                src.filter(|&peer| self.watchdog.returned[peer].load(Ordering::Acquire))
-            {
+            if self.watchdog.returned[src].load(Ordering::Acquire) {
                 // everything the peer sent is in the inbox by now
                 self.drain();
-                if self.pending[peer].is_empty() {
-                    self.hang(blocked_on);
+                if self.pending[src].is_empty() {
+                    self.hang(src, tag);
                 }
                 continue;
             }
@@ -570,17 +488,26 @@ impl<M: Meter> Endpoint<M> {
             }
             idle += tick_ms;
             if idle >= window_ms {
-                self.hang(blocked_on);
+                self.hang(src, tag);
             }
         }
     }
 
     /// The watchdog's verdict: no rank made progress for the whole window.
-    /// Aborts with a typed [`HangError`] — who was blocked on whom, plus
-    /// up to 16 messages delivered to this rank but never asked for, by
-    /// source.
-    fn hang(&mut self, (src, tag): (Rank, u64)) -> ! {
+    /// Aborts with a typed [`HangError`] — which ranks had returned and
+    /// who was blocked on whom, plus up to 16 messages delivered to this
+    /// rank but never asked for, by source.
+    fn hang(&mut self, src: Rank, tag: u64) -> ! {
         let blocked = self.watchdog.blocked.lock().expect("watchdog registry").clone();
+        let blocked = blocked
+            .into_iter()
+            .zip(&self.watchdog.returned)
+            .map(|(on, returned)| match on {
+                Some((src, tag)) => RankWait::On(src, tag),
+                None if returned.load(Ordering::Acquire) => RankWait::Returned,
+                None => RankWait::Running,
+            })
+            .collect();
         self.drain();
         let pending = self
             .pending
@@ -598,7 +525,7 @@ impl<M: Meter> Endpoint<M> {
     /// duplicate retransmissions.
     fn recv_faulty(&mut self, src: Rank, expected_tag: u64) -> Frame<M::Stamp> {
         loop {
-            let (_, frame) = self.wire_recv(Some(src), expected_tag);
+            let frame = self.wire_recv(src, expected_tag);
             if checksum(&frame.payload) != frame.sum {
                 self.fstats().corruptions_detected += 1;
                 continue;
@@ -817,18 +744,6 @@ impl<M: Meter> Drop for SpanGuard<'_, M> {
     }
 }
 
-/// Marks a rank finished for the governor even when its program unwinds,
-/// so peers blocked on it deadlock-detect instead of waiting forever.
-struct Finish(Option<Arc<Governor>>, Rank);
-
-impl Drop for Finish {
-    fn drop(&mut self) {
-        if let Some(gov) = &self.0 {
-            gov.finish(self.1);
-        }
-    }
-}
-
 /// One machine epoch: runs `f` on `p` ranks — each on a parked worker of
 /// the rank-thread pool ([`crate::pool`]) with a fresh inbox, the endpoint
 /// of rank `r` metered by `meter(r)` — under the fault plan when there is
@@ -839,12 +754,11 @@ impl Drop for Finish {
 ///
 /// # Errors
 /// The typed root cause when ranks died of one: a typed abort (rank kill,
-/// unrecoverable injected fault, tag mismatch, watchdog hang, governed
-/// deadlock) unwinds its rank's program with a typed payload, the rank
-/// hangs up, and its peers then die as cascade victims; the triage
-/// surfaces the cause, not the cascade. Outcomes are triaged in rank
-/// order, so the lowest faulting rank wins a tie and the surfaced error
-/// is deterministic.
+/// unrecoverable injected fault, tag mismatch, watchdog hang) unwinds its
+/// rank's program with a typed payload, the rank hangs up, and its peers
+/// then die as cascade victims; the triage surfaces the cause, not the
+/// cascade. Outcomes are triaged in rank order, so the lowest faulting
+/// rank wins a tie and the surfaced error is deterministic.
 ///
 /// # Panics
 /// Re-raises a rank's genuine (string) panic.
@@ -903,7 +817,6 @@ where
                     watchdog,
                     script: script.cloned(),
                 };
-                let _finish = Finish(endpoint.meter.governor().cloned(), rank);
                 let out = match catch_unwind(AssertUnwindSafe(|| f(&mut endpoint))) {
                     Ok(out) => out,
                     Err(payload) => {

@@ -75,22 +75,20 @@ pub mod perf;
 mod pool;
 pub mod recovery;
 pub mod report;
-pub mod sched;
 pub mod script;
 pub mod snapshot;
 pub mod sync;
 pub mod trace;
 
 pub use cascade::Disconnect;
-pub use comm::{Comm, GovernedRun, Machine, MachineRun, MachineSpec, Rank, TraceEvent};
+pub use comm::{Comm, Machine, MachineRun, MachineSpec, Rank, SimMeter, TraceEvent};
 pub use endpoint::{run_epoch, Endpoint, Meter, SpanGuard};
 pub use faults::{FaultError, FaultPlan, FaultStats, FaultSummary, Injection};
 pub use recovery::{
-    supervise, Checkpoints, Epoch, HangError, MachineError, ProtocolError, RankDown,
+    supervise, Checkpoints, Epoch, HangError, MachineError, ProtocolError, RankDown, RankWait,
     RecoveryPolicy, RecoveryReport, Unrecoverable,
 };
 pub use report::{Clocks, RankStats, RunReport};
-pub use sched::{ChoicePoint, DeadlockError, Governor, WaitEdge};
 pub use script::{phase_totals, CollectiveKind, CommEvent, PhaseTotals, ScriptBoard};
 pub use snapshot::{Snapshot, SnapshotStore};
 pub use trace::{

@@ -292,9 +292,6 @@ pub enum MachineError {
     Protocol(ProtocolError),
     /// The wall-clock watchdog found every rank stalled.
     Hang(HangError),
-    /// A governed run's wait-for graph closed: every unfinished rank was
-    /// blocked with nothing deliverable ([`crate::sched::DeadlockError`]).
-    Deadlock(crate::sched::DeadlockError),
     /// A rank's thread was killed outright by the fault plan at a phase
     /// boundary (the native backend's thread-kill chaos mode).
     Down(RankDown),
@@ -308,7 +305,6 @@ impl std::fmt::Display for MachineError {
             MachineError::Fault(e) => e.fmt(f),
             MachineError::Protocol(e) => e.fmt(f),
             MachineError::Hang(e) => e.fmt(f),
-            MachineError::Deadlock(e) => e.fmt(f),
             MachineError::Down(e) => e.fmt(f),
             MachineError::Unrecoverable(e) => e.fmt(f),
         }
@@ -407,9 +403,8 @@ pub struct HangError {
     pub src: Rank,
     /// The tag it was blocked waiting for.
     pub tag: u64,
-    /// Every rank's blocked-on `(src, tag)`, `None` for ranks not blocked
-    /// in a receive at the dump.
-    pub blocked: Vec<Option<(Rank, u64)>>,
+    /// What every rank was doing at the dump, in rank order.
+    pub blocked: Vec<RankWait>,
     /// Up to 16 `(src, tag, words)` messages pending at the detecting
     /// rank's ports — delivered but never asked for.
     pub pending: Vec<(Rank, u64, usize)>,
@@ -422,8 +417,9 @@ impl std::fmt::Display for HangError {
             .iter()
             .enumerate()
             .map(|(r, b)| match b {
-                Some((src, tag)) => format!("{r}⇐{src} (tag {tag:#x})"),
-                None => format!("{r}: running"),
+                RankWait::On(src, tag) => format!("{r}⇐{src} (tag {tag:#x})"),
+                RankWait::Returned => format!("{r}: returned"),
+                RankWait::Running => format!("{r}: running"),
             })
             .collect();
         let pending: Vec<String> = self
@@ -446,6 +442,18 @@ impl std::fmt::Display for HangError {
 }
 
 impl std::error::Error for HangError {}
+
+/// One rank's line in a [`HangError`] dump.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RankWait {
+    /// Its program was still running: not blocked in a receive, not
+    /// returned.
+    Running,
+    /// Its program had returned.
+    Returned,
+    /// Blocked receiving from `.0` the message tagged `.1`.
+    On(Rank, u64),
+}
 
 /// The restart budget ran out: the supervisor degrades to this typed
 /// report instead of panicking, carrying the root cause and the partial
@@ -498,7 +506,8 @@ mod tests {
     fn error_displays_carry_the_grepable_phrases() {
         let p = ProtocolError { rank: 1, src: 0, expected: 0xC, actual: 0xA, pending: vec![] };
         assert!(p.to_string().contains("schedule mismatch"));
-        let h = HangError { rank: 0, src: 1, tag: 7, blocked: vec![None, None], pending: vec![] };
+        let blocked = vec![RankWait::Running; 2];
+        let h = HangError { rank: 0, src: 1, tag: 7, blocked, pending: vec![] };
         assert!(h.to_string().contains("machine hung"));
         let d = RankDown { rank: 2, boundary: 1 };
         assert!(d.to_string().contains("rank 2 down"));

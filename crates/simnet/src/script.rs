@@ -1,8 +1,8 @@
 //! Comm-script recording: per-rank communication event logs for the
 //! protocol verifier (`apsp-verify`).
 //!
-//! A recorded run ([`MachineSpec::record`](crate::MachineSpec::record)
-//! or [`Machine::run_governed`](crate::Machine::run_governed)) pushes one
+//! A recorded run ([`MachineSpec::record`](crate::MachineSpec::record),
+//! or [`run_epoch`](crate::run_epoch) handed a board) pushes one
 //! [`CommEvent`] per *logical* communication operation into a shared
 //! [`ScriptBoard`]. Recording observes the machine without perturbing it:
 //! no clock, counter, or ledger is touched, so a recorded run's §3.1 cost
@@ -195,7 +195,7 @@ pub fn phase_totals(scripts: &[Vec<CommEvent>]) -> Vec<PhaseTotals> {
 /// Shared collector of per-rank comm scripts for one recorded run.
 ///
 /// The caller holds it via `Arc`, so partial scripts survive a failing
-/// run (deadlock, protocol error): the verifier lints whatever was
+/// run (hang, protocol error): the verifier lints whatever was
 /// recorded before the machine died.
 #[derive(Debug)]
 pub struct ScriptBoard {

@@ -19,11 +19,10 @@
 //! `std::thread` directly — this module is the single allowed gateway.
 //!
 //! What the shim covers: channels, mutexes, atomics, spawning/joining,
-//! yields/sleeps. What it does not: the `SnapshotStore`, `ScriptBoard`
-//! and `Governor` internals, which stay on std mutexes — the first two's
-//! critical sections contain no scheduling points, so they are atomic
-//! under the model and cannot introduce unexplored interleavings, and
-//! governed runs are not model-checked.
+//! yields/sleeps. What it does not: the `SnapshotStore` and `ScriptBoard`
+//! internals, which stay on std mutexes — their critical sections contain
+//! no scheduling points, so they are atomic under the model and cannot
+//! introduce unexplored interleavings.
 
 #[cfg(loom)]
 pub use loom::sync::atomic;

@@ -154,10 +154,6 @@ pub trait Transport: Sized {
     /// Panics when the arriving message's tag differs from `expected_tag`.
     fn recv(&mut self, src: Rank, expected_tag: u64) -> Vec<f64>;
 
-    /// Wildcard receive: the next message from *any* rank bearing
-    /// `expected_tag`. Returns the source rank and the payload.
-    fn recv_any(&mut self, expected_tag: u64) -> (Rank, Vec<f64>);
-
     /// Records `ops` scalar operations of local compute (no-op without a
     /// cost model).
     fn compute(&mut self, ops: u64);
@@ -510,10 +506,6 @@ impl<M: Meter> Transport for Endpoint<M> {
 
     fn recv(&mut self, src: Rank, expected_tag: u64) -> Vec<f64> {
         Endpoint::recv(self, src, expected_tag)
-    }
-
-    fn recv_any(&mut self, expected_tag: u64) -> (Rank, Vec<f64>) {
-        Endpoint::recv_any(self, expected_tag)
     }
 
     fn compute(&mut self, ops: u64) {

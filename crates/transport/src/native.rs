@@ -18,8 +18,8 @@
 //! real (capped) sleep, and a `kill=R[@B]` rule **unwinds rank R's
 //! program** on its worker at the chosen phase boundary instead of
 //! dropping its messages.
-//! What it does **not** provide: §3.1 cost clocks, span ledgers, schedule
-//! governors — [`crate::Transport::clocks`] returns zeros, the report is
+//! What it does **not** provide: §3.1 cost clocks, span ledgers —
+//! [`crate::Transport::clocks`] returns zeros, the report is
 //! all-zero, and spans only echo into a recorded script. Injection
 //! decisions are pure functions of `(seed, epoch, boundary, src, dst,
 //! tag, seq, attempt)` and sequence numbers are per `(src, dst)`, so fault

@@ -2,8 +2,8 @@
 //! on both machines: per-channel FIFO, typed tag-mismatch aborts, the
 //! reliability protocol's exact fault ledger, kills, and checkpoint/restart
 //! trajectories. Both machines run the same `apsp_simnet::Endpoint`; this
-//! suite is what keeps "the same" true — a case that needs clocks, span
-//! ledgers or the governor is the simulator's own and lives in
+//! suite is what keeps "the same" true — a case that needs clocks or span
+//! ledgers is the simulator's own and lives in
 //! `crates/simnet/src/comm.rs`.
 
 #![cfg(not(loom))]
@@ -11,7 +11,7 @@
 use apsp_simnet::faults::INJECT_ATTEMPTS;
 use apsp_simnet::{
     CommEvent, FaultPlan, FaultStats, FaultSummary, MachineError, MachineRun, MachineSpec, Rank,
-    RecoveryPolicy, RecoveryReport, RunReport,
+    RankWait, RecoveryPolicy, RecoveryReport, RunReport,
 };
 use apsp_transport::{Machine, NativeMachine, Transport};
 
@@ -48,7 +48,6 @@ fn suite<M: Machine>(kill: &Kill) {
     results_come_back_in_rank_order::<M>();
     single_rank_machine_runs::<M>();
     commit_phase_is_transparent_without_recovery::<M>();
-    recv_any_drains_all_senders::<M>();
     tag_mismatch_is_typed_and_dumps_the_pending_queue::<M>();
     recv_from_a_returned_rank_is_a_typed_hang::<M>();
     self_send_panics::<M>();
@@ -140,20 +139,6 @@ fn commit_phase_is_transparent_without_recovery<M: Machine>() {
     assert_eq!(outs[0], (vec![1.0], vec![2.0]));
 }
 
-fn recv_any_drains_all_senders<M: Machine>() {
-    let (outs, _) = plain::<M, _>(4, |comm| {
-        if comm.rank() == 0 {
-            let mut got: Vec<f64> = (1..4).map(|_| comm.recv_any(5).1[0]).collect();
-            got.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            got
-        } else {
-            comm.send(0, 5, vec![comm.rank() as f64]);
-            Vec::new()
-        }
-    });
-    assert_eq!(outs[0], vec![1.0, 2.0, 3.0]);
-}
-
 fn tag_mismatch_is_typed_and_dumps_the_pending_queue<M: Machine>() {
     // rank 1 only looks at its port from rank 0 once a token has gone
     // 0 → 2 → 1 behind both messages, so both are queued by then
@@ -197,7 +182,12 @@ fn recv_from_a_returned_rank_is_a_typed_hang<M: Machine>() {
     .expect_err("a receive from a rank that returned cannot complete");
     let MachineError::Hang(hang) = err else { panic!("expected a typed hang, got {err}") };
     assert_eq!((hang.rank, hang.src, hang.tag), (1, 0, 9));
-    assert_eq!(hang.blocked, vec![None, Some((0, 9))], "the registry names the returned rank");
+    assert_eq!(
+        hang.blocked,
+        vec![RankWait::Returned, RankWait::On(0, 9)],
+        "who returned, who waits"
+    );
+    assert!(hang.to_string().contains("0: returned"), "{hang}");
     assert!(
         started.elapsed() < std::time::Duration::from_secs(4),
         "declared within a tick, not after the 5 s window: {:?}",

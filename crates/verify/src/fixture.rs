@@ -1,19 +1,19 @@
-//! Known-bad fixture programs: seeded protocol bugs the verifier must
-//! catch. They double as CLI demos (`apsp verify --algorithm bad-fixture`)
-//! and as regression anchors for both verifier layers.
+//! Known-bad fixture programs: seeded bugs the verifier and the cost
+//! auditor must catch. They double as CLI demos (`apsp verify --algorithm
+//! bad-fixture`, `apsp audit --fixture cost`) and as regression anchors.
 
 use apsp_simnet::Comm;
 
-/// A deliberately broken 4-rank protocol with one bug per verifier layer:
+/// A deliberately broken 4-rank protocol with two bugs:
 ///
-/// * **Tag reuse across phases** (layer 1): ranks 0 → 1 exchange one
+/// * **Tag reuse across phases** (the lint): ranks 0 → 1 exchange one
 ///   message per phase under the *same* tag in phases 0 and 1 — after a
 ///   rollback to the phase-0 checkpoint, a replayed message would be
 ///   indistinguishable from phase 1's.
-/// * **Cross-receive deadlock** (layer 2): ranks 2 and 3 both receive
-///   before sending, each waiting on the other — a wait-for cycle the
-///   governed machine detects structurally (the ungoverned machine only
-///   catches it by wall-clock watchdog).
+/// * **Cross-receive hang** (the watchdog): ranks 2 and 3 both receive
+///   before sending, each waiting on the other. Once ranks 0 and 1 have
+///   returned nothing moves, and after `APSP_WATCHDOG_MS` the run dies
+///   with a typed hang naming `2⇐3` and `3⇐2`.
 ///
 /// Requires `p >= 4`. Returns each rank's final state.
 pub fn bad_fixture(comm: &mut Comm) -> Vec<f64> {
@@ -37,7 +37,7 @@ pub fn bad_fixture(comm: &mut Comm) -> Vec<f64> {
             state
         }
         2 => {
-            // cross receive: 2 waits on 3, which waits on 2 — deadlock
+            // cross receive: 2 waits on 3, which waits on 2 — a hang
             let got = comm.recv(3, CROSS_TAG);
             comm.send(3, CROSS_TAG, vec![2.0]);
             got
@@ -99,28 +99,4 @@ pub fn flood_exchange(comm: &mut Comm, n: usize) -> Vec<f64> {
     }
     drop(flood);
     block
-}
-
-/// An order-sensitive 4-rank program: rank 0 folds wildcard arrivals
-/// ([`Comm::recv_any`]) into an order-dependent accumulator, so different
-/// delivery schedules produce different outputs — the nondeterminism the
-/// explorer exists to surface. Every individual schedule is deadlock-free
-/// and replays bit-identically.
-///
-/// Requires `p >= 3`. Returns rank 0's accumulator, empty elsewhere.
-pub fn racy_fixture(comm: &mut Comm) -> Vec<f64> {
-    assert!(comm.p() >= 3, "racy_fixture needs at least 3 ranks");
-    const TAG: u64 = 0x11;
-    if comm.rank() == 0 {
-        let mut acc = 0.0;
-        for _ in 1..comm.p() {
-            let (src, _) = comm.recv_any(TAG);
-            // order-dependent fold: positional weights differ per schedule
-            acc = acc * 10.0 + src as f64;
-        }
-        vec![acc]
-    } else {
-        comm.send(0, TAG, vec![comm.rank() as f64]);
-        Vec::new()
-    }
 }

@@ -1,4 +1,4 @@
-//! Layer 1: the static comm-script linter.
+//! The static comm-script linter.
 //!
 //! Operates purely on recorded per-rank scripts — no delivery is
 //! executed. Because the machine's channels are FIFO per `(src, dst)`
@@ -43,8 +43,8 @@ struct RecvRec {
 
 /// Lints `scripts` (one per rank, as returned by
 /// a [`MachineSpec::record`](apsp_simnet::MachineSpec::record) launch or
-/// [`Machine::run_governed`](apsp_simnet::Machine::run_governed)) against
-/// the module-level invariants. Deterministic: violations come out in
+/// [`verify_program`](crate::verify_program)) against the module-level
+/// invariants. Deterministic: violations come out in
 /// channel/rank order.
 pub fn lint_scripts(scripts: &[Vec<CommEvent>]) -> Vec<Violation> {
     let mut violations = Vec::new();

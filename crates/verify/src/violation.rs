@@ -1,10 +1,9 @@
 //! Typed protocol violations, with human-readable reports.
 
-use apsp_simnet::sched::DeadlockError;
 use apsp_simnet::script::CollectiveKind;
 use apsp_simnet::Rank;
 
-/// One protocol violation found by the linter or the explorer.
+/// One protocol violation found by the linter, or the run's own failure.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Violation {
     /// A send no receive ever claimed.
@@ -91,27 +90,8 @@ pub enum Violation {
         /// Names of the spans still open at exit (inner-most last).
         open: Vec<&'static str>,
     },
-    /// The explorer drove the program into a deadlock.
-    Deadlock {
-        /// The wait-for graph at the deadlock.
-        info: DeadlockError,
-        /// The minimal schedule reproducing it (shrunk; replays
-        /// bit-identically).
-        schedule: Vec<usize>,
-    },
-    /// Two schedules produced different outputs: the program's result
-    /// depends on wildcard delivery order.
-    Nondeterminism {
-        /// The minimal schedule whose output differs from the baseline
-        /// (empty schedule); replays bit-identically.
-        schedule: Vec<usize>,
-        /// Output digest under the baseline schedule.
-        baseline_digest: u64,
-        /// Output digest under `schedule`.
-        digest: u64,
-    },
-    /// The baseline run died with a machine error that is not a deadlock
-    /// (protocol mismatch, hang, panic) before the scripts completed.
+    /// The recorded run died with a typed machine error (protocol
+    /// mismatch, hang, rank down) before the scripts completed.
     Execution {
         /// The error's rendered form.
         error: String,
@@ -129,8 +109,6 @@ impl Violation {
             Violation::PhaseCutCrossing { .. } => "phase-cut-crossing",
             Violation::CollectiveMismatch { .. } => "collective-mismatch",
             Violation::UnbalancedSpan { .. } => "unbalanced-span",
-            Violation::Deadlock { .. } => "deadlock",
-            Violation::Nondeterminism { .. } => "nondeterminism",
             Violation::Execution { .. } => "execution",
         }
     }
@@ -184,14 +162,6 @@ impl std::fmt::Display for Violation {
                 f,
                 "unbalanced trace spans: rank {rank} exited with open span(s) [{}]",
                 open.join(", ")
-            ),
-            Violation::Deadlock { info, schedule } => {
-                write!(f, "{info}\n  minimal counterexample schedule: {schedule:?}")
-            }
-            Violation::Nondeterminism { schedule, baseline_digest, digest } => write!(
-                f,
-                "order-sensitive nondeterminism: schedule {schedule:?} produced output digest \
-                 {digest:#018x}, baseline schedule [] produced {baseline_digest:#018x}"
             ),
             Violation::Execution { error } => write!(f, "run failed: {error}"),
         }

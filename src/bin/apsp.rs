@@ -520,7 +520,6 @@ USAGE:
                 --compress-empty --charge-ordering --faults --fault-seed --recover)
   apsp verify   --input FILE [--algorithm sparse2d|fw2d|dcapsp|djohnson|bad-fixture]
                 [--backend sim|native] [--height H] [--n-grid N] [--depth D]
-                [--no-explore] [--max-schedules N]
                 [--sequential-r4] [--compress-empty]
   apsp audit    [--json] [--tolerance F] [--max-p N]
                 [--skip-cost] [--skip-src] [--root DIR] [--fixture cost|src]
@@ -589,20 +588,19 @@ Examples:
              --faults \"kill=4@1\" --recover default --verify
 
 Protocol verification: `apsp verify` checks the *communication schedule*
-itself (not the distances — that is `solve --verify`). Layer 1 records
-each rank's comm script and lints it statically: every send matched,
-no tag reused across phase boundaries, collectives entered in the same
-order everywhere, every phase quiescent at its checkpoint cut, trace
-spans balanced. Layer 2 (p <= 16 ranks) deterministically explores
-wildcard message-delivery orders for deadlocks and order-sensitive
-nondeterminism, shrinking any hit to a minimal counterexample schedule
-that replays bit-identically. Exit 0 = clean, 1 = violations (printed).
---n-grid sets the grid side directly for fw2d/dcapsp/djohnson (default
-(2^H - 1)); --algorithm bad-fixture runs the seeded-bad demo program.
+itself (not the distances — that is `solve --verify`). It records each
+rank's comm script and lints it statically: every send matched, no tag
+reused across phase boundaries, collectives entered in the same order
+everywhere, every phase quiescent at its checkpoint cut, trace spans
+balanced. A run that dies (a tag mismatch, a hang the watchdog ends
+after APSP_WATCHDOG_MS, default 5000 ms) is reported as a typed
+execution violation after the lint of what it recorded. Exit 0 = clean,
+1 = violations (printed). --n-grid sets the grid side directly for
+fw2d/dcapsp/djohnson (default (2^H - 1)); --algorithm bad-fixture runs
+the seeded-bad demo program (tag reuse plus a cross-receive hang).
 Recording is zero-cost: a verified schedule's solve is byte-identical.
 --backend native records the same logical comm script over real OS
-threads and runs the layer-1 lint on it (the layer-2 explorer needs the
-governed simulator) — the same invariants, pinned on the real machine.
+threads and lints it the same way.
 
 Static audit: `apsp audit` is the asymptotic gate the envelope tests
 cannot be — it records every solver over a deterministic (n, p, |S|)
@@ -617,32 +615,22 @@ carry an `// audit:allow(rule)` marker). --fixture cost|src runs the
 seeded regression fixtures, which must exit 1 — proof both layers fire.
 --json emits the machine-readable report. See docs/VERIFICATION.md.";
 
-/// `apsp verify` — the protocol verifier (static comm-script lint +
-/// deterministic schedule explorer; see `docs/VERIFICATION.md`). Exits 0
-/// on a clean report, 1 with a readable violation report.
+/// `apsp verify` — the protocol verifier (static comm-script lint plus
+/// the run's typed error; see `docs/VERIFICATION.md`). Exits 0 on a clean
+/// report, 1 with a readable violation report.
 fn cmd_verify(args: &Args) {
     args.reject_unknown(
         "verify",
-        "--input --algorithm --backend --height --n-grid --depth --no-explore --max-schedules \
-         --sequential-r4 --compress-empty",
+        "--input --algorithm --backend --height --n-grid --depth --sequential-r4 --compress-empty",
     );
     let algorithm = args.opt("--algorithm").unwrap_or("sparse2d");
     let backend = backend(args);
-    let vopts = VerifyOptions {
-        explore: !args.flag("--no-explore"),
-        max_schedules: args.num("--max-schedules", 64usize),
-    };
     let report = if algorithm == "bad-fixture" {
         if backend == Backend::Native {
             die("--algorithm bad-fixture is a simulator demo program; drop --backend native");
         }
-        // the seeded-bad demo program: one bug per verifier layer
-        sparse_apsp::verify::verify_program(
-            4,
-            &vopts,
-            sparse_apsp::verify::bad_fixture,
-            sparse_apsp::verify::digest_rows,
-        )
+        // the seeded-bad demo program: tag reuse and a cross-receive hang
+        sparse_apsp::verify::verify_program(4, sparse_apsp::verify::bad_fixture)
     } else {
         let g = load_graph(args.get("--input"));
         let height: u32 = args.num("--height", 2);
@@ -660,13 +648,11 @@ fn cmd_verify(args: &Args) {
                     backend,
                     ..Default::default()
                 };
-                SparseApsp::new(config).verify(&g, &vopts)
+                SparseApsp::new(config).verify(&g)
             }
-            "fw2d" => verify(&Fw2d::new(&g, n_grid), backend, &vopts),
-            "dcapsp" => {
-                verify(&DcApsp::new(&g, n_grid, args.num("--depth", 1u32)), backend, &vopts)
-            }
-            "djohnson" => verify(&DJohnson::new(&g, n_grid * n_grid), backend, &vopts),
+            "fw2d" => verify(&Fw2d::new(&g, n_grid), backend),
+            "dcapsp" => verify(&DcApsp::new(&g, n_grid, args.num("--depth", 1u32)), backend),
+            "djohnson" => verify(&DJohnson::new(&g, n_grid * n_grid), backend),
             other => die(&format!("unknown algorithm {other}")),
         }
     };

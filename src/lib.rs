@@ -104,5 +104,5 @@ pub mod prelude {
         RunReport, TimeModel, Unrecoverable,
     };
     pub use apsp_transport::{NativeComm, NativeMachine, Transport};
-    pub use apsp_verify::{VerifyOptions, VerifyReport, Violation};
+    pub use apsp_verify::{VerifyReport, Violation};
 }

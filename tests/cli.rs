@@ -468,7 +468,7 @@ fn protocol_verify_clean_for_every_algorithm() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("verify: CLEAN"), "{algo}: {stdout}");
     }
-    // --n-grid drives the grid side directly (p = 16, the explorer cap)
+    // --n-grid drives the grid side directly (p = 16)
     let out = apsp()
         .args(["verify", "--algorithm", "fw2d", "--n-grid", "4", "--input"])
         .arg(&graph)
@@ -480,15 +480,21 @@ fn protocol_verify_clean_for_every_algorithm() {
 
 #[test]
 fn protocol_verify_catches_the_bad_fixture() {
-    let out = apsp().args(["verify", "--algorithm", "bad-fixture"]).output().unwrap();
+    // the fixture's cross receive ends at the watchdog: shorten its window
+    let out = apsp()
+        .args(["verify", "--algorithm", "bad-fixture"])
+        .env("APSP_WATCHDOG_MS", "300")
+        .output()
+        .unwrap();
     assert_eq!(out.status.code(), Some(1), "violations exit 1, not a crash");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("verify: FAILED"), "{stdout}");
     assert!(stdout.contains("tag-reuse-across-phases"), "{stdout}");
-    assert!(stdout.contains("wait-for cycle: 2 -> 3 -> 2"), "{stdout}");
-    assert!(stdout.contains("minimal counterexample schedule"), "{stdout}");
+    for needle in ["execution", "machine hung", "0: returned", "1: returned", "2⇐3", "3⇐2"] {
+        assert!(stdout.contains(needle), "`{needle}` missing from {stdout}");
+    }
     // the violation report is the rendered one — no Debug dumps, and the
-    // deadlocked ranks' internal panics never reach stderr
+    // hung ranks' internal panics never reach stderr
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!stderr.contains("Box<dyn Any>"), "{stderr}");
