@@ -1,15 +1,15 @@
 //! Offline stand-in for [loom](https://docs.rs/loom): exhaustive
 //! model-checking of concurrent code, with the API subset this workspace
 //! uses (`model`, `thread::{spawn, scope, yield_now, sleep}`,
-//! `sync::{Arc, Mutex, mpsc, atomic}`, `cell::UnsafeCell`).
+//! `sync::{Arc, Mutex, mpsc, atomic}`).
 //!
 //! # How it checks
 //!
 //! [`model`] reruns the closure under a cooperative *token-passing*
 //! scheduler: every synchronization operation (channel send/recv, mutex
-//! lock, atomic access, cell access, yield) is a **scheduling point** at
-//! which exactly one runnable model thread holds the token. Whenever more
-//! than one thread is runnable at a scheduling point, the choice is a
+//! lock, atomic access, yield) is a **scheduling point** at which exactly
+//! one runnable model thread holds the token. Whenever more than one
+//! thread is runnable at a scheduling point, the choice is a
 //! branch; the checker explores the branch tree depth-first by replaying
 //! a recorded choice prefix and bumping the deepest unexhausted decision,
 //! until no unexplored schedule remains. A test body that panics under
@@ -27,8 +27,6 @@
 //! * **Mutexes** with real blocking and wake-ordering exploration.
 //! * **Atomics** under sequential consistency (every access is a
 //!   scheduling point; weak-memory reorderings are *not* modeled).
-//! * **`cell::UnsafeCell`** with access tracking: overlapping `with_mut`
-//!   windows from two threads (a data race) fail the model.
 //! * **Deadlocks**: a state where every live thread is blocked and no
 //!   timed waiter exists fails the model with a thread-state dump.
 //!
@@ -45,7 +43,6 @@
 
 mod rt;
 
-pub mod cell;
 pub mod sync;
 pub mod thread;
 
@@ -263,32 +260,6 @@ mod tests {
             assert_eq!(*m.lock().expect("model mutex"), 11);
         });
     }
-
-    #[test]
-    fn unsafe_cell_race_is_caught() {
-        let hit = std::panic::catch_unwind(|| {
-            model(|| {
-                let c = std::sync::Arc::new(RacyCell::new(0u64));
-                let c2 = std::sync::Arc::clone(&c);
-                let h = thread::spawn(move || c2.0.with_mut(|p| unsafe { *p = 1 }));
-                c.0.with_mut(|p| unsafe { *p = 2 });
-                h.join().expect("writer completes");
-            });
-        });
-        assert!(hit.is_err(), "two overlapping mutable windows must fail the model");
-    }
-
-    /// Test-only wrapper granting `Sync` so the race detector has
-    /// something to catch (this is exactly the pattern under test in
-    /// `apsp-par`'s `Slot`).
-    struct RacyCell(cell::UnsafeCell<u64>);
-    impl RacyCell {
-        fn new(v: u64) -> Self {
-            RacyCell(cell::UnsafeCell::new(v))
-        }
-    }
-    unsafe impl Sync for RacyCell {}
-    unsafe impl Send for RacyCell {}
 
     #[test]
     fn scoped_threads_join_and_return_values() {

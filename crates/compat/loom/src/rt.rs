@@ -49,12 +49,6 @@ struct ChanMeta {
     len: usize,
 }
 
-#[derive(Default)]
-struct CellMeta {
-    readers: usize,
-    writers: usize,
-}
-
 struct State {
     threads: Vec<Th>,
     active: Option<ThreadId>,
@@ -64,12 +58,11 @@ struct State {
     path: Vec<Decision>,
     preemptions: usize,
     max_preemptions: Option<usize>,
-    /// A model-level failure (deadlock, cell race): every thread unparks
-    /// and panics with this message so the run can tear down.
+    /// A model-level failure (deadlock, torn-down scope): every thread
+    /// unparks and panics with this message so the run can tear down.
     fail: Option<String>,
     chans: Vec<ChanMeta>,
     mutexes: Vec<bool>,
-    cells: Vec<CellMeta>,
 }
 
 pub(crate) struct Rt {
@@ -119,7 +112,6 @@ impl Rt {
                 fail: None,
                 chans: Vec::new(),
                 mutexes: Vec::new(),
-                cells: Vec::new(),
             }),
             cv: Condvar::new(),
         }
@@ -147,12 +139,6 @@ impl Rt {
         let mut st = self.st();
         st.mutexes.push(false);
         st.mutexes.len() - 1
-    }
-
-    pub fn register_cell(&self) -> usize {
-        let mut st = self.st();
-        st.cells.push(CellMeta::default());
-        st.cells.len() - 1
     }
 
     // ---- scheduling ---------------------------------------------------
@@ -422,48 +408,5 @@ impl Rt {
             }
         }
         self.cv.notify_all();
-    }
-
-    // ---- cell access tracking ----------------------------------------
-
-    /// Opens an access window on a tracked cell; overlapping windows that
-    /// include a writer are a data race and fail the model.
-    pub fn cell_begin(&self, id: usize, mutable: bool) {
-        let msg = {
-            let mut st = self.st();
-            let cell = &mut st.cells[id];
-            let racy =
-                if mutable { cell.writers > 0 || cell.readers > 0 } else { cell.writers > 0 };
-            if racy {
-                Some(format!(
-                    "loom: data race — overlapping {} access to an UnsafeCell \
-                     ({} readers, {} writers active)",
-                    if mutable { "mutable" } else { "shared" },
-                    cell.readers,
-                    cell.writers
-                ))
-            } else {
-                if mutable {
-                    cell.writers += 1;
-                } else {
-                    cell.readers += 1;
-                }
-                None
-            }
-        };
-        if let Some(msg) = msg {
-            self.poison(&msg);
-            panic!("{msg}");
-        }
-    }
-
-    pub fn cell_end(&self, id: usize, mutable: bool) {
-        let mut st = self.st();
-        let cell = &mut st.cells[id];
-        if mutable {
-            cell.writers -= 1;
-        } else {
-            cell.readers -= 1;
-        }
     }
 }

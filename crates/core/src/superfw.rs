@@ -117,130 +117,6 @@ pub fn superfw(layout: &SupernodalLayout, blocks: &mut [MinPlusMatrix]) -> Super
     stats
 }
 
-/// Level-parallel shared-memory SuperFW: same-level supernodes are cousins,
-/// so their `R¹/R²/R³` updates touch pairwise disjoint blocks and run on
-/// worker threads concurrently (the elimination-tree parallelism Sao et
-/// al. exploit on shared memory); the overlapping `R⁴` ancestor blocks
-/// serialize behind per-block locks, whose `⊕`-accumulation is
-/// order-independent. Bit-identical results to [`superfw`] in exact
-/// arithmetic paths (min/plus of the same operand sets).
-pub fn superfw_parallel(layout: &SupernodalLayout, blocks: &mut [MinPlusMatrix]) -> SuperFwStats {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
-
-    let t = *layout.tree();
-    let n_super = layout.n_super();
-    assert_eq!(blocks.len(), n_super * n_super, "one block per grid cell");
-    let at = |i: usize, j: usize| layout.rank_of_block(i, j);
-
-    // move the blocks behind per-block locks for the parallel phase
-    let cells: Vec<Mutex<MinPlusMatrix>> = blocks.iter().map(|b| Mutex::new(b.clone())).collect();
-    let ops = AtomicU64::new(0);
-    let updates = AtomicU64::new(0);
-    let skips = AtomicU64::new(0);
-    let region_ops: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
-
-    for l in 1..=t.height() {
-        let pivots: Vec<usize> = t.level_nodes(l).collect();
-        apsp_par::par_for_indexed(pivots.len(), |pi| {
-            let k = pivots[pi];
-            if layout.size(k) == 0 {
-                return;
-            }
-            let mut local_ops = 0u64;
-            let mut local_updates = 0u64;
-            let mut local_skips = 0u64;
-            let mut local_region = [0u64; 3];
-            // R1: diagonal closure (this pivot's own block — uncontended)
-            let akk = {
-                let mut diag = cells[at(k, k)].lock().expect("worker panicked");
-                let d = fw_in_place(&mut diag);
-                local_ops += d;
-                local_region[0] += d;
-                local_updates += 1;
-                diag.clone()
-            };
-            let related: Vec<usize> = t.descendants(k).chain(t.ancestors(k)).collect();
-            // R2 panels: blocks (i,k)/(k,i) belong to this pivot alone
-            for &i in &related {
-                if layout.size(i) == 0 {
-                    continue;
-                }
-                {
-                    let mut col = cells[at(i, k)].lock().expect("worker panicked");
-                    if col.is_empty_block() {
-                        local_skips += 1;
-                    } else {
-                        let snapshot = col.clone();
-                        let d = gemm(&mut col, &snapshot, &akk);
-                        local_ops += d;
-                        local_region[1] += d;
-                        local_updates += 1;
-                    }
-                }
-                {
-                    let mut row = cells[at(k, i)].lock().expect("worker panicked");
-                    if row.is_empty_block() {
-                        local_skips += 1;
-                    } else {
-                        let snapshot = row.clone();
-                        let d = gemm(&mut row, &akk, &snapshot);
-                        local_ops += d;
-                        local_region[1] += d;
-                        local_updates += 1;
-                    }
-                }
-            }
-            // R3/R4 outer products; ancestor×ancestor targets are shared
-            // between same-level pivots and serialize on their locks
-            for &i in &related {
-                if layout.size(i) == 0 {
-                    continue;
-                }
-                let aik = cells[at(i, k)].lock().expect("worker panicked").clone();
-                if aik.is_empty_block() {
-                    local_skips += related.len() as u64;
-                    continue;
-                }
-                for &j in &related {
-                    if layout.size(j) == 0 {
-                        continue;
-                    }
-                    let akj = cells[at(k, j)].lock().expect("worker panicked").clone();
-                    if akj.is_empty_block() {
-                        local_skips += 1;
-                        continue;
-                    }
-                    let mut target = cells[at(i, j)].lock().expect("worker panicked");
-                    let d = gemm(&mut target, &aik, &akj);
-                    local_ops += d;
-                    local_region[2] += d;
-                    local_updates += 1;
-                }
-            }
-            ops.fetch_add(local_ops, Ordering::Relaxed);
-            updates.fetch_add(local_updates, Ordering::Relaxed);
-            skips.fetch_add(local_skips, Ordering::Relaxed);
-            for (total, local) in region_ops.iter().zip(local_region) {
-                total.fetch_add(local, Ordering::Relaxed);
-            }
-        });
-    }
-
-    for (cell, out) in cells.into_iter().zip(blocks.iter_mut()) {
-        *out = cell.into_inner().expect("worker panicked");
-    }
-    let [r1, r2, r34] = region_ops;
-    SuperFwStats {
-        ops: ops.into_inner(),
-        block_updates: updates.into_inner(),
-        block_skips: skips.into_inner(),
-        r1_ops: r1.into_inner(),
-        r2_ops: r2.into_inner(),
-        r34_ops: r34.into_inner(),
-    }
-}
-
 /// End-to-end shared-memory sparse APSP: permute by `nd`, run [`superfw`],
 /// un-permute. Returns distances (input vertex ids) and the statistics.
 pub fn superfw_apsp(g: &Csr, nd: &apsp_partition::NdOrdering) -> (DenseDist, SuperFwStats) {
@@ -354,45 +230,6 @@ mod tests {
         let (dist, _) = superfw_apsp(&g, &nd);
         let oracle = oracle::apsp_dijkstra(&g);
         assert!(dist.first_mismatch(&oracle, 1e-9).is_none());
-    }
-
-    #[test]
-    fn parallel_matches_sequential_exactly() {
-        for (seed, h) in [(0u64, 3u32), (1, 4), (2, 2)] {
-            let g = generators::grid2d(10, 10, WeightKind::Integer { max: 7 }, seed);
-            let nd = grid_nd(10, 10, h);
-            let layout = SupernodalLayout::from_ordering(&nd);
-            let gp = g.permuted(&nd.perm);
-            let mut seq_blocks = layout.extract_all_blocks(&gp);
-            let seq_stats = superfw(&layout, &mut seq_blocks);
-            let mut par_blocks = layout.extract_all_blocks(&gp);
-            let par_stats = superfw_parallel(&layout, &mut par_blocks);
-            assert_eq!(seq_stats.ops, par_stats.ops, "h={h}");
-            assert_eq!(seq_stats.block_updates, par_stats.block_updates);
-            assert_eq!(seq_stats.r1_ops, par_stats.r1_ops, "h={h}");
-            assert_eq!(seq_stats.r2_ops, par_stats.r2_ops, "h={h}");
-            assert_eq!(seq_stats.r34_ops, par_stats.r34_ops, "h={h}");
-            for (a, b) in seq_blocks.iter().zip(&par_blocks) {
-                assert!(a.max_diff(b) == 0.0, "h={h}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_correct_on_random_graphs() {
-        for seed in 0..4 {
-            let g =
-                generators::connected_gnp(50, 0.07, WeightKind::Uniform { lo: 0.3, hi: 2.0 }, seed);
-            let nd = nested_dissection(&g, 3, &NdOptions::default());
-            let layout = SupernodalLayout::from_ordering(&nd);
-            let gp = g.permuted(&nd.perm);
-            let mut blocks = layout.extract_all_blocks(&gp);
-            superfw_parallel(&layout, &mut blocks);
-            let dense = layout.assemble_dense(&blocks);
-            let dist = SupernodalLayout::unpermute(&dense, &nd.perm);
-            let reference = oracle::apsp_dijkstra(&g);
-            assert!(dist.first_mismatch(&reference, 1e-9).is_none(), "seed {seed}");
-        }
     }
 
     #[test]

@@ -124,19 +124,25 @@ pub fn apsp_dijkstra(g: &Csr) -> DenseDist {
     out
 }
 
-/// [`apsp_dijkstra`] with the source loop spread over worker threads
-/// (`apsp-par`) — identical output, used by the experiment harness where
-/// oracle verification dominates wall time.
+/// [`apsp_dijkstra`] with the sources split into one contiguous range
+/// per available core, each on a scoped thread writing its own rows —
+/// identical output, used by the experiment harness where oracle
+/// verification dominates wall time.
 pub fn apsp_dijkstra_parallel(g: &Csr) -> DenseDist {
     let n = g.n();
-    let sources: Vec<usize> = (0..n).collect();
-    let rows = apsp_par::par_map(&sources, |&s| dijkstra(g, s));
     let mut out = DenseDist::unconnected(n);
-    for (s, row) in rows.into_iter().enumerate() {
-        for (t, d) in row.into_iter().enumerate() {
-            out.set(s, t, d);
+    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+    let rows_per_thread = n.div_ceil(threads);
+    std::thread::scope(|s| {
+        // at n = 0 the buffer is empty, and `chunks_mut` rejects a length of 0
+        for (k, rows) in out.as_mut_slice().chunks_mut((rows_per_thread * n).max(1)).enumerate() {
+            s.spawn(move || {
+                for (i, row) in rows.chunks_mut(n).enumerate() {
+                    row.copy_from_slice(&dijkstra(g, k * rows_per_thread + i));
+                }
+            });
         }
-    }
+    });
     out
 }
 
@@ -413,10 +419,22 @@ mod tests {
 
     #[test]
     fn parallel_apsp_matches_serial() {
-        let g = generators::connected_gnp(50, 0.08, WeightKind::Uniform { lo: 0.2, hi: 2.0 }, 1);
-        let a = apsp_dijkstra(&g);
-        let b = apsp_dijkstra_parallel(&g);
-        assert!(a.first_mismatch(&b, 0.0).is_none(), "must be bit-identical");
+        let bits = |d: &DenseDist| d.as_slice().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+        let graphs = [
+            Csr::edgeless(0),
+            Csr::edgeless(1),
+            // fewer vertices than threads on any machine with two or more
+            generators::path(threads.div_ceil(2), WeightKind::Unit, 0),
+            // two components: every cross pair stays ∞
+            crate::GraphBuilder::new(5).edge(0, 1, 0.5).edge(1, 2, 1.5).edge(3, 4, 2.0).build(),
+            generators::connected_gnp(50, 0.08, WeightKind::Uniform { lo: 0.2, hi: 2.0 }, 1),
+            // a few hundred sources: thread ranges end inside the source range
+            generators::connected_gnp(300, 0.02, WeightKind::Uniform { lo: 0.1, hi: 3.0 }, 7),
+        ];
+        for g in &graphs {
+            assert_eq!(bits(&apsp_dijkstra_parallel(g)), bits(&apsp_dijkstra(g)), "n = {}", g.n());
+        }
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Min-plus GEMM and the classical Floyd–Warshall closure, both built
 //! from one relaxation primitive.
 //!
-//! Every relaxation under [`gemm`], [`gemm_parallel`], [`fw_in_place`] and
-//! the distributed `decrease_edges` is [`relax_row`]:
-//! `c[j] = min(c[j], a + b[j])` as a branch-free select with a strict `<`
-//! over two slices that cannot alias, which is the form LLVM vectorises:
-//! a vector `add`, then `min` (SSE2) or a compare and a masked store
-//! (AVX2). [`gemm`] and [`gemm_parallel`] are one `i-k-j` body over it,
-//! [`fw_in_place`] runs it on every row against the pivot row, the buffer
-//! split around that row. Each body is compiled twice on x86-64 — for the
-//! build's baseline target and with AVX2 enabled — and the CPU picks (see
-//! `dispatched!`). Both compilations, and the textbook triple loops they
-//! replace, produce the same bits: the row operations are the same, in
-//! the same order, and every vector lane computes the scalar select.
+//! Every relaxation under [`gemm`], [`fw_in_place`] and the distributed
+//! `decrease_edges` is [`relax_row`]: `c[j] = min(c[j], a + b[j])` as a
+//! branch-free select with a strict `<` over two slices that cannot
+//! alias, which is the form LLVM vectorises: a vector `add`, then `min`
+//! (SSE2) or a compare and a masked store (AVX2). [`gemm`] is one `i-k-j`
+//! body over it, [`fw_in_place`] runs it on every row against the pivot
+//! row, the buffer split around that row. Each body is compiled twice on
+//! x86-64 — for the build's baseline target and with AVX2 enabled — and
+//! the CPU picks (see `dispatched!`). Both compilations, and the textbook
+//! triple loops they replace, produce the same bits: the row operations
+//! are the same, in the same order, and every vector lane computes the
+//! scalar select.
 //! `docs/PERFORMANCE.md` has the measured rates.
 //!
 //! Out of scope here: a packed-panel, register-tiled microkernel (the `c`
@@ -32,7 +32,6 @@
 use crate::matrix::MinPlusMatrix;
 use crate::perf;
 use crate::INF;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What a kernel body did: relaxations executed and rows skipped because
 /// their multiplier was `∞`.
@@ -179,12 +178,6 @@ dispatched! {
     fn fw_rows / fw_rows_portable(buf: &mut [f64], n: usize) -> Tally = fw_rows_body
 }
 
-fn assert_gemm_shapes(c: &MinPlusMatrix, a: &MinPlusMatrix, b: &MinPlusMatrix) {
-    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
-    assert_eq!(c.rows(), a.rows(), "output row mismatch");
-    assert_eq!(c.cols(), b.cols(), "output col mismatch");
-}
-
 /// `C ⊕= A ⊗ B` (min-plus product accumulate). Returns the scalar-op count.
 ///
 /// Loop order `i-k-j` with an `∞` skip on `A[i][k]`, so structurally empty
@@ -205,34 +198,13 @@ fn assert_gemm_shapes(c: &MinPlusMatrix, a: &MinPlusMatrix, b: &MinPlusMatrix) {
 /// Panics on shape mismatch or when `C` aliases would be required (pass
 /// distinct `&mut`/`&` — aliasing is impossible in safe Rust anyway).
 pub fn gemm(c: &mut MinPlusMatrix, a: &MinPlusMatrix, b: &MinPlusMatrix) -> u64 {
-    assert_gemm_shapes(c, a, b);
+    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
+    assert_eq!(c.rows(), a.rows(), "output row mismatch");
+    assert_eq!(c.cols(), b.cols(), "output col mismatch");
     let (kk, n) = (a.cols(), b.cols());
     let tally = gemm_rows(c.as_mut_slice(), a.as_slice(), b.as_slice(), kk, n);
     perf::record_gemm(tally.ops, tally.skips, (a.rows() * kk) as u64);
     tally.ops
-}
-
-/// Parallel variant of [`gemm`] splitting output rows across threads.
-/// Returns the scalar-op count. Falls back to [`gemm`] for small outputs.
-pub fn gemm_parallel(c: &mut MinPlusMatrix, a: &MinPlusMatrix, b: &MinPlusMatrix) -> u64 {
-    assert_gemm_shapes(c, a, b);
-    let (m, kk, n) = (a.rows(), a.cols(), b.cols());
-    if m * n < 64 * 64 {
-        return gemm(c, a, b);
-    }
-    let rows_per_chunk = m.div_ceil(apsp_par::num_threads()).max(1);
-    let (av, bv) = (a.as_slice(), b.as_slice());
-    let ops = AtomicU64::new(0);
-    let skips = AtomicU64::new(0);
-    apsp_par::par_chunks_mut(c.as_mut_slice(), rows_per_chunk * n, |start, chunk| {
-        let arows = &av[start / n * kk..(start + chunk.len()) / n * kk];
-        let tally = gemm_rows(chunk, arows, bv, kk, n);
-        ops.fetch_add(tally.ops, Ordering::Relaxed);
-        skips.fetch_add(tally.skips, Ordering::Relaxed);
-    });
-    let ops = ops.into_inner();
-    perf::record_gemm(ops, skips.into_inner(), (m * kk) as u64);
-    ops
 }
 
 /// Classical Floyd–Warshall closure of a square block, in place
@@ -333,19 +305,6 @@ mod tests {
             fw_in_place(&mut fast);
             assert!(fast.max_diff(&reference) < 1e-9, "trial {trial}");
         }
-    }
-
-    #[test]
-    fn parallel_gemm_matches_serial() {
-        let n = 96;
-        let a = MinPlusMatrix::from_fn(n, n, |i, j| ((i * 7 + j * 13) % 50) as f64);
-        let b = MinPlusMatrix::from_fn(n, n, |i, j| ((i * 11 + j * 3) % 50) as f64);
-        let mut c1 = MinPlusMatrix::empty(n, n);
-        let mut c2 = MinPlusMatrix::empty(n, n);
-        let ops1 = gemm(&mut c1, &a, &b);
-        let ops2 = gemm_parallel(&mut c2, &a, &b);
-        assert_eq!(c1, c2);
-        assert_eq!(ops1, ops2);
     }
 
     /// A non-symmetric matrix, about `finite_pct` % of it finite sevenths

@@ -20,7 +20,7 @@ pub mod perf;
 pub mod via;
 
 pub use algebra::{closure_in, AlgebraMatrix, MaxMin, MinPlus, MostReliable, PathAlgebra};
-pub use kernels::{fw_in_place, gemm, gemm_parallel, relax_row};
+pub use kernels::{fw_in_place, gemm, relax_row};
 pub use matrix::MinPlusMatrix;
 pub use via::{fw_with_via, ViaMatrix};
 

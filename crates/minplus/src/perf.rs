@@ -15,7 +15,7 @@ use std::sync::{Arc, OnceLock};
 
 /// The registered kernel counters (see module docs for semantics).
 pub struct KernelCounters {
-    /// `gemm`/`gemm_parallel` invocations.
+    /// `gemm` invocations.
     pub gemm_calls: Arc<Counter>,
     /// Scalar `min(c, a + b)` relaxations executed by GEMM kernels.
     pub gemm_ops: Arc<Counter>,

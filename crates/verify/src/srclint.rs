@@ -150,9 +150,9 @@ const LEDGER_ALLOW: [&str; 3] =
     ["crates/simnet/src/comm.rs", "crates/simnet/src/report.rs", "crates/simnet/src/trace.rs"];
 
 /// Crates where `raw-thread` applies: solver code whose only sanctioned
-/// parallelism is the simulated machine. (`simnet` itself and the `par`
-/// work-stealing pool implement the sanctioned layers, so they are out
-/// of scope by construction.)
+/// parallelism is the simulated machine. (`simnet` and `transport`
+/// implement the machines, and the graph oracles are ground truth outside
+/// them, so they are out of scope by construction.)
 const RAW_THREAD_SCOPE: [&str; 2] = ["crates/core/src/", "crates/minplus/src/"];
 
 /// Where `raw-sync` applies (path prefixes): the shared rank endpoint, the
@@ -160,8 +160,8 @@ const RAW_THREAD_SCOPE: [&str; 2] = ["crates/core/src/", "crates/minplus/src/"];
 /// recovery supervisor around them, the shim, and the native machine's
 /// crate — the code the loom suite model-checks, whose every
 /// synchronization primitive must route through the shim. The rest of
-/// `crates/simnet/src` (`snapshot.rs`, `script.rs`, `sched.rs`) stays on
-/// std mutexes; the shim's module docs say why that is sound.
+/// `crates/simnet/src` (`snapshot.rs`, `script.rs`) stays on std mutexes;
+/// the shim's module docs say why that is sound.
 const RAW_SYNC_SCOPE: [&str; 6] = [
     "crates/simnet/src/endpoint.rs",
     "crates/simnet/src/pool.rs",
@@ -703,7 +703,7 @@ mod tests {
         assert_eq!(lint_file("crates/core/src/sparse2d.rs", ledger).len(), 1);
         let thread = "fn f() { std::thread::spawn(|| {}); }\n";
         assert_eq!(lint_file("crates/core/src/fw2d.rs", thread).len(), 1);
-        assert!(lint_file("crates/par/src/lib.rs", thread).is_empty());
+        assert!(lint_file("crates/graph/src/oracle.rs", thread).is_empty());
     }
 
     #[test]
@@ -721,7 +721,7 @@ mod tests {
         let above = "// SAFETY: no shared mutation; counter hands out unique indices\n\
                      #[allow(dead_code)]\n\
                      unsafe impl Sync for Slot {}\n";
-        assert!(lint_file("crates/par/src/x.rs", above).is_empty());
+        assert!(lint_file("crates/simnet/src/pool.rs", above).is_empty());
         // a non-comment line breaks the block: the justification must be
         // *directly* above
         let detached = "// SAFETY: stale justification\n\
@@ -763,12 +763,12 @@ mod tests {
         assert!(lint_file("crates/simnet/src/sync.rs", spawn).is_empty());
         assert!(lint_file("crates/simnet/src/sync.rs", import).is_empty());
         // the rest of simnet keeps its documented std-mutex exemption, and
-        // other crates are out of scope (par has its own local shim)
+        // other crates are out of scope (the graph oracle's scoped threads
+        // are not model-checked)
         for file in [
             "crates/simnet/src/snapshot.rs",
             "crates/simnet/src/script.rs",
-            "crates/simnet/src/sched.rs",
-            "crates/par/src/lib.rs",
+            "crates/graph/src/oracle.rs",
         ] {
             assert!(lint_file(file, import).is_empty(), "{file}");
         }

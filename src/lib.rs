@@ -36,7 +36,6 @@
 //! |---|---|
 //! | [`graph`] | CSR graphs, generators, Dijkstra/Johnson/FW oracles, I/O |
 //! | [`minplus`] | tropical-semiring dense kernels |
-//! | [`par`] | scoped-thread parallel helpers |
 //! | [`etree`] | elimination-tree scheduling math (§4.2, §5.2), unit placement (Cor. 5.5) |
 //! | [`partition`] | multilevel nested dissection, Kőnig separators (§4.1) |
 //! | [`simnet`] | the simulated distributed machine (§3.1 cost model) |
@@ -53,7 +52,6 @@ pub use apsp_etree as etree;
 pub use apsp_graph as graph;
 pub use apsp_metrics as metrics;
 pub use apsp_minplus as minplus;
-pub use apsp_par as par;
 pub use apsp_partition as partition;
 pub use apsp_simnet as simnet;
 pub use apsp_transport as transport;
@@ -81,7 +79,7 @@ pub mod prelude {
     pub use apsp_core::sparse2d::{
         sparse2d, sparse2d_directed, sparse2d_with, Sparse2d, Sparse2dOptions,
     };
-    pub use apsp_core::superfw::{superfw_apsp, superfw_opcount_comparison, superfw_parallel};
+    pub use apsp_core::superfw::{superfw_apsp, superfw_opcount_comparison};
     pub use apsp_core::update::{apply_decreases, DecreasedEdge, Decreases};
     pub use apsp_core::{
         ApspRun, Backend, R4Strategy, SolvedApsp, SparseApsp, SparseApspConfig, SupernodalLayout,
