@@ -17,7 +17,6 @@
 //!   separator-cost     E11  §5.4.4 ordering distribution cost
 //!   separator-sweep    E12  §5.5 cost vs separator size
 //!   per-level          E13  Lemmas 5.6/5.8/5.9 per-level costs
-//!   compression        E14  empty-block message compression (extension)
 //!   figures                 render the measured Table 2 curves as SVG
 //!   regimes            E15  all distributed algorithms incl. Johnson
 //!   updates            E16  batched decrease updates vs re-solve
@@ -89,7 +88,7 @@ fn main() {
             }
             // communication-matrix heatmap of a 49-rank sparse solve
             use apsp_core::launch::{launch, LaunchSpec};
-            use apsp_core::sparse2d::{Sparse2d, Sparse2dOptions};
+            use apsp_core::sparse2d::{R4Strategy, Sparse2d};
             use apsp_core::SupernodalLayout;
             let g = apsp_graph::generators::grid2d(
                 side,
@@ -100,22 +99,23 @@ fn main() {
             let nd = apsp_partition::grid_nd(side, side, 3);
             let layout = SupernodalLayout::from_ordering(&nd);
             let gp = g.permuted(&nd.perm);
-            let traces = launch(
-                &Sparse2d::new(&layout, &gp, &Sparse2dOptions::default()),
-                &LaunchSpec { trace: true, ..Default::default() },
+            let profile = launch(
+                &Sparse2d::new(&layout, &gp, R4Strategy::OneToOne),
+                &LaunchSpec { profile: true, ..Default::default() },
             )
             .expect("fault-free launch cannot fail")
-            .traces;
+            .result
+            .report
+            .profile
+            .expect("a profiled run carries its profile");
             let svg = apsp_bench::figures::comm_matrix_svg(
-                layout.p(),
-                &traces,
+                &profile.comm_matrix,
                 "2D-SPARSE-APSP communication matrix (p = 49, words sent)",
             );
             let path = dir.join("comm_matrix.svg");
             std::fs::write(&path, svg).expect("write comm matrix");
             println!("wrote {}", path.display());
         }
-        "compression" => print!("{}", ex::compression_sweep(3)),
         "regimes" => print!("{}", ex::algorithm_regimes(side, 3)),
         "updates" => print!("{}", ex::update_costs(side, 3, &[1, 4, 16])),
         "directed" => print!("{}", ex::directed_overhead(side, &[2, 3])),
@@ -153,8 +153,6 @@ fn main() {
             println!("{}", ex::separator_sweep(3));
             println!("== E13: Lemmas 5.6/5.8/5.9 — per-level costs (p = 225) ==");
             println!("{}", ex::per_level_costs(side, 4));
-            println!("== E14: empty-block compression (extension; p = 49) ==");
-            println!("{}", ex::compression_sweep(3));
             println!("== E15: algorithm regimes (p = 49) ==");
             println!("{}", ex::algorithm_regimes(side, 3));
             println!("== E16: batched decrease updates (extension; p = 49) ==");

@@ -441,7 +441,7 @@ pub fn algorithm_regimes(side: usize, h: u32) -> Table {
 /// schedule vs the undirected transpose mirror, on the same workload with
 /// symmetric weights (so both compute the same answer).
 pub fn directed_overhead(side: usize, heights: &[u32]) -> Table {
-    use apsp_core::sparse2d::{sparse2d_directed, Sparse2dOptions};
+    use apsp_core::sparse2d::sparse2d_directed;
     let g = generators::grid2d(side, side, WeightKind::Integer { max: 7 }, 5);
     let mut t = Table::new(vec![
         "sqrt_p",
@@ -458,7 +458,7 @@ pub fn directed_overhead(side: usize, heights: &[u32]) -> Table {
         let gp = g.permuted(&nd.perm);
         let und = sparse2d(&layout, &gp, R4Strategy::OneToOne);
         let dgp = apsp_graph::DiCsr::from_undirected(&g).permuted(&nd.perm);
-        let dir = sparse2d_directed(&layout, &dgp, &Sparse2dOptions::default());
+        let dir = sparse2d_directed(&layout, &dgp, R4Strategy::OneToOne);
         assert!(
             und.dist_eliminated.first_mismatch(&dir.dist_eliminated, 1e-9).is_none(),
             "directed and undirected must agree on symmetric weights"
@@ -566,54 +566,6 @@ pub fn per_level_costs(side: usize, h: u32) -> Table {
             lemma.to_string(),
         ]);
         assert!((lat as f64) <= 4.0 * log_p, "Lemma 5.6 violated at level {l}");
-    }
-    t
-}
-
-/// E14 — empty-block message compression: header-only messages for
-/// structurally empty blocks (an extension beyond the paper's schedule;
-/// the paper's costs assume every scheduled block ships in full).
-pub fn compression_sweep(h: u32) -> Table {
-    let workloads: Vec<Workload> = vec![
-        workloads::mesh(14),
-        Workload {
-            name: "path n=196".into(),
-            graph: generators::path(196, WeightKind::Unit, 0),
-            grid_shape: None,
-        },
-        workloads::erdos_renyi(196, 0.05),
-    ];
-    let mut t = Table::new(vec![
-        "workload",
-        "volume plain",
-        "volume compressed",
-        "saving",
-        "L plain",
-        "L compressed",
-    ]);
-    for w in workloads {
-        let base = SparseApsp::new(SparseApspConfig { height: h, ..Default::default() });
-        let plain = base.run(&w.graph);
-        verify(&plain.dist, &w.graph, &w.name);
-        let compressed = SparseApsp::new(SparseApspConfig {
-            height: h,
-            compress_empty: true,
-            ..Default::default()
-        })
-        .run(&w.graph);
-        verify(&compressed.dist, &w.graph, &w.name);
-        let saving = 100.0
-            * (1.0
-                - compressed.report.total_words() as f64
-                    / plain.report.total_words().max(1) as f64);
-        t.row(vec![
-            w.name.clone(),
-            format!("{}", plain.report.total_words()),
-            format!("{}", compressed.report.total_words()),
-            format!("{saving:.0}%"),
-            format!("{}", plain.report.critical_latency()),
-            format!("{}", compressed.report.critical_latency()),
-        ]);
     }
     t
 }

@@ -8,6 +8,7 @@
 //! Deliberately dependency-free: fixed layout, log-log axes with decade
 //! ticks, one polyline + markers per series, and a legend.
 
+use apsp_simnet::CommMatrix;
 use std::fmt::Write as _;
 
 /// One plotted series.
@@ -274,13 +275,14 @@ pub fn write_figures(
 
 /// Renders a rank-to-rank communication-volume heatmap (words sent per
 /// ordered pair, log-shaded) — the classic HPC communication-matrix
-/// figure, built from a [`apsp_simnet::TraceEvent`] trace.
-pub fn comm_matrix_svg(p: usize, traces: &[Vec<apsp_simnet::TraceEvent>], title: &str) -> String {
-    let mut volume = vec![0u64; p * p];
-    for e in traces.iter().flatten() {
-        volume[e.src * p + e.dst] += e.words.max(1) as u64; // count empties as headers
-    }
-    let max_log = volume.iter().map(|&v| (v as f64 + 1.0).ln()).fold(0.0, f64::max).max(1.0);
+/// figure, built from a profiled run's [`CommMatrix`].
+pub fn comm_matrix_svg(m: &CommMatrix, title: &str) -> String {
+    let p = m.p();
+    let max_log = (0..p)
+        .flat_map(|src| (0..p).map(move |dst| m.words(src, dst)))
+        .map(|v| (v as f64 + 1.0).ln())
+        .fold(0.0, f64::max)
+        .max(1.0);
     let cell = (360.0 / p as f64).min(28.0);
     let (ox, oy) = (70.0, 48.0);
     let size = cell * p as f64;
@@ -299,7 +301,7 @@ pub fn comm_matrix_svg(p: usize, traces: &[Vec<apsp_simnet::TraceEvent>], title:
     );
     for src in 0..p {
         for dst in 0..p {
-            let v = volume[src * p + dst];
+            let v = m.words(src, dst);
             if v == 0 {
                 continue;
             }
@@ -384,13 +386,10 @@ mod tests {
 
     #[test]
     fn comm_matrix_renders_cells() {
-        use apsp_simnet::TraceEvent;
-        let traces = vec![
-            vec![TraceEvent { src: 0, dst: 1, words: 100, tag: 0, ..Default::default() }],
-            vec![TraceEvent { src: 1, dst: 2, words: 5, tag: 0, ..Default::default() }],
-            vec![],
-        ];
-        let svg = comm_matrix_svg(3, &traces, "demo");
+        let mut m = CommMatrix::new(3);
+        m.record(0, 1, 1, 100);
+        m.record(1, 2, 1, 5);
+        let svg = comm_matrix_svg(&m, "demo");
         assert!(svg.contains("<svg"));
         // two filled cells + the frame rect + background
         assert_eq!(svg.matches("<rect").count(), 4);

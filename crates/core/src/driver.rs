@@ -3,7 +3,7 @@
 use crate::dnd::DistNd;
 use crate::launch::{launch, reject_sim_only_on_native, verify, LaunchSpec};
 pub use crate::sparse2d::Input;
-use crate::sparse2d::{R4Strategy, Sparse2d, Sparse2dOptions};
+use crate::sparse2d::{R4Strategy, Sparse2d};
 use crate::supernodal::SupernodalLayout;
 use apsp_graph::{Csr, DenseDist, DiCsr};
 use apsp_partition::{grid_nd, nested_dissection, NdOptions, NdOrdering};
@@ -91,8 +91,6 @@ pub struct SparseApspConfig {
     pub ordering: Ordering,
     /// `R⁴` scheduling strategy (§5.2.2).
     pub r4: R4Strategy,
-    /// Ship structurally empty blocks as header-only messages.
-    pub compress_empty: bool,
     /// Also run the §5.4.4 ordering-distribution step on the machine and
     /// fold its cost into the report (scatter of the permutation).
     pub charge_ordering_distribution: bool,
@@ -121,8 +119,7 @@ impl Default for SparseApspConfig {
         SparseApspConfig {
             height: 2,
             ordering: Ordering::Multilevel,
-            r4: R4Strategy::OneToOne,
-            compress_empty: false,
+            r4: R4Strategy::default(),
             charge_ordering_distribution: false,
             profile: false,
             recovery: None,
@@ -182,7 +179,7 @@ struct Prepared {
     nd: NdOrdering,
     ordering_report: RunReport,
     layout: SupernodalLayout,
-    opts: Sparse2dOptions,
+    r4: R4Strategy,
 }
 
 impl Prepared {
@@ -191,8 +188,8 @@ impl Prepared {
     fn with_solver<R>(&self, input: Input<'_>, f: impl FnOnce(&Sparse2d<'_>) -> R) -> R {
         let perm = &self.nd.perm;
         match input {
-            Input::Undirected(g) => f(&Sparse2d::new(&self.layout, &g.permuted(perm), &self.opts)),
-            Input::Directed(dg) => f(&Sparse2d::new(&self.layout, &dg.permuted(perm), &self.opts)),
+            Input::Undirected(g) => f(&Sparse2d::new(&self.layout, &g.permuted(perm), self.r4)),
+            Input::Directed(dg) => f(&Sparse2d::new(&self.layout, &dg.permuted(perm), self.r4)),
         }
     }
 }
@@ -265,9 +262,7 @@ impl SparseApsp {
         // algorithm silently wrong, so this is always on.
         nd.validate(pattern).expect("ordering violates the §4.1 separation invariant");
         let layout = SupernodalLayout::from_ordering(&nd);
-        let opts =
-            Sparse2dOptions { r4: self.config.r4, compress_empty: self.config.compress_empty };
-        Prepared { nd, ordering_report, layout, opts }
+        Prepared { nd, ordering_report, layout, r4: self.config.r4 }
     }
 
     /// The pipeline behind [`SparseApsp::run`], [`SparseApsp::run_directed`],
@@ -299,7 +294,6 @@ impl SparseApsp {
             faults,
             recovery: faults.and(config.recovery),
             profile: config.profile,
-            trace: false,
             record,
         };
         let run = prep.with_solver(input, |solver| launch(solver, &spec))?;

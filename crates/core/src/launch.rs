@@ -3,8 +3,8 @@
 //! A [`Solver`] is a rank program plus the host-side assembly of its
 //! per-rank outputs; [`launch`] runs one on either machine under a
 //! [`LaunchSpec`], whose fields are the orthogonal options a run can have
-//! (`docs/BACKENDS.md` tabulates option × backend: `profile` and `trace`
-//! are the two the native backend rejects). [`verify`] checks a solver's
+//! (`docs/BACKENDS.md` tabulates option × backend: `profile` is the one
+//! the native backend rejects). [`verify`] checks a solver's
 //! communication schedule: either machine records it, and the recording
 //! is linted.
 
@@ -12,7 +12,7 @@ use crate::driver::Backend;
 use apsp_graph::DenseDist;
 use apsp_simnet::{
     CommEvent, FaultPlan, FaultSummary, Machine as SimMachine, MachineError, MachineRun,
-    MachineSpec, RecoveryPolicy, RecoveryReport, RunReport, TraceEvent,
+    MachineSpec, RecoveryPolicy, RecoveryReport, RunReport,
 };
 use apsp_transport::{Machine, NativeMachine, Transport};
 use apsp_verify::VerifyReport;
@@ -49,10 +49,9 @@ pub struct LaunchSpec<'a> {
     /// Supervise the run with checkpoint/restart under this policy (an
     /// empty fault plan when `faults` is `None`).
     pub recovery: Option<RecoveryPolicy>,
-    /// Collect the observability payload into `report.profile`.
+    /// Collect the observability payload, every sent message included,
+    /// into `report.profile`.
     pub profile: bool,
-    /// Return every rank's sent-message stream.
-    pub trace: bool,
     /// Return every rank's comm script.
     pub record: bool,
 }
@@ -69,9 +68,6 @@ pub struct Launched<R> {
     pub recovery: Option<RecoveryReport>,
     /// Per-rank comm scripts (rank order); empty unless recorded.
     pub scripts: Vec<Vec<CommEvent>>,
-    /// Per-rank sent-message streams; each empty unless traced or
-    /// profiled.
-    pub traces: Vec<Vec<TraceEvent>>,
 }
 
 /// What the dense baselines (`fw2d`, `dc_apsp`, `distributed_johnson`)
@@ -85,12 +81,12 @@ pub struct DenseResult {
 
 /// The one place simulator-only options meet the native backend: panics
 /// with a readable message rather than silently dropping them.
-pub(crate) fn reject_sim_only_on_native(backend: Backend, observe: bool, charge_ordering: bool) {
+pub(crate) fn reject_sim_only_on_native(backend: Backend, profile: bool, charge_ordering: bool) {
     if backend == Backend::Sim {
         return;
     }
     assert!(
-        !observe,
+        !profile,
         "the native backend has no §3.1 cost clocks to profile; use the sim backend \
          for --trace/--profile"
     );
@@ -117,7 +113,7 @@ fn on<M: Machine, S: Solver>(
 /// budget with it).
 ///
 /// # Panics
-/// When `profile` or `trace` is asked of the native backend.
+/// When `profile` is asked of the native backend.
 pub fn launch<S: Solver>(
     solver: &S,
     spec: &LaunchSpec<'_>,
@@ -126,10 +122,9 @@ pub fn launch<S: Solver>(
         faults: spec.faults,
         recovery: spec.recovery,
         profile: spec.profile,
-        trace: spec.trace,
         record: spec.record,
     };
-    reject_sim_only_on_native(spec.backend, spec.profile || spec.trace, false);
+    reject_sim_only_on_native(spec.backend, spec.profile, false);
     let (_wall, run) = match spec.backend {
         Backend::Sim => {
             (apsp_metrics::time_phase(S::PHASE), on::<SimMachine, S>(solver, &machine)?)
@@ -144,7 +139,6 @@ pub fn launch<S: Solver>(
         faults: run.faults,
         recovery: run.recovery,
         scripts: run.scripts,
-        traces: run.traces,
     })
 }
 

@@ -3,7 +3,7 @@
 //! accumulated communication bill — the ergonomic layer a long-lived
 //! service builds on (solve once, serve queries, absorb traffic updates).
 
-use crate::sparse2d::{sparse2d_with, Sparse2dOptions};
+use crate::sparse2d::{sparse2d, R4Strategy};
 use crate::supernodal::SupernodalLayout;
 use crate::update::{apply_decreases, DecreasedEdge};
 use apsp_graph::{Csr, DenseDist};
@@ -33,7 +33,7 @@ impl SolvedApsp {
         nd.validate(g).expect("ordering violates the separation invariant");
         let layout = SupernodalLayout::from_ordering(&nd);
         let gp = g.permuted(&nd.perm);
-        let result = sparse2d_with(&layout, &gp, &Sparse2dOptions::default());
+        let result = sparse2d(&layout, &gp, R4Strategy::OneToOne);
         let blocks = layout.split_dense(&result.dist_eliminated);
         SolvedApsp { graph: g.clone(), ordering: nd, layout, blocks, report: result.report }
     }

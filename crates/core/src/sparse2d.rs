@@ -24,11 +24,6 @@
 //! Lemmas 5.8/5.9 (`B_1` carries the `n²log p/p` term, `B_l` for `l ≥ 2`
 //! only separator-sized terms).
 //!
-//! With [`Sparse2dOptions::compress_empty`], structurally empty (all-`∞`)
-//! blocks travel as zero-length payloads — a header-only message, the way
-//! real sparse solvers ship empty frontal updates. Latency is unchanged;
-//! bandwidth drops on very sparse inputs.
-//!
 //! [`Input::Directed`] runs the same schedule on **directed** inputs
 //! (asymmetric weights over a symmetric pattern): `R¹–R³` are already
 //! orientation-correct; `R⁴` swaps the transpose mirror for dual-
@@ -68,29 +63,15 @@ use apsp_transport::Transport;
 use std::ops::Range;
 
 /// How the `R⁴` computing units are scheduled (§5.2.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum R4Strategy {
     /// Corollary 5.5: one unit per processor, parallel multiply, tree
     /// reduction — `O(log p)` latency per level.
+    #[default]
     OneToOne,
     /// The SuperLU_DIST-style trivial strategy: `P_{i,j}` receives `2q`
     /// messages and multiplies sequentially — `O(2^{h−l})` latency.
     SequentialUnits,
-}
-
-/// Tuning options for a [`Sparse2d`] run.
-#[derive(Clone, Copy, Debug)]
-pub struct Sparse2dOptions {
-    /// `R⁴` scheduling strategy.
-    pub r4: R4Strategy,
-    /// Ship structurally empty blocks as zero-length payloads.
-    pub compress_empty: bool,
-}
-
-impl Default for Sparse2dOptions {
-    fn default() -> Self {
-        Sparse2dOptions { r4: R4Strategy::OneToOne, compress_empty: false }
-    }
 }
 
 /// Result of a distributed run: final blocks in eliminated order plus the
@@ -126,27 +107,6 @@ impl Sparse2dResult {
 /// Tag construction: phases are disambiguated so schedule bugs fail fast.
 fn tag(l: u32, phase: u64, k: usize, aux: usize) -> u64 {
     ((l as u64) << 56) | (phase << 48) | ((k as u64) << 24) | aux as u64
-}
-
-/// Serializes a block for transmission, optionally compressing all-`∞`
-/// blocks to a zero-length payload.
-fn encode(m: &MinPlusMatrix, compress: bool) -> Vec<f64> {
-    if compress && m.words() > 0 && m.is_empty_block() {
-        Vec::new()
-    } else {
-        m.as_slice().to_vec()
-    }
-}
-
-/// Inverse of [`encode`]: an empty payload for a non-empty shape is the
-/// all-`∞` block.
-fn decode(rows: usize, cols: usize, data: Vec<f64>) -> MinPlusMatrix {
-    if data.len() == rows * cols {
-        MinPlusMatrix::from_raw(rows, cols, data)
-    } else {
-        assert!(data.is_empty(), "payload length {} for {rows}x{cols} block", data.len());
-        MinPlusMatrix::empty(rows, cols)
-    }
 }
 
 /// `{k} ∪ 𝒜(k) ∪ 𝒟(k)` in ascending label order — which is ascending rank
@@ -506,14 +466,13 @@ fn execute<C: Transport>(
     members: &[usize],
     block: &mut MinPlusMatrix,
     held: &mut Vec<(Buf, MinPlusMatrix)>,
-    compress: bool,
 ) {
     let find = |held: &[(Buf, MinPlusMatrix)], buf: Buf| {
         held.iter().position(|(b, _)| *b == buf).unwrap_or_else(|| panic!("{buf:?} is not held"))
     };
     let hold = |comm: &mut C, held: &mut Vec<_>, buf: Buf, data: Vec<f64>| {
         let Buf::Got(i, j) = buf else { unreachable!("only received blocks are kept") };
-        let m = decode(layout.size(i), layout.size(j), data);
+        let m = MinPlusMatrix::from_raw(layout.size(i), layout.size(j), data);
         comm.alloc(m.words());
         held.push((buf, m));
     };
@@ -524,7 +483,7 @@ fn execute<C: Transport>(
                 comm.compute(ops);
             }
             Op::Bcast { ref group, root, tag, keep } => {
-                let payload = (comm.rank() == root).then(|| encode(block, compress));
+                let payload = (comm.rank() == root).then(|| block.as_slice().to_vec());
                 let data = comm.bcast(&members[group.clone()], root, tag, payload);
                 if let Some(buf) = keep {
                     hold(comm, held, buf, data);
@@ -534,10 +493,10 @@ fn execute<C: Transport>(
                 let data = comm.recv(from, tag);
                 hold(comm, held, into, data);
             }
-            Op::Send { to, tag } => comm.send(to, tag, encode(block, compress)),
+            Op::Send { to, tag } => comm.send(to, tag, block.as_slice().to_vec()),
             Op::Mirror { from, tag } => {
                 let data = comm.recv(from, tag);
-                *block = decode(block.cols(), block.rows(), data).transposed();
+                *block = MinPlusMatrix::from_raw(block.cols(), block.rows(), data).transposed();
             }
             Op::Gemm { out, a, b } => {
                 let snapshot = (a == Buf::Block || b == Buf::Block).then(|| block.clone());
@@ -569,30 +528,13 @@ fn execute<C: Transport>(
             }
             Op::Reduce { ref group, root, tag, target: (i, j), from } => {
                 let contribution = match from {
-                    Some(buf) => encode(&held[find(held, buf)].1, compress),
+                    Some(buf) => held[find(held, buf)].1.as_slice().to_vec(),
                     // a non-worker root contributes the ⊕-identity
-                    None if compress => Vec::new(),
                     None => vec![f64::INFINITY; layout.size(i) * layout.size(j)],
                 };
-                // compressed (empty = all-∞) contributions combine as identities
-                let group = &members[group.clone()];
-                let result = comm.reduce(group, root, tag, contribution, |acc, inc| {
-                    if inc.is_empty() {
-                        return;
-                    }
-                    if acc.is_empty() {
-                        *acc = inc.to_vec();
-                        return;
-                    }
-                    debug_assert_eq!(acc.len(), inc.len(), "reduction shape mismatch");
-                    for (x, &y) in acc.iter_mut().zip(inc) {
-                        if y < *x {
-                            *x = y;
-                        }
-                    }
-                });
+                let result = comm.reduce_min(&members[group.clone()], root, tag, contribution);
                 if let Some(data) = result {
-                    let reduced = decode(layout.size(i), layout.size(j), data);
+                    let reduced = MinPlusMatrix::from_raw(layout.size(i), layout.size(j), data);
                     block.min_assign(&reduced);
                     comm.compute(reduced.words() as u64);
                 }
@@ -613,7 +555,7 @@ fn rank_program<C: Transport>(
     comm: &mut C,
     layout: &SupernodalLayout,
     input: Input<'_>,
-    opts: &Sparse2dOptions,
+    r4: R4Strategy,
 ) -> (Vec<f64>, Vec<Clocks>) {
     let h = layout.tree().height();
     let (bi, bj) = layout.block_of_rank(comm.rank());
@@ -632,7 +574,7 @@ fn rank_program<C: Transport>(
     // 5.6/5.8/5.9 measurements intact.
     for l in 1..=h {
         if comm.phase_live() {
-            let ends = level_plan(layout, l, (bi, bj), directed, opts.r4, &mut plan);
+            let ends = level_plan(layout, l, (bi, bj), directed, r4, &mut plan);
             // one "level" span per elimination level with the paper's
             // regions nested inside — free unless the run is profiled
             let mut level = comm.span("level", l as u64);
@@ -647,7 +589,6 @@ fn rank_program<C: Transport>(
                     &plan.members,
                     &mut block,
                     &mut held,
-                    opts.compress_empty,
                 );
                 start = end;
             }
@@ -696,7 +637,7 @@ fn decode_state(rows: usize, cols: usize, mut state: Vec<f64>) -> (MinPlusMatrix
 }
 
 /// 2D-SPARSE-APSP as a [`Solver`]: a layout, the graph permuted into its
-/// eliminated ordering, and the schedule options. Undirected and directed
+/// eliminated ordering, and the `R⁴` strategy. Undirected and directed
 /// inputs share the rank program; only each rank's initial block and the
 /// `R⁴` phase differ.
 ///
@@ -711,7 +652,7 @@ fn decode_state(rows: usize, cols: usize, mut state: Vec<f64>) -> (MinPlusMatrix
 pub struct Sparse2d<'a> {
     layout: &'a SupernodalLayout,
     input: Input<'a>,
-    opts: Sparse2dOptions,
+    r4: R4Strategy,
 }
 
 /// A graph 2D-SPARSE-APSP accepts (`&Csr` and `&DiCsr` convert into it).
@@ -742,18 +683,14 @@ impl<'a> From<&'a DiCsr> for Input<'a> {
 impl<'a> Sparse2d<'a> {
     /// The solver for `g_perm`, which must already be permuted into the
     /// eliminated ordering described by `layout`.
-    pub fn new(
-        layout: &'a SupernodalLayout,
-        g_perm: impl Into<Input<'a>>,
-        opts: &Sparse2dOptions,
-    ) -> Self {
+    pub fn new(layout: &'a SupernodalLayout, g_perm: impl Into<Input<'a>>, r4: R4Strategy) -> Self {
         let input = g_perm.into();
         let n = match input {
             Input::Undirected(g) => g.n(),
             Input::Directed(dg) => dg.n(),
         };
         assert_eq!(n, layout.n(), "layout does not match the graph");
-        Sparse2d { layout, input, opts: *opts }
+        Sparse2d { layout, input, r4 }
     }
 }
 
@@ -767,7 +704,7 @@ impl Solver for Sparse2d<'_> {
     }
 
     fn rank_program<C: Transport>(&self, comm: &mut C) -> Self::Out {
-        rank_program(comm, self.layout, self.input, &self.opts)
+        rank_program(comm, self.layout, self.input, self.r4)
     }
 
     fn assemble(&self, outputs: Vec<Self::Out>, report: RunReport) -> Sparse2dResult {
@@ -785,20 +722,10 @@ impl Solver for Sparse2d<'_> {
     }
 }
 
-/// Runs 2D-SPARSE-APSP on the simulated machine with default options.
+/// Runs 2D-SPARSE-APSP on the simulated machine; every other way to run it
+/// is a [`crate::launch::LaunchSpec`] on [`Sparse2d::new`].
 pub fn sparse2d(layout: &SupernodalLayout, g_perm: &Csr, strategy: R4Strategy) -> Sparse2dResult {
-    sparse2d_with(layout, g_perm, &Sparse2dOptions { r4: strategy, ..Default::default() })
-}
-
-/// Runs 2D-SPARSE-APSP on the simulated machine with explicit
-/// [`Sparse2dOptions`]; every other way to run it is a
-/// [`crate::launch::LaunchSpec`] on [`Sparse2d::new`].
-pub fn sparse2d_with(
-    layout: &SupernodalLayout,
-    g_perm: &Csr,
-    opts: &Sparse2dOptions,
-) -> Sparse2dResult {
-    launch_plain(&Sparse2d::new(layout, g_perm, opts))
+    launch_plain(&Sparse2d::new(layout, g_perm, strategy))
 }
 
 /// Runs **directed** 2D-SPARSE-APSP on the simulated machine
@@ -806,9 +733,9 @@ pub fn sparse2d_with(
 pub fn sparse2d_directed(
     layout: &SupernodalLayout,
     dg_perm: &DiCsr,
-    opts: &Sparse2dOptions,
+    strategy: R4Strategy,
 ) -> Sparse2dResult {
-    launch_plain(&Sparse2d::new(layout, dg_perm, opts))
+    launch_plain(&Sparse2d::new(layout, dg_perm, strategy))
 }
 
 #[cfg(test)]
@@ -821,11 +748,11 @@ mod tests {
     fn check_with(
         g: &Csr,
         nd: &apsp_partition::NdOrdering,
-        opts: &Sparse2dOptions,
+        strategy: R4Strategy,
     ) -> Sparse2dResult {
         let layout = SupernodalLayout::from_ordering(nd);
         let gp = g.permuted(&nd.perm);
-        let result = sparse2d_with(&layout, &gp, opts);
+        let result = sparse2d(&layout, &gp, strategy);
         let dist = SupernodalLayout::unpermute(&result.dist_eliminated, &nd.perm);
         let reference = oracle::apsp_dijkstra(g);
         if let Some((i, j, a, b)) = dist.first_mismatch(&reference, 1e-9) {
@@ -835,7 +762,7 @@ mod tests {
     }
 
     fn check(g: &Csr, nd: &apsp_partition::NdOrdering, strategy: R4Strategy) -> RunReport {
-        check_with(g, nd, &Sparse2dOptions { r4: strategy, ..Default::default() }).report
+        check_with(g, nd, strategy).report
     }
 
     /// One region of every rank's plan, checked as a whole machine would
@@ -1105,13 +1032,13 @@ mod tests {
     fn check_directed(
         base: &Csr,
         nd: &apsp_partition::NdOrdering,
-        opts: &Sparse2dOptions,
+        strategy: R4Strategy,
         seed: u64,
     ) {
         let dg = random_digraph(base, seed);
         let layout = SupernodalLayout::from_ordering(nd);
         let dgp = dg.permuted(&nd.perm);
-        let result = sparse2d_directed(&layout, &dgp, opts);
+        let result = sparse2d_directed(&layout, &dgp, strategy);
         // un-permute
         let n = base.n();
         let mut dist = apsp_graph::DenseDist::unconnected(n);
@@ -1130,45 +1057,35 @@ mod tests {
     fn directed_grid_on_9_ranks() {
         let base = generators::grid2d(6, 6, WeightKind::Unit, 0);
         let nd = grid_nd(6, 6, 2);
-        check_directed(&base, &nd, &Sparse2dOptions::default(), 1);
+        check_directed(&base, &nd, R4Strategy::OneToOne, 1);
     }
 
     #[test]
     fn directed_grid_on_49_ranks() {
         let base = generators::grid2d(9, 9, WeightKind::Unit, 0);
         let nd = grid_nd(9, 9, 3);
-        check_directed(&base, &nd, &Sparse2dOptions::default(), 2);
+        check_directed(&base, &nd, R4Strategy::OneToOne, 2);
     }
 
     #[test]
     fn directed_multilevel_ordering() {
         let base = generators::connected_gnp(40, 0.06, WeightKind::Unit, 4);
         let nd = nested_dissection(&base, 3, &NdOptions::default());
-        check_directed(&base, &nd, &Sparse2dOptions::default(), 3);
+        check_directed(&base, &nd, R4Strategy::OneToOne, 3);
     }
 
     #[test]
     fn directed_sequential_strategy() {
         let base = generators::grid2d(8, 8, WeightKind::Unit, 0);
         let nd = grid_nd(8, 8, 3);
-        check_directed(
-            &base,
-            &nd,
-            &Sparse2dOptions { r4: R4Strategy::SequentialUnits, ..Default::default() },
-            4,
-        );
+        check_directed(&base, &nd, R4Strategy::SequentialUnits, 4);
     }
 
     #[test]
-    fn directed_with_compression() {
+    fn directed_path_on_49_ranks() {
         let base = generators::path(30, WeightKind::Unit, 0);
         let nd = nested_dissection(&base, 3, &NdOptions::default());
-        check_directed(
-            &base,
-            &nd,
-            &Sparse2dOptions { compress_empty: true, ..Default::default() },
-            5,
-        );
+        check_directed(&base, &nd, R4Strategy::OneToOne, 5);
     }
 
     #[test]
@@ -1179,7 +1096,7 @@ mod tests {
         let gp = g.permuted(&nd.perm);
         let und = sparse2d(&layout, &gp, R4Strategy::OneToOne);
         let dg = apsp_graph::DiCsr::from_undirected(&g).permuted(&nd.perm);
-        let dir = sparse2d_directed(&layout, &dg, &Sparse2dOptions::default());
+        let dir = sparse2d_directed(&layout, &dg, R4Strategy::OneToOne);
         assert!(und.dist_eliminated.first_mismatch(&dir.dist_eliminated, 1e-9).is_none());
         // directed costs stay within ~2x of the undirected schedule
         assert!(dir.report.critical_bandwidth() <= 3 * und.report.critical_bandwidth());
@@ -1213,7 +1130,7 @@ mod tests {
     fn level_costs_cover_the_total_lemma_5_6() {
         let g = generators::grid2d(12, 12, WeightKind::Unit, 0);
         let nd = grid_nd(12, 12, 4);
-        let result = check_with(&g, &nd, &Sparse2dOptions::default());
+        let result = check_with(&g, &nd, R4Strategy::OneToOne);
         let per_level = result.level_costs();
         assert_eq!(per_level.len(), 4);
         // per-level deltas sum to the totals
@@ -1226,34 +1143,5 @@ mod tests {
         for (lvl, &(lat, _)) in per_level.iter().enumerate() {
             assert!((lat as f64) <= 4.0 * log_p, "level {}: L_l = {lat} exceeds 4·log p", lvl + 1);
         }
-    }
-
-    #[test]
-    fn compressed_empty_blocks_save_bandwidth_not_correctness() {
-        // a path: extremely sparse, most blocks stay all-∞ for a while
-        let g = generators::path(40, WeightKind::Integer { max: 5 }, 3);
-        let nd = nested_dissection(&g, 3, &NdOptions::default());
-        let plain = check_with(&g, &nd, &Sparse2dOptions::default());
-        let compressed =
-            check_with(&g, &nd, &Sparse2dOptions { compress_empty: true, ..Default::default() });
-        assert!(
-            compressed.report.total_words() < plain.report.total_words(),
-            "compression should cut volume: {} vs {}",
-            compressed.report.total_words(),
-            plain.report.total_words()
-        );
-        // latency is the same schedule
-        assert_eq!(compressed.report.total_messages(), plain.report.total_messages());
-    }
-
-    #[test]
-    fn compression_works_with_sequential_strategy_too() {
-        let g = generators::path(30, WeightKind::Unit, 0);
-        let nd = nested_dissection(&g, 3, &NdOptions::default());
-        check_with(
-            &g,
-            &nd,
-            &Sparse2dOptions { r4: R4Strategy::SequentialUnits, compress_empty: true },
-        );
     }
 }

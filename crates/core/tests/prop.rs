@@ -108,7 +108,7 @@ proptest! {
         let result = apsp_core::sparse2d::sparse2d_directed(
             &layout,
             &dgp,
-            &apsp_core::sparse2d::Sparse2dOptions::default(),
+            apsp_core::sparse2d::R4Strategy::OneToOne,
         );
         let reference = apsp_graph::digraph::apsp_dijkstra_directed(&dgp);
         prop_assert!(result.dist_eliminated.first_mismatch(&reference, 1e-9).is_none());

@@ -17,8 +17,8 @@
 //!
 //! Out of scope here: a packed-panel, register-tiled microkernel (the `c`
 //! row still goes through L1 once per `k`), blocking `k` in `fw_in_place`
-//! (measured, no gain at the sizes the benchmark has) and via/successor
-//! matrices ([`crate::via`] keeps its own loop).
+//! (measured, no gain at the sizes the benchmark has) and a successor
+//! matrix for exact path recovery.
 //!
 //! Every kernel returns the exact number of scalar relaxations
 //! (`c = min(c, a + b)`) it executed; rows skipped through the `∞` fast

@@ -17,12 +17,10 @@ pub mod algebra;
 pub mod kernels;
 pub mod matrix;
 pub mod perf;
-pub mod via;
 
 pub use algebra::{closure_in, AlgebraMatrix, MaxMin, MinPlus, MostReliable, PathAlgebra};
 pub use kernels::{fw_in_place, gemm, relax_row};
 pub use matrix::MinPlusMatrix;
-pub use via::{fw_with_via, ViaMatrix};
 
 /// Scalar weight re-exported from the semiring's point of view.
 pub type Weight = f64;

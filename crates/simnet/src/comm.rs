@@ -16,8 +16,8 @@ pub type Rank = usize;
 /// charging every send, receive, compute and checkpoint to the §3.1 clocks.
 pub type Comm = Endpoint<SimMeter>;
 
-/// One recorded message, when tracing is on ([`MachineSpec::trace`] or
-/// [`MachineSpec::profile`]).
+/// One recorded message, when the run is profiled
+/// ([`MachineSpec::profile`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Sender rank.
@@ -29,38 +29,8 @@ pub struct TraceEvent {
     /// Message tag (phase-identifying, algorithm-specific).
     pub tag: u64,
     /// The sender's critical-path clocks immediately *after* the send —
-    /// the simulated time at which the message is on the wire. Ordering
-    /// events by this snapshot time-orders a merged trace.
+    /// the simulated time at which the message is on the wire.
     pub clocks: Clocks,
-}
-
-impl TraceEvent {
-    /// Lexicographic sort key: simulated send time, then endpoints/tag.
-    /// The clock components order first, so sorting by this key merges
-    /// per-rank streams into one globally time-ordered stream.
-    pub fn sort_key(&self) -> (u64, u64, u64, Rank, Rank, u64, usize) {
-        (
-            self.clocks.latency,
-            self.clocks.bandwidth,
-            self.clocks.compute,
-            self.src,
-            self.dst,
-            self.tag,
-            self.words,
-        )
-    }
-}
-
-impl PartialOrd for TraceEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TraceEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.sort_key().cmp(&other.sort_key())
-    }
 }
 
 /// The simulated machine.
@@ -91,7 +61,7 @@ impl Machine {
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        let meter = |rank| SimMeter::new(rank, false, false);
+        let meter = |rank| SimMeter::new(rank, false);
         let (run, _) = run_epoch(p, &f, None, None, None, meter).unwrap_or_else(|e| panic!("{e}"));
         (run.outs, run.report)
     }
@@ -101,7 +71,7 @@ impl Machine {
     /// orthogonal: each observes or perturbs the run exactly as it does
     /// alone — the fault layer charges its recovery traffic to the ordinary
     /// cost clocks, checkpoints charge `(1, words)` per snapshot and
-    /// restore, and profiling, tracing and recording leave every clock,
+    /// restore, and profiling and recording leave every clock,
     /// counter and ledger byte-identical.
     ///
     /// # Errors
@@ -120,15 +90,10 @@ impl Machine {
         F: Fn(&mut Comm) -> T + Sync,
     {
         supervise(p, spec, |plan, epoch, script| {
-            let meter = |rank| SimMeter::new(rank, spec.trace || spec.profile, spec.profile);
+            let meter = |rank| SimMeter::new(rank, spec.profile);
             let (mut run, meters) = run_epoch(p, &f, plan, epoch, script, meter)?;
-            let mut profiles = Vec::with_capacity(p);
-            for meter in meters {
-                let (events, profile) = meter.finish();
-                run.traces.push(events);
-                profiles.extend(profile);
-            }
             if spec.profile {
+                let profiles = meters.into_iter().filter_map(SimMeter::finish).collect();
                 run.report.profile = Some(Profile::from_ranks(profiles));
             }
             Ok(run)
@@ -149,11 +114,9 @@ pub struct MachineSpec<'a> {
     /// report and summary are the final epoch's; the [`RecoveryReport`]
     /// carries the trajectory. Without `faults` the plan is empty.
     pub recovery: Option<RecoveryPolicy>,
-    /// Collect span ledgers, the comm matrix and the event stream into
+    /// Collect span ledgers, the comm matrix and every sent message into
     /// [`RunReport::profile`].
     pub profile: bool,
-    /// Return every message each rank sent ([`MachineRun::traces`]).
-    pub trace: bool,
     /// Return every rank's comm script ([`MachineRun::scripts`]).
     pub record: bool,
 }
@@ -171,36 +134,24 @@ pub struct MachineRun<T> {
     pub recovery: Option<RecoveryReport>,
     /// Per-rank comm scripts (rank order); empty unless recorded.
     pub scripts: Vec<Vec<CommEvent>>,
-    /// Per-rank sent-message streams (send order); each empty unless
-    /// traced or profiled.
-    pub traces: Vec<Vec<TraceEvent>>,
 }
 
 /// The §3.1 cost model as a [`Meter`]: critical-path clocks, send and
-/// memory counters, and — when the run asks for them — the message trace,
-/// the span ledger and the per-`(dst, tag)` send map.
+/// memory counters, and — when the run is profiled — every sent message
+/// and the span ledger.
 pub struct SimMeter {
     rank: Rank,
     costs: RankStats,
-    /// Every message sent, present in traced and profiled runs.
-    trace: Option<Vec<TraceEvent>>,
-    /// Span ledger, present in profiled runs ([`MachineSpec::profile`]).
-    ledger: Option<SpanLedger>,
-    /// Per-`(dst, tag)` send counters, present in profiled runs.
-    sends: Option<BTreeMap<(Rank, u64), (u64, u64)>>,
+    /// Every message sent and the span ledger, present in profiled runs
+    /// ([`MachineSpec::profile`]).
+    profile: Option<(Vec<TraceEvent>, SpanLedger)>,
 }
 
 impl SimMeter {
     /// Rank `rank`'s meter: its clocks and counters always, the message
-    /// trace when `traced`, the span ledger and send map when `profiled`.
-    pub fn new(rank: Rank, traced: bool, profiled: bool) -> Self {
-        SimMeter {
-            rank,
-            costs: RankStats::default(),
-            trace: traced.then(Vec::new),
-            ledger: profiled.then(SpanLedger::default),
-            sends: profiled.then(BTreeMap::new),
-        }
+    /// stream and span ledger when `profiled`.
+    pub fn new(rank: Rank, profiled: bool) -> Self {
+        SimMeter { rank, costs: RankStats::default(), profile: profiled.then(Default::default) }
     }
 
     /// Charges one send's clocks, counters, and trace event — everything a
@@ -210,35 +161,32 @@ impl SimMeter {
         self.costs.clocks.bandwidth += words as u64;
         self.costs.sent_messages += 1;
         self.costs.sent_words += words as u64;
-        if let Some(sends) = &mut self.sends {
-            let e = sends.entry((dst, tag)).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += words as u64;
-        }
-        if let Some(trace) = &mut self.trace {
+        if let Some((events, _)) = &mut self.profile {
             // post-send clocks: the simulated instant the message departs
             let clocks = self.costs.clocks;
-            trace.push(TraceEvent { src: self.rank, dst, words, tag, clocks });
+            events.push(TraceEvent { src: self.rank, dst, words, tag, clocks });
         }
     }
 
-    /// What a finished rank's meter leaves besides its costs: the sent
-    /// message stream (empty unless traced) and, when profiled, the
-    /// rank's observability payload.
-    fn finish(self) -> (Vec<TraceEvent>, Option<RankProfile>) {
-        let events = self.trace.unwrap_or_default();
-        let profile = self.ledger.map(|ledger| RankProfile {
+    /// A finished rank's observability payload, when profiled: its sent
+    /// messages, their per-`(dst, tag)` totals and its span ledger.
+    fn finish(self) -> Option<RankProfile> {
+        let (events, ledger) = self.profile?;
+        let mut sends: BTreeMap<(Rank, u64), (u64, u64)> = BTreeMap::new();
+        for e in &events {
+            let total = sends.entry((e.dst, e.tag)).or_default();
+            total.0 += 1;
+            total.1 += e.words as u64;
+        }
+        Some(RankProfile {
             ledger,
-            sends: self
-                .sends
-                .unwrap_or_default()
+            sends: sends
                 .into_iter()
                 .map(|((dst, tag), (messages, words))| SendTotal { dst, tag, messages, words })
                 .collect(),
-            events: events.clone(),
+            events,
             final_clocks: self.costs.clocks,
-        });
-        (events, profile)
+        })
     }
 
     fn snapshot(&self) -> SpanSnapshot {
@@ -312,14 +260,15 @@ impl Meter for SimMeter {
     }
 
     fn span_enter(&mut self, name: &'static str, tag: u64) -> Option<usize> {
-        self.ledger.as_ref()?;
+        self.profile.as_ref()?;
         let at = self.snapshot();
-        self.ledger.as_mut().map(|ledger| ledger.enter(name, tag, at))
+        self.profile.as_mut().map(|(_, ledger)| ledger.enter(name, tag, at))
     }
 
     fn span_exit(&mut self, idx: usize) {
         let at = self.snapshot();
-        self.ledger.as_mut().expect("a span index comes from the ledger").exit(idx, at);
+        let (_, ledger) = self.profile.as_mut().expect("a span index comes from the ledger");
+        ledger.exit(idx, at);
     }
 }
 

@@ -868,13 +868,6 @@ where
     // observability counters read the finished aggregates; the §3.1
     // ledgers above are already sealed by this point
     crate::perf::record_run(&report, faults.as_ref());
-    let run = MachineRun {
-        outs,
-        report,
-        faults,
-        recovery: None,
-        scripts: Vec::new(),
-        traces: Vec::new(),
-    };
+    let run = MachineRun { outs, report, faults, recovery: None, scripts: Vec::new() };
     Ok((run, meters))
 }

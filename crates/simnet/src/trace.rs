@@ -254,17 +254,6 @@ impl Profile {
         Profile { per_rank, comm_matrix }
     }
 
-    /// The `p×p` matrix restricted to one message tag.
-    pub fn comm_matrix_for_tag(&self, tag: u64) -> CommMatrix {
-        let mut m = CommMatrix::new(self.per_rank.len());
-        for (src, rank) in self.per_rank.iter().enumerate() {
-            for s in rank.sends.iter().filter(|s| s.tag == tag) {
-                m.record(src, s.dst, s.messages, s.words);
-            }
-        }
-        m
-    }
-
     /// Merges a later profile of the same machine into this one, as
     /// [`crate::RunReport::absorb`] does for stats: the other run's clocks
     /// restart at zero, so its snapshots are shifted by this rank's current
@@ -667,15 +656,6 @@ impl Profile {
         }
         out
     }
-}
-
-/// Merges per-rank trace streams into one globally time-ordered stream
-/// (ordered by the senders' post-send clock snapshots — the serde-free
-/// ordering [`TraceEvent`] carries).
-pub fn merge_ordered(traces: &[Vec<TraceEvent>]) -> Vec<TraceEvent> {
-    let mut all: Vec<TraceEvent> = traces.iter().flatten().copied().collect();
-    all.sort();
-    all
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use apsp_core::dcapsp::DcApsp;
 use apsp_core::djohnson::DJohnson;
 use apsp_core::fw2d::Fw2d;
 use apsp_core::launch::{launch, LaunchSpec, Solver};
-use apsp_core::sparse2d::{Sparse2d, Sparse2dOptions};
+use apsp_core::sparse2d::{R4Strategy, Sparse2d};
 use apsp_core::supernodal::SupernodalLayout;
 use apsp_graph::generators::{self, WeightKind};
 use apsp_graph::{oracle, DenseDist};
@@ -282,7 +282,7 @@ fn sparse2d_recovers_under_chaos() {
             let gp = g.permuted(&nd.perm);
             for (k, plan) in solver_plans(seed).into_iter().enumerate() {
                 let (result, summary) =
-                    faulty(&Sparse2d::new(&layout, &gp, &Sparse2dOptions::default()), &plan, false)
+                    faulty(&Sparse2d::new(&layout, &gp, R4Strategy::OneToOne), &plan, false)
                         .unwrap_or_else(|e| panic!("h={h} plan {k}: {e}"));
                 let dist = SupernodalLayout::unpermute(&result.dist_eliminated, &nd.perm);
                 assert_oracle(&dist, &g, &format!("sparse2d h={h} plan {k}"));
@@ -337,7 +337,7 @@ fn recoverable_solvers(g: &apsp_graph::Csr) -> Vec<(&'static str, RecoveringRun)
         (
             "sparse2d",
             Box::new(move |plan: &FaultPlan, policy: RecoveryPolicy| {
-                let solver = Sparse2d::new(&layout, &gp, &Sparse2dOptions::default());
+                let solver = Sparse2d::new(&layout, &gp, R4Strategy::OneToOne);
                 recovering(&solver, plan, policy, false).map(|(r, f, rec)| {
                     let dist = SupernodalLayout::unpermute(&r.dist_eliminated, &nd.perm);
                     (dist, r.report, f, rec)

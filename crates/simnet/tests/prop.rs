@@ -141,8 +141,8 @@ proptest! {
 
 #[test]
 fn trace_records_every_send_in_order() {
-    let traced = MachineSpec { trace: true, ..Default::default() };
-    let MachineRun { report, traces, .. } = Machine::launch(3, &traced, |comm| match comm.rank() {
+    let profiled = MachineSpec { profile: true, ..Default::default() };
+    let MachineRun { report, .. } = Machine::launch(3, &profiled, |comm| match comm.rank() {
         0 => {
             comm.send(1, 10, vec![1.0]);
             comm.send(2, 11, vec![2.0, 3.0]);
@@ -158,13 +158,15 @@ fn trace_records_every_send_in_order() {
         _ => unreachable!(),
     })
     .expect("fault-free launch");
-    assert_eq!(traces[0].len(), 2);
-    assert_eq!(traces[0][0].dst, 1);
-    assert_eq!(traces[0][1].words, 2);
-    assert_eq!(traces[1].len(), 1);
-    assert_eq!(traces[1][0].tag, 12);
-    assert!(traces[2].is_empty());
-    // tracing does not change the accounting
+    let events: Vec<_> =
+        report.profile.as_ref().expect("profiled").per_rank.iter().map(|r| &r.events).collect();
+    assert_eq!(events[0].len(), 2);
+    assert_eq!(events[0][0].dst, 1);
+    assert_eq!(events[0][1].words, 2);
+    assert_eq!(events[1].len(), 1);
+    assert_eq!(events[1][0].tag, 12);
+    assert!(events[2].is_empty());
+    // profiling does not change the accounting
     assert_eq!(report.total_messages(), 3);
     assert_eq!(report.total_words(), 3);
 }
@@ -174,18 +176,20 @@ fn trace_audits_a_broadcast_tree() {
     // total sends of a g-member binomial broadcast = g − 1
     for g in 2..10usize {
         let group: Vec<usize> = (0..g).collect();
-        let traced = MachineSpec { trace: true, ..Default::default() };
-        let traces = Machine::launch(g, &traced, |comm| {
+        let profiled = MachineSpec { profile: true, ..Default::default() };
+        let profile = Machine::launch(g, &profiled, |comm| {
             let data = (comm.rank() == 0).then(|| vec![1.0; 4]);
             comm.bcast(&group, 0, 1, data)
         })
         .expect("fault-free launch")
-        .traces;
-        let sends: usize = traces.iter().map(|t| t.len()).sum();
-        assert_eq!(sends, g - 1, "g={g}");
+        .report
+        .profile
+        .expect("profiled");
+        let events = || profile.per_rank.iter().flat_map(|r| &r.events);
+        assert_eq!(events().count(), g - 1, "g={g}");
         // every rank except the root appears exactly once as a destination
         let mut seen = vec![0usize; g];
-        for t in traces.iter().flatten() {
+        for t in events() {
             seen[t.dst] += 1;
         }
         assert_eq!(seen[0], 0);

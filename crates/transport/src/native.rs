@@ -96,8 +96,8 @@ impl NativeMachine {
     ///   scripts the simulator records, so the protocol linter runs
     ///   against native executions too; unrecorded, the per-op cost is a
     ///   skipped `Option`.
-    /// * `profile` and `trace` have nothing to collect here (no cost
-    ///   clocks, no ledgers); `apsp-core`'s `launch` rejects them up front.
+    /// * `profile` has nothing to collect here (no cost clocks, no
+    ///   ledgers); `apsp-core`'s `launch` rejects it up front.
     ///
     /// # Errors
     /// [`MachineError::Down`] when a kill rule took a rank down,

@@ -97,7 +97,7 @@ where
     F: Fn(&mut Comm) -> T + Sync,
 {
     let board = Arc::new(ScriptBoard::new(p));
-    let meter = |rank| SimMeter::new(rank, false, false);
+    let meter = |rank| SimMeter::new(rank, false);
     let (report, died) = match run_epoch(p, &f, None, None, Some(&board), meter) {
         Ok((run, _)) => (Some(run.report), None),
         Err(e) => (None, Some(e)),

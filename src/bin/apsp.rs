@@ -270,7 +270,7 @@ fn cmd_generate(args: &Args) {
 /// The options of one solver run (`--input` and what [`solve`] reads);
 /// `apsp solve` and `apsp path` both take them.
 const SOLVER_OPTS: &str = "--input --algorithm --backend --height --depth --sequential-r4 \
-    --compress-empty --charge-ordering --faults --fault-seed --recover";
+    --charge-ordering --faults --fault-seed --recover";
 
 /// What `solve` hands back: distances, the cost report, per-level costs.
 type Solved = (DenseDist, RunReport, Vec<(u64, u64)>);
@@ -320,7 +320,6 @@ fn solve_sparse2d(args: &Args, opts: &RunOpts, input: Input<'_>) -> Solved {
         } else {
             R4Strategy::OneToOne
         },
-        compress_empty: args.flag("--compress-empty"),
         charge_ordering_distribution: args.flag("--charge-ordering"),
         profile: opts.profile,
         recovery: opts.recover,
@@ -511,16 +510,16 @@ USAGE:
   apsp solve    --input FILE [--algorithm sparse2d|fw2d|dcapsp|djohnson|superfw]
                 [--backend sim|native] [--height H] [--depth D] [--verify]
                 [--distances FILE] [--report FILE]
-                [--sequential-r4] [--compress-empty] [--charge-ordering]
+                [--sequential-r4] [--charge-ordering]
                 [--trace DIR] [--profile] [--metrics[=BASE]]
                 [--faults SPEC] [--fault-seed N] [--recover POLICY]
                 [--directed]   (.gr inputs keep their arc orientation)
   apsp path     --input FILE --from A --to B   (plus solve's solver options:
                 --algorithm --backend --height --depth --sequential-r4
-                --compress-empty --charge-ordering --faults --fault-seed --recover)
+                --charge-ordering --faults --fault-seed --recover)
   apsp verify   --input FILE [--algorithm sparse2d|fw2d|dcapsp|djohnson|bad-fixture]
                 [--backend sim|native] [--height H] [--n-grid N] [--depth D]
-                [--sequential-r4] [--compress-empty]
+                [--sequential-r4]
   apsp audit    [--json] [--tolerance F] [--max-p N]
                 [--skip-cost] [--skip-src] [--root DIR] [--fixture cost|src]
   apsp info     --input FILE [--height H]   (graph statistics + separator probe)
@@ -621,7 +620,7 @@ seeded regression fixtures, which must exit 1 — proof both layers fire.
 fn cmd_verify(args: &Args) {
     args.reject_unknown(
         "verify",
-        "--input --algorithm --backend --height --n-grid --depth --sequential-r4 --compress-empty",
+        "--input --algorithm --backend --height --n-grid --depth --sequential-r4",
     );
     let algorithm = args.opt("--algorithm").unwrap_or("sparse2d");
     let backend = backend(args);
@@ -644,7 +643,6 @@ fn cmd_verify(args: &Args) {
                     } else {
                         R4Strategy::OneToOne
                     },
-                    compress_empty: args.flag("--compress-empty"),
                     backend,
                     ..Default::default()
                 };

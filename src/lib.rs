@@ -63,7 +63,7 @@ pub use apsp_verify as verify;
 /// [`Solver`](apsp_core::launch::Solver) (`Sparse2d`, `Fw2d`, `DcApsp`,
 /// `DJohnson`, `Decreases`, `DistNd`) and a
 /// [`LaunchSpec`](apsp_core::launch::LaunchSpec) `{ backend, faults,
-/// recovery, profile, trace, record }` handed to
+/// recovery, profile, record }` handed to
 /// [`launch`](apsp_core::launch::launch); `sparse2d`, `fw2d`, `dc_apsp`, …
 /// are sugar for the default spec and
 /// [`verify`](apsp_core::launch::verify) checks a solver's schedule.
@@ -76,9 +76,7 @@ pub mod prelude {
     pub use apsp_core::driver::{Input, Ordering};
     pub use apsp_core::fw2d::{fw2d, Fw2d};
     pub use apsp_core::launch::{launch, verify, DenseResult, LaunchSpec, Launched, Solver};
-    pub use apsp_core::sparse2d::{
-        sparse2d, sparse2d_directed, sparse2d_with, Sparse2d, Sparse2dOptions,
-    };
+    pub use apsp_core::sparse2d::{sparse2d, sparse2d_directed, Sparse2d};
     pub use apsp_core::superfw::{superfw_apsp, superfw_opcount_comparison};
     pub use apsp_core::update::{apply_decreases, DecreasedEdge, Decreases};
     pub use apsp_core::{
@@ -94,7 +92,6 @@ pub mod prelude {
     pub use apsp_graph::{
         oracle, Csr, DenseDist, DiCsr, DiGraphBuilder, GraphBuilder, Permutation, INF,
     };
-    pub use apsp_minplus::{fw_with_via, ViaMatrix};
     pub use apsp_partition::{grid_nd, nested_dissection, BisectOptions, NdOptions, NdOrdering};
     pub use apsp_simnet::{
         Clocks, Comm, FaultError, FaultPlan, FaultStats, FaultSummary, Machine, MachineError,

@@ -371,6 +371,15 @@ fn bad_usage_fails_cleanly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown option --hieght for apsp solve"), "{stderr}");
 
+    // a retired flag fails loudly instead of silently losing its effect
+    for cmd in ["solve", "path", "verify"] {
+        let out = apsp().args([cmd, "--compress-empty"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let expected = format!("unknown option --compress-empty for apsp {cmd}");
+        assert!(stderr.contains(&expected), "{stderr}");
+    }
+
     let out = apsp().args(["help"]).output().unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));

@@ -130,25 +130,21 @@ fn native_backend_is_bit_identical_to_simnet() {
 #[test]
 fn native_backend_matches_simnet_on_sparse2d_variants() {
     // the option space the schedule actually branches on: R⁴ strategy,
-    // empty-block compression, taller trees, directed weights
+    // taller trees, directed weights
     let g = grid2d(8, 8, WeightKind::Integer { max: 6 }, 5);
     let nd = grid_nd(8, 8, 3);
     let layout = SupernodalLayout::from_ordering(&nd);
     let gp = g.permuted(&nd.perm);
-    for opts in [
-        Sparse2dOptions::default(),
-        Sparse2dOptions { r4: R4Strategy::SequentialUnits, ..Default::default() },
-        Sparse2dOptions { compress_empty: true, ..Default::default() },
-    ] {
-        let sim = sparse2d_with(&layout, &gp, &opts).dist_eliminated;
-        let native = on_native(&Sparse2d::new(&layout, &gp, &opts)).dist_eliminated;
-        assert_bit_identical("grid8x8", &format!("sparse2d {opts:?}"), &sim, &native);
+    for r4 in [R4Strategy::OneToOne, R4Strategy::SequentialUnits] {
+        let sim = sparse2d(&layout, &gp, r4).dist_eliminated;
+        let native = on_native(&Sparse2d::new(&layout, &gp, r4)).dist_eliminated;
+        assert_bit_identical("grid8x8", &format!("sparse2d {r4:?}"), &sim, &native);
     }
 
     let dg = DiCsr::from_undirected(&g).permuted(&nd.perm);
-    let opts = Sparse2dOptions::default();
-    let sim = sparse2d_directed(&layout, &dg, &opts).dist_eliminated;
-    let native = on_native(&Sparse2d::new(&layout, &dg, &opts)).dist_eliminated;
+    let r4 = R4Strategy::OneToOne;
+    let sim = sparse2d_directed(&layout, &dg, r4).dist_eliminated;
+    let native = on_native(&Sparse2d::new(&layout, &dg, r4)).dist_eliminated;
     assert_bit_identical("grid8x8", "sparse2d-directed", &sim, &native);
 }
 

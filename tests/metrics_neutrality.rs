@@ -239,21 +239,19 @@ fn transport_digest() -> String {
     render_dist(&mut s, &out.dist);
 
     // the rest of the sparse2d schedule matrix: both R⁴ strategies, both
-    // orientations, empty-block compression
+    // orientations
     let nd = grid_nd(5, 5, 2);
     let layout = SupernodalLayout::from_ordering(&nd);
     let gp = g.permuted(&nd.perm);
     let dgp = asymmetric(&g).permuted(&nd.perm);
-    let seq = Sparse2dOptions { r4: R4Strategy::SequentialUnits, ..Default::default() };
-    let compress = Sparse2dOptions { compress_empty: true, ..Default::default() };
-    for (name, input, opts) in [
+    let seq = R4Strategy::SequentialUnits;
+    for (name, input, r4) in [
         ("sequential-units", Input::from(&gp), seq),
-        ("compress-empty", Input::from(&gp), compress),
-        ("directed one-to-one", Input::from(&dgp), Sparse2dOptions::default()),
+        ("directed one-to-one", Input::from(&dgp), R4Strategy::OneToOne),
         ("directed sequential-units", Input::from(&dgp), seq),
     ] {
         let _ = writeln!(s, "== sparse2d {name} recorded ==");
-        let Launched { result, scripts, .. } = recorded(&Sparse2d::new(&layout, input, &opts));
+        let Launched { result, scripts, .. } = recorded(&Sparse2d::new(&layout, input, r4));
         render_report(&mut s, &result.report);
         let _ = writeln!(s, "levels={:?}", result.level_costs());
         render_scripts(&mut s, &scripts);
@@ -262,7 +260,7 @@ fn transport_digest() -> String {
 
     // h = 3 is the smallest tree with off-diagonal R⁴ units and a transpose
     // mirror: one summary line plus a digest of the full rendering per run.
-    // The path leaves most blocks all-∞, so there compression shows.
+    // The path leaves most blocks all-∞.
     let _ = writeln!(s, "== sparse2d h=3 digests ==");
     let grid = grid2d(8, 8, WeightKind::Integer { max: 9 }, 5);
     let path = path(40, WeightKind::Integer { max: 5 }, 3);
@@ -277,25 +275,21 @@ fn transport_digest() -> String {
             for (orientation, input) in
                 [("undirected", Input::from(&gp)), ("directed", Input::from(&dgp))]
             {
-                for compress_empty in [false, true] {
-                    let opts = Sparse2dOptions { r4, compress_empty };
-                    let spec = LaunchSpec { record: true, profile: true, ..Default::default() };
-                    let Launched { result, scripts, .. } =
-                        launch(&Sparse2d::new(&layout, input, &opts), &spec)
-                            .expect("fault-free launch cannot fail");
-                    let mut full = String::new();
-                    render_report(&mut full, &result.report);
-                    let _ = writeln!(full, "level_clocks={:?}", result.level_clocks);
-                    render_scripts(&mut full, &scripts);
-                    render_dist(&mut full, &result.dist_eliminated);
-                    let summary = full.lines().next().unwrap_or_default();
-                    let _ = writeln!(
-                        s,
-                        "{label} {r4:?} {orientation} compress={compress_empty}: {summary} \
-                         digest={:016x}",
-                        fnv1a(full.as_bytes())
-                    );
-                }
+                let spec = LaunchSpec { record: true, profile: true, ..Default::default() };
+                let Launched { result, scripts, .. } =
+                    launch(&Sparse2d::new(&layout, input, r4), &spec)
+                        .expect("fault-free launch cannot fail");
+                let mut full = String::new();
+                render_report(&mut full, &result.report);
+                let _ = writeln!(full, "level_clocks={:?}", result.level_clocks);
+                render_scripts(&mut full, &scripts);
+                render_dist(&mut full, &result.dist_eliminated);
+                let summary = full.lines().next().unwrap_or_default();
+                let _ = writeln!(
+                    s,
+                    "{label} {r4:?} {orientation}: {summary} digest={:016x}",
+                    fnv1a(full.as_bytes())
+                );
             }
         }
     }

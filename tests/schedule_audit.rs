@@ -27,11 +27,12 @@ fn per_phase_message_counts_match_the_tree_combinatorics() {
     let nd = grid_nd(side, side, h);
     let layout = SupernodalLayout::from_ordering(&nd);
     let gp = g.permuted(&nd.perm);
-    let Launched { result, traces, .. } = launch(
-        &Sparse2d::new(&layout, &gp, &Sparse2dOptions::default()),
-        &LaunchSpec { trace: true, ..Default::default() },
+    let result = launch(
+        &Sparse2d::new(&layout, &gp, R4Strategy::OneToOne),
+        &LaunchSpec { profile: true, ..Default::default() },
     )
-    .expect("fault-free launch cannot fail");
+    .expect("fault-free launch cannot fail")
+    .result;
     // correctness first
     let dist = SupernodalLayout::unpermute(&result.dist_eliminated, &nd.perm);
     let reference = oracle::apsp_dijkstra(&g);
@@ -39,7 +40,8 @@ fn per_phase_message_counts_match_the_tree_combinatorics() {
 
     // measured counts per (level, phase)
     let mut measured: BTreeMap<(u32, u64), usize> = BTreeMap::new();
-    for event in traces.iter().flatten() {
+    let profile = result.report.profile.as_ref().expect("a profiled run carries its profile");
+    for event in profile.per_rank.iter().flat_map(|r| &r.events) {
         *measured.entry(decode_tag(event.tag)).or_default() += 1;
     }
 

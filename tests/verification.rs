@@ -76,11 +76,10 @@ fn sparse2d_verifies_clean_at_every_explorable_height() {
 #[test]
 fn sparse2d_option_variants_verify_clean() {
     let g = grid2d(6, 6, WeightKind::Integer { max: 5 }, 5);
-    for (r4, compress) in [(R4Strategy::OneToOne, true), (R4Strategy::SequentialUnits, false)] {
-        let config =
-            SparseApspConfig { height: 2, r4, compress_empty: compress, ..Default::default() };
+    for r4 in [R4Strategy::OneToOne, R4Strategy::SequentialUnits] {
+        let config = SparseApspConfig { height: 2, r4, ..Default::default() };
         let report = SparseApsp::new(config).verify(&g);
-        assert_clean(&report, &format!("sparse2d r4={r4:?} compress={compress}"));
+        assert_clean(&report, &format!("sparse2d r4={r4:?}"));
     }
 }
 
