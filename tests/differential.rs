@@ -120,6 +120,12 @@ fn native_backend_is_bit_identical_to_simnet() {
         );
         assert_bit_identical(
             graph_name,
+            "dcapsp cyclic",
+            &cyclic_fw(&g, 3, 2).dist,
+            &on_native(&DcApsp::cyclic(&g, 3, 2)).dist,
+        );
+        assert_bit_identical(
+            graph_name,
             "djohnson",
             &distributed_johnson(&g, 9).dist,
             &on_native(&DJohnson::new(&g, 9)).dist,

@@ -294,7 +294,45 @@ fn transport_digest() -> String {
         }
     }
 
+    // the dense baselines' corners: dc-apsp with many tiles per rank and no
+    // recursion, with two recursion levels, and fw2d on fewer vertices
+    // than grid rows (a zero-size block on every rank of the last row)
+    let _ = writeln!(s, "== dense corners: recorded and profiled digests ==");
+    let tiny = grid2d(1, 2, WeightKind::Integer { max: 9 }, 1);
+    for (kind, spec) in [
+        ("recorded", LaunchSpec { record: true, ..Default::default() }),
+        ("profiled", LaunchSpec { profile: true, ..Default::default() }),
+    ] {
+        dense_digest(
+            &mut s,
+            &format!("dcapsp cyclic(3, 2) {kind}"),
+            &DcApsp::cyclic(&g, 3, 2),
+            &spec,
+        );
+        dense_digest(&mut s, &format!("dcapsp new(2, 2) {kind}"), &DcApsp::new(&g, 2, 2), &spec);
+        dense_digest(&mut s, &format!("fw2d n=2 on 3x3 {kind}"), &Fw2d::new(&tiny, 3), &spec);
+    }
+
     s
+}
+
+/// One summary line plus a digest of a dense solver's full rendering under
+/// `spec`: report, span ledgers and events when profiled, comm scripts
+/// when recorded, distance bits.
+fn dense_digest<S: Solver<Result = DenseResult>>(
+    s: &mut String,
+    label: &str,
+    solver: &S,
+    spec: &LaunchSpec,
+) {
+    let Launched { result, scripts, .. } =
+        launch(solver, spec).expect("fault-free launch cannot fail");
+    let mut full = String::new();
+    render_report(&mut full, &result.report);
+    render_scripts(&mut full, &scripts);
+    render_dist(&mut full, &result.dist);
+    let summary = full.lines().next().unwrap_or_default();
+    let _ = writeln!(s, "{label}: {summary} digest={:016x}", fnv1a(full.as_bytes()));
 }
 
 /// The directed twin of an undirected graph: every edge keeps its weight
