@@ -20,64 +20,79 @@
 //! the dense-comparator row of Table 2 (Solomonik et al. tune the recursion
 //! depth to reach `√p log²p`; we fix a small depth, which only changes
 //! constants/log factors, and document the simplification in DESIGN.md).
+//!
+//! The recursion unrolls into a fixed list of checkpointed phases, one per
+//! SUMMA sweep and one per base case. Each phase's schedule is data:
+//! `phase_plan` writes a rank's ops over its `(T/√p)²` tiles into a `Plan`
+//! and [`crate::plan`]'s `execute` runs them.
 
 use crate::launch::{launch_plain, DenseResult, Solver};
+use crate::plan::{execute, Buf, Op, Plan};
 use apsp_graph::{Csr, DenseDist};
-use apsp_minplus::{fw_in_place, gemm, MinPlusMatrix};
+use apsp_minplus::MinPlusMatrix;
 use apsp_simnet::RunReport;
 use apsp_transport::Transport;
+use std::ops::Range;
+
+/// The tile count `n_grid · 2^depth` per dimension of a dc-apsp run on `n`
+/// vertices, or `None` when the run is not legal: an empty grid, a count
+/// that overflows, or more recursion levels than halvings of `n` (`2^depth`
+/// tiles per processor per dimension beyond `n` are all padding).
+pub fn tile_count(n: usize, n_grid: usize, depth: u32) -> Option<usize> {
+    let split = 1usize.checked_shl(depth).filter(|&split| split <= n.max(1))?;
+    n_grid.checked_mul(split).filter(|_| n_grid >= 1)
+}
 
 /// Block-cyclic geometry shared by all ranks.
 #[derive(Clone, Copy, Debug)]
-struct Cyclic {
+pub(crate) struct Cyclic {
     /// Grid side `√p`.
     ng: usize,
     /// Tile side in scalars.
     ts: usize,
     /// Tiles per dimension (`T`), a multiple of `ng`.
-    tiles: usize,
+    pub(crate) tiles: usize,
 }
 
 impl Cyclic {
-    fn new(n: usize, ng: usize, depth: u32) -> Self {
-        let tiles = ng << depth;
-        let ts = n.div_ceil(tiles).max(1);
-        Cyclic { ng, ts, tiles }
+    pub(crate) fn new(n: usize, ng: usize, depth: u32) -> Self {
+        let tiles = tile_count(n, ng, depth).unwrap_or_else(|| {
+            panic!("dc-apsp needs n_grid ≥ 1 and 2^depth ≤ n (n = {n}, n_grid = {ng}, depth = {depth})")
+        });
+        Cyclic { ng, ts: n.div_ceil(tiles).max(1), tiles }
     }
 
     /// Grid coordinates (0-based) of a rank.
-    fn coords(&self, rank: usize) -> (usize, usize) {
+    pub(crate) fn coords(&self, rank: usize) -> (usize, usize) {
         (rank / self.ng, rank % self.ng)
     }
 
-    /// Tiles of `range` owned by grid row/column index `rc` (0-based),
-    /// ascending.
-    fn owned_in(&self, range: std::ops::Range<usize>, rc: usize) -> Vec<usize> {
-        range.filter(|t| t % self.ng == rc).collect()
+    /// The rank at grid coordinates `(r, c)`.
+    pub(crate) fn rank_of(&self, (r, c): (usize, usize)) -> usize {
+        r * self.ng + c
     }
-}
 
-/// Per-rank tile storage.
-struct Tiles {
-    geo: Cyclic,
-    my_row: usize,
-    my_col: usize,
-    /// Local tiles indexed by (global_i / ng, global_j / ng).
-    data: Vec<MinPlusMatrix>,
-}
+    /// Tiles of `range` owned by grid row/column index `rc`, ascending.
+    fn owned_in(&self, range: &Range<usize>, rc: usize) -> impl Iterator<Item = usize> + Clone {
+        let ng = self.ng;
+        range.clone().filter(move |t| t % ng == rc)
+    }
 
-impl Tiles {
-    fn new(geo: Cyclic, rank: usize, g: &Csr) -> Self {
-        let (my_row, my_col) = geo.coords(rank);
-        let per_dim = geo.tiles / geo.ng;
-        let mut data = Vec::with_capacity(per_dim * per_dim);
-        let n = g.n();
-        for li in 0..per_dim {
-            for lj in 0..per_dim {
-                let (gi, gj) = (li * geo.ng + my_row, lj * geo.ng + my_col);
-                let (r0, c0) = (gi * geo.ts, gj * geo.ts);
-                let mut tile = MinPlusMatrix::empty(geo.ts, geo.ts);
-                for r in 0..geo.ts {
+    /// Every tile's side, by tile index: the block shapes `execute` reads.
+    pub(crate) fn sizes(&self) -> Vec<usize> {
+        vec![self.ts; self.tiles]
+    }
+
+    /// Rank `(row, col)`'s tiles of `g`, padded, in local order (ascending
+    /// global coordinates).
+    fn tiles_of(&self, (row, col): (usize, usize), g: &Csr) -> Vec<(Buf, MinPlusMatrix)> {
+        let (ts, n) = (self.ts, g.n());
+        let mut tiles = Vec::new();
+        for gi in self.owned_in(&(0..self.tiles), row) {
+            for gj in self.owned_in(&(0..self.tiles), col) {
+                let (r0, c0) = (gi * ts, gj * ts);
+                let mut tile = MinPlusMatrix::empty(ts, ts);
+                for r in 0..ts {
                     if gi == gj {
                         // diagonal tile: zero self-distance (padded vertices
                         // included — they stay isolated otherwise)
@@ -88,60 +103,15 @@ impl Tiles {
                         continue;
                     }
                     for (v, w) in g.edges_of(u) {
-                        if v >= c0 && v < c0 + geo.ts {
+                        if v >= c0 && v < c0 + ts {
                             tile.relax(r, v - c0, w);
                         }
                     }
                 }
-                data.push(tile);
+                tiles.push((Buf::Own(gi, gj), tile));
             }
         }
-        Tiles { geo, my_row, my_col, data }
-    }
-
-    fn local_idx(&self, gi: usize, gj: usize) -> usize {
-        debug_assert_eq!(gi % self.geo.ng, self.my_row, "tile ({gi},{gj}) not owned");
-        debug_assert_eq!(gj % self.geo.ng, self.my_col);
-        let per_dim = self.geo.tiles / self.geo.ng;
-        (gi / self.geo.ng) * per_dim + gj / self.geo.ng
-    }
-
-    fn tile(&self, gi: usize, gj: usize) -> &MinPlusMatrix {
-        &self.data[self.local_idx(gi, gj)]
-    }
-
-    fn tile_mut(&mut self, gi: usize, gj: usize) -> &mut MinPlusMatrix {
-        let idx = self.local_idx(gi, gj);
-        &mut self.data[idx]
-    }
-
-    /// Serializes the owned tiles of `rows × cols` (ascending `(i, j)`).
-    fn pack(&self, rows: &[usize], cols: &[usize]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(rows.len() * cols.len() * self.geo.ts * self.geo.ts);
-        for &i in rows {
-            for &j in cols {
-                out.extend_from_slice(self.tile(i, j).as_slice());
-            }
-        }
-        out
-    }
-}
-
-/// Deserializes a packed panel into `(tile_index → matrix)` lookups.
-struct Panel {
-    rows: Vec<usize>,
-    cols: Vec<usize>,
-    ts: usize,
-    data: Vec<f64>,
-}
-
-impl Panel {
-    fn tile(&self, i: usize, j: usize) -> MinPlusMatrix {
-        let ri = self.rows.iter().position(|&r| r == i).expect("row in panel");
-        let ci = self.cols.iter().position(|&c| c == j).expect("col in panel");
-        let words = self.ts * self.ts;
-        let off = (ri * self.cols.len() + ci) * words;
-        MinPlusMatrix::from_raw(self.ts, self.ts, self.data[off..off + words].to_vec())
+        tiles
     }
 }
 
@@ -149,264 +119,128 @@ fn tag(phase: u64, a: usize, b: usize) -> u64 {
     0xDC_0000_0000_0000 | (phase << 40) | ((a as u64) << 20) | b as u64
 }
 
-/// One SUMMA sweep: `C[rr × cc] ⊕= A[rr × kk] ⊗ B[kk × cc]` over tile
-/// ranges. Snapshots of the operand ranges are taken locally first, so
-/// aliasing with `C` (e.g. `A₁₂ ← A₁₁ ⊗ A₁₂`) is safe.
-#[allow(clippy::too_many_arguments)]
-fn summa<C: Transport>(
-    comm: &mut C,
-    t: &mut Tiles,
-    rr: std::ops::Range<usize>,
-    kk: std::ops::Range<usize>,
-    cc: std::ops::Range<usize>,
-    seq: &mut u64,
-) {
-    let geo = t.geo;
-    let ng = geo.ng;
-    let my_rows = geo.owned_in(rr.clone(), t.my_row);
-    let my_cols = geo.owned_in(cc.clone(), t.my_col);
-    // local operand snapshots (A panel slice this rank owns per step, and
-    // the B rows it owns)
-    let full_row_group: Vec<usize> = (0..ng).map(|c| t.my_row * ng + c).collect();
-    let full_col_group: Vec<usize> = (0..ng).map(|r| r * ng + t.my_col).collect();
-
-    // snapshot my owned A (rows rr) and B (rows kk) tiles to decouple from C
-    let a_snapshot: Vec<(usize, usize, MinPlusMatrix)> = {
-        let my_ks = geo.owned_in(kk.clone(), t.my_col);
-        my_rows
-            .iter()
-            .flat_map(|&i| my_ks.iter().map(move |&k| (i, k)))
-            .map(|(i, k)| (i, k, t.tile(i, k).clone()))
-            .collect()
-    };
-    let b_snapshot: Vec<(usize, usize, MinPlusMatrix)> = {
-        let my_ks = geo.owned_in(kk.clone(), t.my_row);
-        my_ks
-            .iter()
-            .flat_map(|&k| my_cols.iter().map(move |&j| (k, j)))
-            .map(|(k, j)| (k, j, t.tile(k, j).clone()))
-            .collect()
-    };
-
-    *seq += 1;
-    let s0 = *seq;
-    let mut summa_span = comm.span("summa", s0);
-    let comm: &mut C = &mut summa_span;
-    for step in 0..ng {
-        // panel of A: k-tiles owned by processor column `step`
-        let step_ks = geo.owned_in(kk.clone(), step);
-        let a_root = t.my_row * ng + step;
-        let a_payload = (t.my_col == step).then(|| {
-            let mut out = Vec::new();
-            for &i in &my_rows {
-                for &k in &step_ks {
-                    let tile = a_snapshot
-                        .iter()
-                        .find(|&&(ti, tk, _)| ti == i && tk == k)
-                        .map(|(_, _, m)| m)
-                        .expect("own A tile");
-                    out.extend_from_slice(tile.as_slice());
-                }
-            }
-            out
-        });
-        let a_rows = geo.owned_in(rr.clone(), t.my_row);
-        let a_data = comm.bcast(&full_row_group, a_root, tag(1, s0 as usize, step), a_payload);
-        comm.alloc(a_data.len());
-        let a_panel = Panel { rows: a_rows, cols: step_ks.clone(), ts: geo.ts, data: a_data };
-
-        // panel of B: k-tiles owned by processor row `step`
-        let b_root = step * ng + t.my_col;
-        let b_ks = geo.owned_in(kk.clone(), step);
-        let b_payload = (t.my_row == step).then(|| {
-            let mut out = Vec::new();
-            for &k in &b_ks {
-                for &j in &my_cols {
-                    let tile = b_snapshot
-                        .iter()
-                        .find(|&&(tk, tj, _)| tk == k && tj == j)
-                        .map(|(_, _, m)| m)
-                        .expect("own B tile");
-                    out.extend_from_slice(tile.as_slice());
-                }
-            }
-            out
-        });
-        let b_data = comm.bcast(&full_col_group, b_root, tag(2, s0 as usize, step), b_payload);
-        comm.alloc(b_data.len());
-        let b_panel = Panel { rows: b_ks, cols: my_cols.clone(), ts: geo.ts, data: b_data };
-
-        // local multiply-accumulate
-        let mut ops = 0u64;
-        for &i in &my_rows {
-            for &k in &a_panel.cols.clone() {
-                let a_tile = a_panel.tile(i, k);
-                if a_tile.is_empty_block() {
-                    continue;
-                }
-                for &j in &my_cols {
-                    let b_tile = b_panel.tile(k, j);
-                    ops += gemm(t.tile_mut(i, j), &a_tile, &b_tile);
-                }
-            }
-        }
-        comm.compute(ops);
-        comm.release(a_panel.data.len());
-        comm.release(b_panel.data.len());
-    }
+/// One checkpointed phase of the divide-and-conquer recursion.
+#[derive(Clone, Debug)]
+pub(crate) enum Phase {
+    /// Tile-pivot blocked FW over `range × range` — the base case.
+    BaseFw(Range<usize>),
+    /// One SUMMA sweep `C[rr × cc] ⊕= A[rr × kk] ⊗ B[kk × cc]`.
+    Summa { rr: Range<usize>, kk: Range<usize>, cc: Range<usize> },
 }
 
-/// Tile-pivot blocked FW over `range × range` — the recursion base case.
-fn base_fw<C: Transport>(
-    comm: &mut C,
-    t: &mut Tiles,
-    range: std::ops::Range<usize>,
-    seq: &mut u64,
-) {
-    let mut fw_span = comm.span("base-fw", range.start as u64);
-    let comm: &mut C = &mut fw_span;
-    let geo = t.geo;
-    let ng = geo.ng;
-    let full_row_group: Vec<usize> = (0..ng).map(|c| t.my_row * ng + c).collect();
-    let full_col_group: Vec<usize> = (0..ng).map(|r| r * ng + t.my_col).collect();
-    let my_rows = geo.owned_in(range.clone(), t.my_row);
-    let my_cols = geo.owned_in(range.clone(), t.my_col);
-
-    for k in range.clone() {
-        *seq += 1;
-        let s = *seq as usize;
-        let (kr, kc) = (k % ng, k % ng);
-        // close the pivot tile
-        if t.my_row == kr && t.my_col == kc {
-            let ops = fw_in_place(t.tile_mut(k, k));
-            comm.compute(ops);
-        }
-        // pivot down its processor column, update column panel tiles
-        let piv_owner = kr * ng + kc;
-        if t.my_col == kc {
-            let payload = (comm.rank() == piv_owner).then(|| t.tile(k, k).as_slice().to_vec());
-            let data = comm.bcast(&full_col_group, piv_owner, tag(3, s, k), payload);
-            comm.alloc(data.len());
-            let akk = MinPlusMatrix::from_raw(geo.ts, geo.ts, data);
-            let mut ops = 0;
-            for &i in &my_rows {
-                if i == k && comm.rank() == piv_owner {
-                    continue;
-                }
-                let snapshot = t.tile(i, k).clone();
-                ops += gemm(t.tile_mut(i, k), &snapshot, &akk);
-            }
-            comm.compute(ops);
-            comm.release(akk.words());
-        }
-        // pivot along its processor row, update row panel tiles
-        if t.my_row == kr {
-            let payload = (comm.rank() == piv_owner).then(|| t.tile(k, k).as_slice().to_vec());
-            let data = comm.bcast(&full_row_group, piv_owner, tag(4, s, k), payload);
-            comm.alloc(data.len());
-            let akk = MinPlusMatrix::from_raw(geo.ts, geo.ts, data);
-            let mut ops = 0;
-            for &j in &my_cols {
-                if j == k {
-                    continue;
-                }
-                let snapshot = t.tile(k, j).clone();
-                ops += gemm(t.tile_mut(k, j), &akk, &snapshot);
-            }
-            comm.compute(ops);
-            comm.release(akk.words());
-        }
-        // column panel broadcasts along rows
-        let a_root = t.my_row * ng + kc;
-        let a_payload = (t.my_col == kc).then(|| t.pack(&my_rows, &[k]));
-        let a_data = comm.bcast(&full_row_group, a_root, tag(5, s, k), a_payload);
-        comm.alloc(a_data.len());
-        let a_panel = Panel { rows: my_rows.clone(), cols: vec![k], ts: geo.ts, data: a_data };
-        // row panel broadcasts down columns
-        let b_root = kr * ng + t.my_col;
-        let b_payload = (t.my_row == kr).then(|| t.pack(&[k], &my_cols));
-        let b_data = comm.bcast(&full_col_group, b_root, tag(6, s, k), b_payload);
-        comm.alloc(b_data.len());
-        let b_panel = Panel { rows: vec![k], cols: my_cols.clone(), ts: geo.ts, data: b_data };
-        // outer product
-        let mut ops = 0;
-        for &i in &my_rows {
-            if i == k {
-                continue; // row panel already updated against the closed pivot
-            }
-            let a_tile = a_panel.tile(i, k);
-            if a_tile.is_empty_block() {
-                continue;
-            }
-            for &j in &my_cols {
-                if j == k {
-                    continue; // column panel already updated
-                }
-                let b_tile = b_panel.tile(k, j);
-                ops += gemm(t.tile_mut(i, j), &a_tile, &b_tile);
-            }
-        }
-        comm.compute(ops);
-        comm.release(a_panel.data.len());
-        comm.release(b_panel.data.len());
-    }
-}
-
-/// Runs one SUMMA sweep or base-FW call as a checkpointable phase: the
-/// body executes only when the supervisor has not already restored past
-/// this boundary, and the full local tile set is the phase state committed
-/// at the end. Skipping is SPMD-uniform (every rank shares the boundary
-/// counter), so `seq`-derived tags stay consistent across ranks.
-fn checkpointed<C, F>(comm: &mut C, t: &mut Tiles, body: F)
-where
-    C: Transport,
-    F: FnOnce(&mut C, &mut Tiles),
-{
-    if comm.phase_live() {
-        body(comm, t);
-    }
-    let packed = {
-        let mut out = Vec::with_capacity(t.data.iter().map(|m| m.words()).sum());
-        for m in &t.data {
-            out.extend_from_slice(m.as_slice());
-        }
-        out
-    };
-    let state = comm.commit_phase(packed);
-    let ts = t.geo.ts;
-    for (tile, chunk) in t.data.iter_mut().zip(state.chunks_exact(ts * ts)) {
-        *tile = MinPlusMatrix::from_raw(ts, ts, chunk.to_vec());
-    }
-}
-
-/// The divide-and-conquer recursion over a tile range.
-fn dc<C: Transport>(
-    comm: &mut C,
-    t: &mut Tiles,
-    range: std::ops::Range<usize>,
-    depth: u32,
-    seq: &mut u64,
-) {
+/// Appends the recursion over `range` to `out`, phase by phase.
+pub(crate) fn phases(range: Range<usize>, depth: u32, out: &mut Vec<Phase>) {
     if depth == 0 {
-        checkpointed(comm, t, |c, t| base_fw(c, t, range, seq));
+        out.push(Phase::BaseFw(range));
         return;
     }
     let mid = range.start + range.len() / 2;
     let (r1, r2) = (range.start..mid, mid..range.end);
-    // APSP(A11)
-    dc(comm, t, r1.clone(), depth - 1, seq);
-    // A12 ← A11 ⊗ A12 ; A21 ← A21 ⊗ A11
-    checkpointed(comm, t, |c, t| summa(c, t, r1.clone(), r1.clone(), r2.clone(), seq));
-    checkpointed(comm, t, |c, t| summa(c, t, r2.clone(), r1.clone(), r1.clone(), seq));
-    // A22 ⊕= A21 ⊗ A12
-    checkpointed(comm, t, |c, t| summa(c, t, r2.clone(), r1.clone(), r2.clone(), seq));
-    // APSP(A22)
-    dc(comm, t, r2.clone(), depth - 1, seq);
-    // A12 ← A12 ⊗ A22 ; A21 ← A22 ⊗ A21
-    checkpointed(comm, t, |c, t| summa(c, t, r1.clone(), r2.clone(), r2.clone(), seq));
-    checkpointed(comm, t, |c, t| summa(c, t, r2.clone(), r2.clone(), r1.clone(), seq));
-    // A11 ⊕= A12 ⊗ A21
-    checkpointed(comm, t, |c, t| summa(c, t, r1.clone(), r2.clone(), r1.clone(), seq));
+    let summa = |rr: &Range<usize>, kk: &Range<usize>, cc: &Range<usize>| Phase::Summa {
+        rr: rr.clone(),
+        kk: kk.clone(),
+        cc: cc.clone(),
+    };
+    // APSP(A11); A12 ← A11 ⊗ A12; A21 ← A21 ⊗ A11; A22 ⊕= A21 ⊗ A12
+    phases(r1.clone(), depth - 1, out);
+    out.extend([summa(&r1, &r1, &r2), summa(&r2, &r1, &r1), summa(&r2, &r1, &r2)]);
+    // APSP(A22); A12 ← A12 ⊗ A22; A21 ← A22 ⊗ A21; A11 ⊕= A12 ⊗ A21
+    phases(r2.clone(), depth - 1, out);
+    out.extend([summa(&r1, &r2, &r2), summa(&r2, &r2, &r1), summa(&r1, &r2, &r1)]);
+}
+
+/// Writes grid rank `(row, col)`'s ops for `phase` into `plan` and returns
+/// the phase's span. `seq` numbers the SUMMA sweeps and base-case pivots
+/// run so far, which the tags carry.
+pub(crate) fn phase_plan(
+    geo: &Cyclic,
+    phase: &Phase,
+    (row, col): (usize, usize),
+    seq: &mut u64,
+    plan: &mut Plan,
+) -> (&'static str, u64) {
+    use Buf::{Got, Own, Snap};
+    let ng = geo.ng;
+    let row_group = || (0..ng).map(move |c| geo.rank_of((row, c)));
+    let col_group = || (0..ng).map(move |r| geo.rank_of((r, col)));
+    plan.clear();
+    match *phase {
+        Phase::Summa { ref rr, ref kk, ref cc } => {
+            *seq += 1;
+            let s = *seq as usize;
+            let (rows, cols) = (geo.owned_in(rr, row), geo.owned_in(cc, col));
+            let a = |ks: Range<usize>, step| {
+                let ks = geo.owned_in(&ks, step);
+                rows.clone().flat_map(move |i| ks.clone().map(move |k| (i, k)))
+            };
+            let b = |ks: Range<usize>, step| {
+                let cols = cols.clone();
+                geo.owned_in(&ks, step).flat_map(move |k| cols.clone().map(move |j| (k, j)))
+            };
+            // the operand tiles this rank sends, copied before the sweep
+            // updates any tile (its output may alias an operand)
+            let mine = a(kk.clone(), col).chain(b(kk.clone(), row));
+            let snaps = plan.list(mine.map(|(i, j)| Snap(i, j)));
+            plan.ops.push(Op::Snapshot(snaps));
+            for step in 0..ng {
+                let a_root = geo.rank_of((row, step));
+                let a_tiles = a(kk.clone(), step).map(|(i, k)| Snap(i, k));
+                plan.broadcast(row_group(), a_root, tag(1, s, step), a_tiles, true);
+                let b_root = geo.rank_of((step, col));
+                let b_tiles = b(kk.clone(), step).map(|(k, j)| Snap(k, j));
+                plan.broadcast(col_group(), b_root, tag(2, s, step), b_tiles, true);
+                for (i, k) in a(kk.clone(), step) {
+                    for j in cols.clone() {
+                        plan.ops.push(Op::Gemm { out: Own(i, j), a: Got(i, k), b: Got(k, j) });
+                    }
+                }
+                plan.ops.extend(a(kk.clone(), step).map(|(i, k)| Op::Release(Got(i, k))));
+                plan.ops.extend(b(kk.clone(), step).map(|(k, j)| Op::Release(Got(k, j))));
+            }
+            ("summa", *seq)
+        }
+        Phase::BaseFw(ref range) => {
+            let (rows, cols) = (geo.owned_in(range, row), geo.owned_in(range, col));
+            for k in range.clone() {
+                *seq += 1;
+                let s = *seq as usize;
+                let pivot = k % ng;
+                let pivot_rank = geo.rank_of((pivot, pivot));
+                if (row, col) == (pivot, pivot) {
+                    plan.ops.push(Op::Close(Own(k, k)));
+                }
+                // the closed pivot goes down its processor column, where
+                // the column panel updates against it, then along its row
+                if col == pivot {
+                    plan.broadcast(col_group(), pivot_rank, tag(3, s, k), [Own(k, k)], true);
+                    let update = |i| Op::Gemm { out: Own(i, k), a: Own(i, k), b: Got(k, k) };
+                    plan.ops.extend(rows.clone().filter(|&i| i != k).map(update));
+                    plan.ops.push(Op::Release(Got(k, k)));
+                }
+                if row == pivot {
+                    plan.broadcast(row_group(), pivot_rank, tag(4, s, k), [Own(k, k)], true);
+                    let update = |j| Op::Gemm { out: Own(k, j), a: Got(k, k), b: Own(k, j) };
+                    plan.ops.extend(cols.clone().filter(|&j| j != k).map(update));
+                    plan.ops.push(Op::Release(Got(k, k)));
+                }
+                // column panel tiles along the rows, row panel tiles down
+                // the columns; their product updates every tile off the
+                // pivot's row and column
+                let a_tiles = rows.clone().map(|i| Own(i, k));
+                plan.broadcast(row_group(), geo.rank_of((row, pivot)), tag(5, s, k), a_tiles, true);
+                let b_tiles = cols.clone().map(|j| Own(k, j));
+                plan.broadcast(col_group(), geo.rank_of((pivot, col)), tag(6, s, k), b_tiles, true);
+                for i in rows.clone().filter(|&i| i != k) {
+                    for j in cols.clone().filter(|&j| j != k) {
+                        plan.ops.push(Op::Gemm { out: Own(i, j), a: Got(i, k), b: Got(k, j) });
+                    }
+                }
+                plan.ops.extend(rows.clone().map(|i| Op::Release(Got(i, k))));
+                plan.ops.extend(cols.clone().map(|j| Op::Release(Got(k, j))));
+            }
+            ("base-fw", range.start as u64)
+        }
+    }
 }
 
 /// 2D-DC-APSP as a [`Solver`] on an `n_grid × n_grid` grid: block-cyclic
@@ -450,14 +284,35 @@ impl Solver for DcApsp<'_> {
     }
 
     /// Builds the local block-cyclic tiles and runs the divide-and-conquer
-    /// recursion over them.
+    /// recursion over them, one checkpointed phase per SUMMA sweep and base
+    /// case. Skipping a phase is SPMD-uniform (every rank shares the
+    /// boundary counter), so the `seq`-derived tags stay consistent across
+    /// ranks.
     fn rank_program<C: Transport>(&self, comm: &mut C) -> Vec<MinPlusMatrix> {
-        let mut t = Tiles::new(self.geo, comm.rank(), self.g);
-        let words: usize = t.data.iter().map(|m| m.words()).sum();
-        comm.alloc(words);
-        let mut seq = 0u64;
-        dc(comm, &mut t, 0..self.geo.tiles, self.rec_depth, &mut seq);
-        t.data
+        let geo = self.geo;
+        let me = geo.coords(comm.rank());
+        let mut bufs = geo.tiles_of(me, self.g);
+        let own = bufs.len();
+        comm.alloc(bufs.iter().map(|(_, m)| m.words()).sum());
+        let (mut plan, mut seq, sizes, mut all) = (Plan::default(), 0, geo.sizes(), Vec::new());
+        phases(0..geo.tiles, self.rec_depth, &mut all);
+        for phase in &all {
+            if comm.phase_live() {
+                let (name, tag) = phase_plan(&geo, phase, me, &mut seq, &mut plan);
+                let mut span = comm.span(name, tag);
+                execute(&mut *span, &plan.ops, &plan, &sizes, &mut bufs);
+            }
+            debug_assert_eq!(bufs.len(), own, "a phase ended holding buffers");
+            let mut packed = Vec::with_capacity(own * geo.ts * geo.ts);
+            for (_, tile) in &bufs {
+                packed.extend_from_slice(tile.as_slice());
+            }
+            let state = comm.commit_phase(packed);
+            for ((_, tile), chunk) in bufs.iter_mut().zip(state.chunks_exact(geo.ts * geo.ts)) {
+                *tile = MinPlusMatrix::from_raw(geo.ts, geo.ts, chunk.to_vec());
+            }
+        }
+        bufs.into_iter().map(|(_, tile)| tile).collect()
     }
 
     /// Places every rank's tiles and crops the padding.
@@ -531,6 +386,19 @@ mod tests {
     fn larger_grid() {
         let g = generators::grid2d(7, 7, WeightKind::Integer { max: 4 }, 5);
         check(&g, 7, 1);
+    }
+
+    #[test]
+    fn tile_count_bounds_the_recursion_by_the_input() {
+        assert_eq!(tile_count(10, 3, 1), Some(6), "padding_does_not_leak's 6 tiles");
+        assert_eq!(tile_count(4, 3, 2), Some(12), "2^depth = n is legal");
+        assert_eq!(tile_count(2, 3, 0), Some(3), "no recursion is legal for any n");
+        assert_eq!(tile_count(0, 1, 0), Some(1));
+        assert_eq!(tile_count(4, 3, 3), None, "8 tiles per processor row on 4 vertices");
+        assert_eq!(tile_count(100, 7, 40), None, "2^40 tiles per processor row");
+        assert_eq!(tile_count(10, 0, 0), None, "an empty grid");
+        assert_eq!(tile_count(usize::MAX, 1, 64), None, "2^64 overflows");
+        assert_eq!(tile_count(usize::MAX, usize::MAX, 1), None, "n_grid·2 overflows");
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //! `√p` pivot iterations each broadcast the closed pivot block and the two
 //! panels, so the costs are `L = Θ(√p · log p)` and `B = Θ(n²/√p · log p)`
 //! — the dense-regime shape every row of Table 2 compares against.
+//!
+//! Each pivot round is one checkpointed phase whose schedule is data:
+//! `round_plan` writes a rank's ops for the round into a `Plan` and
+//! [`crate::plan`]'s `execute` runs them.
 
 use crate::launch::{launch_plain, DenseResult, Solver};
+use crate::plan::{execute, Buf, Op, Plan};
 use apsp_graph::{Csr, DenseDist};
-use apsp_minplus::{fw_in_place, gemm, MinPlusMatrix};
+use apsp_minplus::MinPlusMatrix;
 use apsp_simnet::RunReport;
 use apsp_transport::Transport;
 
@@ -19,34 +24,33 @@ pub fn balanced_sizes(n: usize, parts: usize) -> Vec<usize> {
     (0..parts).map(|i| q + usize::from(i < r)).collect()
 }
 
-struct Grid {
+pub(crate) struct Grid {
     n_grid: usize,
-    sizes: Vec<usize>,
+    /// Block sizes by label `1..=n_grid` (`[0]` is unused).
+    pub(crate) sizes: Vec<usize>,
+    /// `offsets[k]` is where block `k` ends.
     offsets: Vec<usize>,
 }
 
 impl Grid {
-    fn new(n: usize, n_grid: usize) -> Self {
-        let sizes = balanced_sizes(n, n_grid);
-        let mut offsets = vec![0];
-        let mut acc = 0;
-        for &s in &sizes {
-            acc += s;
-            offsets.push(acc);
-        }
+    pub(crate) fn new(n: usize, n_grid: usize) -> Self {
+        let sizes: Vec<usize> = std::iter::once(0).chain(balanced_sizes(n, n_grid)).collect();
+        let offsets = sizes
+            .iter()
+            .scan(0, |end, &s| {
+                *end += s;
+                Some(*end)
+            })
+            .collect();
         Grid { n_grid, sizes, offsets }
     }
 
-    fn rank_of(&self, i: usize, j: usize) -> usize {
+    pub(crate) fn rank_of(&self, i: usize, j: usize) -> usize {
         (i - 1) * self.n_grid + (j - 1)
     }
 
-    fn block_of(&self, rank: usize) -> (usize, usize) {
+    pub(crate) fn block_of(&self, rank: usize) -> (usize, usize) {
         (rank / self.n_grid + 1, rank % self.n_grid + 1)
-    }
-
-    fn size(&self, k: usize) -> usize {
-        self.sizes[k - 1]
     }
 
     fn range(&self, k: usize) -> std::ops::Range<usize> {
@@ -76,104 +80,66 @@ fn tag(t: usize, phase: u64, aux: usize) -> u64 {
     0xF_0000_0000_0000 | ((t as u64) << 32) | (phase << 24) | aux as u64
 }
 
+/// Writes rank `(bi, bj)`'s ops for pivot round `t` into `plan`. The pivot
+/// closes `A(t,t)` and broadcasts it down column `t` (every member keeps a
+/// copy, the pivot's own until the row broadcast is done) and along row
+/// `t`, where the panels update against it. Then panel `A(i,t)` goes along
+/// row `i` and `A(t,j)` down column `j`, and every block off the pivot
+/// cross multiplies the two it receives.
+pub(crate) fn round_plan(grid: &Grid, t: usize, (bi, bj): (usize, usize), plan: &mut Plan) {
+    use Buf::{Got, Own};
+    let column = |j| (1..=grid.n_grid).map(move |i| grid.rank_of(i, j));
+    let row = |i| (1..=grid.n_grid).map(move |j| grid.rank_of(i, j));
+    let (pivot, block) = (grid.rank_of(t, t), Own(bi, bj));
+    plan.clear();
+    if (bi, bj) == (t, t) {
+        plan.ops.push(Op::Close(block));
+    }
+    if bj == t {
+        plan.broadcast(column(t), pivot, tag(t, 1, 0), [Own(t, t)], true);
+        if bi != t {
+            plan.ops.push(Op::Gemm { out: block, a: block, b: Got(t, t) });
+        }
+    }
+    if bi == t {
+        plan.broadcast(row(t), pivot, tag(t, 2, 0), [Own(t, t)], bj != t);
+        if bj != t {
+            let update = Op::Gemm { out: block, a: Got(t, t), b: block };
+            plan.ops.extend([update, Op::Release(Got(t, t))]);
+        }
+    }
+    if bj == t {
+        plan.ops.push(Op::Release(Got(t, t)));
+    }
+    plan.broadcast(row(bi), grid.rank_of(bi, t), tag(t, 3, bi), [Own(bi, t)], true);
+    plan.broadcast(column(bj), grid.rank_of(t, bj), tag(t, 4, bj), [Own(t, bj)], true);
+    if bi != t && bj != t {
+        plan.ops.push(Op::Gemm { out: block, a: Got(bi, t), b: Got(t, bj) });
+    }
+    plan.ops.extend([Op::Release(Got(bi, t)), Op::Release(Got(t, bj))]);
+}
+
 fn rank_program<C: Transport>(comm: &mut C, grid: &Grid, g: &Csr) -> Vec<f64> {
-    let n_grid = grid.n_grid;
     let (bi, bj) = grid.block_of(comm.rank());
-    let mut block = grid.extract(g, bi, bj);
+    let block = grid.extract(g, bi, bj);
     comm.alloc(block.words());
-
-    let full_col: Vec<usize> = (1..=n_grid).map(|i| grid.rank_of(i, bj)).collect();
-    let full_row: Vec<usize> = (1..=n_grid).map(|j| grid.rank_of(bi, j)).collect();
-
-    for t in 1..=n_grid {
+    let (mut plan, mut bufs) = (Plan::default(), vec![(Buf::Own(bi, bj), block)]);
+    for t in 1..=grid.n_grid {
         // each pivot round is a checkpointable phase: skipped wholesale
         // when a restored checkpoint already covers it
         if comm.phase_live() {
-            pivot_round(comm, grid, &mut block, t, bi, bj, &full_col, &full_row);
+            round_plan(grid, t, (bi, bj), &mut plan);
+            let mut round = comm.span("pivot", t as u64);
+            execute(&mut *round, &plan.ops, &plan, &grid.sizes, &mut bufs);
         }
+        let block = &mut bufs[0].1;
         let (rows, cols) = (block.rows(), block.cols());
         let state =
-            comm.commit_phase(std::mem::replace(&mut block, MinPlusMatrix::empty(0, 0)).into_vec());
-        block = MinPlusMatrix::from_raw(rows, cols, state);
+            comm.commit_phase(std::mem::replace(block, MinPlusMatrix::empty(0, 0)).into_vec());
+        *block = MinPlusMatrix::from_raw(rows, cols, state);
     }
-
+    let (_, block) = bufs.pop().expect("the rank's block");
     block.into_vec()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn pivot_round<C: Transport>(
-    comm: &mut C,
-    grid: &Grid,
-    block: &mut MinPlusMatrix,
-    t: usize,
-    bi: usize,
-    bj: usize,
-    full_col: &[usize],
-    full_row: &[usize],
-) {
-    {
-        let mut pivot_span = comm.span("pivot", t as u64);
-        let comm: &mut C = &mut pivot_span;
-        // pivot closure
-        if bi == t && bj == t {
-            let ops = fw_in_place(block);
-            comm.compute(ops);
-        }
-        // pivot broadcast down column t
-        let mut akk: Option<MinPlusMatrix> = None;
-        if bj == t {
-            let payload = (bi == t).then(|| block.as_slice().to_vec());
-            let data = comm.bcast(full_col, grid.rank_of(t, t), tag(t, 1, 0), payload);
-            comm.alloc(data.len());
-            let pivot = MinPlusMatrix::from_raw(grid.size(t), grid.size(t), data);
-            if bi != t {
-                // column panel update: A(i,t) ⊕= A(i,t) ⊗ A(t,t)*
-                let snapshot = block.clone();
-                let ops = gemm(block, &snapshot, &pivot);
-                comm.compute(ops);
-            }
-            akk = Some(pivot);
-        }
-        // pivot broadcast along row t
-        if bi == t {
-            let payload = (bj == t).then(|| block.as_slice().to_vec());
-            let data = comm.bcast(full_row, grid.rank_of(t, t), tag(t, 2, 0), payload);
-            if bj != t {
-                comm.alloc(data.len());
-                let akk_row = MinPlusMatrix::from_raw(grid.size(t), grid.size(t), data);
-                // row panel update: A(t,j) ⊕= A(t,t)* ⊗ A(t,j)
-                let snapshot = block.clone();
-                let ops = gemm(block, &akk_row, &snapshot);
-                comm.compute(ops);
-                comm.release(akk_row.words());
-            }
-        }
-        if let Some(a) = akk.take() {
-            comm.release(a.words());
-        }
-
-        // column panel A(i,t) broadcasts along row i (all rows in parallel)
-        let aik = {
-            let payload = (bj == t).then(|| block.as_slice().to_vec());
-            let data = comm.bcast(full_row, grid.rank_of(bi, t), tag(t, 3, bi), payload);
-            comm.alloc(data.len());
-            MinPlusMatrix::from_raw(grid.size(bi), grid.size(t), data)
-        };
-        // row panel A(t,j) broadcasts down column j
-        let akj = {
-            let payload = (bi == t).then(|| block.as_slice().to_vec());
-            let data = comm.bcast(full_col, grid.rank_of(t, bj), tag(t, 4, bj), payload);
-            comm.alloc(data.len());
-            MinPlusMatrix::from_raw(grid.size(t), grid.size(bj), data)
-        };
-        // min-plus outer product everywhere off the pivot cross
-        if bi != t && bj != t {
-            let ops = gemm(block, &aik, &akj);
-            comm.compute(ops);
-        }
-        comm.release(aik.words());
-        comm.release(akj.words());
-    }
 }
 
 /// Dense blocked Floyd–Warshall as a [`Solver`] on an `n_grid × n_grid`
@@ -188,7 +154,7 @@ pub struct Fw2d<'a> {
 impl<'a> Fw2d<'a> {
     /// The solver for `g` on an `n_grid × n_grid` grid.
     pub fn new(g: &'a Csr, n_grid: usize) -> Self {
-        assert!(n_grid >= 1);
+        assert!(n_grid >= 1, "fw2d needs an n_grid of at least 1");
         Fw2d { g, grid: Grid::new(g.n(), n_grid) }
     }
 }

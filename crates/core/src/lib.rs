@@ -31,6 +31,7 @@ pub mod dnd;
 pub mod driver;
 pub mod fw2d;
 pub mod launch;
+mod plan;
 pub mod solved;
 pub mod sparse2d;
 pub mod superfw;

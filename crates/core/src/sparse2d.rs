@@ -54,13 +54,13 @@
 //! for every rank of machines up to `p = 3 969` without starting a thread.
 
 use crate::launch::{launch_plain, Solver};
+use crate::plan::{execute, Buf, Op, Plan};
 use crate::supernodal::SupernodalLayout;
 use apsp_etree::{mapping, SchedTree};
 use apsp_graph::{Csr, DenseDist, DiCsr};
-use apsp_minplus::{fw_in_place, gemm, MinPlusMatrix};
+use apsp_minplus::MinPlusMatrix;
 use apsp_simnet::{Clocks, RunReport};
 use apsp_transport::Transport;
-use std::ops::Range;
 
 /// How the `R⁴` computing units are scheduled (§5.2.2).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -148,73 +148,6 @@ fn along<T>(row: bool, x: T, y: T) -> (T, T) {
     }
 }
 
-/// A buffer an [`Op`] reads or writes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Buf {
-    /// This rank's block `A(bi, bj)`.
-    Block,
-    /// A received copy of block `A(i, j)`.
-    Got(usize, usize),
-    /// A worker's product `A(i,k) ⊗ A(k,j)` for its unit's block `(i, j)`.
-    Fwd,
-    /// A directed worker's product `A(j,k) ⊗ A(k,i)` for block `(j, i)`.
-    Bwd,
-}
-
-/// One step of a rank's level schedule. Every payload a rank sends is its
-/// own block; everything it receives lands in a [`Buf`].
-#[derive(Debug)]
-enum Op {
-    /// `R¹`: close the diagonal pivot block in place.
-    Close,
-    /// Join the broadcast of the root's block; keep the payload as `keep`.
-    Bcast { group: Range<usize>, root: usize, tag: u64, keep: Option<Buf> },
-    /// Receive a panel point to point into `into`.
-    Recv { from: usize, tag: u64, into: Buf },
-    /// Send the block point to point.
-    Send { to: usize, tag: u64 },
-    /// Replace the block with the transpose of the partner's block.
-    Mirror { from: usize, tag: u64 },
-    /// `out ⊕= a ⊗ b`. A product output starts all-`∞`; an operand that is
-    /// the block itself is read from a snapshot taken before the update.
-    Gemm { out: Buf, a: Buf, b: Buf },
-    /// `⊕`-reduce `from` (the identity when `None`) for block `target` to
-    /// the root, which folds the result into its block.
-    Reduce { group: Range<usize>, root: usize, tag: u64, target: (usize, usize), from: Option<Buf> },
-    /// Free a received panel or a product.
-    Release(Buf),
-}
-
-/// A rank's schedule for one level: its ops in order, and the members of
-/// its collectives stored back to back (an op's `group` indexes
-/// `members`). One plan per rank is reused by every level, so building
-/// one allocates nothing once the buffers have grown.
-#[derive(Default)]
-struct Plan {
-    ops: Vec<Op>,
-    members: Vec<usize>,
-}
-
-impl Plan {
-    /// Stores a collective's members, ascending and without duplicates —
-    /// the order every member derives the same tree from.
-    fn group(&mut self, ranks: impl Iterator<Item = usize>) -> Range<usize> {
-        let start = self.members.len();
-        self.members.extend(ranks);
-        let group = &mut self.members[start..];
-        group.sort_unstable();
-        let mut len = 0;
-        for i in 0..group.len() {
-            if len == 0 || group[i] != group[len - 1] {
-                group[len] = group[i];
-                len += 1;
-            }
-        }
-        self.members.truncate(start + len);
-        start..start + len
-    }
-}
-
 /// The distinct `Some` keys in ascending order: a rank's roles in one
 /// `R⁴` phase, each keyed by the block it moves.
 fn roles<const N: usize>(
@@ -230,7 +163,7 @@ fn roles<const N: usize>(
 /// `plan.ops`. Ops run in this order on the rank; every rank of a
 /// collective reaches it through the same (region, phase, key) order,
 /// which is what keeps the wait-for graph acyclic (`docs/ALGORITHM.md`).
-fn level_plan(
+pub(crate) fn level_plan(
     layout: &SupernodalLayout,
     l: u32,
     (bi, bj): (usize, usize),
@@ -238,16 +171,15 @@ fn level_plan(
     r4: R4Strategy,
     plan: &mut Plan,
 ) -> [usize; 4] {
-    use Buf::{Block, Got};
+    use Buf::{Got, Own};
     let t = layout.tree();
     let rank = |(i, j): (usize, usize)| layout.rank_of_block(i, j);
-    let related = t.related(bi, bj);
-    plan.ops.clear();
-    plan.members.clear();
+    let (related, block) = (t.related(bi, bj), Own(bi, bj));
+    plan.clear();
 
     // R¹: the diagonal pivot closes itself
     if bi == bj && t.level(bi) == l {
-        plan.ops.push(Op::Close);
+        plan.ops.push(Op::Close(block));
     }
     let r1 = plan.ops.len();
 
@@ -256,12 +188,11 @@ fn level_plan(
     for (phase, row) in [(1, false), (2, true)] {
         let (k, other) = along(row, bi, bj);
         if t.level(k) == l && related {
-            let keep = (other != k).then_some(Got(k, k));
-            let group = plan.group(rel_with_self(t, k).map(|x| rank(along(row, k, x))));
-            plan.ops.push(Op::Bcast { group, root: rank((k, k)), tag: tag(l, phase, k, 0), keep });
-            if keep.is_some() {
-                let (a, b) = along(row, Got(k, k), Block);
-                plan.ops.extend([Op::Gemm { out: Block, a, b }, Op::Release(Got(k, k))]);
+            let ranks = rel_with_self(t, k).map(|x| rank(along(row, k, x)));
+            plan.broadcast(ranks, rank((k, k)), tag(l, phase, k, 0), [Own(k, k)], other != k);
+            if other != k {
+                let (a, b) = along(row, Got(k, k), block);
+                plan.ops.extend([Op::Gemm { out: block, a, b }, Op::Release(Got(k, k))]);
             }
         }
     }
@@ -278,19 +209,16 @@ fn level_plan(
             // above it only k's descendants (ancestor × ancestor is R⁴);
             // labels ascend, so those come first, then k — the root
             let below = t.level(line) < l;
-            let group = plan.group(
-                rel_with_self(t, k)
-                    .take_while(|&x| below || x <= k)
-                    .map(|x| rank(along(row, line, x))),
-            );
-            let root = rank(along(row, line, k));
-            let keep = r3k.map(|_| along(row, line, k)).map(|(i, j)| Got(i, j));
-            plan.ops.push(Op::Bcast { group, root, tag: tag(l, phase, k, line), keep });
+            let ranks = rel_with_self(t, k)
+                .take_while(|&x| below || x <= k)
+                .map(|x| rank(along(row, line, x)));
+            let (i, j) = along(row, line, k);
+            plan.broadcast(ranks, rank((i, j)), tag(l, phase, k, line), [Own(i, j)], r3k.is_some());
         }
     }
     if let Some(k) = r3k {
         let (a, b) = (Got(bi, k), Got(k, bj));
-        plan.ops.extend([Op::Gemm { out: Block, a, b }, Op::Release(a), Op::Release(b)]);
+        plan.ops.extend([Op::Gemm { out: block, a, b }, Op::Release(a), Op::Release(b)]);
     }
     let r3 = plan.ops.len();
 
@@ -302,9 +230,10 @@ fn level_plan(
         // K: an undirected upper block mirrors itself into its transpose
         if !directed && bi != bj {
             if is_r4(t, l, bi, bj, true) {
-                plan.ops.push(Op::Send { to: rank((bj, bi)), tag: tag(l, 8, bi, bj) });
+                plan.ops.push(Op::Send { to: rank((bj, bi)), tag: tag(l, 8, bi, bj), from: block });
             } else if is_r4(t, l, bj, bi, true) {
-                plan.ops.push(Op::Mirror { from: rank((bj, bi)), tag: tag(l, 8, bj, bi) });
+                let from = rank((bj, bi));
+                plan.ops.push(Op::Mirror { from, tag: tag(l, 8, bj, bi), into: block });
             }
         }
     }
@@ -339,7 +268,7 @@ fn r4_one_to_one(
     directed: bool,
     plan: &mut Plan,
 ) {
-    use Buf::{Bwd, Fwd, Got};
+    use Buf::{Bwd, Fwd, Got, Own};
     let t = layout.tree();
     let rank = |(i, j): (usize, usize)| layout.rank_of_block(i, j);
     let unit = mapping::units_for_processor(t, l, bi, bj);
@@ -357,13 +286,11 @@ fn r4_one_to_one(
         for key in roles([source, reads[0], reads[1]]) {
             let (x, k) = at(key.0, key.1);
             let g = mapping::unit_col(t, l, k);
-            let group = plan.group(
-                unit_rows(t, l, x, col || directed, !col || directed)
-                    .map(|f| rank((f, g)))
-                    .chain(std::iter::once(rank(key))),
-            );
-            let keep = reads.contains(&Some(key)).then_some(Got(key.0, key.1));
-            plan.ops.push(Op::Bcast { group, root: rank(key), tag: tag(l, phase, k, x), keep });
+            let ranks = unit_rows(t, l, x, col || directed, !col || directed)
+                .map(|f| rank((f, g)))
+                .chain(std::iter::once(rank(key)));
+            let keep = reads.contains(&Some(key));
+            plan.broadcast(ranks, rank(key), tag(l, phase, k, x), [Own(key.0, key.1)], keep);
         }
     }
 
@@ -401,7 +328,7 @@ fn r4_one_to_one(
             group,
             root: rank((x, y)),
             tag: tag(l, 7, x, y),
-            target: (x, y),
+            into: Own(x, y),
             from,
         });
     }
@@ -423,7 +350,7 @@ fn r4_sequential(
     directed: bool,
     plan: &mut Plan,
 ) {
-    use Buf::{Block, Got};
+    use Buf::{Got, Own};
     let t = layout.tree();
     let rank = |(i, j): (usize, usize)| layout.rank_of_block(i, j);
     // column panel (x, k) feeds blocks (x, y) (phase 9), row panel (k, x)
@@ -435,7 +362,8 @@ fn r4_sequential(
             for (i, j) in
                 t.ancestors(k).map(|y| at(x, y)).filter(|&(i, j)| is_r4(t, l, i, j, !directed))
             {
-                plan.ops.push(Op::Send { to: rank((i, j)), tag: tag(l, phase, k, x) });
+                let (to, tag) = (rank((i, j)), tag(l, phase, k, x));
+                plan.ops.push(Op::Send { to, tag, from: Own(bi, bj) });
             }
         }
     }
@@ -447,102 +375,10 @@ fn r4_sequential(
             plan.ops.extend([
                 Op::Recv { from: rank((bi, k)), tag: tag(l, 9, k, bi), into: a },
                 Op::Recv { from: rank((k, bj)), tag: tag(l, 10, k, bj), into: b },
-                Op::Gemm { out: Block, a, b },
+                Op::Gemm { out: Own(bi, bj), a, b },
                 Op::Release(a),
                 Op::Release(b),
             ]);
-        }
-    }
-}
-
-/// Runs `ops` (whose groups index `members`) on this rank: the only code
-/// that moves, multiplies or charges a block. `held` carries the received
-/// panels and products between ops (empty again once a level's ops have
-/// run).
-fn execute<C: Transport>(
-    comm: &mut C,
-    layout: &SupernodalLayout,
-    ops: &[Op],
-    members: &[usize],
-    block: &mut MinPlusMatrix,
-    held: &mut Vec<(Buf, MinPlusMatrix)>,
-) {
-    let find = |held: &[(Buf, MinPlusMatrix)], buf: Buf| {
-        held.iter().position(|(b, _)| *b == buf).unwrap_or_else(|| panic!("{buf:?} is not held"))
-    };
-    let hold = |comm: &mut C, held: &mut Vec<_>, buf: Buf, data: Vec<f64>| {
-        let Buf::Got(i, j) = buf else { unreachable!("only received blocks are kept") };
-        let m = MinPlusMatrix::from_raw(layout.size(i), layout.size(j), data);
-        comm.alloc(m.words());
-        held.push((buf, m));
-    };
-    for op in ops {
-        match *op {
-            Op::Close => {
-                let ops = fw_in_place(block);
-                comm.compute(ops);
-            }
-            Op::Bcast { ref group, root, tag, keep } => {
-                let payload = (comm.rank() == root).then(|| block.as_slice().to_vec());
-                let data = comm.bcast(&members[group.clone()], root, tag, payload);
-                if let Some(buf) = keep {
-                    hold(comm, held, buf, data);
-                }
-            }
-            Op::Recv { from, tag, into } => {
-                let data = comm.recv(from, tag);
-                hold(comm, held, into, data);
-            }
-            Op::Send { to, tag } => comm.send(to, tag, block.as_slice().to_vec()),
-            Op::Mirror { from, tag } => {
-                let data = comm.recv(from, tag);
-                *block = MinPlusMatrix::from_raw(block.cols(), block.rows(), data).transposed();
-            }
-            Op::Gemm { out, a, b } => {
-                let snapshot = (a == Buf::Block || b == Buf::Block).then(|| block.clone());
-                if let Some(s) = &snapshot {
-                    comm.alloc(s.words());
-                }
-                let mut target = if out == Buf::Block {
-                    std::mem::replace(block, MinPlusMatrix::empty(0, 0))
-                } else {
-                    let (rows, cols) = (held[find(held, a)].1.rows(), held[find(held, b)].1.cols());
-                    let m = MinPlusMatrix::empty(rows, cols);
-                    comm.alloc(m.words());
-                    m
-                };
-                let read = |buf: Buf| match &snapshot {
-                    Some(s) if buf == Buf::Block => s,
-                    _ => &held[find(held, buf)].1,
-                };
-                let ops = gemm(&mut target, read(a), read(b));
-                comm.compute(ops);
-                if let Some(s) = snapshot {
-                    comm.release(s.words());
-                }
-                if out == Buf::Block {
-                    *block = target;
-                } else {
-                    held.push((out, target));
-                }
-            }
-            Op::Reduce { ref group, root, tag, target: (i, j), from } => {
-                let contribution = match from {
-                    Some(buf) => held[find(held, buf)].1.as_slice().to_vec(),
-                    // a non-worker root contributes the ⊕-identity
-                    None => vec![f64::INFINITY; layout.size(i) * layout.size(j)],
-                };
-                let result = comm.reduce_min(&members[group.clone()], root, tag, contribution);
-                if let Some(data) = result {
-                    let reduced = MinPlusMatrix::from_raw(layout.size(i), layout.size(j), data);
-                    block.min_assign(&reduced);
-                    comm.compute(reduced.words() as u64);
-                }
-            }
-            Op::Release(buf) => {
-                let (_, m) = held.swap_remove(find(held, buf));
-                comm.release(m.words());
-            }
         }
     }
 }
@@ -560,13 +396,14 @@ fn rank_program<C: Transport>(
     let h = layout.tree().height();
     let (bi, bj) = layout.block_of_rank(comm.rank());
 
-    let (mut block, directed) = match input {
+    let (block, directed) = match input {
         Input::Undirected(g) => (layout.extract_block(g, bi, bj), false),
         Input::Directed(dg) => (layout.extract_block_directed(dg, bi, bj), true),
     };
     comm.alloc(block.words());
     let mut level_clocks = Vec::with_capacity(h as usize);
-    let (mut plan, mut held) = (Plan::default(), Vec::new());
+    let (mut plan, sizes) = (Plan::default(), label_sizes(layout));
+    let mut bufs = vec![(Buf::Own(bi, bj), block)];
 
     // Every elimination level is a checkpointable phase: its boundary state
     // is the block plus the per-level clock snapshots accumulated so far,
@@ -582,28 +419,30 @@ fn rank_program<C: Transport>(
             let mut start = 0;
             for (&end, name) in ends.iter().zip(["r1", "r2", "r3", "r4"]).take(regions) {
                 let mut region = level.span(name, l as u64);
-                execute(
-                    &mut *region,
-                    layout,
-                    &plan.ops[start..end],
-                    &plan.members,
-                    &mut block,
-                    &mut held,
-                );
+                execute(&mut *region, &plan.ops[start..end], &plan, &sizes, &mut bufs);
                 start = end;
             }
-            debug_assert!(held.is_empty(), "a level ended holding {held:?}");
+            debug_assert!(bufs.len() == 1, "a level ended holding {bufs:?}");
             level_clocks.push(level.clocks());
         }
+        let block = &mut bufs[0].1;
         let (rows, cols) = (block.rows(), block.cols());
         let packed =
-            encode_state(std::mem::replace(&mut block, MinPlusMatrix::empty(0, 0)), &level_clocks);
+            encode_state(std::mem::replace(block, MinPlusMatrix::empty(0, 0)), &level_clocks);
         let (restored, clocks) = decode_state(rows, cols, comm.commit_phase(packed));
-        block = restored;
+        *block = restored;
         level_clocks = clocks;
     }
 
+    let (_, block) = bufs.pop().expect("the rank's block");
     (block.into_vec(), level_clocks)
+}
+
+/// Supernode sizes indexed by label (`[0]` is unused): the block shapes
+/// `execute` reads.
+pub(crate) fn label_sizes(layout: &SupernodalLayout) -> Vec<usize> {
+    let labels = 1..=layout.tree().num_supernodes();
+    std::iter::once(0).chain(labels.map(|k| layout.size(k))).collect()
 }
 
 /// Appends the per-level clock snapshots to a block's word vector so a
@@ -763,164 +602,6 @@ mod tests {
 
     fn check(g: &Csr, nd: &apsp_partition::NdOrdering, strategy: R4Strategy) -> RunReport {
         check_with(g, nd, strategy).report
-    }
-
-    /// One region of every rank's plan, checked as a whole machine would
-    /// run it: collectives agree on `(group, root)` and are joined by
-    /// exactly their members, point-to-point sends pair with receives, and
-    /// the ranks' orders of blocking operations leave the wait-for graph
-    /// acyclic. Received buffers must come from the block they name and
-    /// multiply in matching shapes.
-    fn check_region(layout: &SupernodalLayout, region: &[(&[Op], &[usize])], ctx: &str) {
-        use std::collections::{BTreeMap, BTreeSet};
-        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-        enum Node {
-            Collective(u64),
-            Message(usize, usize, u64),
-        }
-        let mut collectives: BTreeMap<u64, (&[usize], usize, BTreeSet<usize>)> = BTreeMap::new();
-        let (mut sends, mut recvs) = (BTreeSet::new(), BTreeSet::new());
-        let mut edges: BTreeMap<Node, Vec<Node>> = BTreeMap::new();
-        let mut indegree: BTreeMap<Node, usize> = BTreeMap::new();
-        for (me, &(ops, members)) in region.iter().enumerate() {
-            let (bi, bj) = layout.block_of_rank(me);
-            let shape = |buf: Buf, held: &BTreeMap<Buf, (usize, usize)>| match buf {
-                Buf::Block => (layout.size(bi), layout.size(bj)),
-                _ => held[&buf],
-            };
-            let mut held = BTreeMap::new();
-            let mut last: Option<Node> = None;
-            for op in ops.iter() {
-                let (node, blocking) = match *op {
-                    Op::Bcast { ref group, root, tag, .. }
-                    | Op::Reduce { ref group, root, tag, .. } => {
-                        let group = &members[group.clone()];
-                        let entry =
-                            collectives.entry(tag).or_insert((group, root, BTreeSet::new()));
-                        assert!(
-                            entry.0 == group && entry.1 == root,
-                            "{ctx}: tag {tag:#x} disagrees"
-                        );
-                        assert!(entry.2.insert(me), "{ctx}: rank {me} joins {tag:#x} twice");
-                        (Some(Node::Collective(tag)), true)
-                    }
-                    Op::Send { to, tag } => {
-                        assert!(sends.insert((me, to, tag)), "{ctx}: duplicate send {tag:#x}");
-                        (Some(Node::Message(me, to, tag)), false)
-                    }
-                    Op::Recv { from, tag, .. } | Op::Mirror { from, tag } => {
-                        assert!(recvs.insert((from, me, tag)), "{ctx}: duplicate recv {tag:#x}");
-                        (Some(Node::Message(from, me, tag)), true)
-                    }
-                    _ => (None, false),
-                };
-                // buffers: what is kept names its sender's block
-                match *op {
-                    Op::Bcast { root, keep: Some(buf @ Buf::Got(i, j)), .. }
-                    | Op::Recv { from: root, into: buf @ Buf::Got(i, j), .. } => {
-                        assert_eq!(layout.rank_of_block(i, j), root, "{ctx}: {buf:?} from {root}");
-                        assert!(held.insert(buf, (layout.size(i), layout.size(j))).is_none());
-                    }
-                    Op::Mirror { from, .. } => assert_eq!(from, layout.rank_of_block(bj, bi)),
-                    Op::Gemm { out, a, b } => {
-                        let ((ar, ac), (br, bc)) = (shape(a, &held), shape(b, &held));
-                        assert_eq!(ac, br, "{ctx}: inner dimensions of {op:?}");
-                        if out == Buf::Block {
-                            assert_eq!(
-                                (layout.size(bi), layout.size(bj)),
-                                (ar, bc),
-                                "{ctx}: {op:?}"
-                            );
-                        } else {
-                            assert!(held.insert(out, (ar, bc)).is_none(), "{ctx}: {op:?}");
-                        }
-                    }
-                    Op::Reduce { root, target: (i, j), from, .. } => {
-                        assert_eq!(layout.rank_of_block(i, j), root, "{ctx}: {op:?}");
-                        if let Some(buf) = from {
-                            assert_eq!(
-                                held[&buf],
-                                (layout.size(i), layout.size(j)),
-                                "{ctx}: {op:?}"
-                            );
-                        }
-                    }
-                    Op::Release(buf) => assert!(held.remove(&buf).is_some(), "{ctx}: {op:?}"),
-                    _ => {}
-                }
-                if let Some(node) = node {
-                    indegree.entry(node).or_insert(0);
-                    if let Some(prev) = last {
-                        edges.entry(prev).or_default().push(node);
-                        *indegree.entry(node).or_insert(0) += 1;
-                    }
-                    if blocking {
-                        last = Some(node);
-                    }
-                }
-            }
-            assert!(held.is_empty(), "{ctx}: rank {me} ends the region holding buffers");
-        }
-        for (tag, (group, root, joined)) in &collectives {
-            assert!(group.windows(2).all(|w| w[0] < w[1]), "{ctx}: {tag:#x} group unsorted");
-            assert!(group.contains(root), "{ctx}: {tag:#x} root outside its group");
-            assert!(group.iter().copied().eq(joined.iter().copied()), "{ctx}: {tag:#x} members");
-        }
-        assert_eq!(sends, recvs, "{ctx}: sends and receives differ");
-        // Kahn: every node must eventually lose all its predecessors
-        let mut ready: Vec<Node> =
-            indegree.iter().filter(|&(_, &d)| d == 0).map(|(&n, _)| n).collect();
-        let mut done = 0;
-        while let Some(node) = ready.pop() {
-            done += 1;
-            for next in edges.get(&node).into_iter().flatten() {
-                let d = indegree.get_mut(next).expect("every target is a node");
-                *d -= 1;
-                if *d == 0 {
-                    ready.push(*next);
-                }
-            }
-        }
-        assert_eq!(done, indegree.len(), "{ctx}: cycle");
-    }
-
-    #[test]
-    fn plans_pair_up_and_agree_on_order_without_threads() {
-        // p up to 3 969: far past what a threaded test can launch
-        for h in 1..=6u32 {
-            let t = SchedTree::new(h);
-            let sizes = (1..=t.num_supernodes()).map(|k| 1 + k * 7 % 5).collect();
-            let layout = SupernodalLayout::new(t, sizes);
-            let mut plans: Vec<Plan> = (0..layout.p()).map(|_| Plan::default()).collect();
-            for directed in [false, true] {
-                for r4 in [R4Strategy::OneToOne, R4Strategy::SequentialUnits] {
-                    for l in 1..=h {
-                        let ends: Vec<[usize; 4]> = plans
-                            .iter_mut()
-                            .enumerate()
-                            .map(|(r, plan)| {
-                                level_plan(&layout, l, layout.block_of_rank(r), directed, r4, plan)
-                            })
-                            .collect();
-                        for region in 0..4 {
-                            let slices: Vec<(&[Op], &[usize])> = plans
-                                .iter()
-                                .zip(&ends)
-                                .map(|(plan, e)| {
-                                    let start = if region == 0 { 0 } else { e[region - 1] };
-                                    (&plan.ops[start..e[region]], &plan.members[..])
-                                })
-                                .collect();
-                            let ctx = format!(
-                                "h={h} l={l} region {} ({r4:?}, directed {directed})",
-                                region + 1
-                            );
-                            check_region(&layout, &slices, &ctx);
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]
