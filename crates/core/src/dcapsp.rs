@@ -258,6 +258,9 @@ pub struct DcApsp<'a> {
 impl<'a> DcApsp<'a> {
     /// 2D-DC-APSP with the given recursion depth (0 = pure distributed
     /// blocked FW over tiles).
+    ///
+    /// # Panics
+    /// When [`tile_count`] rejects `(g.n(), n_grid, depth)`.
     pub fn new(g: &'a Csr, n_grid: usize, depth: u32) -> Self {
         DcApsp { g, geo: Cyclic::new(g.n(), n_grid, depth), rec_depth: depth }
     }
@@ -269,6 +272,9 @@ impl<'a> DcApsp<'a> {
     /// serializes the diagonal updates across the tiles a processor owns,
     /// which is exactly the latency argument the paper makes against
     /// block-cyclic for FW-shaped algorithms.
+    ///
+    /// # Panics
+    /// When [`tile_count`] rejects `(g.n(), n_grid, oversub)`.
     pub fn cyclic(g: &'a Csr, n_grid: usize, oversub: u32) -> Self {
         DcApsp { g, geo: Cyclic::new(g.n(), n_grid, oversub), rec_depth: 0 }
     }

@@ -86,6 +86,7 @@ pub struct DJohnson {
 impl DJohnson {
     /// The solver for `g` on `p` ranks.
     pub fn new(g: &Csr, p: usize) -> Self {
+        assert!(p >= 1, "djohnson needs at least one rank");
         assert!(g.has_nonnegative_weights(), "undirected APSP requires non-negative weights");
         let mut offsets = vec![0usize];
         let mut acc = 0;

@@ -43,6 +43,33 @@ impl Args {
         }
     }
 
+    /// `--height`: a scheduling-tree height in `SchedTree`'s 1..=32.
+    fn height(&self, default: u32) -> u32 {
+        let height = self.num("--height", default);
+        if !(1..=32).contains(&height) {
+            die(&format!("--height must be between 1 and 32, got {height}"));
+        }
+        height
+    }
+
+    /// `--n-grid`: a grid side whose square, the rank count, fits a usize.
+    fn n_grid(&self, default: usize) -> usize {
+        let n_grid = self.num("--n-grid", default);
+        if n_grid == 0 || n_grid.checked_mul(n_grid).is_none() {
+            die(&format!("--n-grid must be between 1 and {}, got {n_grid}", u32::MAX));
+        }
+        n_grid
+    }
+
+    /// `--depth` of a dc-apsp run on `g` over an `n_grid × n_grid` grid.
+    fn dcapsp<'g>(&self, g: &'g Csr, n_grid: usize) -> DcApsp<'g> {
+        let depth = self.num("--depth", 1u32);
+        if sparse_apsp::core::dcapsp::tile_count(g.n(), n_grid, depth).is_none() {
+            die(&format!("--depth {depth} is too deep for {} vertices (2^depth > n)", g.n()));
+        }
+        DcApsp::new(g, n_grid, depth)
+    }
+
     fn flag(&self, name: &str) -> bool {
         self.0.iter().any(|a| a == name)
     }
@@ -314,7 +341,7 @@ fn load_digraph(args: &Args) -> DiCsr {
 /// The full 2D-SPARSE-APSP pipeline on an undirected or directed input.
 fn solve_sparse2d(args: &Args, opts: &RunOpts, input: Input<'_>) -> Solved {
     let solver = SparseApsp::new(SparseApspConfig {
-        height: args.num("--height", 3),
+        height: args.height(3),
         r4: if args.flag("--sequential-r4") {
             R4Strategy::SequentialUnits
         } else {
@@ -351,13 +378,13 @@ fn solve_dense<S: Solver<Result = DenseResult>>(solver: &S, opts: &RunOpts) -> S
 
 fn solve(args: &Args, g: &Csr) -> Solved {
     let algorithm = args.opt("--algorithm").unwrap_or("sparse2d");
-    let height: u32 = args.num("--height", 3);
+    let height = args.height(3);
     let n_grid = (1usize << height) - 1;
     let opts = run_opts(args);
     match algorithm {
         "sparse2d" => solve_sparse2d(args, &opts, g.into()),
         "fw2d" => solve_dense(&Fw2d::new(g, n_grid), &opts),
-        "dcapsp" => solve_dense(&DcApsp::new(g, n_grid, args.num("--depth", 1u32)), &opts),
+        "dcapsp" => solve_dense(&args.dcapsp(g, n_grid), &opts),
         "djohnson" => solve_dense(&DJohnson::new(g, n_grid * n_grid), &opts),
         "superfw" => {
             if args.opt("--backend").is_some() {
@@ -527,8 +554,10 @@ USAGE:
 
 An option a command does not list is an error (exit 2), never ignored.
 
-The simulated machine has p = (2^H - 1)^2 ranks; the JSON report carries
-the critical-path latency/bandwidth the paper's Table 2 analyzes.
+The simulated machine has p = (2^H - 1)^2 ranks (1 <= H <= 32; verify's
+--n-grid N >= 1 sets p = N^2 for the dense baselines), and dcapsp's
+recursion depth D needs 2^D <= n. The JSON report carries the
+critical-path latency/bandwidth the paper's Table 2 analyzes.
 
 Backends: --backend sim (default) runs on the simulated machine with
 exact §3.1 cost clocks; --backend native runs the *identical* schedule
@@ -632,8 +661,8 @@ fn cmd_verify(args: &Args) {
         sparse_apsp::verify::verify_program(4, sparse_apsp::verify::bad_fixture)
     } else {
         let g = load_graph(args.get("--input"));
-        let height: u32 = args.num("--height", 2);
-        let n_grid: usize = args.num("--n-grid", (1usize << height) - 1);
+        let height = args.height(2);
+        let n_grid = args.n_grid((1usize << height) - 1);
         match algorithm {
             "sparse2d" => {
                 let config = SparseApspConfig {
@@ -649,7 +678,7 @@ fn cmd_verify(args: &Args) {
                 SparseApsp::new(config).verify(&g)
             }
             "fw2d" => verify(&Fw2d::new(&g, n_grid), backend),
-            "dcapsp" => verify(&DcApsp::new(&g, n_grid, args.num("--depth", 1u32)), backend),
+            "dcapsp" => verify(&args.dcapsp(&g, n_grid), backend),
             "djohnson" => verify(&DJohnson::new(&g, n_grid * n_grid), backend),
             other => die(&format!("unknown algorithm {other}")),
         }
@@ -745,7 +774,7 @@ fn cmd_info(args: &Args) {
     let g = load_graph(args.get("--input"));
     print!("{}", sparse_apsp::graph::stats::graph_stats(&g));
     // a quick separator probe at the requested height
-    let h: u32 = args.num("--height", 3);
+    let h = args.height(3);
     let nd = nested_dissection(&g, h, &NdOptions::default());
     println!(
         "top separator     {} vertices (h = {h}, p = {})",

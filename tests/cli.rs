@@ -380,6 +380,33 @@ fn bad_usage_fails_cleanly() {
         assert!(stderr.contains(&expected), "{stderr}");
     }
 
+    // a numeric flag the solvers cannot take is a usage error naming it,
+    // not a panic
+    let graph = tmp("usage.el");
+    assert!(apsp()
+        .args(["generate", "--kind", "grid", "--rows", "4", "--cols", "4", "--out"])
+        .arg(&graph)
+        .status()
+        .unwrap()
+        .success());
+    for (cmd, algo, flag) in [
+        ("solve", "sparse2d", "--height"),
+        ("solve", "fw2d", "--height"),
+        ("solve", "dcapsp", "--height"),
+        ("verify", "fw2d", "--n-grid"),
+        ("verify", "dcapsp", "--n-grid"),
+        ("verify", "djohnson", "--n-grid"),
+    ] {
+        let out = apsp()
+            .args([cmd, "--algorithm", algo, flag, "0", "--input"])
+            .arg(&graph)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd} {algo} {flag} 0");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with(&format!("apsp: {flag} must be")), "{stderr}");
+    }
+
     let out = apsp().args(["help"]).output().unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
