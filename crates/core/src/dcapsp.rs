@@ -169,33 +169,34 @@ pub(crate) fn phase_plan(
             *seq += 1;
             let s = *seq as usize;
             let (rows, cols) = (geo.owned_in(rr, row), geo.owned_in(cc, col));
-            let a = |ks: Range<usize>, step| {
-                let ks = geo.owned_in(&ks, step);
+            // A's tiles in processor column `step`, B's in processor row `step`
+            let a = |step| {
+                let ks = geo.owned_in(kk, step);
                 rows.clone().flat_map(move |i| ks.clone().map(move |k| (i, k)))
             };
-            let b = |ks: Range<usize>, step| {
+            let b = |step| {
                 let cols = cols.clone();
-                geo.owned_in(&ks, step).flat_map(move |k| cols.clone().map(move |j| (k, j)))
+                geo.owned_in(kk, step).flat_map(move |k| cols.clone().map(move |j| (k, j)))
             };
             // the operand tiles this rank sends, copied before the sweep
             // updates any tile (its output may alias an operand)
-            let mine = a(kk.clone(), col).chain(b(kk.clone(), row));
+            let mine = a(col).chain(b(row));
             let snaps = plan.list(mine.map(|(i, j)| Snap(i, j)));
             plan.ops.push(Op::Snapshot(snaps));
             for step in 0..ng {
                 let a_root = geo.rank_of((row, step));
-                let a_tiles = a(kk.clone(), step).map(|(i, k)| Snap(i, k));
+                let a_tiles = a(step).map(|(i, k)| Snap(i, k));
                 plan.broadcast(row_group(), a_root, tag(1, s, step), a_tiles, true);
                 let b_root = geo.rank_of((step, col));
-                let b_tiles = b(kk.clone(), step).map(|(k, j)| Snap(k, j));
+                let b_tiles = b(step).map(|(k, j)| Snap(k, j));
                 plan.broadcast(col_group(), b_root, tag(2, s, step), b_tiles, true);
-                for (i, k) in a(kk.clone(), step) {
+                for (i, k) in a(step) {
                     for j in cols.clone() {
                         plan.ops.push(Op::Gemm { out: Own(i, j), a: Got(i, k), b: Got(k, j) });
                     }
                 }
-                plan.ops.extend(a(kk.clone(), step).map(|(i, k)| Op::Release(Got(i, k))));
-                plan.ops.extend(b(kk.clone(), step).map(|(k, j)| Op::Release(Got(k, j))));
+                plan.ops.extend(a(step).map(|(i, k)| Op::Release(Got(i, k))));
+                plan.ops.extend(b(step).map(|(k, j)| Op::Release(Got(k, j))));
             }
             ("summa", *seq)
         }

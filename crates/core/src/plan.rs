@@ -182,8 +182,8 @@ pub(crate) fn execute<C: Transport>(
             Op::Bcast { ref group, root, tag, ref payload, keep } => {
                 let payload = &plan.bufs[payload.clone()];
                 let packed = (comm.rank() == root).then(|| {
-                    let words = payload.iter().map(|&buf| shape(buf).0 * shape(buf).1).sum();
-                    let mut packed = Vec::with_capacity(words);
+                    let words = payload.iter().map(|&buf| shape(buf)).map(|(r, c)| r * c);
+                    let mut packed = Vec::with_capacity(words.sum());
                     for &buf in payload {
                         if let Buf::Snap(..) = buf {
                             packed
@@ -199,8 +199,8 @@ pub(crate) fn execute<C: Transport>(
                     // split from the back, so a one-block payload is kept as
                     // it arrived
                     for &buf in payload.iter().rev() {
-                        let (i, j) = buf.at();
-                        let end = data.len() - sizes[i] * sizes[j];
+                        let ((i, j), (rows, cols)) = (buf.at(), shape(buf));
+                        let end = data.len() - rows * cols;
                         let block =
                             if end == 0 { std::mem::take(&mut data) } else { data.split_off(end) };
                         hold(comm, bufs, Buf::Got(i, j), block);
@@ -225,8 +225,7 @@ pub(crate) fn execute<C: Transport>(
                 let mut target = match slot {
                     Some(at) => std::mem::replace(&mut bufs[at].1, MinPlusMatrix::empty(0, 0)),
                     None => {
-                        let rows = bufs[find(bufs, a)].1.rows();
-                        let m = MinPlusMatrix::empty(rows, bufs[find(bufs, b)].1.cols());
+                        let m = MinPlusMatrix::empty(shape(a).0, shape(b).1);
                         comm.alloc(m.words());
                         m
                     }

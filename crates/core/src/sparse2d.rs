@@ -32,13 +32,11 @@
 //!
 //! ## The level plan
 //!
-//! Each rank's schedule for a level is data: `level_plan` writes the
-//! rank's operations (broadcast, reduce, send, receive, mirror, gemm,
-//! closure, release) for `R¹`–`R⁴` into a `Plan` the rank reuses for every
-//! level, and `execute` runs them — it is the only code that communicates,
-//! multiplies or charges memory during a level. `R⁴` has one one-to-one
-//! generator for both orientations (a directed worker adds its unit's
-//! second orientation; an undirected upper block adds the transpose
+//! Each level is one checkpointed phase whose schedule is data:
+//! `level_plan` writes the rank's ops for `R¹`–`R⁴` into a `Plan` and
+//! [`crate::plan`]'s `execute` runs them region by region. `R⁴` has one
+//! one-to-one generator for both orientations (a directed worker adds its
+//! unit's second orientation; an undirected upper block adds the transpose
 //! mirror) and one for `SequentialUnits`.
 //!
 //! ## Deadlock discipline
@@ -49,9 +47,9 @@
 //! three roles and execute them sorted by the block each role moves, a
 //! key shared by all participants (R⁴). Message edges therefore never
 //! point backwards in (phase, key) order and the wait-for graph is
-//! acyclic. Because the plan is a value, the test
-//! `plans_pair_up_and_agree_on_order_without_threads` checks exactly this
-//! for every rank of machines up to `p = 3 969` without starting a thread.
+//! acyclic. Because the plan is a value, `plan`'s test
+//! `sparse2d_plans_pair_up_and_agree_on_order` checks exactly this for
+//! every rank of machines up to `p = 3 969` without starting a thread.
 
 use crate::launch::{launch_plain, Solver};
 use crate::plan::{execute, Buf, Op, Plan};
