@@ -506,7 +506,8 @@ mod tests {
             let t = SchedTree::new(h);
             let sizes = (1..=t.num_supernodes()).map(|k| 1 + k * 7 % 5).collect();
             let layout = SupernodalLayout::new(t, sizes);
-            let owner = |i, j| layout.rank_of_block(i, j);
+            let (sizes, owner) =
+                (sparse2d::label_sizes(&layout), |i, j| layout.rank_of_block(i, j));
             let mut plans: Vec<Plan> = (0..layout.p()).map(|_| Plan::default()).collect();
             for directed in [false, true] {
                 for r4 in [R4Strategy::OneToOne, R4Strategy::SequentialUnits] {
@@ -516,7 +517,7 @@ mod tests {
                             sparse2d::level_plan(&layout, l, me, directed, r4, plan).to_vec()
                         };
                         let ctx = format!("h={h} l={l} ({r4:?}, directed {directed})");
-                        check_phase(&mut plans, layout.sizes(), &owner, build, &ctx);
+                        check_phase(&mut plans, &sizes, &owner, build, &ctx);
                     }
                 }
             }

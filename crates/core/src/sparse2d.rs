@@ -400,10 +400,8 @@ fn rank_program<C: Transport>(
     };
     comm.alloc(block.words());
     let mut level_clocks = Vec::with_capacity(h as usize);
-    let mut plan = Plan::default();
-    // room for the block and what a directed R⁴ worker holds at once
-    let mut bufs = Vec::with_capacity(8);
-    bufs.push((Buf::Own(bi, bj), block));
+    let (mut plan, sizes) = (Plan::default(), label_sizes(layout));
+    let mut bufs = vec![(Buf::Own(bi, bj), block)];
 
     // Every elimination level is a checkpointable phase: its boundary state
     // is the block plus the per-level clock snapshots accumulated so far,
@@ -419,7 +417,7 @@ fn rank_program<C: Transport>(
             let mut start = 0;
             for (&end, name) in ends.iter().zip(["r1", "r2", "r3", "r4"]).take(regions) {
                 let mut region = level.span(name, l as u64);
-                execute(&mut *region, &plan.ops[start..end], &plan, layout.sizes(), &mut bufs);
+                execute(&mut *region, &plan.ops[start..end], &plan, &sizes, &mut bufs);
                 start = end;
             }
             debug_assert!(bufs.len() == 1, "a level ended holding {bufs:?}");
@@ -436,6 +434,13 @@ fn rank_program<C: Transport>(
 
     let (_, block) = bufs.pop().expect("the rank's block");
     (block.into_vec(), level_clocks)
+}
+
+/// Supernode sizes indexed by label (`[0]` is unused): the block shapes
+/// `execute` reads.
+pub(crate) fn label_sizes(layout: &SupernodalLayout) -> Vec<usize> {
+    let labels = 1..=layout.tree().num_supernodes();
+    std::iter::once(0).chain(labels.map(|k| layout.size(k))).collect()
 }
 
 /// Appends the per-level clock snapshots to a block's word vector so a

@@ -14,7 +14,6 @@ use apsp_partition::NdOrdering;
 #[derive(Clone, Debug)]
 pub struct SupernodalLayout {
     tree: SchedTree,
-    /// Vertex counts by label (`[0]` is unused).
     sizes: Vec<usize>,
     offsets: Vec<usize>,
 }
@@ -28,14 +27,13 @@ impl SupernodalLayout {
     /// Builds from a tree and explicit supernode sizes (label order).
     pub fn new(tree: SchedTree, sizes: Vec<usize>) -> Self {
         assert_eq!(sizes.len(), tree.num_supernodes(), "one size per supernode");
-        let sizes: Vec<usize> = std::iter::once(0).chain(sizes).collect();
-        let offsets = sizes
-            .iter()
-            .scan(0, |end, &s| {
-                *end += s;
-                Some(*end)
-            })
-            .collect();
+        let mut offsets = Vec::with_capacity(sizes.len() + 1);
+        offsets.push(0);
+        let mut acc = 0;
+        for &s in &sizes {
+            acc += s;
+            offsets.push(acc);
+        }
         SupernodalLayout { tree, sizes, offsets }
     }
 
@@ -62,13 +60,7 @@ impl SupernodalLayout {
 
     /// Vertex count of supernode `k` (1-based label).
     pub fn size(&self, k: usize) -> usize {
-        self.sizes[k]
-    }
-
-    /// Vertex counts by label, `[0]` unused: the block shapes `execute`
-    /// reads.
-    pub(crate) fn sizes(&self) -> &[usize] {
-        &self.sizes
+        self.sizes[k - 1]
     }
 
     /// First vertex index of supernode `k` in the eliminated ordering.
