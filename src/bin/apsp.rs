@@ -771,10 +771,10 @@ fn cmd_audit(args: &Args) {
 
 fn cmd_info(args: &Args) {
     args.reject_unknown("info", "--input --height");
+    let h = args.height(3);
     let g = load_graph(args.get("--input"));
     print!("{}", sparse_apsp::graph::stats::graph_stats(&g));
     // a quick separator probe at the requested height
-    let h = args.height(3);
     let nd = nested_dissection(&g, h, &NdOptions::default());
     println!(
         "top separator     {} vertices (h = {h}, p = {})",
