@@ -622,9 +622,9 @@ pub fn phase_attribution(side: usize, h: u32, depth: u32) -> Table {
     let bd = run.report.phase_breakdown(depth).expect("profiled run");
     assert!(bd.exact, "uniform SPMD schedule must attribute exactly");
     let total = bd.total();
-    assert_eq!(total.latency, run.report.critical_latency());
-    assert_eq!(total.bandwidth, run.report.critical_bandwidth());
-    assert_eq!(total.compute, run.report.critical_compute());
+    assert_eq!(total.latency(), run.report.critical_latency());
+    assert_eq!(total.bandwidth(), run.report.critical_bandwidth());
+    assert_eq!(total.compute(), run.report.critical_compute());
 
     let model = apsp_simnet::TimeModel::default();
     let total_us = model.micros(&total).max(f64::MIN_POSITIVE);
@@ -633,9 +633,9 @@ pub fn phase_attribution(side: usize, h: u32, depth: u32) -> Table {
     for row in &bd.rows {
         t.row(vec![
             row.label(),
-            format!("{}", row.clocks.latency),
-            format!("{}", row.clocks.bandwidth),
-            format!("{}", row.clocks.compute),
+            format!("{}", row.clocks.latency()),
+            format!("{}", row.clocks.bandwidth()),
+            format!("{}", row.clocks.compute()),
             format!("{}", row.messages),
             format!("{}", row.words),
             fnum(100.0 * model.micros(&row.clocks) / total_us),
@@ -643,9 +643,9 @@ pub fn phase_attribution(side: usize, h: u32, depth: u32) -> Table {
     }
     t.row(vec![
         "total".to_string(),
-        format!("{}", total.latency),
-        format!("{}", total.bandwidth),
-        format!("{}", total.compute),
+        format!("{}", total.latency()),
+        format!("{}", total.bandwidth()),
+        format!("{}", total.compute()),
         String::new(),
         String::new(),
         fnum(100.0),

@@ -563,9 +563,9 @@ mod tests {
         let bd = run.report.phase_breakdown(0).expect("profiled run carries a breakdown");
         assert!(bd.exact, "uniform SPMD schedule should attribute exactly");
         let total = bd.total();
-        assert_eq!(total.latency, run.report.critical_latency());
-        assert_eq!(total.bandwidth, run.report.critical_bandwidth());
-        assert_eq!(total.compute, run.report.critical_compute());
+        assert_eq!(total.latency(), run.report.critical_latency());
+        assert_eq!(total.bandwidth(), run.report.critical_bandwidth());
+        assert_eq!(total.compute(), run.report.critical_compute());
         // one `level` phase per elimination level
         let levels = bd.rows.iter().filter(|r| r.name == "level").count();
         assert_eq!(levels, 3);
@@ -584,9 +584,9 @@ mod tests {
         assert!(bd.exact, "distribute + solve is still a uniform schedule");
         assert!(bd.rows.iter().any(|r| r.name == "distribute-ordering"));
         let total = bd.total();
-        assert_eq!(total.latency, run.report.critical_latency());
-        assert_eq!(total.bandwidth, run.report.critical_bandwidth());
-        assert_eq!(total.compute, run.report.critical_compute());
+        assert_eq!(total.latency(), run.report.critical_latency());
+        assert_eq!(total.bandwidth(), run.report.critical_bandwidth());
+        assert_eq!(total.compute(), run.report.critical_compute());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::update::{apply_decreases, DecreasedEdge};
 use apsp_graph::{Csr, DenseDist};
 use apsp_minplus::MinPlusMatrix;
 use apsp_partition::{nested_dissection, NdOptions, NdOrdering};
-use apsp_simnet::RunReport;
+use apsp_simnet::{Clocks, RunReport};
 
 /// A solved all-pairs instance living on the simulated machine's layout:
 /// per-rank blocks in eliminated order plus the permutation back to input
@@ -276,9 +276,7 @@ impl SolvedApsp {
         // reconstruct an aggregate bill on rank 0
         let mut report =
             RunReport { per_rank: vec![Default::default(); layout.p()], profile: None };
-        report.per_rank[0].clocks.latency = bill[0]; // audit:allow(ledger-mutation)
-        report.per_rank[0].clocks.bandwidth = bill[1]; // audit:allow(ledger-mutation)
-        report.per_rank[0].clocks.compute = bill[2]; // audit:allow(ledger-mutation)
+        report.per_rank[0].clocks = Clocks::from_words([bill[0], bill[1], bill[2]]);
         report.per_rank[0].sent_messages = bill[3];
         report.per_rank[0].sent_words = bill[4];
         report.per_rank[0].peak_words = bill[5];

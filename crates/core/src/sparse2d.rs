@@ -93,8 +93,8 @@ impl Sparse2dResult {
         let mut prev = Clocks::default();
         for c in &self.level_clocks {
             out.push((
-                c.latency.saturating_sub(prev.latency),
-                c.bandwidth.saturating_sub(prev.bandwidth),
+                c.latency().saturating_sub(prev.latency()),
+                c.bandwidth().saturating_sub(prev.bandwidth()),
             ));
             prev = *c;
         }
@@ -449,9 +449,7 @@ fn encode_state(block: MinPlusMatrix, level_clocks: &[Clocks]) -> Vec<f64> {
     let mut state = block.into_vec();
     state.reserve(3 * level_clocks.len());
     for c in level_clocks {
-        state.push(f64::from_bits(c.latency));
-        state.push(f64::from_bits(c.bandwidth));
-        state.push(f64::from_bits(c.compute));
+        state.extend(c.to_words().map(f64::from_bits));
     }
     state
 }
@@ -463,11 +461,7 @@ fn decode_state(rows: usize, cols: usize, mut state: Vec<f64>) -> (MinPlusMatrix
     let nb = rows * cols;
     let clocks = state[nb..]
         .chunks_exact(3)
-        .map(|c| Clocks {
-            latency: c[0].to_bits(),
-            bandwidth: c[1].to_bits(),
-            compute: c[2].to_bits(),
-        })
+        .map(|c| Clocks::from_words([c[0].to_bits(), c[1].to_bits(), c[2].to_bits()]))
         .collect();
     state.truncate(nb);
     (MinPlusMatrix::from_raw(rows, cols, state), clocks)

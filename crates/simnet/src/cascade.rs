@@ -14,6 +14,11 @@
 //! * the join-time triage that picks the **root cause** out of a pile of
 //!   per-rank panic payloads deterministically.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a process-wide panic hook installed once, outside the model (see sync.rs)"
+)]
+
 use crate::comm::Rank;
 use crate::faults::FaultError;
 use crate::recovery::{HangError, MachineError, ProtocolError, RankDown};

@@ -10,6 +10,11 @@
 //! §3.1 cost clocks (the ledgers are written first; the counters only read
 //! them). Totals accumulate across every machine launch in the process.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "process-wide counters written after a run, outside the model (see sync.rs)"
+)]
+
 use crate::faults::FaultSummary;
 use crate::recovery::RecoveryReport;
 use crate::report::RunReport;

@@ -8,17 +8,44 @@ use crate::trace::{phase_breakdown, PhaseBreakdown, Profile};
 /// scalar semiring operations. The clocks advance monotonically: locally on
 /// sends/compute, and by element-wise max on receives (which is what makes
 /// the end-state maximum the *critical-path* cost rather than a total).
+///
+/// The fields are private to this crate: only the machine that charges a
+/// bill writes it. Code elsewhere reads the clocks through the accessors,
+/// and a saved bill re-enters through [`Clocks::from_words`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Clocks {
-    /// Messages on this rank's critical path.
-    pub latency: u64,
-    /// Words on this rank's critical path.
-    pub bandwidth: u64,
-    /// Scalar operations on this rank's critical path.
-    pub compute: u64,
+    pub(crate) latency: u64,
+    pub(crate) bandwidth: u64,
+    pub(crate) compute: u64,
 }
 
 impl Clocks {
+    /// Messages on this rank's critical path.
+    pub fn latency(&self) -> u64 {
+        self.latency
+    }
+
+    /// Words on this rank's critical path.
+    pub fn bandwidth(&self) -> u64 {
+        self.bandwidth
+    }
+
+    /// Scalar operations on this rank's critical path.
+    pub fn compute(&self) -> u64 {
+        self.compute
+    }
+
+    /// The clocks saved by [`Clocks::to_words`]: `[latency, bandwidth,
+    /// compute]`. The one way a checkpointed or serialized bill comes back.
+    pub fn from_words([latency, bandwidth, compute]: [u64; 3]) -> Clocks {
+        Clocks { latency, bandwidth, compute }
+    }
+
+    /// The clocks as `[latency, bandwidth, compute]`, for saving.
+    pub fn to_words(&self) -> [u64; 3] {
+        [self.latency, self.bandwidth, self.compute]
+    }
+
     /// Element-wise maximum — the receive-side clock merge.
     pub fn merge_max(&mut self, other: &Clocks) {
         self.latency = self.latency.max(other.latency);

@@ -14,6 +14,11 @@
 //! tree messages are also recorded as `Send`/`Recv`, which is what the
 //! matching invariant checks).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a std mutex whose critical sections hold no scheduling point (see sync.rs)"
+)]
+
 use crate::comm::Rank;
 use std::sync::Mutex;
 

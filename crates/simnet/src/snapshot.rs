@@ -9,6 +9,11 @@
 //! restarts — the types carry no cost-model dependency beyond the
 //! [`RankStats`] snapshot field (zeroed off-simulator).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "std mutexes whose critical sections hold no scheduling point (see sync.rs)"
+)]
+
 use crate::comm::Rank;
 use crate::faults::{FaultStats, FaultSummary};
 use crate::report::RankStats;

@@ -13,16 +13,24 @@
 //!   drives them through the native machine — the same
 //!   [`crate::Endpoint`] code the simulator runs).
 //!
-//! Source policy (enforced by `apsp-verify`'s srclint `raw-sync` rule):
-//! `endpoint.rs`, `pool.rs`, `comm.rs` and `recovery.rs` here and every
-//! file under `crates/transport/src/` may not name `std::sync` or
-//! `std::thread` directly — this module is the single allowed gateway.
+//! Source policy: no code in `apsp-simnet` or `apsp-transport` names a
+//! `std::sync`/`std::thread` primitive directly — this module is the
+//! single gateway. The two crates' `clippy.toml` files list those items
+//! as disallowed, and CI's loom job checks it with `RUSTFLAGS="--cfg
+//! loom" cargo clippy -p apsp-simnet -p apsp-transport --lib -- -D
+//! warnings`, the one build where a shim type and its std twin differ.
+//! Code under `#[cfg(not(loom))]` is outside that build, as it is outside
+//! the model.
 //!
 //! What the shim covers: channels, mutexes, atomics, spawning/joining,
-//! yields/sleeps. What it does not: the `SnapshotStore` and `ScriptBoard`
-//! internals, which stay on std mutexes — their critical sections contain
-//! no scheduling points, so they are atomic under the model and cannot
-//! introduce unexplored interleavings.
+//! yields/sleeps. What it does not, each under a module-level
+//! `#[expect(clippy::disallowed_types)]`: the `SnapshotStore` and
+//! `ScriptBoard` internals (`snapshot.rs`, `script.rs`), which stay on std
+//! mutexes — their critical sections contain no scheduling points, so they
+//! are atomic under the model and cannot introduce unexplored
+//! interleavings; the process-wide counters of `perf.rs`, written after a
+//! run ends; and the once-installed panic hook of `cascade.rs`. None of
+//! them is a scheduling point of the rank protocol the model explores.
 
 #[cfg(loom)]
 pub use loom::sync::atomic;

@@ -421,12 +421,12 @@ fn checkpoint_charges_land_exactly_in_the_ledgers() {
     let words_each = rec.snapshot_words / rec.snapshots_taken;
     let mut bandwidth_delta = 0u64;
     for (a, b) in plain.report.per_rank.iter().zip(&recov.report.per_rank) {
-        assert_eq!(b.clocks.latency - a.clocks.latency, boundaries);
-        assert_eq!(b.clocks.bandwidth - a.clocks.bandwidth, boundaries * words_each);
-        assert_eq!(b.clocks.compute, a.clocks.compute);
+        assert_eq!(b.clocks.latency() - a.clocks.latency(), boundaries);
+        assert_eq!(b.clocks.bandwidth() - a.clocks.bandwidth(), boundaries * words_each);
+        assert_eq!(b.clocks.compute(), a.clocks.compute());
         assert_eq!(b.sent_messages, a.sent_messages);
         assert_eq!(b.sent_words, a.sent_words);
-        bandwidth_delta += b.clocks.bandwidth - a.clocks.bandwidth;
+        bandwidth_delta += b.clocks.bandwidth() - a.clocks.bandwidth();
     }
     assert_eq!(bandwidth_delta, rec.snapshot_words, "snapshot ledger is exact");
     assert!(plain.dist.first_mismatch(&recov.dist, 0.0).is_none());

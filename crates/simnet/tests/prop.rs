@@ -238,9 +238,9 @@ proptest! {
         for rank in &profile.per_rank {
             for (idx, span) in rank.ledger.spans.iter().enumerate() {
                 // monotone §3.1 clocks: every snapshot pair is ordered
-                prop_assert!(span.exit.clocks.latency >= span.enter.clocks.latency);
-                prop_assert!(span.exit.clocks.bandwidth >= span.enter.clocks.bandwidth);
-                prop_assert!(span.exit.clocks.compute >= span.enter.clocks.compute);
+                prop_assert!(span.exit.clocks.latency() >= span.enter.clocks.latency());
+                prop_assert!(span.exit.clocks.bandwidth() >= span.enter.clocks.bandwidth());
+                prop_assert!(span.exit.clocks.compute() >= span.enter.clocks.compute());
                 prop_assert!(span.exit.sent_messages >= span.enter.sent_messages);
                 prop_assert!(span.exit.sent_words >= span.enter.sent_words);
                 // the send/recv children tile the parent exactly
@@ -250,11 +250,11 @@ proptest! {
                     let (mut l, mut b, mut c) = (0u64, 0u64, 0u64);
                     for ch in &children {
                         let cd = ch.clocks_delta();
-                        l += cd.latency;
-                        b += cd.bandwidth;
-                        c += cd.compute;
+                        l += cd.latency();
+                        b += cd.bandwidth();
+                        c += cd.compute();
                     }
-                    prop_assert_eq!((l, b, c), (d.latency, d.bandwidth, d.compute));
+                    prop_assert_eq!((l, b, c), (d.latency(), d.bandwidth(), d.compute()));
                 }
             }
         }
@@ -268,13 +268,13 @@ proptest! {
             let (mut l, mut b, mut c) = (0u64, 0u64, 0u64);
             for span in rank.ledger.top_level() {
                 let d = span.clocks_delta();
-                l += d.latency;
-                b += d.bandwidth;
-                c += d.compute;
+                l += d.latency();
+                b += d.bandwidth();
+                c += d.compute();
             }
-            prop_assert_eq!(l, stats.clocks.latency);
-            prop_assert_eq!(b, stats.clocks.bandwidth);
-            prop_assert_eq!(c, stats.clocks.compute);
+            prop_assert_eq!(l, stats.clocks.latency());
+            prop_assert_eq!(b, stats.clocks.bandwidth());
+            prop_assert_eq!(c, stats.clocks.compute());
         }
     }
 

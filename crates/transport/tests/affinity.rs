@@ -47,6 +47,7 @@ fn only(cpu: usize) -> CpuSet {
 }
 
 /// Every rank's CPU set and thread, from one three-rank launch on `M`.
+#[expect(clippy::disallowed_methods, reason = "the test reads which OS thread each rank ran on")]
 fn ranks_on<M: Machine>() -> Vec<(CpuSet, ThreadId)> {
     M::launch(3, &MachineSpec::default(), |comm| {
         // a barrier keeps all three ranks live at once, on three workers
@@ -59,6 +60,10 @@ fn ranks_on<M: Machine>() -> Vec<(CpuSet, ThreadId)> {
 }
 
 /// Launches from a thread pinned to `a`, then re-pinned to `b`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the launcher under test runs on a thread the test pins"
+)]
 fn follows_the_launcher<M: Machine>(a: CpuSet, b: CpuSet) {
     let (on_a, on_b) = std::thread::scope(|s| {
         s.spawn(|| {

@@ -169,6 +169,10 @@ fn tag_mismatch_is_typed_and_dumps_the_pending_queue<M: Machine>() {
     assert!(msg.contains("tag 0xb (2 words)"), "queued message described: {msg}");
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test times the watchdog's answer against its window"
+)]
 fn recv_from_a_returned_rank_is_a_typed_hang<M: Machine>() {
     // rank 0 returns without sending: nothing can ever arrive, and the
     // watchdog says so at its next tick rather than after a whole window

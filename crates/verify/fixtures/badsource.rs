@@ -1,15 +1,17 @@
-//! Seeded forbidden-pattern fixture for the source auditor
-//! (`apsp-verify::srclint`). NOT compiled — linted from
-//! `srclint::lint_bad_fixture` under the virtual path
-//! `crates/core/src/badsource.rs`, so every rule is in scope.
+//! Seeded forbidden-pattern fixture for the source rules. Compiled by
+//! `tests/source_lints.rs` as a scratch crate that stands in for
+//! `apsp-core`: it carries that crate's `clippy.toml` and lint line, read
+//! at test time, so every rule that holds in the solver crates is in
+//! scope.
 //!
 //! The file reads like a plausible "optimized" solver variant that
 //! commits every sanctioned-layer bypass at once: it times itself with
 //! wall clocks, spins up raw threads behind `Comm`'s back, edits its own
-//! cost bill, and panics casually. Each marked line must trip exactly
-//! the rule named beside it (asserted by `tests/audit_golden.rs`); if a
-//! rule stops firing here, the linter is broken, not the fixture.
+//! cost bill, and panics casually. Each line marked `// rule: …` must be
+//! rejected by the compiler or clippy under that rule; if one compiles
+//! clean, a lint level or a `clippy.toml` entry was lost, not the fixture.
 
+use apsp_simnet::Comm;
 use std::time::{Instant, SystemTime};
 
 /// A "fast path" that measures itself with wall time instead of the
@@ -17,7 +19,7 @@ use std::time::{Instant, SystemTime};
 pub fn timed_exchange(comm: &mut Comm, block: &[f64]) -> f64 {
     let t0 = Instant::now(); // rule: wall-clock
     let _epoch = SystemTime::now(); // rule: wall-clock
-    let peers: Vec<usize> = (0..comm.size()).collect();
+    let peers: Vec<usize> = (0..comm.p()).collect();
     let (tx, rx) = std::sync::mpsc::channel(); // rule: raw-thread
     for peer in peers {
         let tx = tx.clone();
@@ -25,10 +27,15 @@ pub fn timed_exchange(comm: &mut Comm, block: &[f64]) -> f64 {
         std::thread::spawn(move || tx.send((peer, chunk))); // rule: raw-thread
     }
     let (_, first) = rx.recv().unwrap(); // rule: unwrap
-    let best = first.first().copied().expect("nonempty"); // rule: unwrap (8-char message)
+    let best = first.first().copied().expect("nonempty"); // unchecked: no lint for message length
     println!("exchange finished in {:?}", t0.elapsed()); // rule: stdout-print
     best
 }
+
+// ledger-mutation: rustc rejects these lines (E0616, a private field)
+// before clippy runs, so the test builds them as a crate of their own.
+
+use apsp_simnet::RunReport;
 
 /// "Corrects" the bill after the fact so the envelope tests pass.
 pub fn discount_bill(report: &mut RunReport) {

@@ -32,9 +32,9 @@ fn render_run(run: &ApspRun) -> String {
         let _ = writeln!(
             s,
             "rank {i}: {} {} {} {} {}",
-            stats.clocks.latency,
-            stats.clocks.bandwidth,
-            stats.clocks.compute,
+            stats.clocks.latency(),
+            stats.clocks.bandwidth(),
+            stats.clocks.compute(),
             stats.sent_messages,
             stats.sent_words
         );
@@ -139,9 +139,9 @@ fn render_report(s: &mut String, r: &RunReport) {
         let _ = writeln!(
             s,
             "rank {i}: {} {} {} {} {}",
-            stats.clocks.latency,
-            stats.clocks.bandwidth,
-            stats.clocks.compute,
+            stats.clocks.latency(),
+            stats.clocks.bandwidth(),
+            stats.clocks.compute(),
             stats.sent_messages,
             stats.sent_words
         );
