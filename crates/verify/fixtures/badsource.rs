@@ -1,5 +1,5 @@
 //! Seeded forbidden-pattern fixture for the source rules. Compiled by
-//! `tests/source_lints.rs` as a scratch crate that stands in for
+//! `tests/audit_golden.rs` as a scratch crate that stands in for
 //! `apsp-core`: it carries that crate's `clippy.toml` and lint line, read
 //! at test time, so every rule that holds in the solver crates is in
 //! scope.

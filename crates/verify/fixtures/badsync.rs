@@ -1,7 +1,7 @@
 //! Seeded-bad concurrency fixture: a hand-rolled "fast path" for the
 //! native transport that bypasses the `sync` shim (so `--cfg loom`
 //! builds cannot model it) and opens unsafe windows with no stated
-//! invariant. Compiled by `tests/source_lints.rs` under `--cfg loom` as a
+//! invariant. Compiled by `tests/audit_golden.rs` under `--cfg loom` as a
 //! scratch crate that stands in for `apsp-transport`: it carries that
 //! crate's `clippy.toml` and lint lines, read at test time. Each line
 //! marked `// rule: …` must be rejected by clippy under that rule.
