@@ -57,8 +57,8 @@ pub fn table2_sweep(side: usize, heights: &[u32]) -> Vec<SweepPoint> {
                 ordering: Ordering::Grid { rows: side, cols: side },
                 ..Default::default()
             });
-            let run = solver.run(&g);
-            verify(&run.dist, &g, "sparse2d");
+            let solved = solver.solve(&g, None).expect("a non-negative mesh solves");
+            verify(&solved.dense(), &g, "sparse2d");
             let dense = fw2d(&g, n_grid);
             verify(&dense.dist, &g, "fw2d");
             let dc = dc_apsp(&g, n_grid, 1);
@@ -67,8 +67,8 @@ pub fn table2_sweep(side: usize, heights: &[u32]) -> Vec<SweepPoint> {
                 h,
                 p: n_grid * n_grid,
                 n: g.n(),
-                sep: run.ordering.max_separator(),
-                sparse: run.report,
+                sep: solved.ordering().max_separator(),
+                sparse: solved.report().clone(),
                 dense_fw: dense.report,
                 dc: dc.report,
             }
@@ -308,9 +308,17 @@ pub fn r4_ablation(side: usize, heights: &[u32]) -> Table {
         let layout = SupernodalLayout::from_ordering(&nd);
         let gp = g.permuted(&nd.perm);
         let fast = sparse2d(&layout, &gp, R4Strategy::OneToOne);
-        verify(&SupernodalLayout::unpermute(&fast.dist_eliminated, &nd.perm), &g, "one-to-one");
+        verify(
+            &SupernodalLayout::unpermute(&layout.assemble_dense(&fast.blocks), &nd.perm),
+            &g,
+            "one-to-one",
+        );
         let slow = sparse2d(&layout, &gp, R4Strategy::SequentialUnits);
-        verify(&SupernodalLayout::unpermute(&slow.dist_eliminated, &nd.perm), &g, "sequential");
+        verify(
+            &SupernodalLayout::unpermute(&layout.assemble_dense(&slow.blocks), &nd.perm),
+            &g,
+            "sequential",
+        );
         t.row(vec![
             format!("{}", (1usize << h) - 1),
             format!("{}", ((1usize << h) - 1) * ((1usize << h) - 1)),
@@ -441,7 +449,6 @@ pub fn algorithm_regimes(side: usize, h: u32) -> Table {
 /// schedule vs the undirected transpose mirror, on the same workload with
 /// symmetric weights (so both compute the same answer).
 pub fn directed_overhead(side: usize, heights: &[u32]) -> Table {
-    use apsp_core::sparse2d::sparse2d_directed;
     let g = generators::grid2d(side, side, WeightKind::Integer { max: 7 }, 5);
     let mut t = Table::new(vec![
         "sqrt_p",
@@ -458,9 +465,12 @@ pub fn directed_overhead(side: usize, heights: &[u32]) -> Table {
         let gp = g.permuted(&nd.perm);
         let und = sparse2d(&layout, &gp, R4Strategy::OneToOne);
         let dgp = apsp_graph::DiCsr::from_undirected(&g).permuted(&nd.perm);
-        let dir = sparse2d_directed(&layout, &dgp, R4Strategy::OneToOne);
+        let dir = sparse2d(&layout, &dgp, R4Strategy::OneToOne);
         assert!(
-            und.dist_eliminated.first_mismatch(&dir.dist_eliminated, 1e-9).is_none(),
+            layout
+                .assemble_dense(&und.blocks)
+                .first_mismatch(&layout.assemble_dense(&dir.blocks), 1e-9)
+                .is_none(),
             "directed and undirected must agree on symmetric weights"
         );
         let n_grid = (1usize << h) - 1;
@@ -491,7 +501,7 @@ pub fn update_costs(side: usize, h: u32, batch_sizes: &[usize]) -> Table {
     let layout = SupernodalLayout::from_ordering(&nd);
     let gp = g.permuted(&nd.perm);
     let solved = sparse2d(&layout, &gp, R4Strategy::OneToOne);
-    let blocks = layout.split_dense(&solved.dist_eliminated);
+    let blocks = solved.blocks;
 
     let mut t = Table::new(vec![
         "batch k",
@@ -586,18 +596,18 @@ pub fn separator_sweep(h: u32) -> Table {
     let mut t = Table::new(vec!["workload", "n", "m", "|S|", "L", "B", "M", "predicted B"]);
     for w in workloads {
         let solver = SparseApsp::new(SparseApspConfig { height: h, ..Default::default() });
-        let run = solver.run(&w.graph);
-        verify(&run.dist, &w.graph, &w.name);
-        let p = ((1usize << h) - 1) * ((1usize << h) - 1);
-        let s = run.ordering.max_separator();
+        let solved = solver.solve(&w.graph, None).expect("the workloads have no negative weight");
+        verify(&solved.dense(), &w.graph, &w.name);
+        let (report, p) = (solved.report(), ((1usize << h) - 1) * ((1usize << h) - 1));
+        let s = solved.ordering().max_separator();
         t.row(vec![
             w.name.clone(),
             format!("{}", w.graph.n()),
             format!("{}", w.graph.m()),
             format!("{s}"),
-            format!("{}", run.report.critical_latency()),
-            format!("{}", run.report.critical_bandwidth()),
-            format!("{}", run.report.max_peak_words()),
+            format!("{}", report.critical_latency()),
+            format!("{}", report.critical_bandwidth()),
+            format!("{}", report.max_peak_words()),
             fnum(bounds::sparse_bandwidth(w.graph.n(), p, s)),
         ]);
     }

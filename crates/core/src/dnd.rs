@@ -613,8 +613,10 @@ mod tests {
         let layout = crate::SupernodalLayout::from_ordering(&result.ordering);
         let gp = g.permuted(&result.ordering.perm);
         let solved = crate::sparse2d::sparse2d(&layout, &gp, crate::R4Strategy::OneToOne);
-        let dist =
-            crate::SupernodalLayout::unpermute(&solved.dist_eliminated, &result.ordering.perm);
+        let dist = crate::SupernodalLayout::unpermute(
+            &layout.assemble_dense(&solved.blocks),
+            &result.ordering.perm,
+        );
         let reference = apsp_graph::oracle::apsp_dijkstra(&g);
         assert!(dist.first_mismatch(&reference, 1e-9).is_none());
     }

@@ -1,16 +1,26 @@
 //! End-to-end public API: partition → permute → distribute → run → gather.
+//!
+//! [`SparseApsp::solve`] is the one door: ordering, validation, layout,
+//! permutation and launch happen there and nowhere else, and what comes
+//! out is the [`SolvedApsp`] handle holding the launch's own rank blocks.
+//! [`SparseApsp::run`] and [`SolvedApsp::solve`] are one-line sugar over it.
+//!
+//! # Errors
+//! The door refuses, before anything runs, a negative, NaN or `−∞` weight,
+//! a grid shape that does not fit, an ordering that fails validation, a
+//! simulator-only option on the native backend, or more than [`MAX_RANKS`]
+//! ranks; a machine that dies is [`ApspError::Machine`].
 
 use crate::dnd::DistNd;
-use crate::launch::{launch, reject_sim_only_on_native, verify, LaunchSpec};
+use crate::launch::{check_ranks, launch, ranks_of_height, verify, LaunchSpec};
+pub use crate::launch::{ApspError, MAX_RANKS};
+use crate::solved::SolvedApsp;
 pub use crate::sparse2d::Input;
 use crate::sparse2d::{R4Strategy, Sparse2d};
 use crate::supernodal::SupernodalLayout;
-use apsp_graph::{Csr, DenseDist, DiCsr};
+use apsp_graph::{Csr, DenseDist, DiCsr, Weight};
 use apsp_partition::{grid_nd, nested_dissection, NdOptions, NdOrdering};
-use apsp_simnet::{
-    CommEvent, FaultPlan, FaultSummary, Machine, MachineError, MachineSpec, RecoveryPolicy,
-    RecoveryReport, RunReport,
-};
+use apsp_simnet::{CommEvent, FaultPlan, Machine, MachineSpec, RecoveryPolicy, RunReport};
 use apsp_transport::Transport;
 
 /// Which execution backend runs the distributed solve.
@@ -100,7 +110,8 @@ pub struct SparseApspConfig {
     /// profiled, so the merged profile still satisfies the exact-sum
     /// invariant of [`apsp_simnet::PhaseBreakdown`].
     pub profile: bool,
-    /// Checkpoint/restart policy for [`SparseApsp::run_faulty`]. `None`
+    /// Checkpoint/restart policy for a [`SparseApsp::solve`] under a fault
+    /// plan. `None`
     /// (the default) keeps the historical fail-fast behaviour: the first
     /// unrecoverable fault aborts the solve. `Some(policy)` supervises the
     /// solve instead — elimination levels are checkpointed and killed
@@ -109,8 +120,8 @@ pub struct SparseApspConfig {
     pub recovery: Option<RecoveryPolicy>,
     /// Execution backend for the distributed solve. [`Backend::Native`]
     /// is incompatible with the simulator-only features (`profile`,
-    /// `charge_ordering_distribution`) — the driver panics with a
-    /// readable message rather than silently dropping them.
+    /// `charge_ordering_distribution`): the door refuses them with
+    /// [`ApspError::SimOnly`] rather than silently dropping them.
     pub backend: Backend,
 }
 
@@ -128,35 +139,18 @@ impl Default for SparseApspConfig {
     }
 }
 
-/// The outcome of an end-to-end run.
+/// The dense view of a solve, in the input graph's vertex ids: what
+/// [`SparseApsp::run`] returns. The handle ([`SparseApsp::solve`]) keeps
+/// the blocks, the ordering and the fault and recovery ledgers.
 pub struct ApspRun {
     /// All-pairs distances in the input graph's vertex ids.
     pub dist: DenseDist,
     /// Measured communication/computation report (the algorithm itself;
     /// plus the ordering scatter when configured).
     pub report: RunReport,
-    /// The ordering used (separator sizes feed the cost formulas).
-    pub ordering: NdOrdering,
     /// Per-elimination-level `(latency, bandwidth)` critical-path deltas
     /// (Lemmas 5.6, 5.8, 5.9) — excludes the ordering-distribution step.
     pub level_costs: Vec<(u64, u64)>,
-    /// Fault history, present when the run went through
-    /// [`SparseApsp::run_faulty`]: injected/recovered counts per rank
-    /// (`unrecoverable` is always 0 on a run that returned).
-    pub faults: Option<FaultSummary>,
-    /// Checkpoint/restart ledger, present when the run was supervised
-    /// ([`SparseApspConfig::recovery`] set): restarts, rollback bytes,
-    /// spare takeovers.
-    pub recovery: Option<RecoveryReport>,
-}
-
-impl ApspRun {
-    /// Reconstructs one shortest path from the computed distances — greedy
-    /// neighbour descent over `g`, no predecessor matrices needed
-    /// (see [`apsp_graph::paths::reconstruct_path`]).
-    pub fn path(&self, g: &Csr, src: usize, dst: usize) -> Option<Vec<usize>> {
-        apsp_graph::paths::reconstruct_path(g, &self.dist, src, dst, 1e-9)
-    }
 }
 
 /// The 2D-SPARSE-APSP solver — the crate's main entry point.
@@ -166,16 +160,18 @@ impl ApspRun {
 /// use apsp_graph::generators::{grid2d, WeightKind};
 ///
 /// let g = grid2d(6, 6, WeightKind::Unit, 0);
-/// let run = SparseApsp::new(SparseApspConfig::default()).run(&g);
-/// assert_eq!(run.dist.get(0, 1), 1.0);
-/// assert!(run.report.critical_latency() > 0);
+/// let solved = SparseApsp::new(SparseApspConfig::default()).solve(&g, None).unwrap();
+/// assert_eq!(solved.distance(0, 1), 1.0);
+/// assert!(solved.report().critical_latency() > 0);
 /// ```
 pub struct SparseApsp {
     config: SparseApspConfig,
 }
 
-/// What every entry point computes before the machine starts.
+/// What the door computes before the machine starts.
 struct Prepared {
+    /// the input, or the undirected pattern of a directed one
+    graph: Csr,
     nd: NdOrdering,
     ordering_report: RunReport,
     layout: SupernodalLayout,
@@ -194,6 +190,19 @@ impl Prepared {
     }
 }
 
+/// The first arc `u → v` whose weight is negative, NaN or `−∞`.
+fn check_weights<I: Iterator<Item = (usize, Weight)>>(
+    n: usize,
+    arcs: impl Fn(usize) -> I,
+) -> Result<(), ApspError> {
+    for u in 0..n {
+        if let Some((v, w)) = arcs(u).find(|&(_, w)| w.is_nan() || w < 0.0) {
+            return Err(ApspError::Weight(u, v, w));
+        }
+    }
+    Ok(())
+}
+
 impl SparseApsp {
     /// Creates a solver with the given configuration.
     pub fn new(config: SparseApspConfig) -> Self {
@@ -207,6 +216,7 @@ impl SparseApsp {
 
     /// Computes the ordering this configuration would use for `g` and the
     /// communication report of computing it (empty unless distributed).
+    /// [`NdOrdering::validate`] tells whether it fits `g`.
     pub fn ordering_for(&self, g: &Csr) -> (NdOrdering, RunReport) {
         let _wall = apsp_metrics::time_phase("ordering");
         match self.config.ordering {
@@ -215,7 +225,6 @@ impl SparseApsp {
                 RunReport::default(),
             ),
             Ordering::Grid { rows, cols } => {
-                assert_eq!(rows * cols, g.n(), "grid shape does not match the graph");
                 (grid_nd(rows, cols, self.config.height), RunReport::default())
             }
             Ordering::Distributed => {
@@ -234,56 +243,74 @@ impl SparseApsp {
         }
     }
 
-    /// The front every entry point shares: weights check → ordering →
-    /// validation → layout → schedule options.
-    fn prepare(&self, input: Input<'_>) -> Prepared {
-        let pattern_of_directed;
-        let pattern = match input {
-            Input::Undirected(g) => {
-                assert!(
-                    g.has_nonnegative_weights(),
-                    "undirected APSP requires non-negative weights (a negative \
-                     undirected edge is a negative cycle)"
-                );
-                g
-            }
+    /// The checks at the door, then ordering → validation → layout. The
+    /// rank count is checked first: the ordering allocates per supernode.
+    fn prepare(&self, input: Input<'_>) -> Result<Prepared, ApspError> {
+        let config = &self.config;
+        check_ranks(ranks_of_height(config.height))?;
+        if config.backend == Backend::Native && config.profile {
+            return Err(ApspError::SimOnly("profile"));
+        }
+        if config.backend == Backend::Native && config.charge_ordering_distribution {
+            return Err(ApspError::SimOnly("charge_ordering_distribution"));
+        }
+        let graph = match input {
+            Input::Undirected(g) => check_weights(g.n(), |u| g.edges_of(u)).map(|()| g.clone()),
             Input::Directed(dg) => {
-                assert!(
-                    dg.has_nonnegative_weights(),
-                    "directed APSP requires non-negative finite weights"
-                );
-                pattern_of_directed = dg.underlying_pattern();
-                &pattern_of_directed
+                check_weights(dg.n(), |u| dg.arcs_of(u)).map(|()| dg.underlying_pattern())
             }
-        };
-        let (nd, ordering_report) = self.ordering_for(pattern);
+        }?;
+        if let Ordering::Grid { rows, cols } = config.ordering {
+            if rows.checked_mul(cols) != Some(graph.n()) {
+                return Err(ApspError::GridShape(rows, cols, graph.n()));
+            }
+        }
+        let (nd, ordering_report) = self.ordering_for(&graph);
         // O(m) check, negligible next to the solve; an ordering violating
         // the cousin-separation invariant would make the distributed
         // algorithm silently wrong, so this is always on.
-        nd.validate(pattern).expect("ordering violates the §4.1 separation invariant");
+        nd.validate(&graph).map_err(ApspError::Ordering)?;
         let layout = SupernodalLayout::from_ordering(&nd);
-        Prepared { nd, ordering_report, layout, r4: self.config.r4 }
+        Ok(Prepared { graph, nd, ordering_report, layout, r4: config.r4 })
     }
 
-    /// The pipeline behind [`SparseApsp::run`], [`SparseApsp::run_directed`],
-    /// [`SparseApsp::run_faulty`] and [`SparseApsp::run_recorded`]: the
-    /// configuration plus (`faults`, `record`) make the one
-    /// [`LaunchSpec`] the solve is launched under.
-    fn solve(
+    /// The one door: solves `input` — undirected or directed — and returns
+    /// the handle holding the launch's rank blocks, ordering, layout,
+    /// report, per-level costs and fault and recovery ledgers.
+    ///
+    /// A directed input is ordered by nested dissection of its underlying
+    /// pattern and runs the directed schedule ([`Input::Directed`]); its
+    /// handle answers [`SolvedApsp::distance`], [`SolvedApsp::dense`] and
+    /// [`SolvedApsp::report`]. With `faults`, the solve runs under the
+    /// deterministic plan and must recover or fail: the recovery traffic is
+    /// part of the report, and with [`SparseApspConfig::recovery`] set,
+    /// killed ranks roll back to the last checkpointed elimination level.
+    ///
+    /// # Errors
+    /// An input the door refuses (see the module docs), or the
+    /// [`ApspError::Machine`] naming the first undeliverable message (or, on
+    /// a supervised run, the exhausted restart budget) — never silently
+    /// wrong distances.
+    pub fn solve<'a>(
+        &self,
+        input: impl Into<Input<'a>>,
+        faults: Option<&FaultPlan>,
+    ) -> Result<SolvedApsp, ApspError> {
+        self.pipeline(input.into(), faults, false).map(|(solved, _)| solved)
+    }
+
+    /// [`SparseApsp::solve`], recording every rank's comm script when
+    /// `record`.
+    fn pipeline(
         &self,
         input: Input<'_>,
         faults: Option<&FaultPlan>,
         record: bool,
-    ) -> Result<(ApspRun, Vec<Vec<CommEvent>>), MachineError> {
+    ) -> Result<(SolvedApsp, Vec<Vec<CommEvent>>), ApspError> {
         let config = &self.config;
         let _wall = apsp_metrics::time_phase("driver-run");
         apsp_metrics::counter("apsp_driver_solves_total", "Full pipeline solves started.").inc();
-        reject_sim_only_on_native(
-            config.backend,
-            config.profile,
-            config.charge_ordering_distribution,
-        );
-        let prep = self.prepare(input);
+        let prep = self.prepare(input)?;
         let mut report = RunReport::default();
         report.absorb(&prep.ordering_report);
         if config.charge_ordering_distribution {
@@ -298,29 +325,26 @@ impl SparseApsp {
         };
         let run = prep.with_solver(input, |solver| launch(solver, &spec))?;
         report.absorb(&run.result.report);
-        let apsp = ApspRun {
-            dist: SupernodalLayout::unpermute(&run.result.dist_eliminated, &prep.nd.perm),
-            report,
+        let solved = SolvedApsp {
+            graph: prep.graph,
             level_costs: run.result.level_costs(),
+            blocks: run.result.blocks,
             ordering: prep.nd,
+            layout: prep.layout,
+            report,
             faults: run.faults,
             recovery: run.recovery,
         };
-        Ok((apsp, run.scripts))
+        Ok((solved, run.scripts))
     }
 
-    /// Runs the full pipeline on `g`. Distances come back in the input
-    /// vertex numbering; `report` holds the measured critical-path costs.
+    /// The dense view of [`SparseApsp::solve`] on `g`: distances in the
+    /// input vertex numbering, the report and the per-level costs.
+    ///
+    /// # Panics
+    /// On any [`ApspError`]; call [`SparseApsp::solve`] to get it typed.
     pub fn run(&self, g: &Csr) -> ApspRun {
-        self.solve(g.into(), None, false).expect("fault-free launch cannot fail").0
-    }
-
-    /// Runs the full pipeline on a **directed** graph (asymmetric weights
-    /// over a symmetric pattern): nested dissection on the underlying
-    /// pattern, then the directed schedule ([`Input::Directed`]). The
-    /// distance matrix is generally asymmetric.
-    pub fn run_directed(&self, dg: &DiCsr) -> ApspRun {
-        self.solve(dg.into(), None, false).expect("fault-free launch cannot fail").0
+        self.solve(g, None).unwrap_or_else(|e| panic!("{e}")).into()
     }
 
     /// Runs the full pipeline on a **directed** graph that may carry
@@ -330,69 +354,48 @@ impl SparseApsp {
     /// directed solve runs, and distances are shifted back.
     ///
     /// # Errors
-    /// Returns the negative-cycle report from the re-weighting phase.
+    /// Returns the negative-cycle report from the re-weighting phase, or
+    /// the door's refusal.
     pub fn run_directed_negative(&self, dg: &DiCsr) -> Result<ApspRun, String> {
         let (rg, h) = apsp_graph::digraph::johnson_reweight(dg)?;
-        let mut run = self.run_directed(&rg);
+        let mut run = ApspRun::from(self.solve(&rg, None).map_err(|e| e.to_string())?);
         // shift distances back: d(u,v) = d'(u,v) − h(u) + h(v)
-        let n = dg.n();
-        for u in 0..n {
-            for v in 0..n {
-                let d = run.dist.get(u, v);
-                if d.is_finite() {
-                    run.dist.set(u, v, d - h[u] + h[v]);
-                }
+        for (u, v) in (0..dg.n()).flat_map(|u| (0..dg.n()).map(move |v| (u, v))) {
+            let d = run.dist.get(u, v);
+            if d.is_finite() {
+                run.dist.set(u, v, d - h[u] + h[v]);
             }
         }
         Ok(run)
     }
 
-    /// Like [`SparseApsp::run`], additionally returning every rank's
-    /// recorded comm script of the solve — the cost-model auditor's
-    /// sampling hook (`apsp audit`): [`apsp_simnet::phase_totals`] turns
-    /// the scripts into per-phase (`level`, `r1`–`r4`) ledgers whose
+    /// Like [`SparseApsp::solve`] without faults, additionally returning
+    /// every rank's recorded comm script of the solve — the cost-model
+    /// auditor's sampling hook (`apsp audit`): [`apsp_simnet::phase_totals`]
+    /// turns the scripts into per-phase (`level`, `r1`–`r4`) ledgers whose
     /// growth exponents are fitted against Theorems 5.7/5.10. Recording
     /// never touches the §3.1 clocks, so the report is byte-identical to
-    /// `run`'s. (The theorems bound the solve alone: audit under a
+    /// `solve`'s. (The theorems bound the solve alone: audit under a
     /// host-side ordering, whose cost report is empty.)
-    pub fn run_recorded(&self, g: &Csr) -> (ApspRun, Vec<Vec<CommEvent>>) {
-        self.solve(g.into(), None, true).expect("fault-free launch cannot fail")
+    ///
+    /// # Errors
+    /// As [`SparseApsp::solve`].
+    pub fn run_recorded(&self, g: &Csr) -> Result<(SolvedApsp, Vec<Vec<CommEvent>>), ApspError> {
+        self.pipeline(g.into(), None, true)
     }
 
     /// Verifies the configured pipeline's communication schedule for `g`
-    /// without running the plain solve: the ordering and layout are
-    /// computed exactly as in [`SparseApsp::run`], then the schedule goes
-    /// through [`crate::launch::verify`] on the configured backend (see
+    /// without running the plain solve: the door's checks, ordering and
+    /// layout run exactly as in [`SparseApsp::solve`], then the schedule
+    /// goes through [`crate::launch::verify`] on the configured backend (see
     /// `docs/VERIFICATION.md`).
-    pub fn verify(&self, g: &Csr) -> apsp_verify::VerifyReport {
-        let input = Input::Undirected(g);
-        self.prepare(input).with_solver(input, |solver| verify(solver, self.config.backend))
-    }
-
-    /// Runs the full pipeline on `g` — undirected or directed — with a
-    /// deterministic fault plan active during the distributed solve. The
-    /// ordering is computed host-side exactly as in [`SparseApsp::run`]
-    /// (an ordering corrupted by a fault would be a different experiment);
-    /// the solve itself runs under the plan and must recover or fail.
-    ///
-    /// On success, [`ApspRun::faults`] carries the injected/recovered
-    /// counts and the recovery traffic is part of [`ApspRun::report`].
-    /// With [`SparseApspConfig::recovery`] set, the solve additionally
-    /// survives killed ranks and dead links by rolling back to the last
-    /// checkpointed elimination level, and [`ApspRun::recovery`] reports
-    /// the restart/rollback ledger.
     ///
     /// # Errors
-    /// A [`MachineError`] naming the first undeliverable message (or, on a
-    /// supervised run, a typed [`apsp_simnet::Unrecoverable`] once the
-    /// restart budget is exhausted) — the run never returns silently wrong
-    /// distances.
-    pub fn run_faulty<'a>(
-        &self,
-        g: impl Into<Input<'a>>,
-        plan: &FaultPlan,
-    ) -> Result<ApspRun, MachineError> {
-        self.solve(g.into(), Some(plan), false).map(|(run, _)| run)
+    /// An input the door refuses.
+    pub fn verify(&self, g: &Csr) -> Result<apsp_verify::VerifyReport, ApspError> {
+        let input = Input::Undirected(g);
+        let prep = self.prepare(input)?;
+        Ok(prep.with_solver(input, |solver| verify(solver, self.config.backend)))
     }
 }
 
@@ -439,15 +442,16 @@ mod tests {
     use super::*;
     use apsp_graph::generators::{self, WeightKind};
     use apsp_graph::oracle;
+    use apsp_simnet::MachineError;
 
     #[test]
     fn default_config_end_to_end() {
         let g = generators::grid2d(6, 6, WeightKind::Integer { max: 5 }, 1);
-        let run = SparseApsp::new(SparseApspConfig::default()).run(&g);
+        let solved = SparseApsp::new(SparseApspConfig::default()).solve(&g, None).unwrap();
         let reference = oracle::apsp_dijkstra(&g);
-        assert!(run.dist.first_mismatch(&reference, 1e-9).is_none());
-        assert!(run.report.critical_latency() > 0);
-        assert!(run.ordering.validate(&g).is_ok());
+        assert!(solved.dense().first_mismatch(&reference, 1e-9).is_none());
+        assert!(solved.report().critical_latency() > 0);
+        assert!(solved.ordering().validate(&g).is_ok());
     }
 
     #[test]
@@ -529,13 +533,13 @@ mod tests {
             }
         }
         let dg = b.build();
-        let run = SparseApsp::with_height(2).run_directed(&dg);
+        let solved = SparseApsp::with_height(2).solve(&dg, None).unwrap();
         let reference = apsp_graph::digraph::apsp_dijkstra_directed(&dg);
-        assert!(run.dist.first_mismatch(&reference, 1e-9).is_none());
-        // asymmetric distances really occur
+        assert!(solved.dense().first_mismatch(&reference, 1e-9).is_none());
+        // asymmetric distances really occur, and point queries see them
         let asym = (0..dg.n())
             .flat_map(|i| (0..dg.n()).map(move |j| (i, j)))
-            .any(|(i, j)| (run.dist.get(i, j) - run.dist.get(j, i)).abs() > 1e-9);
+            .any(|(i, j)| (solved.distance(i, j) - solved.distance(j, i)).abs() > 1e-9);
         assert!(asym, "expected at least one asymmetric pair");
     }
 
@@ -613,16 +617,16 @@ mod tests {
         let g = generators::grid2d(6, 6, WeightKind::Integer { max: 5 }, 1);
         let plan = apsp_simnet::FaultPlan::new(99).with_drop(0.05).with_dup(0.03);
         let run = SparseApsp::new(SparseApspConfig::default())
-            .run_faulty(&g, &plan)
+            .solve(&g, Some(&plan))
             .expect("recoverable plan");
         let reference = oracle::apsp_dijkstra(&g);
-        assert!(run.dist.first_mismatch(&reference, 1e-9).is_none());
-        let summary = run.faults.expect("faulty run carries a summary");
+        assert!(run.dense().first_mismatch(&reference, 1e-9).is_none());
+        let summary = run.faults().expect("faulty run carries a summary");
         assert!(summary.injected() > 0, "5% drop over a real schedule must fire");
         assert_eq!(summary.unrecoverable, 0);
         // recovery traffic is charged: strictly more messages than clean
         let clean = SparseApsp::new(SparseApspConfig::default()).run(&g);
-        assert!(run.report.total_messages() > clean.report.total_messages());
+        assert!(run.report().total_messages() > clean.report.total_messages());
     }
 
     #[test]
@@ -631,12 +635,12 @@ mod tests {
         let config = SparseApspConfig { profile: true, ..Default::default() };
         let plain = SparseApsp::new(config).run(&g);
         let faulty = SparseApsp::new(config)
-            .run_faulty(&g, &apsp_simnet::FaultPlan::new(123))
+            .solve(&g, Some(&apsp_simnet::FaultPlan::new(123)))
             .expect("empty plan cannot fail");
-        assert!(plain.dist.first_mismatch(&faulty.dist, 0.0).is_none());
-        assert_eq!(plain.report.per_rank, faulty.report.per_rank);
-        assert_eq!(plain.report.profile, faulty.report.profile);
-        assert_eq!(faulty.faults.unwrap().injected(), 0);
+        assert!(plain.dist.first_mismatch(&faulty.dense(), 0.0).is_none());
+        assert_eq!(plain.report.per_rank, faulty.report().per_rank);
+        assert_eq!(plain.report.profile, faulty.report().profile);
+        assert_eq!(faulty.faults().unwrap().injected(), 0);
     }
 
     #[test]
@@ -645,11 +649,11 @@ mod tests {
         // rank 0 (block A11) must ship its closure to rank 2 (block A13) —
         // a link the default 9-rank schedule provably uses
         let plan = apsp_simnet::FaultPlan::new(5).with_kill(0, 2);
-        let err = match SparseApsp::new(SparseApspConfig::default()).run_faulty(&g, &plan) {
+        let err = match SparseApsp::new(SparseApspConfig::default()).solve(&g, Some(&plan)) {
             Ok(_) => panic!("a dead link in a 9-rank solve is unrecoverable"),
             Err(e) => e,
         };
-        let MachineError::Fault(err) = err else {
+        let ApspError::Machine(MachineError::Fault(err)) = err else {
             panic!("expected a fault error, got {err}");
         };
         assert_eq!((err.src, err.dst), (0, 2));
@@ -661,13 +665,13 @@ mod tests {
         let plan = apsp_simnet::FaultPlan::new(7).with_kill_rank_from(4, 1);
         let config =
             SparseApspConfig { recovery: Some(RecoveryPolicy::default()), ..Default::default() };
-        let run = SparseApsp::new(config).run_faulty(&g, &plan).expect("supervised run recovers");
+        let run = SparseApsp::new(config).solve(&g, Some(&plan)).expect("supervised run recovers");
         let reference = oracle::apsp_dijkstra(&g);
-        assert!(run.dist.first_mismatch(&reference, 1e-9).is_none());
-        let recovery = run.recovery.expect("supervised run carries a recovery report");
+        assert!(run.dense().first_mismatch(&reference, 1e-9).is_none());
+        let recovery = run.recovery().expect("supervised run carries a recovery report");
         assert!(recovery.restarts >= 1, "the killed rank must force a restart");
         assert_eq!(recovery.spare_takeovers.len(), 1);
-        assert_eq!(run.faults.expect("summary").unrecoverable, 0);
+        assert_eq!(run.faults().expect("summary").unrecoverable, 0);
     }
 
     #[test]
@@ -679,11 +683,11 @@ mod tests {
             recovery: Some(RecoveryPolicy { max_restarts: 2, every: 1, spares: 0 }),
             ..Default::default()
         };
-        let err = match SparseApsp::new(config).run_faulty(&g, &plan) {
+        let err = match SparseApsp::new(config).solve(&g, Some(&plan)) {
             Ok(_) => panic!("no spares means the kill is unrecoverable"),
             Err(e) => e,
         };
-        assert!(matches!(err, MachineError::Unrecoverable(_)), "got {err}");
+        assert!(matches!(err, ApspError::Machine(MachineError::Unrecoverable(_))), "got {err}");
     }
 
     #[test]
@@ -691,15 +695,15 @@ mod tests {
         let g = generators::grid2d(6, 6, WeightKind::Integer { max: 5 }, 1);
         let plan = apsp_simnet::FaultPlan::new(99).with_drop(0.05).with_dup(0.03);
         let config = SparseApspConfig { backend: Backend::Native, ..Default::default() };
-        let run = SparseApsp::new(config).run_faulty(&g, &plan).expect("recoverable plan");
+        let run = SparseApsp::new(config).solve(&g, Some(&plan)).expect("recoverable plan");
         let reference = oracle::apsp_dijkstra(&g);
-        assert!(run.dist.first_mismatch(&reference, 1e-9).is_none());
-        let summary = run.faults.expect("faulty run carries a summary");
+        assert!(run.dense().first_mismatch(&reference, 1e-9).is_none());
+        let summary = run.faults().expect("faulty run carries a summary");
         assert!(summary.injected() > 0, "5% drop over a real schedule must fire");
         assert_eq!(summary.unrecoverable, 0);
         // and the recovered distances are bit-identical to the clean native run
         let clean = SparseApsp::new(config).run(&g);
-        assert!(run.dist.first_mismatch(&clean.dist, 0.0).is_none());
+        assert!(run.dense().first_mismatch(&clean.dist, 0.0).is_none());
     }
 
     #[test]
@@ -711,32 +715,33 @@ mod tests {
             recovery: Some(RecoveryPolicy::default()),
             ..Default::default()
         };
-        let run = SparseApsp::new(config).run_faulty(&g, &plan).expect("supervised run recovers");
+        let run = SparseApsp::new(config).solve(&g, Some(&plan)).expect("supervised run recovers");
         let clean =
             SparseApsp::new(SparseApspConfig { backend: Backend::Native, ..Default::default() })
                 .run(&g);
-        assert!(run.dist.first_mismatch(&clean.dist, 0.0).is_none(), "bit-identical recovery");
-        let recovery = run.recovery.expect("supervised run carries a recovery report");
+        assert!(run.dense().first_mismatch(&clean.dist, 0.0).is_none(), "bit-identical recovery");
+        let recovery = run.recovery().expect("supervised run carries a recovery report");
         assert!(recovery.restarts >= 1, "the killed rank must force a restart");
         assert_eq!(recovery.spare_takeovers.len(), 1);
-        assert_eq!(run.faults.expect("summary").unrecoverable, 0);
+        assert_eq!(run.faults().expect("summary").unrecoverable, 0);
     }
 
     #[test]
-    #[should_panic(expected = "non-negative")]
     fn negative_weights_rejected() {
         let g = apsp_graph::GraphBuilder::new(2).edge(0, 1, -1.0).build();
-        let _ = SparseApsp::with_height(2).run(&g);
+        let err = SparseApsp::with_height(2).solve(&g, None).err().expect("refused");
+        assert!(matches!(err, ApspError::Weight(0, 1, w) if w == -1.0), "{err}");
+        assert!(err.to_string().contains("weight -1 is not >= 0"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "grid shape")]
     fn wrong_grid_shape_rejected() {
         let g = generators::path(5, WeightKind::Unit, 0);
         let config = SparseApspConfig {
             ordering: Ordering::Grid { rows: 2, cols: 2 },
             ..Default::default()
         };
-        let _ = SparseApsp::new(config).run(&g);
+        let err = SparseApsp::new(config).solve(&g, None).err().expect("refused");
+        assert!(matches!(err, ApspError::GridShape(2, 2, 5)), "{err}");
     }
 }

@@ -7,6 +7,10 @@
 //! the native backend rejects). [`verify`] checks a solver's
 //! communication schedule: either machine records it, and the recording
 //! is linted.
+//!
+//! # Errors
+//! [`launch`] refuses `profile` on the native backend and a rank count past
+//! [`MAX_RANKS`]; a machine that dies is [`ApspError::Machine`].
 
 use crate::driver::Backend;
 use apsp_graph::DenseDist;
@@ -79,22 +83,62 @@ pub struct DenseResult {
     pub report: RunReport,
 }
 
-/// The one place simulator-only options meet the native backend: panics
-/// with a readable message rather than silently dropping them.
-pub(crate) fn reject_sim_only_on_native(backend: Backend, profile: bool, charge_ordering: bool) {
-    if backend == Backend::Sim {
-        return;
+/// The largest rank count this crate launches, `(2^5 − 1)²`: the tallest
+/// tree the tests and the paper report run. Each rank is a pooled thread.
+pub const MAX_RANKS: usize = 961;
+
+/// The rank count `(2^h − 1)²` of a scheduling tree of height `h`, exact
+/// for every `u32` (saturating past `h = 64`).
+pub fn ranks_of_height(h: u32) -> u128 {
+    let side = (1u128 << h.min(64)) - 1;
+    side * side
+}
+
+/// Why a solve was refused at the door, or how its machine died. Nothing
+/// on the way in panics: every input check is one of these variants.
+#[derive(Debug)]
+pub enum ApspError {
+    /// An edge weight no solve accepts — negative, NaN or `−∞` — as
+    /// `(u, v, weight)` for the arc `u → v` in input vertex ids.
+    Weight(usize, usize, f64),
+    /// [`crate::driver::Ordering::Grid`] `(rows, cols)` does not describe
+    /// the graph's `n` vertices: `(rows, cols, n)`.
+    GridShape(usize, usize, usize),
+    /// The ordering breaks the §4.1 cousin-separation invariant.
+    Ordering(String),
+    /// A simulator-only option (named) asked of the native backend.
+    SimOnly(&'static str),
+    /// A rank count outside `1..=`[`MAX_RANKS`].
+    Ranks(u128),
+    /// The machine's typed error: an unrecoverable fault, an exhausted
+    /// restart budget, a hang.
+    Machine(MachineError),
+}
+
+impl std::fmt::Display for ApspError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Weight(u, v, w) => write!(f, "edge {u} -> {v}: weight {w} is not >= 0"),
+            Self::GridShape(r, c, n) => write!(f, "grid {r} x {c} does not fit {n} vertices"),
+            Self::Ordering(e) => write!(f, "ordering breaks the §4.1 separation invariant: {e}"),
+            Self::SimOnly(o) => write!(f, "{o} needs the simulated machine's cost clocks"),
+            Self::Ranks(p) => write!(f, "{p} ranks asked for; this build runs 1..={MAX_RANKS}"),
+            Self::Machine(e) => write!(f, "machine error: {e}"),
+        }
     }
-    assert!(
-        !profile,
-        "the native backend has no §3.1 cost clocks to profile; use the sim backend \
-         for --trace/--profile"
-    );
-    assert!(
-        !charge_ordering,
-        "ordering-distribution cost accounting needs the simulated machine; use the \
-         sim backend"
-    );
+}
+
+impl std::error::Error for ApspError {}
+
+impl From<MachineError> for ApspError {
+    fn from(e: MachineError) -> Self {
+        ApspError::Machine(e)
+    }
+}
+
+/// Refuses a rank count no machine here runs.
+pub(crate) fn check_ranks(p: u128) -> Result<(), ApspError> {
+    (1..=MAX_RANKS as u128).contains(&p).then_some(()).ok_or(ApspError::Ranks(p))
 }
 
 fn on<M: Machine, S: Solver>(
@@ -108,23 +152,30 @@ fn on<M: Machine, S: Solver>(
 /// machine; this is the only place a [`Backend`] picks one.
 ///
 /// # Errors
-/// The typed [`MachineError`] the run died with — only possible under a
-/// fault plan (a kill rule without `recovery`, or an exhausted restart
-/// budget with it).
-///
-/// # Panics
-/// When `profile` is asked of the native backend.
+/// [`ApspError::SimOnly`] for `profile` on the native backend and
+/// [`ApspError::Ranks`] past [`MAX_RANKS`], both before a rank starts;
+/// otherwise the typed [`MachineError`] the run died with — only possible
+/// under a fault plan (a kill rule without `recovery`, or an exhausted
+/// restart budget with it).
 pub fn launch<S: Solver>(
     solver: &S,
     spec: &LaunchSpec<'_>,
-) -> Result<Launched<S::Result>, MachineError> {
+) -> Result<Launched<S::Result>, ApspError> {
+    check_ranks(solver.p() as u128)?;
+    if spec.backend == Backend::Native && spec.profile {
+        return Err(ApspError::SimOnly("profile"));
+    }
+    Ok(run(solver, spec)?)
+}
+
+/// [`launch`] past its checks.
+fn run<S: Solver>(solver: &S, spec: &LaunchSpec<'_>) -> Result<Launched<S::Result>, MachineError> {
     let machine = MachineSpec {
         faults: spec.faults,
         recovery: spec.recovery,
         profile: spec.profile,
         record: spec.record,
     };
-    reject_sim_only_on_native(spec.backend, spec.profile, false);
     let (_wall, run) = match spec.backend {
         Backend::Sim => {
             (apsp_metrics::time_phase(S::PHASE), on::<SimMachine, S>(solver, &machine)?)
@@ -163,6 +214,6 @@ pub fn verify<S: Solver>(solver: &S, backend: Backend) -> VerifyReport {
     if backend == Backend::Sim {
         return apsp_verify::verify_program(solver.p(), |comm| solver.rank_program(comm));
     }
-    let recorded = launch(solver, &LaunchSpec { backend, record: true, ..Default::default() });
+    let recorded = run(solver, &LaunchSpec { backend, record: true, ..Default::default() });
     apsp_verify::lint_recorded_outcome(solver.p(), recorded.map(|run| run.scripts))
 }

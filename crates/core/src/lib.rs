@@ -39,7 +39,7 @@ pub mod superfw;
 pub mod supernodal;
 pub mod update;
 
-pub use driver::{ApspRun, Backend, SparseApsp, SparseApspConfig};
+pub use driver::{ApspError, ApspRun, Backend, SparseApsp, SparseApspConfig, MAX_RANKS};
 pub use solved::SolvedApsp;
 pub use sparse2d::R4Strategy;
 pub use supernodal::SupernodalLayout;

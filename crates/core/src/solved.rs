@@ -2,40 +2,54 @@
 //! distances and routes, apply incremental updates, and keep the
 //! accumulated communication bill — the ergonomic layer a long-lived
 //! service builds on (solve once, serve queries, absorb traffic updates).
+//!
+//! The handle is what [`SparseApsp::solve`] returns: the rank blocks the
+//! launch left on the layout, never copied through an `n × n` matrix.
+//!
+//! # Errors
+//! [`SparseApsp::solve`] refuses input with a typed [`crate::ApspError`];
+//! [`SolvedApsp::load`] names the line of a snapshot it rejects.
 
-use crate::sparse2d::{sparse2d, R4Strategy};
+use crate::driver::{ApspRun, SparseApsp};
 use crate::supernodal::SupernodalLayout;
 use crate::update::{apply_decreases, DecreasedEdge};
 use apsp_graph::{Csr, DenseDist};
 use apsp_minplus::MinPlusMatrix;
-use apsp_partition::{nested_dissection, NdOptions, NdOrdering};
-use apsp_simnet::{Clocks, RunReport};
+use apsp_partition::NdOrdering;
+use apsp_simnet::{Clocks, FaultSummary, RecoveryReport, RunReport};
 
-/// A solved all-pairs instance living on the simulated machine's layout:
-/// per-rank blocks in eliminated order plus the permutation back to input
-/// vertex ids.
+/// A solved all-pairs instance living on the machine's layout: per-rank
+/// blocks in eliminated order plus the permutation back to input vertex
+/// ids.
 pub struct SolvedApsp {
-    graph: Csr,
-    ordering: NdOrdering,
-    layout: SupernodalLayout,
+    /// the input graph, or the undirected pattern of a directed input
+    pub(crate) graph: Csr,
+    pub(crate) ordering: NdOrdering,
+    pub(crate) layout: SupernodalLayout,
     /// per-rank blocks, eliminated order
-    blocks: Vec<MinPlusMatrix>,
+    pub(crate) blocks: Vec<MinPlusMatrix>,
     /// accumulated communication bill (solve + every update so far)
-    report: RunReport,
+    pub(crate) report: RunReport,
+    pub(crate) level_costs: Vec<(u64, u64)>,
+    pub(crate) faults: Option<FaultSummary>,
+    pub(crate) recovery: Option<RecoveryReport>,
+}
+
+impl From<SolvedApsp> for ApspRun {
+    fn from(solved: SolvedApsp) -> ApspRun {
+        ApspRun { dist: solved.dense(), report: solved.report, level_costs: solved.level_costs }
+    }
 }
 
 impl SolvedApsp {
     /// Solves `g` on `p = (2^h − 1)²` simulated ranks and returns the
-    /// stateful handle.
+    /// stateful handle: [`SparseApsp::solve`] with the default
+    /// configuration at height `height`.
+    ///
+    /// # Panics
+    /// On any [`ApspError`](crate::ApspError); call [`SparseApsp::solve`] to get it typed.
     pub fn solve(g: &Csr, height: u32) -> SolvedApsp {
-        assert!(g.has_nonnegative_weights(), "undirected APSP requires non-negative weights");
-        let nd = nested_dissection(g, height, &NdOptions::default());
-        nd.validate(g).expect("ordering violates the separation invariant");
-        let layout = SupernodalLayout::from_ordering(&nd);
-        let gp = g.permuted(&nd.perm);
-        let result = sparse2d(&layout, &gp, R4Strategy::OneToOne);
-        let blocks = layout.split_dense(&result.dist_eliminated);
-        SolvedApsp { graph: g.clone(), ordering: nd, layout, blocks, report: result.report }
+        SparseApsp::with_height(height).solve(g, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Distance between two input-graph vertices (O(1) lookup).
@@ -46,13 +60,15 @@ impl SolvedApsp {
     }
 
     /// One shortest route between two input vertices, reconstructed from
-    /// distances (`None` when unreachable).
+    /// distances (`None` when unreachable). Undirected handles only: a
+    /// directed handle keeps its pattern, not its arcs.
     pub fn route(&self, u: usize, v: usize) -> Option<Vec<usize>> {
         apsp_graph::paths::reconstruct_path(&self.graph, &self.dense(), u, v, 1e-9)
     }
 
-    /// Applies a batch of edge-weight **decreases** (input vertex ids).
-    /// Each edge must already exist or be a new shortcut; the handle's
+    /// Applies a batch of edge-weight **decreases** (input vertex ids) to an
+    /// undirected handle. Each edge must already exist or be a new
+    /// shortcut; the handle's
     /// graph and distance blocks are updated, and the update's measured
     /// communication is folded into [`SolvedApsp::report`].
     ///
@@ -75,10 +91,7 @@ impl SolvedApsp {
         self.report.absorb(&result.report);
         // keep the stored graph in sync (builder keeps minima)
         let mut b = apsp_graph::GraphBuilder::new(self.graph.n());
-        for (u, v, w) in self.graph.edges() {
-            b.add_edge(u, v, w);
-        }
-        for &(u, v, w) in edges {
+        for (u, v, w) in self.graph.edges().chain(edges.iter().copied()) {
             b.add_edge(u, v, w);
         }
         self.graph = b.build();
@@ -96,12 +109,29 @@ impl SolvedApsp {
         &self.report
     }
 
+    /// Per-level `(latency, bandwidth)` deltas of the solve (empty if loaded).
+    pub fn level_costs(&self) -> &[(u64, u64)] {
+        &self.level_costs
+    }
+
+    /// The solve's fault history, present when it ran under a fault plan.
+    pub fn faults(&self) -> Option<&FaultSummary> {
+        self.faults.as_ref()
+    }
+
+    /// The solve's checkpoint/restart ledger, present when it was supervised.
+    pub fn recovery(&self) -> Option<&RecoveryReport> {
+        self.recovery.as_ref()
+    }
+
     /// The nested-dissection ordering in use.
     pub fn ordering(&self) -> &NdOrdering {
         &self.ordering
     }
 
-    /// The current graph (including applied decreases).
+    /// The current graph (including applied decreases); for a directed
+    /// input, its undirected pattern (unit weights), which the ordering
+    /// was computed on.
     pub fn graph(&self) -> &Csr {
         &self.graph
     }
@@ -116,50 +146,27 @@ impl SolvedApsp {
     /// (graph, ordering, distance blocks, accumulated bill) so a service
     /// can restart without re-solving.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), String> {
-        use std::fmt::Write as _;
-        let mut s = String::from("sparse-apsp solved v1\n");
-        let _ = writeln!(s, "height {}", self.layout.tree().height());
-        let _ = writeln!(
-            s,
-            "sizes {}",
-            (1..=self.layout.n_super())
-                .map(|k| self.layout.size(k).to_string())
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        let _ = writeln!(
-            s,
-            "order {}",
-            self.ordering
-                .perm
-                .as_order()
-                .iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        // accumulated critical clocks (enough to restore the bill's shape)
+        let line = |key: &str, words: Vec<String>| format!("{key} {}\n", words.join(" "));
         let r = &self.report;
-        let _ = writeln!(
-            s,
-            "bill {} {} {} {} {} {}",
-            r.critical_latency(),
-            r.critical_bandwidth(),
-            r.critical_compute(),
-            r.total_messages(),
-            r.total_words(),
-            r.max_peak_words()
+        // accumulated critical clocks (enough to restore the bill's shape)
+        let bill = [r.critical_latency(), r.critical_bandwidth(), r.critical_compute()]
+            .into_iter()
+            .chain([r.total_messages(), r.total_words(), r.max_peak_words()]);
+        let mut s = String::from("sparse-apsp solved v1\n");
+        s += &line("height", vec![self.layout.tree().height().to_string()]);
+        s += &line(
+            "sizes",
+            (1..=self.layout.n_super()).map(|k| self.layout.size(k).to_string()).collect(),
         );
-        let _ = writeln!(s, "graph");
-        s.push_str(&apsp_graph::io::to_edge_list(&self.graph));
-        let _ = writeln!(s, "blocks");
+        s += &line("order", self.ordering.perm.as_order().iter().map(usize::to_string).collect());
+        s += &line("bill", bill.map(|x| x.to_string()).collect());
+        s += "graph\n";
+        s += &apsp_graph::io::to_edge_list(&self.graph);
+        s += "blocks\n";
         for block in &self.blocks {
-            let row: Vec<String> = block
-                .as_slice()
-                .iter()
-                .map(|&w| if w.is_infinite() { "inf".into() } else { format!("{w}") })
-                .collect();
-            let _ = writeln!(s, "{}", row.join(" "));
+            // distances are never `−∞`, so `+∞` is the one infinity: `inf`
+            let row: Vec<String> = block.as_slice().iter().map(f64::to_string).collect();
+            s += &(row.join(" ") + "\n");
         }
         std::fs::write(path.as_ref(), s)
             .map_err(|e| format!("cannot write {}: {e}", path.as_ref().display()))
@@ -175,27 +182,21 @@ impl SolvedApsp {
         if lines.next() != Some("sparse-apsp solved v1") {
             return Err("not a sparse-apsp snapshot".into());
         }
-        let parse_line = |line: Option<&str>, key: &str| -> Result<Vec<String>, String> {
+        // the words after `key` on the next line, parsed
+        fn words<T: std::str::FromStr>(line: Option<&str>, key: &str) -> Result<Vec<T>, String>
+        where
+            T::Err: std::fmt::Display,
+        {
             let line = line.ok_or_else(|| format!("missing {key} line"))?;
             let mut it = line.split_whitespace();
             if it.next() != Some(key) {
                 return Err(format!("expected {key} line, got {line:?}"));
             }
-            Ok(it.map(String::from).collect())
-        };
-        let height: u32 = parse_line(lines.next(), "height")?
-            .first()
-            .ok_or("missing height")?
-            .parse()
-            .map_err(|e| format!("{e}"))?;
-        let sizes: Vec<usize> = parse_line(lines.next(), "sizes")?
-            .iter()
-            .map(|x| x.parse().map_err(|e| format!("{e}")))
-            .collect::<Result<_, _>>()?;
-        let order: Vec<usize> = parse_line(lines.next(), "order")?
-            .iter()
-            .map(|x| x.parse().map_err(|e| format!("{e}")))
-            .collect::<Result<_, _>>()?;
+            it.map(|x| x.parse().map_err(|e| format!("{e}"))).collect()
+        }
+        let height: u32 = *words(lines.next(), "height")?.first().ok_or("missing height")?;
+        let sizes: Vec<usize> = words(lines.next(), "sizes")?;
+        let order: Vec<usize> = words(lines.next(), "order")?;
         let mut seen = vec![false; order.len()];
         for &v in &order {
             if v >= order.len() || std::mem::replace(&mut seen[v], true) {
@@ -205,13 +206,8 @@ impl SolvedApsp {
                 ));
             }
         }
-        let bill: Vec<u64> = parse_line(lines.next(), "bill")?
-            .iter()
-            .map(|x| x.parse().map_err(|e| format!("{e}")))
-            .collect::<Result<_, _>>()?;
-        if bill.len() != 6 {
-            return Err("bad bill line".into());
-        }
+        let bill: [u64; 6] =
+            words(lines.next(), "bill")?.try_into().map_err(|_| "bad bill line")?;
         if lines.next() != Some("graph") {
             return Err("missing graph section".into());
         }
@@ -241,26 +237,18 @@ impl SolvedApsp {
         let layout = SupernodalLayout::new(tree, sizes);
 
         let block_lines = &rest[split + 1..];
-        if block_lines.len() != layout.p() {
-            return Err(format!(
-                "expected {} block lines, found {}",
-                layout.p(),
-                block_lines.len()
-            ));
+        let (want, found) = (layout.p(), block_lines.len());
+        if found != want {
+            return Err(format!("expected {want} block lines, found {found}"));
         }
         let mut blocks = Vec::with_capacity(layout.p());
         for (rank, line) in block_lines.iter().enumerate() {
             let (i, j) = layout.block_of_rank(rank);
             let want = layout.block_words(i, j);
+            // `inf` parses as `f64::INFINITY`
             let vals: Vec<f64> = line
                 .split_whitespace()
-                .map(|x| {
-                    if x == "inf" {
-                        Ok(f64::INFINITY)
-                    } else {
-                        x.parse().map_err(|e| format!("{e}"))
-                    }
-                })
+                .map(|x| x.parse().map_err(|e| format!("{e}")))
                 .collect::<Result<_, String>>()?;
             if vals.len() != want {
                 return Err(format!("block {rank}: expected {want} words, found {}", vals.len()));
@@ -281,7 +269,16 @@ impl SolvedApsp {
         report.per_rank[0].sent_words = bill[4];
         report.per_rank[0].peak_words = bill[5];
 
-        Ok(SolvedApsp { graph, ordering, layout, blocks, report })
+        Ok(SolvedApsp {
+            graph,
+            ordering,
+            layout,
+            blocks,
+            report,
+            level_costs: Vec::new(),
+            faults: None,
+            recovery: None,
+        })
     }
 }
 

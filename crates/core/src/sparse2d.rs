@@ -55,7 +55,7 @@ use crate::launch::{launch_plain, Solver};
 use crate::plan::{execute, Buf, Op, Plan};
 use crate::supernodal::SupernodalLayout;
 use apsp_etree::{mapping, SchedTree};
-use apsp_graph::{Csr, DenseDist, DiCsr};
+use apsp_graph::{Csr, DiCsr};
 use apsp_minplus::MinPlusMatrix;
 use apsp_simnet::{Clocks, RunReport};
 use apsp_transport::Transport;
@@ -75,8 +75,10 @@ pub enum R4Strategy {
 /// Result of a distributed run: final blocks in eliminated order plus the
 /// measured communication report.
 pub struct Sparse2dResult {
-    /// The distance matrix in the *eliminated* ordering.
-    pub dist_eliminated: DenseDist,
+    /// Every rank's final block `A(i, j)`, in rank order — the distances in
+    /// the *eliminated* ordering, left where Algorithm 1 computed them
+    /// ([`SupernodalLayout::assemble_dense`] makes the matrix of them).
+    pub blocks: Vec<MinPlusMatrix>,
     /// Per-rank and critical-path costs.
     pub report: RunReport,
     /// Critical-path clocks *after each level* (cumulative, one entry per
@@ -89,16 +91,13 @@ impl Sparse2dResult {
     /// Per-level critical-path cost deltas `(latency, bandwidth)` —
     /// `L_l` and `B_l` in the paper's notation.
     pub fn level_costs(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(self.level_clocks.len());
-        let mut prev = Clocks::default();
-        for c in &self.level_clocks {
-            out.push((
-                c.latency().saturating_sub(prev.latency()),
-                c.bandwidth().saturating_sub(prev.bandwidth()),
-            ));
-            prev = *c;
-        }
-        out
+        let before = std::iter::once(Clocks::default()).chain(self.level_clocks.iter().copied());
+        (self.level_clocks.iter().zip(before))
+            .map(|(c, b)| {
+                let delta = |f: fn(&Clocks) -> u64| f(c).saturating_sub(f(&b));
+                (delta(Clocks::latency), delta(Clocks::bandwidth))
+            })
+            .collect()
     }
 }
 
@@ -390,7 +389,7 @@ fn rank_program<C: Transport>(
     layout: &SupernodalLayout,
     input: Input<'_>,
     r4: R4Strategy,
-) -> (Vec<f64>, Vec<Clocks>) {
+) -> (MinPlusMatrix, Vec<Clocks>) {
     let h = layout.tree().height();
     let (bi, bj) = layout.block_of_rank(comm.rank());
 
@@ -433,7 +432,7 @@ fn rank_program<C: Transport>(
     }
 
     let (_, block) = bufs.pop().expect("the rank's block");
-    (block.into_vec(), level_clocks)
+    (block, level_clocks)
 }
 
 /// Supernode sizes indexed by label (`[0]` is unused): the block shapes
@@ -526,7 +525,7 @@ impl<'a> Sparse2d<'a> {
 }
 
 impl Solver for Sparse2d<'_> {
-    type Out = (Vec<f64>, Vec<Clocks>);
+    type Out = (MinPlusMatrix, Vec<Clocks>);
     type Result = Sparse2dResult;
     const PHASE: &'static str = "solve-sparse2d";
 
@@ -539,34 +538,30 @@ impl Solver for Sparse2d<'_> {
     }
 
     fn assemble(&self, outputs: Vec<Self::Out>, report: RunReport) -> Sparse2dResult {
-        let layout = self.layout;
-        let h = layout.tree().height() as usize;
         // per-level critical clocks: max over ranks of the cumulative snapshot
-        let mut level_clocks = vec![Clocks::default(); h];
-        for (_, clocks) in &outputs {
-            for (lvl, c) in clocks.iter().enumerate() {
-                level_clocks[lvl].merge_max(c);
-            }
-        }
-        let dist_eliminated = layout.assemble_raw(outputs.into_iter().map(|(data, _)| data));
-        Sparse2dResult { dist_eliminated, report, level_clocks }
+        let mut level_clocks = vec![Clocks::default(); self.layout.tree().height() as usize];
+        let blocks = outputs
+            .into_iter()
+            .map(|(block, clocks)| {
+                for (lvl, c) in clocks.iter().enumerate() {
+                    level_clocks[lvl].merge_max(c);
+                }
+                block
+            })
+            .collect();
+        Sparse2dResult { blocks, report, level_clocks }
     }
 }
 
-/// Runs 2D-SPARSE-APSP on the simulated machine; every other way to run it
-/// is a [`crate::launch::LaunchSpec`] on [`Sparse2d::new`].
-pub fn sparse2d(layout: &SupernodalLayout, g_perm: &Csr, strategy: R4Strategy) -> Sparse2dResult {
-    launch_plain(&Sparse2d::new(layout, g_perm, strategy))
-}
-
-/// Runs **directed** 2D-SPARSE-APSP on the simulated machine
-/// ([`Input::Directed`]).
-pub fn sparse2d_directed(
-    layout: &SupernodalLayout,
-    dg_perm: &DiCsr,
+/// Runs 2D-SPARSE-APSP — undirected or directed ([`Input`]) — on the
+/// simulated machine; every other way to run it is a
+/// [`crate::launch::LaunchSpec`] on [`Sparse2d::new`].
+pub fn sparse2d<'a>(
+    layout: &'a SupernodalLayout,
+    g_perm: impl Into<Input<'a>>,
     strategy: R4Strategy,
 ) -> Sparse2dResult {
-    launch_plain(&Sparse2d::new(layout, dg_perm, strategy))
+    launch_plain(&Sparse2d::new(layout, g_perm, strategy))
 }
 
 #[cfg(test)]
@@ -584,7 +579,7 @@ mod tests {
         let layout = SupernodalLayout::from_ordering(nd);
         let gp = g.permuted(&nd.perm);
         let result = sparse2d(&layout, &gp, strategy);
-        let dist = SupernodalLayout::unpermute(&result.dist_eliminated, &nd.perm);
+        let dist = SupernodalLayout::unpermute(&layout.assemble_dense(&result.blocks), &nd.perm);
         let reference = oracle::apsp_dijkstra(g);
         if let Some((i, j, a, b)) = dist.first_mismatch(&reference, 1e-9) {
             panic!("mismatch at ({i},{j}): got {a}, expected {b}");
@@ -711,15 +706,8 @@ mod tests {
         let dg = random_digraph(base, seed);
         let layout = SupernodalLayout::from_ordering(nd);
         let dgp = dg.permuted(&nd.perm);
-        let result = sparse2d_directed(&layout, &dgp, strategy);
-        // un-permute
-        let n = base.n();
-        let mut dist = apsp_graph::DenseDist::unconnected(n);
-        for i in 0..n {
-            for j in 0..n {
-                dist.set(i, j, result.dist_eliminated.get(nd.perm.to_new(i), nd.perm.to_new(j)));
-            }
-        }
+        let result = sparse2d(&layout, &dgp, strategy);
+        let dist = SupernodalLayout::unpermute(&layout.assemble_dense(&result.blocks), &nd.perm);
         let reference = apsp_graph::digraph::apsp_dijkstra_directed(&dg);
         if let Some((i, j, a, b)) = dist.first_mismatch(&reference, 1e-9) {
             panic!("directed mismatch at ({i},{j}): got {a}, expected {b}");
@@ -769,8 +757,11 @@ mod tests {
         let gp = g.permuted(&nd.perm);
         let und = sparse2d(&layout, &gp, R4Strategy::OneToOne);
         let dg = apsp_graph::DiCsr::from_undirected(&g).permuted(&nd.perm);
-        let dir = sparse2d_directed(&layout, &dg, R4Strategy::OneToOne);
-        assert!(und.dist_eliminated.first_mismatch(&dir.dist_eliminated, 1e-9).is_none());
+        let dir = sparse2d(&layout, &dg, R4Strategy::OneToOne);
+        assert!(layout
+            .assemble_dense(&und.blocks)
+            .first_mismatch(&layout.assemble_dense(&dir.blocks), 1e-9)
+            .is_none());
         // directed costs stay within ~2x of the undirected schedule
         assert!(dir.report.critical_bandwidth() <= 3 * und.report.critical_bandwidth());
     }

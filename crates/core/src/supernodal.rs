@@ -2,7 +2,7 @@
 //! block grid addressed by scheduling-tree labels (paper Fig. 1d / Fig. 3).
 
 use apsp_etree::SchedTree;
-use apsp_graph::{Csr, Permutation};
+use apsp_graph::{Csr, DiCsr, Permutation};
 use apsp_minplus::MinPlusMatrix;
 use apsp_partition::NdOrdering;
 
@@ -27,12 +27,9 @@ impl SupernodalLayout {
     /// Builds from a tree and explicit supernode sizes (label order).
     pub fn new(tree: SchedTree, sizes: Vec<usize>) -> Self {
         assert_eq!(sizes.len(), tree.num_supernodes(), "one size per supernode");
-        let mut offsets = Vec::with_capacity(sizes.len() + 1);
-        offsets.push(0);
-        let mut acc = 0;
-        for &s in &sizes {
-            acc += s;
-            offsets.push(acc);
+        let mut offsets = vec![0];
+        for &size in &sizes {
+            offsets.push(offsets[offsets.len() - 1] + size);
         }
         SupernodalLayout { tree, sizes, offsets }
     }
@@ -96,32 +93,23 @@ impl SupernodalLayout {
     /// graph **already permuted** into the eliminated ordering. The
     /// diagonal of diagonal blocks is `0`.
     pub fn extract_block(&self, g_perm: &Csr, i: usize, j: usize) -> MinPlusMatrix {
-        let (ri, rj) = (self.range(i), self.range(j));
-        let mut block = MinPlusMatrix::empty(ri.len(), rj.len());
-        if i == j {
-            for d in 0..ri.len() {
-                block.set(d, d, 0.0);
-            }
-        }
-        for (bi, u) in ri.clone().enumerate() {
-            for (v, w) in g_perm.edges_of(u) {
-                if rj.contains(&v) {
-                    block.relax(bi, v - rj.start, w);
-                }
-            }
-        }
-        block
+        self.block_of(i, j, |u| g_perm.edges_of(u))
     }
 
     /// Builds block `(i, j)` of a **directed** adjacency (asymmetric
     /// weights, symmetric pattern) already permuted into the eliminated
     /// ordering. Entry `(r, c)` holds the arc weight `row-vertex → col-
     /// vertex`; missing directions of pattern pairs stay `∞`.
-    pub fn extract_block_directed(
+    pub fn extract_block_directed(&self, dg_perm: &DiCsr, i: usize, j: usize) -> MinPlusMatrix {
+        self.block_of(i, j, |u| dg_perm.arcs_of(u))
+    }
+
+    /// Block `(i, j)` of the adjacency whose arcs out of `u` are `arcs(u)`.
+    fn block_of<I: Iterator<Item = (usize, f64)>>(
         &self,
-        dg_perm: &apsp_graph::DiCsr,
         i: usize,
         j: usize,
+        arcs: impl Fn(usize) -> I,
     ) -> MinPlusMatrix {
         let (ri, rj) = (self.range(i), self.range(j));
         let mut block = MinPlusMatrix::empty(ri.len(), rj.len());
@@ -131,7 +119,7 @@ impl SupernodalLayout {
             }
         }
         for (bi, u) in ri.clone().enumerate() {
-            for (v, w) in dg_perm.arcs_of(u) {
+            for (v, w) in arcs(u) {
                 if rj.contains(&v) && w.is_finite() {
                     block.relax(bi, v - rj.start, w);
                 }
@@ -143,14 +131,8 @@ impl SupernodalLayout {
     /// Builds every block (row-major `N × N`) — convenience for
     /// shared-memory algorithms and tests.
     pub fn extract_all_blocks(&self, g_perm: &Csr) -> Vec<MinPlusMatrix> {
-        let n = self.n_super();
-        let mut out = Vec::with_capacity(n * n);
-        for i in 1..=n {
-            for j in 1..=n {
-                out.push(self.extract_block(g_perm, i, j));
-            }
-        }
-        out
+        let block = |(i, j)| self.extract_block(g_perm, i, j);
+        (0..self.p()).map(|rank| block(self.block_of_rank(rank))).collect()
     }
 
     /// Counts blocks that are structurally empty in the ND-ordered
@@ -200,34 +182,6 @@ impl SupernodalLayout {
             }
         }
         out
-    }
-
-    /// Cuts a dense matrix (in eliminated ordering) into per-block buffers
-    /// in rank order — the inverse of [`SupernodalLayout::assemble_dense`].
-    pub fn split_dense(&self, dense: &apsp_graph::DenseDist) -> Vec<MinPlusMatrix> {
-        (0..self.p())
-            .map(|rank| {
-                let (i, j) = self.block_of_rank(rank);
-                let (ri, rj) = (self.range(i), self.range(j));
-                MinPlusMatrix::from_fn(ri.len(), rj.len(), |r, c| {
-                    dense.get(ri.start + r, rj.start + c)
-                })
-            })
-            .collect()
-    }
-
-    /// [`SupernodalLayout::assemble_dense`] from the raw block buffers the
-    /// rank programs return, in rank order.
-    pub fn assemble_raw(&self, raw: impl IntoIterator<Item = Vec<f64>>) -> apsp_graph::DenseDist {
-        let blocks: Vec<MinPlusMatrix> = raw
-            .into_iter()
-            .enumerate()
-            .map(|(rank, data)| {
-                let (i, j) = self.block_of_rank(rank);
-                MinPlusMatrix::from_raw(self.size(i), self.size(j), data)
-            })
-            .collect();
-        self.assemble_dense(&blocks)
     }
 
     /// Un-permutes a dense matrix from the eliminated ordering back to the

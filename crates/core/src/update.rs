@@ -252,7 +252,7 @@ mod tests {
         nd: apsp_partition::NdOrdering,
         layout: SupernodalLayout,
         dist_eliminated: DenseDist,
-        /// each rank's block, recovered from the solved dense matrix
+        /// each rank's block, as the solve left it
         blocks: Vec<MinPlusMatrix>,
         report: RunReport,
     }
@@ -261,15 +261,22 @@ mod tests {
         let nd = grid_nd(side, side, h);
         let layout = SupernodalLayout::from_ordering(&nd);
         let solved = sparse2d(&layout, &g.permuted(&nd.perm), R4Strategy::OneToOne);
-        let blocks = layout.split_dense(&solved.dist_eliminated);
-        Solved {
-            g,
-            nd,
-            layout,
-            dist_eliminated: solved.dist_eliminated,
-            blocks,
-            report: solved.report,
-        }
+        let dist_eliminated = layout.assemble_dense(&solved.blocks);
+        Solved { g, nd, layout, dist_eliminated, blocks: solved.blocks, report: solved.report }
+    }
+
+    /// Cuts a dense matrix (eliminated ordering) into `layout`'s blocks, in
+    /// rank order: the inverse of [`SupernodalLayout::assemble_dense`].
+    fn split_dense(layout: &SupernodalLayout, dense: &DenseDist) -> Vec<MinPlusMatrix> {
+        (0..layout.p())
+            .map(|rank| {
+                let (i, j) = layout.block_of_rank(rank);
+                let (ri, rj) = (layout.range(i), layout.range(j));
+                MinPlusMatrix::from_fn(ri.len(), rj.len(), |r, c| {
+                    dense.get(ri.start + r, rj.start + c)
+                })
+            })
+            .collect()
     }
 
     fn solve_mesh(side: usize, h: u32, weights: WeightKind) -> Solved {
@@ -350,7 +357,7 @@ mod tests {
     ) -> RunReport {
         let mut want = dense.clone();
         old_get_set_loop(&mut want, batch);
-        let got = apply_decreases(layout, &layout.split_dense(dense), batch);
+        let got = apply_decreases(layout, &split_dense(layout, dense), batch);
         assert_eq!(bits(&layout.assemble_dense(&got.blocks)), bits(&want), "{what}");
         got.report
     }

@@ -73,7 +73,7 @@ proptest! {
             apsp_core::R4Strategy::OneToOne,
         );
         let dist = apsp_core::SupernodalLayout::unpermute(
-            &solved.dist_eliminated,
+            &layout.assemble_dense(&solved.blocks),
             &result.ordering.perm,
         );
         let reference = apsp_graph::oracle::apsp_dijkstra(&g);

@@ -37,7 +37,7 @@ proptest! {
         let layout = SupernodalLayout::from_ordering(&nd);
         let gp = g.permuted(&nd.perm);
         let result = sparse2d(&layout, &gp, R4Strategy::OneToOne);
-        let dist = SupernodalLayout::unpermute(&result.dist_eliminated, &nd.perm);
+        let dist = SupernodalLayout::unpermute(&layout.assemble_dense(&result.blocks), &nd.perm);
         let reference = oracle::apsp_dijkstra(&g);
         prop_assert!(dist.first_mismatch(&reference, 1e-9).is_none());
         // the distance matrix of an undirected graph is symmetric
@@ -52,7 +52,7 @@ proptest! {
         let gp = g.permuted(&nd.perm);
         let a = sparse2d(&layout, &gp, R4Strategy::OneToOne);
         let b = sparse2d(&layout, &gp, R4Strategy::SequentialUnits);
-        prop_assert!(a.dist_eliminated.first_mismatch(&b.dist_eliminated, 1e-9).is_none());
+        prop_assert!(layout.assemble_dense(&a.blocks).first_mismatch(&layout.assemble_dense(&b.blocks), 1e-9).is_none());
     }
 
     #[test]
@@ -105,13 +105,13 @@ proptest! {
         let nd = nested_dissection(&pattern, 3, &NdOptions::default());
         let layout = SupernodalLayout::from_ordering(&nd);
         let dgp = dg.permuted(&nd.perm);
-        let result = apsp_core::sparse2d::sparse2d_directed(
+        let result = apsp_core::sparse2d::sparse2d(
             &layout,
             &dgp,
             apsp_core::sparse2d::R4Strategy::OneToOne,
         );
         let reference = apsp_graph::digraph::apsp_dijkstra_directed(&dgp);
-        prop_assert!(result.dist_eliminated.first_mismatch(&reference, 1e-9).is_none());
+        prop_assert!(layout.assemble_dense(&result.blocks).first_mismatch(&reference, 1e-9).is_none());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use apsp_core::dcapsp::DcApsp;
 use apsp_core::djohnson::DJohnson;
 use apsp_core::fw2d::Fw2d;
-use apsp_core::launch::{launch, LaunchSpec, Solver};
+use apsp_core::launch::{launch, ApspError, LaunchSpec, Solver};
 use apsp_core::sparse2d::{R4Strategy, Sparse2d};
 use apsp_core::supernodal::SupernodalLayout;
 use apsp_graph::generators::{self, WeightKind};
@@ -26,7 +26,7 @@ fn faulty<S: Solver>(
     solver: &S,
     plan: &FaultPlan,
     profile: bool,
-) -> Result<(S::Result, FaultSummary), MachineError> {
+) -> Result<(S::Result, FaultSummary), ApspError> {
     let spec = LaunchSpec { faults: Some(plan), profile, ..Default::default() };
     launch(solver, &spec).map(|run| (run.result, run.faults.expect("summary")))
 }
@@ -37,7 +37,7 @@ fn recovering<S: Solver>(
     plan: &FaultPlan,
     policy: RecoveryPolicy,
     profile: bool,
-) -> Result<(S::Result, FaultSummary, RecoveryReport), MachineError> {
+) -> Result<(S::Result, FaultSummary, RecoveryReport), ApspError> {
     let spec =
         LaunchSpec { faults: Some(plan), recovery: Some(policy), profile, ..Default::default() };
     launch(solver, &spec)
@@ -284,7 +284,8 @@ fn sparse2d_recovers_under_chaos() {
                 let (result, summary) =
                     faulty(&Sparse2d::new(&layout, &gp, R4Strategy::OneToOne), &plan, false)
                         .unwrap_or_else(|e| panic!("h={h} plan {k}: {e}"));
-                let dist = SupernodalLayout::unpermute(&result.dist_eliminated, &nd.perm);
+                let dist =
+                    SupernodalLayout::unpermute(&layout.assemble_dense(&result.blocks), &nd.perm);
                 assert_oracle(&dist, &g, &format!("sparse2d h={h} plan {k}"));
                 assert_eq!(summary.unrecoverable, 0);
             }
@@ -302,7 +303,7 @@ type RecoveringRun = Box<
     dyn Fn(
         &FaultPlan,
         RecoveryPolicy,
-    ) -> Result<(DenseDist, RunReport, FaultSummary, RecoveryReport), MachineError>,
+    ) -> Result<(DenseDist, RunReport, FaultSummary, RecoveryReport), ApspError>,
 >;
 
 /// Every checkpointable solver on a ~4-rank machine over the same graph.
@@ -339,7 +340,8 @@ fn recoverable_solvers(g: &apsp_graph::Csr) -> Vec<(&'static str, RecoveringRun)
             Box::new(move |plan: &FaultPlan, policy: RecoveryPolicy| {
                 let solver = Sparse2d::new(&layout, &gp, R4Strategy::OneToOne);
                 recovering(&solver, plan, policy, false).map(|(r, f, rec)| {
-                    let dist = SupernodalLayout::unpermute(&r.dist_eliminated, &nd.perm);
+                    let dist =
+                        SupernodalLayout::unpermute(&layout.assemble_dense(&r.blocks), &nd.perm);
                     (dist, r.report, f, rec)
                 })
             }),
@@ -469,7 +471,7 @@ fn exhausted_budget_is_a_typed_unrecoverable() {
         Ok(_) => panic!("spare-less permanent kill must fail"),
         Err(e) => e,
     };
-    let MachineError::Unrecoverable(u) = err else {
+    let ApspError::Machine(MachineError::Unrecoverable(u)) = err else {
         panic!("expected Unrecoverable, got {err}");
     };
     assert!(matches!(*u.cause, MachineError::Fault(_)), "cause is the root fault");
@@ -481,7 +483,7 @@ fn exhausted_budget_is_a_typed_unrecoverable() {
             Ok(_) => panic!("zero restarts must fail"),
             Err(e) => e,
         };
-    let MachineError::Unrecoverable(u) = err else {
+    let ApspError::Machine(MachineError::Unrecoverable(u)) = err else {
         panic!("expected Unrecoverable, got {err}");
     };
     assert_eq!(u.restarts, 0);

@@ -11,13 +11,13 @@ use sparse_apsp::prelude::*;
 
 fn solve(name: &str, g: &Csr) {
     let solver = SparseApsp::new(SparseApspConfig { height: 3, ..Default::default() });
-    let run = solver.run(g);
+    let solved = solver.solve(g, None).expect("the workloads have non-negative weights");
     // always verify before reporting costs
     let reference = oracle::apsp_dijkstra(g);
-    assert!(run.dist.first_mismatch(&reference, 1e-9).is_none());
+    assert!(solved.dense().first_mismatch(&reference, 1e-9).is_none());
 
-    let s = run.ordering.max_separator();
-    let r = &run.report;
+    let s = solved.ordering().max_separator();
+    let r = solved.report();
     println!(
         "{name:<22} |S| = {s:>3}   L = {:>5}   B = {:>8}   M = {:>7}   predicted B ~ {:>9.0}",
         r.critical_latency(),

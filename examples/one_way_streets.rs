@@ -2,7 +2,7 @@
 //! (Manhattan-style one-way streets). Weights are asymmetric — the paper's
 //! undirected formulation generalizes because the supernodal schedule only
 //! needs the *pattern* to be symmetric; the `R⁴` phase computes both block
-//! orientations instead of mirroring (`sparse2d_directed`).
+//! orientations instead of mirroring (`Input::Directed`).
 //!
 //! ```text
 //! cargo run --release --example one_way_streets
@@ -40,23 +40,23 @@ fn main() {
         city.pattern_entries() / 2
     );
 
-    let run = SparseApsp::with_height(3).run_directed(&city);
+    let solved = SparseApsp::with_height(3).solve(&city, None).expect("one-way weights are >= 0");
     let reference = apsp_dijkstra_directed(&city);
-    assert!(run.dist.first_mismatch(&reference, 1e-9).is_none());
+    assert!(solved.dense().first_mismatch(&reference, 1e-9).is_none());
     println!("verified against directed Dijkstra ✓");
 
     // asymmetry in action: the same two corners, both directions
     let (a, z) = (id(0, 0), id(1, side - 1));
     println!(
         "drive {a} → {z}: {:.0} min   |   {z} → {a}: {:.0} min (one-way detours)",
-        run.dist.get(a, z),
-        run.dist.get(z, a)
+        solved.distance(a, z),
+        solved.distance(z, a)
     );
-    assert_ne!(run.dist.get(a, z), run.dist.get(z, a));
+    assert_ne!(solved.distance(a, z), solved.distance(z, a));
 
     println!(
         "communication: L = {} messages, B = {} words on p = 49 simulated ranks",
-        run.report.critical_latency(),
-        run.report.critical_bandwidth()
+        solved.report().critical_latency(),
+        solved.report().critical_bandwidth()
     );
 }

@@ -19,19 +19,21 @@ fn main() {
         ordering: Ordering::Grid { rows: 12, cols: 12 },
         ..Default::default()
     });
-    let run = solver.run(&g);
+    // The one door: a handle on the ranks' blocks, or a typed error for
+    // input it refuses (a negative weight, a grid shape that does not fit).
+    let solved = solver.solve(&g, None).expect("a 12×12 mesh with weights 1..=9");
 
-    // Distances come back in the input vertex numbering.
+    // Queries take input vertex ids.
     let (a, b) = (0, 143); // opposite corners
-    println!("d({a}, {b}) = {}", run.dist.get(a, b));
+    println!("d({a}, {b}) = {}", solved.distance(a, b));
 
     // Verify against the sequential oracle (n Dijkstra runs).
     let reference = oracle::apsp_dijkstra(&g);
-    assert!(run.dist.first_mismatch(&reference, 1e-9).is_none());
+    assert!(solved.dense().first_mismatch(&reference, 1e-9).is_none());
     println!("verified against Dijkstra ✓");
 
     // The §3.1 communication bill, measured on the critical path.
-    let r = &run.report;
+    let r = solved.report();
     println!("\ncost report (p = 49):");
     println!("  latency   L = {:>8} messages", r.critical_latency());
     println!("  bandwidth B = {:>8} words", r.critical_bandwidth());
@@ -40,6 +42,6 @@ fn main() {
     println!(
         "\npaper predictions (shape): L ~ log²p = {:.0}, B ~ n²log²p/p + |S|²log²p = {:.0}",
         bounds::sparse_latency(49),
-        bounds::sparse_bandwidth(g.n(), 49, run.ordering.max_separator()),
+        bounds::sparse_bandwidth(g.n(), 49, solved.ordering().max_separator()),
     );
 }

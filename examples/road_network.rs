@@ -48,29 +48,29 @@ fn main() {
 
     // sparse distributed solve (multilevel ND handles the highway shortcuts)
     let solver = SparseApsp::new(SparseApspConfig { height: 3, ..Default::default() });
-    let run = solver.run(&g);
-    println!("top separator: {} vertices (of {})", run.ordering.top_separator(), g.n());
+    let solved = solver.solve(&g, None).expect("travel times are non-negative");
+    println!("top separator: {} vertices (of {})", solved.ordering().top_separator(), g.n());
 
-    // oracle check + route reconstruction straight from the distance matrix
+    // oracle check + route reconstruction from the handle's distances
     let reference = oracle::apsp_dijkstra(&g);
-    assert!(run.dist.first_mismatch(&reference, 1e-9).is_none());
+    assert!(solved.dense().first_mismatch(&reference, 1e-9).is_none());
     let (src, dst) = (0, side * side - 1);
-    let route = run.path(&g, src, dst).expect("connected");
+    let route = solved.route(src, dst).expect("connected");
     println!(
         "route {src} → {dst}: {:.2} time units via {} intersections",
-        run.dist.get(src, dst),
+        solved.distance(src, dst),
         route.len()
     );
     // cross-check the route against the Dijkstra tree
     let (dist, _) = oracle::dijkstra_with_parents(&g, src);
-    assert!((dist[dst] - run.dist.get(src, dst)).abs() < 1e-9);
+    assert!((dist[dst] - solved.distance(src, dst)).abs() < 1e-9);
     let w = sparse_apsp::graph::paths::path_weight(&g, &route).expect("valid hops");
     assert!((w - dist[dst]).abs() < 1e-9);
 
     // communication: sparse algorithm vs dense baseline on the same machine
     let dense = fw2d(&g, 7);
     assert!(dense.dist.first_mismatch(&reference, 1e-9).is_none());
-    let (rs, rd) = (&run.report, &dense.report);
+    let (rs, rd) = (solved.report(), &dense.report);
     println!("\n                   2D-SPARSE-APSP    dense blocked FW");
     println!("latency  (msgs)  {:>12}    {:>12}", rs.critical_latency(), rd.critical_latency());
     println!("bandwidth(words) {:>12}    {:>12}", rs.critical_bandwidth(), rd.critical_bandwidth());

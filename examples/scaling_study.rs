@@ -36,14 +36,14 @@ fn main() {
             ordering: Ordering::Grid { rows: side, cols: side },
             ..Default::default()
         });
-        let sparse = solver.run(&g);
-        assert!(sparse.dist.first_mismatch(&reference, 1e-9).is_none());
-        let s = sparse.ordering.max_separator();
+        let sparse = solver.solve(&g, None).expect("a unit mesh solves");
+        assert!(sparse.dense().first_mismatch(&reference, 1e-9).is_none());
+        let s = sparse.ordering().max_separator();
 
         let dense = fw2d(&g, n_grid);
         assert!(dense.dist.first_mismatch(&reference, 1e-9).is_none());
 
-        let (rs, rd) = (&sparse.report, &dense.report);
+        let (rs, rd) = (sparse.report(), &dense.report);
         if json {
             println!(
                 "{{\"workload\": \"mesh {side}x{side}\", \"n\": {n}, \"height\": {h}, \

@@ -26,13 +26,13 @@ fn main() {
         solved.report.critical_latency(),
         solved.report.critical_bandwidth()
     );
-    let dist0 = SupernodalLayout::unpermute(&solved.dist_eliminated, &nd.perm);
+    let dist0 = SupernodalLayout::unpermute(&layout.assemble_dense(&solved.blocks), &nd.perm);
     let (a, b) = (0, n - 1);
     println!("before: travel {a} → {b} takes {:.0} min", dist0.get(a, b));
 
     // a new expressway opens diagonally across town: 3 fast segments
     let upgrades = [(0usize, 52usize, 2.0), (52, 104, 2.0), (104, 143, 2.0)];
-    let blocks = layout.split_dense(&solved.dist_eliminated);
+    let blocks = solved.blocks;
     let batch: Vec<DecreasedEdge> = upgrades
         .iter()
         .map(|&(u, v, w)| DecreasedEdge {

@@ -158,10 +158,11 @@ fn sparse_sample(side: usize, h: u32) -> Observation {
         ordering: Ordering::Grid { rows: side, cols: side },
         ..Default::default()
     });
-    let (run, scripts) = solver.run_recorded(&g);
+    let (solved, scripts) = solver.run_recorded(&g).expect("a unit mesh solves");
     let p = ((1usize << h) - 1) * ((1usize << h) - 1);
-    assert_correct("sparse2d", side, p, &run.dist, &g);
-    Observation::from_run(g.n(), p, run.ordering.max_separator(), &run.report, &scripts)
+    assert_correct("sparse2d", side, p, &solved.dense(), &g);
+    let separator = solved.ordering().max_separator();
+    Observation::from_run(g.n(), p, separator, solved.report(), &scripts)
 }
 
 fn sparse_audit(max_p: usize) -> SolverAudit {

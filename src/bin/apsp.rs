@@ -43,21 +43,19 @@ impl Args {
         }
     }
 
-    /// `--height`: a scheduling-tree height in `SchedTree`'s 1..=32.
+    /// `--height`: a scheduling-tree height whose `(2^h − 1)²` ranks this
+    /// build runs.
     fn height(&self, default: u32) -> u32 {
         let height = self.num("--height", default);
-        if !(1..=32).contains(&height) {
-            die(&format!("--height must be between 1 and 32, got {height}"));
-        }
+        check_ranks("--height", height, ranks_of_height(height));
         height
     }
 
-    /// `--n-grid`: a grid side whose square, the rank count, fits a usize.
+    /// `--n-grid`: a grid side whose square, the rank count, this build
+    /// runs.
     fn n_grid(&self, default: usize) -> usize {
         let n_grid = self.num("--n-grid", default);
-        if n_grid == 0 || n_grid.checked_mul(n_grid).is_none() {
-            die(&format!("--n-grid must be between 1 and {}, got {n_grid}", u32::MAX));
-        }
+        check_ranks("--n-grid", n_grid, (n_grid as u128).pow(2));
         n_grid
     }
 
@@ -96,6 +94,17 @@ impl Args {
                 a.strip_prefix(name).and_then(|r| r.strip_prefix('=')).map(Some)
             }
         })
+    }
+}
+
+/// Dies unless `flag value` asks for `p` ranks in `1..=MAX_RANKS`: checked
+/// while parsing, before anything is allocated per rank.
+fn check_ranks(flag: &str, value: impl std::fmt::Display, p: u128) {
+    if !(1..=MAX_RANKS as u128).contains(&p) {
+        die(&format!(
+            "{flag} must be at least 1 and ask for at most {MAX_RANKS} ranks; {flag} {value} \
+             asks for {p}"
+        ));
     }
 }
 
@@ -194,15 +203,11 @@ fn announce(faults: Option<&FaultSummary>, recovery: Option<&RecoveryReport>) {
     }
 }
 
-/// The one rendering path for every machine-level failure the CLI
-/// surfaces: typed errors print their Display form — wait-for cycles,
-/// fault locations, restart budgets — never a raw `{:?}` dump.
-fn render_machine_error(e: &MachineError) -> String {
-    format!("machine error: {e}")
-}
-
-fn die_unrecoverable(e: MachineError) -> ! {
-    die(&render_machine_error(&e))
+/// The one rendering path for every refused or failed solve: typed
+/// errors print their Display form — bad weights, wait-for cycles, fault
+/// locations, restart budgets — never a raw `{:?}` dump.
+fn die_refused(e: ApspError) -> ! {
+    die(&e.to_string())
 }
 
 /// Renders the per-phase attribution as an aligned text table.
@@ -338,27 +343,28 @@ fn load_digraph(args: &Args) -> DiCsr {
     }
 }
 
+/// The 2D-SPARSE-APSP configuration `--sequential-r4` and
+/// `--charge-ordering` describe, at `height` on `backend`.
+fn sparse_config(args: &Args, height: u32, backend: Backend) -> SparseApspConfig {
+    let r4 = if args.flag("--sequential-r4") {
+        R4Strategy::SequentialUnits
+    } else {
+        R4Strategy::OneToOne
+    };
+    let charge_ordering_distribution = args.flag("--charge-ordering");
+    SparseApspConfig { height, r4, charge_ordering_distribution, backend, ..Default::default() }
+}
+
 /// The full 2D-SPARSE-APSP pipeline on an undirected or directed input.
 fn solve_sparse2d(args: &Args, opts: &RunOpts, input: Input<'_>) -> Solved {
     let solver = SparseApsp::new(SparseApspConfig {
-        height: args.height(3),
-        r4: if args.flag("--sequential-r4") {
-            R4Strategy::SequentialUnits
-        } else {
-            R4Strategy::OneToOne
-        },
-        charge_ordering_distribution: args.flag("--charge-ordering"),
         profile: opts.profile,
         recovery: opts.recover,
-        backend: opts.backend,
-        ..Default::default()
+        ..sparse_config(args, args.height(3), opts.backend)
     });
-    let run = match (&opts.plan, input) {
-        (Some(plan), _) => solver.run_faulty(input, plan).unwrap_or_else(|e| die_unrecoverable(e)),
-        (None, Input::Undirected(g)) => solver.run(g),
-        (None, Input::Directed(dg)) => solver.run_directed(dg),
-    };
-    announce(run.faults.as_ref(), run.recovery.as_ref());
+    let solved = solver.solve(input, opts.plan.as_ref()).unwrap_or_else(|e| die_refused(e));
+    announce(solved.faults(), solved.recovery());
+    let run = ApspRun::from(solved);
     (run.dist, run.report, run.level_costs)
 }
 
@@ -371,7 +377,7 @@ fn solve_dense<S: Solver<Result = DenseResult>>(solver: &S, opts: &RunOpts) -> S
         profile: opts.profile,
         ..Default::default()
     };
-    let run = launch(solver, &spec).unwrap_or_else(|e| die_unrecoverable(e));
+    let run = launch(solver, &spec).unwrap_or_else(|e| die_refused(e));
     announce(run.faults.as_ref(), run.recovery.as_ref());
     (run.result.dist, run.result.report, Vec::new())
 }
@@ -553,8 +559,9 @@ USAGE:
 
 An option a command does not list is an error (exit 2), never ignored.
 
-The simulated machine has p = (2^H - 1)^2 ranks (1 <= H <= 32; verify's
---n-grid N >= 1 sets p = N^2 for the dense baselines), and dcapsp's
+The simulated machine has p = (2^H - 1)^2 ranks (verify's --n-grid N sets
+p = N^2 for the dense baselines; either way 1 <= p <= 961, so H <= 5 and
+N <= 31), and dcapsp's
 recursion depth D needs 2^D <= n. The JSON report carries the
 critical-path latency/bandwidth the paper's Table 2 analyzes.
 
@@ -663,19 +670,9 @@ fn cmd_verify(args: &Args) {
         let height = args.height(2);
         let n_grid = args.n_grid((1usize << height) - 1);
         match algorithm {
-            "sparse2d" => {
-                let config = SparseApspConfig {
-                    height,
-                    r4: if args.flag("--sequential-r4") {
-                        R4Strategy::SequentialUnits
-                    } else {
-                        R4Strategy::OneToOne
-                    },
-                    backend,
-                    ..Default::default()
-                };
-                SparseApsp::new(config).verify(&g)
-            }
+            "sparse2d" => SparseApsp::new(sparse_config(args, height, backend))
+                .verify(&g)
+                .unwrap_or_else(|e| die_refused(e)),
             "fw2d" => verify(&Fw2d::new(&g, n_grid), backend),
             "dcapsp" => verify(&args.dcapsp(&g, n_grid), backend),
             "djohnson" => verify(&DJohnson::new(&g, n_grid * n_grid), backend),
@@ -722,12 +719,8 @@ fn cmd_info(args: &Args) {
     let g = load_graph(args.get("--input"));
     print!("{}", sparse_apsp::graph::stats::graph_stats(&g));
     // a quick separator probe at the requested height
-    let nd = nested_dissection(&g, h, &NdOptions::default());
-    println!(
-        "top separator     {} vertices (h = {h}, p = {})",
-        nd.top_separator(),
-        ((1usize << h) - 1) * ((1usize << h) - 1)
-    );
+    let (nd, p) = (nested_dissection(&g, h, &NdOptions::default()), ranks_of_height(h));
+    println!("top separator     {} vertices (h = {h}, p = {p})", nd.top_separator());
 }
 
 fn main() {

@@ -77,12 +77,15 @@ pub mod prelude {
     pub use apsp_core::dnd::{dist_nested_dissection, DistNd};
     pub use apsp_core::driver::{Input, Ordering};
     pub use apsp_core::fw2d::{fw2d, Fw2d};
-    pub use apsp_core::launch::{launch, verify, DenseResult, LaunchSpec, Launched, Solver};
-    pub use apsp_core::sparse2d::{sparse2d, sparse2d_directed, Sparse2d};
+    pub use apsp_core::launch::{
+        launch, ranks_of_height, verify, DenseResult, LaunchSpec, Launched, Solver,
+    };
+    pub use apsp_core::sparse2d::{sparse2d, Sparse2d};
     pub use apsp_core::superfw::{superfw_apsp, superfw_opcount_comparison};
     pub use apsp_core::update::{apply_decreases, DecreasedEdge, Decreases};
     pub use apsp_core::{
-        ApspRun, Backend, R4Strategy, SolvedApsp, SparseApsp, SparseApspConfig, SupernodalLayout,
+        ApspError, ApspRun, Backend, R4Strategy, SolvedApsp, SparseApsp, SparseApspConfig,
+        SupernodalLayout, MAX_RANKS,
     };
     pub use apsp_etree::SchedTree;
     pub use apsp_graph::generators::{

@@ -421,9 +421,61 @@ fn bad_usage_fails_cleanly() {
         assert!(stderr.contains(expected), "{args:?}: {stderr}");
     }
 
+    // a negative weight is refused at the door, named, never a panic:
+    // undirected (solve and path) and a directed DIMACS arc
+    let neg = tmp("neg.el");
+    std::fs::write(&neg, "n 3\n0 1 -1.0\n1 2 2.0\n").unwrap();
+    let neg_gr = tmp("neg.gr");
+    std::fs::write(&neg_gr, "p sp 3 2\na 1 2 -1\na 2 3 2\n").unwrap();
+    for (args, input) in
+        [(&["solve"][..], &neg), (&["path"][..], &neg), (&["solve", "--directed"][..], &neg_gr)]
+    {
+        let out = apsp().args(args).arg("--input").arg(input).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("edge 0 -> 1: weight -1 is not >= 0"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+
     let out = apsp().args(["help"]).output().unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
+}
+
+#[test]
+fn native_backend_refuses_rank_counts_past_the_bound() {
+    // both flags that set p are checked while parsing, on either backend:
+    // exit 2 naming the flag and the rank count, before a thread or a
+    // per-supernode buffer exists
+    let graph = tmp("ranks.el");
+    assert!(apsp()
+        .args(["generate", "--kind", "grid", "--rows", "4", "--cols", "4", "--out"])
+        .arg(&graph)
+        .status()
+        .unwrap()
+        .success());
+    for backend in ["native", "sim"] {
+        for (cmd, algo, flag, value, ranks) in [
+            ("solve", "sparse2d", "--height", "6", "3969"),
+            ("solve", "fw2d", "--height", "32", "18446744065119617025"),
+            ("path", "sparse2d", "--height", "7", "16129"),
+            ("verify", "sparse2d", "--height", "32", "18446744065119617025"),
+            ("verify", "fw2d", "--n-grid", "32", "1024"),
+            ("verify", "djohnson", "--n-grid", "4294967296", "18446744073709551616"),
+        ] {
+            let out = apsp()
+                .args([cmd, "--backend", backend, "--algorithm", algo, flag, value, "--input"])
+                .arg(&graph)
+                .output()
+                .unwrap();
+            let what = format!("{cmd} {algo} {flag} {value} on {backend}");
+            assert_eq!(out.status.code(), Some(2), "{what}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let expected = format!("at most 961 ranks; {flag} {value} asks for {ranks}\n");
+            assert!(stderr.starts_with(&format!("apsp: {flag} must be")), "{what}: {stderr}");
+            assert!(stderr.contains(&expected), "{what}: {stderr}");
+        }
+    }
 }
 
 #[test]

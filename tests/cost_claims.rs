@@ -14,10 +14,10 @@ fn mesh_run(side: usize, h: u32) -> (RunReport, usize, usize) {
         ordering: Ordering::Grid { rows: side, cols: side },
         ..Default::default()
     });
-    let run = solver.run(&g);
+    let solved = solver.solve(&g, None).unwrap();
     let reference = oracle::apsp_dijkstra(&g);
-    assert!(run.dist.first_mismatch(&reference, 1e-9).is_none());
-    (run.report, run.ordering.max_separator(), g.n())
+    assert!(solved.dense().first_mismatch(&reference, 1e-9).is_none());
+    (solved.report().clone(), solved.ordering().max_separator(), g.n())
 }
 
 #[test]

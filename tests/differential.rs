@@ -142,15 +142,15 @@ fn native_backend_matches_simnet_on_sparse2d_variants() {
     let layout = SupernodalLayout::from_ordering(&nd);
     let gp = g.permuted(&nd.perm);
     for r4 in [R4Strategy::OneToOne, R4Strategy::SequentialUnits] {
-        let sim = sparse2d(&layout, &gp, r4).dist_eliminated;
-        let native = on_native(&Sparse2d::new(&layout, &gp, r4)).dist_eliminated;
+        let sim = layout.assemble_dense(&sparse2d(&layout, &gp, r4).blocks);
+        let native = layout.assemble_dense(&on_native(&Sparse2d::new(&layout, &gp, r4)).blocks);
         assert_bit_identical("grid8x8", &format!("sparse2d {r4:?}"), &sim, &native);
     }
 
     let dg = DiCsr::from_undirected(&g).permuted(&nd.perm);
     let r4 = R4Strategy::OneToOne;
-    let sim = sparse2d_directed(&layout, &dg, r4).dist_eliminated;
-    let native = on_native(&Sparse2d::new(&layout, &dg, r4)).dist_eliminated;
+    let sim = layout.assemble_dense(&sparse2d(&layout, &dg, r4).blocks);
+    let native = layout.assemble_dense(&on_native(&Sparse2d::new(&layout, &dg, r4)).blocks);
     assert_bit_identical("grid8x8", "sparse2d-directed", &sim, &native);
 }
 
@@ -161,8 +161,7 @@ fn native_backend_applies_decreases_bit_identically() {
     let g = grid2d(8, 8, WeightKind::Uniform { lo: 1.0, hi: 10.0 }, 5);
     let nd = grid_nd(8, 8, 3);
     let layout = SupernodalLayout::from_ordering(&nd);
-    let solved = sparse2d(&layout, &g.permuted(&nd.perm), R4Strategy::OneToOne).dist_eliminated;
-    let blocks = layout.split_dense(&solved);
+    let blocks = sparse2d(&layout, &g.permuted(&nd.perm), R4Strategy::OneToOne).blocks;
     let bits = |m: &MinPlusMatrix| m.as_slice().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
     // compounding float decreases: 0→27 then 27→63, plus a repeated edge;
     // then a batch of sixteen edges
@@ -202,16 +201,17 @@ fn native_backend_orders_distributed_like_simnet() {
                     backend,
                     ..Default::default()
                 };
-                SparseApsp::new(config).run(&g)
+                SparseApsp::new(config).solve(&g, None).unwrap()
             };
             let (sim, native) = (run(Backend::Sim), run(Backend::Native));
             assert_eq!(
-                sim.ordering.perm.as_order(),
-                native.ordering.perm.as_order(),
+                sim.ordering().perm.as_order(),
+                native.ordering().perm.as_order(),
                 "{name} h={height}: the two machines ordered the graph differently"
             );
-            assert_eq!(sim.ordering.supernode_sizes, native.ordering.supernode_sizes);
-            assert_bit_identical(name, "sparse2d-distributed-ordering", &sim.dist, &native.dist);
+            assert_eq!(sim.ordering().supernode_sizes, native.ordering().supernode_sizes);
+            let (sim, native) = (sim.dense(), native.dense());
+            assert_bit_identical(name, "sparse2d-distributed-ordering", &sim, &native);
         }
     }
 }

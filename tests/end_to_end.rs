@@ -13,10 +13,10 @@ fn verify(run: &ApspRun, g: &Csr) {
 #[test]
 fn paper_fig1_graph_end_to_end() {
     let g = paper_fig1();
-    let run = SparseApsp::with_height(2).run(&g);
-    verify(&run, &g);
+    let solved = SparseApsp::with_height(2).solve(&g, None).unwrap();
     // the paper's Fig. 1 separator is the single bridging vertex
-    assert_eq!(run.ordering.top_separator(), 1);
+    assert_eq!(solved.ordering().top_separator(), 1);
+    verify(&solved.into(), &g);
 }
 
 #[test]

@@ -70,7 +70,8 @@ fn distributed_nd_feeds_the_solver_via_prelude() {
     let layout = SupernodalLayout::from_ordering(&dist_nd.ordering);
     let gp = g.permuted(&dist_nd.ordering.perm);
     let solved = sparse2d(&layout, &gp, R4Strategy::OneToOne);
-    let dist = SupernodalLayout::unpermute(&solved.dist_eliminated, &dist_nd.ordering.perm);
+    let dist =
+        SupernodalLayout::unpermute(&layout.assemble_dense(&solved.blocks), &dist_nd.ordering.perm);
     let reference = oracle::apsp_dijkstra(&g);
     assert!(dist.first_mismatch(&reference, 1e-9).is_none());
 }
@@ -87,9 +88,9 @@ fn directed_cli_formats_roundtrip_through_library() {
     let text = sparse_apsp::graph::io::to_dimacs_directed(&dg);
     let dg2 = sparse_apsp::graph::io::from_dimacs_directed(&text).unwrap();
     assert_eq!(dg, dg2);
-    let run = SparseApsp::with_height(2).run_directed(&dg2);
+    let solved = SparseApsp::with_height(2).solve(&dg2, None).unwrap();
     let reference = apsp_dijkstra_directed(&dg2);
-    assert!(run.dist.first_mismatch(&reference, 1e-9).is_none());
+    assert!(solved.dense().first_mismatch(&reference, 1e-9).is_none());
 }
 
 #[test]

@@ -67,7 +67,7 @@ fn update_exact_bill() {
     let nd = grid_nd(12, 12, 3);
     let layout = SupernodalLayout::from_ordering(&nd);
     let solved = sparse2d(&layout, &mesh12().permuted(&nd.perm), R4Strategy::OneToOne);
-    let blocks = layout.split_dense(&solved.dist_eliminated);
+    let blocks = solved.blocks;
     let edge = |i: usize| DecreasedEdge {
         u: nd.perm.to_new(i * 17 % 144),
         v: nd.perm.to_new((i * 17 + 71) % 144),

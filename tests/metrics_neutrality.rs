@@ -200,11 +200,11 @@ fn transport_digest() -> String {
     let mut s = String::new();
 
     let _ = writeln!(s, "== sparse2d recorded ==");
-    let (run, scripts) = SparseApsp::with_height(2).run_recorded(&g);
-    render_report(&mut s, &run.report);
-    let _ = writeln!(s, "levels={:?}", run.level_costs);
+    let (solved, scripts) = SparseApsp::with_height(2).run_recorded(&g).unwrap();
+    render_report(&mut s, solved.report());
+    let _ = writeln!(s, "levels={:?}", solved.level_costs());
     render_scripts(&mut s, &scripts);
-    render_dist(&mut s, &run.dist);
+    render_dist(&mut s, &solved.dense());
 
     let _ = writeln!(s, "== sparse2d profiled ==");
     let run = SparseApsp::new(SparseApspConfig { height: 2, profile: true, ..Default::default() })
@@ -255,7 +255,7 @@ fn transport_digest() -> String {
         render_report(&mut s, &result.report);
         let _ = writeln!(s, "levels={:?}", result.level_costs());
         render_scripts(&mut s, &scripts);
-        render_dist(&mut s, &result.dist_eliminated);
+        render_dist(&mut s, &layout.assemble_dense(&result.blocks));
     }
 
     // h = 3 is the smallest tree with off-diagonal R⁴ units and a transpose
@@ -283,7 +283,7 @@ fn transport_digest() -> String {
                 render_report(&mut full, &result.report);
                 let _ = writeln!(full, "level_clocks={:?}", result.level_clocks);
                 render_scripts(&mut full, &scripts);
-                render_dist(&mut full, &result.dist_eliminated);
+                render_dist(&mut full, &layout.assemble_dense(&result.blocks));
                 let summary = full.lines().next().unwrap_or_default();
                 let _ = writeln!(
                     s,

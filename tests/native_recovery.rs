@@ -42,7 +42,7 @@ fn native<S: Solver>(solver: &S) -> S::Result {
 fn native_faulty<S: Solver>(
     solver: &S,
     plan: &FaultPlan,
-) -> Result<(S::Result, FaultSummary), MachineError> {
+) -> Result<(S::Result, FaultSummary), ApspError> {
     let spec = LaunchSpec { backend: Backend::Native, faults: Some(plan), ..Default::default() };
     launch(solver, &spec).map(|run| (run.result, run.faults.expect("summary")))
 }
@@ -52,7 +52,7 @@ fn native_recovering<S: Solver>(
     solver: &S,
     plan: &FaultPlan,
     policy: RecoveryPolicy,
-) -> Result<(S::Result, FaultSummary, RecoveryReport), MachineError> {
+) -> Result<(S::Result, FaultSummary, RecoveryReport), ApspError> {
     let spec = LaunchSpec {
         backend: Backend::Native,
         faults: Some(plan),
@@ -85,14 +85,14 @@ fn sparse2d_native_kill_matrix_recovers_bit_identically() {
             ..Default::default()
         };
         let run = SparseApsp::new(config)
-            .run_faulty(&g, &kill_plan(seed, victim))
+            .solve(&g, Some(&kill_plan(seed, victim)))
             .unwrap_or_else(|e| panic!("victim {victim}: {e}"));
         assert!(
-            run.dist.first_mismatch(&clean.dist, 0.0).is_none(),
+            run.dense().first_mismatch(&clean.dist, 0.0).is_none(),
             "victim {victim}: recovered distances differ from the fault-free native run"
         );
-        assert_eq!(run.faults.expect("summary").unrecoverable, 0, "victim {victim}");
-        restarts += run.recovery.expect("supervised").restarts;
+        assert_eq!(run.faults().expect("summary").unrecoverable, 0, "victim {victim}");
+        restarts += run.recovery().expect("supervised").restarts;
     }
     assert!(restarts >= 1, "at least one cell of the matrix must actually restart");
     let after = thread_count();

@@ -34,7 +34,7 @@ fn per_phase_message_counts_match_the_tree_combinatorics() {
     .expect("fault-free launch cannot fail")
     .result;
     // correctness first
-    let dist = SupernodalLayout::unpermute(&result.dist_eliminated, &nd.perm);
+    let dist = SupernodalLayout::unpermute(&layout.assemble_dense(&result.blocks), &nd.perm);
     let reference = oracle::apsp_dijkstra(&g);
     assert!(dist.first_mismatch(&reference, 1e-9).is_none());
 

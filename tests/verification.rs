@@ -67,7 +67,7 @@ fn djohnson_verifies_clean_at_every_grid_size() {
 fn sparse2d_verifies_clean_at_every_explorable_height() {
     let g = grid2d(6, 6, WeightKind::Integer { max: 5 }, 4);
     for height in [1u32, 2] {
-        let report = SparseApsp::with_height(height).verify(&g);
+        let report = SparseApsp::with_height(height).verify(&g).unwrap();
         assert_clean(&report, &format!("sparse2d height={height}"));
     }
 }
@@ -78,7 +78,7 @@ fn sparse2d_option_variants_verify_clean() {
     let g = grid2d(6, 6, WeightKind::Integer { max: 5 }, 5);
     for r4 in [R4Strategy::OneToOne, R4Strategy::SequentialUnits] {
         let config = SparseApspConfig { height: 2, r4, ..Default::default() };
-        let report = SparseApsp::new(config).verify(&g);
+        let report = SparseApsp::new(config).verify(&g).unwrap();
         assert_clean(&report, &format!("sparse2d r4={r4:?}"));
     }
 }
@@ -96,7 +96,7 @@ fn native_recordings_lint_clean_for_every_solver() {
     assert_native_clean(&report, "dcapsp native n_grid=3 depth=1");
     assert_native_clean(&verify(&DJohnson::new(&g, 4), native), "djohnson native p=4");
     let config = SparseApspConfig { height: 2, backend: Backend::Native, ..Default::default() };
-    let report = SparseApsp::new(config).verify(&g);
+    let report = SparseApsp::new(config).verify(&g).unwrap();
     assert_native_clean(&report, "sparse2d native height=2");
 }
 
@@ -155,7 +155,7 @@ fn verification_is_zero_cost_to_the_ledgers() {
     let config = SparseApspConfig { profile: true, ..Default::default() };
     let plain = SparseApsp::new(config).run(&g);
     let verified_then = {
-        let report = SparseApsp::new(config).verify(&g);
+        let report = SparseApsp::new(config).verify(&g).unwrap();
         assert_clean(&report, "sparse2d pre-solve verify");
         SparseApsp::new(config).run(&g)
     };
@@ -164,7 +164,7 @@ fn verification_is_zero_cost_to_the_ledgers() {
     assert_eq!(plain.report.profile, verified_then.report.profile);
     // and the verifier's own run sees the same clocks as a plain solve:
     // recording is invisible to the cost model itself
-    let vreport = SparseApsp::new(config).verify(&g);
+    let vreport = SparseApsp::new(config).verify(&g).unwrap();
     let recorded = vreport.report.expect("clean");
     assert_eq!(recorded.per_rank, plain.report.per_rank);
 }
