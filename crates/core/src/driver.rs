@@ -111,11 +111,10 @@ pub struct SparseApspConfig {
     /// invariant of [`apsp_simnet::PhaseBreakdown`].
     pub profile: bool,
     /// Checkpoint/restart policy for a [`SparseApsp::solve`] under a fault
-    /// plan. `None`
-    /// (the default) keeps the historical fail-fast behaviour: the first
-    /// unrecoverable fault aborts the solve. `Some(policy)` supervises the
-    /// solve instead — elimination levels are checkpointed and killed
-    /// ranks roll back and re-execute (see
+    /// plan. `None` (the default) keeps the historical fail-fast behaviour:
+    /// the first unrecoverable fault aborts the solve. `Some(policy)`
+    /// supervises the solve instead — elimination levels are checkpointed
+    /// and killed ranks roll back and re-execute (see
     /// [`crate::launch::LaunchSpec::recovery`]), on either backend.
     pub recovery: Option<RecoveryPolicy>,
     /// Execution backend for the distributed solve. [`Backend::Native`]
@@ -281,7 +280,8 @@ impl SparseApsp {
     /// A directed input is ordered by nested dissection of its underlying
     /// pattern and runs the directed schedule ([`Input::Directed`]); its
     /// handle answers [`SolvedApsp::distance`], [`SolvedApsp::dense`] and
-    /// [`SolvedApsp::report`]. With `faults`, the solve runs under the
+    /// [`SolvedApsp::report`]. With `faults`, the solve (not the ordering: a
+    /// corrupted ordering would be another experiment) runs under the
     /// deterministic plan and must recover or fail: the recovery traffic is
     /// part of the report, and with [`SparseApspConfig::recovery`] set,
     /// killed ranks roll back to the last checkpointed elimination level.
@@ -360,10 +360,13 @@ impl SparseApsp {
         let (rg, h) = apsp_graph::digraph::johnson_reweight(dg)?;
         let mut run = ApspRun::from(self.solve(&rg, None).map_err(|e| e.to_string())?);
         // shift distances back: d(u,v) = d'(u,v) − h(u) + h(v)
-        for (u, v) in (0..dg.n()).flat_map(|u| (0..dg.n()).map(move |v| (u, v))) {
-            let d = run.dist.get(u, v);
-            if d.is_finite() {
-                run.dist.set(u, v, d - h[u] + h[v]);
+        let n = dg.n();
+        for u in 0..n {
+            for v in 0..n {
+                let d = run.dist.get(u, v);
+                if d.is_finite() {
+                    run.dist.set(u, v, d - h[u] + h[v]);
+                }
             }
         }
         Ok(run)

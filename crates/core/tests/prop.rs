@@ -52,7 +52,8 @@ proptest! {
         let gp = g.permuted(&nd.perm);
         let a = sparse2d(&layout, &gp, R4Strategy::OneToOne);
         let b = sparse2d(&layout, &gp, R4Strategy::SequentialUnits);
-        prop_assert!(layout.assemble_dense(&a.blocks).first_mismatch(&layout.assemble_dense(&b.blocks), 1e-9).is_none());
+        let (a, b) = (layout.assemble_dense(&a.blocks), layout.assemble_dense(&b.blocks));
+        prop_assert!(a.first_mismatch(&b, 1e-9).is_none());
     }
 
     #[test]
@@ -111,7 +112,8 @@ proptest! {
             apsp_core::sparse2d::R4Strategy::OneToOne,
         );
         let reference = apsp_graph::digraph::apsp_dijkstra_directed(&dgp);
-        prop_assert!(layout.assemble_dense(&result.blocks).first_mismatch(&reference, 1e-9).is_none());
+        let dist = layout.assemble_dense(&result.blocks);
+        prop_assert!(dist.first_mismatch(&reference, 1e-9).is_none());
     }
 
     #[test]

@@ -161,8 +161,7 @@ fn sparse_sample(side: usize, h: u32) -> Observation {
     let (solved, scripts) = solver.run_recorded(&g).expect("a unit mesh solves");
     let p = ((1usize << h) - 1) * ((1usize << h) - 1);
     assert_correct("sparse2d", side, p, &solved.dense(), &g);
-    let separator = solved.ordering().max_separator();
-    Observation::from_run(g.n(), p, separator, solved.report(), &scripts)
+    Observation::from_run(g.n(), p, solved.ordering().max_separator(), solved.report(), &scripts)
 }
 
 fn sparse_audit(max_p: usize) -> SolverAudit {
