@@ -87,8 +87,7 @@ pub struct DenseResult {
 /// tree the tests and the paper report run. Each rank is a pooled thread.
 pub const MAX_RANKS: usize = 961;
 
-/// The rank count `(2^h − 1)²` of a scheduling tree of height `h`, exact
-/// for every `u32` (saturating past `h = 64`).
+/// `(2^h − 1)²`, the rank count of a height-`h` tree (saturating past 64).
 pub fn ranks_of_height(h: u32) -> u128 {
     let side = (1u128 << h.min(64)) - 1;
     side * side
@@ -110,8 +109,7 @@ pub enum ApspError {
     SimOnly(&'static str),
     /// A rank count outside `1..=`[`MAX_RANKS`].
     Ranks(u128),
-    /// The machine's typed error: an unrecoverable fault, an exhausted
-    /// restart budget, a hang.
+    /// The machine's typed error: an unrecoverable fault, a budget, a hang.
     Machine(MachineError),
 }
 

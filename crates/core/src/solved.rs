@@ -36,8 +36,12 @@ pub struct SolvedApsp {
 }
 
 impl From<SolvedApsp> for ApspRun {
+    /// [`SolvedApsp::dense`], the blocks freed before the unpermuted copy.
     fn from(solved: SolvedApsp) -> ApspRun {
-        ApspRun { dist: solved.dense(), report: solved.report, level_costs: solved.level_costs }
+        let eliminated = solved.layout.assemble_dense(&solved.blocks);
+        drop(solved.blocks);
+        let dist = SupernodalLayout::unpermute(&eliminated, &solved.ordering.perm);
+        ApspRun { dist, report: solved.report, level_costs: solved.level_costs }
     }
 }
 

@@ -395,9 +395,11 @@ fn rank_program<C: Transport>(
 
     let (block, directed) = match input {
         Input::Undirected(g) => (layout.extract_block(g, bi, bj), false),
-        Input::Directed(dg) => (layout.extract_block_directed(dg, bi, bj), true),
+        Input::Directed(dg) => (layout.block_of(bi, bj, |u| dg.arcs_of(u)), true),
     };
     comm.alloc(block.words());
+    // the block never moves: `encode_state` appends into reserved words
+    let block = block.with_spare(3 * h as usize);
     let mut level_clocks = Vec::with_capacity(h as usize);
     let (mut plan, sizes) = (Plan::default(), label_sizes(layout));
     let mut bufs = vec![(Buf::Own(bi, bj), block)];
@@ -540,13 +542,15 @@ impl Solver for Sparse2d<'_> {
     fn assemble(&self, outputs: Vec<Self::Out>, report: RunReport) -> Sparse2dResult {
         // per-level critical clocks: max over ranks of the cumulative snapshot
         let mut level_clocks = vec![Clocks::default(); self.layout.tree().height() as usize];
+        // each block is copied into the heap the solve freed, so a result
+        // kept for long does not hold the solve's peak resident
         let blocks = outputs
             .into_iter()
             .map(|(block, clocks)| {
                 for (lvl, c) in clocks.iter().enumerate() {
                     level_clocks[lvl].merge_max(c);
                 }
-                block
+                block.clone()
             })
             .collect();
         Sparse2dResult { blocks, report, level_clocks }

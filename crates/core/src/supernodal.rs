@@ -2,7 +2,7 @@
 //! block grid addressed by scheduling-tree labels (paper Fig. 1d / Fig. 3).
 
 use apsp_etree::SchedTree;
-use apsp_graph::{Csr, DiCsr, Permutation};
+use apsp_graph::{Csr, Permutation};
 use apsp_minplus::MinPlusMatrix;
 use apsp_partition::NdOrdering;
 
@@ -96,16 +96,11 @@ impl SupernodalLayout {
         self.block_of(i, j, |u| g_perm.edges_of(u))
     }
 
-    /// Builds block `(i, j)` of a **directed** adjacency (asymmetric
-    /// weights, symmetric pattern) already permuted into the eliminated
-    /// ordering. Entry `(r, c)` holds the arc weight `row-vertex → col-
-    /// vertex`; missing directions of pattern pairs stay `∞`.
-    pub fn extract_block_directed(&self, dg_perm: &DiCsr, i: usize, j: usize) -> MinPlusMatrix {
-        self.block_of(i, j, |u| dg_perm.arcs_of(u))
-    }
-
-    /// Block `(i, j)` of the adjacency whose arcs out of `u` are `arcs(u)`.
-    fn block_of<I: Iterator<Item = (usize, f64)>>(
+    /// Block `(i, j)` of the adjacency whose arcs out of `u` (eliminated
+    /// ordering) are `arcs(u)`: entry `(r, c)` holds the arc weight
+    /// `row-vertex → col-vertex`, and the missing direction of a directed
+    /// pattern pair (an `∞` arc) stays `∞`.
+    pub(crate) fn block_of<I: Iterator<Item = (usize, f64)>>(
         &self,
         i: usize,
         j: usize,

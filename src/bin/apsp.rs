@@ -51,8 +51,7 @@ impl Args {
         height
     }
 
-    /// `--n-grid`: a grid side whose square, the rank count, this build
-    /// runs.
+    /// `--n-grid`: a grid side whose square, the rank count, this build runs.
     fn n_grid(&self, default: usize) -> usize {
         let n_grid = self.num("--n-grid", default);
         check_ranks("--n-grid", n_grid, (n_grid as u128).pow(2));
@@ -97,8 +96,7 @@ impl Args {
     }
 }
 
-/// Dies unless `flag value` asks for `p` ranks in `1..=MAX_RANKS`: checked
-/// while parsing, before anything is allocated per rank.
+/// Dies unless `flag value`'s `p` ranks are in `1..=MAX_RANKS`, before any allocation.
 fn check_ranks(flag: &str, value: impl std::fmt::Display, p: u128) {
     if !(1..=MAX_RANKS as u128).contains(&p) {
         die(&format!(
