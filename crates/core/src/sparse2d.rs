@@ -75,8 +75,8 @@ pub enum R4Strategy {
 /// Result of a distributed run: final blocks in eliminated order plus the
 /// measured communication report.
 pub struct Sparse2dResult {
-    /// Every rank's final block `A(i, j)`, in rank order — the distances in
-    /// the *eliminated* ordering, left where Algorithm 1 computed them
+    /// Every rank's final block `A(i, j)`, in rank order: the distances in
+    /// the *eliminated* ordering, block by block as Algorithm 1 left them
     /// ([`SupernodalLayout::assemble_dense`] makes the matrix of them).
     pub blocks: Vec<MinPlusMatrix>,
     /// Per-rank and critical-path costs.
