@@ -14,7 +14,7 @@
 use crate::dnd::DistNd;
 use crate::launch::{check_ranks, launch, ranks_of_height, verify, LaunchSpec};
 pub use crate::launch::{ApspError, MAX_RANKS};
-use crate::solved::SolvedApsp;
+use crate::solved::{locate_table, SolvedApsp};
 pub use crate::sparse2d::Input;
 use crate::sparse2d::{R4Strategy, Sparse2d};
 use crate::supernodal::SupernodalLayout;
@@ -189,17 +189,28 @@ impl Prepared {
     }
 }
 
-/// The first arc `u → v` whose weight is negative, NaN or `−∞`.
-fn check_weights<I: Iterator<Item = (usize, Weight)>>(
-    n: usize,
-    arcs: impl Fn(usize) -> I,
-) -> Result<(), ApspError> {
-    for u in 0..n {
-        if let Some((v, w)) = arcs(u).find(|&(_, w)| w.is_nan() || w < 0.0) {
-            return Err(ApspError::Weight(u, v, w));
+/// The door's weight check: the first arc `u → v` of `input` whose weight
+/// is negative, NaN or `−∞`. Every solver assumes non-negative weights, so
+/// a caller that builds one of the dense baselines itself runs this first.
+///
+/// # Errors
+/// [`ApspError::Weight`] naming that arc.
+pub fn check_weights(input: Input<'_>) -> Result<(), ApspError> {
+    fn first_bad<I: Iterator<Item = (usize, Weight)>>(
+        n: usize,
+        arcs: impl Fn(usize) -> I,
+    ) -> Result<(), ApspError> {
+        for u in 0..n {
+            if let Some((v, w)) = arcs(u).find(|&(_, w)| w.is_nan() || w < 0.0) {
+                return Err(ApspError::Weight(u, v, w));
+            }
         }
+        Ok(())
     }
-    Ok(())
+    match input {
+        Input::Undirected(g) => first_bad(g.n(), |u| g.edges_of(u)),
+        Input::Directed(dg) => first_bad(dg.n(), |u| dg.arcs_of(u)),
+    }
 }
 
 impl SparseApsp {
@@ -253,12 +264,11 @@ impl SparseApsp {
         if config.backend == Backend::Native && config.charge_ordering_distribution {
             return Err(ApspError::SimOnly("charge_ordering_distribution"));
         }
+        check_weights(input)?;
         let graph = match input {
-            Input::Undirected(g) => check_weights(g.n(), |u| g.edges_of(u)).map(|()| g.clone()),
-            Input::Directed(dg) => {
-                check_weights(dg.n(), |u| dg.arcs_of(u)).map(|()| dg.underlying_pattern())
-            }
-        }?;
+            Input::Undirected(g) => g.clone(),
+            Input::Directed(dg) => dg.underlying_pattern(),
+        };
         if let Ordering::Grid { rows, cols } = config.ordering {
             if rows.checked_mul(cols) != Some(graph.n()) {
                 return Err(ApspError::GridShape(rows, cols, graph.n()));
@@ -280,11 +290,12 @@ impl SparseApsp {
     /// A directed input is ordered by nested dissection of its underlying
     /// pattern and runs the directed schedule ([`Input::Directed`]); its
     /// handle answers [`SolvedApsp::distance`], [`SolvedApsp::dense`] and
-    /// [`SolvedApsp::report`]. With `faults`, the solve (not the ordering: a
-    /// corrupted ordering would be another experiment) runs under the
-    /// deterministic plan and must recover or fail: the recovery traffic is
-    /// part of the report, and with [`SparseApspConfig::recovery`] set,
-    /// killed ranks roll back to the last checkpointed elimination level.
+    /// [`SolvedApsp::report`], and [`SolvedApsp::save`] refuses it. With
+    /// `faults`, the solve (not the ordering: a corrupted ordering would be
+    /// another experiment) runs under the deterministic plan and must
+    /// recover or fail: the recovery traffic is part of the report, and
+    /// with [`SparseApspConfig::recovery`] set, killed ranks roll back to
+    /// the last checkpointed elimination level.
     ///
     /// # Errors
     /// An input the door refuses (see the module docs), or the
@@ -329,6 +340,8 @@ impl SparseApsp {
             graph: prep.graph,
             level_costs: run.result.level_costs(),
             blocks: run.result.blocks,
+            locate: locate_table(&prep.layout, &prep.nd.perm),
+            directed: matches!(input, Input::Directed(_)),
             ordering: prep.nd,
             layout: prep.layout,
             report,

@@ -4,7 +4,12 @@
 //! service builds on (solve once, serve queries, absorb traffic updates).
 //!
 //! The handle is what [`SparseApsp::solve`] returns: the rank blocks the
-//! launch left on the layout, never copied through an `n × n` matrix.
+//! launch left on the layout, never copied through an `n × n` matrix. It
+//! serves from those blocks in place: a table from input vertex to
+//! (supernode, offset in block) makes [`SolvedApsp::distance`] two table
+//! reads and one block read, and [`SolvedApsp::route`] reads column `dst`
+//! from the blocks, `O(path · degree)` reads plus `n` visited flags, with
+//! no dense copy. Only [`SolvedApsp::dense`] materialises `n × n`.
 //!
 //! # Errors
 //! [`SparseApsp::solve`] refuses input with a typed [`crate::ApspError`];
@@ -13,7 +18,7 @@
 use crate::driver::{ApspRun, SparseApsp};
 use crate::supernodal::SupernodalLayout;
 use crate::update::{apply_decreases, DecreasedEdge};
-use apsp_graph::{Csr, DenseDist};
+use apsp_graph::{Csr, DenseDist, Permutation};
 use apsp_minplus::MinPlusMatrix;
 use apsp_partition::NdOrdering;
 use apsp_simnet::{Clocks, FaultSummary, RecoveryReport, RunReport};
@@ -26,6 +31,10 @@ pub struct SolvedApsp {
     pub(crate) graph: Csr,
     pub(crate) ordering: NdOrdering,
     pub(crate) layout: SupernodalLayout,
+    /// `(supernode, offset in its block)` of every input vertex
+    pub(crate) locate: Vec<(usize, usize)>,
+    /// the input was directed: `graph` is its pattern, not its arcs
+    pub(crate) directed: bool,
     /// per-rank blocks, eliminated order
     pub(crate) blocks: Vec<MinPlusMatrix>,
     /// accumulated communication bill (solve + every update so far)
@@ -33,6 +42,12 @@ pub struct SolvedApsp {
     pub(crate) level_costs: Vec<(u64, u64)>,
     pub(crate) faults: Option<FaultSummary>,
     pub(crate) recovery: Option<RecoveryReport>,
+}
+
+/// `(supernode, offset in its block)` of every input vertex, the table the
+/// handle serves through.
+pub(crate) fn locate_table(layout: &SupernodalLayout, perm: &Permutation) -> Vec<(usize, usize)> {
+    perm.as_to_new().iter().map(|&new| layout.locate(new)).collect()
 }
 
 impl From<SolvedApsp> for ApspRun {
@@ -56,18 +71,23 @@ impl SolvedApsp {
         SparseApsp::with_height(height).solve(g, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Distance between two input-graph vertices (O(1) lookup).
+    /// Distance between two input-graph vertices: two reads of the locate
+    /// table and one block read, no allocation.
     pub fn distance(&self, u: usize, v: usize) -> f64 {
-        let (i, oi) = self.locate(u);
-        let (j, oj) = self.locate(v);
+        let ((i, oi), (j, oj)) = (self.locate[u], self.locate[v]);
         self.blocks[self.layout.rank_of_block(i, j)].get(oi, oj)
     }
 
     /// One shortest route between two input vertices, reconstructed from
-    /// distances (`None` when unreachable). Undirected handles only: a
-    /// directed handle keeps its pattern, not its arcs.
+    /// distances (`None` when unreachable): the depth-first search of
+    /// [`apsp_graph::paths::reconstruct_path`] reading column `v` straight
+    /// from the blocks, so it costs `O(path · degree)` block reads plus `n`
+    /// visited flags, and no dense copy. It returns the vertex sequence
+    /// `reconstruct_path(graph(), &dense(), u, v, 1e-9)` returns.
+    /// Undirected handles only: a directed handle keeps its pattern, not
+    /// its arcs.
     pub fn route(&self, u: usize, v: usize) -> Option<Vec<usize>> {
-        apsp_graph::paths::reconstruct_path(&self.graph, &self.dense(), u, v, 1e-9)
+        apsp_graph::paths::reconstruct_path_with(&self.graph, u, v, 1e-9, |x| self.distance(x, v))
     }
 
     /// Applies a batch of edge-weight **decreases** (input vertex ids) to an
@@ -140,16 +160,19 @@ impl SolvedApsp {
         &self.graph
     }
 
-    fn locate(&self, u: usize) -> (usize, usize) {
-        let new = self.ordering.perm.to_new(u);
-        let k = self.ordering.supernode_of_new(new);
-        (k, new - self.layout.offset(k))
-    }
-
     /// Serializes the solved instance to a self-contained text snapshot
     /// (graph, ordering, distance blocks, accumulated bill) so a service
     /// can restart without re-solving.
+    ///
+    /// # Errors
+    /// A directed handle (the snapshot would hold its undirected pattern
+    /// and load as an undirected handle), or a file that cannot be written.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), String> {
+        if self.directed {
+            return Err("a directed handle cannot be saved: it keeps the undirected \
+                        pattern of its arcs, and would load as an undirected handle"
+                .into());
+        }
         let line = |key: &str, words: Vec<String>| format!("{key} {}\n", words.join(" "));
         let r = &self.report;
         // accumulated critical clocks (enough to restore the bill's shape)
@@ -239,6 +262,7 @@ impl SolvedApsp {
             return Err("snapshot ordering does not match its graph".into());
         }
         let layout = SupernodalLayout::new(tree, sizes);
+        let locate = locate_table(&layout, &ordering.perm);
 
         let block_lines = &rest[split + 1..];
         let (want, found) = (layout.p(), block_lines.len());
@@ -277,6 +301,8 @@ impl SolvedApsp {
             graph,
             ordering,
             layout,
+            locate,
+            directed: false,
             blocks,
             report,
             level_costs: Vec::new(),

@@ -70,6 +70,16 @@ impl SupernodalLayout {
         self.offsets[k - 1]..self.offsets[k]
     }
 
+    /// The supernode owning eliminated vertex `x`, and `x`'s offset in
+    /// it: a binary search over the offsets, so a zero-size supernode
+    /// never owns a vertex.
+    pub(crate) fn locate(&self, x: usize) -> (usize, usize) {
+        assert!(x < self.n(), "vertex {x} is past the layout's {} vertices", self.n());
+        // the first offset past `x` ends the range of the owner
+        let k = self.offsets.partition_point(|&o| o <= x);
+        (k, x - self.offsets[k - 1])
+    }
+
     /// Words of block `(i, j)`.
     pub fn block_words(&self, i: usize, j: usize) -> usize {
         self.size(i) * self.size(j)
@@ -157,40 +167,43 @@ impl SupernodalLayout {
     }
 
     /// Reassembles a dense matrix (in eliminated ordering) from per-block
-    /// buffers laid out row-major by `(i−1)·N + (j−1)`.
+    /// buffers laid out row-major by `(i−1)·N + (j−1)`. The blocks tile
+    /// the `n × n` matrix, so each output row is the concatenation of one
+    /// row of every block in its block row, copied into one exact-size
+    /// buffer.
     pub fn assemble_dense(&self, blocks: &[MinPlusMatrix]) -> apsp_graph::DenseDist {
         let n = self.n();
         let ns = self.n_super();
         assert_eq!(blocks.len(), ns * ns, "one buffer per block");
-        let mut out = apsp_graph::DenseDist::unconnected(n);
-        for i in 1..=ns {
-            for j in 1..=ns {
-                let b = &blocks[self.rank_of_block(i, j)];
-                assert_eq!(b.rows(), self.size(i), "block ({i},{j}) row mismatch");
-                assert_eq!(b.cols(), self.size(j), "block ({i},{j}) col mismatch");
-                let (oi, oj) = (self.offset(i), self.offset(j));
-                for r in 0..b.rows() {
-                    for c in 0..b.cols() {
-                        out.set(oi + r, oj + c, b.get(r, c));
-                    }
+        for (rank, b) in blocks.iter().enumerate() {
+            let (i, j) = self.block_of_rank(rank);
+            assert_eq!(b.rows(), self.size(i), "block ({i},{j}) row mismatch");
+            assert_eq!(b.cols(), self.size(j), "block ({i},{j}) col mismatch");
+        }
+        let mut out = Vec::with_capacity(n * n);
+        for (i, block_row) in (1..=ns).zip(blocks.chunks_exact(ns)) {
+            for r in 0..self.size(i) {
+                for b in block_row {
+                    out.extend_from_slice(b.row(r));
                 }
             }
         }
-        out
+        apsp_graph::DenseDist::from_raw(n, out)
     }
 
     /// Un-permutes a dense matrix from the eliminated ordering back to the
-    /// input graph's vertex ids.
+    /// input graph's vertex ids: row `u` of the output is row
+    /// `perm.to_new(u)` gathered through `perm`, into one exact-size buffer.
     pub fn unpermute(dist: &apsp_graph::DenseDist, perm: &Permutation) -> apsp_graph::DenseDist {
         let n = dist.n();
         assert_eq!(perm.len(), n);
-        let mut out = apsp_graph::DenseDist::unconnected(n);
-        for old_i in 0..n {
-            for old_j in 0..n {
-                out.set(old_i, old_j, dist.get(perm.to_new(old_i), perm.to_new(old_j)));
-            }
+        let to_new = perm.as_to_new();
+        let mut out = Vec::with_capacity(n * n);
+        for &new_i in to_new {
+            let row = dist.row(new_i);
+            out.extend(to_new.iter().map(|&new_j| row[new_j]));
         }
-        out
+        apsp_graph::DenseDist::from_raw(n, out)
     }
 }
 

@@ -117,14 +117,6 @@ impl Solver for Decreases<'_> {
     }
 }
 
-/// Supernode and in-block offset of eliminated vertex `x`.
-fn locate(layout: &SupernodalLayout, x: usize) -> (usize, usize) {
-    let k = (1..=layout.n_super())
-        .find(|&k| layout.range(k).contains(&x))
-        .expect("`Decreases::new` checked every endpoint against the layout");
-    (k, x - layout.offset(k))
-}
-
 /// The per-rank program: gather the batch's endpoint strips in two
 /// all-reduces, then replay the batch edge by edge on the block, the strips
 /// and `E`.
@@ -142,7 +134,7 @@ fn rank_program<C: Transport>(
 
     // (supernode, offset) of every slot: 2e is edge e's u, 2e + 1 its v
     let slots: Vec<(usize, usize)> =
-        batch.iter().flat_map(|e| [e.u, e.v]).map(|x| locate(layout, x)).collect();
+        batch.iter().flat_map(|e| [e.u, e.v]).map(|x| layout.locate(x)).collect();
     let s = slots.len();
 
     // 1. column strip t (`rows` words) is D(x, slot t) for this block row's x

@@ -211,3 +211,18 @@ fn a_directed_handle_answers_distances() {
     assert_ne!(solved.distance(0, 35), solved.distance(35, 0));
     assert!(solved.report().critical_latency() > 0);
 }
+
+#[test]
+fn a_directed_handle_refuses_to_save() {
+    // a snapshot holds the handle's graph, the undirected pattern of the
+    // arcs, so a saved directed handle would load as an undirected one
+    let g = grid2d(4, 4, WeightKind::Integer { max: 5 }, 3);
+    let solved = SparseApsp::with_height(2).solve(&directed(&g, None), None).unwrap();
+    let path = std::env::temp_dir().join(format!("apsp-directed-{}.txt", std::process::id()));
+    let err = solved.save(&path).unwrap_err();
+    assert!(err.contains("directed handle cannot be saved"), "{err}");
+    assert!(!path.exists(), "a refused save writes nothing");
+    // the undirected handle on the same pattern saves
+    SolvedApsp::solve(&g, 2).save(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+}

@@ -3,8 +3,11 @@
 //! Given the graph and *exact* all-pairs distances, a shortest path from
 //! `src` to `dst` is recovered greedily without any predecessor storage:
 //! from the current vertex `c`, step to any neighbour `u` with
-//! `w(c,u) + D[u][dst] = D[c][dst]`. Every distributed algorithm in the
-//! workspace returns a [`DenseDist`], so this gives path queries "for free"
+//! `w(c,u) + D[u][dst] = D[c][dst]`. The search reads only column `dst`
+//! of `D`, through a closure ([`reconstruct_path_with`]), so a caller
+//! holding the distances in blocks reads them in place: a route costs
+//! `O(path · degree)` distance reads plus `n` visited flags, and no dense
+//! copy. [`reconstruct_path`] is the same search over a [`DenseDist`]
 //! (no via matrices in the messages — the `O(path · degree)` query cost is
 //! the standard trade).
 
@@ -37,11 +40,25 @@ pub fn reconstruct_path(
     tol: f64,
 ) -> Option<Vec<usize>> {
     assert_eq!(dist.n(), g.n(), "distance matrix does not match the graph");
+    reconstruct_path_with(g, src, dst, tol, |u| dist.get(u, dst))
+}
+
+/// [`reconstruct_path`] with column `dst` of the distance matrix read
+/// through `to_dst`: `to_dst(u)` must be the exact shortest distance from
+/// `u` to `dst` in `g`. Each call reads `O(path · degree)` entries and
+/// allocates `n` visited flags.
+pub fn reconstruct_path_with(
+    g: &Csr,
+    src: usize,
+    dst: usize,
+    tol: f64,
+    to_dst: impl Fn(usize) -> Weight,
+) -> Option<Vec<usize>> {
     assert!(src < g.n() && dst < g.n(), "endpoint out of range");
     if src == dst {
         return Some(vec![src]);
     }
-    if is_inf(dist.get(src, dst)) {
+    if is_inf(to_dst(src)) {
         return None;
     }
     // Depth-first search over *consistent* edges — edges (c, u) with
@@ -55,7 +72,7 @@ pub fn reconstruct_path(
     // frame = (vertex, index into its neighbour list)
     let mut frames: Vec<(usize, usize)> = vec![(src, 0)];
     while let Some(&mut (c, ref mut idx)) = frames.last_mut() {
-        let remaining = dist.get(c, dst);
+        let remaining = to_dst(c);
         let nbrs = g.neighbors(c);
         let weights = g.weights_of(c);
         let mut advanced = false;
@@ -65,7 +82,7 @@ pub fn reconstruct_path(
             if visited[u] {
                 continue;
             }
-            let through = w + dist.get(u, dst);
+            let through = w + to_dst(u);
             if (through - remaining).abs() <= tol * (1.0 + remaining.abs()) {
                 visited[u] = true;
                 path.push(u);

@@ -45,20 +45,18 @@ impl NdOrdering {
         out
     }
 
-    /// The supernode label owning new vertex index `idx`.
+    /// The supernode label owning new vertex index `idx`: the first
+    /// supernode whose range ends past it, so a zero-size supernode never
+    /// owns a vertex. A prefix walk over the `N` sizes, with no allocation.
     pub fn supernode_of_new(&self, idx: usize) -> usize {
-        let offsets = self.offsets();
-        debug_assert!(idx < offsets[offsets.len() - 1]);
-        // label = position of the last offset ≤ idx
-        match offsets.binary_search(&idx) {
-            Ok(mut k) => {
-                while self.supernode_sizes[k] == 0 {
-                    k += 1;
-                }
-                k + 1
+        let mut end = 0;
+        for (k, &size) in self.supernode_sizes.iter().enumerate() {
+            end += size;
+            if idx < end {
+                return k + 1;
             }
-            Err(ins) => ins,
         }
+        panic!("vertex {idx} is past the {end} vertices of the ordering")
     }
 
     /// The supernode label owning **old** (input-graph) vertex `u`.
@@ -239,13 +237,21 @@ mod tests {
     #[test]
     fn offsets_and_lookup_agree() {
         let g = generators::grid2d(8, 8, WeightKind::Unit, 0);
-        let nd = nested_dissection(&g, 3, &NdOptions::default());
-        let offsets = nd.offsets();
-        assert_eq!(offsets.len(), nd.tree.num_supernodes() + 1);
-        assert_eq!(*offsets.last().unwrap(), 64);
-        for idx in 0..64 {
-            let k = nd.supernode_of_new(idx);
-            assert!(offsets[k - 1] <= idx && idx < offsets[k], "idx {idx} k {k}");
+        let deep = generators::path(5, WeightKind::Unit, 0);
+        let dense = nested_dissection(&g, 3, &NdOptions::default());
+        // a path of 5 at height 4 leaves supernodes empty
+        let sparse = nested_dissection(&deep, 4, &NdOptions::default());
+        assert!(sparse.supernode_sizes.contains(&0));
+        for nd in [dense, sparse] {
+            let n: usize = nd.supernode_sizes.iter().sum();
+            let offsets = nd.offsets();
+            assert_eq!(offsets.len(), nd.tree.num_supernodes() + 1);
+            assert_eq!(*offsets.last().unwrap(), n);
+            for idx in 0..n {
+                let k = nd.supernode_of_new(idx);
+                assert!(offsets[k - 1] <= idx && idx < offsets[k], "idx {idx} k {k}");
+                assert!(nd.supernode_sizes[k - 1] > 0, "idx {idx} in empty supernode {k}");
+            }
         }
     }
 

@@ -385,6 +385,8 @@ fn solve(args: &Args, g: &Csr) -> Solved {
     let height = args.height(3);
     let n_grid = (1usize << height) - 1;
     let opts = run_opts(args);
+    // every solver assumes non-negative weights; refuse before building one
+    check_weights(g.into()).unwrap_or_else(|e| die_refused(e));
     match algorithm {
         "sparse2d" => solve_sparse2d(args, &opts, g.into()),
         "fw2d" => solve_dense(&Fw2d::new(g, n_grid), &opts),
@@ -667,6 +669,7 @@ fn cmd_verify(args: &Args) {
         let g = load_graph(args.get("--input"));
         let height = args.height(2);
         let n_grid = args.n_grid((1usize << height) - 1);
+        check_weights((&g).into()).unwrap_or_else(|e| die_refused(e));
         match algorithm {
             "sparse2d" => SparseApsp::new(sparse_config(args, height, backend))
                 .verify(&g)

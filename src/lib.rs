@@ -75,7 +75,7 @@ pub mod prelude {
     pub use apsp_core::dcapsp::{cyclic_fw, dc_apsp, DcApsp};
     pub use apsp_core::djohnson::{distributed_johnson, DJohnson};
     pub use apsp_core::dnd::{dist_nested_dissection, DistNd};
-    pub use apsp_core::driver::{Input, Ordering};
+    pub use apsp_core::driver::{check_weights, Input, Ordering};
     pub use apsp_core::fw2d::{fw2d, Fw2d};
     pub use apsp_core::launch::{
         launch, ranks_of_height, verify, DenseResult, LaunchSpec, Launched, Solver,

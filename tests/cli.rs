@@ -422,14 +422,25 @@ fn bad_usage_fails_cleanly() {
     }
 
     // a negative weight is refused at the door, named, never a panic:
-    // undirected (solve and path) and a directed DIMACS arc
+    // undirected (solve and path) and a directed DIMACS arc, and on every
+    // algorithm before its solver is built
     let neg = tmp("neg.el");
     std::fs::write(&neg, "n 3\n0 1 -1.0\n1 2 2.0\n").unwrap();
     let neg_gr = tmp("neg.gr");
     std::fs::write(&neg_gr, "p sp 3 2\na 1 2 -1\na 2 3 2\n").unwrap();
-    for (args, input) in
-        [(&["solve"][..], &neg), (&["path"][..], &neg), (&["solve", "--directed"][..], &neg_gr)]
-    {
+    let on = |cmd, algo| [cmd, "--algorithm", algo, "--height", "2"];
+    for (args, input) in [
+        (&["solve"][..], &neg),
+        (&["path"][..], &neg),
+        (&["solve", "--directed"][..], &neg_gr),
+        (&on("solve", "fw2d")[..], &neg),
+        (&on("solve", "dcapsp")[..], &neg),
+        (&on("solve", "superfw")[..], &neg),
+        (&on("solve", "djohnson")[..], &neg),
+        (&on("path", "djohnson")[..], &neg),
+        (&on("verify", "fw2d")[..], &neg),
+        (&on("verify", "djohnson")[..], &neg),
+    ] {
         let out = apsp().args(args).arg("--input").arg(input).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
