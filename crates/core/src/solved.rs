@@ -173,27 +173,44 @@ impl SolvedApsp {
                         pattern of its arcs, and would load as an undirected handle"
                 .into());
         }
-        let line = |key: &str, words: Vec<String>| format!("{key} {}\n", words.join(" "));
+        // the words, space-separated, and a newline, formatted straight
+        // into `s`
+        fn words<T: std::fmt::Display>(s: &mut String, words: impl IntoIterator<Item = T>) {
+            use std::fmt::Write as _;
+            for (k, word) in words.into_iter().enumerate() {
+                if k > 0 {
+                    s.push(' ');
+                }
+                let _ = write!(s, "{word}");
+            }
+            s.push('\n');
+        }
+        // `key`, a space, and its words (a key without words keeps the space)
+        fn line<T: std::fmt::Display>(
+            s: &mut String,
+            key: &str,
+            items: impl IntoIterator<Item = T>,
+        ) {
+            s.push_str(key);
+            s.push(' ');
+            words(s, items);
+        }
         let r = &self.report;
         // accumulated critical clocks (enough to restore the bill's shape)
         let bill = [r.critical_latency(), r.critical_bandwidth(), r.critical_compute()]
             .into_iter()
             .chain([r.total_messages(), r.total_words(), r.max_peak_words()]);
         let mut s = String::from("sparse-apsp solved v1\n");
-        s += &line("height", vec![self.layout.tree().height().to_string()]);
-        s += &line(
-            "sizes",
-            (1..=self.layout.n_super()).map(|k| self.layout.size(k).to_string()).collect(),
-        );
-        s += &line("order", self.ordering.perm.as_order().iter().map(usize::to_string).collect());
-        s += &line("bill", bill.map(|x| x.to_string()).collect());
+        line(&mut s, "height", [self.layout.tree().height()]);
+        line(&mut s, "sizes", (1..=self.layout.n_super()).map(|k| self.layout.size(k)));
+        line(&mut s, "order", self.ordering.perm.as_order());
+        line(&mut s, "bill", bill);
         s += "graph\n";
         s += &apsp_graph::io::to_edge_list(&self.graph);
         s += "blocks\n";
         for block in &self.blocks {
             // distances are never `−∞`, so `+∞` is the one infinity: `inf`
-            let row: Vec<String> = block.as_slice().iter().map(f64::to_string).collect();
-            s += &(row.join(" ") + "\n");
+            words(&mut s, block.as_slice());
         }
         std::fs::write(path.as_ref(), s)
             .map_err(|e| format!("cannot write {}: {e}", path.as_ref().display()))

@@ -2,7 +2,6 @@
 
 use crate::coarsen::coarsen;
 use crate::work::WorkGraph;
-use std::collections::BinaryHeap;
 
 /// Tuning knobs for [`bisect`].
 #[derive(Clone, Copy, Debug)]
@@ -60,6 +59,9 @@ fn grow_initial(g: &WorkGraph, seed: u64) -> Vec<u8> {
     let start = g.pseudo_peripheral((seed as usize) % n);
     let mut in0 = 0u64;
     let mut visited = vec![false; n];
+    // the smallest unvisited vertex only grows, so one cursor finds every
+    // restart in O(n) over the whole sweep
+    let mut unvisited = 0usize;
     let mut queue = std::collections::VecDeque::new();
     queue.push_back(start);
     visited[start] = true;
@@ -76,19 +78,114 @@ fn grow_initial(g: &WorkGraph, seed: u64) -> Vec<u8> {
                 queue.push_back(v);
             }
         }
-        // disconnected graphs: restart BFS from an unvisited vertex
+        // disconnected graphs: restart BFS from the smallest unvisited vertex
         if queue.is_empty() && in0 * 2 < total {
-            if let Some(next) = (0..n).find(|&x| !visited[x]) {
-                visited[next] = true;
-                queue.push_back(next);
+            while unvisited < n && visited[unvisited] {
+                unvisited += 1;
+            }
+            if unvisited < n {
+                visited[unvisited] = true;
+                queue.push_back(unvisited);
             }
         }
     }
     side
 }
 
-/// One Fiduccia–Mattheyses pass with a lazy-invalidation gain heap.
-/// Returns `true` when the cut improved.
+/// The vertices waiting in an FM pass, bucketed by gain (Fiduccia and
+/// Mattheyses, 1982): one bitset over the vertices per gain in `[−D, D]`,
+/// where `D` is the pass graph's largest weighted degree, so no gain falls
+/// outside. Each bucket also keeps a summary bitset with one bit per
+/// nonzero word, so a pop reads `⌈n/4096⌉ + 1` words of its bucket,
+/// never `O(n)`. [`GainBuckets::pop`] returns the highest gain and, among
+/// equal gains, the highest vertex id: the order in which a max-heap of
+/// `(gain, vertex)` pops.
+///
+/// Memory is `(2D + 1) · (⌈n/64⌉ + ⌈n/4096⌉)` words plus a count per
+/// bucket. On a unit-weight graph `D` is the largest degree, below `n`, so
+/// the buckets stay under about `n²/32` words, a 32nd of the `n × n`
+/// distance matrix the solve builds from the ordering; a 3 000-vertex star
+/// (`D = 2 999`) takes 287 952 words. A coarse pass graph has fewer
+/// vertices but heavier edges: a coarse edge weighs as many fine edges as
+/// it stands for.
+struct GainBuckets {
+    /// Largest |gain|: bucket `b` holds gain `b − d`.
+    d: i64,
+    /// Words per bucket bitset, `⌈n/64⌉`.
+    words: usize,
+    /// Words per bucket summary, `⌈words/64⌉`.
+    sums: usize,
+    bits: Vec<u64>,
+    summary: Vec<u64>,
+    count: Vec<u32>,
+    /// No bucket above `top` holds a vertex.
+    top: usize,
+}
+
+impl GainBuckets {
+    fn new(n: usize, d: i64) -> Self {
+        let buckets = 2 * d as usize + 1;
+        let words = n.div_ceil(64);
+        let sums = words.div_ceil(64);
+        GainBuckets {
+            d,
+            words,
+            sums,
+            bits: vec![0; buckets * words],
+            summary: vec![0; buckets * sums],
+            count: vec![0; buckets],
+            top: 0,
+        }
+    }
+
+    fn bucket(&self, gain: i64) -> usize {
+        debug_assert!(gain.abs() <= self.d, "gain {gain} outside ±{}", self.d);
+        (gain + self.d) as usize
+    }
+
+    fn insert(&mut self, v: usize, gain: i64) {
+        let b = self.bucket(gain);
+        let w = b * self.words + v / 64;
+        self.bits[w] |= 1 << (v % 64);
+        self.summary[b * self.sums + v / 4096] |= 1 << (v / 64 % 64);
+        self.count[b] += 1;
+        self.top = self.top.max(b);
+    }
+
+    fn remove(&mut self, v: usize, gain: i64) {
+        let b = self.bucket(gain);
+        let w = b * self.words + v / 64;
+        self.bits[w] &= !(1 << (v % 64));
+        if self.bits[w] == 0 {
+            self.summary[b * self.sums + v / 4096] &= !(1 << (v / 64 % 64));
+        }
+        self.count[b] -= 1;
+    }
+
+    /// Removes and returns the queued vertex of highest gain, the highest
+    /// vertex id among equal gains.
+    fn pop(&mut self) -> Option<(i64, usize)> {
+        while self.count[self.top] == 0 {
+            if self.top == 0 {
+                return None;
+            }
+            self.top -= 1;
+        }
+        let b = self.top;
+        let sums = &self.summary[b * self.sums..(b + 1) * self.sums];
+        let s = sums.iter().rposition(|&x| x != 0).expect("a counted bucket has a set word");
+        let word = s * 64 + 63 - sums[s].leading_zeros() as usize;
+        let v = word * 64 + 63 - self.bits[b * self.words + word].leading_zeros() as usize;
+        let gain = b as i64 - self.d;
+        self.remove(v, gain);
+        Some((gain, v))
+    }
+}
+
+/// One Fiduccia–Mattheyses pass over every vertex. Gains live in an array
+/// and move by `±2w` when a neighbour moves; the waiting vertices sit in
+/// [`GainBuckets`]. A vertex whose move would break the balance leaves the
+/// queue until a neighbour moves. Returns `true` when the cut improved.
 fn fm_pass(g: &WorkGraph, side: &mut [u8], balance_eps: f64) -> bool {
     let n = g.n();
     let total = g.total_vwt();
@@ -104,21 +201,23 @@ fn fm_pass(g: &WorkGraph, side: &mut [u8], balance_eps: f64) -> bool {
         weight[side[u] as usize] += g.vwt[u];
     }
     // gain(v) = external − internal incident edge weight
-    let gain_of = |side: &[u8], v: usize| -> i64 {
-        let mut gain = 0i64;
+    let mut gain = vec![0i64; n];
+    let mut d = 0i64;
+    for v in 0..n {
+        let mut degree = 0i64;
         for (&nbr, &w) in g.neighbors(v).iter().zip(g.edge_weights(v)) {
-            if side[nbr as usize] == side[v] {
-                gain -= w as i64;
-            } else {
-                gain += w as i64;
-            }
+            let w = w as i64;
+            degree += w;
+            gain[v] += if side[nbr as usize] == side[v] { -w } else { w };
         }
-        gain
-    };
-    let mut stamp = vec![0u32; n]; // bump to invalidate queued entries
+        d = d.max(degree);
+    }
+    let mut queue = GainBuckets::new(n, d);
+    for (v, &gv) in gain.iter().enumerate() {
+        queue.insert(v, gv);
+    }
+    let mut queued = vec![true; n];
     let mut locked = vec![false; n];
-    let mut heap: BinaryHeap<(i64, usize, u32)> =
-        (0..n).map(|v| (gain_of(side, v), v, 0)).collect();
 
     let mut cur_cut = cut_weight(g, side) as i64;
     let best_start = cur_cut;
@@ -126,14 +225,11 @@ fn fm_pass(g: &WorkGraph, side: &mut [u8], balance_eps: f64) -> bool {
     let mut moves: Vec<usize> = Vec::new();
     let mut best_len = 0usize;
 
-    while let Some((gain, v, s)) = heap.pop() {
-        if locked[v] || s != stamp[v] {
-            continue;
-        }
+    while let Some((gv, v)) = queue.pop() {
+        queued[v] = false;
         let from = side[v] as usize;
         if weight[from] < g.vwt[v] + lo {
-            // balance would break; skip (vertex may be re-tried after mass
-            // moves the other way, so just drop this entry)
+            // balance would break: out of the queue until a neighbour moves
             continue;
         }
         // apply
@@ -141,18 +237,25 @@ fn fm_pass(g: &WorkGraph, side: &mut [u8], balance_eps: f64) -> bool {
         weight[from] -= g.vwt[v];
         weight[1 - from] += g.vwt[v];
         locked[v] = true;
-        cur_cut -= gain;
+        cur_cut -= gv;
         moves.push(v);
         if cur_cut < best_cut {
             best_cut = cur_cut;
             best_len = moves.len();
         }
-        for &nbr in g.neighbors(v) {
-            let nbr = nbr as usize;
-            if !locked[nbr] {
-                stamp[nbr] += 1;
-                heap.push((gain_of(side, nbr), nbr, stamp[nbr]));
+        for (&nbr, &w) in g.neighbors(v).iter().zip(g.edge_weights(v)) {
+            let u = nbr as usize;
+            if locked[u] {
+                continue;
             }
+            if queued[u] {
+                queue.remove(u, gain[u]);
+            }
+            // the edge turned internal where `u` now shares `v`'s side
+            let w = 2 * w as i64;
+            gain[u] += if side[u] == side[v] { -w } else { w };
+            queue.insert(u, gain[u]);
+            queued[u] = true;
         }
     }
     // roll back past the best prefix

@@ -49,51 +49,77 @@ pub fn coarsen_step(g: &WorkGraph, seed: u64) -> CoarseLevel {
         }
     }
 
-    // assign coarse ids
+    // assign coarse ids; `rep[c]` is coarse vertex `c`'s smaller member
     let mut map = vec![u32::MAX; n];
-    let mut next = 0u32;
+    let mut rep = Vec::new();
     for u in 0..n {
         if map[u] != u32::MAX {
             continue;
         }
-        map[u] = next;
+        map[u] = rep.len() as u32;
         let v = mate[u];
         if v != u && v != usize::MAX {
-            map[v] = next;
+            map[v] = rep.len() as u32;
         }
-        next += 1;
+        rep.push(u);
     }
-    let cn = next as usize;
+    CoarseLevel { graph: contract(g, &map, &rep, &mate), map }
+}
 
-    // coarse vertex weights
+/// Contracts the matching straight into CSR rows: each coarse row merges
+/// its members' neighbours by coarse id (one slot per coarse vertex says
+/// where in the row a neighbour already sits), drops edges inside the
+/// coarse vertex, and is sorted by neighbour. On a symmetric fine graph
+/// this is [`WorkGraph::from_edges`] of the coarse edge list.
+fn contract(g: &WorkGraph, map: &[u32], rep: &[usize], mate: &[usize]) -> WorkGraph {
+    let cn = rep.len();
     let mut vwt = vec![0u64; cn];
-    for u in 0..n {
-        vwt[map[u] as usize] += g.vwt[u];
-    }
-    // coarse edges
-    let mut edges = Vec::new();
-    for u in 0..n {
-        for (&v, &w) in g.neighbors(u).iter().zip(g.edge_weights(u)) {
-            let (cu, cv) = (map[u], map[v as usize]);
-            if cu < cv {
-                edges.push((cu, cv, w));
+    let mut xadj = Vec::with_capacity(cn + 1);
+    xadj.push(0);
+    let mut row: Vec<(u32, u64)> = Vec::with_capacity(g.adj.len());
+    // `slot[d] − 1` is where coarse neighbour `d` sits in `row`, if past the
+    // current row's start
+    let mut slot = vec![0usize; cn];
+    for (c, &u) in rep.iter().enumerate() {
+        let start = row.len();
+        let v = mate[u];
+        let members = if v == u { &[u][..] } else { &[u, v][..] };
+        for &x in members {
+            vwt[c] += g.vwt[x];
+            for (&y, &w) in g.neighbors(x).iter().zip(g.edge_weights(x)) {
+                let d = map[y as usize];
+                if d as usize == c {
+                    continue;
+                }
+                let s = slot[d as usize];
+                if s > start {
+                    row[s - 1].1 += w;
+                } else {
+                    row.push((d, w));
+                    slot[d as usize] = row.len();
+                }
             }
         }
+        row[start..].sort_unstable_by_key(|&(d, _)| d);
+        xadj.push(row.len());
     }
-    CoarseLevel { graph: WorkGraph::from_edges(cn, &edges, vwt), map }
+    let (adj, ewt) = row.into_iter().unzip();
+    WorkGraph { xadj, adj, ewt, vwt }
 }
 
 /// Coarsens repeatedly until at most `target_n` vertices remain or progress
-/// stalls (shrink factor under 10%). Returns the hierarchy, fine → coarse.
+/// stalls (a step that shrinks the graph by under 5%). Returns the
+/// hierarchy, fine → coarse.
 pub fn coarsen(g: &WorkGraph, target_n: usize, seed: u64) -> Vec<CoarseLevel> {
-    let mut levels = Vec::new();
-    let mut current = g.clone();
+    let mut levels: Vec<CoarseLevel> = Vec::new();
     let mut round = 0u64;
-    while current.n() > target_n {
-        let step = coarsen_step(&current, seed ^ (0x9e37_79b9 + round));
-        let shrunk = step.graph.n();
-        let stalled = shrunk as f64 > 0.95 * current.n() as f64;
-        current = step.graph.clone();
+    loop {
+        let current = levels.last().map_or(g, |lvl| &lvl.graph);
+        if current.n() <= target_n {
+            break;
+        }
+        let step = coarsen_step(current, seed ^ (0x9e37_79b9 + round));
+        let stalled = step.graph.n() as f64 > 0.95 * current.n() as f64;
         levels.push(step);
         round += 1;
         if stalled {

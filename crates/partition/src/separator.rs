@@ -9,27 +9,36 @@
 use apsp_graph::Csr;
 
 /// Maximum bipartite matching (Kuhn's augmenting-path algorithm).
-/// `adj[l]` lists right-side neighbours of left vertex `l`.
+/// Left vertex `l`'s right-side neighbours are `adj[xadj[l]..xadj[l + 1]]`.
 /// Returns `match_l[l] = Some(r)` assignments.
-fn max_bipartite_matching(left_n: usize, right_n: usize, adj: &[Vec<usize>]) -> Vec<Option<usize>> {
+fn max_bipartite_matching(
+    left_n: usize,
+    right_n: usize,
+    xadj: &[usize],
+    adj: &[usize],
+) -> Vec<Option<usize>> {
     let mut match_l: Vec<Option<usize>> = vec![None; left_n];
     let mut match_r: Vec<Option<usize>> = vec![None; right_n];
 
+    // `visited[r] == epoch`: `r` was tried in the current search
     fn try_augment(
         l: usize,
-        adj: &[Vec<usize>],
+        (xadj, adj): (&[usize], &[usize]),
         match_l: &mut [Option<usize>],
         match_r: &mut [Option<usize>],
-        visited_r: &mut [bool],
+        visited: &mut [usize],
+        epoch: usize,
     ) -> bool {
-        for &r in &adj[l] {
-            if visited_r[r] {
+        for &r in &adj[xadj[l]..xadj[l + 1]] {
+            if visited[r] == epoch {
                 continue;
             }
-            visited_r[r] = true;
+            visited[r] = epoch;
             let freed = match match_r[r] {
                 None => true,
-                Some(taken_by) => try_augment(taken_by, adj, match_l, match_r, visited_r),
+                Some(taken_by) => {
+                    try_augment(taken_by, (xadj, adj), match_l, match_r, visited, epoch)
+                }
             };
             if freed {
                 match_l[l] = Some(r);
@@ -40,9 +49,9 @@ fn max_bipartite_matching(left_n: usize, right_n: usize, adj: &[Vec<usize>]) -> 
         false
     }
 
+    let mut visited = vec![0usize; right_n];
     for l in 0..left_n {
-        let mut visited_r = vec![false; right_n];
-        try_augment(l, adj, &mut match_l, &mut match_r, &mut visited_r);
+        try_augment(l, (xadj, adj), &mut match_l, &mut match_r, &mut visited, l + 1);
     }
     match_l
 }
@@ -61,33 +70,48 @@ pub enum Part {
 /// Minimum vertex cover of a bipartite edge list (Kőnig construction over
 /// a maximum matching). Each pair is `(left_vertex, right_vertex)` with
 /// arbitrary (e.g. global) ids — the sides must be disjoint vertex sets.
-/// Returns the cover as a sorted id list.
+/// Returns the cover as a sorted id list. Ids index two arrays as long as
+/// the largest id.
 ///
 /// This is the primitive both the shared-memory separator extraction and
 /// the distributed pipeline (`apsp-core`'s distributed ND, which gathers
 /// fine cut edges to a group root) build on.
 pub fn min_vertex_cover_bipartite(cut_edges: &[(usize, usize)]) -> Vec<usize> {
-    // compress ids per side
+    // compress ids per side, in order of first appearance
+    let bound = cut_edges.iter().map(|&(a, b)| a.max(b) + 1).max().unwrap_or(0);
     let mut left_ids = Vec::new();
     let mut right_ids = Vec::new();
-    let mut left_of = std::collections::HashMap::new();
-    let mut right_of = std::collections::HashMap::new();
+    let mut left_of = vec![usize::MAX; bound];
+    let mut right_of = vec![usize::MAX; bound];
+    let mut xadj = Vec::new();
     for &(a, b) in cut_edges {
-        left_of.entry(a).or_insert_with(|| {
+        if left_of[a] == usize::MAX {
+            left_of[a] = left_ids.len();
             left_ids.push(a);
-            left_ids.len() - 1
-        });
-        right_of.entry(b).or_insert_with(|| {
+            xadj.push(0);
+        }
+        if right_of[b] == usize::MAX {
+            right_of[b] = right_ids.len();
             right_ids.push(b);
-            right_ids.len() - 1
-        });
+        }
+        xadj[left_of[a]] += 1;
     }
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); left_ids.len()];
-    for &(a, b) in cut_edges {
-        adj[left_of[&a]].push(right_of[&b]);
+    // a left vertex's edges in input order: `adj[xadj[l]..xadj[l + 1]]`
+    let mut end = 0;
+    for x in xadj.iter_mut() {
+        end += *x;
+        *x = end;
     }
+    xadj.push(end);
+    let mut adj = vec![0; end];
+    for &(a, b) in cut_edges.iter().rev() {
+        let l = left_of[a];
+        xadj[l] -= 1;
+        adj[xadj[l]] = right_of[b];
+    }
+    let (xadj, adj) = (&xadj[..], &adj[..]);
 
-    let match_l = max_bipartite_matching(left_ids.len(), right_ids.len(), &adj);
+    let match_l = max_bipartite_matching(left_ids.len(), right_ids.len(), xadj, adj);
     let mut match_r: Vec<Option<usize>> = vec![None; right_ids.len()];
     for (l, m) in match_l.iter().enumerate() {
         if let Some(r) = m {
@@ -104,7 +128,7 @@ pub fn min_vertex_cover_bipartite(cut_edges: &[(usize, usize)]) -> Vec<usize> {
         z_left[l] = true;
     }
     while let Some(l) = stack.pop() {
-        for &r in &adj[l] {
+        for &r in &adj[xadj[l]..xadj[l + 1]] {
             if !z_right[r] {
                 z_right[r] = true;
                 if let Some(l2) = match_r[r] {

@@ -1,27 +1,12 @@
 //! Property tests: every ordering the partitioner emits must satisfy the
 //! structural invariants the paper's algorithm relies on.
 
-use apsp_graph::GraphBuilder;
-use apsp_partition::separator::{separates, Part};
+mod common;
+
+use apsp_partition::separator::{min_vertex_cover_bipartite, separates, Part};
 use apsp_partition::{bisect, nested_dissection, vertex_separator, BisectOptions, NdOptions};
+use common::{arb_graph, build};
 use proptest::prelude::*;
-
-fn arb_graph(max_n: usize) -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
-    (2..max_n).prop_flat_map(|n| {
-        let edge = (0..n, 0..n);
-        (Just(n), proptest::collection::vec(edge, 0..(4 * n)))
-    })
-}
-
-fn build(n: usize, edges: &[(usize, usize)]) -> apsp_graph::Csr {
-    let mut b = GraphBuilder::new(n);
-    for &(u, v) in edges {
-        if u != v {
-            b.add_edge(u, v, 1.0);
-        }
-    }
-    b.build()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -51,6 +36,25 @@ proptest! {
             .collect();
         let s = part.iter().filter(|p| **p == Part::Sep).count();
         prop_assert!(s <= cut_endpoints.len());
+        // the cover touches every cut edge, and on a boundary small enough
+        // to search exhaustively it is as small as a maximum matching
+        let cut: Vec<(usize, usize)> = g
+            .edges()
+            .filter(|&(u, v, _)| b.side[u] != b.side[v])
+            .map(|(u, v, _)| if b.side[u] == 0 { (u, v) } else { (v, u) })
+            .collect();
+        prop_assert!(cut.iter().all(|&(u, v)| part[u] == Part::Sep || part[v] == Part::Sep));
+        if let Some(matching) = brute_force_matching(&cut) {
+            prop_assert_eq!(s, matching);
+        }
+    }
+
+    #[test]
+    fn cover_is_a_minimum_cover(edges in proptest::collection::vec((0..12usize, 100..112usize), 0..40)) {
+        let cover = min_vertex_cover_bipartite(&edges);
+        prop_assert!(cover.windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
+        prop_assert!(edges.iter().all(|(l, r)| cover.contains(l) || cover.contains(r)));
+        prop_assert_eq!(Some(cover.len()), brute_force_matching(&edges));
     }
 
     #[test]
@@ -82,4 +86,45 @@ proptest! {
             prop_assert!(off <= new && new < off + nd.supernode_sizes[k - 1]);
         }
     }
+}
+
+/// The size of a maximum matching of a bipartite edge list `(left, right)`,
+/// found by trying every choice (each left vertex in turn stays unmatched or
+/// takes a free neighbour, memoised on the set of rights taken), or `None`
+/// when a side has more than 12 vertices. Kőnig's theorem makes it the size
+/// of a minimum vertex cover.
+fn brute_force_matching(edges: &[(usize, usize)]) -> Option<usize> {
+    let ids = |pick: fn(&(usize, usize)) -> usize| {
+        let mut ids: Vec<usize> = edges.iter().map(pick).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    };
+    let (lefts, rights) = (ids(|e| e.0), ids(|e| e.1));
+    if lefts.len() > 12 || rights.len() > 12 {
+        return None;
+    }
+    // `nbrs[l]`: the rights of left `l`, as a bit mask
+    let mut nbrs = vec![0usize; lefts.len()];
+    for (l, r) in edges {
+        let (l, r) = (lefts.binary_search(l).unwrap(), rights.binary_search(r).unwrap());
+        nbrs[l] |= 1 << r;
+    }
+    fn best(l: usize, taken: usize, nbrs: &[usize], memo: &mut [Option<usize>]) -> usize {
+        if l == nbrs.len() {
+            return 0;
+        }
+        if let Some(size) = memo[l << 12 | taken] {
+            return size;
+        }
+        let mut size = best(l + 1, taken, nbrs, memo);
+        for r in 0..12 {
+            if nbrs[l] >> r & 1 == 1 && taken >> r & 1 == 0 {
+                size = size.max(1 + best(l + 1, taken | 1 << r, nbrs, memo));
+            }
+        }
+        memo[l << 12 | taken] = Some(size);
+        size
+    }
+    Some(best(0, 0, &nbrs, &mut vec![None; lefts.len() << 12]))
 }
