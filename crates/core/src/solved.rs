@@ -308,7 +308,7 @@ impl SolvedApsp {
 
         // reconstruct an aggregate bill on rank 0
         let mut report =
-            RunReport { per_rank: vec![Default::default(); layout.p()], profile: None };
+            RunReport { per_rank: vec![Default::default(); layout.p()], ..Default::default() };
         report.per_rank[0].clocks = Clocks::from_words([bill[0], bill[1], bill[2]]);
         report.per_rank[0].sent_messages = bill[3];
         report.per_rank[0].sent_words = bill[4];

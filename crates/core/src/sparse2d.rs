@@ -82,8 +82,8 @@ pub struct Sparse2dResult {
     /// Per-rank and critical-path costs.
     pub report: RunReport,
     /// Critical-path clocks *after each level* (cumulative, one entry per
-    /// level `1..=h`); differences give the per-level costs of
-    /// Lemmas 5.6/5.8/5.9.
+    /// level `1..=h`): the maximum over ranks of the bill at each level's
+    /// commit. Differences give the per-level costs of Lemmas 5.6/5.8/5.9.
     pub level_clocks: Vec<Clocks>,
 }
 
@@ -380,16 +380,16 @@ fn r4_sequential(
     }
 }
 
-/// The per-rank program: runs Algorithm 1 for this rank's block. Returns
-/// the final block buffer and the cumulative clocks after each level.
-/// `input` supplies the rank's initial block; a directed one switches the
-/// `R⁴` phase to the no-mirror dual schedule.
+/// The per-rank program: runs Algorithm 1 for this rank's block and
+/// returns the final block buffer. `input` supplies the rank's initial
+/// block; a directed one switches the `R⁴` phase to the no-mirror dual
+/// schedule.
 fn rank_program<C: Transport>(
     comm: &mut C,
     layout: &SupernodalLayout,
     input: Input<'_>,
     r4: R4Strategy,
-) -> (MinPlusMatrix, Vec<Clocks>) {
+) -> MinPlusMatrix {
     let h = layout.tree().height();
     let (bi, bj) = layout.block_of_rank(comm.rank());
 
@@ -398,16 +398,13 @@ fn rank_program<C: Transport>(
         Input::Directed(dg) => (layout.block_of(bi, bj, |u| dg.arcs_of(u)), true),
     };
     comm.alloc(block.words());
-    // the block never moves: `encode_state` appends into reserved words
-    let block = block.with_spare(3 * h as usize);
-    let mut level_clocks = Vec::with_capacity(h as usize);
     let (mut plan, sizes) = (Plan::default(), label_sizes(layout));
     let mut bufs = vec![(Buf::Own(bi, bj), block)];
 
-    // Every elimination level is a checkpointable phase: its boundary state
-    // is the block plus the per-level clock snapshots accumulated so far,
-    // so a restored rank resumes with both its distances and its Lemma
-    // 5.6/5.8/5.9 measurements intact.
+    // Every elimination level is a checkpointable phase whose boundary
+    // state is the block; the bill at each level's commit is the Lemma
+    // 5.6/5.8/5.9 measurement, and a restore puts it back with the rest of
+    // the bill.
     for l in 1..=h {
         if comm.phase_live() {
             let ends = level_plan(layout, l, (bi, bj), directed, r4, &mut plan);
@@ -422,19 +419,15 @@ fn rank_program<C: Transport>(
                 start = end;
             }
             debug_assert!(bufs.len() == 1, "a level ended holding {bufs:?}");
-            level_clocks.push(level.clocks());
         }
         let block = &mut bufs[0].1;
         let (rows, cols) = (block.rows(), block.cols());
-        let packed =
-            encode_state(std::mem::replace(block, MinPlusMatrix::empty(0, 0)), &level_clocks);
-        let (restored, clocks) = decode_state(rows, cols, comm.commit_phase(packed));
-        *block = restored;
-        level_clocks = clocks;
+        let state = std::mem::replace(block, MinPlusMatrix::empty(0, 0)).into_vec();
+        *block = MinPlusMatrix::from_raw(rows, cols, comm.commit_phase(state));
     }
 
     let (_, block) = bufs.pop().expect("the rank's block");
-    (block, level_clocks)
+    block
 }
 
 /// Supernode sizes indexed by label (`[0]` is unused): the block shapes
@@ -442,30 +435,6 @@ fn rank_program<C: Transport>(
 pub(crate) fn label_sizes(layout: &SupernodalLayout) -> Vec<usize> {
     let labels = 1..=layout.tree().num_supernodes();
     std::iter::once(0).chain(labels.map(|k| layout.size(k))).collect()
-}
-
-/// Appends the per-level clock snapshots to a block's word vector so a
-/// phase checkpoint carries both (three bit-cast words per level).
-fn encode_state(block: MinPlusMatrix, level_clocks: &[Clocks]) -> Vec<f64> {
-    let mut state = block.into_vec();
-    state.reserve(3 * level_clocks.len());
-    for c in level_clocks {
-        state.extend(c.to_words().map(f64::from_bits));
-    }
-    state
-}
-
-/// Inverse of [`encode_state`]: splits a committed state back into the
-/// block and the per-level clock snapshots (the level count is implied by
-/// the trailing length — block dimensions never change across levels).
-fn decode_state(rows: usize, cols: usize, mut state: Vec<f64>) -> (MinPlusMatrix, Vec<Clocks>) {
-    let nb = rows * cols;
-    let clocks = state[nb..]
-        .chunks_exact(3)
-        .map(|c| Clocks::from_words([c[0].to_bits(), c[1].to_bits(), c[2].to_bits()]))
-        .collect();
-    state.truncate(nb);
-    (MinPlusMatrix::from_raw(rows, cols, state), clocks)
 }
 
 /// 2D-SPARSE-APSP as a [`Solver`]: a layout, the graph permuted into its
@@ -527,7 +496,7 @@ impl<'a> Sparse2d<'a> {
 }
 
 impl Solver for Sparse2d<'_> {
-    type Out = (MinPlusMatrix, Vec<Clocks>);
+    type Out = MinPlusMatrix;
     type Result = Sparse2dResult;
     const PHASE: &'static str = "solve-sparse2d";
 
@@ -540,19 +509,20 @@ impl Solver for Sparse2d<'_> {
     }
 
     fn assemble(&self, outputs: Vec<Self::Out>, report: RunReport) -> Sparse2dResult {
-        // per-level critical clocks: max over ranks of the cumulative snapshot
+        // per-level critical clocks: max over ranks of the bill at each
+        // level's commit
         let mut level_clocks = vec![Clocks::default(); self.layout.tree().height() as usize];
+        for commits in &report.commits {
+            for (level, c) in level_clocks.iter_mut().zip(commits) {
+                level.merge_max(c);
+            }
+        }
         // each block is copied into the heap the solve freed, so a result
         // kept for long does not hold the solve's peak resident
-        let blocks = outputs
-            .into_iter()
-            .map(|(block, clocks)| {
-                for (lvl, c) in clocks.iter().enumerate() {
-                    level_clocks[lvl].merge_max(c);
-                }
-                block.clone()
-            })
-            .collect();
+        let mut blocks = Vec::with_capacity(outputs.len());
+        for block in outputs {
+            blocks.push(block.clone());
+        }
         Sparse2dResult { blocks, report, level_clocks }
     }
 }

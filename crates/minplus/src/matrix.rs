@@ -108,13 +108,6 @@ impl MinPlusMatrix {
         &mut self.data
     }
 
-    /// The same matrix with room for `words` more in its buffer, so that
-    /// appending them to [`MinPlusMatrix::into_vec`] does not move it.
-    pub fn with_spare(mut self, words: usize) -> Self {
-        self.data.reserve_exact(words);
-        self
-    }
-
     /// Consumes the matrix, returning its buffer.
     pub fn into_vec(self) -> Vec<Weight> {
         self.data

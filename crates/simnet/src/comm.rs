@@ -1,37 +1,19 @@
-//! The simulated machine: the shared rank [`Endpoint`] metered by the
-//! §3.1 cost model.
+//! The simulated machine: the shared rank [`Endpoint`], billed by the
+//! §3.1 cost model as the fold of its event log.
 
-use crate::endpoint::{run_epoch, Endpoint, Meter};
+use crate::endpoint::{run_epoch, Endpoint, Log, Meter};
 use crate::faults::{FaultPlan, FaultSummary};
 use crate::recovery::{supervise, MachineError, RecoveryPolicy, RecoveryReport};
-use crate::report::{Clocks, RankStats, RunReport};
+use crate::report::RunReport;
 use crate::script::CommEvent;
-use crate::trace::{Profile, RankProfile, SendTotal, SpanLedger, SpanSnapshot};
-use std::collections::BTreeMap;
 
 /// A process id, `0 .. p`.
 pub type Rank = usize;
 
-/// A rank's handle to the simulated machine: the shared [`Endpoint`]
-/// charging every send, receive, compute and checkpoint to the §3.1 clocks.
+/// A rank's handle to the simulated machine: the shared [`Endpoint`],
+/// whose every send, receive, compute and checkpoint lands in the §3.1
+/// bill.
 pub type Comm = Endpoint<SimMeter>;
-
-/// One recorded message, when the run is profiled
-/// ([`MachineSpec::profile`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Sender rank.
-    pub src: Rank,
-    /// Receiver rank.
-    pub dst: Rank,
-    /// Payload size in words.
-    pub words: usize,
-    /// Message tag (phase-identifying, algorithm-specific).
-    pub tag: u64,
-    /// The sender's critical-path clocks immediately *after* the send —
-    /// the simulated time at which the message is on the wire.
-    pub clocks: Clocks,
-}
 
 /// The simulated machine.
 pub struct Machine;
@@ -61,8 +43,7 @@ impl Machine {
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        let meter = |rank| SimMeter::new(rank, false);
-        let (run, _) = run_epoch(p, &f, None, None, None, meter).unwrap_or_else(|e| panic!("{e}"));
+        let run = Self::launch(p, &MachineSpec::default(), f).unwrap_or_else(|e| panic!("{e}"));
         (run.outs, run.report)
     }
 
@@ -89,15 +70,12 @@ impl Machine {
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        supervise(p, spec, |plan, epoch, script| {
-            let meter = |rank| SimMeter::new(rank, spec.profile);
-            let (mut run, meters) = run_epoch(p, &f, plan, epoch, script, meter)?;
-            if spec.profile {
-                let profiles = meters.into_iter().filter_map(SimMeter::finish).collect();
-                run.report.profile = Some(Profile::from_ranks(profiles));
-            }
-            Ok(run)
-        })
+        let log = match (spec.record, spec.profile) {
+            (true, _) => Log::All,
+            (false, true) => Log::Spans,
+            (false, false) => Log::Bill,
+        };
+        supervise(p, spec, true, |plan, epoch| run_epoch(p, &f, plan, epoch, log))
     }
 }
 
@@ -114,10 +92,11 @@ pub struct MachineSpec<'a> {
     /// report and summary are the final epoch's; the [`RecoveryReport`]
     /// carries the trajectory. Without `faults` the plan is empty.
     pub recovery: Option<RecoveryPolicy>,
-    /// Collect span ledgers, the comm matrix and every sent message into
+    /// Fold span ledgers, the comm matrix and every sent message into
     /// [`RunReport::profile`].
     pub profile: bool,
-    /// Return every rank's comm script ([`MachineRun::scripts`]).
+    /// Return every rank's event log ([`MachineRun::scripts`]), logical
+    /// events included.
     pub record: bool,
 }
 
@@ -126,151 +105,22 @@ pub struct MachineSpec<'a> {
 pub struct MachineRun<T> {
     /// Every rank's result, in rank order.
     pub outs: Vec<T>,
-    /// The cost report (all-zero on machines without a cost model).
+    /// The cost report: the fold of the run's event log (all-zero on a
+    /// machine that kept none).
     pub report: RunReport,
     /// Fault history, present when the run had a fault layer.
     pub faults: Option<FaultSummary>,
     /// Checkpoint/restart ledger, present when the run was supervised.
     pub recovery: Option<RecoveryReport>,
-    /// Per-rank comm scripts (rank order); empty unless recorded.
+    /// Per-rank event logs (rank order); empty unless recorded.
     pub scripts: Vec<Vec<CommEvent>>,
 }
 
-/// The §3.1 cost model as a [`Meter`]: critical-path clocks, send and
-/// memory counters, and — when the run is profiled — every sent message
-/// and the span ledger.
-pub struct SimMeter {
-    rank: Rank,
-    costs: RankStats,
-    /// Every message sent and the span ledger, present in profiled runs
-    /// ([`MachineSpec::profile`]).
-    profile: Option<(Vec<TraceEvent>, SpanLedger)>,
-}
+/// The simulator's [`Meter`]: a kill rule drops the victim's messages,
+/// and a backoff waits in simulated time only.
+pub struct SimMeter;
 
-impl SimMeter {
-    /// Rank `rank`'s meter: its clocks and counters always, the message
-    /// stream and span ledger when `profiled`.
-    pub fn new(rank: Rank, profiled: bool) -> Self {
-        SimMeter { rank, costs: RankStats::default(), profile: profiled.then(Default::default) }
-    }
-
-    /// Charges one send's clocks, counters, and trace event — everything a
-    /// physical message attempt costs the sender, delivered or not.
-    fn charge_send(&mut self, dst: Rank, tag: u64, words: usize) {
-        self.costs.clocks.latency += 1;
-        self.costs.clocks.bandwidth += words as u64;
-        self.costs.sent_messages += 1;
-        self.costs.sent_words += words as u64;
-        if let Some((events, _)) = &mut self.profile {
-            // post-send clocks: the simulated instant the message departs
-            let clocks = self.costs.clocks;
-            events.push(TraceEvent { src: self.rank, dst, words, tag, clocks });
-        }
-    }
-
-    /// A finished rank's observability payload, when profiled: its sent
-    /// messages, their per-`(dst, tag)` totals and its span ledger.
-    fn finish(self) -> Option<RankProfile> {
-        let (events, ledger) = self.profile?;
-        let mut sends: BTreeMap<(Rank, u64), (u64, u64)> = BTreeMap::new();
-        for e in &events {
-            let total = sends.entry((e.dst, e.tag)).or_default();
-            total.0 += 1;
-            total.1 += e.words as u64;
-        }
-        Some(RankProfile {
-            ledger,
-            sends: sends
-                .into_iter()
-                .map(|((dst, tag), (messages, words))| SendTotal { dst, tag, messages, words })
-                .collect(),
-            events,
-            final_clocks: self.costs.clocks,
-        })
-    }
-
-    fn snapshot(&self) -> SpanSnapshot {
-        SpanSnapshot {
-            clocks: self.costs.clocks,
-            resident_words: self.costs.resident_words,
-            sent_messages: self.costs.sent_messages,
-            sent_words: self.costs.sent_words,
-        }
-    }
-}
-
-impl Meter for SimMeter {
-    /// The sender's post-send clock snapshot, which drives the receiver's
-    /// critical-path merge.
-    type Stamp = Clocks;
-
-    fn on_wire(&mut self, dst: Rank, tag: u64, words: usize, delay: u64) -> Clocks {
-        self.charge_send(dst, tag, words);
-        // the delay is folded into the carried snapshot: the receiver sees
-        // a late arrival, the sender's own clock is unaffected
-        Clocks { latency: self.costs.clocks.latency + delay, ..self.costs.clocks }
-    }
-
-    fn lost(&mut self, dst: Rank, tag: u64, words: usize) {
-        self.charge_send(dst, tag, words);
-    }
-
-    fn arrived(&mut self, words: usize, sent_at: &Clocks) {
-        // §3.1 assumption (2): a processor receives one message at a time,
-        // so the receive occupies this rank's port for (1, w) — while the
-        // message itself arrives no earlier than the sender's post-send
-        // clocks. Taking the max of the two keeps a single relayed message
-        // counted once along its path, yet serializes fan-in at a receiver.
-        let clocks = &mut self.costs.clocks;
-        clocks.latency = (clocks.latency + 1).max(sent_at.latency);
-        clocks.bandwidth = (clocks.bandwidth + words as u64).max(sent_at.bandwidth);
-        clocks.compute = clocks.compute.max(sent_at.compute);
-    }
-
-    fn backoff(&mut self, units: u64) {
-        // simulated-clock timeout: the wait is real latency
-        self.costs.clocks.latency += units;
-    }
-
-    fn compute(&mut self, ops: u64) {
-        self.costs.clocks.compute += ops;
-    }
-
-    fn alloc(&mut self, words: usize) {
-        self.costs.resident_words += words as u64;
-        self.costs.peak_words = self.costs.peak_words.max(self.costs.resident_words);
-    }
-
-    fn release(&mut self, words: usize) {
-        debug_assert!(self.costs.resident_words >= words as u64, "release underflow");
-        self.costs.resident_words = self.costs.resident_words.saturating_sub(words as u64);
-    }
-
-    fn costs(&self) -> RankStats {
-        self.costs
-    }
-
-    fn restore(&mut self, costs: RankStats) {
-        self.costs = costs;
-    }
-
-    fn checkpoint(&mut self, words: usize) {
-        self.costs.clocks.latency += 1;
-        self.costs.clocks.bandwidth += words as u64;
-    }
-
-    fn span_enter(&mut self, name: &'static str, tag: u64) -> Option<usize> {
-        self.profile.as_ref()?;
-        let at = self.snapshot();
-        self.profile.as_mut().map(|(_, ledger)| ledger.enter(name, tag, at))
-    }
-
-    fn span_exit(&mut self, idx: usize) {
-        let at = self.snapshot();
-        let (_, ledger) = self.profile.as_mut().expect("a span index comes from the ledger");
-        ledger.exit(idx, at);
-    }
-}
+impl Meter for SimMeter {}
 
 // The simulator's own behaviour: clocks and ledgers. What is
 // machine-independent about the endpoint (FIFO, tag checks, the

@@ -2,18 +2,17 @@
 //! mechanics — ranks, per-pair FIFO links, the reliability protocol, the
 //! watchdog, the checkpoint commit — that both the cost-counting simulator
 //! ([`crate::Machine`]) and the native threads machine (`apsp-transport`)
-//! run. The cost model is an *accounting* of this machine, so it is a
-//! hook: an [`Endpoint`] is generic over a [`Meter`], called at exactly
-//! the points where counting costs differs from not counting them.
-//!
-//! Each [`Meter`] hook says what it is called for; `docs/BACKENDS.md`
-//! ("One endpoint") tabulates what the simulator's
-//! [`SimMeter`](crate::comm::SimMeter) and the native machine's meter do in
-//! each.
+//! run. The cost model is an *accounting* of this machine, so the
+//! endpoint charges nothing: it logs what happens to its rank as
+//! [`CommEvent`]s, and the bill is the fold of the logs
+//! ([`crate::cost::fold`]). An [`Endpoint`] is generic over a [`Meter`],
+//! which holds the two things the machines still do differently: what a
+//! kill rule does, and whether a backoff sleeps (`docs/BACKENDS.md`, "One
+//! endpoint").
 //!
 //! Everything else — the frame format (sequence number + checksum
 //! envelope), bounded-backoff retransmission, duplicate and corruption
-//! rejection, tag checking, the hang dump, script recording, the
+//! rejection, tag checking, the hang dump, the event log, the
 //! save/restore protocol at a phase boundary, and the epoch runner
 //! ([`run_epoch`]: one inbox per rank, the rank-thread pool, rank-order
 //! triage of the outcomes, cascade handling) — is written once, here and
@@ -27,25 +26,22 @@ use crate::pool;
 use crate::recovery::{
     Checkpoints, Epoch, HangError, MachineError, ProtocolError, RankDown, RankWait,
 };
-use crate::report::{Clocks, RankStats, RunReport};
-use crate::script::{CollectiveKind, CommEvent, ScriptBoard};
+use crate::report::RunReport;
+use crate::script::{CollectiveKind, CommEvent};
 use crate::snapshot::Snapshot;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use crate::sync::{Arc, Mutex};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::marker::PhantomData;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-/// What a machine supplies to the shared [`Endpoint`]: its cost
-/// accounting. Every hook defaults to "no cost model", so a machine that
-/// only moves messages implements [`Meter::on_wire`] and nothing else.
-/// The endpoint is monomorphised per meter — a hook that does nothing
-/// compiles to nothing.
-pub trait Meter: Sized {
-    /// What a frame carries from the sender's meter to the receiver's.
-    type Stamp: Send;
-
+/// What differs between the machines that run the shared [`Endpoint`].
+/// Nothing about the §3.1 bill does: both log the same events, and the
+/// bill is their fold. The endpoint is monomorphised per machine, so a
+/// default that does nothing compiles to nothing.
+pub trait Meter {
     /// What a `kill=R[@B]` rule does to rank R: `true` unwinds R's
     /// program with a typed [`RankDown`] at its next communication
     /// attempt from boundary B on; `false` leaves the program running and
@@ -53,57 +49,16 @@ pub trait Meter: Sized {
     /// ([`FaultPlan::injection_at`]).
     const KILL_UNWINDS_RANK: bool = false;
 
-    /// A physical attempt of `words` words left for `dst` and is on the
-    /// wire, `delay` injected latency units late: charges the sender and
-    /// stamps the frame.
-    fn on_wire(&mut self, dst: Rank, tag: u64, words: usize, delay: u64) -> Self::Stamp;
-
-    /// A physical attempt left the port and the network dropped it.
-    fn lost(&mut self, _dst: Rank, _tag: u64, _words: usize) {}
-
-    /// A physical arrival of `words` words occupied this rank's port.
-    fn arrived(&mut self, _words: usize, _stamp: &Self::Stamp) {}
-
-    /// Waits out the retransmit timeout of `units` latency units.
-    fn backoff(&mut self, _units: u64) {}
-
-    /// `ops` scalar operations of local compute (straggler-inflated).
-    fn compute(&mut self, _ops: u64) {}
-
-    /// `words` more words of tracked resident data.
-    fn alloc(&mut self, _words: usize) {}
-
-    /// `words` fewer words of tracked resident data.
-    fn release(&mut self, _words: usize) {}
-
-    /// The rank's cost ledger so far — what a checkpoint saves and the
-    /// run report ends with.
-    fn costs(&self) -> RankStats {
-        RankStats::default()
-    }
-
-    /// Rolls the cost ledger back to a checkpoint's.
-    fn restore(&mut self, _costs: RankStats) {}
-
-    /// Charges one snapshot or restore of `words` state words.
-    fn checkpoint(&mut self, _words: usize) {}
-
-    /// Opens a span in the ledger, when one is kept; the index goes back
-    /// to [`Meter::span_exit`].
-    fn span_enter(&mut self, _name: &'static str, _tag: u64) -> Option<usize> {
-        None
-    }
-
-    /// Closes the span [`Meter::span_enter`] opened as `idx`.
-    fn span_exit(&mut self, _idx: usize) {}
+    /// Waits out the retransmit timeout of `units` latency units (the
+    /// bill charges them either way).
+    fn backoff(_units: u64) {}
 }
 
-/// A message in flight: tag, payload, the constant-size reliability
+/// A message in flight: tag, payload, and the constant-size reliability
 /// envelope (part of the per-message α cost in the §3.1 model, so it adds
-/// **no** words to the bandwidth clock) and the sender meter's stamp.
-/// Outside fault mode the envelope is zeroed and ignored — the plain path
-/// neither computes nor checks it.
-struct Frame<S> {
+/// **no** words to the bandwidth clock). Outside fault mode the envelope
+/// is zeroed and ignored — the plain path neither computes nor checks it.
+struct Frame {
     tag: u64,
     payload: Vec<f64>,
     /// Per-`(src, dst)` sequence number, starting at 1 (0 = no fault
@@ -111,13 +66,12 @@ struct Frame<S> {
     seq: u64,
     /// [`checksum`] of the payload at send time (fault mode only).
     sum: u64,
-    stamp: S,
 }
 
 /// What lands in a rank's inbox, with its source: a frame, or `None` once
 /// the source's program unwound — its hang-up notice, which arrives
 /// behind every frame it sent.
-type Mail<S> = (Rank, Option<Frame<S>>);
+type Mail = (Rank, Option<Frame>);
 
 /// Machine-wide hang detection, shared by every rank of one run: any send
 /// or completed receive bumps `progress`; a rank blocked in a receive
@@ -172,19 +126,19 @@ struct FaultState {
     stats: FaultStats,
 }
 
-/// A rank's handle to its machine: point-to-point messaging, cost
-/// charging, phase commits and spans. The collectives are `Transport`
+/// A rank's handle to its machine: point-to-point messaging, the cost
+/// log, phase commits and spans. The collectives are `Transport`
 /// methods (`apsp-transport`), built from these sends and receives.
 pub struct Endpoint<M: Meter> {
     rank: Rank,
     p: usize,
     /// The senders into every rank's inbox, by rank.
-    tx: Arc<[Sender<Mail<M::Stamp>>]>,
+    tx: Arc<[Sender<Mail>]>,
     /// This rank's one inbox: every peer's mail, each peer's in send order.
-    inbox: Receiver<Mail<M::Stamp>>,
+    inbox: Receiver<Mail>,
     /// Frames taken from the inbox ahead of the receive that names their
     /// source, per source, oldest first.
-    pending: Vec<VecDeque<Frame<M::Stamp>>>,
+    pending: Vec<VecDeque<Frame>>,
     /// `hung_up[src]`: `src`'s program unwound, and everything it sent is
     /// in `pending[src]` or already received.
     hung_up: Vec<bool>,
@@ -192,7 +146,7 @@ pub struct Endpoint<M: Meter> {
     /// Counted in every mode — kill-at-boundary rules key on it even
     /// when no recovery supervisor is attached.
     boundary: u64,
-    meter: M,
+    machine: PhantomData<fn() -> M>,
     /// Fault layer, present in faulty runs ([`crate::MachineSpec::faults`]).
     /// Boxed so the fault-free hot path pays one pointer of state.
     faults: Option<Box<FaultState>>,
@@ -200,9 +154,27 @@ pub struct Endpoint<M: Meter> {
     /// ([`crate::MachineSpec::recovery`]).
     recovery: Option<Checkpoints>,
     watchdog: Arc<Watchdog>,
-    /// Comm-script recorder, present in recorded runs.
-    /// Recording observes the machine — it never touches the meter.
-    script: Option<Arc<ScriptBoard>>,
+    /// This rank's event log, when the run keeps one, at `level`. It stays
+    /// with the rank until its program returns or unwinds.
+    log: Option<Vec<CommEvent>>,
+    level: Log,
+}
+
+/// What the ranks of a run log ([`run_epoch`]); each level logs what the
+/// one below it does, and more.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Log {
+    /// Nothing.
+    Off,
+    /// The events the bill is folded from: the cost-only ones but
+    /// `SpanTag` ([`CommEvent::is_cost_only`]), and the phase commits.
+    Bill,
+    /// Span tags, opens and closes too, which a profile's span ledgers
+    /// are folded from.
+    Spans,
+    /// The logical events too (`Send`, `Recv`, `Collective`): a recorded
+    /// run, whose log the verifier reads.
+    All,
 }
 
 impl<M: Meter> Endpoint<M> {
@@ -218,25 +190,35 @@ impl<M: Meter> Endpoint<M> {
         self.p
     }
 
-    /// Current critical-path clocks (all zero without a cost model).
-    pub fn clocks(&self) -> Clocks {
-        self.meter.costs().clocks
+    /// Appends an event to this rank's log when it keeps one.
+    #[inline]
+    fn log(&mut self, ev: CommEvent) {
+        if let Some(log) = &mut self.log {
+            log.push(ev);
+        }
     }
 
-    /// Appends an event to this rank's comm script when one is being
-    /// recorded; free otherwise (the closure never runs). The closure
-    /// receives the committed-boundary count.
+    /// Logs a logical event when the run is recorded; free otherwise (the
+    /// closure never runs). The closure receives the committed-boundary
+    /// count.
     #[inline]
-    fn record(&self, ev: impl FnOnce(u64) -> CommEvent) {
-        if let Some(board) = &self.script {
-            board.push(self.rank, ev(self.boundary));
+    fn record(&mut self, ev: impl FnOnce(u64) -> CommEvent) {
+        if self.level == Log::All {
+            let ev = ev(self.boundary);
+            self.log(ev);
         }
     }
 
     /// Records entry into a collective (called by the `Transport`
     /// collectives — their internal tree messages additionally record as
     /// ordinary sends/receives).
-    pub fn record_collective(&self, kind: CollectiveKind, group: &[Rank], root: Rank, tag: u64) {
+    pub fn record_collective(
+        &mut self,
+        kind: CollectiveKind,
+        group: &[Rank],
+        root: Rank,
+        tag: u64,
+    ) {
         self.record(|phase| CommEvent::Collective {
             kind,
             group: group.to_vec(),
@@ -247,7 +229,7 @@ impl<M: Meter> Endpoint<M> {
     }
 
     /// Sends `payload` to `dst`. Never blocks. Costs `(1, payload.len())`
-    /// on a metered rank's clocks. The `tag` is a debugging aid checked
+    /// on the rank's clocks. The `tag` is a debugging aid checked
     /// by the matching [`Endpoint::recv`].
     ///
     /// # Panics
@@ -280,7 +262,8 @@ impl<M: Meter> Endpoint<M> {
         }
     }
 
-    /// Puts one physical message on the wire, metered and stamped.
+    /// Puts one physical message on the wire, logged first: an arrival is
+    /// never in a log before its attempt is in the sender's.
     fn put_on_wire(
         &mut self,
         dst: Rank,
@@ -290,8 +273,8 @@ impl<M: Meter> Endpoint<M> {
         sum: u64,
         delay: u64,
     ) {
-        let stamp = self.meter.on_wire(dst, tag, payload.len(), delay);
-        let frame = Frame { tag, payload, seq, sum, stamp };
+        self.log(CommEvent::Wire { dst, tag, words: payload.len(), delay });
+        let frame = Frame { tag, payload, seq, sum };
         if self.tx[dst].send((self.rank, Some(frame))).is_err() {
             // the receiver's program already unwound, closing its inbox;
             // die as a silenced cascade victim so that error surfaces
@@ -326,7 +309,7 @@ impl<M: Meter> Endpoint<M> {
             );
             match injection {
                 Injection::Drop => {
-                    self.meter.lost(dst, tag, payload.len());
+                    self.log(CommEvent::Lost { dst, tag, words: payload.len() });
                     self.fstats().drops_injected += 1;
                 }
                 Injection::Deliver { corrupt: true, .. } => {
@@ -374,7 +357,8 @@ impl<M: Meter> Endpoint<M> {
             // retransmitting; the deterministic unit count lands in the
             // stats ledger on every machine, so fault digests match
             let backoff = self.faults.as_ref().expect("fault mode").plan.backoff(attempt);
-            self.meter.backoff(backoff);
+            M::backoff(backoff);
+            self.log(CommEvent::Backoff { units: backoff });
             let st = self.fstats();
             st.backoff_latency += backoff;
             st.retransmissions += 1;
@@ -403,7 +387,7 @@ impl<M: Meter> Endpoint<M> {
     }
 
     /// Files a piece of mail under its source.
-    fn file(&mut self, (src, mail): Mail<M::Stamp>) {
+    fn file(&mut self, (src, mail): Mail) {
         match mail {
             Some(frame) => self.pending[src].push_back(frame),
             None => self.hung_up[src] = true,
@@ -417,7 +401,7 @@ impl<M: Meter> Endpoint<M> {
         }
     }
 
-    /// Pulls the next physical arrival from `src` and charges it to this
+    /// Pulls the next physical arrival from `src` and logs it on this
     /// rank's port: pending frames first, then the inbox, filing other
     /// sources' frames as they come.
     ///
@@ -428,7 +412,7 @@ impl<M: Meter> Endpoint<M> {
     /// that hung up with nothing left makes this rank a cascade victim at
     /// once; one that returned with nothing left is a hang, declared at
     /// the next tick.
-    fn wire_recv(&mut self, src: Rank, tag: u64) -> Frame<M::Stamp> {
+    fn wire_recv(&mut self, src: Rank, tag: u64) -> Frame {
         let window_ms = self.watchdog.window_ms;
         let tick_ms = (window_ms / 5).clamp(1, 50);
         let tick = Duration::from_millis(tick_ms);
@@ -464,7 +448,7 @@ impl<M: Meter> Endpoint<M> {
                 if registered {
                     self.watchdog.blocked.lock().expect("watchdog registry")[self.rank] = None;
                 }
-                self.meter.arrived(frame.payload.len(), &frame.stamp);
+                self.log(CommEvent::Arrived { src, words: frame.payload.len() });
                 return frame;
             }
             if !registered {
@@ -520,10 +504,10 @@ impl<M: Meter> Endpoint<M> {
     }
 
     /// Fault-mode receive: every physical arrival occupies the port (and
-    /// is charged), but only the first clean, in-order copy is accepted —
+    /// is logged), but only the first clean, in-order copy is accepted —
     /// corrupted copies fail the checksum, stale sequence numbers are
     /// duplicate retransmissions.
-    fn recv_faulty(&mut self, src: Rank, expected_tag: u64) -> Frame<M::Stamp> {
+    fn recv_faulty(&mut self, src: Rank, expected_tag: u64) -> Frame {
         loop {
             let frame = self.wire_recv(src, expected_tag);
             if checksum(&frame.payload) != frame.sum {
@@ -600,18 +584,19 @@ impl<M: Meter> Endpoint<M> {
     /// `state` untouched — zero cost. Under a supervised launch
     /// ([`crate::MachineSpec::recovery`]):
     ///
-    /// * at the resume boundary, the rank's snapshot (state, cost ledger,
-    ///   fault sequence state) replaces the local one and the meter is
-    ///   charged one restore of the state's words;
-    /// * at every `every`-th later boundary, the meter is charged one
-    ///   snapshot and the state is saved into the shared store.
+    /// * at the resume boundary, the rank's snapshot (state, fault
+    ///   sequence state) replaces the local one, and a restore of the
+    ///   state's words is logged: the fold puts back the bill it saved
+    ///   there;
+    /// * at every `every`-th later boundary, a snapshot is logged and the
+    ///   state is saved into the shared store.
     ///
-    /// On the simulator each charge is `(1, words)`, so checkpoint
-    /// traffic lands in the §3.1 ledgers exactly: one latency unit plus
-    /// the state's word count per snapshot or restore.
+    /// The bill charges each `(1, words)`, so checkpoint traffic lands in
+    /// the §3.1 ledgers exactly: one latency unit plus the state's word
+    /// count per snapshot or restore.
     pub fn commit_phase(&mut self, state: Vec<f64>) -> Vec<f64> {
         self.boundary += 1;
-        self.record(|boundary| CommEvent::Commit { boundary });
+        self.log(CommEvent::Commit { boundary: self.boundary });
         let Some(checkpoints) = &self.recovery else { return state };
         let boundary = self.boundary;
         if boundary < checkpoints.resume {
@@ -621,7 +606,6 @@ impl<M: Meter> Endpoint<M> {
         }
         if boundary == checkpoints.resume {
             let snap = checkpoints.store.restore(self.rank, boundary);
-            self.meter.restore(snap.costs);
             if let Some(st) = self.faults.as_deref_mut() {
                 if snap.seq_next.len() == st.seq_next.len() {
                     st.seq_next.clone_from(&snap.seq_next);
@@ -630,23 +614,17 @@ impl<M: Meter> Endpoint<M> {
                 st.stats = snap.stats;
             }
             // the restore itself moves the state words back into place
-            self.meter.checkpoint(snap.state.len());
+            self.log(CommEvent::Restore { words: snap.state.len() });
             return snap.state;
         }
         if checkpoints.every != 0 && boundary.is_multiple_of(checkpoints.every as u64) {
-            // charge before capture, so the snapshot's costs already
-            // include its own and a restore resumes past it exactly
-            self.meter.checkpoint(state.len());
             let (seq_next, seq_seen, stats) = match self.faults.as_deref() {
                 Some(st) => (st.seq_next.clone(), st.seq_seen.clone(), st.stats),
                 None => (Vec::new(), Vec::new(), FaultStats::default()),
             };
-            let costs = self.meter.costs();
-            checkpoints.store.save(
-                self.rank,
-                boundary,
-                Snapshot { state: state.clone(), costs, seq_next, seq_seen, stats },
-            );
+            let snapshot = Snapshot { state: state.clone(), seq_next, seq_seen, stats };
+            checkpoints.store.save(self.rank, boundary, snapshot);
+            self.log(CommEvent::Save { words: state.len() });
         }
         state
     }
@@ -664,29 +642,29 @@ impl<M: Meter> Endpoint<M> {
                 charged += extra;
             }
         }
-        self.meter.compute(charged);
+        self.log(CommEvent::Compute { ops: charged });
     }
 
     /// Tracks an allocation of `words` words of resident data (blocks,
     /// buffers); feeds the per-rank peak-memory statistic (`M` in Table 2).
     pub fn alloc(&mut self, words: usize) {
-        self.meter.alloc(words);
+        self.log(CommEvent::Alloc { words });
     }
 
     /// Releases previously tracked words.
     pub fn release(&mut self, words: usize) {
-        self.meter.release(words);
+        self.log(CommEvent::Release { words });
     }
 
-    /// Opens a phase span: on a profiled simulator run the guard samples
-    /// this rank's clocks, memory and send counters now and again when it
-    /// drops, recording the pair in the rank's span ledger; in recorded
-    /// runs it echoes `SpanOpen`/`SpanClose` into the comm script. Spans
-    /// nest — call `span` again on the returned guard (it derefs to the
-    /// endpoint) — and close LIFO.
+    /// Opens a phase span: in a profiled or recorded run the open and,
+    /// when the guard drops, the close are logged ([`Log::Spans`]), and the
+    /// fold of a profiled run samples this rank's clocks, memory and send
+    /// counters at both into its span ledger. Spans nest — call `span`
+    /// again on the returned guard (it derefs to the endpoint) — and close
+    /// LIFO.
     ///
     /// Otherwise the guard is free; algorithms instrument themselves
-    /// unconditionally and pay nothing unless someone is watching.
+    /// unconditionally.
     ///
     /// ```
     /// use apsp_simnet::{Machine, MachineSpec};
@@ -704,9 +682,11 @@ impl<M: Meter> Endpoint<M> {
     /// assert_eq!(profile.comm_matrix.words(0, 1), 2);
     /// ```
     pub fn span(&mut self, name: &'static str, tag: u64) -> SpanGuard<'_, M> {
-        let idx = self.meter.span_enter(name, tag);
-        self.record(|_| CommEvent::SpanOpen { name });
-        SpanGuard { endpoint: self, idx, name }
+        if self.level >= Log::Spans {
+            self.log(CommEvent::SpanTag { tag });
+            self.log(CommEvent::SpanOpen { name });
+        }
+        SpanGuard { endpoint: self, name }
     }
 }
 
@@ -715,9 +695,7 @@ impl<M: Meter> Endpoint<M> {
 /// span closes when the guard drops.
 pub struct SpanGuard<'a, M: Meter> {
     endpoint: &'a mut Endpoint<M>,
-    /// Ledger index of the open span; `None` when no ledger is kept.
-    idx: Option<usize>,
-    /// Span name, echoed into the comm script when one is recorded.
+    /// Span name, logged again at the close.
     name: &'static str,
 }
 
@@ -736,21 +714,19 @@ impl<M: Meter> std::ops::DerefMut for SpanGuard<'_, M> {
 
 impl<M: Meter> Drop for SpanGuard<'_, M> {
     fn drop(&mut self) {
-        if let Some(idx) = self.idx {
-            self.endpoint.meter.span_exit(idx);
+        if self.endpoint.level >= Log::Spans {
+            self.endpoint.log(CommEvent::SpanClose { name: self.name });
         }
-        let name = self.name;
-        self.endpoint.record(|_| CommEvent::SpanClose { name });
     }
 }
 
 /// One machine epoch: runs `f` on `p` ranks — each on a parked worker of
-/// the rank-thread pool ([`crate::pool`]) with a fresh inbox, the endpoint
-/// of rank `r` metered by `meter(r)` — under the fault plan when there is
-/// one, checkpointing and resuming as `epoch` says, recording into
-/// `script`. Returns the run (outputs, the cost report the meters end
-/// with, the fault summary) and the meters themselves, in rank order, for
-/// whatever else the machine collects.
+/// the rank-thread pool ([`crate::pool`]) with a fresh inbox — under the
+/// fault plan when there is one, checkpointing and resuming as `epoch`
+/// says, every rank logging at `log`. Returns the run (outputs
+/// and the fault summary; the report is left for the fold) or the error
+/// it died of, and every rank's log in rank order — a dead rank's up to
+/// its death — so a failed epoch is billed too.
 ///
 /// # Errors
 /// The typed root cause when ranks died of one: a typed abort (rank kill,
@@ -767,11 +743,10 @@ pub fn run_epoch<M, T, F>(
     f: &F,
     plan: Option<&FaultPlan>,
     epoch: Option<&Epoch>,
-    script: Option<&Arc<ScriptBoard>>,
-    meter: impl Fn(Rank) -> M + Sync,
-) -> Result<(MachineRun<T>, Vec<M>), MachineError>
+    log: Log,
+) -> (Result<MachineRun<T>, MachineError>, Vec<Vec<CommEvent>>)
 where
-    M: Meter + Send,
+    M: Meter,
     T: Send,
     F: Fn(&mut Endpoint<M>) -> T + Sync,
 {
@@ -781,16 +756,15 @@ where
     let _machine_wall = apsp_metrics::time_phase("machine-run");
     let watchdog = Arc::new(Watchdog::new(p));
     // one inbox per rank; every endpoint holds the senders into all of them
-    let (senders, inboxes): (Vec<_>, Vec<_>) = (0..p).map(|_| channel::<Mail<M::Stamp>>()).unzip();
+    let (senders, inboxes): (Vec<_>, Vec<_>) = (0..p).map(|_| channel::<Mail>()).unzip();
     let senders: Arc<[_]> = senders.into();
-    let meter = &meter;
     let ranks: Vec<_> = inboxes
         .into_iter()
         .enumerate()
         .map(|(rank, inbox)| {
             let (tx, watchdog) = (Arc::clone(&senders), Arc::clone(&watchdog));
             move || {
-                let mut endpoint = Endpoint {
+                let mut endpoint = Endpoint::<M> {
                     rank,
                     p,
                     tx,
@@ -798,7 +772,7 @@ where
                     pending: (0..p).map(|_| VecDeque::new()).collect(),
                     hung_up: vec![false; p],
                     boundary: 0,
-                    meter: meter(rank),
+                    machine: PhantomData,
                     faults: plan.map(|plan| {
                         let remap = epoch.map_or_else(|| (0..p).collect(), |e| e.remap.clone());
                         let kill_from = plan.kill_boundary(remap[rank]);
@@ -815,13 +789,18 @@ where
                     }),
                     recovery: epoch.map(|e| e.checkpoints.clone()),
                     watchdog,
-                    script: script.cloned(),
+                    // one allocation holds the bill events of most ranks of
+                    // a solve or an update batch (about 23 a rank at
+                    // p = 49), where growing from empty takes four
+                    log: (log > Log::Off).then(|| Vec::with_capacity(32)),
+                    level: log,
                 };
                 let out = match catch_unwind(AssertUnwindSafe(|| f(&mut endpoint))) {
                     Ok(out) => out,
                     Err(payload) => {
+                        let log = endpoint.log.take();
                         endpoint.hang_up();
-                        resume_unwind(payload)
+                        return (Err(payload), log);
                     }
                 };
                 // (under the model time does not pass, so the watchdog
@@ -833,8 +812,8 @@ where
                 // finished: a fault-mode duplicate of a peer's last message
                 // may still land here, and must evaporate rather than make
                 // its sender a cascade victim
-                let Endpoint { meter, faults, inbox, .. } = endpoint;
-                (out, meter, faults.map(|st| st.stats), inbox)
+                let Endpoint { faults, inbox, log, .. } = endpoint;
+                (Ok((out, faults.map(|st| st.stats), inbox)), log)
             }
         })
         .collect();
@@ -842,7 +821,12 @@ where
 
     let mut outcomes = Vec::with_capacity(p);
     let mut panics = Vec::new();
+    let mut logs = Vec::with_capacity(p);
     for outcome in pool::run(ranks) {
+        let (outcome, events) = outcome.unwrap_or_else(|payload| (Err(payload), None));
+        if log > Log::Off {
+            logs.push(events.unwrap_or_default());
+        }
         match outcome {
             Ok(outcome) => outcomes.push(outcome),
             Err(payload) => panics.push(payload),
@@ -850,24 +834,18 @@ where
     }
     if !panics.is_empty() {
         if let Some(err) = classify_panics(&panics, plan.is_some()) {
-            return Err(err);
+            return (Err(err), logs);
         }
         surface_root_cause(panics);
     }
 
     let mut outs = Vec::with_capacity(p);
-    let mut meters = Vec::with_capacity(p);
     let mut fault_ranks = Vec::with_capacity(p);
-    for (out, meter, stats, _inbox) in outcomes {
+    for (out, stats, _inbox) in outcomes {
         outs.push(out);
-        meters.push(meter);
         fault_ranks.extend(stats);
     }
-    let report = RunReport { per_rank: meters.iter().map(Meter::costs).collect(), profile: None };
     let faults = plan.is_some().then_some(FaultSummary { per_rank: fault_ranks, unrecoverable: 0 });
-    // observability counters read the finished aggregates; the §3.1
-    // ledgers above are already sealed by this point
-    crate::perf::record_run(&report, faults.as_ref());
-    let run = MachineRun { outs, report, faults, recovery: None, scripts: Vec::new() };
-    Ok((run, meters))
+    let report = RunReport::default();
+    (Ok(MachineRun { outs, report, faults, recovery: None, scripts: Vec::new() }), logs)
 }

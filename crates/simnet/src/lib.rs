@@ -18,13 +18,16 @@
 //! * Each rank has one inbox, and the messages from each sender come out
 //!   of it in send order (MPI's per-`(src, dst)` non-overtaking
 //!   guarantee).
-//! * Every rank carries **critical-path clocks** `(latency, bandwidth,
-//!   compute)`. A send advances the sender's clocks by `(1 message,
-//!   w words)`; the matching receive advances the receiver's clocks to the
-//!   element-wise maximum with the sender's post-send snapshot. The maximum
-//!   over ranks at the end is therefore exactly the paper's critical-path
-//!   cost: "two messages communicated between separate pairs of processors
-//!   simultaneously are counted only once".
+//! * Every rank logs what happens to it (sends, arrivals, compute,
+//!   memory, checkpoints, spans) as [`CommEvent`]s, and the run's bill is
+//!   one pure function of those logs, [`cost::fold`]: every rank carries
+//!   **critical-path clocks** `(latency, bandwidth, compute)`, a send
+//!   advances the sender's clocks by `(1 message, w words)`, and the
+//!   matching arrival advances the receiver's to the element-wise maximum
+//!   of its own plus `(1, w)` and the sender's post-send clocks. The
+//!   maximum over ranks at the end is therefore exactly the paper's
+//!   critical-path cost: "two messages communicated between separate pairs
+//!   of processors simultaneously are counted only once".
 //! * Collectives (`bcast`, `reduce`, … — methods of `apsp-transport`'s
 //!   `Transport` trait, written once for every machine) are binomial trees
 //!   built from those sends, so their `O(log g)` latency and `O(w log g)`
@@ -33,12 +36,14 @@
 //! ## One endpoint, two machines
 //!
 //! The machine's mechanics — frames, links, the reliability protocol, the
-//! watchdog, checkpoint commits, the epoch runner — live once in
-//! [`endpoint`], generic over a [`Meter`]. [`Comm`] is that endpoint with
-//! the §3.1 cost model ([`comm::SimMeter`]) plugged in; `apsp-transport`'s
-//! native machine is the same endpoint with a meter that counts nothing.
-//! All of it synchronizes through the [`sync`] shim, so the code that runs
-//! is the code `--cfg loom` model-checks.
+//! watchdog, checkpoint commits, the event log, the epoch runner — live
+//! once in [`endpoint`], generic over a [`Meter`] that says only what a
+//! kill rule does and whether a backoff sleeps. [`Comm`] is that endpoint
+//! as the simulator runs it, always logging so that its report is the fold
+//! of its log; `apsp-transport`'s native machine is the same endpoint on
+//! real threads, which logs when recorded — and then folds to the very
+//! same bill. All of it synchronizes through the [`sync`] shim, so the
+//! code that runs is the code `--cfg loom` model-checks.
 //!
 //! ## Fault injection
 //!
@@ -56,8 +61,9 @@
 //! [`MachineSpec::recovery`] survives what the retransmission
 //! protocol cannot (dead links, killed ranks, exhausted retries): rank
 //! programs mark phase boundaries with [`Comm::commit_phase`], the
-//! machine snapshots per-rank state there (charging the bytes to the
-//! ordinary ledgers), and a supervisor rolls back to the last consistent
+//! machine snapshots per-rank state there (the fold charges the words to
+//! the ordinary ledgers and keeps the bill there for a restore), and a
+//! supervisor rolls back to the last consistent
 //! checkpoint and re-executes — remapping permanently dead ranks onto
 //! spares — under a bounded [`RecoveryPolicy`], degrading to a typed
 //! [`recovery::Unrecoverable`] report when the budget runs out. A
@@ -74,6 +80,7 @@
 
 pub mod cascade;
 pub mod comm;
+pub mod cost;
 pub mod endpoint;
 pub mod faults;
 pub mod perf;
@@ -86,17 +93,18 @@ pub mod sync;
 pub mod trace;
 
 pub use cascade::Disconnect;
-pub use comm::{Comm, Machine, MachineRun, MachineSpec, Rank, SimMeter, TraceEvent};
-pub use endpoint::{run_epoch, Endpoint, Meter, SpanGuard};
+pub use comm::{Comm, Machine, MachineRun, MachineSpec, Rank, SimMeter};
+pub use cost::{fold, LogError};
+pub use endpoint::{run_epoch, Endpoint, Log, Meter, SpanGuard};
 pub use faults::{FaultError, FaultPlan, FaultStats, FaultSummary, Injection};
 pub use recovery::{
     supervise, Checkpoints, Epoch, HangError, MachineError, ProtocolError, RankDown, RankWait,
     RecoveryPolicy, RecoveryReport, Unrecoverable,
 };
 pub use report::{Clocks, RankStats, RunReport};
-pub use script::{phase_totals, CollectiveKind, CommEvent, PhaseTotals, ScriptBoard};
+pub use script::{phase_totals, CollectiveKind, CommEvent, PhaseTotals};
 pub use snapshot::{Snapshot, SnapshotStore};
 pub use trace::{
     CommMatrix, PhaseBreakdown, PhaseRow, Profile, RankProfile, SpanLedger, SpanRecord,
-    SpanSnapshot, TimeModel,
+    SpanSnapshot, TimeModel, TraceEvent,
 };

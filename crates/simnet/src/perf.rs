@@ -1,8 +1,7 @@
 //! Host-side observability counters for the machines — both of them: the
-//! one epoch runner ([`crate::endpoint::run_epoch`]) and the one
-//! supervisor ([`crate::recovery::supervise`]) record here, whichever
-//! meter the endpoint carries (a native run reports zero messages and
-//! words: its send path counts nothing).
+//! one supervisor ([`crate::recovery::supervise`]) records here after
+//! every epoch of every launch, whichever meter the endpoint carries (a
+//! native run reports zero messages and words: its report is all-zero).
 //!
 //! These are recorded **after** a run finishes, from the already-built
 //! [`RunReport`] / [`FaultSummary`] / [`RecoveryReport`] aggregates — never

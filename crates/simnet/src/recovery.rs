@@ -8,10 +8,11 @@
 //!
 //! * Solvers mark **phase boundaries** with [`crate::Comm::commit_phase`].
 //!   Under a [`RecoveryPolicy`] the machine snapshots each rank's state
-//!   (solver payload, §3.1 clocks, fault-protocol sequence state) at every
-//!   `every`-th boundary into a shared [`SnapshotStore`], charging the
-//!   snapshot bytes to the ordinary latency/bandwidth ledgers — checkpoint
-//!   traffic is Table 2 traffic.
+//!   (solver payload, fault-protocol sequence state) at every `every`-th
+//!   boundary into a shared [`SnapshotStore`], and the fold of the epoch's
+//!   log charges the snapshot words to the ordinary latency/bandwidth
+//!   ledgers — checkpoint traffic is Table 2 traffic — and saves the bill
+//!   at the boundary for a later restore to resume from.
 //! * A supervisor ([`supervise`], one loop for both machines) catches the
 //!   typed error a faulted epoch dies with, rolls every rank back to the last
 //!   **consistent cut** (the highest boundary every rank has snapshotted),
@@ -34,8 +35,10 @@
 //! `apsp_simnet_rollback_words_total` metric only.
 
 use crate::comm::{MachineRun, MachineSpec, Rank};
+use crate::cost::{fold_epoch, Saved};
 use crate::faults::{FaultPlan, FaultSummary};
-use crate::script::ScriptBoard;
+use crate::report::{RankStats, RunReport};
+use crate::script::CommEvent;
 #[doc(inline)]
 pub use crate::snapshot::{Snapshot, SnapshotStore};
 use crate::sync::Arc;
@@ -184,11 +187,16 @@ pub struct Epoch {
 }
 
 /// The part of a launch both machines share, generic over "run one
-/// epoch": `run_epoch(plan, epoch, script)` executes the rank program once
-/// on `p` ranks — under the fault plan when there is one, checkpointing
-/// and resuming as `epoch` says, recording into `script` — and this
-/// function calls it once, or under [`MachineSpec::recovery`] as often as
-/// the checkpoint/rollback supervisor needs.
+/// epoch": `run_epoch(plan, epoch)` executes the rank program once on `p`
+/// ranks — under the fault plan when there is one, checkpointing and
+/// resuming as `epoch` says — and hands back the outcome with the ranks'
+/// event logs. This function calls it once, or under
+/// [`MachineSpec::recovery`] as often as the checkpoint/rollback
+/// supervisor needs. On a `billed` machine (the simulator) the report of
+/// every epoch is the fold of its logs ([`crate::cost::fold`]) — a failed
+/// epoch's too, so that a restore resumes from the bill folded at its
+/// boundary; otherwise the report is all-zero, and a recorded log is only
+/// handed back (folding it gives the same bill).
 ///
 /// When a supervised epoch dies with a typed error the supervisor rolls
 /// back to the last consistent cut, prunes the snapshots beyond it, and
@@ -208,19 +216,29 @@ pub struct Epoch {
 pub fn supervise<T>(
     p: usize,
     spec: &MachineSpec<'_>,
+    billed: bool,
     run_epoch: impl Fn(
         Option<&FaultPlan>,
         Option<&Epoch>,
-        Option<&Arc<ScriptBoard>>,
-    ) -> Result<MachineRun<T>, MachineError>,
+    ) -> (Result<MachineRun<T>, MachineError>, Vec<Vec<CommEvent>>),
 ) -> Result<MachineRun<T>, MachineError> {
     // a supervised run without a plan measures the pure checkpoint cost
     let empty = FaultPlan::new(0);
     let plan = spec.faults.or(spec.recovery.map(|_| &empty));
-    let run_epoch = |epoch: Option<&Epoch>| {
-        let board = spec.record.then(|| Arc::new(ScriptBoard::new(p)));
-        let mut run = run_epoch(plan, epoch, board.as_ref())?;
-        run.scripts = board.map(|b| b.take()).unwrap_or_default();
+    let mut saved = Saved::default();
+    let mut run_epoch = |epoch: Option<&Epoch>| {
+        let (outcome, logs) = run_epoch(plan, epoch);
+        let report = if billed {
+            fold_epoch(&logs, spec.profile, &mut saved).expect("a machine's own log folds")
+        } else {
+            RunReport { per_rank: vec![RankStats::default(); p], ..Default::default() }
+        };
+        let mut run = outcome?;
+        run.report = report;
+        crate::perf::record_run(&run.report, run.faults.as_ref());
+        if spec.record {
+            run.scripts = logs;
+        }
         Ok(run)
     };
     let (Some(policy), Some(plan)) = (spec.recovery, plan) else { return run_epoch(None) };

@@ -9,9 +9,10 @@ use crate::trace::{phase_breakdown, PhaseBreakdown, Profile};
 /// sends/compute, and by element-wise max on receives (which is what makes
 /// the end-state maximum the *critical-path* cost rather than a total).
 ///
-/// The fields are private to this crate: only the machine that charges a
-/// bill writes it. Code elsewhere reads the clocks through the accessors,
-/// and a saved bill re-enters through [`Clocks::from_words`].
+/// The fields are private to this crate: only the fold of an event log
+/// ([`crate::cost::fold`]) writes a bill. Code elsewhere reads the clocks
+/// through the accessors, and a saved bill re-enters through
+/// [`Clocks::from_words`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Clocks {
     pub(crate) latency: u64,
@@ -78,6 +79,10 @@ pub struct RunReport {
     /// Observability payload (span ledgers, comm matrix, event streams),
     /// present when the run was launched with [`crate::MachineSpec::profile`].
     pub profile: Option<Profile>,
+    /// Each rank's clocks at each of its phase commits, in boundary order
+    /// (empty for a rank whose machine kept no log). A run's own, not
+    /// merged by [`RunReport::absorb`].
+    pub commits: Vec<Vec<Clocks>>,
 }
 
 impl RunReport {
@@ -115,8 +120,10 @@ impl RunReport {
     /// `T = α·L + β·B + γ·F` (per-message latency, per-word transfer time,
     /// per-scalar-op compute time). The §3.1 cost *counts* are
     /// machine-independent; this helper turns them into an estimated wall
-    /// time for a concrete interconnect, e.g. `α = 1e-6 s`, `β = 1e-9 s`,
-    /// `γ = 1e-10 s` for an InfiniBand-class cluster.
+    /// time for a concrete interconnect. The constants the repo passes
+    /// (`α = 1e-6 s`, `β = 1e-9 s`, `γ = 1e-10 s`, [`crate::TimeModel`]'s
+    /// default) are placeholders nobody has measured, until ROADMAP item 7
+    /// fits them to a machine.
     pub fn projected_time(&self, alpha: f64, beta: f64, gamma: f64) -> f64 {
         alpha * self.critical_latency() as f64
             + beta * self.critical_bandwidth() as f64
@@ -141,6 +148,7 @@ impl RunReport {
             self.profile = other.profile.clone();
             return;
         }
+        self.commits.clear();
         assert_eq!(self.per_rank.len(), other.per_rank.len(), "rank count mismatch");
         match (&mut self.profile, &other.profile) {
             (Some(mine), Some(theirs)) => mine.absorb(theirs),
@@ -190,6 +198,7 @@ mod tests {
                 },
             ],
             profile: None,
+            commits: Vec::new(),
         };
         assert_eq!(report.critical_latency(), 6);
         assert_eq!(report.critical_bandwidth(), 100);
@@ -207,6 +216,7 @@ mod tests {
                 ..Default::default()
             }],
             profile: None,
+            commits: Vec::new(),
         };
         let t = report.projected_time(1e-6, 1e-9, 1e-10);
         assert!((t - (10e-6 + 1e-6 + 1e-5)).abs() < 1e-12);
@@ -224,6 +234,7 @@ mod tests {
                 resident_words: 8,
             }],
             profile: None,
+            commits: Vec::new(),
         };
         let mut acc = RunReport::default();
         acc.absorb(&r1);

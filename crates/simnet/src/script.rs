@@ -1,26 +1,25 @@
-//! Comm-script recording: per-rank communication event logs for the
-//! protocol verifier (`apsp-verify`).
+//! The per-rank event log: what happened to each rank, as
+//! [`CommEvent`]s — the one record both the §3.1 bill
+//! ([`crate::cost::fold`]) and the protocol verifier (`apsp-verify`) read.
 //!
-//! A recorded run ([`MachineSpec::record`](crate::MachineSpec::record),
-//! or [`run_epoch`](crate::run_epoch) handed a board) pushes one
-//! [`CommEvent`] per *logical* communication operation into a shared
-//! [`ScriptBoard`]. Recording observes the machine without perturbing it:
-//! no clock, counter, or ledger is touched, so a recorded run's §3.1 cost
-//! report is byte-identical to a plain run's (test-pinned in
-//! `tests/verification.rs`).
+//! Two kinds of event share the log. *Logical* events — `Send`, `Recv`,
+//! `Collective`, `Commit`, `SpanOpen`, `SpanClose` — are one per
+//! communication operation: a fault-mode retransmission is one `Send`, a
+//! collective is one `Collective` entry per member (its internal tree
+//! messages are also logged as `Send`/`Recv`, which is what the
+//! matching invariant checks). *Cost* events
+//! ([`CommEvent::is_cost_only`]) are the physical side the bill is folded
+//! from: every attempt on the wire, every loss, every arrival, backoff,
+//! compute, alloc, release, snapshot and restore, and each span's tag.
 //!
-//! Events are logical, not physical: a fault-mode retransmission is one
-//! `Send`, a collective is one `Collective` entry per member (its internal
-//! tree messages are also recorded as `Send`/`Recv`, which is what the
-//! matching invariant checks).
-
-#![expect(
-    clippy::disallowed_types,
-    reason = "a std mutex whose critical sections hold no scheduling point (see sync.rs)"
-)]
+//! The simulator always keeps the log (its report is the fold of it); a
+//! native run keeps it when recorded
+//! ([`MachineSpec::record`](crate::MachineSpec::record)), which is also
+//! when the logical events are logged and the log is handed back. Logging
+//! never perturbs the machine: a recorded run's report is byte-identical
+//! to a plain run's (test-pinned in `tests/verification.rs`).
 
 use crate::comm::Rank;
-use std::sync::Mutex;
 
 /// Which collective a rank entered — the `Transport` method of that name
 /// in `apsp-transport`, where the collectives live.
@@ -117,6 +116,87 @@ pub enum CommEvent {
         /// Span name.
         name: &'static str,
     },
+    /// Cost event: the tag of the span the next `SpanOpen` opens.
+    SpanTag {
+        /// Span tag.
+        tag: u64,
+    },
+    /// Cost event: a physical attempt put on the wire to `dst`.
+    Wire {
+        /// Destination rank.
+        dst: Rank,
+        /// Message tag.
+        tag: u64,
+        /// Payload size in words.
+        words: usize,
+        /// Injected latency units the attempt arrives late by.
+        delay: u64,
+    },
+    /// Cost event: a physical attempt that left the port and was dropped.
+    Lost {
+        /// Destination rank.
+        dst: Rank,
+        /// Message tag.
+        tag: u64,
+        /// Payload size in words.
+        words: usize,
+    },
+    /// Cost event: a physical arrival from `src` occupied this rank's
+    /// port, whether it was accepted or discarded as a duplicate or a
+    /// corruption.
+    Arrived {
+        /// Source rank.
+        src: Rank,
+        /// Payload size in words.
+        words: usize,
+    },
+    /// Cost event: a retransmit backoff of `units` latency units.
+    Backoff {
+        /// Latency units waited.
+        units: u64,
+    },
+    /// Cost event: local compute, straggler inflation included.
+    Compute {
+        /// Scalar operations.
+        ops: u64,
+    },
+    /// Cost event: tracked resident data grew.
+    Alloc {
+        /// Words allocated.
+        words: usize,
+    },
+    /// Cost event: tracked resident data shrank.
+    Release {
+        /// Words released.
+        words: usize,
+    },
+    /// Cost event: a snapshot of the state at the current boundary.
+    Save {
+        /// State words saved.
+        words: usize,
+    },
+    /// Cost event: the rank resumed from its snapshot at the current
+    /// boundary.
+    Restore {
+        /// State words restored.
+        words: usize,
+    },
+}
+
+impl CommEvent {
+    /// `true` for the events only the bill reads; the verifier, the phase
+    /// totals and the golden digest skip them.
+    pub fn is_cost_only(&self) -> bool {
+        !matches!(
+            self,
+            CommEvent::Send { .. }
+                | CommEvent::Recv { .. }
+                | CommEvent::Collective { .. }
+                | CommEvent::Commit { .. }
+                | CommEvent::SpanOpen { .. }
+                | CommEvent::SpanClose { .. }
+        )
+    }
 }
 
 /// Per-phase communication totals extracted from recorded comm scripts —
@@ -157,7 +237,8 @@ pub const COLLECTIVE_SPAN_NAMES: [&str; 7] =
 /// Aggregates per-rank comm scripts (as returned by
 /// [`MachineSpec::record`](crate::MachineSpec::record)) into
 /// deterministic per-phase send totals, ordered by phase name. See
-/// [`PhaseTotals`] for the attribution rule.
+/// [`PhaseTotals`] for the attribution rule. Only logical sends count:
+/// the cost-only events ([`CommEvent::is_cost_only`]) are skipped.
 pub fn phase_totals(scripts: &[Vec<CommEvent>]) -> Vec<PhaseTotals> {
     use std::collections::BTreeMap;
     // phase -> per-rank (messages, words)
@@ -195,44 +276,6 @@ pub fn phase_totals(scripts: &[Vec<CommEvent>]) -> Vec<PhaseTotals> {
             total_words: per_rank.iter().map(|&(_, w)| w).sum(),
         })
         .collect()
-}
-
-/// Shared collector of per-rank comm scripts for one recorded run.
-///
-/// The caller holds it via `Arc`, so partial scripts survive a failing
-/// run (hang, protocol error): the verifier lints whatever was
-/// recorded before the machine died.
-#[derive(Debug)]
-pub struct ScriptBoard {
-    ranks: Vec<Mutex<Vec<CommEvent>>>,
-}
-
-impl ScriptBoard {
-    /// A fresh board for `p` ranks.
-    pub fn new(p: usize) -> Self {
-        ScriptBoard { ranks: (0..p).map(|_| Mutex::new(Vec::new())).collect() }
-    }
-
-    /// Appends an event to `rank`'s script. Public because both machines
-    /// record: the simulator's `Comm` and the native backend's
-    /// `NativeComm` (apsp-transport) push into the same board type, so
-    /// one comm-script linter serves both.
-    pub fn push(&self, rank: Rank, ev: CommEvent) {
-        if let Ok(mut script) = self.ranks[rank].lock() {
-            script.push(ev);
-        }
-    }
-
-    /// Drains and returns every rank's script (in rank order).
-    pub fn take(&self) -> Vec<Vec<CommEvent>> {
-        self.ranks
-            .iter()
-            .map(|m| match m.lock() {
-                Ok(mut script) => std::mem::take(&mut *script),
-                Err(poisoned) => std::mem::take(&mut *poisoned.into_inner()),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

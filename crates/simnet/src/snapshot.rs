@@ -3,11 +3,10 @@
 //!
 //! Ranks save their state at committed phase boundaries, the supervisor
 //! reads the highest boundary *every* rank has saved (the consistent
-//! cut), prunes stale work beyond it, and restores from it on replay.
-//! On the simulator the save/restore traffic is charged to the §3.1
-//! ledgers; on the native backend the same store tracks real thread
-//! restarts — the types carry no cost-model dependency beyond the
-//! [`RankStats`] snapshot field (zeroed off-simulator).
+//! cut), prunes stale work beyond it, and restores from it on replay. The
+//! store holds no bill: the save/restore traffic is logged, and the fold
+//! of each epoch's log charges it and keeps the bill at every snapshot
+//! ([`crate::cost`]), the same on both machines.
 
 #![expect(
     clippy::disallowed_types,
@@ -16,7 +15,6 @@
 
 use crate::comm::Rank;
 use crate::faults::{FaultStats, FaultSummary};
-use crate::report::RankStats;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -27,10 +25,6 @@ use std::sync::Mutex;
 pub struct Snapshot {
     /// The solver's opaque per-rank state words.
     pub state: Vec<f64>,
-    /// The rank's §3.1 cost ledger at the boundary: clocks (including the
-    /// snapshot's own charge), send totals and tracked memory. All-zero
-    /// on the native backend, which has no cost model.
-    pub costs: RankStats,
     /// Fault-protocol send sequence counters, per destination.
     pub seq_next: Vec<u64>,
     /// Fault-protocol receive sequence counters, per source.

@@ -24,11 +24,10 @@
 //!
 //! What the shim covers: channels, mutexes, atomics, spawning/joining,
 //! yields/sleeps. What it does not, each under a module-level
-//! `#[expect(clippy::disallowed_types)]`: the `SnapshotStore` and
-//! `ScriptBoard` internals (`snapshot.rs`, `script.rs`), which stay on std
-//! mutexes — their critical sections contain no scheduling points, so they
-//! are atomic under the model and cannot introduce unexplored
-//! interleavings; the process-wide counters of `perf.rs`, written after a
+//! `#[expect(clippy::disallowed_types)]`: the `SnapshotStore` internals
+//! (`snapshot.rs`), which stay on std mutexes — their critical sections
+//! contain no scheduling points, so they are atomic under the model and
+//! cannot introduce unexplored interleavings; the process-wide counters of `perf.rs`, written after a
 //! run ends; and the once-installed panic hook of `cascade.rs`. None of
 //! them is a scheduling point of the rank protocol the model explores.
 

@@ -7,9 +7,10 @@
 //! first-class artifact of a run instead of something reverse-engineered
 //! from end-of-run totals:
 //!
-//! * [`crate::Comm::span`] opens a RAII **span**: it snapshots the rank's
-//!   clocks, memory, and send counters on entry and exit, and the deltas
-//!   land in a per-rank [`SpanLedger`]. Spans nest (`sparse2d` →
+//! * [`crate::Comm::span`] opens a RAII **span**: its open and close are
+//!   logged, and the fold of the log ([`crate::cost::fold`]) samples the
+//!   rank's clocks, memory, and send counters at both, so the deltas land
+//!   in a per-rank [`SpanLedger`]. Spans nest (`sparse2d` →
 //!   `level` → `r4`), and because the §3.1 clocks are monotone
 //!   nondecreasing, every span delta is non-negative and nested children
 //!   never exceed their parent.
@@ -24,9 +25,26 @@
 //!   whole thing for `chrome://tracing` / Perfetto (hand-serialized; the
 //!   workspace has no serde).
 
-use crate::comm::{Rank, TraceEvent};
+use crate::comm::Rank;
 use crate::report::Clocks;
 use std::collections::BTreeMap;
+
+/// One sent message of a profiled run ([`crate::MachineSpec::profile`]):
+/// every physical attempt, delivered or lost.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TraceEvent {
+    /// Sender rank.
+    pub src: Rank,
+    /// Receiver rank.
+    pub dst: Rank,
+    /// Payload size in words.
+    pub words: usize,
+    /// Message tag (phase-identifying, algorithm-specific).
+    pub tag: u64,
+    /// The sender's critical-path clocks immediately *after* the send —
+    /// the simulated instant the message is on the wire.
+    pub clocks: Clocks,
+}
 
 // ---------------------------------------------------------------------------
 // Span ledger
@@ -515,7 +533,9 @@ pub struct TimeModel {
 }
 
 impl Default for TimeModel {
-    /// InfiniBand-class defaults: `α = 1 µs`, `β = 1 ns`, `γ = 0.1 ns`.
+    /// `α = 1 µs`, `β = 1 ns`, `γ = 0.1 ns`: placeholders of roughly an
+    /// InfiniBand cluster's order that nobody has measured, until ROADMAP
+    /// item 7 fits them to a machine.
     fn default() -> Self {
         TimeModel { alpha: 1e-6, beta: 1e-9, gamma: 1e-10 }
     }

@@ -1,8 +1,8 @@
 //! Property tests for the simulated machine: deterministic clocks, exact
 //! accounting identities, and collective correctness under random groups.
 
-use apsp_simnet::{Machine, MachineRun, MachineSpec, Rank};
-use apsp_transport::Transport;
+use apsp_simnet::{fold, Machine, MachineRun, MachineSpec, Rank, RunReport};
+use apsp_transport::{NativeMachine, Transport};
 use proptest::prelude::*;
 
 /// A random one-shot traffic pattern: every rank sends its listed messages
@@ -28,9 +28,10 @@ fn arb_pattern(max_p: usize) -> impl Strategy<Value = Pattern> {
     })
 }
 
-fn run_pattern(pattern: &Pattern) -> apsp_simnet::RunReport {
-    let msgs = &pattern.messages;
-    let (_, report) = Machine::run(pattern.p, |comm| {
+/// Runs `pattern` on the simulator, and on the native machine recorded:
+/// the fold of the native log must be the simulator's report.
+fn run_pattern(pattern: &Pattern) -> RunReport {
+    fn traffic<C: Transport>(comm: &mut C, msgs: &[(Rank, Rank, usize)]) {
         let me = comm.rank();
         // sends in global order (tag = message index)
         for (idx, &(s, d, w)) in msgs.iter().enumerate() {
@@ -44,7 +45,13 @@ fn run_pattern(pattern: &Pattern) -> apsp_simnet::RunReport {
                 assert_eq!(data.len(), w);
             }
         }
-    });
+    }
+    let msgs = &pattern.messages;
+    let (_, report) = Machine::run(pattern.p, |comm| traffic(comm, msgs));
+    let recorded = MachineSpec { record: true, ..Default::default() };
+    let native = NativeMachine::launch(pattern.p, &recorded, |comm| traffic(comm, msgs));
+    let folded = fold(&native.expect("fault-free launch").scripts, false).expect("a real log");
+    assert_eq!(folded.per_rank, report.per_rank, "the native log folds to another bill");
     report
 }
 

@@ -12,19 +12,20 @@
 //! abstracted from any particular machine. The [`Transport`] trait captures
 //! exactly what `sparse2d`, `fw2d`, `dcapsp`, and `djohnson` use of a
 //! communicator — point-to-point messaging, binomial-tree collectives,
-//! cost/memory charging, phase commits, and RAII spans — so the identical
+//! compute/memory accounting, phase commits, and RAII spans — so the identical
 //! SPMD rank programs run on:
 //!
 //! * [`apsp_simnet::Comm`] — the §3.1 cost-model simulator, with every
 //!   Table-2/verification/fault/recovery guarantee.
 //! * [`NativeComm`] — a real shared-memory backend: `p` pooled OS threads,
-//!   one std `mpsc` inbox per rank, no cost clocks, genuine wall-clock
-//!   time. See [`NativeMachine`].
+//!   one std `mpsc` inbox per rank, genuine wall-clock time, and the same
+//!   §3.1 bill folded from its log when recorded. See [`NativeMachine`].
 //!
 //! Both are the same rank endpoint ([`apsp_simnet::Endpoint`]) — one
 //! frame format, one reliability protocol, one watchdog, one checkpoint
-//! commit, one epoch runner — differing only in the [`apsp_simnet::Meter`]
-//! plugged into it, so there is one `impl Transport` for both, and the
+//! commit, one event log, one epoch runner — differing only in the
+//! [`apsp_simnet::Meter`] plugged into it (what a kill does, whether a
+//! backoff sleeps), so there is one `impl Transport` for both, and the
 //! full robustness stack ([`MachineSpec::faults`],
 //! [`MachineSpec::recovery`], the shared supervisor
 //! [`apsp_simnet::supervise`]) runs on either. Both machines take the
@@ -71,7 +72,7 @@ pub use apsp_simnet::cascade;
 
 pub use apsp_simnet::{MachineRun, MachineSpec};
 
-use apsp_simnet::{Clocks, CollectiveKind, Comm, Endpoint, MachineError, Meter, Rank, SpanGuard};
+use apsp_simnet::{CollectiveKind, Comm, Endpoint, MachineError, Meter, Rank, SpanGuard};
 use std::ops::DerefMut;
 
 /// A machine that runs SPMD rank programs: `p` ranks, each handed its own
@@ -135,8 +136,8 @@ fn position(group: &[Rank], rank: Rank) -> usize {
 /// Implementations must provide MPI's per-`(src, dst)` FIFO non-overtaking
 /// guarantee for point-to-point messages, tag checking on receives (a tag
 /// mismatch is always a schedule bug and must fail loudly), and monotone
-/// phase boundaries. Cost charging (`compute`/`alloc`/`release`/`clocks`)
-/// may be a no-op on backends without a cost model.
+/// phase boundaries. The accounting calls (`compute`/`alloc`/`release`)
+/// only log; the bill is folded from the log after the run.
 pub trait Transport: Sized {
     /// RAII span guard returned by [`Transport::span`]. Derefs to the
     /// communicator so sends, receives, collectives, and nested spans all
@@ -159,20 +160,14 @@ pub trait Transport: Sized {
     /// Panics when the arriving message's tag differs from `expected_tag`.
     fn recv(&mut self, src: Rank, expected_tag: u64) -> Vec<f64>;
 
-    /// Records `ops` scalar operations of local compute (no-op without a
-    /// cost model).
+    /// Records `ops` scalar operations of local compute.
     fn compute(&mut self, ops: u64);
 
-    /// Tracks an allocation of `words` words of resident data (no-op
-    /// without a cost model).
+    /// Tracks an allocation of `words` words of resident data.
     fn alloc(&mut self, words: usize);
 
-    /// Releases previously tracked words (no-op without a cost model).
+    /// Releases previously tracked words.
     fn release(&mut self, words: usize);
-
-    /// Current critical-path clocks. Backends without a cost model return
-    /// [`Clocks::default`] (all zero).
-    fn clocks(&self) -> Clocks;
 
     /// Opens a phase span; see [`Transport::Span`].
     fn span(&mut self, name: &'static str, tag: u64) -> Self::Span<'_>;
@@ -525,10 +520,6 @@ impl<M: Meter> Transport for Endpoint<M> {
         Endpoint::release(self, words);
     }
 
-    fn clocks(&self) -> Clocks {
-        Endpoint::clocks(self)
-    }
-
     fn span(&mut self, name: &'static str, tag: u64) -> SpanGuard<'_, M> {
         Endpoint::span(self, name, tag)
     }
@@ -655,10 +646,12 @@ mod tests {
                 comm.compute(1000);
             }
             comm.barrier(&group, 0);
-            // after the barrier every rank's compute clock has absorbed
-            // rank 2's 1000 ops
-            assert!(comm.clocks().compute() >= 1000);
         });
+        // after the barrier every rank's compute clock has absorbed rank
+        // 2's 1000 ops
+        for stats in &report.per_rank {
+            assert!(stats.clocks.compute() >= 1000);
+        }
         assert_eq!(report.critical_compute(), 1000);
     }
 

@@ -1,14 +1,13 @@
 //! The native shared-memory machine: `p` ranks on parked OS threads of
-//! the rank-thread pool, one std `mpsc` inbox per rank, no cost clocks,
-//! genuine wall-clock time.
+//! the rank-thread pool, one std `mpsc` inbox per rank, genuine
+//! wall-clock time.
 //!
 //! It is the rank endpoint the simulator runs
-//! ([`apsp_simnet::Endpoint`]) with a meter that counts nothing, so it
-//! provides, from the same code: per-`(src, dst)` FIFO non-overtaking,
-//! tag checking (typed [`apsp_simnet::ProtocolError`]), the hang watchdog
+//! ([`apsp_simnet::Endpoint`]), so it provides, from the same code:
+//! per-`(src, dst)` FIFO non-overtaking, tag checking (typed [`apsp_simnet::ProtocolError`]), the hang watchdog
 //! (typed [`apsp_simnet::HangError`] after `APSP_WATCHDOG_MS`), the
-//! cascade-death discipline ([`apsp_simnet::cascade`]), comm-script
-//! recording ([`MachineSpec::record`]), and the whole robustness stack —
+//! cascade-death discipline ([`apsp_simnet::cascade`]), the event log
+//! ([`MachineSpec::record`]), and the whole robustness stack —
 //! the seeded fault grammar ([`apsp_simnet::FaultPlan`]) injected into
 //! real inbox traffic and recovered by the shared seq+checksum envelope
 //! and bounded-backoff retransmission ([`MachineSpec::faults`]), and the
@@ -18,10 +17,13 @@
 //! real (capped) sleep, and a `kill=R[@B]` rule **unwinds rank R's
 //! program** on its worker at the chosen phase boundary instead of
 //! dropping its messages.
-//! What it does **not** provide: §3.1 cost clocks, span ledgers —
-//! [`crate::Transport::clocks`] returns zeros, the report is
-//! all-zero, and spans only echo into a recorded script. Injection
-//! decisions are pure functions of `(seed, epoch, boundary, src, dst,
+//!
+//! Its report is all-zero, and an unrecorded rank keeps no log. A
+//! recorded run hands back the event log the simulator keeps, and
+//! [`apsp_simnet::fold`] of it is the simulator's bill bit for bit,
+//! fault-free or under message faults (`tests/differential.rs`).
+//!
+//! Injection decisions are pure functions of `(seed, epoch, boundary, src, dst,
 //! tag, seq, attempt)` and sequence numbers are per `(src, dst)`, so fault
 //! trajectories are deterministic even under real thread scheduling; with
 //! an empty plan the fault layer is never constructed. See
@@ -29,25 +31,21 @@
 
 use crate::sync::thread;
 use apsp_simnet::{
-    run_epoch, supervise, Endpoint, MachineError, MachineRun, MachineSpec, Meter, Rank, RunReport,
+    run_epoch, supervise, Endpoint, Log, MachineError, MachineRun, MachineSpec, Meter,
 };
 use std::time::Duration;
 
 /// A rank's handle to the native machine.
 pub type NativeComm = Endpoint<NativeMeter>;
 
-/// The native machine's [`Meter`]: no cost model. Frames carry no stamp
-/// and every charging hook keeps its do-nothing default.
+/// The native machine's [`Meter`]: a kill rule unwinds the victim's
+/// program, and a backoff really sleeps.
 pub struct NativeMeter;
 
 impl Meter for NativeMeter {
-    type Stamp = ();
-
     const KILL_UNWINDS_RANK: bool = true;
 
-    fn on_wire(&mut self, _dst: Rank, _tag: u64, _words: usize, _delay: u64) {}
-
-    fn backoff(&mut self, units: u64) {
+    fn backoff(units: u64) {
         // real (bounded) backoff before the retransmission
         thread::sleep(Duration::from_micros(units.min(2000)));
     }
@@ -59,22 +57,21 @@ pub struct NativeMachine;
 
 impl NativeMachine {
     /// Runs `f(comm)` on `p` ranks (one pooled OS thread each) and returns every
-    /// rank's result plus an all-zero [`RunReport`] (`p` default rank
-    /// entries, no profile) so callers keep a uniform result shape across
-    /// backends.
+    /// rank's result plus an all-zero [`apsp_simnet::RunReport`] (`p`
+    /// default rank entries, no profile) so callers keep a uniform result
+    /// shape across backends.
     ///
     /// Panics in any rank propagate and fail the run; when several ranks
     /// die, the root cause (the first non-cascade panic in rank order) is
     /// surfaced rather than a disconnect victim. Typed machine aborts
     /// (tag mismatch, watchdog hang) re-panic with their `Display`
     /// rendering, exactly like [`apsp_simnet::Machine::run`].
-    pub fn run<T, F>(p: usize, f: F) -> (Vec<T>, RunReport)
+    pub fn run<T, F>(p: usize, f: F) -> (Vec<T>, apsp_simnet::RunReport)
     where
         T: Send,
         F: Fn(&mut NativeComm) -> T + Sync,
     {
-        let (run, _) =
-            run_epoch(p, &f, None, None, None, |_| NativeMeter).unwrap_or_else(|e| panic!("{e}"));
+        let run = Self::launch(p, &MachineSpec::default(), f).unwrap_or_else(|e| panic!("{e}"));
         (run.outs, run.report)
     }
 
@@ -92,12 +89,13 @@ impl NativeMachine {
     ///   next epoch salt, a killed rank remapped onto a spare physical id
     ///   first. Same plan + same policy ⇒ the same
     ///   [`apsp_simnet::RecoveryReport`] and bit-identical outputs.
-    /// * `record` returns the same per-rank [`apsp_simnet::CommEvent`]
-    ///   scripts the simulator records, so the protocol linter runs
-    ///   against native executions too; unrecorded, the per-op cost is a
-    ///   skipped `Option`.
-    /// * `profile` has nothing to collect here (no cost clocks, no
-    ///   ledgers); `apsp-core`'s `launch` rejects it up front.
+    /// * `record` makes every rank keep the event log the simulator keeps
+    ///   ([`apsp_simnet::CommEvent`]) and hands it back, so the protocol
+    ///   linter runs against native executions too, and
+    ///   [`apsp_simnet::fold`] of it gives the §3.1 bill; unrecorded, the
+    ///   per-op cost is a skipped `Option`.
+    /// * `profile` has nothing to collect here (the report stays
+    ///   all-zero); `apsp-core`'s `launch` rejects it up front.
     ///
     /// # Errors
     /// [`MachineError::Down`] when a kill rule took a rank down,
@@ -114,9 +112,8 @@ impl NativeMachine {
         T: Send,
         F: Fn(&mut NativeComm) -> T + Sync,
     {
-        supervise(p, spec, |plan, epoch, script| {
-            run_epoch(p, &f, plan, epoch, script, |_| NativeMeter).map(|(run, _)| run)
-        })
+        let log = if spec.record { Log::All } else { Log::Off };
+        supervise(p, spec, false, |plan, epoch| run_epoch(p, &f, plan, epoch, log))
     }
 }
 

@@ -9,7 +9,9 @@
 //! before a chaos run finds out?" (see `docs/VERIFICATION.md`).
 //!
 //! A recorded run collects each rank's logical communication events
-//! (sends, receives, collective entries, phase commits, spans), and the
+//! (sends, receives, collective entries, phase commits, spans) — the
+//! event log the §3.1 bill is folded from, whose cost-only events
+//! ([`CommEvent::is_cost_only`]) the verifier skips — and the
 //! static linter ([`lint::lint_scripts`]) checks global invariants
 //! *without executing delivery*: every send matched by a receive with the
 //! same tag and word count, no tag reused across phase boundaries, every
@@ -20,7 +22,7 @@
 //! `execution` violation, and its partial scripts are linted all the
 //! same. Both machines give this verdict.
 //!
-//! Recording never touches the §3.1 cost clocks: a verified program's
+//! Recording never changes the §3.1 bill: a verified program's
 //! subsequent plain run is byte-identical to one that was never
 //! verified.
 //!
@@ -42,15 +44,14 @@ pub use fixture::{bad_fixture, flood_exchange};
 pub use lint::lint_scripts;
 pub use violation::Violation;
 
-use apsp_simnet::sync::Arc;
-use apsp_simnet::{run_epoch, Comm, CommEvent, MachineError, RunReport, ScriptBoard, SimMeter};
+use apsp_simnet::{fold, run_epoch, Comm, CommEvent, Log, MachineError, RunReport};
 
 /// The outcome of [`verify_program`].
 #[derive(Debug)]
 pub struct VerifyReport {
     /// Rank count verified.
     pub p: usize,
-    /// Total events recorded across all ranks.
+    /// Total logical events recorded across all ranks.
     pub events: usize,
     /// Everything the lint found, then the error the run died of.
     pub violations: Vec<Violation>,
@@ -98,13 +99,10 @@ where
     T: Send,
     F: Fn(&mut Comm) -> T + Sync,
 {
-    let board = Arc::new(ScriptBoard::new(p));
-    let meter = |rank| SimMeter::new(rank, false);
-    let (report, died) = match run_epoch(p, &f, None, None, Some(&board), meter) {
-        Ok((run, _)) => (Some(run.report), None),
-        Err(e) => (None, Some(e)),
-    };
-    VerifyReport { report, ..verdict(p, &board.take(), died) }
+    let (outcome, logs) = run_epoch(p, &f, None, None, Log::All);
+    let died = outcome.err();
+    let report = died.is_none().then(|| fold(&logs, false).expect("a machine's own log folds"));
+    VerifyReport { report, ..verdict(p, &logs, died) }
 }
 
 /// Builds a [`VerifyReport`] from the outcome of a recorded launch on any
@@ -126,7 +124,7 @@ pub fn lint_recorded_outcome(
 /// The lint of `scripts`, then the error the run `died` of, if any.
 fn verdict(p: usize, scripts: &[Vec<CommEvent>], died: Option<MachineError>) -> VerifyReport {
     let _wall = apsp_metrics::time_phase("verify");
-    let events = scripts.iter().map(Vec::len).sum();
+    let events = scripts.iter().flatten().filter(|ev| !ev.is_cost_only()).count();
     let mut violations = lint_scripts(scripts);
     violations.extend(died.map(|e| Violation::Execution { error: e.to_string() }));
     let reg = apsp_metrics::global();

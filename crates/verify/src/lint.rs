@@ -1,8 +1,10 @@
 //! The static comm-script linter.
 //!
 //! Operates purely on recorded per-rank scripts — no delivery is
-//! executed. Because the machine's channels are FIFO per `(src, dst)`
-//! pair and a receive names its source, the n-th recorded receive on a
+//! executed — and reads only their logical events: the cost-only ones
+//! ([`CommEvent::is_cost_only`]) are the bill's and are skipped.
+//! Because the machine's channels are FIFO per `(src, dst)` pair and a
+//! receive names its source, the n-th recorded receive on a
 //! channel claims exactly the n-th recorded send: positional pairing is
 //! not a heuristic, it is the machine's delivery function. Everything
 //! the linter checks is therefore an exact global invariant:

@@ -6,6 +6,7 @@
 
 use sparse_apsp::minplus::MinPlusMatrix;
 use sparse_apsp::prelude::*;
+use sparse_apsp::simnet::fold;
 
 /// The corpus: name + graph, spanning the shapes that historically
 /// disagree between APSP implementations.
@@ -231,5 +232,83 @@ fn faulted_and_clean_solvers_agree() {
             "{graph_name}: faulted fw2d drifted from the clean run"
         );
         assert_eq!(summary.unrecoverable, 0, "{graph_name}");
+    }
+}
+
+/// Runs `solver` on both machines under `faults` — the simulator profiled,
+/// the native machine recorded — and checks that the fold of the native
+/// log is the simulator's bill bit for bit: every rank's clocks, sends and
+/// memory, its clocks at every commit, and the profile. Returns the fold
+/// and the faults the plan injected.
+fn native_log_folds_to_the_bill<S: Solver>(
+    what: &str,
+    solver: &S,
+    faults: Option<&FaultPlan>,
+    report: impl Fn(&S::Result) -> &RunReport,
+) -> (RunReport, u64) {
+    let sim = launch(solver, &LaunchSpec { faults, profile: true, ..Default::default() })
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    let spec = LaunchSpec { backend: Backend::Native, faults, record: true, ..Default::default() };
+    let native = launch(solver, &spec).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let folded = fold(&native.scripts, true).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let bill = report(&sim.result);
+    assert!(bill.total_messages() > 0, "{what}: nothing was sent");
+    assert_eq!(folded.per_rank, bill.per_rank, "{what}: per-rank bill");
+    assert_eq!(folded.commits, bill.commits, "{what}: clocks at the commits");
+    assert_eq!(folded.profile, bill.profile, "{what}: profile");
+    (folded, sim.faults.map_or(0, |summary| summary.injected()))
+}
+
+#[test]
+fn native_backend_log_folds_to_the_simulators_bill() {
+    // the log does not depend on the machine: a native run's recorded log
+    // folds to the simulator's report, fault-free and under message faults
+    // (kill rules are left out: there the machines differ by design)
+    let plan =
+        FaultPlan::new(0xF01D).with_drop(0.05).with_dup(0.05).with_corrupt(0.05).with_delay(0.1, 3);
+    for (graph_name, g) in corpus() {
+        let nd = nested_dissection(&g, 2, &NdOptions::default());
+        let layout = SupernodalLayout::from_ordering(&nd);
+        let gp = g.permuted(&nd.perm);
+        for faults in [None, Some(&plan)] {
+            let what = |solver: &str| format!("{graph_name}/{solver} faults={}", faults.is_some());
+            let solver = Sparse2d::new(&layout, &gp, R4Strategy::OneToOne);
+            let (folded, mut injected) =
+                native_log_folds_to_the_bill(&what("sparse2d"), &solver, faults, |r| &r.report);
+            // the per-level costs are the commits' clocks, max over ranks
+            let sim = launch(&solver, &LaunchSpec { faults, ..Default::default() })
+                .expect("recoverable plan")
+                .result;
+            let mut levels = vec![Clocks::default(); sim.level_clocks.len()];
+            for commits in &folded.commits {
+                for (level, c) in levels.iter_mut().zip(commits) {
+                    level.merge_max(c);
+                }
+            }
+            assert_eq!(levels, sim.level_clocks, "{}: level costs", what("sparse2d"));
+
+            let n = layout.n();
+            let batch = [DecreasedEdge { u: 0, v: n - 1, new_weight: 0.25 }];
+            let decreases = Decreases::new(&layout, &sim.blocks, &batch);
+            injected +=
+                native_log_folds_to_the_bill(&what("decreases"), &decreases, faults, |r| &r.report)
+                    .1;
+            let fw = Fw2d::new(&g, 3);
+            injected += native_log_folds_to_the_bill(&what("fw2d"), &fw, faults, |r| &r.report).1;
+            let dc = DcApsp::new(&g, 3, 1);
+            injected += native_log_folds_to_the_bill(&what("dcapsp"), &dc, faults, |r| &r.report).1;
+            let dj = DJohnson::new(&g, 9);
+            injected +=
+                native_log_folds_to_the_bill(&what("djohnson"), &dj, faults, |r| &r.report).1;
+            let dnd = DistNd::new(&g, 2, 9, 0);
+            injected +=
+                native_log_folds_to_the_bill(&what("distnd"), &dnd, faults, |r| &r.report).1;
+            assert_eq!(
+                injected > 0,
+                faults.is_some(),
+                "{}: the plan injected {injected}",
+                what("all")
+            );
+        }
     }
 }

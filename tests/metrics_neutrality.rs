@@ -172,10 +172,12 @@ fn render_dist(s: &mut String, d: &DenseDist) {
     }
 }
 
+/// The logical events only: the cost-only ones the bill is folded from
+/// are pinned through the rendered report.
 fn render_scripts(s: &mut String, scripts: &[Vec<CommEvent>]) {
     for (rank, script) in scripts.iter().enumerate() {
         let _ = writeln!(s, "script[{rank}]:");
-        for ev in script {
+        for ev in script.iter().filter(|ev| !ev.is_cost_only()) {
             let _ = writeln!(s, "  {ev:?}");
         }
     }
